@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dpu import DomainBasis
-from .errors import CheckpointFormatError, DataError
+from .errors import CheckpointFormatError, ConfigError, DataError
 
 if TYPE_CHECKING:
     from .trainer import TrainConfig
@@ -104,6 +104,19 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     os.replace(tmp, path)
 
 
+def _typed(value, kind, path: Path, what: str):
+    """`value` if it has JSON type `kind` (a bool is no int here), else a format error."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        name = getattr(kind, "__name__", "number")
+        raise CheckpointFormatError(f"{path}: header {what} must be of type {name}")
+    return value
+
+
+def _typed_fields(doc, spec: dict, path: Path, what: str) -> list:
+    doc = _typed(doc, dict, path, what)
+    return [_typed(doc.get(key), kind, path, f"{what}.{key}") for key, kind in spec.items()]
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
     from .trainer import TrainConfig  # deferred: trainer imports this module
 
@@ -121,48 +134,60 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         header = json.loads(blob[header_start: header_start + header_len].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointFormatError(f"{path}: unreadable header: {exc}") from exc
-    if header.get("version") != FORMAT_VERSION:
+    header = _typed(header, dict, path, "top level")
+    version = header.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
         raise CheckpointFormatError(
-            f"{path}: version mismatch: file has {header.get('version')!r}, "
+            f"{path}: version mismatch: file has {version!r}, "
             f"reader supports {FORMAT_VERSION}"
         )
 
-    config = TrainConfig.from_dict(header["config"])
-    basis_meta = header.get("bases", [])
-    expected = set(PARAM_TENSOR_NAMES) | {meta["tensor"] for meta in basis_meta}
-    listed = {entry["name"] for entry in header.get("tensors", [])}
-    unknown = sorted(listed - expected)
+    try:
+        config = TrainConfig.from_dict(_typed(header.get("config"), dict, path, "config"))
+    except ConfigError as exc:
+        raise CheckpointFormatError(f"{path}: invalid config in header: {exc}") from exc
+    tensors = [
+        _typed_fields(entry, {"name": str, "rows": int, "cols": int, "offset": int}, path, "tensor")
+        for entry in _typed(header.get("tensors"), list, path, "tensors")
+    ]
+    basis_meta = [
+        _typed_fields(entry, {"domain_id": str, "padded": bool, "tensor": str}, path, "basis")
+        for entry in _typed(header.get("bases"), list, path, "bases")
+    ]
+    epoch = _typed(header.get("epoch"), int, path, "epoch")
+    final_loss = _typed(header.get("final_loss"), dict, path, "final_loss")
+    for key, value in final_loss.items():
+        _typed(value, (int, float), path, f"final_loss.{key}")
+
+    expected = set(PARAM_TENSOR_NAMES) | {tensor for _, _, tensor in basis_meta}
+    listed = [name for name, _, _, _ in tensors]
+    if len(set(listed)) != len(listed):
+        raise CheckpointFormatError(f"{path}: duplicate tensor names in header")
+    unknown = sorted(set(listed) - expected)
     if unknown:
         raise CheckpointFormatError(f"{path}: unknown tensors in header: {unknown}")
-    missing = sorted(expected - listed)
+    missing = sorted(expected - set(listed))
     if missing:
         raise CheckpointFormatError(f"{path}: missing tensors: {missing}")
 
     payload = blob[header_start + header_len:]
     arrays: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        rows, cols, offset = entry["rows"], entry["cols"], entry["offset"]
+    for name, rows, cols, offset in tensors:
         nbytes = rows * cols * 8
-        if offset < 0 or offset + nbytes > len(payload):
-            raise CheckpointFormatError(
-                f"{path}: truncated payload for tensor '{entry['name']}'"
-            )
+        if min(rows, cols, offset) < 0 or offset + nbytes > len(payload):
+            raise CheckpointFormatError(f"{path}: truncated payload for tensor '{name}'")
         arr = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=offset)
-        arrays[entry["name"]] = arr.reshape(rows, cols).astype(np.float64)
+        arrays[name] = arr.reshape(rows, cols).astype(np.float64)
 
     bases = [
-        DomainBasis(
-            domain_id=meta["domain_id"],
-            V=arrays[meta["tensor"]],
-            padded=bool(meta["padded"]),
-        )
-        for meta in basis_meta
+        DomainBasis(domain_id=domain_id, V=arrays[tensor], padded=padded)
+        for domain_id, padded, tensor in basis_meta
     ]
     params = {name: arrays[name] for name in PARAM_TENSOR_NAMES}
     return Checkpoint(
         config=config,
         params=params,
         bases=bases,
-        epoch=int(header["epoch"]),
-        final_loss=dict(header["final_loss"]),
+        epoch=epoch,
+        final_loss=dict(final_loss),
     )

@@ -17,15 +17,40 @@ import time
 from pathlib import Path
 
 
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _flag_value(argv: list[str], flag: str) -> str | None:
+    for pos, arg in enumerate(argv):
+        if arg == flag and pos + 1 < len(argv):
+            return argv[pos + 1]
+        if arg.startswith(flag + "="):
+            return arg[len(flag) + 1:]
+    return None
+
+
+def _config_threads(path: str) -> int | None:
+    # Stdlib only: numpy must not load before the BLAS variables are set. A
+    # file that cannot be read here is reported by the real config loader.
+    try:
+        threads = json.loads(Path(path).read_text(encoding="utf-8"))["train"]["threads"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    valid = isinstance(threads, int) and not isinstance(threads, bool) and threads >= 1
+    return threads if valid else None
+
+
 def _apply_thread_limit(argv: list[str]) -> None:
-    # Must happen before numpy is imported anywhere in this process.
-    if "--threads" in argv:
-        try:
-            threads = argv[argv.index("--threads") + 1]
-        except IndexError:
-            return
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = threads
+    """Pin the BLAS pools to --threads, else to the config's train.threads.
+
+    Must happen before numpy is imported anywhere in this process."""
+    threads = _flag_value(argv, "--threads")
+    config = _flag_value(argv, "--config")
+    if threads is None and config is not None:
+        threads = _config_threads(config)
+    if threads is not None:
+        for var in _BLAS_THREAD_VARS:
+            os.environ[var] = str(threads)
 
 
 def _timestamp() -> str:

@@ -9,7 +9,9 @@ per line). Loaded collections are immutable and validated up front.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
+from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,8 @@ NODE_LEVEL = "node-level"
 GRAPH_LEVEL = "graph-level"
 
 DEGREE_FEATURE_DIM = 16
+# feature rows turned into Python floats at a time when writing
+_WRITE_CHUNK_ROWS = 4096
 
 _MANIFEST_KEYS = {"version", "task_kind", "symmetrize", "domains"}
 _DOMAIN_KEYS = {
@@ -129,11 +133,110 @@ class GraphCollection:
 
 # ---------------------------------------------------------------------------
 # file parsing
+#
+# Each reader parses a whole file into one array, mapping int()/float() over
+# its tokens block by block, and checks it with whole-array tests. Only a file
+# that fails is read again line by line, by a `_locate_*` function whose one
+# job is to raise the first defect as `path:line: ...`; both passes accept the
+# same grammar, so a locator that finds no defect returns and the caller
+# re-raises the array pass's own error.
+#
+# A file spelled only with the characters below is first handed to
+# np.loadtxt, which is two to three times faster. On such text np.loadtxt
+# accepts a subset of what int()/float() accept and gives the same values
+# (tests/test_data_path.py pins this); whatever it refuses, or reads with a
+# different row count (it skips blank lines), goes to the int()/float() pass.
+_INT_CHARS = b"0123456789\t\n"
+_FLOAT_CHARS = b"0123456789.eE+-\t\n"
+_count_tabs = methodcaller("count", "\t")
+# tokens converted per block by _parse_table
+_PARSE_BLOCK_TOKENS = 1 << 18
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
+def _is_plain(text: str, chars: bytes) -> bool:
+    return text.isascii() and not text.encode("ascii").translate(None, chars)
+
+
+def _parse_table(lines: list[str], width: int | None, dtype, plain: bool) -> np.ndarray:
+    """Tab-separated rows as a (len(lines), width) array. Raises ValueError or
+    OverflowError on a token int()/float() rejects or on a row of the wrong
+    width."""
+    if not lines:
+        return np.empty((0, width or 0), dtype=dtype)
+    if plain:
+        try:
+            with warnings.catch_warnings():  # "no data" on a file of blank lines
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(lines, dtype=dtype, delimiter="\t", comments=None, ndmin=2)
+        except (ValueError, OverflowError):
+            table = None
+        if table is not None and table.shape[0] == len(lines) and width in (None, table.shape[1]):
+            return table
+    tabs = np.fromiter(map(_count_tabs, lines), np.int64, len(lines))
+    if np.any(tabs != tabs[0]) or width not in (None, tabs[0] + 1):
+        raise ValueError("ragged rows")
+    table = np.empty((len(lines), int(tabs[0]) + 1), dtype=dtype)
+    convert = float if dtype == np.float64 else int
+    # a block of rows at a time, so the token strings never all exist at once
+    step = max(1, _PARSE_BLOCK_TOKENS // table.shape[1])
+    for lo in range(0, len(lines), step):
+        tokens = "\t".join(lines[lo:lo + step]).split("\t")
+        block = np.fromiter(map(convert, tokens), dtype, len(tokens))
+        table[lo:lo + step] = block.reshape(-1, table.shape[1])
+    return table
 
 
 def _read_edges(path: Path, n: int, symmetrize: bool) -> CsrMatrix:
+    text = _read_text(path)
+    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+    try:
+        pairs = _parse_table(lines, 2, np.int64, _is_plain(text, _INT_CHARS))
+        i, j = pairs[:, 0], pairs[:, 1]
+        if (
+            np.any(i == j)
+            or np.any((pairs < 0) | (pairs >= n))
+            or (not symmetrize and not np.all(np.isin(j * n + i, i * n + j)))
+        ):
+            raise ValueError("self-loop, index out of range or unpaired edge")
+    except (ValueError, OverflowError):
+        _locate_edge_error(path, text, n, symmetrize)
+        raise
+    return CsrMatrix.from_edges(n, pairs, symmetric=True)
+
+
+def _read_features(path: Path) -> np.ndarray:
+    text = _read_text(path)
+    lines = text.splitlines()
+    if not lines:
+        raise DataError(f"{path}: empty features file")
+    try:
+        return _parse_table(lines, None, np.float64, _is_plain(text, _FLOAT_CHARS))
+    except ValueError:
+        _locate_feature_error(path, text)
+        raise
+
+
+def _read_labels(path: Path) -> np.ndarray:
+    text = _read_text(path)
+    lines = [s for s in map(str.strip, text.splitlines()) if s]
+    try:
+        return _parse_table(lines, 1, np.int64, _is_plain(text, _INT_CHARS)).ravel()
+    except (ValueError, OverflowError) as exc:
+        _locate_label_error(path, text)
+        # every label is an integer, so one of them does not fit in int64
+        raise DataError(f"{path}: label outside the 64-bit integer range") from exc
+
+
+def _locate_edge_error(path: Path, text: str, n: int, symmetrize: bool) -> None:
     pairs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -154,13 +257,11 @@ def _read_edges(path: Path, n: int, symmetrize: bool) -> CsrMatrix:
         for i, j in unique:
             if (j, i) not in unique:
                 raise DataError(f"{path}: edge {i}-{j} has no reverse and symmetrize is false")
-    return CsrMatrix.from_edges(n, unique, symmetric=True)
 
 
-def _read_features(path: Path) -> np.ndarray:
-    rows: list[list[float]] = []
+def _locate_feature_error(path: Path, text: str) -> None:
     width: int | None = None
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split("\t")
         try:
             row = [float(p) for p in parts]
@@ -170,23 +271,17 @@ def _read_features(path: Path) -> np.ndarray:
             width = len(row)
         elif len(row) != width:
             raise DataError(f"{path}:{lineno}: ragged feature row ({len(row)} vs {width})")
-        rows.append(row)
-    if not rows:
-        raise DataError(f"{path}: empty features file")
-    return np.array(rows, dtype=np.float64)
 
 
-def _read_labels(path: Path) -> np.ndarray:
-    values = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+def _locate_label_error(path: Path, text: str) -> None:
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         try:
-            values.append(int(line))
+            int(line)
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: non-integer label") from exc
-    return np.array(values, dtype=np.int64)
 
 
 def degree_features(adjacency: CsrMatrix, d: int) -> np.ndarray:
@@ -254,6 +349,15 @@ def load_dataset(manifest_path: str | Path) -> GraphCollection:
         domain_id = entry.get("domain_id")
         if not isinstance(domain_id, str) or not domain_id:
             raise DataError(f"manifest domain #{pos}: missing domain_id")
+        for key in ("edges_path", "features_path", "labels_path"):
+            if entry.get(key) is not None and not isinstance(entry[key], str):
+                raise DataError(f"domain '{domain_id}': {key} must be a string")
+        for key in ("num_nodes", "num_classes", "graph_label"):
+            value = entry.get(key)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise DataError(f"domain '{domain_id}': {key} must be an integer, got {value!r}")
+        if (entry.get("num_nodes") or 0) < 0:
+            raise DataError(f"domain '{domain_id}': num_nodes must be >= 0")
         edges_path = entry.get("edges_path")
         if not edges_path:
             raise DataError(f"domain '{domain_id}': missing edges_path")
@@ -270,7 +374,7 @@ def load_dataset(manifest_path: str | Path) -> GraphCollection:
         elif labels is not None:
             n = len(labels)
         elif entry.get("num_nodes") is not None:
-            n = int(entry["num_nodes"])
+            n = entry["num_nodes"]
         else:
             raise DataError(
                 f"domain '{domain_id}': node count unknown; provide features_path, "
@@ -296,19 +400,15 @@ def load_dataset(manifest_path: str | Path) -> GraphCollection:
             )
         )
         if task_kind == GRAPH_LEVEL:
-            if "graph_label" not in entry:
+            if entry.get("graph_label") is None:
                 raise DataError(f"domain '{domain_id}': graph-level entry needs graph_label")
-            graph_labels.append(int(entry["graph_label"]))
+            graph_labels.append(entry["graph_label"])
 
     return GraphCollection(
         graphs=tuple(graphs),
         task_kind=task_kind,
         graph_labels=tuple(graph_labels) if task_kind == GRAPH_LEVEL else None,
     )
-
-
-def _format_float(v: float) -> str:
-    return repr(float(v))
 
 
 def save_dataset(collection: GraphCollection, out_dir: str | Path) -> Path:
@@ -323,26 +423,32 @@ def save_dataset(collection: GraphCollection, out_dir: str | Path) -> Path:
     for pos, graph in enumerate(collection.graphs):
         stem = f"g{pos:03d}-{graph.domain_id}"
         edges_name = f"{stem}.edges.tsv"
-        lines = []
         adj = graph.adjacency
-        for r in range(adj.rows):
-            for c in adj.col_indices[adj.row_offsets[r]:adj.row_offsets[r + 1]]:
-                if r < c:
-                    lines.append(f"{r}\t{int(c)}")
-        (out_dir / edges_name).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+        rows = np.repeat(np.arange(adj.rows), np.diff(adj.row_offsets))
+        upper = rows < adj.col_indices
+        edges = zip(rows[upper].tolist(), adj.col_indices[upper].tolist())
+        (out_dir / edges_name).write_text(
+            "".join(f"{r}\t{c}\n" for r, c in edges), encoding="utf-8"
+        )
         entry: dict = {"domain_id": graph.domain_id, "edges_path": edges_name}
 
         if graph.degree_featurized:
             entry["num_nodes"] = graph.num_nodes
         else:
             features_name = f"{stem}.features.tsv"
-            rows = ["\t".join(_format_float(v) for v in row) for row in graph.features]
-            (out_dir / features_name).write_text("\n".join(rows) + "\n", encoding="utf-8")
+            x = graph.features
+            # repr of a Python float round-trips bit-exactly
+            lines = (
+                "\t".join(map(repr, row))
+                for lo in range(0, len(x), _WRITE_CHUNK_ROWS)
+                for row in x[lo:lo + _WRITE_CHUNK_ROWS].tolist()
+            )
+            (out_dir / features_name).write_text("\n".join(lines) + "\n", encoding="utf-8")
             entry["features_path"] = features_name
         if graph.labels is not None:
             labels_name = f"{stem}.labels.tsv"
             (out_dir / labels_name).write_text(
-                "\n".join(str(int(v)) for v in graph.labels) + "\n", encoding="utf-8"
+                "\n".join(map(str, graph.labels.tolist())) + "\n", encoding="utf-8"
             )
             entry["labels_path"] = labels_name
             entry["num_classes"] = graph.num_classes

@@ -64,9 +64,14 @@ class CsrMatrix:
             raise DataError("col_indices and values must have equal length")
         if len(indices) and (indices.min() < 0 or indices.max() >= self.cols):
             raise DataError("column index out of range")
-        for r in range(self.rows):
-            row = indices[offsets[r]:offsets[r + 1]]
-            if np.any(np.diff(row) <= 0):
+        if len(indices) > 1:
+            # steps across a row boundary are exempt; any other step must be > 0
+            steps = np.diff(indices)
+            starts = offsets[1:-1]
+            steps[starts[(starts > 0) & (starts < len(indices))] - 1] = 1
+            bad = np.flatnonzero(steps <= 0)
+            if len(bad):
+                r = int(np.searchsorted(offsets, bad[0] + 1, side="right")) - 1
                 raise DataError(f"column indices not strictly increasing in row {r}")
         if not np.all(np.isfinite(values)):
             raise NumericError("sparse values contain non-finite entries")
@@ -103,18 +108,25 @@ class CsrMatrix:
 
     @staticmethod
     def from_edges(n: int, edges, symmetric: bool = True) -> CsrMatrix:
-        """Binary adjacency from an iterable of (i, j) pairs (deduplicated)."""
-        pairs = set()
-        for i, j in edges:
-            pairs.add((int(i), int(j)))
-            if symmetric:
-                pairs.add((int(j), int(i)))
-        if pairs:
-            rows, cols = zip(*sorted(pairs))
-            data = np.ones(len(pairs))
-        else:
-            rows, cols, data = [], [], []
-        return CsrMatrix.from_scipy(sp.csr_matrix((data, (rows, cols)), shape=(n, n)))
+        """Binary adjacency from (i, j) pairs, given as an (m, 2) integer
+        array or any iterable of pairs; duplicates collapse."""
+        pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        pairs = pairs.reshape(-1, 2)
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            raise DataError(f"edge node index outside [0, {n})")
+        i, j = pairs[:, 0], pairs[:, 1]
+        if symmetric:
+            i, j = np.concatenate([i, j]), np.concatenate([j, i])
+        # sorted unique row-major keys are exactly the CSR order; sort + mask
+        # rather than np.unique, whose hash table is far slower on 1M keys
+        keys = np.sort(i * n + j)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        rows, cols = np.divmod(keys, n)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+        return CsrMatrix(
+            rows=n, cols=n, row_offsets=offsets, col_indices=cols, values=np.ones(len(keys))
+        )
 
     def matmul_dense(self, x: np.ndarray) -> np.ndarray:
         if x.shape[0] != self.cols:

@@ -25,6 +25,8 @@ from .linalg import CsrMatrix, normalize_adjacency
 from .optim import AdamWState, adamw_step
 
 VARIANTS = ("full", "no-dpu", "no-lda", "dpu-cl")
+# JSON value types accepted for each TrainConfig field annotation
+_JSON_KINDS = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
 
 DROPOUT_RATE = 0.2
 COSINE_EPS = 1e-12
@@ -85,6 +87,11 @@ class TrainConfig:
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown training config keys: {sorted(unknown)}")
+        for f in fields(TrainConfig):
+            kinds = _JSON_KINDS[f.type]
+            value = doc.get(f.name, f.default)
+            if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+                raise ConfigError(f"training config key '{f.name}' must be {f.type}, got {value!r}")
         return TrainConfig(**doc)
 
 

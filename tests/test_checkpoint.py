@@ -1,7 +1,13 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from leda.checkpoint import load_checkpoint, save_checkpoint
+from leda.cli import main
 from leda.errors import CheckpointFormatError, DataError
 from leda.trainer import pretrain
 
@@ -81,3 +87,105 @@ class TestFormatErrors:
         path.write_bytes(patched)
         with pytest.raises(CheckpointFormatError, match="bonus/doma"):
             load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# malformed headers and payloads
+
+
+def split_checkpoint(blob):
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    return json.loads(blob[12:12 + header_len]), blob[12 + header_len:]
+
+
+def join_checkpoint(header, payload):
+    header_bytes = json.dumps(header).encode("utf-8")
+    return b"LEDACKPT" + struct.pack("<I", len(header_bytes)) + header_bytes + payload
+
+
+def header_paths(doc, prefix=()):
+    """Every key/index path into the header, parents before children."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from header_paths(value, prefix + (key,))
+
+
+def json_kind(value):
+    if isinstance(value, bool) or value is None:
+        return type(value)
+    return (int, float) if isinstance(value, (int, float)) else type(value)
+
+
+SWAPS = ["abc", 1.5, 7, True, None, [], {"x": 1}]
+
+
+@pytest.fixture(scope="module")
+def saved(trained, tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    save_checkpoint(trained, path)
+    return path.read_bytes()
+
+
+class TestMalformedCheckpoints:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_header_deletion_or_type_swap(self, saved, tmp_path, data):
+        header, payload = split_checkpoint(saved)
+        path = data.draw(st.sampled_from(list(header_paths(header))))
+        parent = header
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]]
+        swap = data.draw(st.sampled_from([None] + [s for s in SWAPS
+                                               if json_kind(s) != json_kind(old)]))
+        if swap is None:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = swap
+        target = tmp_path / "mutated.ckpt"
+        target.write_bytes(join_checkpoint(header, payload))
+        # a config key may be dropped (its default applies) and a loss entry
+        # may be dropped; every other deletion or type swap is an error
+        optional = swap is None and len(path) == 2 and path[0] in ("config", "final_loss")
+        try:
+            load_checkpoint(target)
+        except CheckpointFormatError:
+            return
+        assert optional, f"loaded despite {'deleting' if swap is None else 'swapping'} {path}"
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_payload_truncation(self, saved, tmp_path, data):
+        header, payload = split_checkpoint(saved)
+        cut = data.draw(st.integers(0, len(payload) - 1))
+        target = tmp_path / "cut.ckpt"
+        target.write_bytes(join_checkpoint(header, payload[:cut]))
+        with pytest.raises(CheckpointFormatError, match="truncated payload"):
+            load_checkpoint(target)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda h: h["bases"][0].pop("tensor"),
+            lambda h: h["tensors"][0].pop("rows"),
+            lambda h: h.pop("config"),
+            lambda h: h.update(epoch="abc"),
+            lambda h: h["config"].update(k="abc"),
+        ],
+        ids=["basis-without-tensor", "tensor-without-rows", "no-config", "epoch-abc", "k-abc"],
+    )
+    def test_cli_exits_3(self, saved, tmp_path, capsys, mutate):
+        header, payload = split_checkpoint(saved)
+        mutate(header)
+        target = tmp_path / "bad.ckpt"
+        target.write_bytes(join_checkpoint(header, payload))
+        code = main([
+            "embed", "--ckpt", str(target), "--manifest", str(tmp_path / "unused.json"),
+            "--domain", "doma", "--out", str(tmp_path / "emb.tsv"),
+        ])
+        assert code == 3
+        assert "bad.ckpt" in capsys.readouterr().err

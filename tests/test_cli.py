@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from leda.cli import main
+from leda.cli import _apply_thread_limit, main
 from leda.datasets import GraphCollection, generate_sbm, load_dataset, save_dataset
 
 from synthetic import node_collection
@@ -218,3 +219,84 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestManifestFieldTypes:
+    @staticmethod
+    def manifest(tmp_path, task_kind="node-level", drop=(), **fields):
+        (tmp_path / "e.tsv").write_text("0\t1\n")
+        (tmp_path / "f.tsv").write_text("1.0\n2.0\n")
+        (tmp_path / "l.tsv").write_text("0\n1\n")
+        entry = {"domain_id": "odd", "edges_path": "e.tsv", "features_path": "f.tsv",
+                 "labels_path": "l.tsv", "num_classes": 2, "graph_label": 0}
+        entry.update(fields)
+        for key in drop:
+            del entry[key]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"version": 1, "task_kind": task_kind, "domains": [entry]}))
+        return path
+
+    def pretrain_exit(self, suite, tmp_path, capsys, manifest):
+        code = main([
+            "pretrain", "--config", str(suite["config"]), "--manifest", str(manifest),
+            "--out", str(tmp_path / "m.ckpt"),
+        ])
+        err = capsys.readouterr().err
+        assert "domain 'odd'" in err
+        return code
+
+    def test_num_nodes_abc(self, suite, tmp_path, capsys):
+        manifest = self.manifest(
+            tmp_path, drop=("features_path", "labels_path"), num_nodes="abc"
+        )
+        assert self.pretrain_exit(suite, tmp_path, capsys, manifest) == 3
+
+    def test_graph_label_x(self, suite, tmp_path, capsys):
+        manifest = self.manifest(tmp_path, task_kind="graph-level", graph_label="x")
+        assert self.pretrain_exit(suite, tmp_path, capsys, manifest) == 3
+
+    @pytest.mark.parametrize("value", ["2", 2.5, True])
+    def test_num_classes_not_an_integer(self, suite, tmp_path, capsys, value):
+        manifest = self.manifest(tmp_path, num_classes=value)
+        assert self.pretrain_exit(suite, tmp_path, capsys, manifest) == 3
+
+    @pytest.mark.parametrize("field", ["edges_path", "features_path", "labels_path"])
+    def test_path_not_a_string(self, suite, tmp_path, capsys, field):
+        manifest = self.manifest(tmp_path, **{field: 5})
+        assert self.pretrain_exit(suite, tmp_path, capsys, manifest) == 3
+
+
+class TestThreadLimit:
+    VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+    @pytest.fixture
+    def env(self, monkeypatch):
+        # recorded by monkeypatch, so whatever the calls below set is undone
+        for var in self.VARS:
+            monkeypatch.setenv(var, "9")
+
+    def threads_set(self):
+        return {os.environ[var] for var in self.VARS}
+
+    def config(self, tmp_path, train):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"train": train}))
+        return str(path)
+
+    def test_config_threads_take_effect(self, env, tmp_path):
+        _apply_thread_limit(["pretrain", "--config", self.config(tmp_path, {"threads": 3})])
+        assert self.threads_set() == {"3"}
+
+    def test_flag_wins_over_config(self, env, tmp_path):
+        config = self.config(tmp_path, {"threads": 3})
+        _apply_thread_limit(["pretrain", "--config", config, "--threads=2"])
+        assert self.threads_set() == {"2"}
+
+    @pytest.mark.parametrize("train", [{}, {"threads": 0}, {"threads": "4"}])
+    def test_config_without_valid_threads_leaves_env(self, env, tmp_path, train):
+        _apply_thread_limit(["pretrain", "--config", self.config(tmp_path, train)])
+        assert self.threads_set() == {"9"}
+
+    def test_unreadable_config_leaves_env(self, env, tmp_path):
+        _apply_thread_limit(["pretrain", "--config", str(tmp_path / "absent.json")])
+        assert self.threads_set() == {"9"}

@@ -32,6 +32,25 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="eval"):
             run_config_from_dict({"eval": {"shots": 5}})
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("train", "threads", "abc"),
+            ("train", "epochs", 2.5),
+            ("train", "seed", True),
+            ("train", "variant", 3),
+            ("train", "two_phase", 1),
+            ("model", "k", "8"),
+            ("model", "lambda", None),
+        ],
+    )
+    def test_wrong_json_type(self, section, key, value):
+        with pytest.raises(ConfigError, match="must be"):
+            run_config_from_dict({section: {key: value}})
+
+    def test_integer_where_float_expected(self):
+        assert run_config_from_dict({"train": {"lr": 1}}).train.lr == 1
+
     def test_eval_seed_falls_back_to_train_seed(self):
         cfg = run_config_from_dict({"train": {"seed": 42}})
         assert cfg.eval_seed == 42

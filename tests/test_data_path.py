@@ -1,0 +1,321 @@
+"""The array-based dataset readers and writer against the line-by-line code
+they replaced.
+
+The `ref_*` functions below are the readers and the writer as they stood
+before the array parser, kept verbatim apart from their return values (the
+edge reader returns its sorted symmetric pair list instead of building a
+CsrMatrix). For every generated file the new reader must return a
+bit-identical array or raise a DataError with the same message.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from leda.datasets import (
+    DomainGraph,
+    GraphCollection,
+    _parse_table,
+    _read_edges,
+    _read_features,
+    _read_labels,
+    load_dataset,
+    save_dataset,
+)
+from leda.errors import DataError
+from leda.linalg import CsrMatrix
+
+# ---------------------------------------------------------------------------
+# reference oracle: the line-by-line readers and writer
+
+
+def ref_read_edges(path, n, symmetrize):
+    pairs = []
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected two tab-separated indices")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: non-integer node index") from exc
+        if i == j:
+            raise DataError(f"{path}:{lineno}: self-loop edge {i}-{j} not allowed")
+        if not (0 <= i < n and 0 <= j < n):
+            raise DataError(f"{path}:{lineno}: node index beyond node count {n}")
+        pairs.append((i, j))
+    unique = set(pairs)
+    if not symmetrize:
+        for i, j in unique:
+            if (j, i) not in unique:
+                raise DataError(f"{path}: edge {i}-{j} has no reverse and symmetrize is false")
+    return sorted(unique | {(j, i) for i, j in unique})
+
+
+def ref_read_features(path):
+    rows = []
+    width = None
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        parts = raw.split("\t")
+        try:
+            row = [float(p) for p in parts]
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: non-numeric feature value") from exc
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise DataError(f"{path}:{lineno}: ragged feature row ({len(row)} vs {width})")
+        rows.append(row)
+    if not rows:
+        raise DataError(f"{path}: empty features file")
+    return np.array(rows, dtype=np.float64)
+
+
+def ref_read_labels(path):
+    values = []
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            values.append(int(line))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: non-integer label") from exc
+    return np.array(values, dtype=np.int64)
+
+
+def ref_write_graph(graph):
+    """(edges, features, labels) file texts as the per-element writer made them."""
+    lines = []
+    adj = graph.adjacency
+    for r in range(adj.rows):
+        for c in adj.col_indices[adj.row_offsets[r]:adj.row_offsets[r + 1]]:
+            if r < c:
+                lines.append(f"{r}\t{int(c)}")
+    edges = "\n".join(lines) + ("\n" if lines else "")
+    rows = ["\t".join(repr(float(v)) for v in row) for row in graph.features]
+    features = "\n".join(rows) + "\n"
+    labels = "\n".join(str(int(v)) for v in graph.labels) + "\n"
+    return edges, features, labels
+
+
+# ---------------------------------------------------------------------------
+# generated file text
+
+INT_TOKENS = [
+    "0", "1", "2", "3", "7", "12", "+3", "-1", "3_0", "07", "1e0", "inf", "x", "",
+    " 2", "2 ", "4 # c", "٣", "99999999999999999999", "1.0",
+]
+FLOAT_TOKENS = [
+    "0.0", "1.0", "-2.5", "0.1", "1e0", "1E-3", ".5", "5.", "+3", "-0.0", "3_0", "inf",
+    "-Infinity", "nan", "1e500", "", " 1.5", "1.5 ", "x", "1.2.3", "e5", "-", "٣",
+    "0.30000000000000004", "4.9e-324",
+]
+TABLE_INTS = ["0", "1", "2", "30", "12", "07", "1", "2", "3_0", "+3", " 2", "٣", "9" * 20]
+TABLE_FLOATS = ["0.0", "1.0", "-2.5", "1e-3", "5.", "0.1", "0.0", "3_0", "1_0.5", " 1.5", "inf"]
+PADDING = st.sampled_from(["", "", "", " ", "\t", "  "])
+
+
+def text_strategy(tokens, max_width):
+    line = st.one_of(
+        st.tuples(
+            PADDING,
+            st.lists(st.sampled_from(tokens), min_size=1, max_size=max_width).map("\t".join),
+            PADDING,
+        ).map("".join),
+        st.sampled_from(["", "# note", "  # indented note", "   ", "\t"]),
+    )
+    return st.tuples(
+        st.lists(line, max_size=12), st.sampled_from(["\n", "\n", "\r\n"]), st.booleans()
+    ).map(lambda t: t[1].join(t[0]) + (t[1] if t[2] else ""))
+
+
+def table_strategy(tokens, width):
+    """Rectangular files, mostly in the alphabet np.loadtxt is trusted with,
+    so both parser branches and the border between them are exercised."""
+    rows = st.lists(
+        st.lists(st.sampled_from(tokens), min_size=width, max_size=width), min_size=1, max_size=12
+    )
+    return rows.map(lambda rs: "".join("\t".join(r) + "\n" for r in rs))
+
+
+def same_outcome(ref, new):
+    """Run both readers; equal arrays (bit for bit) or equal DataError messages."""
+    try:
+        expected = ref()
+    except (DataError, OverflowError) as exc:
+        with pytest.raises(DataError) as info:
+            new()
+        if isinstance(exc, DataError):
+            assert str(info.value) == str(exc)
+        return
+    got = new()
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("data-path")
+
+
+FUZZ = settings(max_examples=300, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestReaderEquivalence:
+    @FUZZ
+    @given(text=st.one_of(text_strategy(INT_TOKENS, 3), table_strategy(TABLE_INTS, 2)),
+           n=st.integers(0, 35), symmetrize=st.booleans())
+    def test_edges(self, scratch, text, n, symmetrize):
+        path = scratch / "g.edges.tsv"
+        path.write_text(text, encoding="utf-8")
+
+        def new():
+            adj = _read_edges(path, n, symmetrize)
+            rows = np.repeat(np.arange(adj.rows), np.diff(adj.row_offsets))
+            return np.stack([rows, adj.col_indices], axis=1)
+
+        def ref():
+            return np.array(ref_read_edges(path, n, symmetrize), dtype=np.int64).reshape(-1, 2)
+
+        same_outcome(ref, new)
+
+    @FUZZ
+    @given(text=st.one_of(text_strategy(FLOAT_TOKENS, 3), table_strategy(TABLE_FLOATS, 3)))
+    def test_features(self, scratch, text):
+        path = scratch / "g.features.tsv"
+        path.write_text(text, encoding="utf-8")
+        same_outcome(lambda: ref_read_features(path), lambda: _read_features(path))
+
+    @FUZZ
+    @given(text=st.one_of(text_strategy(INT_TOKENS, 2), table_strategy(TABLE_INTS, 1)))
+    def test_labels(self, scratch, text):
+        path = scratch / "g.labels.tsv"
+        path.write_text(text, encoding="utf-8")
+        same_outcome(lambda: ref_read_labels(path), lambda: _read_labels(path))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0\t1\n1\t2 # c\n", ":2: non-integer node index"),
+            ("0\t1\n\n1\t1\n", ":3: self-loop edge 1-1 not allowed"),
+            ("0\t1\n1\t9\n", ":2: node index beyond node count 3"),
+            ("0\t1\t2\n", ":1: expected two tab-separated indices"),
+        ],
+    )
+    def test_edge_messages_keep_their_line(self, scratch, text, message):
+        path = scratch / "m.edges.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            _read_edges(path, 3, True)
+        assert str(info.value) == f"{path}{message}"
+
+    def test_blank_feature_line_is_an_error(self, scratch):
+        path = scratch / "m.features.tsv"
+        path.write_text("1.0\t2.0\n\n3.0\t4.0\n", encoding="utf-8")
+        with pytest.raises(DataError, match=":2: non-numeric feature value"):
+            _read_features(path)
+
+    def test_int_syntax_follows_python_int(self, scratch):
+        path = scratch / "m.edges.tsv"
+        path.write_text("+1\t3_0\n 2 \t٣\n", encoding="utf-8")
+        adj = _read_edges(path, 31, True)
+        assert sorted(zip(*np.nonzero(adj.to_dense()))) == [(1, 30), (2, 3), (3, 2), (30, 1)]
+
+    def test_non_utf8_file_is_a_data_error(self, scratch):
+        path = scratch / "m.labels.tsv"
+        path.write_bytes(b"1\n\xff\n")
+        with pytest.raises(DataError, match="not UTF-8"):
+            _read_labels(path)
+
+
+def assert_same_table(lines, width, dtype):
+    """The np.loadtxt route may only accept what the int()/float() pass
+    accepts, and must give the same bits."""
+    try:
+        exact = _parse_table(lines, width, dtype, plain=False)
+    except (ValueError, OverflowError):
+        with pytest.raises((ValueError, OverflowError)):
+            _parse_table(lines, width, dtype, plain=True)
+        return
+    fast = _parse_table(lines, width, dtype, plain=True)
+    assert fast.dtype == exact.dtype and fast.shape == exact.shape
+    assert fast.tobytes() == exact.tobytes()
+
+
+def plain_lines(token, max_width):
+    row = st.lists(token, min_size=1, max_size=max_width).map("\t".join)
+    return st.lists(row, min_size=1, max_size=8)
+
+
+class TestLoadtxtRoute:
+    """Files spelled only with digits, `.eE+-` and tabs go to np.loadtxt
+    first; on them it must agree with int()/float() or defer to them."""
+
+    @FUZZ
+    @given(lines=plain_lines(
+        st.one_of(
+            st.text("0123456789.eE+-", max_size=7),
+            st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        ),
+        3,
+    ))
+    def test_floats(self, lines):
+        assert_same_table(lines, None, np.float64)
+
+    @FUZZ
+    @given(lines=plain_lines(st.text("0123456789", max_size=21), 2), width=st.sampled_from([1, 2]))
+    def test_ints(self, lines, width):
+        assert_same_table(lines, width, np.int64)
+
+
+# ---------------------------------------------------------------------------
+# writer
+
+
+def random_graph(n, d, classes, mean_degree, seed):
+    rng = np.random.default_rng(seed)
+    m = n * mean_degree // 2
+    i, j = rng.integers(0, n, m), rng.integers(0, n, m)
+    keep = i != j
+    return DomainGraph(
+        domain_id="big",
+        features=rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 8, (n, d)),
+        adjacency=CsrMatrix.from_edges(n, np.stack([i[keep], j[keep]], axis=1)),
+        labels=rng.integers(0, classes, n),
+        num_classes=classes,
+    )
+
+
+class TestSaveLoadRoundTrip:
+    def test_2000_node_graph_files_and_arrays(self, tmp_path):
+        graph = random_graph(2000, 12, 5, 8, seed=3)
+        manifest = save_dataset(GraphCollection((graph,), "node-level"), tmp_path / "a")
+        entry = json.loads(manifest.read_text())["domains"][0]
+        expected = ref_write_graph(graph)
+        for key, text in zip(("edges_path", "features_path", "labels_path"), expected):
+            assert (tmp_path / "a" / entry[key]).read_text(encoding="utf-8") == text
+
+        loaded = load_dataset(manifest).graphs[0]
+        assert loaded.features.tobytes() == graph.features.tobytes()
+        assert loaded.labels.tobytes() == graph.labels.tobytes()
+        for name in ("row_offsets", "col_indices", "values"):
+            expected_bytes = getattr(graph.adjacency, name).tobytes()
+            assert getattr(loaded.adjacency, name).tobytes() == expected_bytes
+
+        again = save_dataset(load_dataset(manifest), tmp_path / "b")
+        for path in sorted((tmp_path / "a").iterdir()):
+            assert (again.parent / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_edgeless_graph(self, tmp_path):
+        graph = DomainGraph("empty", np.ones((3, 2)), CsrMatrix.from_edges(3, []), np.zeros(3))
+        manifest = save_dataset(GraphCollection((graph,), "node-level"), tmp_path)
+        assert (tmp_path / "g000-empty.edges.tsv").read_bytes() == b""
+        assert load_dataset(manifest).graphs[0].adjacency.nnz == 0

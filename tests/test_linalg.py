@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leda.errors import DataError
 from leda.linalg import (
@@ -85,6 +87,81 @@ class TestCsrInvariants:
     def test_rejects_column_out_of_range(self):
         with pytest.raises(DataError, match="out of range"):
             CsrMatrix(rows=1, cols=2, row_offsets=[0, 1], col_indices=[5], values=[1.0])
+
+    # rows [0, 3], [], [1, 2], [0, 3]: columns fall across every row boundary
+    ROWS = [[0, 3], [], [1, 2], [0, 3]]
+
+    @staticmethod
+    def from_rows(rows, cols=4):
+        offsets = np.cumsum([0] + [len(r) for r in rows])
+        indices = [c for r in rows for c in r]
+        return CsrMatrix(len(rows), cols, offsets, indices, np.ones(len(indices)))
+
+    def test_accepts_decreasing_columns_across_row_boundaries(self):
+        assert self.from_rows(self.ROWS).nnz == 6
+
+    @pytest.mark.parametrize("row", [0, 2, 3])
+    @pytest.mark.parametrize("bad", ["unsorted", "duplicate"])
+    def test_names_the_offending_row(self, row, bad):
+        rows = [list(r) for r in self.ROWS]
+        rows[row] = rows[row][::-1] if bad == "unsorted" else [rows[row][1]] * 2
+        with pytest.raises(DataError, match=rf"strictly increasing in row {row}$"):
+            self.from_rows(rows)
+
+    def test_empty_rows_at_both_ends(self):
+        assert self.from_rows([[], [], [1, 3], [], []]).nnz == 2
+        with pytest.raises(DataError, match="in row 2$"):
+            self.from_rows([[], [], [3, 1], [], []])
+
+    @pytest.mark.parametrize("rows", [0, 1, 5])
+    def test_no_entries(self, rows):
+        m = CsrMatrix(rows, 3, np.zeros(rows + 1, dtype=np.int64), [], [])
+        assert m.nnz == 0
+        assert m.to_dense().shape == (rows, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 4), max_size=4), max_size=6))
+    def test_matches_per_row_check(self, rows):
+        expected = None
+        for r, row in enumerate(rows):
+            if np.any(np.diff(row) <= 0):
+                expected = f"column indices not strictly increasing in row {r}"
+                break
+        if expected is None:
+            assert self.from_rows(rows, cols=5).nnz == sum(map(len, rows))
+        else:
+            with pytest.raises(DataError) as info:
+                self.from_rows(rows, cols=5)
+            assert str(info.value) == expected
+
+
+class TestFromEdges:
+    def test_array_and_pair_list_agree_and_collapse_duplicates(self):
+        pairs = [(0, 2), (2, 0), (0, 2), (3, 1)]
+        a = CsrMatrix.from_edges(4, pairs)
+        b = CsrMatrix.from_edges(4, np.array(pairs))
+        expected = np.zeros((4, 4))
+        for i, j in pairs:
+            expected[i, j] = expected[j, i] = 1.0
+        for m in (a, b):
+            assert np.array_equal(m.to_dense(), expected)
+            assert m.row_offsets.tolist() == [0, 1, 2, 3, 4]
+            assert m.col_indices.tolist() == [2, 3, 0, 1]
+
+    def test_directed(self):
+        m = CsrMatrix.from_edges(3, [(2, 0), (0, 1), (2, 0)], symmetric=False)
+        assert sorted(zip(*np.nonzero(m.to_dense()))) == [(0, 1), (2, 0)]
+        assert m.nnz == 2
+
+    @pytest.mark.parametrize("pair", [(0, 3), (-1, 1)])
+    def test_rejects_index_outside_node_range(self, pair):
+        with pytest.raises(DataError, match=r"outside \[0, 3\)"):
+            CsrMatrix.from_edges(3, [pair])
+
+    def test_no_edges(self):
+        for n in (0, 3):
+            m = CsrMatrix.from_edges(n, [])
+            assert m.nnz == 0 and m.row_offsets.tolist() == [0] * (n + 1)
 
 
 class TestTruncatedSvd:
