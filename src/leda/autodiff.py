@@ -45,9 +45,12 @@ class Node:
         return self.value.shape
 
     def accumulate(self, delta: np.ndarray) -> None:
+        # the first write copies: delta may be shared with another node or be
+        # a read-only broadcast view, and grad is added to in place later
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += delta
+            self.grad = np.array(delta, dtype=np.float64)
+        else:
+            self.grad += delta
 
     def __repr__(self) -> str:
         return f"Node({self.name}, shape={self.shape}, requires_grad={self.requires_grad})"

@@ -4,7 +4,8 @@ Layout: 8 magic bytes `LEDACKPT`, a 32-bit little-endian header length, a
 UTF-8 JSON header {version, config, tensors, bases, epoch, final_loss}, then
 a payload of row-major little-endian float64 blocks at the offsets stated in
 the header (offsets are relative to the payload start). Loading is strict:
-unknown or missing tensors are an error that lists the offending names.
+unknown or missing tensors are an error that lists the offending names, and
+every tensor must have the shape the header config gives it.
 """
 
 from __future__ import annotations
@@ -27,16 +28,21 @@ if TYPE_CHECKING:
 MAGIC = b"LEDACKPT"
 FORMAT_VERSION = 1
 
-PARAM_TENSOR_NAMES = (
-    "dpu.W1",
-    "dpu.b1",
-    "dpu.W2",
-    "dpu.b2",
-    "lda.W_base",
-    "lda.W_mu",
-    "lda.W_sigma",
-    "lda.W_dec",
-)
+
+def param_shapes(config: "TrainConfig") -> dict[str, tuple[int, int]]:
+    """Every stored parameter tensor and its shape under the config, as
+    `DpuParams.register` and `LdaParams.register` create them."""
+    c = config
+    return {
+        "dpu.W1": (c.k, c.h),
+        "dpu.b1": (1, c.h),
+        "dpu.W2": (c.h, c.m),
+        "dpu.b2": (1, c.m),
+        "lda.W_base": (c.m, c.h_e),
+        "lda.W_mu": (c.h_e, c.z),
+        "lda.W_sigma": (c.h_e, c.z),
+        "lda.W_dec": (c.z, c.m),
+    }
 
 
 def basis_tensor_name(domain_id: str) -> str:
@@ -66,7 +72,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Atomic write (temp file + rename); matrices round-trip bit-exactly."""
     path = Path(path)
     tensors: dict[str, np.ndarray] = {}
-    for name in PARAM_TENSOR_NAMES:
+    for name in param_shapes(ckpt.config):
         if name not in ckpt.params:
             raise CheckpointFormatError(f"checkpoint is missing parameter tensor '{name}'")
         tensors[name] = ckpt.params[name]
@@ -159,7 +165,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     for key, value in final_loss.items():
         _typed(value, (int, float), path, f"final_loss.{key}")
 
-    expected = set(PARAM_TENSOR_NAMES) | {tensor for _, _, tensor in basis_meta}
+    shapes = param_shapes(config)
+    expected = set(shapes) | {tensor for _, _, tensor in basis_meta}
     listed = [name for name, _, _, _ in tensors]
     if len(set(listed)) != len(listed):
         raise CheckpointFormatError(f"{path}: duplicate tensor names in header")
@@ -169,6 +176,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     missing = sorted(expected - set(listed))
     if missing:
         raise CheckpointFormatError(f"{path}: missing tensors: {missing}")
+    for name, rows, cols, _ in tensors:  # a basis is d x k
+        want = shapes.get(name, (rows, config.k))
+        if (rows, cols) != want:
+            raise CheckpointFormatError(
+                f"{path}: tensor '{name}' is {rows}x{cols}, but the header config "
+                f"expects {want[0]}x{want[1]}"
+            )
 
     payload = blob[header_start + header_len:]
     arrays: dict[str, np.ndarray] = {}
@@ -183,7 +197,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         DomainBasis(domain_id=domain_id, V=arrays[tensor], padded=padded)
         for domain_id, padded, tensor in basis_meta
     ]
-    params = {name: arrays[name] for name in PARAM_TENSOR_NAMES}
+    params = {name: arrays[name] for name in shapes}
     return Checkpoint(
         config=config,
         params=params,

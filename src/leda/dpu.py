@@ -10,6 +10,14 @@ Features are aligned into the common m-dimensional space as Xhat = X @ Vhat.
 The alignment objective combines a self-reconstruction term
 ||X - X Vhat Vhat^T||_F^2 with an orthogonality penalty
 ||Vhat^T Vhat - I||_F^2 weighted by lambda.
+
+Both penalties are computed from the feature Gram G = X^T X (d x d) alone:
+
+    recon = tr(G) - 2 sum(Vhat * G Vhat) + sum((Vhat^T G Vhat) * (Vhat^T Vhat))
+
+G costs O(n d^2) once per domain and also drives the basis SVD; each epoch
+then costs O(d^2 m) instead of the direct form's O(n d m), and nothing n x d
+enters the tape.
 """
 
 from __future__ import annotations
@@ -81,13 +89,16 @@ class DpuParams:
         return DpuParams(W1=w1, b1=b1, W2=w2, b2=b2)
 
 
-def init_basis(x: np.ndarray, k: int, seed: int, domain_id: str = "") -> DomainBasis:
-    """Right singular vectors of x as a d x k orthonormal basis.
+def init_basis(
+    x: np.ndarray, k: int, seed: int, domain_id: str = "", gram: np.ndarray | None = None
+) -> DomainBasis:
+    """Right singular vectors of x as a d x k orthonormal basis; `gram` is
+    x^T x when the caller holds it (see truncated_svd).
 
     When x has rank below k the trailing columns are replaced by a seeded
     orthonormal completion and the padded flag is set.
     """
-    result = truncated_svd(x, k, seed)
+    result = truncated_svd(x, k, seed, gram=gram)
     s = result.singular_values
     v = np.array(result.V)
     threshold = RANK_DEFICIENCY_RTOL * max(s[0], 1e-300)
@@ -128,15 +139,15 @@ def align(x: Node | np.ndarray, vhat: Node) -> Node:
     return ad.matmul(x, vhat)
 
 
-def alignment_penalties(x: Node | np.ndarray, vhat: Node) -> tuple[Node, Node]:
-    """Reconstruction and orthogonality penalties for one domain."""
-    if not isinstance(x, Node):
-        x = ad.constant(x, "features")
-    projected = ad.matmul(ad.matmul(x, vhat), vhat, transpose_b=True)
-    recon = ad.frobenius_sq(ad.sub(x, projected))
-    gram = ad.matmul(vhat, vhat, transpose_a=True)
-    eye = ad.constant(np.eye(vhat.shape[1]), "identity")
-    ortho = ad.frobenius_sq(ad.sub(gram, eye))
+def alignment_penalties(gram: np.ndarray, vhat: Node) -> tuple[Node, Node]:
+    """Reconstruction and orthogonality penalties for one domain, from its
+    feature Gram X^T X; a mean of member Grams gives the mean penalty."""
+    g_vhat = ad.matmul(ad.constant(gram, "feature_gram"), vhat)
+    vtv = ad.matmul(vhat, vhat, transpose_a=True)
+    cross = ad.scale(ad.reduce_sum(ad.mul(vhat, g_vhat)), 2.0)
+    quad = ad.reduce_sum(ad.mul(ad.matmul(vhat, g_vhat, transpose_a=True), vtv))
+    recon = ad.add(ad.sub(ad.constant(np.trace(gram), "gram_trace"), cross), quad)
+    ortho = ad.frobenius_sq(ad.sub(vtv, ad.constant(np.eye(vhat.shape[1]), "identity")))
     return recon, ortho
 
 
@@ -155,7 +166,7 @@ def loss_align(
     ortho_total: Node | None = None
     for x, v in domains:
         vhat = trans(v, params)
-        recon, ortho = alignment_penalties(x, vhat)
+        recon, ortho = alignment_penalties(x.T @ x, vhat)
         recon_total = recon if recon_total is None else ad.add(recon_total, recon)
         ortho_total = ortho if ortho_total is None else ad.add(ortho_total, ortho)
     total = ad.add(recon_total, ad.scale(ortho_total, lam))

@@ -214,12 +214,16 @@ def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def truncated_svd(x: np.ndarray, k: int, seed: int) -> SvdResult:
+def truncated_svd(x: np.ndarray, k: int, seed: int, gram: np.ndarray | None = None) -> SvdResult:
     """Best rank-k factorization via a seeded randomized range finder.
 
-    A Gaussian sketch with SVD_OVERSAMPLE extra columns is refined by
-    SVD_POWER_ITERS QR-stabilized power iterations, then the small projected
-    matrix is factored exactly. Deterministic for a fixed seed.
+    A Gaussian sketch Z (d x ell, ell = k + SVD_OVERSAMPLE) is refined by
+    SVD_POWER_ITERS subspace iterations Z <- qr(G Z) with G = x^T x; then
+    Q = qr(x Z) and the small matrix Q^T x is factored exactly. Only the d
+    side is orthonormalized per step (Halko, Martinsson & Tropp 2011), so a
+    single n x ell QR is taken. A caller holding G passes it as `gram` (its
+    O(n d^2) cost paid once, e.g. per domain) and a step costs O(d^2 ell);
+    without it a step is x^T (x Z), O(n d ell). Deterministic for a fixed seed.
     """
     x = as_dense(x, "svd input")
     n, d = x.shape
@@ -227,11 +231,10 @@ def truncated_svd(x: np.ndarray, k: int, seed: int) -> SvdResult:
         raise DataError(f"svd rank k={k} out of range for {n}x{d} input")
     ell = min(k + SVD_OVERSAMPLE, min(n, d))
     rng = np.random.default_rng(seed)
-    sketch = rng.standard_normal((d, ell))
-    q, _ = np.linalg.qr(x @ sketch)
+    z = rng.standard_normal((d, ell))
     for _ in range(SVD_POWER_ITERS):
-        z, _ = np.linalg.qr(x.T @ q)
-        q, _ = np.linalg.qr(x @ z)
+        z, _ = np.linalg.qr(gram @ z if gram is not None else x.T @ (x @ z))
+    q, _ = np.linalg.qr(x @ z)
     projected = q.T @ x
     u_small, s, vt = np.linalg.svd(projected, full_matrices=False)
     u = q @ u_small[:, :k]

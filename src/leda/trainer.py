@@ -108,6 +108,7 @@ class PreparedDomain:
     key: int
     basis: DomainBasis
     members: tuple[PreparedGraph, ...]
+    gram: np.ndarray  # mean of the members' feature Grams X^T X (d x d)
 
 
 def _domain_key(domain_id: str) -> int:
@@ -124,7 +125,8 @@ def prepare_domains(collection: GraphCollection, config: TrainConfig) -> list[Pr
 
     Domains come back sorted by domain_id; graph-level members keep their
     collection order within a domain. The basis of a multi-graph domain is
-    computed from the vertically stacked member features.
+    computed from the vertically stacked member features, whose Gram is
+    formed once and serves both the basis SVD and the alignment penalties.
     """
     grouped: dict[str, list[PreparedGraph]] = {}
     for graph in collection.graphs:
@@ -149,13 +151,16 @@ def prepare_domains(collection: GraphCollection, config: TrainConfig) -> list[Pr
             raise ConfigError(
                 f"k={config.k} exceeds min(n, d)={min(stacked.shape)} for domain '{domain_id}'"
             )
-        basis = init_basis(stacked, config.k, seed=config.seed, domain_id=domain_id)
+        gram = stacked.T @ stacked
+        basis = init_basis(stacked, config.k, seed=config.seed, domain_id=domain_id, gram=gram)
+        gram /= len(members)
         prepared.append(
             PreparedDomain(
                 domain_id=domain_id,
                 key=_domain_key(domain_id),
                 basis=basis,
                 members=tuple(members),
+                gram=gram,
             )
         )
     return prepared
@@ -272,14 +277,7 @@ def build_epoch_loss(
         domain_terms: list[Node] = []
 
         if variant in ("full", "no-lda", "dpu-cl") or align_only:
-            recons = []
-            orthos = []
-            for member in domain.members:
-                recon, ortho = alignment_penalties(member.x, vhat)
-                recons.append(recon)
-                orthos.append(ortho)
-            recon_d = _mean_nodes(recons)
-            ortho_d = _mean_nodes(orthos)
+            recon_d, ortho_d = alignment_penalties(domain.gram, vhat)
             align_d = ad.add(recon_d, ad.scale(ortho_d, config.lam))
             accumulate("dpu_recon", recon_d)
             accumulate("dpu_ortho", ortho_d)

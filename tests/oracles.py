@@ -76,3 +76,16 @@ def central_difference_grad(loss_fn, theta: np.ndarray, eps: float = 1e-5) -> np
         grad[idx] = (up - down) / (2 * eps)
         it.iternext()
     return grad
+
+
+def direct_reconstruction(x: np.ndarray, vhat: np.ndarray) -> tuple[float, np.ndarray]:
+    """||x - x vhat vhat^T||_F^2 and its gradient in vhat, in the direct form.
+
+    With R = x - x vhat vhat^T the gradient is -2 (x^T R vhat + R^T x vhat).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    vhat = np.asarray(vhat, dtype=np.float64)
+    xv = x @ vhat
+    r = x - xv @ vhat.T
+    grad = -2.0 * (x.T @ (r @ vhat) + r.T @ xv)
+    return float(np.sum(r * r)), grad

@@ -74,6 +74,27 @@ class TestBackward:
         with pytest.raises(ShapeError):
             ad.backward(nodes["W"])
 
+    def test_first_accumulate_copies_a_broadcast_view(self):
+        source = np.array([[1.0, 2.0]])
+        view = np.broadcast_to(source, (3, 2))  # read-only, as reduce_sum passes it
+        node = ad.Node(np.zeros((3, 2)), "n", requires_grad=True)
+        node.accumulate(view)
+        assert not np.shares_memory(node.grad, source)
+        node.accumulate(view)
+        assert np.array_equal(node.grad, np.tile([[2.0, 4.0]], (3, 1)))
+        assert np.array_equal(source, [[1.0, 2.0]])
+
+    def test_a_delta_shared_by_two_nodes_stays_untouched(self):
+        delta = np.ones((2, 2))
+        a = ad.Node(np.zeros((2, 2)), "a", requires_grad=True)
+        b = ad.Node(np.zeros((2, 2)), "b", requires_grad=True)
+        a.accumulate(delta)
+        b.accumulate(delta)
+        a.accumulate(delta)
+        assert np.array_equal(delta, np.ones((2, 2)))
+        assert np.array_equal(b.grad, np.ones((2, 2)))
+        assert np.array_equal(a.grad, np.full((2, 2), 2.0))
+
     def test_repeat_run_is_bit_identical(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((4, 3))

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from leda.checkpoint import load_checkpoint, save_checkpoint
+from leda.checkpoint import Checkpoint, load_checkpoint, param_shapes, save_checkpoint
+from leda.dpu import DomainBasis
 from leda.cli import main
 from leda.errors import CheckpointFormatError, DataError
-from leda.trainer import pretrain
+from leda.trainer import init_paramset, pretrain
 
 from synthetic import node_collection, tiny_config
 
@@ -89,6 +90,67 @@ class TestFormatErrors:
             load_checkpoint(path)
 
 
+class TestShapesFollowConfig:
+    """A tensor whose shape disagrees with the header config saves, but must
+    not load: it would only fail later, deep inside training or embedding."""
+
+    @pytest.mark.parametrize("dims", [{}, dict(k=3, h=5, m=7, h_e=2, z=6)])
+    def test_table_matches_initialization(self, dims):
+        config = tiny_config(**dims)
+        made = {name: node.shape for name, node in init_paramset(config).items()}
+        assert param_shapes(config) == made
+
+    def test_transposed_parameter_rejected(self, trained, tmp_path):
+        w1 = trained.params["dpu.W1"]
+        assert w1.shape == (4, 8)  # k=4, h=8
+        bad = Checkpoint(
+            config=trained.config,
+            params={**trained.params, "dpu.W1": w1.T.copy()},
+            bases=trained.bases,
+            epoch=trained.epoch,
+            final_loss=trained.final_loss,
+        )
+        save_checkpoint(bad, tmp_path / "bad.ckpt")
+        with pytest.raises(CheckpointFormatError, match=r"'dpu.W1' is 8x4.*expects 4x8"):
+            load_checkpoint(tmp_path / "bad.ckpt")
+
+    @pytest.mark.parametrize("name", ["dpu.b2", "lda.W_base", "lda.W_mu", "lda.W_dec"])
+    def test_every_parameter_is_checked(self, trained, tmp_path, name):
+        arr = trained.params[name]
+        bad = Checkpoint(
+            config=trained.config,
+            params={**trained.params, name: np.zeros((arr.shape[0], arr.shape[1] + 1))},
+            bases=trained.bases,
+            epoch=trained.epoch,
+            final_loss=trained.final_loss,
+        )
+        save_checkpoint(bad, tmp_path / "bad.ckpt")
+        with pytest.raises(CheckpointFormatError, match=name):
+            load_checkpoint(tmp_path / "bad.ckpt")
+
+    def test_basis_needs_k_columns(self, trained, tmp_path):
+        first = trained.bases[0]
+        narrow = DomainBasis(domain_id=first.domain_id, V=first.V[:, :2])
+        bad = Checkpoint(
+            config=trained.config,
+            params=trained.params,
+            bases=[narrow] + trained.bases[1:],
+            epoch=trained.epoch,
+            final_loss=trained.final_loss,
+        )
+        save_checkpoint(bad, tmp_path / "bad.ckpt")
+        with pytest.raises(CheckpointFormatError, match=r"basis/doma' is \d+x2.*expects \d+x4"):
+            load_checkpoint(tmp_path / "bad.ckpt")
+
+    def test_header_dims_changed_under_the_tensors(self, saved, tmp_path):
+        header, payload = split_checkpoint(saved)
+        header["config"]["h"] = 6
+        target = tmp_path / "bad.ckpt"
+        target.write_bytes(join_checkpoint(header, payload))
+        with pytest.raises(CheckpointFormatError, match="dpu.W1"):
+            load_checkpoint(target)
+
+
 # ---------------------------------------------------------------------------
 # malformed headers and payloads
 
@@ -116,6 +178,11 @@ def json_kind(value):
     if isinstance(value, bool) or value is None:
         return type(value)
     return (int, float) if isinstance(value, (int, float)) else type(value)
+
+
+def transpose_entry(header, name):
+    entry = next(t for t in header["tensors"] if t["name"] == name)
+    entry["rows"], entry["cols"] = entry["cols"], entry["rows"]
 
 
 SWAPS = ["abc", 1.5, 7, True, None, [], {"x": 1}]
@@ -175,8 +242,12 @@ class TestMalformedCheckpoints:
             lambda h: h.pop("config"),
             lambda h: h.update(epoch="abc"),
             lambda h: h["config"].update(k="abc"),
+            lambda h: transpose_entry(h, "dpu.W1"),
+            lambda h: h["config"].update(k=3),
+            lambda h: h["config"].update(k=10**9, h=10**9, m=10**9),
         ],
-        ids=["basis-without-tensor", "tensor-without-rows", "no-config", "epoch-abc", "k-abc"],
+        ids=["basis-without-tensor", "tensor-without-rows", "no-config", "epoch-abc", "k-abc",
+             "w1-transposed", "k-disagrees-with-tensors", "huge-dims"],
     )
     def test_cli_exits_3(self, saved, tmp_path, capsys, mutate):
         header, payload = split_checkpoint(saved)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from leda import autodiff as ad
+from leda.datasets import GraphCollection, generate_sbm
 from leda.dpu import (
     DpuConfig,
     DpuParams,
@@ -12,6 +13,10 @@ from leda.dpu import (
     trans,
 )
 from leda.errors import ConfigError
+from leda.trainer import prepare_domains
+
+from oracles import central_difference_grad, direct_reconstruction
+from synthetic import tiny_config
 
 
 def manual_params(w1, b1, w2, b2):
@@ -137,13 +142,13 @@ class TestInvariants:
         rng = np.random.default_rng(11)
         x = rng.standard_normal((9, 6))
         q, _ = np.linalg.qr(rng.standard_normal((6, 4)))
-        _, ortho_good = alignment_penalties(x, ad.constant(q))
+        _, ortho_good = alignment_penalties(x.T @ x, ad.constant(q))
         assert ortho_good.value[0, 0] < 1e-20
         gram_dev = np.max(np.abs(q.T @ q - np.eye(4)))
         assert gram_dev < 1e-10
 
         not_ortho = q * 1.01
-        _, ortho_bad = alignment_penalties(x, ad.constant(not_ortho))
+        _, ortho_bad = alignment_penalties(x.T @ x, ad.constant(not_ortho))
         assert ortho_bad.value[0, 0] > 1e-10
         assert np.max(np.abs(not_ortho.T @ not_ortho - np.eye(4))) > 1e-10
 
@@ -152,8 +157,8 @@ class TestInvariants:
         x = rng.standard_normal((8, 5))
         vhat = rng.standard_normal((5, 3))
         rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        recon_a, _ = alignment_penalties(x, ad.constant(vhat))
-        recon_b, _ = alignment_penalties(x, ad.constant(vhat @ rot))
+        recon_a, _ = alignment_penalties(x.T @ x, ad.constant(vhat))
+        recon_b, _ = alignment_penalties(x.T @ x, ad.constant(vhat @ rot))
         assert recon_a.value[0, 0] == pytest.approx(recon_b.value[0, 0], abs=1e-8)
 
     def test_shared_parameters_give_bit_identical_output(self):
@@ -177,3 +182,67 @@ class TestInvariants:
             return total
 
         assert ad.gradient_check(loss_fn, paramset, eps=1e-5) < 1e-6
+
+
+def gram_recon_and_grad(x, vhat):
+    """Gram-form reconstruction penalty and its tape gradient in vhat."""
+    node = ad.Node(vhat, "vhat", requires_grad=True)
+    recon, _ = alignment_penalties(x.T @ x, node)
+    ad.backward(recon)
+    return recon.value[0, 0], node.grad
+
+
+def rank_deficient_case(rng, n=30, d=10, rank=3, k=5):
+    """Features of rank < k and an orthonormal d x k basis containing their
+    row space: the reconstruction is exactly zero, all of it cancellation."""
+    c = rng.standard_normal((d, rank))
+    x = rng.standard_normal((n, rank)) @ c.T
+    q, _ = np.linalg.qr(np.hstack([c, rng.standard_normal((d, k - rank))]))
+    return x, q
+
+
+class TestGramForm:
+    """The Gram-form penalty against the direct ||X - X Vhat Vhat^T||^2."""
+
+    @pytest.mark.parametrize("case", ["random", "near-orthonormal", "rank-deficient"])
+    def test_matches_direct_form(self, case):
+        rng = np.random.default_rng({"random": 21, "near-orthonormal": 22, "rank-deficient": 23}[case])
+        for _ in range(5):
+            if case == "rank-deficient":
+                x, vhat = rank_deficient_case(rng)
+            else:
+                x = rng.standard_normal((40, 12)) * rng.uniform(0.1, 10.0, size=12)
+                vhat = rng.standard_normal((12, 5)) / np.sqrt(12)  # unit-scale columns
+                if case == "near-orthonormal":
+                    vhat = np.linalg.qr(vhat)[0] + 1e-6 * rng.standard_normal((12, 5))
+            gram = x.T @ x
+            value, grad = gram_recon_and_grad(x, vhat)
+            want_value, want_grad = direct_reconstruction(x, vhat)
+            assert abs(value - want_value) <= 1e-12 * np.trace(gram)
+            assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.linalg.norm(gram, 2)
+
+    def test_rank_deficient_case_is_at_convergence(self):
+        x, vhat = rank_deficient_case(np.random.default_rng(24))
+        value, _ = direct_reconstruction(x, vhat)
+        assert value <= 1e-20 * np.trace(x.T @ x)
+
+    def test_direct_oracle_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(25)
+        x, vhat = rng.standard_normal((7, 4)), rng.standard_normal((4, 3))
+        fd = central_difference_grad(lambda v: direct_reconstruction(x, v)[0], vhat)
+        assert np.allclose(direct_reconstruction(x, vhat)[1], fd, rtol=1e-6, atol=1e-6)
+
+    def test_graph_level_domain_equals_mean_of_member_penalties(self):
+        graphs = tuple(
+            generate_sbm(2, 5 + i, 0.7, 0.2, d=6, cluster_sep=2.0, seed=30 + i, domain_id="glv")
+            for i in range(3)
+        )
+        collection = GraphCollection(graphs=graphs, task_kind="graph-level", graph_labels=(0, 1, 0))
+        (domain,) = prepare_domains(collection, tiny_config())
+        assert len(domain.members) == 3
+        vhat = trans(domain.basis.V, random_params(4, 8, 4, seed=31))
+        recon, ortho = alignment_penalties(domain.gram, vhat)
+        direct = [direct_reconstruction(m.x, vhat.value)[0] for m in domain.members]
+        assert abs(recon.value[0, 0] - np.mean(direct)) <= 1e-12 * np.trace(domain.gram)
+        vtv = vhat.value.T @ vhat.value
+        assert ortho.value[0, 0] == pytest.approx(np.sum((vtv - np.eye(4)) ** 2), rel=1e-12)

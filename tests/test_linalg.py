@@ -209,6 +209,23 @@ class TestTruncatedSvd:
         assert np.array_equal(a.U, b.U)
         assert np.array_equal(a.singular_values, b.singular_values)
 
+    def test_gram_and_direct_power_steps_agree(self):
+        # the shapes of acceptance criterion 1, whose oracle bound both meet
+        rng = np.random.default_rng(0)
+        for trial in range(50):
+            n, d = int(rng.integers(10, 41)), int(rng.integers(9, 21))
+            k = int(rng.integers(1, 9))
+            x = rng.standard_normal((n, d))
+            direct = truncated_svd(x, k, seed=1234 + trial)
+            via_gram = truncated_svd(x, k, seed=1234 + trial, gram=x.T @ x)
+            assert np.max(np.abs(via_gram.V - direct.V)) <= 1e-10
+            s, s_direct = via_gram.singular_values, direct.singular_values
+            assert np.max(np.abs(s - s_direct) / s_direct) <= 1e-12
+            oracle = best_rank_k_error(x, k)
+            for res in (direct, via_gram):
+                err = np.linalg.norm(x - res.reconstruction())
+                assert abs(err - oracle) / oracle < 1e-6
+
     def test_rank_out_of_range(self):
         with pytest.raises(DataError):
             truncated_svd(np.eye(3), k=4, seed=0)

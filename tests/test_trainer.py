@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from leda import autodiff as ad
+from leda.checkpoint import save_checkpoint
 from leda.datasets import GraphCollection
 from leda.errors import ConfigError, NumericError
 from leda.trainer import (
@@ -70,6 +71,19 @@ class TestPretrain:
         collection = node_collection()
         config = tiny_config(epochs=15)
         assert checkpoints_equal(pretrain(collection, config), pretrain(collection, config))
+
+    def test_copy_on_first_accumulate_keeps_checkpoint_bytes(self, tmp_path, monkeypatch):
+        collection, config = node_collection(), tiny_config(epochs=5)
+        save_checkpoint(pretrain(collection, config), tmp_path / "copy.ckpt")
+
+        def zero_then_add(node, delta):
+            if node.grad is None:
+                node.grad = np.zeros_like(node.value)
+            node.grad += delta
+
+        monkeypatch.setattr(ad.Node, "accumulate", zero_then_add)
+        save_checkpoint(pretrain(collection, config), tmp_path / "add.ckpt")
+        assert (tmp_path / "copy.ckpt").read_bytes() == (tmp_path / "add.ckpt").read_bytes()
 
     def test_domain_order_invariance(self):
         collection = node_collection()
