@@ -68,8 +68,22 @@ class Checkpoint:
         return None
 
 
+def _check_shape(name: str, shape: tuple[int, ...], config: "TrainConfig", where: str) -> None:
+    """Format error unless the tensor has the shape the config gives it; a
+    basis is d x k."""
+    want = param_shapes(config).get(name, (shape[0] if shape else 0, config.k))
+    if tuple(shape) != want:
+        raise CheckpointFormatError(
+            f"{where}: tensor '{name}' is {'x'.join(map(str, shape))}, but the "
+            f"header config expects {want[0]}x{want[1]}"
+        )
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Atomic write (temp file + rename); matrices round-trip bit-exactly."""
+    """Atomic write (temp file + rename); matrices round-trip bit-exactly.
+
+    Every tensor is checked against the config before anything is written,
+    so a checkpoint that `load_checkpoint` would refuse is never saved."""
     path = Path(path)
     tensors: dict[str, np.ndarray] = {}
     for name in param_shapes(ckpt.config):
@@ -78,6 +92,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         tensors[name] = ckpt.params[name]
     for basis in ckpt.bases:
         tensors[basis_tensor_name(basis.domain_id)] = basis.V
+    for name, arr in tensors.items():
+        _check_shape(name, np.shape(arr), ckpt.config, f"cannot save {path}")
 
     entries = []
     payload = bytearray()
@@ -176,13 +192,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     missing = sorted(expected - set(listed))
     if missing:
         raise CheckpointFormatError(f"{path}: missing tensors: {missing}")
-    for name, rows, cols, _ in tensors:  # a basis is d x k
-        want = shapes.get(name, (rows, config.k))
-        if (rows, cols) != want:
-            raise CheckpointFormatError(
-                f"{path}: tensor '{name}' is {rows}x{cols}, but the header config "
-                f"expects {want[0]}x{want[1]}"
-            )
+    for name, rows, cols, _ in tensors:
+        _check_shape(name, (rows, cols), config, str(path))
 
     payload = blob[header_start + header_len:]
     arrays: dict[str, np.ndarray] = {}

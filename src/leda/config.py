@@ -7,7 +7,9 @@ run can be reproduced from its own report.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 
 from .errors import ConfigError
@@ -41,6 +43,24 @@ _EVAL_KEYS = {
 _TOP_KEYS = {"data", "model", "train", "eval"}
 
 
+def check_protocol_args(**args) -> None:
+    """ConfigError unless `train_frac` lies in (0, 1), `tau` is finite and
+    > 0, and every other argument is an integer >= 1. The evaluation
+    protocols and EvalConfig share these rules."""
+    for name, value in args.items():
+        if name == "train_frac":
+            ok = isinstance(value, Real) and 0.0 < value < 1.0
+            rule = "be in (0, 1)"
+        elif name == "tau":
+            ok = isinstance(value, Real) and math.isfinite(value) and value > 0
+            rule = "be finite and > 0"
+        else:
+            ok = isinstance(value, Integral) and value >= 1
+            rule = "be an integer >= 1"
+        if isinstance(value, bool) or not ok:
+            raise ConfigError(f"{name} must {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EvalConfig:
     t_propagate: int | dict = 0
@@ -53,10 +73,13 @@ class EvalConfig:
     test_domains: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.k_shot < 1 or self.repeats < 1 or self.runs < 1 or self.support_per_class < 1:
-            raise ConfigError("eval counts must be positive")
-        if not 0.0 < self.train_frac < 1.0:
-            raise ConfigError("train_frac must lie in (0, 1)")
+        check_protocol_args(
+            k_shot=self.k_shot,
+            repeats=self.repeats,
+            runs=self.runs,
+            support_per_class=self.support_per_class,
+            train_frac=self.train_frac,
+        )
         if isinstance(self.t_propagate, dict):
             for domain, steps in self.t_propagate.items():
                 if not isinstance(steps, int) or steps < 0:

@@ -411,6 +411,22 @@ def load_dataset(manifest_path: str | Path) -> GraphCollection:
     )
 
 
+def write_float_tsv(path: str | Path, x: np.ndarray, index: bool = False) -> None:
+    """One tab-separated line per row of x, led by the row number if `index`.
+
+    repr of a Python float round-trips bit-exactly; rows are converted a
+    chunk at a time with `tolist`, not element by element.
+    """
+    lines = (
+        "\t".join(map(repr, row))
+        for lo in range(0, len(x), _WRITE_CHUNK_ROWS)
+        for row in x[lo:lo + _WRITE_CHUNK_ROWS].tolist()
+    )
+    if index:
+        lines = (f"{i}\t{line}" for i, line in enumerate(lines))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def save_dataset(collection: GraphCollection, out_dir: str | Path) -> Path:
     """Write a collection as manifest + TSV files; returns the manifest path.
 
@@ -436,14 +452,7 @@ def save_dataset(collection: GraphCollection, out_dir: str | Path) -> Path:
             entry["num_nodes"] = graph.num_nodes
         else:
             features_name = f"{stem}.features.tsv"
-            x = graph.features
-            # repr of a Python float round-trips bit-exactly
-            lines = (
-                "\t".join(map(repr, row))
-                for lo in range(0, len(x), _WRITE_CHUNK_ROWS)
-                for row in x[lo:lo + _WRITE_CHUNK_ROWS].tolist()
-            )
-            (out_dir / features_name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            write_float_tsv(out_dir / features_name, graph.features)
             entry["features_path"] = features_name
         if graph.labels is not None:
             labels_name = f"{stem}.labels.tsv"

@@ -3,7 +3,10 @@ prototypes, and the cross-domain mutual-information diagnostic.
 
 Embeddings are deterministic (posterior means, no sampling). Every protocol
 repeats with derived seeds (base seed + repeat index) and reports accuracy
-as mean +- population standard deviation in percent.
+as mean +- population standard deviation in percent. Each is a whole-array
+pass: one prototype loop serves nodes and graphs, the probe's softmax
+gradient is closed-form (bitwise the engine's), and sampled MI pairs are
+scored MI_BLOCK_PAIRS at a time, in O(block * dim) memory.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node
 from .checkpoint import Checkpoint
-from .datasets import DomainGraph, GraphCollection
+from .config import check_protocol_args
+from .datasets import DomainGraph, GraphCollection, write_float_tsv
 from .dpu import DpuParams, align, init_basis, trans
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 from .lda import LdaParams, encode, propagate_extra
 from .linalg import EntropyResult, gaussian_entropy, normalize_adjacency
 from .optim import AdamWState, adamw_step
@@ -28,6 +32,7 @@ PROBE_LR = 0.01
 PROBE_L2 = 1e-4
 COSINE_EPS = 1e-12
 MI_MAX_PAIRS = 1_000_000
+MI_BLOCK_PAIRS = 256
 
 MI_NOTE = "bias term (expected marginal correction) is not estimable from data; omitted"
 
@@ -79,27 +84,14 @@ class EvalReport:
         return doc
 
 
-def _dpu_params_from(ckpt: Checkpoint) -> DpuParams:
-    p = ckpt.params
-    return DpuParams(
-        W1=ad.constant(p["dpu.W1"], "dpu.W1"),
-        b1=ad.constant(p["dpu.b1"], "dpu.b1"),
-        W2=ad.constant(p["dpu.W2"], "dpu.W2"),
-        b2=ad.constant(p["dpu.b2"], "dpu.b2"),
-    )
+def _checkpoint_params(ckpt: Checkpoint) -> ad.ParamSet:
+    params = ad.ParamSet()
+    for name, value in ckpt.params.items():
+        params.add(name, value)
+    return params
 
 
-def _lda_params_from(ckpt: Checkpoint) -> LdaParams:
-    p = ckpt.params
-    return LdaParams(
-        W_base=ad.constant(p["lda.W_base"], "lda.W_base"),
-        W_mu=ad.constant(p["lda.W_mu"], "lda.W_mu"),
-        W_sigma=ad.constant(p["lda.W_sigma"], "lda.W_sigma"),
-        W_dec=ad.constant(p["lda.W_dec"], "lda.W_dec"),
-    )
-
-
-def _aligned_features(domain: DomainGraph, ckpt: Checkpoint) -> Node:
+def _aligned_features(domain: DomainGraph, ckpt: Checkpoint, params: ad.ParamSet) -> Node:
     config = ckpt.config
     basis = ckpt.basis_for(domain.domain_id)
     if basis is None:
@@ -117,7 +109,7 @@ def _aligned_features(domain: DomainGraph, ckpt: Checkpoint) -> Node:
     if ckpt.config.variant == "no-dpu":
         vhat = ad.constant(basis.V, "basis")
     else:
-        vhat = trans(basis.V, _dpu_params_from(ckpt))
+        vhat = trans(basis.V, DpuParams.from_paramset(params))
     return align(domain.features, vhat)
 
 
@@ -129,16 +121,17 @@ def embed(domain: DomainGraph, ckpt: Checkpoint, t: int = 0) -> EmbeddingSet:
     by t extra propagation steps. Deterministic (no sampling).
     """
     s = normalize_adjacency(domain.adjacency)
-    xhat = _aligned_features(domain, ckpt)
+    params = _checkpoint_params(ckpt)
+    xhat = _aligned_features(domain, ckpt, params)
     variant = ckpt.config.variant
     if variant in ("full", "no-dpu"):
-        state = encode(xhat, s, _lda_params_from(ckpt))
+        state = encode(xhat, s, LdaParams.from_paramset(params))
         base = state.mu.value
     elif variant == "no-lda":
         base = s.matmul_dense(xhat.value)
     elif variant == "dpu-cl":
-        lda_params = _lda_params_from(ckpt)
-        base = ad.relu(ad.sparse_matmul(s, ad.matmul(xhat, lda_params.W_base))).value
+        w_base = LdaParams.from_paramset(params).W_base
+        base = ad.relu(ad.sparse_matmul(s, ad.matmul(xhat, w_base))).value
     else:
         raise ConfigError(f"unknown variant '{variant}'")
     out = propagate_extra(base, s, t)
@@ -146,22 +139,35 @@ def embed(domain: DomainGraph, ckpt: Checkpoint, t: int = 0) -> EmbeddingSet:
 
 
 def write_embeddings_tsv(embeddings: EmbeddingSet, path: str | Path) -> None:
-    lines = [
-        str(i) + "\t" + "\t".join(repr(float(v)) for v in row)
-        for i, row in enumerate(embeddings.E)
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_float_tsv(path, embeddings.E, index=True)
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), COSINE_EPS)
+
+
+def _accuracy(true: np.ndarray, pred: np.ndarray) -> float:
+    return 100.0 * float(np.mean(pred == true))
 
 
 # ---------------------------------------------------------------------------
 # linear probe
 
 
-def _softmax_cross_entropy(logits: Node, onehot: np.ndarray) -> Node:
-    shift = ad.constant(logits.value.max(axis=1, keepdims=True), "row_max")
-    lse = ad.add(shift, ad.log(ad.reduce_sum(ad.exp(ad.sub(logits, shift)), axis=1)))
-    picked = ad.reduce_sum(ad.mul(logits, ad.constant(onehot, "onehot")), axis=1)
-    return ad.reduce_mean(ad.sub(lse, picked))
+def _probe_loss_and_grads(x: np.ndarray, w: np.ndarray, b: np.ndarray, onehot: np.ndarray):
+    """Mean softmax cross-entropy of x @ w + b plus PROBE_L2 * ||w||^2, and
+    its gradients in w and b. The logit gradient G = softmax / n - onehot / n
+    and the rest are formed in the order `autodiff.backward` forms them on
+    the engine-built loss, so all three are bitwise the engine's."""
+    inv_n = 1.0 / x.shape[0]
+    logits = x @ w + b
+    shift = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - shift)
+    total = e.sum(axis=1, keepdims=True)
+    picked = (logits * onehot).sum(axis=1, keepdims=True)
+    loss = (shift + np.log(total) - picked).sum() * inv_n + np.sum(w * w) * PROBE_L2
+    g = (inv_n / total) * e + (-inv_n) * onehot
+    return float(loss), x.T @ g + (PROBE_L2 * 2.0) * w, g.sum(axis=0, keepdims=True)
 
 
 def _fit_logistic(train_x: np.ndarray, train_y: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -169,16 +175,11 @@ def _fit_logistic(train_x: np.ndarray, train_y: np.ndarray, num_classes: int) ->
     w = params.add("probe.W", np.zeros((train_x.shape[1], num_classes)))
     b = params.add("probe.b", np.zeros((1, num_classes)))
     onehot = np.eye(num_classes)[train_y]
-    x_const = ad.constant(train_x, "probe_features")
     state = AdamWState.for_params(params, lr=PROBE_LR, weight_decay=0.0)
-    for _ in range(PROBE_STEPS):
-        params.zero_grad()
-        logits = ad.add_row_bias(ad.matmul(x_const, w), b)
-        loss = ad.add(
-            _softmax_cross_entropy(logits, onehot),
-            ad.scale(ad.frobenius_sq(w), PROBE_L2),
-        )
-        ad.backward(loss)
+    for step in range(PROBE_STEPS):
+        loss, w.grad, b.grad = _probe_loss_and_grads(train_x, w.value, b.value, onehot)
+        if not np.isfinite(loss):
+            raise NumericError(f"linear probe: loss is non-finite at step {step}")
         adamw_step(params, state)
     return w.value.copy(), b.value.copy()
 
@@ -205,6 +206,7 @@ def linear_probe(
 ) -> EvalReport:
     """Multinomial logistic regression on a stratified train_frac split,
     accuracy on the rest; mean +- std over the runs."""
+    check_protocol_args(train_frac=train_frac, runs=runs)
     if embeddings.labels is None:
         raise DataError("linear probe needs labels")
     labels = embeddings.labels
@@ -218,7 +220,7 @@ def linear_probe(
         train_idx, test_idx = _stratified_split(labels, train_frac, rng)
         w, b = _fit_logistic(embeddings.E[train_idx], labels[train_idx], num_classes)
         pred = np.argmax(embeddings.E[test_idx] @ w + b, axis=1)
-        accuracies.append(100.0 * float(np.mean(pred == labels[test_idx])))
+        accuracies.append(_accuracy(labels[test_idx], pred))
     acc = np.array(accuracies)
     return EvalReport(
         task="linear-probe",
@@ -234,10 +236,30 @@ def linear_probe(
 # prototype protocols
 
 
-def _cosine_to_prototypes(queries: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
-    qn = queries / np.maximum(np.linalg.norm(queries, axis=1, keepdims=True), COSINE_EPS)
-    pn = prototypes / np.maximum(np.linalg.norm(prototypes, axis=1, keepdims=True), COSINE_EPS)
-    return qn @ pn.T
+def _prototype_scores(vectors, labels, shots: int, repeats: int, seed: int, score) -> list:
+    """score(true, predicted) over the query rows of each repeat. Repeat r
+    draws `shots` support rows per class, in class order, with rng(seed + r);
+    their means are the prototypes, and every other row goes to the most
+    cosine-similar one. Rows are normalized once, as gathering normalized
+    rows equals normalizing gathered rows."""
+    classes = np.unique(labels)
+    members = [np.flatnonzero(labels == c) for c in classes]
+    short = [int(c) for c, rows in zip(classes, members) if len(rows) < shots]
+    if short:
+        raise DataError(f"classes {short} have fewer than {shots} members")
+    if all(len(rows) == shots for rows in members):
+        raise DataError("support would cover every member; query set is empty")
+    unit = _unit_rows(vectors)
+    scores = []
+    for repeat in range(repeats):
+        rng = np.random.default_rng(seed + repeat)
+        chosen = [rng.choice(rows, size=shots, replace=False) for rows in members]
+        query = np.ones(len(labels), dtype=bool)
+        query[np.concatenate(chosen)] = False
+        prototypes = _unit_rows(np.stack([vectors[rows].mean(axis=0) for rows in chosen]))
+        pred = classes[np.argmax(unit[query] @ prototypes.T, axis=1)]
+        scores.append(score(labels[query], pred))
+    return scores
 
 
 def fewshot_eval(
@@ -248,31 +270,11 @@ def fewshot_eval(
 ) -> EvalReport:
     """k-shot prototype classification: class prototypes are means of k
     sampled nodes; every remaining node is assigned by cosine similarity."""
+    check_protocol_args(k=k, repeats=repeats)
     if embeddings.labels is None:
         raise DataError("few-shot evaluation needs labels")
-    labels = embeddings.labels
-    classes = np.unique(labels)
-    counts = {int(c): int(np.sum(labels == c)) for c in classes}
-    short = [c for c, n in counts.items() if n < k]
-    if short:
-        raise DataError(f"classes {short} have fewer than k={k} samples")
-    if all(n == k for n in counts.values()):
-        raise DataError("support would cover every node; no queries left")
-    accuracies = []
-    for repeat in range(repeats):
-        rng = np.random.default_rng(seed + repeat)
-        support: list[int] = []
-        prototypes = []
-        for c in classes:
-            members = np.flatnonzero(labels == c)
-            chosen = rng.choice(members, size=k, replace=False)
-            support.extend(chosen.tolist())
-            prototypes.append(embeddings.E[chosen].mean(axis=0))
-        query = np.setdiff1d(np.arange(len(labels)), np.array(support))
-        sims = _cosine_to_prototypes(embeddings.E[query], np.stack(prototypes))
-        pred = classes[np.argmax(sims, axis=1)]
-        accuracies.append(100.0 * float(np.mean(pred == labels[query])))
-    acc = np.array(accuracies)
+    scores = _prototype_scores(embeddings.E, embeddings.labels, k, repeats, seed, _accuracy)
+    acc = np.array(scores)
     return EvalReport(
         task="fewshot",
         mean_accuracy=float(acc.mean()),
@@ -311,36 +313,16 @@ def graph_eval(
 ) -> EvalReport:
     """Prototype classification of whole graphs from a disjoint labeled
     support split (prototype-from-support protocol)."""
+    check_protocol_args(support_per_class=support_per_class, repeats=repeats)
     if collection.task_kind != "graph-level":
         raise DataError("graph_eval needs a graph-level collection")
-    labels = np.asarray(collection.graph_labels, dtype=np.int64)
-    classes = np.unique(labels)
-    counts = {int(c): int(np.sum(labels == c)) for c in classes}
-    short = [c for c, n in counts.items() if n < support_per_class]
-    if short:
-        raise DataError(f"classes {short} have fewer than {support_per_class} graphs")
-    if all(n == support_per_class for n in counts.values()):
-        raise DataError("support would cover every graph; query set is empty")
-
-    pooled = pooled_graph_embeddings(collection, ckpt, t)
-    accuracies = []
-    f1s = []
-    for repeat in range(repeats):
-        rng = np.random.default_rng(seed + repeat)
-        support: list[int] = []
-        prototypes = []
-        for c in classes:
-            members = np.flatnonzero(labels == c)
-            chosen = rng.choice(members, size=support_per_class, replace=False)
-            support.extend(chosen.tolist())
-            prototypes.append(pooled[chosen].mean(axis=0))
-        query = np.setdiff1d(np.arange(len(labels)), np.array(support))
-        sims = _cosine_to_prototypes(pooled[query], np.stack(prototypes))
-        pred = classes[np.argmax(sims, axis=1)]
-        accuracies.append(100.0 * float(np.mean(pred == labels[query])))
-        f1s.append(100.0 * macro_f1(labels[query], pred))
-    acc = np.array(accuracies)
-    f1 = np.array(f1s)
+    scores = _prototype_scores(
+        pooled_graph_embeddings(collection, ckpt, t),
+        np.asarray(collection.graph_labels, dtype=np.int64),
+        support_per_class, repeats, seed,
+        lambda true, pred: (_accuracy(true, pred), 100.0 * macro_f1(true, pred)),
+    )
+    acc, f1 = (np.array(column) for column in zip(*scores))
     flags = ["prototype-from-support"]
     if any(g.degree_featurized for g in collection.graphs):
         flags.append("degree-featurized")
@@ -385,21 +367,24 @@ def mi_diagnostic(
     seed: int = 0,
     max_pairs: int = MI_MAX_PAIRS,
 ) -> dict:
-    """Cross-domain similarity diagnostic over all (or sampled) pairs."""
-    if tau <= 0:
-        raise ConfigError(f"temperature must be > 0, got {tau}")
+    """Cross-domain similarity diagnostic over all pairs, or over max_pairs
+    seeded samples scored MI_BLOCK_PAIRS at a time."""
+    check_protocol_args(tau=tau)
     if e_i.E.shape[0] == 0 or e_j.E.shape[0] == 0:
         raise DataError("embedding sets must be non-empty")
-    a = e_i.E / np.maximum(np.linalg.norm(e_i.E, axis=1, keepdims=True), COSINE_EPS)
-    b = e_j.E / np.maximum(np.linalg.norm(e_j.E, axis=1, keepdims=True), COSINE_EPS)
-    n_pairs = a.shape[0] * b.shape[0]
-    if n_pairs <= max_pairs:
+    a = _unit_rows(e_i.E)
+    b = _unit_rows(e_j.E)
+    if a.shape[0] * b.shape[0] <= max_pairs:
         scores = (a @ b.T) / tau
     else:
         rng = np.random.default_rng(seed)
         rows = rng.integers(0, a.shape[0], size=max_pairs)
         cols = rng.integers(0, b.shape[0], size=max_pairs)
-        scores = np.sum(a[rows] * b[cols], axis=1) / tau
+        scores = np.empty(max_pairs)
+        for lo in range(0, max_pairs, MI_BLOCK_PAIRS):
+            block = slice(lo, lo + MI_BLOCK_PAIRS)
+            scores[block] = np.sum(a[rows[block]] * b[cols[block]], axis=1)
+        scores /= tau
     record = mi_from_scores(scores)
     record["domains"] = [e_i.domain_id, e_j.domain_id]
     record["tau"] = tau
@@ -414,5 +399,5 @@ def diagnostics_entropy(ckpt: Checkpoint, domain_id: str) -> EntropyResult:
     if ckpt.config.variant == "no-dpu":
         vhat = basis.V
     else:
-        vhat = trans(basis.V, _dpu_params_from(ckpt)).value
+        vhat = trans(basis.V, DpuParams.from_paramset(_checkpoint_params(ckpt))).value
     return gaussian_entropy(vhat)

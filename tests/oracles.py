@@ -1,13 +1,41 @@
 """Independent brute-force oracles used by the test suite.
 
-Nothing here may import from the code paths it checks: the Jacobi
-eigendecomposition below is a from-scratch cyclic-rotation solver, and the
-rank-k error formula goes through the Gram spectrum only.
+The linear-algebra oracles import nothing from the code paths they check:
+the Jacobi eigendecomposition below is a from-scratch cyclic-rotation
+solver, and the rank-k error formula goes through the Gram spectrum only.
+
+The reference protocols further down are the per-repeat evaluation loops
+the whole-array ones in `leda.evaluate` replaced, kept verbatim (the probe
+still differentiates through the engine), an embedding that wraps every
+checkpoint tensor as an engine constant, and an unchecked checkpoint writer
+for files that `save_checkpoint` refuses to write.
 """
 
 from __future__ import annotations
 
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
+
+from leda import autodiff as ad
+from leda import evaluate
+from leda.checkpoint import basis_tensor_name
+from leda.dpu import DpuParams, align, init_basis, trans
+from leda.errors import ConfigError, DataError
+from leda.evaluate import (
+    COSINE_EPS,
+    PROBE_L2,
+    PROBE_LR,
+    PROBE_STEPS,
+    EvalReport,
+    macro_f1,
+    mi_from_scores,
+)
+from leda.lda import LdaParams, encode, propagate_extra
+from leda.linalg import normalize_adjacency
+from leda.optim import AdamWState, adamw_step
 
 
 def jacobi_eigh(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100):
@@ -89,3 +117,260 @@ def direct_reconstruction(x: np.ndarray, vhat: np.ndarray) -> tuple[float, np.nd
     r = x - xv @ vhat.T
     grad = -2.0 * (x.T @ (r @ vhat) + r.T @ xv)
     return float(np.sum(r * r)), grad
+
+
+# ---------------------------------------------------------------------------
+# reference evaluation protocols: one repeat, one autodiff graph at a time
+
+
+def softmax_cross_entropy(logits, onehot):
+    shift = ad.constant(logits.value.max(axis=1, keepdims=True), "row_max")
+    lse = ad.add(shift, ad.log(ad.reduce_sum(ad.exp(ad.sub(logits, shift)), axis=1)))
+    picked = ad.reduce_sum(ad.mul(logits, ad.constant(onehot, "onehot")), axis=1)
+    return ad.reduce_mean(ad.sub(lse, picked))
+
+
+def probe_loss(x_const, w, b, onehot):
+    """The probe objective built from engine primitives."""
+    logits = ad.add_row_bias(ad.matmul(x_const, w), b)
+    return ad.add(
+        softmax_cross_entropy(logits, onehot),
+        ad.scale(ad.frobenius_sq(w), PROBE_L2),
+    )
+
+
+def fit_logistic(train_x, train_y, num_classes):
+    params = ad.ParamSet()
+    w = params.add("probe.W", np.zeros((train_x.shape[1], num_classes)))
+    b = params.add("probe.b", np.zeros((1, num_classes)))
+    onehot = np.eye(num_classes)[train_y]
+    x_const = ad.constant(train_x, "probe_features")
+    state = AdamWState.for_params(params, lr=PROBE_LR, weight_decay=0.0)
+    for _ in range(PROBE_STEPS):
+        params.zero_grad()
+        loss = probe_loss(x_const, w, b, onehot)
+        ad.backward(loss)
+        adamw_step(params, state)
+    return w.value.copy(), b.value.copy()
+
+
+def stratified_split(labels, train_frac, rng):
+    train_idx = []
+    test_idx = []
+    for c in np.unique(labels):
+        members = np.flatnonzero(labels == c)
+        shuffled = rng.permutation(members)
+        take = max(1, int(round(train_frac * len(members))))
+        train_idx.extend(shuffled[:take].tolist())
+        test_idx.extend(shuffled[take:].tolist())
+    if not test_idx:
+        raise DataError("split left no test nodes; lower train_frac")
+    return np.array(sorted(train_idx)), np.array(sorted(test_idx))
+
+
+def linear_probe(embeddings, train_frac=0.1, runs=20, seed=66666):
+    if embeddings.labels is None:
+        raise DataError("linear probe needs labels")
+    labels = embeddings.labels
+    classes = np.unique(labels)
+    if len(classes) < 2:
+        raise DataError("linear probe needs at least two classes")
+    num_classes = int(labels.max()) + 1
+    accuracies = []
+    for run in range(runs):
+        rng = np.random.default_rng(seed + run)
+        train_idx, test_idx = stratified_split(labels, train_frac, rng)
+        w, b = fit_logistic(embeddings.E[train_idx], labels[train_idx], num_classes)
+        pred = np.argmax(embeddings.E[test_idx] @ w + b, axis=1)
+        accuracies.append(100.0 * float(np.mean(pred == labels[test_idx])))
+    acc = np.array(accuracies)
+    return EvalReport(
+        task="linear-probe",
+        mean_accuracy=float(acc.mean()),
+        std=float(acc.std()),
+        repeats=runs,
+        seed=seed,
+        config={"train_frac": train_frac, "runs": runs},
+    )
+
+
+def cosine_to_prototypes(queries, prototypes):
+    qn = queries / np.maximum(np.linalg.norm(queries, axis=1, keepdims=True), COSINE_EPS)
+    pn = prototypes / np.maximum(np.linalg.norm(prototypes, axis=1, keepdims=True), COSINE_EPS)
+    return qn @ pn.T
+
+
+def fewshot_eval(embeddings, k=1, repeats=500, seed=66666):
+    if embeddings.labels is None:
+        raise DataError("few-shot evaluation needs labels")
+    labels = embeddings.labels
+    classes = np.unique(labels)
+    counts = {int(c): int(np.sum(labels == c)) for c in classes}
+    short = [c for c, n in counts.items() if n < k]
+    if short:
+        raise DataError(f"classes {short} have fewer than k={k} samples")
+    if all(n == k for n in counts.values()):
+        raise DataError("support would cover every node; no queries left")
+    accuracies = []
+    for repeat in range(repeats):
+        rng = np.random.default_rng(seed + repeat)
+        support = []
+        prototypes = []
+        for c in classes:
+            members = np.flatnonzero(labels == c)
+            chosen = rng.choice(members, size=k, replace=False)
+            support.extend(chosen.tolist())
+            prototypes.append(embeddings.E[chosen].mean(axis=0))
+        query = np.setdiff1d(np.arange(len(labels)), np.array(support))
+        sims = cosine_to_prototypes(embeddings.E[query], np.stack(prototypes))
+        pred = classes[np.argmax(sims, axis=1)]
+        accuracies.append(100.0 * float(np.mean(pred == labels[query])))
+    acc = np.array(accuracies)
+    return EvalReport(
+        task="fewshot",
+        mean_accuracy=float(acc.mean()),
+        std=float(acc.std()),
+        repeats=repeats,
+        seed=seed,
+        config={"k": k, "repeats": repeats},
+    )
+
+
+def graph_eval(collection, ckpt, support_per_class=1, repeats=500, seed=66666, t=0):
+    if collection.task_kind != "graph-level":
+        raise DataError("graph_eval needs a graph-level collection")
+    labels = np.asarray(collection.graph_labels, dtype=np.int64)
+    classes = np.unique(labels)
+    counts = {int(c): int(np.sum(labels == c)) for c in classes}
+    short = [c for c, n in counts.items() if n < support_per_class]
+    if short:
+        raise DataError(f"classes {short} have fewer than {support_per_class} graphs")
+    if all(n == support_per_class for n in counts.values()):
+        raise DataError("support would cover every graph; query set is empty")
+
+    pooled = evaluate.pooled_graph_embeddings(collection, ckpt, t)
+    accuracies = []
+    f1s = []
+    for repeat in range(repeats):
+        rng = np.random.default_rng(seed + repeat)
+        support = []
+        prototypes = []
+        for c in classes:
+            members = np.flatnonzero(labels == c)
+            chosen = rng.choice(members, size=support_per_class, replace=False)
+            support.extend(chosen.tolist())
+            prototypes.append(pooled[chosen].mean(axis=0))
+        query = np.setdiff1d(np.arange(len(labels)), np.array(support))
+        sims = cosine_to_prototypes(pooled[query], np.stack(prototypes))
+        pred = classes[np.argmax(sims, axis=1)]
+        accuracies.append(100.0 * float(np.mean(pred == labels[query])))
+        f1s.append(100.0 * macro_f1(labels[query], pred))
+    acc = np.array(accuracies)
+    f1 = np.array(f1s)
+    flags = ["prototype-from-support"]
+    if any(g.degree_featurized for g in collection.graphs):
+        flags.append("degree-featurized")
+    return EvalReport(
+        task="graph-fewshot",
+        mean_accuracy=float(acc.mean()),
+        std=float(acc.std()),
+        repeats=repeats,
+        seed=seed,
+        config={"support_per_class": support_per_class, "repeats": repeats},
+        flags=flags,
+        extras={"mean_macro_f1": float(f1.mean()), "std_macro_f1": float(f1.std())},
+    )
+
+
+def mi_diagnostic(e_i, e_j, tau, seed=0, max_pairs=evaluate.MI_MAX_PAIRS):
+    if tau <= 0:
+        raise ConfigError(f"temperature must be > 0, got {tau}")
+    if e_i.E.shape[0] == 0 or e_j.E.shape[0] == 0:
+        raise DataError("embedding sets must be non-empty")
+    a = e_i.E / np.maximum(np.linalg.norm(e_i.E, axis=1, keepdims=True), COSINE_EPS)
+    b = e_j.E / np.maximum(np.linalg.norm(e_j.E, axis=1, keepdims=True), COSINE_EPS)
+    n_pairs = a.shape[0] * b.shape[0]
+    if n_pairs <= max_pairs:
+        scores = (a @ b.T) / tau
+    else:
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, a.shape[0], size=max_pairs)
+        cols = rng.integers(0, b.shape[0], size=max_pairs)
+        scores = np.sum(a[rows] * b[cols], axis=1) / tau
+    record = mi_from_scores(scores)
+    record["domains"] = [e_i.domain_id, e_j.domain_id]
+    record["tau"] = tau
+    return record
+
+
+def write_embeddings_tsv(embeddings, path):
+    lines = [
+        str(i) + "\t" + "\t".join(repr(float(v)) for v in row)
+        for i, row in enumerate(embeddings.E)
+    ]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# raw checkpoint files
+
+
+def split_checkpoint(blob):
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    return json.loads(blob[12:12 + header_len]), blob[12 + header_len:]
+
+
+def join_checkpoint(header, payload):
+    header_bytes = json.dumps(header).encode("utf-8")
+    return b"LEDACKPT" + struct.pack("<I", len(header_bytes)) + header_bytes + payload
+
+
+def write_unchecked_checkpoint(ckpt, path):
+    """The checkpoint format without any shape check, for files that only
+    `load_checkpoint` must refuse."""
+    tensors = dict(ckpt.params)
+    for basis in ckpt.bases:
+        tensors[basis_tensor_name(basis.domain_id)] = basis.V
+    entries = []
+    payload = bytearray()
+    for name in sorted(tensors):
+        arr = np.ascontiguousarray(tensors[name], dtype="<f8")
+        entries.append(
+            {"name": name, "rows": arr.shape[0], "cols": arr.shape[1], "offset": len(payload)}
+        )
+        payload.extend(arr.tobytes(order="C"))
+    header = {
+        "version": 1,
+        "config": ckpt.config.to_dict(),
+        "tensors": entries,
+        "bases": [
+            {"domain_id": b.domain_id, "padded": b.padded, "tensor": basis_tensor_name(b.domain_id)}
+            for b in ckpt.bases
+        ],
+        "epoch": ckpt.epoch,
+        "final_loss": ckpt.final_loss,
+    }
+    Path(path).write_bytes(join_checkpoint(header, bytes(payload)))
+
+
+def embed_with_constants(domain, ckpt, t=0):
+    """Node embeddings with every checkpoint tensor wrapped as an engine
+    constant, one accessor per parameter group."""
+    p = ckpt.params
+    dpu = DpuParams(*(ad.constant(p[name], name) for name in DpuParams.PARAM_NAMES))
+    lda = LdaParams(*(ad.constant(p[name], name) for name in LdaParams.PARAM_NAMES))
+    basis = ckpt.basis_for(domain.domain_id)
+    if basis is None:
+        basis = init_basis(domain.features, ckpt.config.k, seed=ckpt.config.seed,
+                           domain_id=domain.domain_id)
+    vhat = ad.constant(basis.V, "basis") if ckpt.config.variant == "no-dpu" else trans(basis.V, dpu)
+    xhat = align(domain.features, vhat)
+    s = normalize_adjacency(domain.adjacency)
+    variant = ckpt.config.variant
+    if variant in ("full", "no-dpu"):
+        base = encode(xhat, s, lda).mu.value
+    elif variant == "no-lda":
+        base = s.matmul_dense(xhat.value)
+    else:
+        base = ad.relu(ad.sparse_matmul(s, ad.matmul(xhat, lda.W_base))).value
+    return propagate_extra(base, s, t)

@@ -1,6 +1,3 @@
-import json
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,6 +9,7 @@ from leda.cli import main
 from leda.errors import CheckpointFormatError, DataError
 from leda.trainer import init_paramset, pretrain
 
+from oracles import join_checkpoint, split_checkpoint, write_unchecked_checkpoint
 from synthetic import node_collection, tiny_config
 
 
@@ -91,8 +89,9 @@ class TestFormatErrors:
 
 
 class TestShapesFollowConfig:
-    """A tensor whose shape disagrees with the header config saves, but must
-    not load: it would only fail later, deep inside training or embedding."""
+    """A tensor whose shape disagrees with the header config must neither
+    save nor load: it would only fail later, deep inside training or
+    embedding. The files below are written without the save-time check."""
 
     @pytest.mark.parametrize("dims", [{}, dict(k=3, h=5, m=7, h_e=2, z=6)])
     def test_table_matches_initialization(self, dims):
@@ -110,7 +109,7 @@ class TestShapesFollowConfig:
             epoch=trained.epoch,
             final_loss=trained.final_loss,
         )
-        save_checkpoint(bad, tmp_path / "bad.ckpt")
+        write_unchecked_checkpoint(bad, tmp_path / "bad.ckpt")
         with pytest.raises(CheckpointFormatError, match=r"'dpu.W1' is 8x4.*expects 4x8"):
             load_checkpoint(tmp_path / "bad.ckpt")
 
@@ -124,7 +123,7 @@ class TestShapesFollowConfig:
             epoch=trained.epoch,
             final_loss=trained.final_loss,
         )
-        save_checkpoint(bad, tmp_path / "bad.ckpt")
+        write_unchecked_checkpoint(bad, tmp_path / "bad.ckpt")
         with pytest.raises(CheckpointFormatError, match=name):
             load_checkpoint(tmp_path / "bad.ckpt")
 
@@ -138,9 +137,40 @@ class TestShapesFollowConfig:
             epoch=trained.epoch,
             final_loss=trained.final_loss,
         )
-        save_checkpoint(bad, tmp_path / "bad.ckpt")
+        write_unchecked_checkpoint(bad, tmp_path / "bad.ckpt")
         with pytest.raises(CheckpointFormatError, match=r"basis/doma' is \d+x2.*expects \d+x4"):
             load_checkpoint(tmp_path / "bad.ckpt")
+
+    def test_save_refuses_transposed_parameter(self, trained, tmp_path):
+        bad = Checkpoint(
+            config=trained.config,
+            params={**trained.params, "dpu.W1": trained.params["dpu.W1"].T.copy()},
+            bases=trained.bases,
+            epoch=trained.epoch,
+            final_loss=trained.final_loss,
+        )
+        with pytest.raises(CheckpointFormatError, match=r"'dpu.W1' is 8x4.*expects 4x8"):
+            save_checkpoint(bad, tmp_path / "bad.ckpt")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_refuses_narrow_basis(self, trained, tmp_path):
+        first = trained.bases[0]
+        bad = Checkpoint(
+            config=trained.config,
+            params=trained.params,
+            bases=[DomainBasis(domain_id=first.domain_id, V=first.V[:, :2])] + trained.bases[1:],
+            epoch=trained.epoch,
+            final_loss=trained.final_loss,
+        )
+        with pytest.raises(CheckpointFormatError, match=r"basis/doma' is \d+x2.*expects \d+x4"):
+            save_checkpoint(bad, tmp_path / "bad.ckpt")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unchecked_writer_matches_save_on_a_valid_checkpoint(self, trained, tmp_path):
+        save_checkpoint(trained, tmp_path / "saved.ckpt")
+        write_unchecked_checkpoint(trained, tmp_path / "raw.ckpt")
+        saved = split_checkpoint((tmp_path / "saved.ckpt").read_bytes())
+        assert split_checkpoint((tmp_path / "raw.ckpt").read_bytes()) == saved
 
     def test_header_dims_changed_under_the_tensors(self, saved, tmp_path):
         header, payload = split_checkpoint(saved)
@@ -153,16 +183,6 @@ class TestShapesFollowConfig:
 
 # ---------------------------------------------------------------------------
 # malformed headers and payloads
-
-
-def split_checkpoint(blob):
-    (header_len,) = struct.unpack("<I", blob[8:12])
-    return json.loads(blob[12:12 + header_len]), blob[12 + header_len:]
-
-
-def join_checkpoint(header, payload):
-    header_bytes = json.dumps(header).encode("utf-8")
-    return b"LEDACKPT" + struct.pack("<I", len(header_bytes)) + header_bytes + payload
 
 
 def header_paths(doc, prefix=()):

@@ -189,6 +189,25 @@ class TestEmbedAndEval:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["eval-fewshot", "--domain", "domc", "--k", "0"],
+            ["eval-fewshot", "--domain", "domc", "--k", "-1"],
+            ["eval-linear", "--domain", "domc", "--runs", "0"],
+            ["eval-linear", "--domain", "domc", "--train-frac", "0"],
+            ["mi-diag", "--domains", "doma,domb", "--tau", "nan"],
+        ],
+        ids=["fewshot-k0", "fewshot-k-1", "linear-runs0", "linear-train-frac0", "mi-tau-nan"],
+    )
+    def test_bad_protocol_arguments_exit_2(self, suite, ckpt_path, tmp_path, capsys, args):
+        out = tmp_path / "report.json"
+        code = main(args + ["--ckpt", str(ckpt_path), "--manifest", str(suite["manifest"]),
+                            "--out", str(out)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAblate:
     def test_emits_per_domain_results(self, suite, tmp_path):

@@ -42,6 +42,9 @@ class TestRunConfig:
             ("train", "two_phase", 1),
             ("model", "k", "8"),
             ("model", "lambda", None),
+            ("eval", "repeats", "abc"),
+            ("eval", "k_shot", True),
+            ("eval", "train_frac", "0.1"),
         ],
     )
     def test_wrong_json_type(self, section, key, value):
