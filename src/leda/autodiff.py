@@ -354,9 +354,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> Node:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __len__(self) -> int:
         return len(self._params)
 

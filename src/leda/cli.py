@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 
@@ -76,44 +77,44 @@ def _load_collection(manifest: str | None):
     return load_dataset(manifest)
 
 
-def _single_domain_graph(collection, domain_id: str):
+def _load_inputs(args):
+    """The --ckpt checkpoint, then the --manifest collection: a command that
+    reads both reports a bad checkpoint before a bad dataset."""
+    from .checkpoint import load_checkpoint
+
+    ckpt = load_checkpoint(args.ckpt)
+    return ckpt, _load_collection(args.manifest)
+
+
+def _embed_domains(ckpt, collection, steps: list[tuple[str, int]]):
+    """Yield (graph, embeddings) for each (domain id, propagation steps) in
+    turn. A domain must hold exactly one graph; it is looked up only when
+    the caller asks for it, so errors surface in the caller's order."""
     from .errors import DataError
+    from .evaluate import embed
 
-    graphs = collection.by_domain(domain_id)
-    if len(graphs) != 1:
-        raise DataError(
-            f"domain '{domain_id}' has {len(graphs)} graphs; node-level commands "
-            "need exactly one (use eval-graph for graph-level data)"
-        )
-    return graphs[0]
+    for domain_id, t in steps:
+        graphs = collection.by_domain(domain_id)
+        if len(graphs) != 1:
+            raise DataError(
+                f"domain '{domain_id}' has {len(graphs)} graphs; node-level commands "
+                "need exactly one (use eval-graph for graph-level data)"
+            )
+        yield graphs[0], embed(graphs[0], ckpt, t=t)
 
 
-def _train_config_with_overrides(args) -> "object":
+_TRAIN_FLAGS = ("epochs", "seed", "variant", "threads", "two_phase")
+
+
+def _run_config(args):
+    """The --config run config with the training flags actually given
+    applied, and the manifest to load (--manifest, else the config's)."""
     from .config import load_run_config
 
     run_cfg = load_run_config(args.config)
-    overrides = {}
-    for field_name, attr in (
-        ("epochs", "epochs"),
-        ("seed", "seed"),
-        ("variant", "variant"),
-        ("threads", "threads"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[field_name] = value
-    if getattr(args, "two_phase", False):
-        overrides["two_phase"] = True
-    if overrides:
-        from .trainer import TrainConfig
-
-        merged = run_cfg.train.to_dict()
-        merged.update(overrides)
-        train = TrainConfig.from_dict(merged)
-        from .config import RunConfig
-
-        run_cfg = RunConfig(manifest=run_cfg.manifest, train=train, eval=run_cfg.eval)
-    return run_cfg
+    given = {name: getattr(args, name) for name in _TRAIN_FLAGS if getattr(args, name) is not None}
+    run_cfg = replace(run_cfg, train=replace(run_cfg.train, **given))
+    return run_cfg, args.manifest or run_cfg.manifest
 
 
 def _protocol_echo(ckpt, protocol: dict) -> dict:
@@ -148,11 +149,11 @@ def cmd_gen_sbm(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
+    from .checkpoint import save_checkpoint
     from .evaluate import diagnostics_entropy
-    from .trainer import pretrain, save_checkpoint
+    from .trainer import pretrain
 
-    run_cfg = _train_config_with_overrides(args)
-    manifest = args.manifest or run_cfg.manifest
+    run_cfg, manifest = _run_config(args)
     collection = _load_collection(manifest)
     ckpt = pretrain(collection, run_cfg.train)
     save_checkpoint(ckpt, args.out)
@@ -176,25 +177,19 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    from .evaluate import embed, write_embeddings_tsv
-    from .trainer import load_checkpoint
+    from .evaluate import write_embeddings_tsv
 
-    ckpt = load_checkpoint(args.ckpt)
-    collection = _load_collection(args.manifest)
-    graph = _single_domain_graph(collection, args.domain)
-    embeddings = embed(graph, ckpt, t=args.t)
+    ckpt, collection = _load_inputs(args)
+    [(_, embeddings)] = _embed_domains(ckpt, collection, [(args.domain, args.t)])
     write_embeddings_tsv(embeddings, args.out)
     return 0
 
 
 def cmd_eval_linear(args) -> int:
-    from .evaluate import embed, linear_probe
-    from .trainer import load_checkpoint
+    from .evaluate import linear_probe
 
-    ckpt = load_checkpoint(args.ckpt)
-    collection = _load_collection(args.manifest)
-    graph = _single_domain_graph(collection, args.domain)
-    embeddings = embed(graph, ckpt, t=args.t)
+    ckpt, collection = _load_inputs(args)
+    [(graph, embeddings)] = _embed_domains(ckpt, collection, [(args.domain, args.t)])
     report = linear_probe(embeddings, train_frac=args.train_frac, runs=args.runs, seed=args.seed)
     report.flags.extend(_domain_flags(graph))
     doc = report.to_dict()
@@ -208,13 +203,10 @@ def cmd_eval_linear(args) -> int:
 
 
 def cmd_eval_fewshot(args) -> int:
-    from .evaluate import embed, fewshot_eval
-    from .trainer import load_checkpoint
+    from .evaluate import fewshot_eval
 
-    ckpt = load_checkpoint(args.ckpt)
-    collection = _load_collection(args.manifest)
-    graph = _single_domain_graph(collection, args.domain)
-    embeddings = embed(graph, ckpt, t=args.t)
+    ckpt, collection = _load_inputs(args)
+    [(graph, embeddings)] = _embed_domains(ckpt, collection, [(args.domain, args.t)])
     report = fewshot_eval(embeddings, k=args.k, repeats=args.repeats, seed=args.seed)
     report.flags.extend(_domain_flags(graph))
     doc = report.to_dict()
@@ -228,10 +220,8 @@ def cmd_eval_fewshot(args) -> int:
 
 def cmd_eval_graph(args) -> int:
     from .evaluate import graph_eval
-    from .trainer import load_checkpoint
 
-    ckpt = load_checkpoint(args.ckpt)
-    collection = _load_collection(args.manifest)
+    ckpt, collection = _load_inputs(args)
     report = graph_eval(
         collection,
         ckpt,
@@ -252,11 +242,10 @@ def cmd_eval_graph(args) -> int:
 def cmd_ablate(args) -> int:
     from .datasets import GraphCollection
     from .errors import ConfigError
-    from .evaluate import embed, fewshot_eval
+    from .evaluate import fewshot_eval
     from .trainer import pretrain
 
-    run_cfg = _train_config_with_overrides(args)
-    manifest = args.manifest or run_cfg.manifest
+    run_cfg, manifest = _run_config(args)
     collection = _load_collection(manifest)
     test_domains = tuple(args.test_domain or run_cfg.eval.test_domains)
     if not test_domains:
@@ -272,9 +261,8 @@ def cmd_ablate(args) -> int:
 
     ckpt = pretrain(train_collection, run_cfg.train)
     results = {}
-    for domain_id in test_domains:
-        graph = _single_domain_graph(collection, domain_id)
-        embeddings = embed(graph, ckpt, t=run_cfg.eval.t_for(domain_id))
+    steps = [(domain_id, run_cfg.eval.t_for(domain_id)) for domain_id in test_domains]
+    for (domain_id, _), (graph, embeddings) in zip(steps, _embed_domains(ckpt, collection, steps)):
         report = fewshot_eval(
             embeddings,
             k=run_cfg.eval.k_shot,
@@ -302,16 +290,14 @@ def cmd_ablate(args) -> int:
 
 def cmd_mi_diag(args) -> int:
     from .errors import ConfigError
-    from .evaluate import embed, mi_diagnostic
-    from .trainer import load_checkpoint
+    from .evaluate import mi_diagnostic
 
     names = [part.strip() for part in args.domains.split(",") if part.strip()]
     if len(names) != 2:
         raise ConfigError(f"--domains expects two comma-separated ids, got '{args.domains}'")
-    ckpt = load_checkpoint(args.ckpt)
-    collection = _load_collection(args.manifest)
-    sets = [embed(_single_domain_graph(collection, name), ckpt, t=args.t) for name in names]
-    record = mi_diagnostic(sets[0], sets[1], tau=args.tau, seed=args.seed)
+    ckpt, collection = _load_inputs(args)
+    [(_, first), (_, second)] = _embed_domains(ckpt, collection, [(name, args.t) for name in names])
+    record = mi_diagnostic(first, second, tau=args.tau, seed=args.seed)
     record["config"] = _protocol_echo(ckpt, {"tau": args.tau, "t": args.t, "seed": args.seed})
     _emit(record, args.out)
     return 0
@@ -349,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--variant", choices=("full", "no-dpu", "no-lda", "dpu-cl"), default=None)
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--two-phase", dest="two_phase", action="store_true")
+    p.add_argument("--two-phase", dest="two_phase", action="store_true", default=None)
     p.set_defaults(handler=cmd_pretrain)
 
     p = sub.add_parser("embed", help="export node embeddings as TSV")
@@ -400,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--two-phase", dest="two_phase", action="store_true")
+    p.add_argument("--two-phase", dest="two_phase", action="store_true", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_ablate)
 

@@ -8,38 +8,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 from pathlib import Path
 
 from .errors import ConfigError
 from .trainer import TrainConfig
 
-_MODEL_KEYS = {"k", "h", "m", "lambda", "h_e", "z", "beta_kl", "mu_align"}
-_TRAIN_KEYS = {
-    "epochs",
-    "seed",
-    "lr",
-    "beta1",
-    "beta2",
-    "adam_eps",
-    "weight_decay",
-    "variant",
-    "tau",
-    "two_phase",
-    "two_phase_epochs",
-    "threads",
-}
-_EVAL_KEYS = {
-    "t_propagate",
-    "k_shot",
-    "repeats",
-    "train_frac",
-    "runs",
-    "support_per_class",
-    "seed",
-    "test_domains",
-}
+# TrainConfig fields that live in the JSON "model" section, as (field, key);
+# every other TrainConfig field is a "train" key.
+_MODEL_FIELDS = (
+    ("k", "k"), ("h", "h"), ("m", "m"), ("lam", "lambda"),
+    ("h_e", "h_e"), ("z", "z"), ("beta_kl", "beta_kl"), ("mu_align", "mu_align"),
+)
 _TOP_KEYS = {"data", "model", "train", "eval"}
 
 
@@ -59,6 +40,10 @@ def check_protocol_args(**args) -> None:
             rule = "be an integer >= 1"
         if isinstance(value, bool) or not ok:
             raise ConfigError(f"{name} must {rule}, got {value!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -82,16 +67,34 @@ class EvalConfig:
         )
         if isinstance(self.t_propagate, dict):
             for domain, steps in self.t_propagate.items():
-                if not isinstance(steps, int) or steps < 0:
-                    raise ConfigError(f"t_propagate for '{domain}' must be a nonnegative integer")
-        elif not isinstance(self.t_propagate, int) or self.t_propagate < 0:
-            raise ConfigError("t_propagate must be a nonnegative integer or per-domain map")
+                if not _is_int(steps) or steps < 0:
+                    raise ConfigError(
+                        f"t_propagate for '{domain}' must be a nonnegative integer, got {steps!r}"
+                    )
+        elif not _is_int(self.t_propagate) or self.t_propagate < 0:
+            raise ConfigError(
+                "t_propagate must be a nonnegative integer or per-domain map, "
+                f"got {self.t_propagate!r}"
+            )
+        if self.seed is not None and not _is_int(self.seed):
+            raise ConfigError(f"seed must be an integer or null, got {self.seed!r}")
+        if not isinstance(self.test_domains, (list, tuple)) or not all(
+            isinstance(domain, str) for domain in self.test_domains
+        ):
+            raise ConfigError(
+                f"test_domains must be a list of domain id strings, got {self.test_domains!r}"
+            )
         object.__setattr__(self, "test_domains", tuple(self.test_domains))
 
     def t_for(self, domain_id: str) -> int:
         if isinstance(self.t_propagate, dict):
             return int(self.t_propagate.get(domain_id, 0))
         return int(self.t_propagate)
+
+
+_MODEL_KEYS = {key for _, key in _MODEL_FIELDS}
+_TRAIN_KEYS = {f.name for f in fields(TrainConfig)} - {name for name, _ in _MODEL_FIELDS}
+_EVAL_KEYS = {f.name for f in fields(EvalConfig)}
 
 
 @dataclass(frozen=True)
@@ -106,26 +109,10 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         train_doc = self.train.to_dict()
-        model_doc = {
-            "k": train_doc.pop("k"),
-            "h": train_doc.pop("h"),
-            "m": train_doc.pop("m"),
-            "lambda": train_doc.pop("lam"),
-            "h_e": train_doc.pop("h_e"),
-            "z": train_doc.pop("z"),
-            "beta_kl": train_doc.pop("beta_kl"),
-            "mu_align": train_doc.pop("mu_align"),
-        }
-        eval_doc = {
-            "t_propagate": self.eval.t_propagate,
-            "k_shot": self.eval.k_shot,
-            "repeats": self.eval.repeats,
-            "train_frac": self.eval.train_frac,
-            "runs": self.eval.runs,
-            "support_per_class": self.eval.support_per_class,
-            "seed": self.eval_seed,
-            "test_domains": list(self.eval.test_domains),
-        }
+        model_doc = {key: train_doc.pop(name) for name, key in _MODEL_FIELDS}
+        eval_doc = {f.name: getattr(self.eval, f.name) for f in fields(EvalConfig)}
+        eval_doc["seed"] = self.eval_seed
+        eval_doc["test_domains"] = list(self.eval.test_domains)
         return {"data": self.manifest, "model": model_doc, "train": train_doc, "eval": eval_doc}
 
 
@@ -154,9 +141,9 @@ def run_config_from_dict(doc: dict) -> RunConfig:
         raise ConfigError("'train' must be an object")
     _check_keys("train", train_doc, _TRAIN_KEYS)
 
+    field_of = {key: name for name, key in _MODEL_FIELDS}
     merged = dict(train_doc)
-    for key, value in model_doc.items():
-        merged["lam" if key == "lambda" else key] = value
+    merged.update((field_of[key], value) for key, value in model_doc.items())
     train = TrainConfig.from_dict(merged)
 
     eval_doc = doc.get("eval", {})
@@ -174,6 +161,10 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"config {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path}: invalid JSON: {exc}") from exc
     return run_config_from_dict(doc)

@@ -316,7 +316,7 @@ def load_dataset(manifest_path: str | Path) -> GraphCollection:
     manifest_path = Path(manifest_path)
     _require_file(manifest_path, "manifest")
     try:
-        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+        doc = json.loads(_read_text(manifest_path))
     except json.JSONDecodeError as exc:
         raise DataError(f"manifest {manifest_path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

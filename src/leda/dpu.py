@@ -150,24 +150,3 @@ def alignment_penalties(gram: np.ndarray, vhat: Node) -> tuple[Node, Node]:
     ortho = ad.frobenius_sq(ad.sub(vtv, ad.constant(np.eye(vhat.shape[1]), "identity")))
     return recon, ortho
 
-
-def loss_align(
-    domains: list[tuple[np.ndarray, np.ndarray]],
-    params: DpuParams,
-    lam: float,
-) -> tuple[Node, Node, Node]:
-    """Summed alignment loss over (features, basis) pairs, in list order.
-
-    Returns (total, recon, ortho) with total = recon + lam * ortho.
-    """
-    if not domains:
-        raise ConfigError("loss_align needs at least one domain")
-    recon_total: Node | None = None
-    ortho_total: Node | None = None
-    for x, v in domains:
-        vhat = trans(v, params)
-        recon, ortho = alignment_penalties(x.T @ x, vhat)
-        recon_total = recon if recon_total is None else ad.add(recon_total, recon)
-        ortho_total = ortho if ortho_total is None else ad.add(ortho_total, ortho)
-    total = ad.add(recon_total, ad.scale(ortho_total, lam))
-    return total, recon_total, ortho_total

@@ -66,14 +66,11 @@ class LdaParams:
 
 @dataclass
 class LatentState:
-    """Per-domain encoder outputs; z_sample/eps filled by reparameterization
-    and satisfy z_sample = mu + exp(log_sigma) * eps elementwise."""
+    """Per-domain encoder outputs."""
 
     z_base: Node
     mu: Node
     log_sigma: Node
-    z_sample: Node | None = None
-    eps: np.ndarray | None = None
 
 
 def encode(xhat: Node | np.ndarray, s: CsrMatrix, params: LdaParams) -> LatentState:
@@ -88,20 +85,12 @@ def encode(xhat: Node | np.ndarray, s: CsrMatrix, params: LdaParams) -> LatentSt
     return LatentState(z_base=z_base, mu=mu, log_sigma=log_sigma)
 
 
-def draw_noise(shape: tuple[int, int], seed) -> np.ndarray:
-    return np.random.default_rng(seed).standard_normal(shape)
-
-
 def reparameterize_with_noise(mu: Node, log_sigma: Node, eps: np.ndarray) -> Node:
+    """Sample z = mu + exp(log_sigma) * eps for a given standard-normal draw
+    eps; gradients flow through mu and log_sigma, eps is a constant."""
     if eps.shape != mu.shape:
         raise ConfigError(f"noise shape {eps.shape} must match mu shape {mu.shape}")
     return ad.add(mu, ad.mul(ad.exp(log_sigma), ad.constant(eps, "eps")))
-
-
-def reparameterize(mu: Node, log_sigma: Node, seed) -> Node:
-    """Sample z = mu + exp(log_sigma) * eps with eps ~ N(0, I) from the seed;
-    gradients flow through mu and log_sigma, eps is a constant."""
-    return reparameterize_with_noise(mu, log_sigma, draw_noise(mu.shape, seed))
 
 
 def decode(z: Node, s: CsrMatrix, params: LdaParams) -> Node:
@@ -126,24 +115,19 @@ def loss_total_domain(
     xhat: Node | np.ndarray,
     s: CsrMatrix,
     params: LdaParams,
-    seed,
     beta_kl: float,
-    eps: np.ndarray | None = None,
+    eps: np.ndarray,
 ) -> tuple[Node, Node, Node]:
     """Negated per-domain evidence bound: squared reconstruction of the
-    aligned features plus beta_kl times the KL alignment term.
+    aligned features plus beta_kl times the KL alignment term, with the
+    sampling noise eps (n x z standard normal) drawn by the caller.
 
-    Returns (loss, recon, kl). Pass eps to freeze the sampling noise
-    (gradient checks); otherwise it is drawn from the seed.
+    Returns (loss, recon, kl).
     """
     if not isinstance(xhat, Node):
         xhat = ad.constant(xhat, "aligned_features")
     state = encode(xhat, s, params)
-    if eps is None:
-        eps = draw_noise(state.mu.shape, seed)
     z = reparameterize_with_noise(state.mu, state.log_sigma, eps)
-    state.z_sample = z
-    state.eps = eps
     reconstructed = decode(z, s, params)
     diff = ad.sub(xhat, reconstructed)
     recon = ad.scale(ad.frobenius_sq(diff), 1.0 / xhat.shape[0])

@@ -141,13 +141,6 @@ class CsrMatrix:
     def to_dense(self) -> np.ndarray:
         return np.asarray(self._scipy.todense(), dtype=np.float64)
 
-    def pattern(self) -> set[tuple[int, int]]:
-        out = set()
-        for r in range(self.rows):
-            for c in self.col_indices[self.row_offsets[r]:self.row_offsets[r + 1]]:
-                out.add((r, int(c)))
-        return out
-
     def is_symmetric(self) -> bool:
         m = self._scipy
         return (m != m.T).nnz == 0

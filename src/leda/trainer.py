@@ -1,5 +1,5 @@
 """Joint optimization of the projection unit and the variational aligner
-across domains, with the ablation variants and checkpoint persistence.
+across domains, with the ablation variants.
 
 Training is full-batch: every epoch accumulates gradients over all domains
 (in ascending domain_id order, so manifest order never matters) and applies
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, ParamSet
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint  # noqa: F401
+from .checkpoint import Checkpoint
 from .datasets import GraphCollection
 from .dpu import DomainBasis, DpuConfig, DpuParams, align, alignment_penalties, init_basis, trans
 from .errors import ConfigError, DataError, NumericError
@@ -296,7 +296,7 @@ def build_epoch_loss(
                     rng = _stream_rng(config.seed, epoch, domain.key, member.index, _EPS_STREAM)
                     eps = rng.standard_normal((member.x.shape[0], config.z))
                 loss, recon, kl = loss_total_domain(
-                    xhat, member.s, lda_params, seed=None, beta_kl=config.beta_kl, eps=eps
+                    xhat, member.s, lda_params, beta_kl=config.beta_kl, eps=eps
                 )
                 member_losses.append(loss)
                 member_recons.append(recon)

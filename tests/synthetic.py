@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from leda.datasets import GraphCollection, generate_sbm
-from leda.trainer import TrainConfig
+from leda.dpu import DomainBasis
+from leda.trainer import PreparedDomain, TrainConfig, build_epoch_loss
 
 
 def node_collection(seed: int = 0, dims=(9, 12), blocks: int = 3, nodes_per_block: int = 6,
@@ -40,3 +41,17 @@ def tiny_config(**overrides) -> TrainConfig:
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def alignment_loss(pairs, params, lam: float):
+    """The alignment loss through the trainer: `build_epoch_loss` with
+    variant no-lda over one hand-built domain per (features, basis) pair, in
+    list order (Gram X^T X, no members). `params` must hold the DPU and LDA
+    tensors. Returns (total node, components)."""
+    prepared = [
+        PreparedDomain(
+            domain_id=f"hand{i}", key=i, basis=DomainBasis(f"hand{i}", v), members=(), gram=x.T @ x
+        )
+        for i, (x, v) in enumerate(pairs)
+    ]
+    return build_epoch_loss(prepared, params, TrainConfig(variant="no-lda", lam=lam), epoch=0)

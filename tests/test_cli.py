@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from leda.cli import _apply_thread_limit, main
+from leda.config import run_config_from_dict
 from leda.datasets import GraphCollection, generate_sbm, load_dataset, save_dataset
 
 from synthetic import node_collection
@@ -90,6 +91,25 @@ class TestPretrain:
         capsys.readouterr()
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+        code = main(["pretrain", "--config", str(bad), "--out", str(tmp_path / "m.ckpt")])
+        assert code == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_manifest_exits_3(self, suite, tmp_path, capsys):
+        bad = tmp_path / "manifest.json"
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+        code = main(
+            [
+                "pretrain", "--config", str(suite["config"]), "--manifest", str(bad),
+                "--out", str(tmp_path / "m.ckpt"),
+            ]
+        )
+        assert code == 3
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_numeric_blowup_exits_4(self, suite, tmp_path, capsys):
         bad = tmp_path / "hot.json"
         doc = dict(suite["doc"])
@@ -167,6 +187,22 @@ class TestEmbedAndEval:
         )
         assert code == 3
 
+    def test_multi_graph_domain_exits_3(self, ckpt_path, tmp_path, capsys):
+        graphs = tuple(
+            generate_sbm(2, 4, 0.8, 0.2, d=6, cluster_sep=2.0, seed=60 + i, domain_id="many")
+            for i in range(2)
+        )
+        collection = GraphCollection(graphs=graphs, task_kind="graph-level", graph_labels=(0, 1))
+        manifest = save_dataset(collection, tmp_path / "graphs")
+        code = main(
+            [
+                "embed", "--ckpt", str(ckpt_path), "--manifest", str(manifest),
+                "--domain", "many", "--out", str(tmp_path / "emb.tsv"),
+            ]
+        )
+        assert code == 3
+        assert "domain 'many' has 2 graphs" in capsys.readouterr().err
+
     def test_mi_diag_record(self, suite, ckpt_path, tmp_path):
         out = tmp_path / "mi.json"
         code = main(
@@ -225,12 +261,64 @@ class TestAblate:
         assert 0.0 <= doc["results"]["domc"]["mean_accuracy"] <= 100.0
         assert doc["config"]["eval"]["test_domains"] == ["domc"]
 
+    @pytest.mark.parametrize(
+        "key, value", [("test_domains", "domc"), ("t_propagate", True), ("seed", "x")]
+    )
+    def test_malformed_eval_value_exits_2(self, suite, tmp_path, capsys, key, value):
+        doc = dict(suite["doc"])
+        doc["eval"] = dict(doc["eval"], **{key: value})
+        cfg = tmp_path / "bad_eval.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["ablate", "--config", str(cfg), "--epochs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+
     def test_without_test_domains_exits_2(self, suite, tmp_path):
         doc = dict(suite["doc"])
         doc["eval"] = {"k_shot": 1, "repeats": 5}
         cfg = tmp_path / "no_test.json"
         cfg.write_text(json.dumps(doc))
         assert main(["ablate", "--config", str(cfg), "--variant", "full"]) == 2
+
+
+class TestTrainFlags:
+    """Each training flag of pretrain and ablate reaches the run, and only
+    the flags given change the config's values."""
+
+    @pytest.mark.parametrize("command", ["pretrain", "ablate"])
+    @pytest.mark.parametrize(
+        "flag, key, value",
+        [
+            (["--seed", "7"], "seed", 7),
+            (["--variant", "no-lda"], "variant", "no-lda"),
+            (["--two-phase"], "two_phase", True),
+            (["--threads", "2"], "threads", 2),
+            (["--epochs", "3"], "epochs", 3),
+        ],
+        ids=["seed", "variant", "two-phase", "threads", "epochs"],
+    )
+    def test_flag_reaches_echoed_config(
+        self, suite, tmp_path, monkeypatch, command, flag, key, value
+    ):
+        for var in TestThreadLimit.VARS:
+            monkeypatch.setenv(var, "1")  # undone after the test
+        epochs = [] if key == "epochs" else ["--epochs", "2"]
+        report = tmp_path / "report.json"
+        args = [command, "--config", str(suite["config"])] + epochs + flag
+        if command == "pretrain":
+            args += ["--out", str(tmp_path / "m.ckpt"), "--report", str(report)]
+        else:
+            args += ["--out", str(report)]
+        assert main(args) == 0
+        doc = json.loads(report.read_text())
+        expected = run_config_from_dict(suite["doc"]).to_dict()["train"]
+        expected.update({"epochs": 2, key: value})
+        assert doc["config"]["train"] == expected
+        assert doc["seed"] == expected["seed"]
+        if command == "pretrain":
+            assert doc["epochs"] == expected["epochs"] + (100 if key == "two_phase" else 0)
+        else:
+            assert doc["variant"] == expected["variant"]
 
 
 class TestParser:

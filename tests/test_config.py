@@ -1,9 +1,11 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from leda.config import EvalConfig, load_run_config, run_config_from_dict
+from leda.config import EvalConfig, RunConfig, load_run_config, run_config_from_dict
 from leda.errors import ConfigError
+from leda.trainer import TrainConfig
 
 
 class TestRunConfig:
@@ -45,11 +47,47 @@ class TestRunConfig:
             ("eval", "repeats", "abc"),
             ("eval", "k_shot", True),
             ("eval", "train_frac", "0.1"),
+            ("eval", "test_domains", "domc"),
+            ("eval", "test_domains", ["domc", 3]),
+            ("eval", "t_propagate", True),
+            ("eval", "t_propagate", {"domc": False}),
+            ("eval", "seed", "x"),
+            ("eval", "seed", True),
         ],
     )
     def test_wrong_json_type(self, section, key, value):
-        with pytest.raises(ConfigError, match="must be"):
+        with pytest.raises(ConfigError, match="must be") as exc:
             run_config_from_dict({section: {key: value}})
+        if section == "eval":
+            assert key in str(exc.value)
+
+    def test_every_field_has_one_section_and_round_trips(self):
+        train = TrainConfig(
+            epochs=3, seed=5, lr=0.01, beta1=0.8, beta2=0.99, adam_eps=1e-7,
+            weight_decay=1e-4, k=4, h=6, m=4, lam=0.5, h_e=8, z=3, beta_kl=0.5,
+            mu_align=2.0, variant="no-dpu", tau=0.25, two_phase=True,
+            two_phase_epochs=7, threads=2,
+        )
+        evals = EvalConfig(
+            t_propagate={"a": 2}, k_shot=2, repeats=7, train_frac=0.3, runs=4,
+            support_per_class=2, seed=9, test_domains=("a", "b"),
+        )
+        for obj in (train, evals):
+            assert all(getattr(obj, f.name) != f.default for f in fields(obj))
+        cfg = RunConfig(manifest="data.json", train=train, eval=evals)
+        doc = cfg.to_dict()
+        # "model" and "train" split TrainConfig's fields; "eval" holds EvalConfig's
+        assert not set(doc["model"]) & set(doc["train"])
+        assert len(doc["model"]) + len(doc["train"]) == len(fields(TrainConfig))
+        assert set(doc["eval"]) == {f.name for f in fields(EvalConfig)}
+        for section, other in (("model", "train"), ("train", "model")):
+            for key, value in doc[section].items():
+                alone = run_config_from_dict({section: {key: value}}).train
+                changed = [f.name for f in fields(TrainConfig) if getattr(alone, f.name) != f.default]
+                assert len(changed) == 1 and getattr(alone, changed[0]) == value
+                with pytest.raises(ConfigError, match="unknown keys"):
+                    run_config_from_dict({other: {key: value}})
+        assert run_config_from_dict(doc) == cfg
 
     def test_integer_where_float_expected(self):
         assert run_config_from_dict({"train": {"lr": 1}}).train.lr == 1
@@ -57,6 +95,7 @@ class TestRunConfig:
     def test_eval_seed_falls_back_to_train_seed(self):
         cfg = run_config_from_dict({"train": {"seed": 42}})
         assert cfg.eval_seed == 42
+        assert cfg.to_dict()["eval"]["seed"] == 42
         cfg = run_config_from_dict({"train": {"seed": 42}, "eval": {"seed": 7}})
         assert cfg.eval_seed == 7
 
@@ -91,6 +130,12 @@ class TestRunConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_run_config(tmp_path / "nope.json")
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            load_run_config(path)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -3,24 +3,17 @@ import pytest
 
 from leda import autodiff as ad
 from leda.datasets import GraphCollection, generate_sbm
-from leda.dpu import (
-    DpuConfig,
-    DpuParams,
-    align,
-    alignment_penalties,
-    init_basis,
-    loss_align,
-    trans,
-)
+from leda.dpu import DpuConfig, DpuParams, align, alignment_penalties, init_basis, trans
 from leda.errors import ConfigError
+from leda.lda import LdaConfig, LdaParams
 from leda.trainer import prepare_domains
 
 from oracles import central_difference_grad, direct_reconstruction
-from synthetic import tiny_config
+from synthetic import alignment_loss, tiny_config
 
 
-def manual_params(w1, b1, w2, b2):
-    params = ad.ParamSet()
+def manual_params(w1, b1, w2, b2, params=None):
+    params = ad.ParamSet() if params is None else params
     return DpuParams(
         W1=params.add("dpu.W1", w1),
         b1=params.add("dpu.b1", np.atleast_2d(b1)),
@@ -33,6 +26,20 @@ def random_params(k, h, m, seed=0):
     rng = np.random.default_rng(seed)
     params = ad.ParamSet()
     return DpuParams.register(params, DpuConfig(k=k, h=h, m=m), rng)
+
+
+def with_lda(params):
+    """Add LDA tensors, which build_epoch_loss reads for every variant."""
+    m = params["dpu.W2"].shape[1]
+    LdaParams.register(params, m, LdaConfig(h_e=2, z=2), np.random.default_rng(0))
+    return params
+
+
+def random_paramset(k, h, m, seed=0):
+    """The DPU tensors of random_params(k, h, m, seed), plus LDA tensors."""
+    params = ad.ParamSet()
+    DpuParams.register(params, DpuConfig(k=k, h=h, m=m), np.random.default_rng(seed))
+    return with_lda(params)
 
 
 class TestInitBasis:
@@ -105,36 +112,40 @@ class TestAlign:
 
 
 class TestLossAlign:
+    """The alignment loss, summed over domains, as the trainer computes it."""
+
     def test_exact_projector_zeroes_both_terms(self):
         k = 3
         perm = np.eye(k)[:, [2, 0, 1]]  # orthonormal and nonnegative
-        params = manual_params(np.eye(k), np.zeros(k), np.eye(k), np.zeros(k))
+        params = ad.ParamSet()
+        manual_params(np.eye(k), np.zeros(k), np.eye(k), np.zeros(k), params)
         b = np.random.default_rng(3).standard_normal((7, k))
         x = b @ perm.T  # features lie in the basis column space
-        total, recon, ortho = loss_align([(x, perm)], params, lam=1.0)
-        assert recon.value[0, 0] < 1e-20
-        assert ortho.value[0, 0] < 1e-20
+        _, components = alignment_loss([(x, perm)], with_lda(params), lam=1.0)
+        assert components["dpu_recon"] < 1e-20
+        assert components["dpu_ortho"] < 1e-20
 
     def test_zero_vhat_closed_forms(self):
         m = 4
-        params = manual_params(np.eye(2), np.zeros(2), np.zeros((2, m)), np.zeros(m))
+        params = ad.ParamSet()
+        manual_params(np.eye(2), np.zeros(2), np.zeros((2, m)), np.zeros(m), params)
         rng = np.random.default_rng(5)
         xs = [rng.standard_normal((5, 2)) for _ in range(2)]
         vs = [rng.standard_normal((2, 2)) for _ in range(2)]
-        total, recon, ortho = loss_align(list(zip(xs, vs)), params, lam=1.0)
-        assert recon.value[0, 0] == pytest.approx(sum(np.sum(x * x) for x in xs))
-        assert ortho.value[0, 0] == pytest.approx(m * 2)  # ||-I||_F^2 per domain
+        _, components = alignment_loss(list(zip(xs, vs)), with_lda(params), lam=1.0)
+        assert components["dpu_recon"] == pytest.approx(sum(np.sum(x * x) for x in xs))
+        assert components["dpu_ortho"] == pytest.approx(m * 2)  # ||-I||_F^2 per domain
 
     def test_lambda_zero_total_equals_recon(self):
-        params = random_params(3, 6, 3, seed=9)
+        params = random_paramset(3, 6, 3, seed=9)
         rng = np.random.default_rng(10)
         domains = [(rng.standard_normal((6, 4)), rng.standard_normal((4, 3)))]
-        total, recon, _ = loss_align(domains, params, lam=0.0)
-        assert total.value[0, 0] == recon.value[0, 0]
+        _, components = alignment_loss(domains, params, lam=0.0)
+        assert components["total"] == components["dpu_recon"]
 
     def test_empty_domain_list_rejected(self):
         with pytest.raises(ConfigError):
-            loss_align([], random_params(2, 2, 2), lam=1.0)
+            alignment_loss([], random_paramset(2, 2, 2), lam=1.0)
 
 
 class TestInvariants:
@@ -176,12 +187,15 @@ class TestInvariants:
             (rng.standard_normal((5, 4)), rng.standard_normal((4, 3))),
             (rng.standard_normal((6, 6)), rng.standard_normal((6, 3))),
         ]
+        with_lda(paramset)
 
-        def loss_fn(ps):
-            total, _, _ = loss_align(domains, DpuParams.from_paramset(ps), lam=0.7)
+        def loss_fn(_):
+            # the DPU subset shares its nodes with paramset
+            total, _ = alignment_loss(domains, paramset, lam=0.7)
             return total
 
-        assert ad.gradient_check(loss_fn, paramset, eps=1e-5) < 1e-6
+        dpu_only = paramset.subset(DpuParams.PARAM_NAMES)
+        assert ad.gradient_check(loss_fn, dpu_only, eps=1e-5) < 1e-6
 
 
 def gram_recon_and_grad(x, vhat):

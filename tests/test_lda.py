@@ -11,7 +11,6 @@ from leda.lda import (
     kl_to_prior,
     loss_total_domain,
     propagate_extra,
-    reparameterize,
     reparameterize_with_noise,
 )
 from leda.linalg import CsrMatrix, normalize_adjacency
@@ -81,20 +80,22 @@ class TestReparameterize:
         mu_val = np.random.default_rng(0).standard_normal((4, 3))
         mu = ad.constant(mu_val)
         log_sigma = ad.constant(np.full((4, 3), -30.0))
-        z = reparameterize(mu, log_sigma, seed=1)
+        eps = np.random.default_rng(1).standard_normal((4, 3))
+        z = reparameterize_with_noise(mu, log_sigma, eps)
         assert np.max(np.abs(z.value - mu_val)) < 1e-12
 
     def test_same_seed_identical(self):
         mu = ad.constant(np.zeros((3, 2)))
         ls = ad.constant(np.zeros((3, 2)))
-        a = reparameterize(mu, ls, seed=9)
-        b = reparameterize(mu, ls, seed=9)
+        a = reparameterize_with_noise(mu, ls, np.random.default_rng(9).standard_normal((3, 2)))
+        b = reparameterize_with_noise(mu, ls, np.random.default_rng(9).standard_normal((3, 2)))
         assert np.array_equal(a.value, b.value)
 
     def test_standard_normal_statistics(self):
         mu = ad.constant(np.zeros((10_000, 1)))
         ls = ad.constant(np.zeros((10_000, 1)))
-        z = reparameterize(mu, ls, seed=3).value
+        eps = np.random.default_rng(3).standard_normal((10_000, 1))
+        z = reparameterize_with_noise(mu, ls, eps).value
         assert abs(z.mean()) < 0.05
         assert abs(z.var() - 1.0) < 0.05
 
@@ -170,8 +171,9 @@ class TestLossTotalDomain:
             W_sigma=params.add("lda.W_sigma", np.zeros((4, 2))),
             W_dec=params.add("lda.W_dec", np.zeros((2, 3))),
         )
+        eps = np.random.default_rng(0).standard_normal((5, 2))
         loss, recon, kl = loss_total_domain(
-            np.zeros((5, 3)), ring_propagation(5), lda_params, seed=0, beta_kl=1.0
+            np.zeros((5, 3)), ring_propagation(5), lda_params, beta_kl=1.0, eps=eps
         )
         assert loss.value[0, 0] == 0.0
         assert recon.value[0, 0] == 0.0
@@ -180,8 +182,9 @@ class TestLossTotalDomain:
     def test_beta_zero_loss_equals_recon(self):
         _, params = random_lda(m=3, h_e=4, z=2, seed=11)
         x = np.random.default_rng(12).standard_normal((6, 3))
+        eps = np.random.default_rng(1).standard_normal((6, 2))
         loss, recon, _ = loss_total_domain(
-            x, ring_propagation(6), params, seed=1, beta_kl=0.0
+            x, ring_propagation(6), params, beta_kl=0.0, eps=eps
         )
         assert loss.value[0, 0] == recon.value[0, 0]
 
@@ -193,7 +196,7 @@ class TestLossTotalDomain:
 
         def loss_fn(ps):
             loss, _, _ = loss_total_domain(
-                x, s, LdaParams.from_paramset(ps), seed=0, beta_kl=1.0, eps=eps
+                x, s, LdaParams.from_paramset(ps), beta_kl=1.0, eps=eps
             )
             return loss
 
@@ -207,14 +210,14 @@ class TestLossTotalDomain:
         first = None
         for epoch in range(200):
             paramset.zero_grad()
-            loss, recon, _ = loss_total_domain(
-                x, s, params, seed=[18, epoch], beta_kl=1.0
-            )
+            eps = np.random.default_rng([18, epoch]).standard_normal((10, 4))
+            loss, recon, _ = loss_total_domain(x, s, params, beta_kl=1.0, eps=eps)
             if first is None:
                 first = recon.value[0, 0]
             ad.backward(loss)
             adamw_step(paramset, state)
-        final_recon = loss_total_domain(x, s, params, seed=999, beta_kl=1.0)[1]
+        eps = np.random.default_rng(999).standard_normal((10, 4))
+        final_recon = loss_total_domain(x, s, params, beta_kl=1.0, eps=eps)[1]
         assert final_recon.value[0, 0] < first
 
 
