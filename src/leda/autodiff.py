@@ -377,38 +377,3 @@ class ParamSet:
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: node.value.copy() for name, node in self._params.items()}
 
-
-def gradient_check(
-    loss_fn: Callable[[ParamSet], Node], params: ParamSet, eps: float = 1e-5
-) -> float:
-    """Max relative gap between analytic and central-difference gradients.
-
-    The loss builder must be deterministic (any sampling frozen outside).
-    Relative error per entry is |analytic - fd| / max(1, |fd|).
-    """
-    if len(params) == 0:
-        return 0.0
-    params.zero_grad()
-    loss = loss_fn(params)
-    if not np.isfinite(loss.value[0, 0]):
-        raise NumericError("gradient_check: loss is non-finite")
-    backward(loss)
-    analytic = {name: node.grad.copy() for name, node in params.items()}
-
-    worst = 0.0
-    for name, node in params.items():
-        base = node.value.copy()
-        it = np.nditer(base, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            node.value[idx] = base[idx] + eps
-            up = loss_fn(params).value[0, 0]
-            node.value[idx] = base[idx] - eps
-            down = loss_fn(params).value[0, 0]
-            node.value[idx] = base[idx]
-            fd = (up - down) / (2.0 * eps)
-            rel = abs(analytic[name][idx] - fd) / max(1.0, abs(fd))
-            worst = max(worst, rel)
-            it.iternext()
-        node.value[...] = base
-    return worst

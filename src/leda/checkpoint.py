@@ -6,6 +6,10 @@ a payload of row-major little-endian float64 blocks at the offsets stated in
 the header (offsets are relative to the payload start). Loading is strict:
 unknown or missing tensors are an error that lists the offending names, and
 every tensor must have the shape the header config gives it.
+
+`param_shapes` is the one statement of the model's parameters: their names,
+shapes and order. Initialization walks it, and both save and load check
+against it.
 """
 
 from __future__ import annotations
@@ -15,23 +19,21 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import TrainConfig, has_json_type
 from .dpu import DomainBasis
 from .errors import CheckpointFormatError, ConfigError, DataError
-
-if TYPE_CHECKING:
-    from .trainer import TrainConfig
 
 MAGIC = b"LEDACKPT"
 FORMAT_VERSION = 1
 
 
-def param_shapes(config: "TrainConfig") -> dict[str, tuple[int, int]]:
-    """Every stored parameter tensor and its shape under the config, as
-    `DpuParams.register` and `LdaParams.register` create them."""
+def param_shapes(config: TrainConfig) -> dict[str, tuple[int, int]]:
+    """Every parameter tensor and its shape under the config.
+    `trainer.init_paramset` creates them in this order: biases (`b*`) at
+    zero, and each weight as the next Glorot draw from one stream."""
     c = config
     return {
         "dpu.W1": (c.k, c.h),
@@ -54,7 +56,7 @@ class Checkpoint:
     """Everything needed to embed new domains: config snapshot, all trained
     parameter matrices, and the frozen per-domain bases."""
 
-    config: "TrainConfig"
+    config: TrainConfig
     params: dict[str, np.ndarray]
     bases: list[DomainBasis]
     epoch: int
@@ -68,7 +70,7 @@ class Checkpoint:
         return None
 
 
-def _check_shape(name: str, shape: tuple[int, ...], config: "TrainConfig", where: str) -> None:
+def _check_shape(name: str, shape: tuple[int, ...], config: TrainConfig, where: str) -> None:
     """Format error unless the tensor has the shape the config gives it; a
     basis is d x k."""
     want = param_shapes(config).get(name, (shape[0] if shape else 0, config.k))
@@ -127,8 +129,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def _typed(value, kind, path: Path, what: str):
-    """`value` if it has JSON type `kind` (a bool is no int here), else a format error."""
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+    """`value` if it has JSON type `kind`, else a format error."""
+    if not has_json_type(value, kind):
         name = getattr(kind, "__name__", "number")
         raise CheckpointFormatError(f"{path}: header {what} must be of type {name}")
     return value
@@ -140,8 +142,6 @@ def _typed_fields(doc, spec: dict, path: Path, what: str) -> list:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    from .trainer import TrainConfig  # deferred: trainer imports this module
-
     path = Path(path)
     if not path.is_file():
         raise DataError(f"checkpoint file not found: {path}")

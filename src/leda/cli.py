@@ -31,14 +31,16 @@ def _flag_value(argv: list[str], flag: str) -> str | None:
 
 
 def _config_threads(path: str) -> int | None:
-    # Stdlib only: numpy must not load before the BLAS variables are set. A
-    # file that cannot be read here is reported by the real config loader.
+    # numpy must not load before the BLAS variables are set, and leda.config
+    # does not import it. A file that cannot be read here is reported by the
+    # real config loader.
+    from .config import has_json_type
+
     try:
         threads = json.loads(Path(path).read_text(encoding="utf-8"))["train"]["threads"]
     except (OSError, ValueError, KeyError, TypeError):
         return None
-    valid = isinstance(threads, int) and not isinstance(threads, bool) and threads >= 1
-    return threads if valid else None
+    return threads if has_json_type(threads, int) and threads >= 1 else None
 
 
 def _apply_thread_limit(argv: list[str]) -> None:
@@ -107,14 +109,14 @@ _TRAIN_FLAGS = ("epochs", "seed", "variant", "threads", "two_phase")
 
 
 def _run_config(args):
-    """The --config run config with the training flags actually given
-    applied, and the manifest to load (--manifest, else the config's)."""
+    """The --config run config with the flags actually given applied: the
+    training flags, and --manifest in place of the config's data path."""
     from .config import load_run_config
 
     run_cfg = load_run_config(args.config)
     given = {name: getattr(args, name) for name in _TRAIN_FLAGS if getattr(args, name) is not None}
-    run_cfg = replace(run_cfg, train=replace(run_cfg.train, **given))
-    return run_cfg, args.manifest or run_cfg.manifest
+    manifest = args.manifest or run_cfg.manifest
+    return replace(run_cfg, manifest=manifest, train=replace(run_cfg.train, **given))
 
 
 def _protocol_echo(ckpt, protocol: dict) -> dict:
@@ -153,8 +155,8 @@ def cmd_pretrain(args) -> int:
     from .evaluate import diagnostics_entropy
     from .trainer import pretrain
 
-    run_cfg, manifest = _run_config(args)
-    collection = _load_collection(manifest)
+    run_cfg = _run_config(args)
+    collection = _load_collection(run_cfg.manifest)
     ckpt = pretrain(collection, run_cfg.train)
     save_checkpoint(ckpt, args.out)
     entropy = {}
@@ -245,8 +247,8 @@ def cmd_ablate(args) -> int:
     from .evaluate import fewshot_eval
     from .trainer import pretrain
 
-    run_cfg, manifest = _run_config(args)
-    collection = _load_collection(manifest)
+    run_cfg = _run_config(args)
+    collection = _load_collection(run_cfg.manifest)
     test_domains = tuple(args.test_domain or run_cfg.eval.test_domains)
     if not test_domains:
         raise ConfigError("ablate needs held-out domains (--test-domain or eval.test_domains)")
@@ -308,6 +310,8 @@ def cmd_mi_diag(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .config import VARIANTS
+
     parser = argparse.ArgumentParser(
         prog="leda",
         description="Multi-domain graph pre-training: train, embed, evaluate, diagnose.",
@@ -333,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="write the summary JSON here instead of stdout")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--variant", choices=("full", "no-dpu", "no-lda", "dpu-cl"), default=None)
+    p.add_argument("--variant", choices=VARIANTS, default=None)
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--two-phase", dest="two_phase", action="store_true", default=None)
     p.set_defaults(handler=cmd_pretrain)
@@ -380,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="pretrain one variant and run few-shot on held-out domains")
     p.add_argument("--config", required=True)
-    p.add_argument("--variant", choices=("full", "no-dpu", "no-lda", "dpu-cl"), default=None)
+    p.add_argument("--variant", choices=VARIANTS, default=None)
     p.add_argument("--manifest", default=None)
     p.add_argument("--test-domain", action="append", default=None)
     p.add_argument("--epochs", type=int, default=None)

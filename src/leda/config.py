@@ -2,18 +2,25 @@
 sections. Unknown keys are rejected, defaults follow the module defaults,
 and the effective (fully defaulted) config is echoed into every output so a
 run can be reproduced from its own report.
+
+`TrainConfig` (model dims and training settings, also the config stored in
+every checkpoint header) lives here too, so this module imports nothing
+else of the package but its errors.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral, Real
 from pathlib import Path
 
 from .errors import ConfigError
-from .trainer import TrainConfig
+
+VARIANTS = ("full", "no-dpu", "no-lda", "dpu-cl")
+# JSON value types accepted for each TrainConfig field annotation
+_JSON_KINDS = {"int": int, "float": (int, float), "str": str, "bool": bool}
 
 # TrainConfig fields that live in the JSON "model" section, as (field, key);
 # every other TrainConfig field is a "train" key.
@@ -24,26 +31,89 @@ _MODEL_FIELDS = (
 _TOP_KEYS = {"data", "model", "train", "eval"}
 
 
+def has_json_type(value, kind) -> bool:
+    """Whether `value` has type `kind` (a type or a tuple of types) in the
+    JSON sense: a bool is a bool, never a number."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    epochs: int = 500
+    seed: int = 66666
+    lr: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    adam_eps: float = 1e-8
+    weight_decay: float = 1e-5
+    k: int = 64
+    h: int = 128
+    m: int = 64
+    lam: float = 1.0
+    h_e: int = 256
+    z: int = 128
+    beta_kl: float = 1.0
+    mu_align: float = 1.0
+    variant: str = "full"
+    tau: float = 0.5
+    two_phase: bool = False
+    two_phase_epochs: int = 100
+    threads: int = 1
+
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"variant must be one of {VARIANTS}, got '{self.variant}'")
+        if self.epochs < 0 or self.two_phase_epochs < 0:
+            raise ConfigError("epoch counts must be >= 0")
+        for name in ("lam", "beta_kl", "mu_align", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        if self.variant == "dpu-cl" and self.tau <= 0:
+            raise ConfigError("InfoNCE temperature tau must be > 0")
+        if self.variant == "no-dpu" and self.m != self.k:
+            raise ConfigError(
+                "variant no-dpu feeds the raw k-column basis to the encoder; set m == k"
+            )
+        if self.threads < 1:
+            raise ConfigError("threads must be >= 1")
+        if min(self.k, self.h, self.m) < 1:
+            raise ConfigError("projection dims k, h, m must be positive")
+        if self.h_e < 1 or self.z < 1:
+            raise ConfigError("encoder width h_e and latent dim z must be positive")
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @staticmethod
+    def from_dict(doc: dict) -> "TrainConfig":
+        known = {f.name for f in fields(TrainConfig)}
+        unknown = set(doc) - known
+        if unknown:
+            raise ConfigError(f"unknown training config keys: {sorted(unknown)}")
+        for f in fields(TrainConfig):
+            value = doc.get(f.name, f.default)
+            if not has_json_type(value, _JSON_KINDS[f.type]):
+                raise ConfigError(f"training config key '{f.name}' must be {f.type}, got {value!r}")
+        return TrainConfig(**doc)
+
+
 def check_protocol_args(**args) -> None:
     """ConfigError unless `train_frac` lies in (0, 1), `tau` is finite and
     > 0, and every other argument is an integer >= 1. The evaluation
     protocols and EvalConfig share these rules."""
     for name, value in args.items():
         if name == "train_frac":
-            ok = isinstance(value, Real) and 0.0 < value < 1.0
+            ok = has_json_type(value, Real) and 0.0 < value < 1.0
             rule = "be in (0, 1)"
         elif name == "tau":
-            ok = isinstance(value, Real) and math.isfinite(value) and value > 0
+            ok = has_json_type(value, Real) and math.isfinite(value) and value > 0
             rule = "be finite and > 0"
         else:
-            ok = isinstance(value, Integral) and value >= 1
+            ok = has_json_type(value, Integral) and value >= 1
             rule = "be an integer >= 1"
-        if isinstance(value, bool) or not ok:
+        if not ok:
             raise ConfigError(f"{name} must {rule}, got {value!r}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -67,16 +137,16 @@ class EvalConfig:
         )
         if isinstance(self.t_propagate, dict):
             for domain, steps in self.t_propagate.items():
-                if not _is_int(steps) or steps < 0:
+                if not has_json_type(steps, int) or steps < 0:
                     raise ConfigError(
                         f"t_propagate for '{domain}' must be a nonnegative integer, got {steps!r}"
                     )
-        elif not _is_int(self.t_propagate) or self.t_propagate < 0:
+        elif not has_json_type(self.t_propagate, int) or self.t_propagate < 0:
             raise ConfigError(
                 "t_propagate must be a nonnegative integer or per-domain map, "
                 f"got {self.t_propagate!r}"
             )
-        if self.seed is not None and not _is_int(self.seed):
+        if self.seed is not None and not has_json_type(self.seed, int):
             raise ConfigError(f"seed must be an integer or null, got {self.seed!r}")
         if not isinstance(self.test_domains, (list, tuple)) or not all(
             isinstance(domain, str) for domain in self.test_domains

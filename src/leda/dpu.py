@@ -18,6 +18,9 @@ Both penalties are computed from the feature Gram G = X^T X (d x d) alone:
 G costs O(n d^2) once per domain and also drives the basis SVD; each epoch
 then costs O(d^2 m) instead of the direct form's O(n d m), and nothing n x d
 enters the tape.
+
+The MLP's tensor shapes come from `checkpoint.param_shapes`; the no-dpu
+variant has no MLP, and `trans` then passes the raw basis through.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, ParamSet
-from .errors import ConfigError
 from .linalg import truncated_svd
 
 RANK_DEFICIENCY_RTOL = 1e-10
@@ -50,20 +52,6 @@ class DomainBasis:
         object.__setattr__(self, "V", v)
 
 
-@dataclass(frozen=True)
-class DpuConfig:
-    k: int = 64
-    h: int = 128
-    m: int = 64
-    lam: float = 1.0
-
-    def __post_init__(self):
-        if min(self.k, self.h, self.m) < 1:
-            raise ConfigError("projection dims k, h, m must be positive")
-        if self.lam < 0:
-            raise ConfigError("orthogonality weight lambda must be >= 0")
-
-
 @dataclass
 class DpuParams:
     """Shared MLP parameters; one instance serves every domain."""
@@ -76,15 +64,11 @@ class DpuParams:
     PARAM_NAMES = ("dpu.W1", "dpu.b1", "dpu.W2", "dpu.b2")
 
     @staticmethod
-    def register(params: ParamSet, config: DpuConfig, rng: np.random.Generator) -> "DpuParams":
-        w1 = params.add("dpu.W1", ad.glorot_uniform(rng, config.k, config.h))
-        b1 = params.add("dpu.b1", np.zeros((1, config.h)))
-        w2 = params.add("dpu.W2", ad.glorot_uniform(rng, config.h, config.m))
-        b2 = params.add("dpu.b2", np.zeros((1, config.m)))
-        return DpuParams(W1=w1, b1=b1, W2=w2, b2=b2)
-
-    @staticmethod
-    def from_paramset(params: ParamSet) -> "DpuParams":
+    def from_paramset(params: ParamSet, variant: str) -> DpuParams | None:
+        """The shared MLP, or None under variant no-dpu, whose encoder reads
+        the raw basis."""
+        if variant == "no-dpu":
+            return None
         w1, b1, w2, b2 = (params[name] for name in DpuParams.PARAM_NAMES)
         return DpuParams(W1=w1, b1=b1, W2=w2, b2=b2)
 
@@ -124,10 +108,13 @@ def init_basis(
     return DomainBasis(domain_id=domain_id, V=v, padded=padded)
 
 
-def trans(v: Node | np.ndarray, params: DpuParams) -> Node:
-    """Refine a basis through the shared MLP; rows map independently."""
+def trans(v: Node | np.ndarray, params: DpuParams | None) -> Node:
+    """Refine a basis through the shared MLP; rows map independently.
+    Without an MLP (params None) the basis passes through unrefined."""
     if not isinstance(v, Node):
         v = ad.constant(v, "basis")
+    if params is None:
+        return v
     hidden = ad.relu(ad.add_row_bias(ad.matmul(v, params.W1), params.b1))
     return ad.add_row_bias(ad.matmul(hidden, params.W2), params.b2)
 

@@ -23,7 +23,7 @@ from .config import check_protocol_args
 from .datasets import DomainGraph, GraphCollection, write_float_tsv
 from .dpu import DpuParams, align, init_basis, trans
 from .errors import ConfigError, DataError, NumericError
-from .lda import LdaParams, encode, propagate_extra
+from .lda import LdaParams, base_layer, encode, propagate_extra
 from .linalg import EntropyResult, gaussian_entropy, normalize_adjacency
 from .optim import AdamWState, adamw_step
 
@@ -106,10 +106,7 @@ def _aligned_features(domain: DomainGraph, ckpt: Checkpoint, params: ad.ParamSet
             f"domain '{domain.domain_id}': checkpoint basis expects feature dim "
             f"{basis.V.shape[0]}, graph has {domain.feature_dim}"
         )
-    if ckpt.config.variant == "no-dpu":
-        vhat = ad.constant(basis.V, "basis")
-    else:
-        vhat = trans(basis.V, DpuParams.from_paramset(params))
+    vhat = trans(basis.V, DpuParams.from_paramset(params, config.variant))
     return align(domain.features, vhat)
 
 
@@ -130,8 +127,7 @@ def embed(domain: DomainGraph, ckpt: Checkpoint, t: int = 0) -> EmbeddingSet:
     elif variant == "no-lda":
         base = s.matmul_dense(xhat.value)
     elif variant == "dpu-cl":
-        w_base = LdaParams.from_paramset(params).W_base
-        base = ad.relu(ad.sparse_matmul(s, ad.matmul(xhat, w_base))).value
+        base = base_layer(xhat, s, LdaParams.from_paramset(params)).value
     else:
         raise ConfigError(f"unknown variant '{variant}'")
     out = propagate_extra(base, s, t)
@@ -396,8 +392,5 @@ def diagnostics_entropy(ckpt: Checkpoint, domain_id: str) -> EntropyResult:
     basis = ckpt.basis_for(domain_id)
     if basis is None:
         raise DataError(f"checkpoint has no basis for domain '{domain_id}'")
-    if ckpt.config.variant == "no-dpu":
-        vhat = basis.V
-    else:
-        vhat = trans(basis.V, DpuParams.from_paramset(_checkpoint_params(ckpt))).value
-    return gaussian_entropy(vhat)
+    dpu_params = DpuParams.from_paramset(_checkpoint_params(ckpt), ckpt.config.variant)
+    return gaussian_entropy(trans(basis.V, dpu_params).value)

@@ -7,6 +7,9 @@ and a linear GCN decoder reconstructs the aligned features. The per-domain
 objective is squared reconstruction error plus a KL pull of the posterior
 toward the shared standard-normal prior; both are averaged over nodes so the
 loss scale does not grow with graph size.
+
+The tensor shapes come from `checkpoint.param_shapes`. `base_layer` is the
+semantic base alone, which the dpu-cl variant trains and embeds with.
 """
 
 from __future__ import annotations
@@ -23,19 +26,6 @@ from .linalg import CsrMatrix
 LOG_SIGMA_CLAMP = 10.0
 
 
-@dataclass(frozen=True)
-class LdaConfig:
-    h_e: int = 256
-    z: int = 128
-    beta_kl: float = 1.0
-
-    def __post_init__(self):
-        if self.h_e < 1 or self.z < 1:
-            raise ConfigError("encoder width h_e and latent dim z must be positive")
-        if self.beta_kl < 0:
-            raise ConfigError("beta_kl must be >= 0")
-
-
 @dataclass
 class LdaParams:
     """Encoder base/mean/log-variance weights and decoder weight, shared by
@@ -47,16 +37,6 @@ class LdaParams:
     W_dec: Node
 
     PARAM_NAMES = ("lda.W_base", "lda.W_mu", "lda.W_sigma", "lda.W_dec")
-
-    @staticmethod
-    def register(
-        params: ParamSet, m: int, config: LdaConfig, rng: np.random.Generator
-    ) -> "LdaParams":
-        w_base = params.add("lda.W_base", ad.glorot_uniform(rng, m, config.h_e))
-        w_mu = params.add("lda.W_mu", ad.glorot_uniform(rng, config.h_e, config.z))
-        w_sigma = params.add("lda.W_sigma", ad.glorot_uniform(rng, config.h_e, config.z))
-        w_dec = params.add("lda.W_dec", ad.glorot_uniform(rng, config.z, m))
-        return LdaParams(W_base=w_base, W_mu=w_mu, W_sigma=w_sigma, W_dec=w_dec)
 
     @staticmethod
     def from_paramset(params: ParamSet) -> "LdaParams":
@@ -73,12 +53,17 @@ class LatentState:
     log_sigma: Node
 
 
+def base_layer(xhat: Node, s: CsrMatrix, params: LdaParams) -> Node:
+    """The semantic base: one GCN layer with ReLU, relu(S (Xhat W_base))."""
+    return ad.relu(ad.sparse_matmul(s, ad.matmul(xhat, params.W_base)))
+
+
 def encode(xhat: Node | np.ndarray, s: CsrMatrix, params: LdaParams) -> LatentState:
     """Posterior parameters: base GCN with ReLU, then linear mean and
     log-variance heads over one more propagation."""
     if not isinstance(xhat, Node):
         xhat = ad.constant(xhat, "aligned_features")
-    z_base = ad.relu(ad.sparse_matmul(s, ad.matmul(xhat, params.W_base)))
+    z_base = base_layer(xhat, s, params)
     propagated = ad.sparse_matmul(s, z_base)
     mu = ad.matmul(propagated, params.W_mu)
     log_sigma = ad.matmul(propagated, params.W_sigma)

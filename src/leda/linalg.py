@@ -138,9 +138,6 @@ class CsrMatrix:
             raise DataError(f"sparse.T ({self.cols}x{self.rows}) @ dense {x.shape}: inner dims differ")
         return np.asarray(self._scipy.T @ x)
 
-    def to_dense(self) -> np.ndarray:
-        return np.asarray(self._scipy.todense(), dtype=np.float64)
-
     def is_symmetric(self) -> bool:
         m = self._scipy
         return (m != m.T).nnz == 0
@@ -190,9 +187,6 @@ class SvdResult:
         gram = self.V.T @ self.V
         if np.max(np.abs(gram - np.eye(gram.shape[0]))) > ORTHONORMAL_TOL:
             raise NumericError("V columns are not orthonormal")
-
-    def reconstruction(self) -> np.ndarray:
-        return (self.U * self.singular_values) @ self.V.T
 
 
 def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,23 +10,20 @@ per-domain keys, which makes checkpoints bit-reproducible.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, ParamSet
-from .checkpoint import Checkpoint
+from .checkpoint import Checkpoint, param_shapes
+from .config import VARIANTS, TrainConfig  # noqa: F401  (VARIANTS is read from here too)
 from .datasets import GraphCollection
-from .dpu import DomainBasis, DpuConfig, DpuParams, align, alignment_penalties, init_basis, trans
+from .dpu import DomainBasis, DpuParams, align, alignment_penalties, init_basis, trans
 from .errors import ConfigError, DataError, NumericError
-from .lda import LdaConfig, LdaParams, loss_total_domain
+from .lda import LdaParams, base_layer, loss_total_domain
 from .linalg import CsrMatrix, normalize_adjacency
 from .optim import AdamWState, adamw_step
-
-VARIANTS = ("full", "no-dpu", "no-lda", "dpu-cl")
-# JSON value types accepted for each TrainConfig field annotation
-_JSON_KINDS = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
 
 DROPOUT_RATE = 0.2
 COSINE_EPS = 1e-12
@@ -34,65 +31,6 @@ COSINE_EPS = 1e-12
 _INIT_STREAM = 101
 _EPS_STREAM = 0
 _DROPOUT_STREAM = 1
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 500
-    seed: int = 66666
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 1e-5
-    k: int = 64
-    h: int = 128
-    m: int = 64
-    lam: float = 1.0
-    h_e: int = 256
-    z: int = 128
-    beta_kl: float = 1.0
-    mu_align: float = 1.0
-    variant: str = "full"
-    tau: float = 0.5
-    two_phase: bool = False
-    two_phase_epochs: int = 100
-    threads: int = 1
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got '{self.variant}'")
-        if self.epochs < 0 or self.two_phase_epochs < 0:
-            raise ConfigError("epoch counts must be >= 0")
-        for name in ("lam", "beta_kl", "mu_align", "weight_decay"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if self.variant == "dpu-cl" and self.tau <= 0:
-            raise ConfigError("InfoNCE temperature tau must be > 0")
-        if self.variant == "no-dpu" and self.m != self.k:
-            raise ConfigError(
-                "variant no-dpu feeds the raw k-column basis to the encoder; set m == k"
-            )
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
-        DpuConfig(k=self.k, h=self.h, m=self.m, lam=self.lam)
-        LdaConfig(h_e=self.h_e, z=self.z, beta_kl=self.beta_kl)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(doc: dict) -> "TrainConfig":
-        known = {f.name for f in fields(TrainConfig)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown training config keys: {sorted(unknown)}")
-        for f in fields(TrainConfig):
-            kinds = _JSON_KINDS[f.type]
-            value = doc.get(f.name, f.default)
-            if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-                raise ConfigError(f"training config key '{f.name}' must be {f.type}, got {value!r}")
-        return TrainConfig(**doc)
 
 
 @dataclass(frozen=True)
@@ -167,11 +105,13 @@ def prepare_domains(collection: GraphCollection, config: TrainConfig) -> list[Pr
 
 
 def init_paramset(config: TrainConfig) -> ParamSet:
-    """All trainable tensors, created in fixed name order from the run seed."""
+    """All trainable tensors in `param_shapes` order, from the run seed:
+    biases are zero, and weights are Glorot draws from one stream."""
     rng = np.random.default_rng([config.seed, _INIT_STREAM])
     params = ParamSet()
-    DpuParams.register(params, DpuConfig(k=config.k, h=config.h, m=config.m, lam=config.lam), rng)
-    LdaParams.register(params, config.m, LdaConfig(h_e=config.h_e, z=config.z, beta_kl=config.beta_kl), rng)
+    for name, (rows, cols) in param_shapes(config).items():
+        bias = name.split(".")[1].startswith("b")
+        params.add(name, np.zeros((rows, cols)) if bias else ad.glorot_uniform(rng, rows, cols))
     return params
 
 
@@ -260,7 +200,7 @@ def build_epoch_loss(
     projection-alignment terms (the first phase of two-phase training).
     """
     variant = config.variant
-    dpu_params = DpuParams.from_paramset(params) if variant != "no-dpu" else None
+    dpu_params = DpuParams.from_paramset(params, variant)
     lda_params = LdaParams.from_paramset(params)
 
     total: Node | None = None
@@ -271,9 +211,7 @@ def build_epoch_loss(
         components[key] = components.get(key, 0.0) + _scalar(node)
 
     for domain in prepared:
-        vhat = trans(domain.basis.V, dpu_params) if dpu_params is not None else ad.constant(
-            domain.basis.V, f"basis:{domain.domain_id}"
-        )
+        vhat = trans(domain.basis.V, dpu_params)
         domain_terms: list[Node] = []
 
         if variant in ("full", "no-lda", "dpu-cl") or align_only:
@@ -311,11 +249,8 @@ def build_epoch_loss(
                 rng = _stream_rng(config.seed, epoch, domain.key, member.index, _DROPOUT_STREAM)
                 mask = (rng.random(xhat.shape) >= DROPOUT_RATE).astype(np.float64)
                 xhat_view = ad.mul(xhat, ad.constant(mask, "dropout_mask"))
-                anchor = ad.relu(ad.sparse_matmul(member.s, ad.matmul(xhat, lda_params.W_base)))
-                positive = ad.relu(
-                    ad.sparse_matmul(member.s, ad.matmul(xhat_view, lda_params.W_base))
-                )
-                views.append((anchor, positive))
+                anchor = base_layer(xhat, member.s, lda_params)
+                views.append((anchor, base_layer(xhat_view, member.s, lda_params)))
 
         for term in domain_terms:
             value = _scalar(term)

@@ -2,7 +2,11 @@
 
 The linear-algebra oracles import nothing from the code paths they check:
 the Jacobi eigendecomposition below is a from-scratch cyclic-rotation
-solver, and the rank-k error formula goes through the Gram spectrum only.
+solver, the rank-k error formula goes through the Gram spectrum only, and a
+CSR matrix is densified from its three arrays. `gradient_check` compares the
+engine's gradients with central differences, and `registered_paramset` is the
+parameter initialization as it was before `init_paramset` walked
+`checkpoint.param_shapes`.
 
 The reference protocols further down are the per-repeat evaluation loops
 the whole-array ones in `leda.evaluate` replaced, kept verbatim (the probe
@@ -23,7 +27,7 @@ from leda import autodiff as ad
 from leda import evaluate
 from leda.checkpoint import basis_tensor_name
 from leda.dpu import DpuParams, align, init_basis, trans
-from leda.errors import ConfigError, DataError
+from leda.errors import ConfigError, DataError, NumericError
 from leda.evaluate import (
     COSINE_EPS,
     PROBE_L2,
@@ -104,6 +108,70 @@ def central_difference_grad(loss_fn, theta: np.ndarray, eps: float = 1e-5) -> np
         grad[idx] = (up - down) / (2 * eps)
         it.iternext()
     return grad
+
+
+def gradient_check(loss_fn, params: ad.ParamSet, eps: float = 1e-5) -> float:
+    """Max relative gap between analytic and central-difference gradients.
+
+    The loss builder must be deterministic (any sampling frozen outside).
+    Relative error per entry is |analytic - fd| / max(1, |fd|).
+    """
+    if len(params) == 0:
+        return 0.0
+    params.zero_grad()
+    loss = loss_fn(params)
+    if not np.isfinite(loss.value[0, 0]):
+        raise NumericError("gradient_check: loss is non-finite")
+    ad.backward(loss)
+    analytic = {name: node.grad.copy() for name, node in params.items()}
+
+    worst = 0.0
+    for name, node in params.items():
+        base = node.value.copy()
+        it = np.nditer(base, flags=["multi_index"])
+        while not it.finished:
+            idx = it.multi_index
+            node.value[idx] = base[idx] + eps
+            up = loss_fn(params).value[0, 0]
+            node.value[idx] = base[idx] - eps
+            down = loss_fn(params).value[0, 0]
+            node.value[idx] = base[idx]
+            fd = (up - down) / (2.0 * eps)
+            rel = abs(analytic[name][idx] - fd) / max(1.0, abs(fd))
+            worst = max(worst, rel)
+            it.iternext()
+        node.value[...] = base
+    return worst
+
+
+def to_dense(m) -> np.ndarray:
+    """A CsrMatrix as a dense array, built from its row offsets, column
+    indices and values."""
+    out = np.zeros((m.rows, m.cols))
+    out[np.repeat(np.arange(m.rows), np.diff(m.row_offsets)), m.col_indices] = m.values
+    return out
+
+
+def svd_product(result) -> np.ndarray:
+    """U diag(s) V^T of a truncated SVD."""
+    return (result.U * result.singular_values) @ result.V.T
+
+
+def registered_paramset(config) -> ad.ParamSet:
+    """The parameters of `init_paramset(config)`, drawn as the DPU and LDA
+    `register` functions drew them, verbatim: both groups share the
+    [seed, 101] stream, W1 b1 W2 b2 then W_base W_mu W_sigma W_dec."""
+    rng = np.random.default_rng([config.seed, 101])
+    params = ad.ParamSet()
+    params.add("dpu.W1", ad.glorot_uniform(rng, config.k, config.h))
+    params.add("dpu.b1", np.zeros((1, config.h)))
+    params.add("dpu.W2", ad.glorot_uniform(rng, config.h, config.m))
+    params.add("dpu.b2", np.zeros((1, config.m)))
+    params.add("lda.W_base", ad.glorot_uniform(rng, config.m, config.h_e))
+    params.add("lda.W_mu", ad.glorot_uniform(rng, config.h_e, config.z))
+    params.add("lda.W_sigma", ad.glorot_uniform(rng, config.h_e, config.z))
+    params.add("lda.W_dec", ad.glorot_uniform(rng, config.z, config.m))
+    return params
 
 
 def direct_reconstruction(x: np.ndarray, vhat: np.ndarray) -> tuple[float, np.ndarray]:

@@ -5,7 +5,7 @@ from leda import autodiff as ad
 from leda.errors import ShapeError
 from leda.linalg import CsrMatrix
 
-from oracles import central_difference_grad
+from oracles import central_difference_grad, gradient_check
 
 
 def make_params(**arrays):
@@ -260,10 +260,10 @@ def test_every_primitive_matches_finite_differences_over_many_cases():
 class TestGradientCheckHarness:
     def test_zero_parameter_model(self):
         params = ad.ParamSet()
-        assert ad.gradient_check(lambda p: ad.constant([[1.0]]), params) == 0.0
+        assert gradient_check(lambda p: ad.constant([[1.0]]), params) == 0.0
 
     def test_quadratic_model(self):
         params = ad.ParamSet()
         params.add("W", np.array([[0.3, -0.7], [1.1, 0.4]]))
-        err = ad.gradient_check(lambda p: ad.frobenius_sq(p["W"]), params)
+        err = gradient_check(lambda p: ad.frobenius_sq(p["W"]), params)
         assert err < 1e-9

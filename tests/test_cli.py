@@ -1,5 +1,7 @@
 import json
 import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +82,23 @@ class TestPretrain:
         bad.write_text(json.dumps({"train": {"bogus": 1}}))
         code = main(["pretrain", "--config", str(bad), "--out", str(tmp_path / "m.ckpt")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("k", 0, "projection dims k, h, m must be positive"),
+            ("h", -1, "projection dims k, h, m must be positive"),
+            ("m", 0, "projection dims k, h, m must be positive"),
+            ("h_e", 0, "encoder width h_e and latent dim z must be positive"),
+            ("z", -2, "encoder width h_e and latent dim z must be positive"),
+        ],
+    )
+    def test_nonpositive_dim_exits_2(self, suite, tmp_path, capsys, key, value, message):
+        doc = dict(suite["doc"], model={**suite["doc"]["model"], key: value})
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(doc))
+        assert main(["pretrain", "--config", str(config), "--out", str(tmp_path / "m.ckpt")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_two_runs_bit_identical_checkpoints(self, suite, tmp_path, capsys):
         args = [
@@ -319,6 +338,20 @@ class TestTrainFlags:
             assert doc["epochs"] == expected["epochs"] + (100 if key == "two_phase" else 0)
         else:
             assert doc["variant"] == expected["variant"]
+
+    @pytest.mark.parametrize("command", ["pretrain", "ablate"])
+    def test_manifest_flag_is_the_echoed_data(self, suite, tmp_path, command):
+        """The report names the data the run was trained on."""
+        manifest = Path(suite["manifest"])
+        moved = shutil.copytree(manifest.parent, tmp_path / "moved") / manifest.name
+        report = tmp_path / "report.json"
+        args = [command, "--config", str(suite["config"]), "--epochs", "2", "--manifest", str(moved)]
+        if command == "pretrain":
+            args += ["--out", str(tmp_path / "m.ckpt"), "--report", str(report)]
+        else:
+            args += ["--out", str(report)]
+        assert main(args) == 0
+        assert json.loads(report.read_text())["config"]["data"] == str(moved)
 
 
 class TestParser:

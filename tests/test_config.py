@@ -1,11 +1,32 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from leda.config import EvalConfig, RunConfig, load_run_config, run_config_from_dict
+import leda
+from leda.config import EvalConfig, RunConfig, TrainConfig, load_run_config, run_config_from_dict
 from leda.errors import ConfigError
-from leda.trainer import TrainConfig
+
+
+@pytest.mark.parametrize(
+    "module, unloaded",
+    [
+        # the CLI reads train.threads through leda.config before numpy may load
+        ("leda.config", ("leda.trainer", "numpy")),
+        ("leda.checkpoint", ("leda.trainer",)),
+    ],
+)
+def test_import_leaves_modules_unloaded(module, unloaded):
+    src = str(Path(leda.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"import sys, {module}; print([name for name in {unloaded!r} if name in sys.modules])"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 class TestRunConfig:

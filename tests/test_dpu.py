@@ -3,13 +3,12 @@ import pytest
 
 from leda import autodiff as ad
 from leda.datasets import GraphCollection, generate_sbm
-from leda.dpu import DpuConfig, DpuParams, align, alignment_penalties, init_basis, trans
+from leda.dpu import DpuParams, align, alignment_penalties, init_basis, trans
 from leda.errors import ConfigError
-from leda.lda import LdaConfig, LdaParams
 from leda.trainer import prepare_domains
 
-from oracles import central_difference_grad, direct_reconstruction
-from synthetic import alignment_loss, tiny_config
+from oracles import central_difference_grad, direct_reconstruction, gradient_check
+from synthetic import alignment_loss, draw_dpu_params, draw_lda_params, tiny_config
 
 
 def manual_params(w1, b1, w2, b2, params=None):
@@ -25,20 +24,20 @@ def manual_params(w1, b1, w2, b2, params=None):
 def random_params(k, h, m, seed=0):
     rng = np.random.default_rng(seed)
     params = ad.ParamSet()
-    return DpuParams.register(params, DpuConfig(k=k, h=h, m=m), rng)
+    return draw_dpu_params(params, rng, k=k, h=h, m=m)
 
 
 def with_lda(params):
     """Add LDA tensors, which build_epoch_loss reads for every variant."""
     m = params["dpu.W2"].shape[1]
-    LdaParams.register(params, m, LdaConfig(h_e=2, z=2), np.random.default_rng(0))
+    draw_lda_params(params, np.random.default_rng(0), m=m, h_e=2, z=2)
     return params
 
 
 def random_paramset(k, h, m, seed=0):
     """The DPU tensors of random_params(k, h, m, seed), plus LDA tensors."""
     params = ad.ParamSet()
-    DpuParams.register(params, DpuConfig(k=k, h=h, m=m), np.random.default_rng(seed))
+    draw_dpu_params(params, np.random.default_rng(seed), k=k, h=h, m=m)
     return with_lda(params)
 
 
@@ -182,7 +181,7 @@ class TestInvariants:
     def test_alignment_loss_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(15)
         paramset = ad.ParamSet()
-        DpuParams.register(paramset, DpuConfig(k=3, h=4, m=3), rng)
+        draw_dpu_params(paramset, rng, k=3, h=4, m=3)
         domains = [
             (rng.standard_normal((5, 4)), rng.standard_normal((4, 3))),
             (rng.standard_normal((6, 6)), rng.standard_normal((6, 3))),
@@ -195,7 +194,7 @@ class TestInvariants:
             return total
 
         dpu_only = paramset.subset(DpuParams.PARAM_NAMES)
-        assert ad.gradient_check(loss_fn, dpu_only, eps=1e-5) < 1e-6
+        assert gradient_check(loss_fn, dpu_only, eps=1e-5) < 1e-6
 
 
 def gram_recon_and_grad(x, vhat):

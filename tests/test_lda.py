@@ -4,7 +4,6 @@ import pytest
 from leda import autodiff as ad
 from leda.errors import ConfigError
 from leda.lda import (
-    LdaConfig,
     LdaParams,
     decode,
     encode,
@@ -16,12 +15,13 @@ from leda.lda import (
 from leda.linalg import CsrMatrix, normalize_adjacency
 from leda.optim import AdamWState, adamw_step
 
+from oracles import gradient_check, to_dense
+from synthetic import draw_lda_params
+
 
 def random_lda(m, h_e, z, seed=0):
     params = ad.ParamSet()
-    return params, LdaParams.register(
-        params, m, LdaConfig(h_e=h_e, z=z), np.random.default_rng(seed)
-    )
+    return params, draw_lda_params(params, np.random.default_rng(seed), m=m, h_e=h_e, z=z)
 
 
 def ring_propagation(n):
@@ -56,7 +56,7 @@ class TestEncode:
 
         perm = rng.permutation(n)
         p = np.eye(n)[perm]
-        adj_p = CsrMatrix.from_dense(p @ adj.to_dense() @ p.T)
+        adj_p = CsrMatrix.from_dense(p @ to_dense(adj) @ p.T)
         s_p = normalize_adjacency(adj_p)
 
         state = encode(x, s, params)
@@ -200,7 +200,7 @@ class TestLossTotalDomain:
             )
             return loss
 
-        assert ad.gradient_check(loss_fn, paramset, eps=1e-5) < 1e-4
+        assert gradient_check(loss_fn, paramset, eps=1e-5) < 1e-4
 
     def test_training_reduces_reconstruction(self):
         paramset, params = random_lda(m=4, h_e=8, z=4, seed=16)

@@ -16,6 +16,7 @@ from leda.trainer import (
     trainable_names,
 )
 
+from oracles import gradient_check, registered_paramset
 from synthetic import node_collection, tiny_config
 
 
@@ -54,6 +55,30 @@ class TestTrainConfig:
     def test_no_dpu_requires_m_equals_k(self):
         with pytest.raises(ConfigError, match="m == k"):
             TrainConfig(variant="no-dpu", k=4, m=8)
+
+
+class TestInitParamset:
+    @pytest.mark.parametrize(
+        "dims",
+        [
+            {},
+            dict(k=3, h=5, m=7, h_e=2, z=6),
+            dict(k=1, h=1, m=1, h_e=1, z=1),
+            dict(k=1, h=4, m=3, h_e=5, z=2),
+            dict(k=6, h=2, m=1, h_e=3, z=1),
+        ],
+        ids=["tiny", "mixed", "all-1", "k-1", "m-1"],
+    )
+    def test_matches_register_draws_bitwise(self, dims):
+        """Walking param_shapes draws what the per-group register functions
+        drew, also where k=1 or m=1 makes a weight 1 x n like a bias."""
+        config = tiny_config(seed=4242, **dims)
+        made = init_paramset(config).state_arrays()
+        oracle = registered_paramset(config).state_arrays()
+        assert list(made) == list(oracle)
+        for name in oracle:
+            assert made[name].shape == oracle[name].shape
+            assert made[name].tobytes() == oracle[name].tobytes(), name
 
 
 class TestPretrain:
@@ -191,4 +216,4 @@ class TestJointLossGradient:
             loss, _ = build_epoch_loss(prepared, ps, config, epoch=0, frozen_noise=frozen)
             return loss
 
-        assert ad.gradient_check(loss_fn, paramset, eps=1e-5) < 1e-4
+        assert gradient_check(loss_fn, paramset, eps=1e-5) < 1e-4
