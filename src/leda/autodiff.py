@@ -357,9 +357,6 @@ class ParamSet:
     def __len__(self) -> int:
         return len(self._params)
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def items(self) -> Iterable[tuple[str, Node]]:
         return self._params.items()
 

@@ -14,46 +14,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 
 _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _flag_value(argv: list[str], flag: str) -> str | None:
-    for pos, arg in enumerate(argv):
-        if arg == flag and pos + 1 < len(argv):
-            return argv[pos + 1]
-        if arg.startswith(flag + "="):
-            return arg[len(flag) + 1:]
-    return None
-
-
-def _config_threads(path: str) -> int | None:
-    # numpy must not load before the BLAS variables are set, and leda.config
-    # does not import it. A file that cannot be read here is reported by the
-    # real config loader.
-    from .config import has_json_type
-
-    try:
-        threads = json.loads(Path(path).read_text(encoding="utf-8"))["train"]["threads"]
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-    return threads if has_json_type(threads, int) and threads >= 1 else None
-
-
-def _apply_thread_limit(argv: list[str]) -> None:
-    """Pin the BLAS pools to --threads, else to the config's train.threads.
-
-    Must happen before numpy is imported anywhere in this process."""
-    threads = _flag_value(argv, "--threads")
-    config = _flag_value(argv, "--config")
-    if threads is None and config is not None:
-        threads = _config_threads(config)
-    if threads is not None:
-        for var in _BLAS_THREAD_VARS:
-            os.environ[var] = str(threads)
 
 
 def _timestamp() -> str:
@@ -105,16 +70,15 @@ def _embed_domains(ckpt, collection, steps: list[tuple[str, int]]):
         yield graphs[0], embed(graphs[0], ckpt, t=t)
 
 
-_TRAIN_FLAGS = ("epochs", "seed", "variant", "threads", "two_phase")
-
-
 def _run_config(args):
-    """The --config run config with the flags actually given applied: the
-    training flags, and --manifest in place of the config's data path."""
+    """The --config run config with the flags actually given applied: each
+    flag named after a TrainConfig field, and --manifest in place of the
+    config's data path."""
     from .config import load_run_config
 
     run_cfg = load_run_config(args.config)
-    given = {name: getattr(args, name) for name in _TRAIN_FLAGS if getattr(args, name) is not None}
+    keys = {f.name for f in fields(run_cfg.train)}
+    given = {name: value for name, value in vars(args).items() if name in keys and value is not None}
     manifest = args.manifest or run_cfg.manifest
     return replace(run_cfg, manifest=manifest, train=replace(run_cfg.train, **given))
 
@@ -155,7 +119,7 @@ def cmd_pretrain(args) -> int:
     from .evaluate import diagnostics_entropy
     from .trainer import pretrain
 
-    run_cfg = _run_config(args)
+    run_cfg = args.run_config
     collection = _load_collection(run_cfg.manifest)
     ckpt = pretrain(collection, run_cfg.train)
     save_checkpoint(ckpt, args.out)
@@ -187,35 +151,19 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def cmd_eval_linear(args) -> int:
-    from .evaluate import linear_probe
+def cmd_eval_node(args) -> int:
+    """eval-linear and eval-fewshot: embed one domain and run the
+    subcommand's protocol on it with the subcommand's arguments."""
+    from . import evaluate
 
     ckpt, collection = _load_inputs(args)
     [(graph, embeddings)] = _embed_domains(ckpt, collection, [(args.domain, args.t)])
-    report = linear_probe(embeddings, train_frac=args.train_frac, runs=args.runs, seed=args.seed)
+    protocol_args = {name: getattr(args, name) for name in args.protocol_args}
+    report = getattr(evaluate, args.protocol)(embeddings, **protocol_args)
     report.flags.extend(_domain_flags(graph))
     doc = report.to_dict()
     doc["domain"] = args.domain
-    doc["config"] = _protocol_echo(
-        ckpt,
-        {"train_frac": args.train_frac, "runs": args.runs, "seed": args.seed, "t": args.t},
-    )
-    _emit(doc, args.out)
-    return 0
-
-
-def cmd_eval_fewshot(args) -> int:
-    from .evaluate import fewshot_eval
-
-    ckpt, collection = _load_inputs(args)
-    [(graph, embeddings)] = _embed_domains(ckpt, collection, [(args.domain, args.t)])
-    report = fewshot_eval(embeddings, k=args.k, repeats=args.repeats, seed=args.seed)
-    report.flags.extend(_domain_flags(graph))
-    doc = report.to_dict()
-    doc["domain"] = args.domain
-    doc["config"] = _protocol_echo(
-        ckpt, {"k": args.k, "repeats": args.repeats, "seed": args.seed, "t": args.t}
-    )
+    doc["config"] = _protocol_echo(ckpt, {**protocol_args, "t": args.t})
     _emit(doc, args.out)
     return 0
 
@@ -247,7 +195,7 @@ def cmd_ablate(args) -> int:
     from .evaluate import fewshot_eval
     from .trainer import pretrain
 
-    run_cfg = _run_config(args)
+    run_cfg = args.run_config
     collection = _load_collection(run_cfg.manifest)
     test_domains = tuple(args.test_domain or run_cfg.eval.test_domains)
     if not test_domains:
@@ -318,6 +266,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # flags shared by the training commands, and by the checkpoint readers
+    train = argparse.ArgumentParser(add_help=False)
+    train.add_argument("--config", required=True, help="run config JSON")
+    train.add_argument("--manifest", help="override the config's data path")
+    train.add_argument("--epochs", type=int)
+    train.add_argument("--seed", type=int)
+    train.add_argument("--variant", choices=VARIANTS)
+    train.add_argument("--threads", type=int, help="BLAS threads (else train.threads, default 1)")
+    train.add_argument("--two-phase", dest="two_phase", action="store_true", default=None)
+    reader = argparse.ArgumentParser(add_help=False)
+    reader.add_argument("--ckpt", required=True)
+    reader.add_argument("--manifest", required=True)
+    reader.add_argument("--t", type=int, default=0, help="extra propagation steps")
+
     p = sub.add_parser("gen-sbm", help="generate a synthetic block-model domain")
     p.add_argument("--blocks", type=int, required=True)
     p.add_argument("--nodes", type=int, required=True, help="nodes per block")
@@ -327,95 +289,73 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--d", type=int, default=16, help="feature dimension")
     p.add_argument("--sep", type=float, default=3.0, help="block mean separation")
-    p.add_argument("--domain-id", default=None)
+    p.add_argument("--domain-id")
     p.set_defaults(handler=cmd_gen_sbm)
 
-    p = sub.add_parser("pretrain", help="train on every domain of a dataset")
-    p.add_argument("--config", required=True, help="run config JSON")
+    p = sub.add_parser("pretrain", parents=[train], help="train on every domain of a dataset")
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--manifest", default=None, help="override the config's data path")
-    p.add_argument("--report", default=None, help="write the summary JSON here instead of stdout")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--variant", choices=VARIANTS, default=None)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--two-phase", dest="two_phase", action="store_true", default=None)
+    p.add_argument("--report", help="write the summary JSON here instead of stdout")
     p.set_defaults(handler=cmd_pretrain)
 
-    p = sub.add_parser("embed", help="export node embeddings as TSV")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--manifest", required=True)
+    p = sub.add_parser("embed", parents=[reader], help="export node embeddings as TSV")
     p.add_argument("--domain", required=True)
-    p.add_argument("--t", type=int, default=0, help="extra propagation steps")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_embed)
 
-    p = sub.add_parser("eval-linear", help="linear probe on frozen embeddings")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--manifest", required=True)
+    p = sub.add_parser("eval-linear", parents=[reader], help="linear probe on frozen embeddings")
     p.add_argument("--domain", required=True)
     p.add_argument("--train-frac", type=float, default=0.1)
     p.add_argument("--runs", type=int, default=20)
     p.add_argument("--seed", type=int, default=66666)
-    p.add_argument("--t", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=cmd_eval_linear)
+    p.add_argument("--out")
+    p.set_defaults(handler=cmd_eval_node, protocol="linear_probe",
+                   protocol_args=("train_frac", "runs", "seed"))
 
-    p = sub.add_parser("eval-fewshot", help="k-shot prototype classification")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--manifest", required=True)
+    p = sub.add_parser("eval-fewshot", parents=[reader], help="k-shot prototype classification")
     p.add_argument("--domain", required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--repeats", type=int, default=500)
     p.add_argument("--seed", type=int, default=66666)
-    p.add_argument("--t", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=cmd_eval_fewshot)
+    p.add_argument("--out")
+    p.set_defaults(handler=cmd_eval_node, protocol="fewshot_eval",
+                   protocol_args=("k", "repeats", "seed"))
 
-    p = sub.add_parser("eval-graph", help="graph-level prototype classification")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--manifest", required=True)
+    p = sub.add_parser("eval-graph", parents=[reader], help="graph-level prototype classification")
     p.add_argument("--support", type=int, default=1, help="support graphs per class")
     p.add_argument("--repeats", type=int, default=500)
     p.add_argument("--seed", type=int, default=66666)
-    p.add_argument("--t", type=int, default=0)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out")
     p.set_defaults(handler=cmd_eval_graph)
 
-    p = sub.add_parser("ablate", help="pretrain one variant and run few-shot on held-out domains")
-    p.add_argument("--config", required=True)
-    p.add_argument("--variant", choices=VARIANTS, default=None)
-    p.add_argument("--manifest", default=None)
-    p.add_argument("--test-domain", action="append", default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--two-phase", dest="two_phase", action="store_true", default=None)
-    p.add_argument("--out", default=None)
+    p = sub.add_parser(
+        "ablate", parents=[train], help="pretrain one variant and run few-shot on held-out domains"
+    )
+    p.add_argument("--test-domain", action="append")
+    p.add_argument("--out")
     p.set_defaults(handler=cmd_ablate)
 
-    p = sub.add_parser("mi-diag", help="cross-domain similarity diagnostic")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--manifest", required=True)
+    p = sub.add_parser("mi-diag", parents=[reader], help="cross-domain similarity diagnostic")
     p.add_argument("--domains", required=True, help="two comma-separated domain ids")
     p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--t", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out")
     p.set_defaults(handler=cmd_mi_diag)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_thread_limit(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     from .errors import ConfigError, DataError, NumericError, ShapeError
 
     try:
+        if "config" in args:
+            # pretrain and ablate: the BLAS pools are sized when numpy loads,
+            # so pin them to the run's thread count before any handler runs
+            args.run_config = _run_config(args)
+            for var in _BLAS_THREAD_VARS:
+                os.environ[var] = str(args.run_config.train.threads)
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

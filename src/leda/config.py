@@ -81,6 +81,12 @@ class TrainConfig:
             raise ConfigError("projection dims k, h, m must be positive")
         if self.h_e < 1 or self.z < 1:
             raise ConfigError("encoder width h_e and latent dim z must be positive")
+        if self.variant == "no-dpu" and self.two_phase:
+            raise ConfigError("two_phase pre-trains the projection MLP, which variant no-dpu lacks")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"training config key '{f.name}' must be finite, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -121,20 +127,11 @@ class EvalConfig:
     t_propagate: int | dict = 0
     k_shot: int = 1
     repeats: int = 500
-    train_frac: float = 0.1
-    runs: int = 20
-    support_per_class: int = 1
     seed: int | None = None
     test_domains: tuple[str, ...] = ()
 
     def __post_init__(self):
-        check_protocol_args(
-            k_shot=self.k_shot,
-            repeats=self.repeats,
-            runs=self.runs,
-            support_per_class=self.support_per_class,
-            train_frac=self.train_frac,
-        )
+        check_protocol_args(k_shot=self.k_shot, repeats=self.repeats)
         if isinstance(self.t_propagate, dict):
             for domain, steps in self.t_propagate.items():
                 if not has_json_type(steps, int) or steps < 0:

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, ParamSet
+from .errors import DataError
 from .linalg import truncated_svd
 
 RANK_DEFICIENCY_RTOL = 1e-10
@@ -71,6 +72,15 @@ class DpuParams:
             return None
         w1, b1, w2, b2 = (params[name] for name in DpuParams.PARAM_NAMES)
         return DpuParams(W1=w1, b1=b1, W2=w2, b2=b2)
+
+
+def stack_features(domain_id: str, features: list[np.ndarray]) -> np.ndarray:
+    """A domain's member feature matrices stacked row-wise, the matrix its
+    basis is derived from (a lone member's own array, not a copy)."""
+    widths = {x.shape[1] for x in features}
+    if len(widths) != 1:
+        raise DataError(f"domain '{domain_id}': members disagree on feature dim {sorted(widths)}")
+    return features[0] if len(features) == 1 else np.concatenate(features, axis=0)
 
 
 def init_basis(

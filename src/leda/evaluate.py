@@ -21,8 +21,8 @@ from .autodiff import Node
 from .checkpoint import Checkpoint
 from .config import check_protocol_args
 from .datasets import DomainGraph, GraphCollection, write_float_tsv
-from .dpu import DpuParams, align, init_basis, trans
-from .errors import ConfigError, DataError, NumericError
+from .dpu import DomainBasis, DpuParams, align, init_basis, stack_features, trans
+from .errors import DataError, NumericError
 from .lda import LdaParams, base_layer, encode, propagate_extra
 from .linalg import EntropyResult, gaussian_entropy, normalize_adjacency
 from .optim import AdamWState, adamw_step
@@ -91,45 +91,52 @@ def _checkpoint_params(ckpt: Checkpoint) -> ad.ParamSet:
     return params
 
 
-def _aligned_features(domain: DomainGraph, ckpt: Checkpoint, params: ad.ParamSet) -> Node:
-    config = ckpt.config
-    basis = ckpt.basis_for(domain.domain_id)
-    if basis is None:
-        if config.k > min(domain.features.shape):
-            raise DataError(
-                f"domain '{domain.domain_id}': cannot derive a rank-{config.k} basis "
-                f"from a {domain.features.shape[0]}x{domain.feature_dim} feature matrix"
-            )
-        basis = init_basis(domain.features, config.k, seed=config.seed, domain_id=domain.domain_id)
-    if basis.V.shape[0] != domain.feature_dim:
+def _domain_basis(graphs: list[DomainGraph], ckpt: Checkpoint) -> DomainBasis:
+    """The checkpoint's basis for the graphs' domain or, for a domain it does
+    not cover, one derived as training derives it: from the vertically
+    stacked features of all the domain's graphs."""
+    domain_id = graphs[0].domain_id
+    basis = ckpt.basis_for(domain_id)
+    if basis is not None:
+        return basis
+    x = stack_features(domain_id, [g.features for g in graphs])
+    k = ckpt.config.k
+    if k > min(x.shape):
         raise DataError(
-            f"domain '{domain.domain_id}': checkpoint basis expects feature dim "
-            f"{basis.V.shape[0]}, graph has {domain.feature_dim}"
+            f"domain '{domain_id}': cannot derive a rank-{k} basis "
+            f"from a {x.shape[0]}x{x.shape[1]} feature matrix"
         )
-    vhat = trans(basis.V, DpuParams.from_paramset(params, config.variant))
-    return align(domain.features, vhat)
+    return init_basis(x, k, seed=ckpt.config.seed, domain_id=domain_id)
 
 
-def embed(domain: DomainGraph, ckpt: Checkpoint, t: int = 0) -> EmbeddingSet:
-    """Node embeddings for one domain under the checkpoint's variant.
+def embed(
+    domain: DomainGraph, ckpt: Checkpoint, t: int = 0, basis: DomainBasis | None = None
+) -> EmbeddingSet:
+    """Node embeddings for one domain under the checkpoint's variant, with
+    `basis` if given, else `_domain_basis([domain], ckpt)`.
 
     full / no-dpu: posterior mean; no-lda: one parameter-free propagation of
     the aligned features; dpu-cl: the trained base-encoder output. Followed
     by t extra propagation steps. Deterministic (no sampling).
     """
+    basis = _domain_basis([domain], ckpt) if basis is None else basis
+    if basis.V.shape[0] != domain.feature_dim:
+        raise DataError(
+            f"domain '{domain.domain_id}': checkpoint basis expects feature dim "
+            f"{basis.V.shape[0]}, graph has {domain.feature_dim}"
+        )
     s = normalize_adjacency(domain.adjacency)
     params = _checkpoint_params(ckpt)
-    xhat = _aligned_features(domain, ckpt, params)
+    vhat = trans(basis.V, DpuParams.from_paramset(params, ckpt.config.variant))
+    xhat = align(domain.features, vhat)
     variant = ckpt.config.variant
     if variant in ("full", "no-dpu"):
         state = encode(xhat, s, LdaParams.from_paramset(params))
         base = state.mu.value
     elif variant == "no-lda":
         base = s.matmul_dense(xhat.value)
-    elif variant == "dpu-cl":
+    else:  # dpu-cl
         base = base_layer(xhat, s, LdaParams.from_paramset(params)).value
-    else:
-        raise ConfigError(f"unknown variant '{variant}'")
     out = propagate_extra(base, s, t)
     return EmbeddingSet(domain_id=domain.domain_id, E=out, labels=domain.labels)
 
@@ -295,8 +302,12 @@ def macro_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
 
 
 def pooled_graph_embeddings(collection: GraphCollection, ckpt: Checkpoint, t: int = 0) -> np.ndarray:
-    """Mean-pooled node embeddings, one row per graph of the collection."""
-    return np.stack([embed(graph, ckpt, t).E.mean(axis=0) for graph in collection.graphs])
+    """Mean-pooled node embeddings, one row per graph of the collection; a
+    domain the checkpoint does not cover gets one basis for all its graphs."""
+    bases = {d: _domain_basis(collection.by_domain(d), ckpt) for d in collection.domain_ids()}
+    return np.stack(
+        [embed(g, ckpt, t, bases[g.domain_id]).E.mean(axis=0) for g in collection.graphs]
+    )
 
 
 def graph_eval(

@@ -48,7 +48,6 @@ class LdaParams:
 class LatentState:
     """Per-domain encoder outputs."""
 
-    z_base: Node
     mu: Node
     log_sigma: Node
 
@@ -67,7 +66,7 @@ def encode(xhat: Node | np.ndarray, s: CsrMatrix, params: LdaParams) -> LatentSt
     propagated = ad.sparse_matmul(s, z_base)
     mu = ad.matmul(propagated, params.W_mu)
     log_sigma = ad.matmul(propagated, params.W_sigma)
-    return LatentState(z_base=z_base, mu=mu, log_sigma=log_sigma)
+    return LatentState(mu=mu, log_sigma=log_sigma)
 
 
 def reparameterize_with_noise(mu: Node, log_sigma: Node, eps: np.ndarray) -> Node:

@@ -19,7 +19,9 @@ from .autodiff import Node, ParamSet
 from .checkpoint import Checkpoint, param_shapes
 from .config import VARIANTS, TrainConfig  # noqa: F401  (VARIANTS is read from here too)
 from .datasets import GraphCollection
-from .dpu import DomainBasis, DpuParams, align, alignment_penalties, init_basis, trans
+from .dpu import (
+    DomainBasis, DpuParams, align, alignment_penalties, init_basis, stack_features, trans,
+)
 from .errors import ConfigError, DataError, NumericError
 from .lda import LdaParams, base_layer, loss_total_domain
 from .linalg import CsrMatrix, normalize_adjacency
@@ -79,12 +81,7 @@ def prepare_domains(collection: GraphCollection, config: TrainConfig) -> list[Pr
     prepared = []
     for domain_id in sorted(grouped):
         members = grouped[domain_id]
-        stacked = (
-            members[0].x if len(members) == 1 else np.concatenate([m.x for m in members], axis=0)
-        )
-        widths = {m.x.shape[1] for m in members}
-        if len(widths) != 1:
-            raise DataError(f"domain '{domain_id}': members disagree on feature dim {sorted(widths)}")
+        stacked = stack_features(domain_id, [m.x for m in members])
         if config.k > min(stacked.shape):
             raise ConfigError(
                 f"k={config.k} exceeds min(n, d)={min(stacked.shape)} for domain '{domain_id}'"
@@ -122,9 +119,7 @@ def trainable_names(variant: str) -> tuple[str, ...]:
         return LdaParams.PARAM_NAMES
     if variant == "no-lda":
         return DpuParams.PARAM_NAMES
-    if variant == "dpu-cl":
-        return DpuParams.PARAM_NAMES + ("lda.W_base",)
-    raise ConfigError(f"unknown variant '{variant}'")
+    return DpuParams.PARAM_NAMES + ("lda.W_base",)  # dpu-cl
 
 
 def _rowwise_cosine(a: Node, b: Node) -> Node:
@@ -190,14 +185,14 @@ def build_epoch_loss(
     params: ParamSet,
     config: TrainConfig,
     epoch: int,
-    frozen_noise: dict[tuple[str, int], np.ndarray] | None = None,
     align_only: bool = False,
 ) -> tuple[Node, dict[str, float]]:
     """One full-batch loss over all domains for the configured variant.
 
-    frozen_noise maps (domain_id, member_index) to a fixed reparameterization
-    draw (used by gradient checks); align_only restricts the objective to the
-    projection-alignment terms (the first phase of two-phase training).
+    The reparameterization noise is a pure function of (seed, epoch, domain,
+    member), so a fixed epoch is a fixed, differentiable function of the
+    parameters. align_only restricts the objective to the projection-alignment
+    terms (the first phase of two-phase training).
     """
     variant = config.variant
     dpu_params = DpuParams.from_paramset(params, variant)
@@ -228,11 +223,8 @@ def build_epoch_loss(
             member_kls = []
             for member in domain.members:
                 xhat = align(member.x, vhat)
-                if frozen_noise is not None:
-                    eps = frozen_noise[(domain.domain_id, member.index)]
-                else:
-                    rng = _stream_rng(config.seed, epoch, domain.key, member.index, _EPS_STREAM)
-                    eps = rng.standard_normal((member.x.shape[0], config.z))
+                rng = _stream_rng(config.seed, epoch, domain.key, member.index, _EPS_STREAM)
+                eps = rng.standard_normal((member.x.shape[0], config.z))
                 loss, recon, kl = loss_total_domain(
                     xhat, member.s, lda_params, beta_kl=config.beta_kl, eps=eps
                 )
@@ -310,7 +302,7 @@ def pretrain(collection: GraphCollection, config: TrainConfig) -> Checkpoint:
     trainable = params.subset(trainable_names(config.variant))
 
     trace: list[dict[str, float]] = []
-    if config.two_phase and config.variant != "no-dpu":
+    if config.two_phase:
         dpu_only = params.subset(DpuParams.PARAM_NAMES)
         _run_phase(prepared, params, config, dpu_only, config.two_phase_epochs, True, trace)
     _run_phase(prepared, params, config, trainable, config.epochs, False, trace)

@@ -1,16 +1,37 @@
+import argparse
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from leda.cli import _apply_thread_limit, main
-from leda.config import run_config_from_dict
+import leda
+from leda import evaluate
+from leda.cli import build_parser, main
+from leda.config import VARIANTS, run_config_from_dict
 from leda.datasets import GraphCollection, generate_sbm, load_dataset, save_dataset
 
 from synthetic import node_collection
+
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def restore_blas_env():
+    """pretrain and ablate pin the BLAS variables of this process, fixtures'
+    runs included; put them back so later subprocess tests get the
+    environment they were started with."""
+    saved = {var: os.environ.get(var) for var in BLAS_VARS}
+    yield
+    for var, value in saved.items():
+        if value is None:
+            os.environ.pop(var, None)
+        else:
+            os.environ[var] = value
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +243,35 @@ class TestEmbedAndEval:
         assert code == 3
         assert "domain 'many' has 2 graphs" in capsys.readouterr().err
 
+    def test_eval_graph_derives_one_basis_per_unseen_domain(self, ckpt_path, tmp_path, monkeypatch):
+        """No 2-node graph holds a rank-4 basis; the domain's 16 stacked
+        feature rows do, and training derives its bases the same way."""
+        graphs = tuple(
+            generate_sbm(1, 2, 1.0, 0.0, d=6, cluster_sep=1.0, seed=70 + i, domain_id="pairs")
+            for i in range(8)
+        )
+        labels = (0, 1) * 4
+        collection = GraphCollection(graphs=graphs, task_kind="graph-level", graph_labels=labels)
+        manifest = save_dataset(collection, tmp_path / "pairs")
+        shapes = []
+        init_basis = evaluate.init_basis
+
+        def counted(x, *args, **kwargs):
+            shapes.append(x.shape)
+            return init_basis(x, *args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "init_basis", counted)
+        out = tmp_path / "graph.json"
+        code = main(
+            [
+                "eval-graph", "--ckpt", str(ckpt_path), "--manifest", str(manifest),
+                "--repeats", "5", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert shapes == [(16, 6)]
+        assert json.loads(out.read_text())["task"] == "graph-fewshot"
+
     def test_mi_diag_record(self, suite, ckpt_path, tmp_path):
         out = tmp_path / "mi.json"
         code = main(
@@ -339,6 +389,13 @@ class TestTrainFlags:
         else:
             assert doc["variant"] == expected["variant"]
 
+    def test_two_phase_with_no_dpu_exits_2(self, suite, tmp_path, capsys):
+        args = ["pretrain", "--config", str(suite["config"]), "--variant", "no-dpu", "--two-phase",
+                "--epochs", "1", "--out", str(tmp_path / "m.ckpt")]
+        assert main(args) == 2
+        assert "two_phase" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
     @pytest.mark.parametrize("command", ["pretrain", "ablate"])
     def test_manifest_flag_is_the_echoed_data(self, suite, tmp_path, command):
         """The report names the data the run was trained on."""
@@ -354,11 +411,115 @@ class TestTrainFlags:
         assert json.loads(report.read_text())["config"]["data"] == str(moved)
 
 
+# Every option of every subcommand: (dest, type, default, required, choices, action).
+_STORE, _TRUE, _APPEND = "_StoreAction", "_StoreTrueAction", "_AppendAction"
+PARSER_SURFACE = {
+    "gen-sbm": {
+        "--blocks": ("blocks", int, None, True, None, _STORE),
+        "--nodes": ("nodes", int, None, True, None, _STORE),
+        "--pin": ("pin", float, None, True, None, _STORE),
+        "--pout": ("pout", float, None, True, None, _STORE),
+        "--seed": ("seed", int, None, True, None, _STORE),
+        "--out": ("out", None, None, True, None, _STORE),
+        "--d": ("d", int, 16, False, None, _STORE),
+        "--sep": ("sep", float, 3.0, False, None, _STORE),
+        "--domain-id": ("domain_id", None, None, False, None, _STORE),
+    },
+    "pretrain": {
+        "--config": ("config", None, None, True, None, _STORE),
+        "--out": ("out", None, None, True, None, _STORE),
+        "--manifest": ("manifest", None, None, False, None, _STORE),
+        "--report": ("report", None, None, False, None, _STORE),
+        "--epochs": ("epochs", int, None, False, None, _STORE),
+        "--seed": ("seed", int, None, False, None, _STORE),
+        "--variant": ("variant", None, None, False, VARIANTS, _STORE),
+        "--threads": ("threads", int, None, False, None, _STORE),
+        "--two-phase": ("two_phase", None, None, False, None, _TRUE),
+    },
+    "embed": {
+        "--ckpt": ("ckpt", None, None, True, None, _STORE),
+        "--manifest": ("manifest", None, None, True, None, _STORE),
+        "--domain": ("domain", None, None, True, None, _STORE),
+        "--t": ("t", int, 0, False, None, _STORE),
+        "--out": ("out", None, None, True, None, _STORE),
+    },
+    "eval-linear": {
+        "--ckpt": ("ckpt", None, None, True, None, _STORE),
+        "--manifest": ("manifest", None, None, True, None, _STORE),
+        "--domain": ("domain", None, None, True, None, _STORE),
+        "--train-frac": ("train_frac", float, 0.1, False, None, _STORE),
+        "--runs": ("runs", int, 20, False, None, _STORE),
+        "--seed": ("seed", int, 66666, False, None, _STORE),
+        "--t": ("t", int, 0, False, None, _STORE),
+        "--out": ("out", None, None, False, None, _STORE),
+    },
+    "eval-fewshot": {
+        "--ckpt": ("ckpt", None, None, True, None, _STORE),
+        "--manifest": ("manifest", None, None, True, None, _STORE),
+        "--domain": ("domain", None, None, True, None, _STORE),
+        "--k": ("k", int, 1, False, None, _STORE),
+        "--repeats": ("repeats", int, 500, False, None, _STORE),
+        "--seed": ("seed", int, 66666, False, None, _STORE),
+        "--t": ("t", int, 0, False, None, _STORE),
+        "--out": ("out", None, None, False, None, _STORE),
+    },
+    "eval-graph": {
+        "--ckpt": ("ckpt", None, None, True, None, _STORE),
+        "--manifest": ("manifest", None, None, True, None, _STORE),
+        "--support": ("support", int, 1, False, None, _STORE),
+        "--repeats": ("repeats", int, 500, False, None, _STORE),
+        "--seed": ("seed", int, 66666, False, None, _STORE),
+        "--t": ("t", int, 0, False, None, _STORE),
+        "--out": ("out", None, None, False, None, _STORE),
+    },
+    "ablate": {
+        "--config": ("config", None, None, True, None, _STORE),
+        "--variant": ("variant", None, None, False, VARIANTS, _STORE),
+        "--manifest": ("manifest", None, None, False, None, _STORE),
+        "--test-domain": ("test_domain", None, None, False, None, _APPEND),
+        "--epochs": ("epochs", int, None, False, None, _STORE),
+        "--seed": ("seed", int, None, False, None, _STORE),
+        "--threads": ("threads", int, None, False, None, _STORE),
+        "--two-phase": ("two_phase", None, None, False, None, _TRUE),
+        "--out": ("out", None, None, False, None, _STORE),
+    },
+    "mi-diag": {
+        "--ckpt": ("ckpt", None, None, True, None, _STORE),
+        "--manifest": ("manifest", None, None, True, None, _STORE),
+        "--domains": ("domains", None, None, True, None, _STORE),
+        "--tau": ("tau", float, 0.5, False, None, _STORE),
+        "--t": ("t", int, 0, False, None, _STORE),
+        "--seed": ("seed", int, 0, False, None, _STORE),
+        "--out": ("out", None, None, False, None, _STORE),
+    },
+}
+
+
 class TestParser:
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_option_surface(self):
+        [subparsers] = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        surface = {
+            command: {
+                a.option_strings[0]: (
+                    a.dest, a.type, a.default, a.required,
+                    tuple(a.choices) if a.choices else None, type(a).__name__,
+                )
+                for a in parser._actions
+                if not isinstance(a, argparse._HelpAction)
+            }
+            for command, parser in subparsers.choices.items()
+        }
+        assert surface == PARSER_SURFACE
+        for parser in subparsers.choices.values():
+            assert all(len(a.option_strings) == 1 for a in parser._actions
+                       if not isinstance(a, argparse._HelpAction))
 
 
 class TestManifestFieldTypes:
@@ -407,7 +568,11 @@ class TestManifestFieldTypes:
 
 
 class TestThreadLimit:
-    VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    """pretrain and ablate pin the BLAS variables to the run's train.threads:
+    the --threads flag, else the config's key, else 1. None of these configs
+    names a dataset, so each run stops with exit 2 after the pin."""
+
+    VARS = BLAS_VARS
 
     @pytest.fixture
     def env(self, monkeypatch):
@@ -423,20 +588,54 @@ class TestThreadLimit:
         path.write_text(json.dumps({"train": train}))
         return str(path)
 
+    def pretrain(self, tmp_path, *args):
+        return main(["pretrain", "--out", str(tmp_path / "m.ckpt"), *args])
+
     def test_config_threads_take_effect(self, env, tmp_path):
-        _apply_thread_limit(["pretrain", "--config", self.config(tmp_path, {"threads": 3})])
+        self.pretrain(tmp_path, "--config", self.config(tmp_path, {"threads": 3}))
         assert self.threads_set() == {"3"}
 
     def test_flag_wins_over_config(self, env, tmp_path):
         config = self.config(tmp_path, {"threads": 3})
-        _apply_thread_limit(["pretrain", "--config", config, "--threads=2"])
+        self.pretrain(tmp_path, "--config", config, "--threads=2")
         assert self.threads_set() == {"2"}
 
-    @pytest.mark.parametrize("train", [{}, {"threads": 0}, {"threads": "4"}])
+    def test_abbreviated_flag_takes_effect(self, env, tmp_path):
+        self.pretrain(tmp_path, "--config", self.config(tmp_path, {}), "--thr", "2")
+        assert self.threads_set() == {"2"}
+
+    def test_config_without_threads_pins_one(self, env, tmp_path):
+        self.pretrain(tmp_path, "--config", self.config(tmp_path, {}))
+        assert self.threads_set() == {"1"}
+
+    @pytest.mark.parametrize("train", [{"threads": 0}, {"threads": "4"}], ids=["train1", "train2"])
     def test_config_without_valid_threads_leaves_env(self, env, tmp_path, train):
-        _apply_thread_limit(["pretrain", "--config", self.config(tmp_path, train)])
+        assert self.pretrain(tmp_path, "--config", self.config(tmp_path, train)) == 2
         assert self.threads_set() == {"9"}
 
     def test_unreadable_config_leaves_env(self, env, tmp_path):
-        _apply_thread_limit(["pretrain", "--config", str(tmp_path / "absent.json")])
+        assert self.pretrain(tmp_path, "--config", str(tmp_path / "absent.json")) == 2
         assert self.threads_set() == {"9"}
+
+    def test_pin_precedes_numpy_import(self, suite, tmp_path):
+        """In a fresh interpreter, every variable is set while numpy is still
+        unloaded, so the BLAS pools start at the pinned size."""
+        args = ["pretrain", "--config", str(suite["config"]), "--epochs", "1",
+                "--out", str(tmp_path / "m.ckpt"), "--report", str(tmp_path / "r.json")]
+        code = (
+            "import os, sys\n"
+            "from leda.cli import main\n"
+            "class Watched(type(os.environ)):\n"
+            "    def __setitem__(self, key, value):\n"
+            f"        if key in {self.VARS!r}:\n"
+            "            print(key, value, 'numpy' in sys.modules)\n"
+            "        super().__setitem__(key, value)\n"
+            "os.environ.__class__ = Watched\n"
+            f"sys.exit(main({args!r}))\n"
+        )
+        src = str(Path(leda.__file__).parents[1])
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == [f"{var} 1 False" for var in self.VARS]

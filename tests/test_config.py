@@ -67,13 +67,16 @@ class TestRunConfig:
             ("model", "lambda", None),
             ("eval", "repeats", "abc"),
             ("eval", "k_shot", True),
-            ("eval", "train_frac", "0.1"),
+            ("model", "lambda", float("nan")),
             ("eval", "test_domains", "domc"),
             ("eval", "test_domains", ["domc", 3]),
             ("eval", "t_propagate", True),
             ("eval", "t_propagate", {"domc": False}),
             ("eval", "seed", "x"),
             ("eval", "seed", True),
+            ("train", "lr", float("inf")),
+            ("train", "tau", float("nan")),
+            ("model", "beta_kl", float("inf")),
         ],
     )
     def test_wrong_json_type(self, section, key, value):
@@ -86,12 +89,11 @@ class TestRunConfig:
         train = TrainConfig(
             epochs=3, seed=5, lr=0.01, beta1=0.8, beta2=0.99, adam_eps=1e-7,
             weight_decay=1e-4, k=4, h=6, m=4, lam=0.5, h_e=8, z=3, beta_kl=0.5,
-            mu_align=2.0, variant="no-dpu", tau=0.25, two_phase=True,
+            mu_align=2.0, variant="dpu-cl", tau=0.25, two_phase=True,
             two_phase_epochs=7, threads=2,
         )
         evals = EvalConfig(
-            t_propagate={"a": 2}, k_shot=2, repeats=7, train_frac=0.3, runs=4,
-            support_per_class=2, seed=9, test_domains=("a", "b"),
+            t_propagate={"a": 2}, k_shot=2, repeats=7, seed=9, test_domains=("a", "b"),
         )
         for obj in (train, evals):
             assert all(getattr(obj, f.name) != f.default for f in fields(obj))
@@ -126,8 +128,9 @@ class TestRunConfig:
         assert cfg.eval.t_for("b") == 0
 
     def test_bad_train_frac(self):
+        # the probe's split is a flag of eval-linear, not a config key
         with pytest.raises(ConfigError, match="train_frac"):
-            EvalConfig(train_frac=1.5)
+            run_config_from_dict({"eval": {"train_frac": 1.5}})
 
     def test_effective_config_round_trips(self):
         doc = {

@@ -210,11 +210,7 @@ class TestArgumentRules:
         with pytest.raises(ConfigError, match="tau"):
             mi_diagnostic(self.labeled, self.labeled, tau=tau)
 
-    @pytest.mark.parametrize("key", ["k_shot", "repeats", "runs", "support_per_class"])
+    @pytest.mark.parametrize("key", ["k_shot", "repeats"])
     def test_eval_config_shares_the_count_rule(self, key):
         with pytest.raises(ConfigError, match=f"{key} must be an integer >= 1, got 0"):
             EvalConfig(**{key: 0})
-
-    def test_eval_config_shares_the_fraction_rule(self):
-        with pytest.raises(ConfigError, match=r"train_frac must be in \(0, 1\), got 0.0"):
-            EvalConfig(train_frac=0.0)

@@ -3,8 +3,8 @@ import pytest
 
 from leda import autodiff as ad
 from leda.checkpoint import save_checkpoint
-from leda.datasets import GraphCollection
-from leda.errors import ConfigError, NumericError
+from leda.datasets import GraphCollection, generate_sbm
+from leda.errors import ConfigError, DataError, NumericError
 from leda.trainer import (
     TrainConfig,
     build_epoch_loss,
@@ -130,6 +130,15 @@ class TestPretrain:
         assert "lda_recon" not in ckpt.loss_trace[0]
         assert "lda_recon" in ckpt.loss_trace[-1]
 
+    def test_domain_members_of_different_widths_are_a_data_error(self):
+        graphs = tuple(
+            generate_sbm(1, 6, 0.9, 0.0, d=d, cluster_sep=1.0, seed=d, domain_id="mixed")
+            for d in (5, 7)
+        )
+        collection = GraphCollection(graphs=graphs, task_kind="graph-level", graph_labels=(0, 1))
+        with pytest.raises(DataError, match=r"'mixed': members disagree on feature dim \[5, 7\]"):
+            pretrain(collection, tiny_config(k=2, m=2))
+
     def test_non_finite_loss_aborts_with_context(self):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="epoch"):
@@ -204,16 +213,11 @@ class TestJointLossGradient:
         collection = node_collection(seed=3, dims=(6, 7), blocks=2, nodes_per_block=4)
         config = tiny_config(epochs=1, k=4, h=4, m=4, h_e=4, z=3)
         prepared = prepare_domains(collection, config)
-        frozen = {
-            (domain.domain_id, member.index): np.random.default_rng([9, domain.key])
-            .standard_normal((member.x.shape[0], config.z))
-            for domain in prepared
-            for member in domain.members
-        }
         paramset = init_paramset(config)
 
         def loss_fn(ps):
-            loss, _ = build_epoch_loss(prepared, ps, config, epoch=0, frozen_noise=frozen)
+            # the noise draw is fixed by (seed, epoch, domain, member)
+            loss, _ = build_epoch_loss(prepared, ps, config, epoch=0)
             return loss
 
         assert gradient_check(loss_fn, paramset, eps=1e-5) < 1e-4
