@@ -360,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (NumericError, ShapeError) as exc:

@@ -62,46 +62,58 @@ class TrainConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got '{self.variant}'")
-        if self.epochs < 0 or self.two_phase_epochs < 0:
-            raise ConfigError("epoch counts must be >= 0")
-        for name in ("lam", "beta_kl", "mu_align", "weight_decay"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if self.variant == "dpu-cl" and self.tau <= 0:
-            raise ConfigError("InfoNCE temperature tau must be > 0")
-        if self.variant == "no-dpu" and self.m != self.k:
-            raise ConfigError(
-                "variant no-dpu feeds the raw k-column basis to the encoder; set m == k"
-            )
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
-        if min(self.k, self.h, self.m) < 1:
-            raise ConfigError("projection dims k, h, m must be positive")
-        if self.h_e < 1 or self.z < 1:
-            raise ConfigError("encoder width h_e and latent dim z must be positive")
-        if self.variant == "no-dpu" and self.two_phase:
-            raise ConfigError("two_phase pre-trains the projection MLP, which variant no-dpu lacks")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise ConfigError(f"training config key '{f.name}' must be finite, got {value!r}")
+        _check_train_values(vars(self), {})
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @staticmethod
-    def from_dict(doc: dict) -> "TrainConfig":
+    def from_dict(doc: dict, key_of: dict[str, str] | None = None) -> "TrainConfig":
+        """The config of a document of field values. A refusal names a field
+        by its key in `key_of`, else by the field name."""
         known = {f.name for f in fields(TrainConfig)}
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown training config keys: {sorted(unknown)}")
+        key_of = key_of or {}
+        values = {f.name: doc.get(f.name, f.default) for f in fields(TrainConfig)}
         for f in fields(TrainConfig):
-            value = doc.get(f.name, f.default)
-            if not has_json_type(value, _JSON_KINDS[f.type]):
-                raise ConfigError(f"training config key '{f.name}' must be {f.type}, got {value!r}")
+            if not has_json_type(values[f.name], _JSON_KINDS[f.type]):
+                raise ConfigError(
+                    f"training config key '{key_of.get(f.name, f.name)}' must be {f.type}, "
+                    f"got {values[f.name]!r}"
+                )
+        _check_train_values(values, key_of)
         return TrainConfig(**doc)
+
+
+def _check_train_values(c: dict, key_of: dict[str, str]) -> None:
+    """ConfigError unless the TrainConfig field values `c` are in range and
+    consistent; a refusal names a field by its key in `key_of`, else by the
+    field name."""
+    if c["variant"] not in VARIANTS:
+        raise ConfigError(f"variant must be one of {VARIANTS}, got '{c['variant']}'")
+    if c["epochs"] < 0 or c["two_phase_epochs"] < 0:
+        raise ConfigError("epoch counts must be >= 0")
+    for name in ("lam", "beta_kl", "mu_align", "weight_decay"):
+        if c[name] < 0:
+            raise ConfigError(f"{key_of.get(name, name)} must be >= 0")
+    if c["variant"] == "dpu-cl" and c["tau"] <= 0:
+        raise ConfigError("InfoNCE temperature tau must be > 0")
+    if c["variant"] == "no-dpu" and c["m"] != c["k"]:
+        raise ConfigError("variant no-dpu feeds the raw k-column basis to the encoder; set m == k")
+    if c["threads"] < 1:
+        raise ConfigError("threads must be >= 1")
+    if min(c["k"], c["h"], c["m"]) < 1:
+        raise ConfigError("projection dims k, h, m must be positive")
+    if c["h_e"] < 1 or c["z"] < 1:
+        raise ConfigError("encoder width h_e and latent dim z must be positive")
+    if c["variant"] == "no-dpu" and c["two_phase"]:
+        raise ConfigError("two_phase pre-trains the projection MLP, which variant no-dpu lacks")
+    for f in fields(TrainConfig):
+        if f.type == "float" and not math.isfinite(c[f.name]):
+            key = key_of.get(f.name, f.name)
+            raise ConfigError(f"training config key '{key}' must be finite, got {c[f.name]!r}")
 
 
 def check_protocol_args(**args) -> None:
@@ -211,7 +223,7 @@ def run_config_from_dict(doc: dict) -> RunConfig:
     field_of = {key: name for name, key in _MODEL_FIELDS}
     merged = dict(train_doc)
     merged.update((field_of[key], value) for key, value in model_doc.items())
-    train = TrainConfig.from_dict(merged)
+    train = TrainConfig.from_dict(merged, key_of=dict(_MODEL_FIELDS))
 
     eval_doc = doc.get("eval", {})
     if not isinstance(eval_doc, dict):

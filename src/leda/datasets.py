@@ -369,17 +369,21 @@ def load_dataset(manifest_path: str | Path) -> GraphCollection:
         if entry.get("labels_path"):
             labels = _read_labels(_require_file(base / entry["labels_path"], "labels"))
 
+        stated = entry.get("num_nodes")
         if features is not None:
             n = features.shape[0]
         elif labels is not None:
             n = len(labels)
-        elif entry.get("num_nodes") is not None:
-            n = entry["num_nodes"]
+        elif stated is not None:
+            n = stated
         else:
             raise DataError(
                 f"domain '{domain_id}': node count unknown; provide features_path, "
                 "labels_path, or num_nodes"
             )
+        if stated not in (None, n):
+            rows = "feature" if features is not None else "label"
+            raise DataError(f"domain '{domain_id}': num_nodes is {stated}, but it has {n} {rows} rows")
         adjacency = _read_edges(_require_file(base / edges_path, "edges"), n, symmetrize)
 
         degree_featurized = False

@@ -19,19 +19,20 @@ G costs O(n d^2) once per domain and also drives the basis SVD; each epoch
 then costs O(d^2 m) instead of the direct form's O(n d m), and nothing n x d
 enters the tape.
 
-The MLP's tensor shapes come from `checkpoint.param_shapes`; the no-dpu
-variant has no MLP, and `trans` then passes the raw basis through.
+The MLP's tensors are read by their `checkpoint.param_shapes` names; the
+no-dpu variant has no MLP, and `trans` then passes the raw basis through.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Node, ParamSet
+from .autodiff import Node
 from .errors import DataError
 from .linalg import truncated_svd
 
@@ -51,27 +52,6 @@ class DomainBasis:
         v = np.ascontiguousarray(self.V, dtype=np.float64)
         v.setflags(write=False)
         object.__setattr__(self, "V", v)
-
-
-@dataclass
-class DpuParams:
-    """Shared MLP parameters; one instance serves every domain."""
-
-    W1: Node
-    b1: Node
-    W2: Node
-    b2: Node
-
-    PARAM_NAMES = ("dpu.W1", "dpu.b1", "dpu.W2", "dpu.b2")
-
-    @staticmethod
-    def from_paramset(params: ParamSet, variant: str) -> DpuParams | None:
-        """The shared MLP, or None under variant no-dpu, whose encoder reads
-        the raw basis."""
-        if variant == "no-dpu":
-            return None
-        w1, b1, w2, b2 = (params[name] for name in DpuParams.PARAM_NAMES)
-        return DpuParams(W1=w1, b1=b1, W2=w2, b2=b2)
 
 
 def stack_features(domain_id: str, features: list[np.ndarray]) -> np.ndarray:
@@ -118,15 +98,15 @@ def init_basis(
     return DomainBasis(domain_id=domain_id, V=v, padded=padded)
 
 
-def trans(v: Node | np.ndarray, params: DpuParams | None) -> Node:
-    """Refine a basis through the shared MLP; rows map independently.
-    Without an MLP (params None) the basis passes through unrefined."""
-    if not isinstance(v, Node):
-        v = ad.constant(v, "basis")
-    if params is None:
-        return v
-    hidden = ad.relu(ad.add_row_bias(ad.matmul(v, params.W1), params.b1))
-    return ad.add_row_bias(ad.matmul(hidden, params.W2), params.b2)
+def trans(v: np.ndarray, params: Mapping[str, Node], variant: str) -> Node:
+    """Refine a basis through the shared MLP, whose tensors `params` holds
+    under their `param_shapes` names; rows map independently. Variant no-dpu
+    has no MLP: the basis passes through unrefined."""
+    basis = ad.constant(v, "basis")
+    if variant == "no-dpu":
+        return basis
+    hidden = ad.relu(ad.add_row_bias(ad.matmul(basis, params["dpu.W1"]), params["dpu.b1"]))
+    return ad.add_row_bias(ad.matmul(hidden, params["dpu.W2"]), params["dpu.b2"])
 
 
 def align(x: Node | np.ndarray, vhat: Node) -> Node:

@@ -21,9 +21,9 @@ from .autodiff import Node
 from .checkpoint import Checkpoint
 from .config import check_protocol_args
 from .datasets import DomainGraph, GraphCollection, write_float_tsv
-from .dpu import DomainBasis, DpuParams, align, init_basis, stack_features, trans
+from .dpu import DomainBasis, align, init_basis, stack_features, trans
 from .errors import DataError, NumericError
-from .lda import LdaParams, base_layer, encode, propagate_extra
+from .lda import base_layer, encode, propagate_extra
 from .linalg import EntropyResult, gaussian_entropy, normalize_adjacency
 from .optim import AdamWState, adamw_step
 
@@ -127,16 +127,14 @@ def embed(
         )
     s = normalize_adjacency(domain.adjacency)
     params = _checkpoint_params(ckpt)
-    vhat = trans(basis.V, DpuParams.from_paramset(params, ckpt.config.variant))
-    xhat = align(domain.features, vhat)
     variant = ckpt.config.variant
+    xhat = align(domain.features, trans(basis.V, params, variant))
     if variant in ("full", "no-dpu"):
-        state = encode(xhat, s, LdaParams.from_paramset(params))
-        base = state.mu.value
+        base = encode(xhat, s, params).mu.value
     elif variant == "no-lda":
         base = s.matmul_dense(xhat.value)
     else:  # dpu-cl
-        base = base_layer(xhat, s, LdaParams.from_paramset(params)).value
+        base = base_layer(xhat, s, params).value
     out = propagate_extra(base, s, t)
     return EmbeddingSet(domain_id=domain.domain_id, E=out, labels=domain.labels)
 
@@ -403,5 +401,4 @@ def diagnostics_entropy(ckpt: Checkpoint, domain_id: str) -> EntropyResult:
     basis = ckpt.basis_for(domain_id)
     if basis is None:
         raise DataError(f"checkpoint has no basis for domain '{domain_id}'")
-    dpu_params = DpuParams.from_paramset(_checkpoint_params(ckpt), ckpt.config.variant)
-    return gaussian_entropy(trans(basis.V, dpu_params).value)
+    return gaussian_entropy(trans(basis.V, _checkpoint_params(ckpt), ckpt.config.variant).value)

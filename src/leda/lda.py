@@ -8,40 +8,24 @@ objective is squared reconstruction error plus a KL pull of the posterior
 toward the shared standard-normal prior; both are averaged over nodes so the
 loss scale does not grow with graph size.
 
-The tensor shapes come from `checkpoint.param_shapes`. `base_layer` is the
-semantic base alone, which the dpu-cl variant trains and embeds with.
+The tensors are read by their `checkpoint.param_shapes` names; there are no
+biases. `base_layer` is the semantic base alone, which the dpu-cl variant
+trains and embeds with.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Node, ParamSet
+from .autodiff import Node
 from .errors import ConfigError
 from .linalg import CsrMatrix
 
 LOG_SIGMA_CLAMP = 10.0
-
-
-@dataclass
-class LdaParams:
-    """Encoder base/mean/log-variance weights and decoder weight, shared by
-    every domain (no biases)."""
-
-    W_base: Node
-    W_mu: Node
-    W_sigma: Node
-    W_dec: Node
-
-    PARAM_NAMES = ("lda.W_base", "lda.W_mu", "lda.W_sigma", "lda.W_dec")
-
-    @staticmethod
-    def from_paramset(params: ParamSet) -> "LdaParams":
-        w_base, w_mu, w_sigma, w_dec = (params[name] for name in LdaParams.PARAM_NAMES)
-        return LdaParams(W_base=w_base, W_mu=w_mu, W_sigma=w_sigma, W_dec=w_dec)
 
 
 @dataclass
@@ -52,20 +36,17 @@ class LatentState:
     log_sigma: Node
 
 
-def base_layer(xhat: Node, s: CsrMatrix, params: LdaParams) -> Node:
+def base_layer(xhat: Node, s: CsrMatrix, params: Mapping[str, Node]) -> Node:
     """The semantic base: one GCN layer with ReLU, relu(S (Xhat W_base))."""
-    return ad.relu(ad.sparse_matmul(s, ad.matmul(xhat, params.W_base)))
+    return ad.relu(ad.sparse_matmul(s, ad.matmul(xhat, params["lda.W_base"])))
 
 
-def encode(xhat: Node | np.ndarray, s: CsrMatrix, params: LdaParams) -> LatentState:
+def encode(xhat: Node, s: CsrMatrix, params: Mapping[str, Node]) -> LatentState:
     """Posterior parameters: base GCN with ReLU, then linear mean and
     log-variance heads over one more propagation."""
-    if not isinstance(xhat, Node):
-        xhat = ad.constant(xhat, "aligned_features")
-    z_base = base_layer(xhat, s, params)
-    propagated = ad.sparse_matmul(s, z_base)
-    mu = ad.matmul(propagated, params.W_mu)
-    log_sigma = ad.matmul(propagated, params.W_sigma)
+    propagated = ad.sparse_matmul(s, base_layer(xhat, s, params))
+    mu = ad.matmul(propagated, params["lda.W_mu"])
+    log_sigma = ad.matmul(propagated, params["lda.W_sigma"])
     return LatentState(mu=mu, log_sigma=log_sigma)
 
 
@@ -77,9 +58,9 @@ def reparameterize_with_noise(mu: Node, log_sigma: Node, eps: np.ndarray) -> Nod
     return ad.add(mu, ad.mul(ad.exp(log_sigma), ad.constant(eps, "eps")))
 
 
-def decode(z: Node, s: CsrMatrix, params: LdaParams) -> Node:
+def decode(z: Node, s: CsrMatrix, params: Mapping[str, Node]) -> Node:
     """Linear GCN decoder back to the aligned feature space."""
-    return ad.matmul(ad.sparse_matmul(s, z), params.W_dec)
+    return ad.matmul(ad.sparse_matmul(s, z), params["lda.W_dec"])
 
 
 def kl_to_prior(mu: Node, log_sigma: Node) -> Node:
@@ -96,9 +77,9 @@ def kl_to_prior(mu: Node, log_sigma: Node) -> Node:
 
 
 def loss_total_domain(
-    xhat: Node | np.ndarray,
+    xhat: Node,
     s: CsrMatrix,
-    params: LdaParams,
+    params: Mapping[str, Node],
     beta_kl: float,
     eps: np.ndarray,
 ) -> tuple[Node, Node, Node]:
@@ -108,8 +89,6 @@ def loss_total_domain(
 
     Returns (loss, recon, kl).
     """
-    if not isinstance(xhat, Node):
-        xhat = ad.constant(xhat, "aligned_features")
     state = encode(xhat, s, params)
     z = reparameterize_with_noise(state.mu, state.log_sigma, eps)
     reconstructed = decode(z, s, params)

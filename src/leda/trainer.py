@@ -10,7 +10,7 @@ per-domain keys, which makes checkpoints bit-reproducible.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,11 +19,9 @@ from .autodiff import Node, ParamSet
 from .checkpoint import Checkpoint, param_shapes
 from .config import VARIANTS, TrainConfig  # noqa: F401  (VARIANTS is read from here too)
 from .datasets import GraphCollection
-from .dpu import (
-    DomainBasis, DpuParams, align, alignment_penalties, init_basis, stack_features, trans,
-)
+from .dpu import DomainBasis, align, alignment_penalties, init_basis, stack_features, trans
 from .errors import ConfigError, DataError, NumericError
-from .lda import LdaParams, base_layer, loss_total_domain
+from .lda import base_layer, loss_total_domain
 from .linalg import CsrMatrix, normalize_adjacency
 from .optim import AdamWState, adamw_step
 
@@ -33,6 +31,14 @@ COSINE_EPS = 1e-12
 _INIT_STREAM = 101
 _EPS_STREAM = 0
 _DROPOUT_STREAM = 1
+
+# the parameter-name prefixes each variant trains; the rest stay at init
+TRAINED_PREFIXES = {
+    "full": ("dpu.", "lda."),
+    "no-dpu": ("lda.",),
+    "no-lda": ("dpu.",),
+    "dpu-cl": ("dpu.", "lda.W_base"),
+}
 
 
 @dataclass(frozen=True)
@@ -112,16 +118,6 @@ def init_paramset(config: TrainConfig) -> ParamSet:
     return params
 
 
-def trainable_names(variant: str) -> tuple[str, ...]:
-    if variant == "full":
-        return DpuParams.PARAM_NAMES + LdaParams.PARAM_NAMES
-    if variant == "no-dpu":
-        return LdaParams.PARAM_NAMES
-    if variant == "no-lda":
-        return DpuParams.PARAM_NAMES
-    return DpuParams.PARAM_NAMES + ("lda.W_base",)  # dpu-cl
-
-
 def _rowwise_cosine(a: Node, b: Node) -> Node:
     """Cosine similarity of each row of a against the matching row of b
     (or against a single 1 x d row, broadcast)."""
@@ -185,19 +181,14 @@ def build_epoch_loss(
     params: ParamSet,
     config: TrainConfig,
     epoch: int,
-    align_only: bool = False,
 ) -> tuple[Node, dict[str, float]]:
     """One full-batch loss over all domains for the configured variant.
 
     The reparameterization noise is a pure function of (seed, epoch, domain,
     member), so a fixed epoch is a fixed, differentiable function of the
-    parameters. align_only restricts the objective to the projection-alignment
-    terms (the first phase of two-phase training).
+    parameters.
     """
     variant = config.variant
-    dpu_params = DpuParams.from_paramset(params, variant)
-    lda_params = LdaParams.from_paramset(params)
-
     total: Node | None = None
     components: dict[str, float] = {}
     views: list[tuple[Node, Node]] = []
@@ -206,18 +197,18 @@ def build_epoch_loss(
         components[key] = components.get(key, 0.0) + _scalar(node)
 
     for domain in prepared:
-        vhat = trans(domain.basis.V, dpu_params)
+        vhat = trans(domain.basis.V, params, variant)
         domain_terms: list[Node] = []
 
-        if variant in ("full", "no-lda", "dpu-cl") or align_only:
+        if variant in ("full", "no-lda", "dpu-cl"):
             recon_d, ortho_d = alignment_penalties(domain.gram, vhat)
             align_d = ad.add(recon_d, ad.scale(ortho_d, config.lam))
             accumulate("dpu_recon", recon_d)
             accumulate("dpu_ortho", ortho_d)
-            weight = 1.0 if variant != "full" or align_only else config.mu_align
+            weight = config.mu_align if variant == "full" else 1.0
             domain_terms.append(ad.scale(align_d, weight) if weight != 1.0 else align_d)
 
-        if variant in ("full", "no-dpu") and not align_only:
+        if variant in ("full", "no-dpu"):
             member_losses = []
             member_recons = []
             member_kls = []
@@ -226,7 +217,7 @@ def build_epoch_loss(
                 rng = _stream_rng(config.seed, epoch, domain.key, member.index, _EPS_STREAM)
                 eps = rng.standard_normal((member.x.shape[0], config.z))
                 loss, recon, kl = loss_total_domain(
-                    xhat, member.s, lda_params, beta_kl=config.beta_kl, eps=eps
+                    xhat, member.s, params, beta_kl=config.beta_kl, eps=eps
                 )
                 member_losses.append(loss)
                 member_recons.append(recon)
@@ -235,14 +226,14 @@ def build_epoch_loss(
             accumulate("lda_recon", _mean_nodes(member_recons))
             accumulate("kl", _mean_nodes(member_kls))
 
-        if variant == "dpu-cl" and not align_only:
+        if variant == "dpu-cl":
             for member in domain.members:
                 xhat = align(member.x, vhat)
                 rng = _stream_rng(config.seed, epoch, domain.key, member.index, _DROPOUT_STREAM)
                 mask = (rng.random(xhat.shape) >= DROPOUT_RATE).astype(np.float64)
                 xhat_view = ad.mul(xhat, ad.constant(mask, "dropout_mask"))
-                anchor = base_layer(xhat, member.s, lda_params)
-                views.append((anchor, base_layer(xhat_view, member.s, lda_params)))
+                anchor = base_layer(xhat, member.s, params)
+                views.append((anchor, base_layer(xhat_view, member.s, params)))
 
         for term in domain_terms:
             value = _scalar(term)
@@ -252,7 +243,7 @@ def build_epoch_loss(
                 )
             total = term if total is None else ad.add(total, term)
 
-    if variant == "dpu-cl" and not align_only:
+    if variant == "dpu-cl":
         nce = infonce_loss(views, config.tau)
         accumulate("infonce", nce)
         total = nce if total is None else ad.add(total, nce)
@@ -270,11 +261,13 @@ def _run_phase(
     prepared: list[PreparedDomain],
     params: ParamSet,
     config: TrainConfig,
-    trainable: ParamSet,
     epochs: int,
-    align_only: bool,
     trace: list[dict[str, float]],
 ) -> None:
+    """Train `config.variant`'s tensors for `epochs` epochs from fresh AdamW moments."""
+    trainable = params.subset(
+        name for name, _ in params.items() if name.startswith(TRAINED_PREFIXES[config.variant])
+    )
     state = AdamWState.for_params(
         trainable,
         lr=config.lr,
@@ -285,9 +278,7 @@ def _run_phase(
     )
     for epoch in range(epochs):
         params.zero_grad()
-        loss, components = build_epoch_loss(
-            prepared, params, config, epoch, align_only=align_only
-        )
+        loss, components = build_epoch_loss(prepared, params, config, epoch)
         ad.backward(loss)
         adamw_step(trainable, state)
         trace.append(components)
@@ -299,13 +290,12 @@ def pretrain(collection: GraphCollection, config: TrainConfig) -> Checkpoint:
     if not prepared:
         raise DataError("collection has no domains")
     params = init_paramset(config)
-    trainable = params.subset(trainable_names(config.variant))
-
     trace: list[dict[str, float]] = []
     if config.two_phase:
-        dpu_only = params.subset(DpuParams.PARAM_NAMES)
-        _run_phase(prepared, params, config, dpu_only, config.two_phase_epochs, True, trace)
-    _run_phase(prepared, params, config, trainable, config.epochs, False, trace)
+        # the first phase trains the projection alone, as variant no-lda does
+        first = replace(config, variant="no-lda")
+        _run_phase(prepared, params, first, config.two_phase_epochs, trace)
+    _run_phase(prepared, params, config, config.epochs, trace)
 
     return Checkpoint(
         config=config,

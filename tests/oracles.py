@@ -26,7 +26,7 @@ import numpy as np
 from leda import autodiff as ad
 from leda import evaluate
 from leda.checkpoint import basis_tensor_name
-from leda.dpu import DpuParams, align, init_basis, trans
+from leda.dpu import align, init_basis, trans
 from leda.errors import ConfigError, DataError, NumericError
 from leda.evaluate import (
     COSINE_EPS,
@@ -37,7 +37,7 @@ from leda.evaluate import (
     macro_f1,
     mi_from_scores,
 )
-from leda.lda import LdaParams, encode, propagate_extra
+from leda.lda import encode, propagate_extra
 from leda.linalg import normalize_adjacency
 from leda.optim import AdamWState, adamw_step
 
@@ -423,22 +423,21 @@ def write_unchecked_checkpoint(ckpt, path):
 
 def embed_with_constants(domain, ckpt, t=0):
     """Node embeddings with every checkpoint tensor wrapped as an engine
-    constant, one accessor per parameter group."""
-    p = ckpt.params
-    dpu = DpuParams(*(ad.constant(p[name], name) for name in DpuParams.PARAM_NAMES))
-    lda = LdaParams(*(ad.constant(p[name], name) for name in LdaParams.PARAM_NAMES))
+    constant, in a plain dict keyed by tensor name."""
+    p = {name: ad.constant(value, name) for name, value in ckpt.params.items()}
     basis = ckpt.basis_for(domain.domain_id)
     if basis is None:
         basis = init_basis(domain.features, ckpt.config.k, seed=ckpt.config.seed,
                            domain_id=domain.domain_id)
-    vhat = ad.constant(basis.V, "basis") if ckpt.config.variant == "no-dpu" else trans(basis.V, dpu)
+    no_dpu = ckpt.config.variant == "no-dpu"
+    vhat = ad.constant(basis.V, "basis") if no_dpu else trans(basis.V, p, "full")
     xhat = align(domain.features, vhat)
     s = normalize_adjacency(domain.adjacency)
     variant = ckpt.config.variant
     if variant in ("full", "no-dpu"):
-        base = encode(xhat, s, lda).mu.value
+        base = encode(xhat, s, p).mu.value
     elif variant == "no-lda":
         base = s.matmul_dense(xhat.value)
     else:
-        base = ad.relu(ad.sparse_matmul(s, ad.matmul(xhat, lda.W_base))).value
+        base = ad.relu(ad.sparse_matmul(s, ad.matmul(xhat, p["lda.W_base"]))).value
     return propagate_extra(base, s, t)

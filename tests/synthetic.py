@@ -6,8 +6,7 @@ import numpy as np
 
 from leda import autodiff as ad
 from leda.datasets import GraphCollection, generate_sbm
-from leda.dpu import DomainBasis, DpuParams
-from leda.lda import LdaParams
+from leda.dpu import DomainBasis
 from leda.trainer import PreparedDomain, TrainConfig, build_epoch_loss
 
 
@@ -61,21 +60,22 @@ def alignment_loss(pairs, params, lam: float):
     return build_epoch_loss(prepared, params, TrainConfig(variant="no-lda", lam=lam), epoch=0)
 
 
-def draw_dpu_params(params: ad.ParamSet, rng: np.random.Generator, k: int, h: int, m: int) -> DpuParams:
+def draw_dpu_params(params: ad.ParamSet, rng: np.random.Generator, k: int, h: int, m: int) -> ad.ParamSet:
     """Add the DPU tensors to `params`, drawn from `rng` as the trainer's
-    initialization draws them (zero biases, Glorot weights in name order)."""
-    w1 = params.add("dpu.W1", ad.glorot_uniform(rng, k, h))
-    b1 = params.add("dpu.b1", np.zeros((1, h)))
-    w2 = params.add("dpu.W2", ad.glorot_uniform(rng, h, m))
-    b2 = params.add("dpu.b2", np.zeros((1, m)))
-    return DpuParams(W1=w1, b1=b1, W2=w2, b2=b2)
+    initialization draws them (zero biases, Glorot weights in name order).
+    Returns `params`."""
+    params.add("dpu.W1", ad.glorot_uniform(rng, k, h))
+    params.add("dpu.b1", np.zeros((1, h)))
+    params.add("dpu.W2", ad.glorot_uniform(rng, h, m))
+    params.add("dpu.b2", np.zeros((1, m)))
+    return params
 
 
-def draw_lda_params(params: ad.ParamSet, rng: np.random.Generator, m: int, h_e: int, z: int) -> LdaParams:
+def draw_lda_params(params: ad.ParamSet, rng: np.random.Generator, m: int, h_e: int, z: int) -> ad.ParamSet:
     """Add the LDA tensors to `params`, drawn from `rng` as the trainer's
-    initialization draws them."""
-    w_base = params.add("lda.W_base", ad.glorot_uniform(rng, m, h_e))
-    w_mu = params.add("lda.W_mu", ad.glorot_uniform(rng, h_e, z))
-    w_sigma = params.add("lda.W_sigma", ad.glorot_uniform(rng, h_e, z))
-    w_dec = params.add("lda.W_dec", ad.glorot_uniform(rng, z, m))
-    return LdaParams(W_base=w_base, W_mu=w_mu, W_sigma=w_sigma, W_dec=w_dec)
+    initialization draws them. Returns `params`."""
+    params.add("lda.W_base", ad.glorot_uniform(rng, m, h_e))
+    params.add("lda.W_mu", ad.glorot_uniform(rng, h_e, z))
+    params.add("lda.W_sigma", ad.glorot_uniform(rng, h_e, z))
+    params.add("lda.W_dec", ad.glorot_uniform(rng, z, m))
+    return params

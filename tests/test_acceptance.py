@@ -140,7 +140,7 @@ def test_criterion_3_loss_component_identities():
     paramset = ad.ParamSet()
     draw_dpu_params(paramset, rng, k=3, h=4, m=3)
     domains = [(rng.standard_normal((6, 5)), rng.standard_normal((5, 3)))]
-    lda_params = draw_lda_params(paramset, rng, m=3, h_e=4, z=3)
+    draw_lda_params(paramset, rng, m=3, h_e=4, z=3)
     _, components = alignment_loss(domains, paramset, lam=0.0)
     lam_ok = components["total"] == components["dpu_recon"]
 
@@ -149,7 +149,7 @@ def test_criterion_3_loss_component_identities():
     s = normalize_adjacency(adj)
     eps = np.random.default_rng(3).standard_normal((6, 3))
     loss, recon_l, _ = loss_total_domain(
-        rng.standard_normal((6, 3)), s, lda_params, beta_kl=0.0, eps=eps
+        ad.constant(rng.standard_normal((6, 3))), s, paramset, beta_kl=0.0, eps=eps
     )
     beta_ok = loss.value[0, 0] == recon_l.value[0, 0]
 
@@ -178,7 +178,7 @@ def test_criterion_4_orthogonality_optimization_and_entropy():
     started = time.monotonic()
     rng = np.random.default_rng([66666, 101])
     paramset = ad.ParamSet()
-    dpu_params = draw_dpu_params(paramset, rng, k=8, h=16, m=8)
+    draw_dpu_params(paramset, rng, k=8, h=16, m=8)
     basis = np.random.default_rng(66666).standard_normal((50, 8)) / np.sqrt(50.0)
     eye = np.eye(8)
 
@@ -186,16 +186,16 @@ def test_criterion_4_orthogonality_optimization_and_entropy():
         gram = vhat.T @ vhat
         return float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
 
-    entropy_before = gaussian_entropy(trans(basis, dpu_params).value).value
+    entropy_before = gaussian_entropy(trans(basis, paramset, "full").value).value
     state = AdamWState.for_params(paramset, weight_decay=0.0)  # default lr
     for _ in range(2000):
         paramset.zero_grad()
-        vhat = trans(basis, dpu_params)
+        vhat = trans(basis, paramset, "full")
         gram = ad.matmul(vhat, vhat, transpose_a=True)
         ortho = ad.frobenius_sq(ad.sub(gram, ad.constant(eye)))
         ad.backward(ortho)
         adamw_step(paramset, state)
-    final_vhat = trans(basis, dpu_params).value
+    final_vhat = trans(basis, paramset, "full").value
     offdiag = max_offdiag(final_vhat)
     entropy_after = gaussian_entropy(final_vhat).value
     elapsed = time.monotonic() - started

@@ -85,6 +85,16 @@ class TestGenSbm:
         )
         assert code == 2
 
+    def test_domain_id_that_is_no_file_name_exits_3(self, tmp_path, capsys):
+        code = main(
+            [
+                "gen-sbm", "--blocks", "2", "--nodes", "4", "--pin", "0.9", "--pout", "0.1",
+                "--seed", "7", "--out", str(tmp_path / "x"), "--domain-id", "a/b",
+            ]
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("data error: ")
+
 
 class TestPretrain:
     def test_missing_manifest_exits_3_and_names_path(self, suite, tmp_path, capsys):
@@ -97,6 +107,15 @@ class TestPretrain:
         )
         assert code == 3
         assert "absent.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_output_in_missing_directory_exits_3(self, suite, tmp_path, capsys, flag):
+        outputs = {"--out": str(tmp_path / "m.ckpt"), "--report": str(tmp_path / "r.json")}
+        outputs[flag] = str(tmp_path / "missing" / "file")
+        args = ["pretrain", "--config", str(suite["config"]), "--epochs", "1"]
+        assert main(args + [arg for pair in outputs.items() for arg in pair]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "missing" in err
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -550,6 +569,11 @@ class TestManifestFieldTypes:
         manifest = self.manifest(
             tmp_path, drop=("features_path", "labels_path"), num_nodes="abc"
         )
+        assert self.pretrain_exit(suite, tmp_path, capsys, manifest) == 3
+
+    @pytest.mark.parametrize("drop", [(), ("features_path",)])
+    def test_num_nodes_disagreeing_with_rows(self, suite, tmp_path, capsys, drop):
+        manifest = self.manifest(tmp_path, drop=drop, num_nodes=5)
         assert self.pretrain_exit(suite, tmp_path, capsys, manifest) == 3
 
     def test_graph_label_x(self, suite, tmp_path, capsys):

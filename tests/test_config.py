@@ -77,13 +77,21 @@ class TestRunConfig:
             ("train", "lr", float("inf")),
             ("train", "tau", float("nan")),
             ("model", "beta_kl", float("inf")),
+            ("model", "lambda", -1),
         ],
     )
     def test_wrong_json_type(self, section, key, value):
         with pytest.raises(ConfigError, match="must be") as exc:
             run_config_from_dict({section: {key: value}})
-        if section == "eval":
-            assert key in str(exc.value)
+        # named as the document spells it: 'lambda', not the field 'lam'
+        assert key in str(exc.value)
+
+    def test_header_documents_name_fields(self):
+        # a checkpoint header stores TrainConfig by field name
+        with pytest.raises(ConfigError, match="^lam must be >= 0"):
+            TrainConfig.from_dict({"lam": -1})
+        with pytest.raises(ConfigError, match="key 'lam' must be finite"):
+            TrainConfig.from_dict({"lam": float("nan")})
 
     def test_every_field_has_one_section_and_round_trips(self):
         train = TrainConfig(

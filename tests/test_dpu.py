@@ -3,7 +3,7 @@ import pytest
 
 from leda import autodiff as ad
 from leda.datasets import GraphCollection, generate_sbm
-from leda.dpu import DpuParams, align, alignment_penalties, init_basis, trans
+from leda.dpu import align, alignment_penalties, init_basis, trans
 from leda.errors import ConfigError
 from leda.trainer import prepare_domains
 
@@ -13,18 +13,15 @@ from synthetic import alignment_loss, draw_dpu_params, draw_lda_params, tiny_con
 
 def manual_params(w1, b1, w2, b2, params=None):
     params = ad.ParamSet() if params is None else params
-    return DpuParams(
-        W1=params.add("dpu.W1", w1),
-        b1=params.add("dpu.b1", np.atleast_2d(b1)),
-        W2=params.add("dpu.W2", w2),
-        b2=params.add("dpu.b2", np.atleast_2d(b2)),
-    )
+    params.add("dpu.W1", w1)
+    params.add("dpu.b1", np.atleast_2d(b1))
+    params.add("dpu.W2", w2)
+    params.add("dpu.b2", np.atleast_2d(b2))
+    return params
 
 
 def random_params(k, h, m, seed=0):
-    rng = np.random.default_rng(seed)
-    params = ad.ParamSet()
-    return draw_dpu_params(params, rng, k=k, h=h, m=m)
+    return draw_dpu_params(ad.ParamSet(), np.random.default_rng(seed), k=k, h=h, m=m)
 
 
 def with_lda(params):
@@ -74,21 +71,25 @@ class TestTrans:
         k = 3
         params = manual_params(np.eye(k), np.zeros(k), np.eye(k), np.zeros(k))
         v = np.array([[0.2, 0.0, 1.0], [0.5, 0.3, 0.1]])
-        assert np.array_equal(trans(v, params).value, v)
+        assert np.array_equal(trans(v, params, "full").value, v)
 
     def test_constant_head(self):
         params = manual_params(np.eye(2), np.zeros(2), np.zeros((2, 4)), np.full(4, 2.5))
-        out = trans(np.random.default_rng(0).standard_normal((6, 2)), params)
+        out = trans(np.random.default_rng(0).standard_normal((6, 2)), params, "full")
         assert np.all(out.value == 2.5)
+
+    def test_no_dpu_passes_the_raw_basis_through(self):
+        v = np.random.default_rng(6).standard_normal((5, 3))
+        assert np.array_equal(trans(v, {}, "no-dpu").value, v)
 
     def test_rows_transform_independently(self):
         params = random_params(k=4, h=8, m=5, seed=7)
         rng = np.random.default_rng(8)
         v = rng.standard_normal((6, 4))
-        base = trans(v, params).value.copy()
+        base = trans(v, params, "full").value.copy()
         perturbed = v.copy()
         perturbed[3] += rng.standard_normal(4)
-        out = trans(perturbed, params).value
+        out = trans(perturbed, params, "full").value
         mask = np.ones(6, dtype=bool)
         mask[3] = False
         assert np.array_equal(out[mask], base[mask])
@@ -174,8 +175,8 @@ class TestInvariants:
     def test_shared_parameters_give_bit_identical_output(self):
         params = random_params(4, 8, 4, seed=13)
         v = np.random.default_rng(14).standard_normal((7, 4))
-        a = trans(v, params).value
-        b = trans(v.copy(), params).value
+        a = trans(v, params, "full").value
+        b = trans(v.copy(), params, "full").value
         assert np.array_equal(a, b)
 
     def test_alignment_loss_gradient_matches_finite_differences(self):
@@ -193,7 +194,7 @@ class TestInvariants:
             total, _ = alignment_loss(domains, paramset, lam=0.7)
             return total
 
-        dpu_only = paramset.subset(DpuParams.PARAM_NAMES)
+        dpu_only = paramset.subset(("dpu.W1", "dpu.b1", "dpu.W2", "dpu.b2"))
         assert gradient_check(loss_fn, dpu_only, eps=1e-5) < 1e-6
 
 
@@ -253,7 +254,7 @@ class TestGramForm:
         collection = GraphCollection(graphs=graphs, task_kind="graph-level", graph_labels=(0, 1, 0))
         (domain,) = prepare_domains(collection, tiny_config())
         assert len(domain.members) == 3
-        vhat = trans(domain.basis.V, random_params(4, 8, 4, seed=31))
+        vhat = trans(domain.basis.V, random_params(4, 8, 4, seed=31), "full")
         recon, ortho = alignment_penalties(domain.gram, vhat)
         direct = [direct_reconstruction(m.x, vhat.value)[0] for m in domain.members]
         assert abs(recon.value[0, 0] - np.mean(direct)) <= 1e-12 * np.trace(domain.gram)

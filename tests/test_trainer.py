@@ -13,7 +13,6 @@ from leda.trainer import (
     init_paramset,
     prepare_domains,
     pretrain,
-    trainable_names,
 )
 
 from oracles import gradient_check, registered_paramset
@@ -174,11 +173,31 @@ class TestVariants:
         for name in ("dpu.W1", "dpu.b1", "dpu.W2", "dpu.b2"):
             assert np.array_equal(ckpt.params[name], seeded[name])
 
-    def test_trainable_subsets(self):
-        assert len(trainable_names("full")) == 8
-        assert trainable_names("no-dpu") == ("lda.W_base", "lda.W_mu", "lda.W_sigma", "lda.W_dec")
-        assert "lda.W_base" in trainable_names("dpu-cl")
-        assert "lda.W_mu" not in trainable_names("dpu-cl")
+    def test_one_epoch_changes_exactly_the_trained_tensors(self):
+        dpu = {"dpu.W1", "dpu.b1", "dpu.W2", "dpu.b2"}
+        lda = {"lda.W_base", "lda.W_mu", "lda.W_sigma", "lda.W_dec"}
+        trained = {
+            "full": dpu | lda, "no-dpu": lda, "no-lda": dpu, "dpu-cl": dpu | {"lda.W_base"},
+        }
+        collection = node_collection()
+        for variant, names in trained.items():
+            config = tiny_config(epochs=1, variant=variant)
+            seeded = init_paramset(config).state_arrays()
+            ckpt = pretrain(collection, config)
+            changed = {n for n in seeded if not np.array_equal(ckpt.params[n], seeded[n])}
+            assert changed == names, variant
+
+    @pytest.mark.parametrize("variant", ["full", "dpu-cl"])
+    def test_first_two_phase_phase_trains_as_no_lda(self, variant):
+        collection = node_collection()
+        phased = pretrain(
+            collection,
+            tiny_config(epochs=0, variant=variant, mu_align=0.5, two_phase=True, two_phase_epochs=6),
+        )
+        no_lda = pretrain(collection, tiny_config(epochs=6, variant="no-lda", mu_align=0.5))
+        for name in ("dpu.W1", "dpu.b1", "dpu.W2", "dpu.b2"):
+            assert phased.params[name].tobytes() == no_lda.params[name].tobytes()
+        assert phased.loss_trace == no_lda.loss_trace
 
 
 class TestInfoNCE:
