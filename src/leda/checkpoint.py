@@ -120,12 +120,15 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
 
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(bytes(payload))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(header_bytes)))
+            fh.write(header_bytes)
+            fh.write(bytes(payload))
+        os.replace(tmp, path)
+    except OSError as exc:  # name the caller's path, not the temp file
+        raise DataError(f"cannot write checkpoint {path}: {exc.strerror or exc}") from exc
 
 
 def _typed(value, kind, path: Path, what: str):

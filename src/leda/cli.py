@@ -44,6 +44,13 @@ def _load_collection(manifest: str | None):
     return load_dataset(manifest)
 
 
+def _check_output_dirs(*paths: str | None) -> None:
+    """Refuse an output whose directory is missing before any work is done."""
+    for path in paths:
+        if path and not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"cannot write {path}: no directory {Path(path).parent}")
+
+
 def _load_inputs(args):
     """The --ckpt checkpoint, then the --manifest collection: a command that
     reads both reports a bad checkpoint before a bad dataset."""
@@ -120,6 +127,7 @@ def cmd_pretrain(args) -> int:
     from .trainer import pretrain
 
     run_cfg = args.run_config
+    _check_output_dirs(args.out, args.report)
     collection = _load_collection(run_cfg.manifest)
     ckpt = pretrain(collection, run_cfg.train)
     save_checkpoint(ckpt, args.out)
@@ -196,6 +204,7 @@ def cmd_ablate(args) -> int:
     from .trainer import pretrain
 
     run_cfg = args.run_config
+    _check_output_dirs(args.out)
     collection = _load_collection(run_cfg.manifest)
     test_domains = tuple(args.test_domain or run_cfg.eval.test_domains)
     if not test_domains:

@@ -6,7 +6,8 @@ refined basis Vhat (d_i x m), rows transformed independently:
 
     Vhat = relu(V @ W1 + b1) @ W2 + b2
 
-Features are aligned into the common m-dimensional space as Xhat = X @ Vhat.
+Features are aligned into the common m-dimensional space as Xhat = X @ Vhat,
+a sparse product when the features are held as a CsrMatrix.
 The alignment objective combines a self-reconstruction term
 ||X - X Vhat Vhat^T||_F^2 with an orthogonality penalty
 ||Vhat^T Vhat - I||_F^2 weighted by lambda.
@@ -34,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node
 from .errors import DataError
-from .linalg import truncated_svd
+from .linalg import CsrMatrix, truncated_svd
 
 RANK_DEFICIENCY_RTOL = 1e-10
 
@@ -64,7 +65,7 @@ def stack_features(domain_id: str, features: list[np.ndarray]) -> np.ndarray:
 
 
 def init_basis(
-    x: np.ndarray, k: int, seed: int, domain_id: str = "", gram: np.ndarray | None = None
+    x: np.ndarray | CsrMatrix, k: int, seed: int, domain_id: str = "", gram: np.ndarray | None = None
 ) -> DomainBasis:
     """Right singular vectors of x as a d x k orthonormal basis; `gram` is
     x^T x when the caller holds it (see truncated_svd).
@@ -109,8 +110,10 @@ def trans(v: np.ndarray, params: Mapping[str, Node], variant: str) -> Node:
     return ad.add_row_bias(ad.matmul(hidden, params["dpu.W2"]), params["dpu.b2"])
 
 
-def align(x: Node | np.ndarray, vhat: Node) -> Node:
+def align(x: Node | np.ndarray | CsrMatrix, vhat: Node) -> Node:
     """Project features into the common space: Xhat = X @ Vhat."""
+    if isinstance(x, CsrMatrix):
+        return ad.sparse_matmul(x, vhat)
     if not isinstance(x, Node):
         x = ad.constant(x, "features")
     return ad.matmul(x, vhat)

@@ -24,7 +24,7 @@ from .datasets import DomainGraph, GraphCollection, write_float_tsv
 from .dpu import DomainBasis, align, init_basis, stack_features, trans
 from .errors import DataError, NumericError
 from .lda import base_layer, encode, propagate_extra
-from .linalg import EntropyResult, gaussian_entropy, normalize_adjacency
+from .linalg import EntropyResult, feature_operand, gaussian_entropy, normalize_adjacency
 from .optim import AdamWState, adamw_step
 
 PROBE_STEPS = 300
@@ -84,22 +84,21 @@ class EvalReport:
         return doc
 
 
-def _checkpoint_params(ckpt: Checkpoint) -> ad.ParamSet:
-    params = ad.ParamSet()
-    for name, value in ckpt.params.items():
-        params.add(name, value)
-    return params
+def _checkpoint_params(ckpt: Checkpoint) -> dict[str, Node]:
+    """The checkpoint's tensors as engine constants: nothing backpropagates here."""
+    return {name: ad.constant(value, name) for name, value in ckpt.params.items()}
 
 
-def _domain_basis(graphs: list[DomainGraph], ckpt: Checkpoint) -> DomainBasis:
+def _domain_basis(graphs: list[DomainGraph], ckpt: Checkpoint, x=None) -> DomainBasis:
     """The checkpoint's basis for the graphs' domain or, for a domain it does
     not cover, one derived as training derives it: from the vertically
-    stacked features of all the domain's graphs."""
+    stacked features of all the domain's graphs (`x`, if the caller holds them)."""
     domain_id = graphs[0].domain_id
     basis = ckpt.basis_for(domain_id)
     if basis is not None:
         return basis
-    x = stack_features(domain_id, [g.features for g in graphs])
+    if x is None:
+        x = feature_operand(stack_features(domain_id, [g.features for g in graphs]))
     k = ckpt.config.k
     if k > min(x.shape):
         raise DataError(
@@ -119,7 +118,8 @@ def embed(
     the aligned features; dpu-cl: the trained base-encoder output. Followed
     by t extra propagation steps. Deterministic (no sampling).
     """
-    basis = _domain_basis([domain], ckpt) if basis is None else basis
+    x = feature_operand(domain.features)
+    basis = _domain_basis([domain], ckpt, x) if basis is None else basis
     if basis.V.shape[0] != domain.feature_dim:
         raise DataError(
             f"domain '{domain.domain_id}': checkpoint basis expects feature dim "
@@ -128,7 +128,7 @@ def embed(
     s = normalize_adjacency(domain.adjacency)
     params = _checkpoint_params(ckpt)
     variant = ckpt.config.variant
-    xhat = align(domain.features, trans(basis.V, params, variant))
+    xhat = align(x, trans(basis.V, params, variant))
     if variant in ("full", "no-dpu"):
         base = encode(xhat, s, params).mu.value
     elif variant == "no-lda":

@@ -18,11 +18,11 @@ from . import autodiff as ad
 from .autodiff import Node, ParamSet
 from .checkpoint import Checkpoint, param_shapes
 from .config import VARIANTS, TrainConfig  # noqa: F401  (VARIANTS is read from here too)
-from .datasets import GraphCollection
+from .datasets import DomainGraph, GraphCollection
 from .dpu import DomainBasis, align, alignment_penalties, init_basis, stack_features, trans
 from .errors import ConfigError, DataError, NumericError
 from .lda import base_layer, loss_total_domain
-from .linalg import CsrMatrix, normalize_adjacency
+from .linalg import CsrMatrix, feature_operand, normalize_adjacency
 from .optim import AdamWState, adamw_step
 
 DROPOUT_RATE = 0.2
@@ -44,7 +44,7 @@ TRAINED_PREFIXES = {
 @dataclass(frozen=True)
 class PreparedGraph:
     index: int
-    x: np.ndarray
+    x: np.ndarray | CsrMatrix  # features in the form `feature_operand` picks
     s: CsrMatrix
 
 
@@ -74,25 +74,24 @@ def prepare_domains(collection: GraphCollection, config: TrainConfig) -> list[Pr
     computed from the vertically stacked member features, whose Gram is
     formed once and serves both the basis SVD and the alignment penalties.
     """
-    grouped: dict[str, list[PreparedGraph]] = {}
+    grouped: dict[str, list[DomainGraph]] = {}
     for graph in collection.graphs:
-        members = grouped.setdefault(graph.domain_id, [])
-        # index = position within the domain, so noise streams are invariant
-        # to how domains are ordered in the manifest
-        members.append(
-            PreparedGraph(
-                index=len(members), x=graph.features, s=normalize_adjacency(graph.adjacency)
-            )
-        )
+        grouped.setdefault(graph.domain_id, []).append(graph)
     prepared = []
     for domain_id in sorted(grouped):
-        members = grouped[domain_id]
-        stacked = stack_features(domain_id, [m.x for m in members])
+        graphs = grouped[domain_id]
+        # index = position within the domain, so noise streams are invariant
+        # to how domains are ordered in the manifest
+        members = [PreparedGraph(i, feature_operand(g.features), normalize_adjacency(g.adjacency))
+                   for i, g in enumerate(graphs)]
+        stacked = members[0].x
+        if len(graphs) > 1:
+            stacked = feature_operand(stack_features(domain_id, [g.features for g in graphs]))
         if config.k > min(stacked.shape):
             raise ConfigError(
                 f"k={config.k} exceeds min(n, d)={min(stacked.shape)} for domain '{domain_id}'"
             )
-        gram = stacked.T @ stacked
+        gram = stacked.gram() if isinstance(stacked, CsrMatrix) else stacked.T @ stacked
         basis = init_basis(stacked, config.k, seed=config.seed, domain_id=domain_id, gram=gram)
         gram /= len(members)
         prepared.append(

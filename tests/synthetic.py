@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from leda import autodiff as ad
-from leda.datasets import GraphCollection, generate_sbm
+from leda.datasets import DomainGraph, GraphCollection, generate_sbm
 from leda.dpu import DomainBasis
 from leda.trainer import PreparedDomain, TrainConfig, build_epoch_loss
 
@@ -26,6 +26,28 @@ def node_collection(seed: int = 0, dims=(9, 12), blocks: int = 3, nodes_per_bloc
         for i, d in enumerate(dims)
     )
     return GraphCollection(graphs=graphs, task_kind="node-level")
+
+
+def bag_of_words(rng: np.random.Generator, n: int, d: int, density: float) -> np.ndarray:
+    """Binary n x d features with about `density` of their entries set."""
+    return (rng.random((n, d)) < density).astype(np.float64)
+
+
+def bow_collection(seed: int = 0, dims=(100, 120), density: float = 0.01, blocks: int = 3,
+                   nodes_per_block: int = 20) -> GraphCollection:
+    """The graphs of `node_collection` with sparse binary features in place
+    of the Gaussian ones: random words plus word j in nodes j and j + 1
+    (mod n), so that, as in a real corpus, words and nodes form one
+    connected whole. Otherwise a component outside the top-k subspace gets
+    zero basis rows."""
+    rng = np.random.default_rng([seed, 7])
+    graphs = []
+    for g in node_collection(seed, dims, blocks, nodes_per_block).graphs:
+        n, d = g.num_nodes, g.feature_dim
+        x = bag_of_words(rng, n, d, density)
+        x[np.arange(d) % n, np.arange(d)] = x[(np.arange(d) + 1) % n, np.arange(d)] = 1.0
+        graphs.append(DomainGraph(g.domain_id, x, g.adjacency, g.labels, g.num_classes))
+    return GraphCollection(graphs=tuple(graphs), task_kind="node-level")
 
 
 def tiny_config(**overrides) -> TrainConfig:

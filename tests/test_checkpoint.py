@@ -38,6 +38,12 @@ class TestRoundTrip:
         save_checkpoint(trained, path)
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
+    def test_unwritable_path_is_named_as_given(self, trained, tmp_path):
+        path = tmp_path / "missing" / "m.ckpt"
+        with pytest.raises(DataError) as info:
+            save_checkpoint(trained, path)
+        assert str(path) in str(info.value) and ".tmp" not in str(info.value)
+
     def test_save_is_deterministic(self, trained, tmp_path):
         save_checkpoint(trained, tmp_path / "a.ckpt")
         save_checkpoint(trained, tmp_path / "b.ckpt")

@@ -15,7 +15,7 @@ from leda.cli import build_parser, main
 from leda.config import VARIANTS, run_config_from_dict
 from leda.datasets import GraphCollection, generate_sbm, load_dataset, save_dataset
 
-from synthetic import node_collection
+from synthetic import bow_collection, node_collection
 
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -116,6 +116,36 @@ class TestPretrain:
         assert main(args + [arg for pair in outputs.items() for arg in pair]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "missing" in err
+
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_missing_output_directory_is_refused_before_training(
+        self, suite, tmp_path, capsys, monkeypatch, flag
+    ):
+        import leda.trainer
+
+        calls = []
+        monkeypatch.setattr(leda.trainer, "pretrain", lambda *args: calls.append(args))
+        outputs = {"--out": tmp_path / "m.ckpt", "--report": tmp_path / "r.json"}
+        outputs[flag] = tmp_path / "missing" / "file"
+        args = ["pretrain", "--config", str(suite["config"]), "--epochs", "1"]
+        assert main(args + [str(arg) for pair in outputs.items() for arg in pair]) == 3
+        assert str(outputs[flag]) in capsys.readouterr().err
+        assert not outputs["--out"].exists()
+        assert calls == []
+
+    @pytest.mark.parametrize("token", ["nan", "-inf"])
+    def test_non_finite_sparse_features_exit_3(self, suite, tmp_path, capsys, token):
+        manifest = save_dataset(bow_collection(seed=2), tmp_path / "bow")
+        path = next((tmp_path / "bow").glob("*doma.features.tsv"))
+        rows = path.read_text().splitlines()
+        rows[3] = "\t".join([token] + rows[3].split("\t")[1:])
+        path.write_text("\n".join(rows) + "\n")
+        code = main(
+            ["pretrain", "--config", str(suite["config"]), "--manifest", str(manifest),
+             "--out", str(tmp_path / "m.ckpt")]
+        )
+        assert code == 3
+        assert "non-finite feature" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

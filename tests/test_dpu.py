@@ -5,10 +5,11 @@ from leda import autodiff as ad
 from leda.datasets import GraphCollection, generate_sbm
 from leda.dpu import align, alignment_penalties, init_basis, trans
 from leda.errors import ConfigError
+from leda.linalg import CsrMatrix
 from leda.trainer import prepare_domains
 
 from oracles import central_difference_grad, direct_reconstruction, gradient_check
-from synthetic import alignment_loss, draw_dpu_params, draw_lda_params, tiny_config
+from synthetic import alignment_loss, bag_of_words, draw_dpu_params, draw_lda_params, tiny_config
 
 
 def manual_params(w1, b1, w2, b2, params=None):
@@ -196,6 +197,25 @@ class TestInvariants:
 
         dpu_only = paramset.subset(("dpu.W1", "dpu.b1", "dpu.W2", "dpu.b2"))
         assert gradient_check(loss_fn, dpu_only, eps=1e-5) < 1e-6
+
+
+class TestSparseAlign:
+    def test_matches_dense_in_value_and_dpu_gradient(self):
+        rng = np.random.default_rng(16)
+        x = bag_of_words(rng, 80, 40, 0.05) * rng.uniform(0.1, 3.0, (80, 40))
+        v = np.linalg.qr(rng.standard_normal((40, 4)))[0]
+        upstream = ad.constant(rng.standard_normal((80, 4)))
+        results = []
+        for features in (x, CsrMatrix.from_dense(x)):
+            params = random_params(4, 8, 4, seed=17)
+            xhat = align(features, trans(v, params, "full"))
+            ad.backward(ad.reduce_sum(ad.mul(xhat, upstream)))
+            results.append((xhat.value, [node.grad for _, node in params.items()]))
+        (dense, dense_grads), (sparse, sparse_grads) = results
+        # only the summation order of X Vhat and X^T G differs
+        assert np.max(np.abs(sparse - dense)) <= 1e-13 * np.max(np.abs(dense))
+        for got, want in zip(sparse_grads, dense_grads):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def gram_recon_and_grad(x, vhat):

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from leda import autodiff as ad, evaluate
 from leda.datasets import DomainGraph, GraphCollection, generate_sbm
 from leda.errors import DataError
 from leda.evaluate import (
@@ -16,9 +19,11 @@ from leda.evaluate import (
     pooled_graph_embeddings,
     write_embeddings_tsv,
 )
+from leda.dpu import trans
+from leda.linalg import CsrMatrix, gaussian_entropy
 from leda.trainer import pretrain
 
-from synthetic import node_collection, tiny_config
+from synthetic import bow_collection, node_collection, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +67,19 @@ class TestEmbed:
         tiny = generate_sbm(2, 1, 0.9, 0.1, d=2, cluster_sep=1.0, seed=5, domain_id="tiny")
         with pytest.raises(DataError, match="basis"):
             embed(tiny, trained)
+
+    def test_unseen_sparse_domain_converts_its_features_once(self, trained, monkeypatch):
+        held = []
+        convert = evaluate.feature_operand
+
+        def counted(x):
+            held.append(convert(x))
+            return held[-1]
+
+        monkeypatch.setattr(evaluate, "feature_operand", counted)
+        unseen = replace(bow_collection(seed=6).graphs[0], domain_id="unseen")
+        assert embed(unseen, trained).E.shape == (unseen.num_nodes, trained.config.z)
+        assert len(held) == 1 and isinstance(held[0], CsrMatrix)
 
     def test_tsv_export_round_trips(self, trained, tmp_path):
         out = embed(node_collection().graphs[0], trained, t=0)
@@ -324,6 +342,13 @@ class TestEntropyDiagnostic:
         )
         assert not report.degenerate
         assert report.value == pytest.approx(expected, abs=1e-9)
+
+    def test_equals_the_entropy_through_trainable_parameters(self, trained):
+        params = ad.ParamSet()
+        for name, value in trained.params.items():
+            params.add(name, value)
+        vhat = trans(trained.basis_for("doma").V, params, trained.config.variant).value
+        assert diagnostics_entropy(trained, "doma") == gaussian_entropy(vhat)
 
     def test_missing_domain(self, trained):
         with pytest.raises(DataError, match="no basis"):

@@ -2,18 +2,23 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leda.datasets import DEGREE_FEATURE_DIM, degree_features
 from leda.errors import DataError
 from leda.linalg import (
+    SPARSE_FEATURE_DENSITY,
     CsrMatrix,
+    feature_operand,
     gaussian_entropy,
     normalize_adjacency,
     truncated_svd,
 )
 
 from oracles import best_rank_k_error, svd_product, to_dense
+from synthetic import bag_of_words
 
 
 def adjacency_from_edges(n, edges):
@@ -231,6 +236,68 @@ class TestTruncatedSvd:
             truncated_svd(np.eye(3), k=4, seed=0)
         with pytest.raises(DataError):
             truncated_svd(np.eye(3), k=0, seed=0)
+
+
+class TestSparseFeatures:
+    """Features held as CSR (`feature_operand`) against the dense path."""
+
+    def test_gaussian_and_degree_features_stay_dense(self):
+        gaussian = np.random.default_rng(0).standard_normal((30, 8))
+        ring = CsrMatrix.from_edges(30, [(i, (i + 1) % 30) for i in range(30)])
+        degree = degree_features(ring, DEGREE_FEATURE_DIM)
+        for x in (gaussian, degree):
+            assert feature_operand(x) is x
+
+    def test_bag_of_words_goes_to_csr(self):
+        x = bag_of_words(np.random.default_rng(1), 200, 300, 0.02)
+        held = feature_operand(x)
+        assert isinstance(held, CsrMatrix)
+        assert np.array_equal(to_dense(held), x)
+
+    def test_density_at_the_constant_goes_to_csr(self):
+        x = np.zeros((20, 50))
+        at = round(SPARSE_FEATURE_DENSITY * x.size)
+        assert at == SPARSE_FEATURE_DENSITY * x.size
+        x.flat[:at] = 1.0
+        assert isinstance(feature_operand(x), CsrMatrix)
+        x.flat[at] = 1.0
+        assert feature_operand(x) is x
+
+    def test_from_dense_equals_the_scipy_conversion(self):
+        rng = np.random.default_rng(4)
+        sparse_gauss = rng.standard_normal((7, 5)) * (rng.random((7, 5)) < 0.3)
+        for x in (sparse_gauss, np.zeros((3, 4)), np.zeros((0, 3)), [[-0.0, 1.0], [2.0, -0.0]]):
+            got = CsrMatrix.from_dense(x)
+            want = CsrMatrix.from_scipy(sp.csr_matrix(np.asarray(x, dtype=float)))
+            for part in ("row_offsets", "col_indices", "values"):
+                assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+    def test_gram_is_bitwise_the_dense_product_and_c_ordered(self):
+        rng = np.random.default_rng(2)
+        for n, d in ((300, 120), (50, 400)):
+            x = bag_of_words(rng, n, d, 0.03)
+            gram = CsrMatrix.from_dense(x).gram()
+            assert gram.flags.c_contiguous
+            assert gram.tobytes() == (x.T @ x).tobytes()
+
+    @pytest.mark.parametrize("with_gram", [False, True])
+    def test_svd_of_csr_matches_dense(self, with_gram):
+        # same sketch and steps; only the summation order of the x products
+        # differs, so V and the singular values agree to rounding (measured:
+        # 1.2e-13 and 2.9e-15). Weighted words, so that the orders do round.
+        rng = np.random.default_rng(3)
+        for trial in range(10):
+            x = bag_of_words(rng, 150, 90, 0.05) * rng.uniform(0.1, 3.0, (150, 90))
+            gram = x.T @ x if with_gram else None
+            dense = truncated_svd(x, 8, seed=trial, gram=gram)
+            sparse = truncated_svd(CsrMatrix.from_dense(x), 8, seed=trial, gram=gram)
+            assert np.max(np.abs(sparse.V - dense.V)) <= 1e-10
+            s, s_dense = sparse.singular_values, dense.singular_values
+            assert np.max(np.abs(s - s_dense) / s_dense) <= 1e-12
+            # sign convention: the largest-magnitude entry of each V column is >= 0
+            lead = np.argmax(np.abs(sparse.V), axis=0)
+            assert np.all(sparse.V[lead, np.arange(8)] >= 0)
+            assert np.max(np.abs(sparse.U - dense.U)) <= 1e-10
 
 
 class TestGaussianEntropy:

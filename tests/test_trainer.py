@@ -5,6 +5,7 @@ from leda import autodiff as ad
 from leda.checkpoint import save_checkpoint
 from leda.datasets import GraphCollection, generate_sbm
 from leda.errors import ConfigError, DataError, NumericError
+from leda.linalg import CsrMatrix
 from leda.trainer import (
     TrainConfig,
     build_epoch_loss,
@@ -16,7 +17,7 @@ from leda.trainer import (
 )
 
 from oracles import gradient_check, registered_paramset
-from synthetic import node_collection, tiny_config
+from synthetic import bow_collection, node_collection, tiny_config
 
 
 def checkpoints_equal(a, b):
@@ -227,16 +228,53 @@ class TestInfoNCE:
         assert np.any(anchor.grad != 0)
 
 
+def joint_loss_gradient_error(collection):
+    config = tiny_config(epochs=1, k=4, h=4, m=4, h_e=4, z=3)
+    prepared = prepare_domains(collection, config)
+    paramset = init_paramset(config)
+
+    def loss_fn(ps):
+        # the noise draw is fixed by (seed, epoch, domain, member)
+        loss, _ = build_epoch_loss(prepared, ps, config, epoch=0)
+        return loss
+
+    return prepared, gradient_check(loss_fn, paramset, eps=1e-5)
+
+
 class TestJointLossGradient:
     def test_full_joint_loss_matches_finite_differences(self):
         collection = node_collection(seed=3, dims=(6, 7), blocks=2, nodes_per_block=4)
-        config = tiny_config(epochs=1, k=4, h=4, m=4, h_e=4, z=3)
-        prepared = prepare_domains(collection, config)
-        paramset = init_paramset(config)
+        _, worst = joint_loss_gradient_error(collection)
+        assert worst < 1e-4
 
-        def loss_fn(ps):
-            # the noise draw is fixed by (seed, epoch, domain, member)
-            loss, _ = build_epoch_loss(prepared, ps, config, epoch=0)
-            return loss
+    def test_full_joint_loss_with_sparse_features_matches_finite_differences(self):
+        # one connected word-node whole (see bow_collection): a zero basis row
+        # would put its hidden units on the ReLU kink (zero biases at init),
+        # where central differences fail on the dense path alike
+        collection = bow_collection(seed=3, dims=(50, 60))
+        prepared, worst = joint_loss_gradient_error(collection)
+        assert all(isinstance(m.x, CsrMatrix) for d in prepared for m in d.members)
+        assert worst < 1e-4
 
-        assert gradient_check(loss_fn, paramset, eps=1e-5) < 1e-4
+
+class TestSparseFeatures:
+    def test_bag_of_words_domain_holds_csr_features_and_a_c_ordered_gram(self):
+        collection = bow_collection(seed=4)
+        for graph, domain in zip(collection.graphs, prepare_domains(collection, tiny_config())):
+            (member,) = domain.members
+            assert isinstance(member.x, CsrMatrix)
+            assert domain.gram.flags.c_contiguous
+            assert domain.gram.tobytes() == (graph.features.T @ graph.features).tobytes()
+
+    def test_final_losses_match_the_dense_path(self, monkeypatch):
+        import leda.trainer
+
+        collection = bow_collection(seed=5)
+        for variant in ("full", "no-dpu", "no-lda", "dpu-cl"):
+            config = tiny_config(epochs=5, variant=variant)
+            sparse = pretrain(collection, config).final_loss
+            with monkeypatch.context() as patch:
+                patch.setattr(leda.trainer, "feature_operand", lambda x: x)
+                dense = pretrain(collection, config).final_loss
+            for key, want in dense.items():
+                assert abs(sparse[key] - want) <= 1e-12 * abs(want), (variant, key)
