@@ -11,6 +11,12 @@ loss scale does not grow with graph size.
 The tensors are read by their `checkpoint.param_shapes` names; there are no
 biases. `base_layer` is the semantic base alone, which the dpu-cl variant
 trains and embeds with.
+
+A product with the normalized adjacency S costs O(nnz(S) * width), forward
+and backward alike, so `base_layer` and `decode` apply S at the aligned width
+m: (S Xhat) W_base and S (z W_dec). The order is fixed, not chosen by shape
+at run time: at the paper's dims m <= h_e and m <= z. `encode` propagates
+the base once, at width h_e, and reads both posterior heads off that product.
 """
 
 from __future__ import annotations
@@ -37,8 +43,9 @@ class LatentState:
 
 
 def base_layer(xhat: Node, s: CsrMatrix, params: Mapping[str, Node]) -> Node:
-    """The semantic base: one GCN layer with ReLU, relu(S (Xhat W_base))."""
-    return ad.relu(ad.sparse_matmul(s, ad.matmul(xhat, params["lda.W_base"])))
+    """The semantic base: one GCN layer with ReLU, relu((S Xhat) W_base);
+    S multiplies width m rather than h_e, the width of Xhat W_base."""
+    return ad.relu(ad.matmul(ad.sparse_matmul(s, xhat), params["lda.W_base"]))
 
 
 def encode(xhat: Node, s: CsrMatrix, params: Mapping[str, Node]) -> LatentState:
@@ -59,8 +66,9 @@ def reparameterize_with_noise(mu: Node, log_sigma: Node, eps: np.ndarray) -> Nod
 
 
 def decode(z: Node, s: CsrMatrix, params: Mapping[str, Node]) -> Node:
-    """Linear GCN decoder back to the aligned feature space."""
-    return ad.matmul(ad.sparse_matmul(s, z), params["lda.W_dec"])
+    """Linear GCN decoder back to the aligned feature space, S (z W_dec);
+    S multiplies width m rather than the latent width z."""
+    return ad.sparse_matmul(s, ad.matmul(z, params["lda.W_dec"]))
 
 
 def kl_to_prior(mu: Node, log_sigma: Node) -> Node:

@@ -47,7 +47,9 @@ class CsrMatrix:
     """Immutable CSR sparse matrix with float64 values.
 
     row_offsets has length rows+1 and is nondecreasing; within each row the
-    column indices are strictly increasing.
+    column indices are strictly increasing. Both are stored in the index dtype
+    scipy picks for them (int32 while it fits), so the scipy matrix behind
+    the products shares all three arrays rather than copying the indices.
     """
 
     rows: int
@@ -81,6 +83,9 @@ class CsrMatrix:
                 raise DataError(f"column indices not strictly increasing in row {r}")
         if not np.all(np.isfinite(values)):
             raise NumericError("sparse values contain non-finite entries")
+        index = sp.get_index_dtype((offsets, indices), maxval=max(self.rows, self.cols),
+                                   check_contents=True)
+        offsets, indices = offsets.astype(index, copy=False), indices.astype(index, copy=False)
         for name, arr in (("row_offsets", offsets), ("col_indices", indices), ("values", values)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -101,15 +106,15 @@ class CsrMatrix:
 
     @staticmethod
     def from_scipy(mat) -> CsrMatrix:
-        m = sp.csr_matrix(mat)
+        m = sp.csr_matrix(mat, copy=True)  # the caller's arrays are neither sorted nor frozen
         m.sum_duplicates()
         m.sort_indices()
         return CsrMatrix(
             rows=m.shape[0],
             cols=m.shape[1],
-            row_offsets=m.indptr.astype(np.int64),
-            col_indices=m.indices.astype(np.int64),
-            values=m.data.astype(np.float64),
+            row_offsets=m.indptr,
+            col_indices=m.indices,
+            values=m.data,
         )
 
     @staticmethod

@@ -12,19 +12,22 @@ The reference protocols further down are the per-repeat evaluation loops
 the whole-array ones in `leda.evaluate` replaced, kept verbatim (the probe
 still differentiates through the engine), an embedding that wraps every
 checkpoint tensor as an engine constant, and an unchecked checkpoint writer
-for files that `save_checkpoint` refuses to write.
+for files that `save_checkpoint` refuses to write. `gcn_direct_order` puts
+back the LDA layers as they were before the graph operator moved to the
+narrow side of their weight products.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from leda import autodiff as ad
-from leda import evaluate
+from leda import evaluate, lda, trainer
 from leda.checkpoint import basis_tensor_name
 from leda.dpu import align, init_basis, trans
 from leda.errors import ConfigError, DataError, NumericError
@@ -37,7 +40,7 @@ from leda.evaluate import (
     macro_f1,
     mi_from_scores,
 )
-from leda.lda import encode, propagate_extra
+from leda.lda import base_layer, encode, propagate_extra
 from leda.linalg import normalize_adjacency
 from leda.optim import AdamWState, adamw_step
 
@@ -439,5 +442,29 @@ def embed_with_constants(domain, ckpt, t=0):
     elif variant == "no-lda":
         base = s.matmul_dense(xhat.value)
     else:
-        base = ad.relu(ad.sparse_matmul(s, ad.matmul(xhat, p["lda.W_base"]))).value
+        base = base_layer(xhat, s, p).value
     return propagate_extra(base, s, t)
+
+
+def _direct_base_layer(xhat, s, params):
+    return ad.relu(ad.sparse_matmul(s, ad.matmul(xhat, params["lda.W_base"])))
+
+
+def _direct_decode(z, s, params):
+    return ad.matmul(ad.sparse_matmul(s, z), params["lda.W_dec"])
+
+
+@contextmanager
+def gcn_direct_order():
+    """Within the block the LDA layers apply S on the wide side of their
+    weight products, verbatim as before the reassociation: `base_layer` is
+    relu(S (Xhat W_base)) at width h_e and `decode` is (S z) W_dec at width z.
+    `encode`, `loss_total_domain` and the trainer's dpu-cl views follow,
+    since they look both layers up at call time."""
+    saved = lda.base_layer, lda.decode, trainer.base_layer
+    lda.base_layer = trainer.base_layer = _direct_base_layer
+    lda.decode = _direct_decode
+    try:
+        yield
+    finally:
+        lda.base_layer, lda.decode, trainer.base_layer = saved

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from leda import autodiff as ad
+from leda.dpu import align, trans
 from leda.errors import ConfigError
 from leda.lda import (
+    base_layer,
     decode,
     encode,
     kl_to_prior,
@@ -13,9 +15,16 @@ from leda.lda import (
 )
 from leda.linalg import CsrMatrix, normalize_adjacency
 from leda.optim import AdamWState, adamw_step
+from leda.trainer import (
+    DROPOUT_RATE,
+    build_epoch_loss,
+    infonce_loss,
+    prepare_domains,
+    pretrain,
+)
 
-from oracles import gradient_check, to_dense
-from synthetic import draw_lda_params
+from oracles import gcn_direct_order, gradient_check, to_dense
+from synthetic import draw_lda_params, node_collection, tiny_config
 
 
 def random_lda(m, h_e, z, seed=0):
@@ -237,3 +246,126 @@ class TestPropagateExtra:
     def test_negative_steps_rejected(self):
         with pytest.raises(ConfigError):
             propagate_extra(np.zeros((2, 2)), ring_propagation(2), -1)
+
+
+# m < z < h_e, so every width the graph operator multiplies names its operand
+ORDER_DIMS = dict(m=4, z=6, h_e=8)
+ORDER_RTOL = 1e-12
+
+
+def order_collection():
+    return node_collection(seed=1, blocks=3, nodes_per_block=20)
+
+
+@pytest.fixture(scope="module", params=["init", "trained"])
+def order_state(request):
+    """(prepared, parameter arrays, config) per variant: at initialization,
+    or after 300 epochs, when the total loss moves by under 1% over the last
+    30 of them (near convergence)."""
+    states = {}
+    for variant in ("full", "dpu-cl"):
+        epochs = 0 if request.param == "init" else 300
+        config = tiny_config(variant=variant, epochs=epochs, **ORDER_DIMS)
+        ckpt = pretrain(order_collection(), config)
+        if epochs:
+            trace = [step["total"] for step in ckpt.loss_trace]
+            assert abs(trace[-1] - trace[-30]) < 0.01 * abs(trace[-1])
+        states[variant] = (prepare_domains(order_collection(), config), ckpt.params, config)
+    return states
+
+
+def paramset_of(arrays) -> ad.ParamSet:
+    params = ad.ParamSet()
+    for name, value in arrays.items():
+        params.add(name, value.copy())
+    return params
+
+
+def values_and_grads(fn, arrays):
+    """fn(params) -> {name: node} with a scalar under "loss"; returns the
+    values of every node and the gradient of every parameter."""
+    params = paramset_of(arrays)
+    nodes = fn(params)
+    ad.backward(nodes["loss"])
+    values = {name: node.value.copy() for name, node in nodes.items()}
+    return values, {name: node.grad.copy() for name, node in params.items()}
+
+
+def assert_close_to_direct_order(fn, arrays):
+    got_values, got_grads = values_and_grads(fn, arrays)
+    with gcn_direct_order():
+        want_values, want_grads = values_and_grads(fn, arrays)
+    for kind, got, want in (("value", got_values, want_values), ("gradient", got_grads, want_grads)):
+        assert got.keys() == want.keys()
+        for name in want:
+            scale = np.max(np.abs(want[name]))
+            assert np.max(np.abs(got[name] - want[name])) <= ORDER_RTOL * scale, (kind, name)
+
+
+class TestGraphOperatorOrder:
+    """The LDA layers apply S at width m; the old wide-side order is the
+    oracle, to 1e-12 relative in values and gradients."""
+
+    def aligned(self, prepared, params, variant):
+        """(member, Xhat array) for every member; the tests add Xhat to the
+        parameters, so its gradient is checked too."""
+        out = []
+        for domain in prepared:
+            vhat = trans(domain.basis.V, paramset_of(params), variant)
+            out.extend((member, align(member.x, vhat).value) for member in domain.members)
+        return out
+
+    def test_loss_total_domain(self, order_state):
+        prepared, params, config = order_state["full"]
+        for i, (member, xhat) in enumerate(self.aligned(prepared, params, "full")):
+            eps = np.random.default_rng([2, i]).standard_normal((xhat.shape[0], config.z))
+
+            def fn(ps, member=member, eps=eps):
+                loss, recon, kl = loss_total_domain(ps["xhat"], member.s, ps, config.beta_kl, eps)
+                return {"loss": loss, "recon": recon, "kl": kl}
+
+            assert_close_to_direct_order(fn, {**params, "xhat": xhat})
+
+    def test_dpu_cl_views(self, order_state):
+        prepared, params, config = order_state["dpu-cl"]
+        for i, (member, xhat) in enumerate(self.aligned(prepared, params, "dpu-cl")):
+            mask = (np.random.default_rng([3, i]).random(xhat.shape) >= DROPOUT_RATE) * 1.0
+
+            def fn(ps, member=member, mask=mask):
+                anchor = base_layer(ps["xhat"], member.s, ps)
+                positive = base_layer(ad.mul(ps["xhat"], ad.constant(mask)), member.s, ps)
+                loss = infonce_loss([(anchor, positive)], config.tau)
+                return {"loss": loss, "anchor": anchor, "positive": positive}
+
+            assert_close_to_direct_order(fn, {**params, "xhat": xhat})
+
+    @pytest.mark.parametrize("variant", ["full", "dpu-cl"])
+    def test_epoch_loss(self, order_state, variant):
+        prepared, params, config = order_state[variant]
+
+        def fn(ps):
+            loss, components = build_epoch_loss(prepared, ps, config, epoch=7)
+            return {"loss": loss, **{k: ad.constant([[v]]) for k, v in components.items()}}
+
+        assert_close_to_direct_order(fn, params)
+
+    @pytest.mark.parametrize("variant, widths", [("full", ("m", "h_e", "m")), ("dpu-cl", ("m", "m"))])
+    def test_graph_operator_widths(self, monkeypatch, variant, widths):
+        """The widths S multiplies per member in one epoch of `pretrain`,
+        forward and backward; the features are dense, so every square
+        operand is a graph operator."""
+        seen = {"matmul_dense": [], "t_matmul_dense": []}
+        for method, calls in seen.items():
+            original = getattr(CsrMatrix, method)
+
+            def spy(self, x, original=original, calls=calls):
+                if self.rows == self.cols:
+                    calls.append(x.shape[1])
+                return original(self, x)
+
+            monkeypatch.setattr(CsrMatrix, method, spy)
+        collection = order_collection()
+        pretrain(collection, tiny_config(variant=variant, epochs=1, **ORDER_DIMS))
+        want = sorted([ORDER_DIMS[w] for w in widths] * len(collection.graphs))
+        assert sorted(seen["matmul_dense"]) == want
+        assert sorted(seen["t_matmul_dense"]) == want

@@ -124,6 +124,30 @@ class TestCsrInvariants:
         assert m.nnz == 0
         assert to_dense(m).shape == (rows, 3)
 
+    def test_scipy_matrix_shares_every_array(self):
+        mats = [
+            CsrMatrix(2, 3, [0, 2, 3], [0, 2, 1], [1.0, 2.0, 3.0]),
+            CsrMatrix.from_edges(5, [(0, 1), (1, 2), (3, 4)]),
+            CsrMatrix.from_dense(np.eye(3)),
+            CsrMatrix.from_scipy(sp.random(20, 30, density=0.2, random_state=0)),
+            normalize_adjacency(adjacency_from_edges(4, [(0, 1), (2, 3)])),
+            # a dimension past int32 needs int64 indices
+            CsrMatrix(1, 2**31 + 1, [0, 1], [2**31], [1.0]),
+        ]
+        for m in mats:
+            want = np.int64 if m.cols > 2**31 else np.int32
+            assert m.row_offsets.dtype == m.col_indices.dtype == want
+            scipy_view = m._scipy
+            assert np.shares_memory(scipy_view.indptr, m.row_offsets)
+            assert np.shares_memory(scipy_view.indices, m.col_indices)
+            assert np.shares_memory(scipy_view.data, m.values)
+
+    def test_from_scipy_leaves_the_callers_matrix_alone(self):
+        mat = sp.csr_matrix(([2.0, 1.0], [1, 0], [0, 2]), shape=(1, 2))
+        CsrMatrix.from_scipy(mat)
+        assert mat.indices.tolist() == [1, 0]
+        assert mat.data.flags.writeable and mat.indices.flags.writeable
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 4), max_size=4), max_size=6))
     def test_matches_per_row_check(self, rows):
