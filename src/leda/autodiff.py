@@ -5,6 +5,12 @@ matrices enter only as constant left factors (adjacency is data, gradients
 flow through dense operands only). Each operation computes its forward value
 eagerly and registers a closure that routes the upstream gradient to the
 parents, so a graph is built once per step and discarded.
+
+Three primitives are fused: `reparameterize`, `gaussian_kl` and
+`rowwise_cosine` each stand for a chain of elementary ones as one node and
+keep only what their backward reads (the noise draw; nothing; three n x 1
+columns), recomputing the rest from their parents' values. The first two
+give bitwise the values and gradients of the chains they replace.
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ from .linalg import CsrMatrix
 class Node:
     """One value in the computation graph."""
 
-    __slots__ = ("value", "grad", "name", "requires_grad", "_parents", "_backward", "_backward_ran")
+    __slots__ = (
+        "value", "grad", "name", "requires_grad", "_parents", "_backward", "_backward_ran", "__weakref__"
+    )
 
     def __init__(
         self,
@@ -280,6 +288,89 @@ def frobenius_sq(x: Node) -> Node:
             x.accumulate(grad * 2.0 * x.value)
 
     return _result(np.array([[np.sum(x.value * x.value)]]), (x,), "frobenius_sq", backward)
+
+
+# ---------------------------------------------------------------------------
+# fused primitives: one node where a composition would keep every
+# intermediate on the tape; backward recomputes what it needs from the
+# parents' values
+
+
+def reparameterize(mu: Node, log_sigma: Node, eps: np.ndarray) -> Node:
+    """mu + exp(log_sigma) * eps for a constant noise draw eps.
+
+    Keeps only eps. The gradients are computed in the composition's
+    float-op order, d_log_sigma = (g * eps) * exp(log_sigma), so they are
+    bitwise those of add(mu, mul(exp(log_sigma), constant(eps)))."""
+    eps = np.ascontiguousarray(eps, dtype=np.float64)
+    if not mu.shape == log_sigma.shape == eps.shape:
+        raise ShapeError(f"reparameterize: {_describe(mu, log_sigma)} and noise {eps.shape} differ")
+
+    def backward(grad):
+        if mu.requires_grad:
+            mu.accumulate(grad)
+        if log_sigma.requires_grad:
+            log_sigma.accumulate(grad * eps * np.exp(log_sigma.value))
+
+    out_value = mu.value + np.exp(log_sigma.value) * eps
+    return _result(out_value, (mu, log_sigma), "reparameterize", backward)
+
+
+def gaussian_kl(mu: Node, log_sigma: Node, clamp: float) -> Node:
+    """KL(N(mu, exp(log_sigma)^2) || N(0, I)) summed over columns and
+    averaged over rows, as a 1x1 node; log_sigma is clipped to +-clamp,
+    and no gradient passes where it lies outside.
+
+    With c = clip(log_sigma) the value is
+    (sum(((mu^2 + exp(2c)) - 1) - 2c) * 0.5) * (1/n), and the gradients
+    follow the composed clip/scale/square/exp/sub/reduce_sum chain
+    operation by operation, so both are bitwise equal to it. Nothing is
+    kept but the parents."""
+    if mu.shape != log_sigma.shape:
+        raise ShapeError(f"gaussian_kl: {_describe(mu, log_sigma)} differ")
+    clamp = float(clamp)
+    inv_n = 1.0 / mu.shape[0]
+
+    def backward(grad):
+        c0 = grad * inv_n * 0.5
+        if mu.requires_grad:
+            mu.accumulate(c0 * 2.0 * mu.value)
+        if log_sigma.requires_grad:
+            ls = log_sigma.value
+            inside = (ls >= -clamp) & (ls <= clamp)
+            log_sigma.accumulate((c0 * np.exp(np.clip(ls, -clamp, clamp) * 2.0) - c0) * 2.0 * inside)
+
+    two_c = np.clip(log_sigma.value, -clamp, clamp) * 2.0
+    per_entry = ((mu.value * mu.value + np.exp(two_c)) - 1.0) - two_c
+    out_value = np.array([[per_entry.sum()]]) * 0.5 * inv_n
+    return _result(out_value, (mu, log_sigma), "gaussian_kl", backward)
+
+
+def rowwise_cosine(a: Node, b: Node, eps: float) -> Node:
+    """n x 1 cosine similarity of each row of a with the matching row of b,
+    or with b itself when b is a single 1 x d row; eps is added under each
+    square root, sqrt(sum(a_i^2) + eps).
+
+    Keeps three n x 1 columns (the cosines and both norms); backward reads
+    a and b from the parents."""
+    if b.shape != a.shape and b.shape != (1, a.shape[1]):
+        raise ShapeError(f"rowwise_cosine: b must match a or be one row, got {_describe(a, b)}")
+    norm_a = np.sqrt((a.value * a.value).sum(axis=1, keepdims=True) + eps)
+    norm_b = np.sqrt((b.value * b.value).sum(axis=1, keepdims=True) + eps)
+    out_value = (a.value * b.value).sum(axis=1, keepdims=True) / (norm_a * norm_b)
+
+    def backward(grad):
+        # d cos / d a = b / (|a||b|) - cos * a / |a|^2, and symmetrically for b
+        g_dot = grad / (norm_a * norm_b)
+        g_cos = grad * out_value
+        if a.requires_grad:
+            a.accumulate(g_dot * b.value - g_cos / (norm_a * norm_a) * a.value)
+        if b.requires_grad:
+            # unbroadcast each term by itself: a 1 x d b gets one sum over rows per term
+            b_coef = _unbroadcast(g_cos / (norm_b * norm_b), (b.shape[0], 1))
+            b.accumulate(_unbroadcast(g_dot * a.value, b.shape) - b_coef * b.value)
+
+    return _result(out_value, (a, b), "rowwise_cosine", backward)
 
 
 # ---------------------------------------------------------------------------

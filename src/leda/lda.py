@@ -6,7 +6,9 @@ the posterior mean and log-variance, a sample is drawn by reparameterization,
 and a linear GCN decoder reconstructs the aligned features. The per-domain
 objective is squared reconstruction error plus a KL pull of the posterior
 toward the shared standard-normal prior; both are averaged over nodes so the
-loss scale does not grow with graph size.
+loss scale does not grow with graph size. The sample and the KL are one
+fused engine node each (`ad.reparameterize`, `ad.gaussian_kl`): beyond mu
+and log_sigma, which are on the tape anyway, they keep only the noise draw.
 
 The tensors are read by their `checkpoint.param_shapes` names; there are no
 biases. `base_layer` is the semantic base alone, which the dpu-cl variant
@@ -57,14 +59,6 @@ def encode(xhat: Node, s: CsrMatrix, params: Mapping[str, Node]) -> LatentState:
     return LatentState(mu=mu, log_sigma=log_sigma)
 
 
-def reparameterize_with_noise(mu: Node, log_sigma: Node, eps: np.ndarray) -> Node:
-    """Sample z = mu + exp(log_sigma) * eps for a given standard-normal draw
-    eps; gradients flow through mu and log_sigma, eps is a constant."""
-    if eps.shape != mu.shape:
-        raise ConfigError(f"noise shape {eps.shape} must match mu shape {mu.shape}")
-    return ad.add(mu, ad.mul(ad.exp(log_sigma), ad.constant(eps, "eps")))
-
-
 def decode(z: Node, s: CsrMatrix, params: Mapping[str, Node]) -> Node:
     """Linear GCN decoder back to the aligned feature space, S (z W_dec);
     S multiplies width m rather than the latent width z."""
@@ -74,14 +68,7 @@ def decode(z: Node, s: CsrMatrix, params: Mapping[str, Node]) -> Node:
 def kl_to_prior(mu: Node, log_sigma: Node) -> Node:
     """KL(N(mu, exp(log_sigma)^2) || N(0, I)), summed over latent dims and
     averaged over nodes. log_sigma is clamped to +-10 before exponentiation."""
-    if mu.shape != log_sigma.shape:
-        raise ConfigError(f"mu {mu.shape} and log_sigma {log_sigma.shape} must match")
-    ls = ad.clip(log_sigma, -LOG_SIGMA_CLAMP, LOG_SIGMA_CLAMP)
-    two_ls = ad.scale(ls, 2.0)
-    ones = ad.constant(np.ones(mu.shape), "ones")
-    per_entry = ad.sub(ad.sub(ad.add(ad.square(mu), ad.exp(two_ls)), ones), two_ls)
-    total = ad.scale(ad.reduce_sum(per_entry), 0.5)
-    return ad.scale(total, 1.0 / mu.shape[0])
+    return ad.gaussian_kl(mu, log_sigma, LOG_SIGMA_CLAMP)
 
 
 def loss_total_domain(
@@ -93,12 +80,13 @@ def loss_total_domain(
 ) -> tuple[Node, Node, Node]:
     """Negated per-domain evidence bound: squared reconstruction of the
     aligned features plus beta_kl times the KL alignment term, with the
-    sampling noise eps (n x z standard normal) drawn by the caller.
+    sampling noise eps (n x z standard normal) drawn by the caller; the
+    sample is z = mu + exp(log_sigma) * eps, with eps a constant.
 
     Returns (loss, recon, kl).
     """
     state = encode(xhat, s, params)
-    z = reparameterize_with_noise(state.mu, state.log_sigma, eps)
+    z = ad.reparameterize(state.mu, state.log_sigma, eps)
     reconstructed = decode(z, s, params)
     diff = ad.sub(xhat, reconstructed)
     recon = ad.scale(ad.frobenius_sq(diff), 1.0 / xhat.shape[0])

@@ -117,16 +117,6 @@ def init_paramset(config: TrainConfig) -> ParamSet:
     return params
 
 
-def _rowwise_cosine(a: Node, b: Node) -> Node:
-    """Cosine similarity of each row of a against the matching row of b
-    (or against a single 1 x d row, broadcast)."""
-    eps = ad.constant([[COSINE_EPS]], "cos_eps")
-    num = ad.reduce_sum(ad.mul(a, b), axis=1)
-    norm_a = ad.sqrt(ad.add(ad.reduce_sum(ad.square(a), axis=1), eps))
-    norm_b = ad.sqrt(ad.add(ad.reduce_sum(ad.square(b), axis=1), eps))
-    return ad.div(num, ad.mul(norm_a, norm_b))
-
-
 def infonce_from_scores(s_pos: Node, s_neg: Node, tau: float) -> Node:
     """Per-anchor contrastive loss column: log(exp(s+/tau) + exp(s-/tau)) - s+/tau,
     computed with a constant max shift for stability."""
@@ -156,8 +146,8 @@ def infonce_loss(views: list[tuple[Node, Node]], tau: float) -> Node:
 
     loss_sum: Node | None = None
     for anchor, positive in views:
-        s_pos = _rowwise_cosine(anchor, positive)
-        s_neg = _rowwise_cosine(anchor, mean_embedding)
+        s_pos = ad.rowwise_cosine(anchor, positive, COSINE_EPS)
+        s_neg = ad.rowwise_cosine(anchor, mean_embedding, COSINE_EPS)
         per_anchor = infonce_from_scores(s_pos, s_neg, tau)
         domain_sum = ad.reduce_sum(per_anchor)
         loss_sum = domain_sum if loss_sum is None else ad.add(loss_sum, domain_sum)
@@ -279,6 +269,7 @@ def _run_phase(
         params.zero_grad()
         loss, components = build_epoch_loss(prepared, params, config, epoch)
         ad.backward(loss)
+        del loss  # the tape goes now, not when the next epoch's graph is built
         adamw_step(trainable, state)
         trace.append(components)
 

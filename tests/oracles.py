@@ -14,7 +14,9 @@ still differentiates through the engine), an embedding that wraps every
 checkpoint tensor as an engine constant, and an unchecked checkpoint writer
 for files that `save_checkpoint` refuses to write. `gcn_direct_order` puts
 back the LDA layers as they were before the graph operator moved to the
-narrow side of their weight products.
+narrow side of their weight products, and `composed_forms` the KL,
+reparameterization and row-wise cosine as they were built from elementary
+primitives before each became one fused primitive.
 """
 
 from __future__ import annotations
@@ -468,3 +470,53 @@ def gcn_direct_order():
         yield
     finally:
         lda.base_layer, lda.decode, trainer.base_layer = saved
+
+
+def composed_kl_to_prior(mu, log_sigma):
+    """`lda.kl_to_prior` as a chain of elementary primitives, verbatim."""
+    if mu.shape != log_sigma.shape:
+        raise ConfigError(f"mu {mu.shape} and log_sigma {log_sigma.shape} must match")
+    ls = ad.clip(log_sigma, -lda.LOG_SIGMA_CLAMP, lda.LOG_SIGMA_CLAMP)
+    two_ls = ad.scale(ls, 2.0)
+    ones = ad.constant(np.ones(mu.shape), "ones")
+    per_entry = ad.sub(ad.sub(ad.add(ad.square(mu), ad.exp(two_ls)), ones), two_ls)
+    total = ad.scale(ad.reduce_sum(per_entry), 0.5)
+    return ad.scale(total, 1.0 / mu.shape[0])
+
+
+def composed_reparameterize(mu, log_sigma, eps):
+    """The reparameterization as `lda.reparameterize_with_noise` built it
+    from add/mul/exp/constant, verbatim."""
+    if eps.shape != mu.shape:
+        raise ConfigError(f"noise shape {eps.shape} must match mu shape {mu.shape}")
+    return ad.add(mu, ad.mul(ad.exp(log_sigma), ad.constant(eps, "eps")))
+
+
+def composed_rowwise_cosine(a, b):
+    """The trainer's row-wise cosine as nine elementary nodes, verbatim."""
+    eps = ad.constant([[trainer.COSINE_EPS]], "cos_eps")
+    num = ad.reduce_sum(ad.mul(a, b), axis=1)
+    norm_a = ad.sqrt(ad.add(ad.reduce_sum(ad.square(a), axis=1), eps))
+    norm_b = ad.sqrt(ad.add(ad.reduce_sum(ad.square(b), axis=1), eps))
+    return ad.div(num, ad.mul(norm_a, norm_b))
+
+
+def _composed_cosine_primitive(a, b, eps):
+    assert eps == trainer.COSINE_EPS, eps
+    return composed_rowwise_cosine(a, b)
+
+
+@contextmanager
+def composed_forms():
+    """Within the block `lda.kl_to_prior`, `ad.reparameterize` and
+    `ad.rowwise_cosine` are the elementary-primitive compositions above:
+    `loss_total_domain` and the trainer's InfoNCE follow, since they look
+    all three up at call time."""
+    saved = lda.kl_to_prior, ad.reparameterize, ad.rowwise_cosine
+    lda.kl_to_prior = composed_kl_to_prior
+    ad.reparameterize = composed_reparameterize
+    ad.rowwise_cosine = _composed_cosine_primitive
+    try:
+        yield
+    finally:
+        lda.kl_to_prior, ad.reparameterize, ad.rowwise_cosine = saved

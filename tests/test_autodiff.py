@@ -37,6 +37,15 @@ class TestForward:
         with pytest.raises(ShapeError, match="lhs.*rhs"):
             ad.matmul(a, b)
 
+    def test_fused_primitives_check_shapes(self):
+        a = ad.constant(np.zeros((4, 3)), "a")
+        with pytest.raises(ShapeError, match="noise"):
+            ad.reparameterize(a, a, np.zeros((4, 2)))
+        with pytest.raises(ShapeError, match="'b'"):
+            ad.gaussian_kl(a, ad.constant(np.zeros((3, 4)), "b"), 10.0)
+        with pytest.raises(ShapeError, match="one row"):
+            ad.rowwise_cosine(a, ad.constant(np.zeros((4, 1)), "b"), 1e-12)
+
     def test_add_row_bias_shape_check(self):
         x = ad.constant(np.zeros((4, 3)), "x")
         b = ad.constant(np.zeros((1, 2)), "b")
@@ -196,6 +205,19 @@ def _random_case(rng, case):
     elif case == "frobenius_sq":
         shapes = [(n, m)]
         build = lambda xs: ad.frobenius_sq(xs[0])
+    elif case == "reparameterize":
+        shapes = [(n, m), (n, m)]
+        eps = rng.standard_normal((n, m))
+        build = lambda xs: ad.reparameterize(xs[0], xs[1], eps)
+    elif case == "gaussian_kl":
+        shapes = [(n, m), (n, m)]
+        build = lambda xs: ad.gaussian_kl(xs[0], xs[1], KL_CASE_CLAMP)
+    elif case == "rowwise_cosine":
+        shapes = [(n, m), (n, m)]
+        build = lambda xs: ad.rowwise_cosine(xs[0], xs[1], 1e-12)
+    elif case == "rowwise_cosine_broadcast":
+        shapes = [(n, m), (1, m)]
+        build = lambda xs: ad.rowwise_cosine(xs[0], xs[1], 1e-12)
     else:
         raise AssertionError(case)
 
@@ -211,19 +233,30 @@ def _random_case(rng, case):
         values.append(v)
     if case == "div":
         values[1] = np.sign(values[1]) * (np.abs(values[1]) + 0.5)
+    if case == "gaussian_kl":
+        # log_sigma lies inside the clamp or beyond it, away from the kinks;
+        # one entry beyond each side, so the mask always cuts gradients
+        u = values[1]
+        u = np.where(np.abs(u) < 1.0, 0.8 * u, u + 0.5 * np.sign(u))
+        u[0, 0], u[-1, -1] = 1.7, -1.6
+        values[1] = u * KL_CASE_CLAMP
     return build, values
+
+
+KL_CASE_CLAMP = 0.6
 
 
 ALL_CASES = [
     "matmul", "matmul_ta", "matmul_tb", "sparse", "relu", "add_row_bias",
     "add", "add_broadcast", "sub", "mul", "div", "exp", "log", "sqrt",
     "square", "scale", "clip", "reduce_sum_rows", "reduce_mean_cols",
-    "frobenius_sq",
+    "frobenius_sq", "reparameterize", "gaussian_kl", "rowwise_cosine",
+    "rowwise_cosine_broadcast",
 ]
 
 
 def test_every_primitive_matches_finite_differences_over_many_cases():
-    # 6 seeded draws per primitive: 120 random cases in total.
+    # 6 seeded draws per primitive: 144 random cases in total.
     total = 0
     for case in ALL_CASES:
         for trial in range(6):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from leda import autodiff as ad
+from leda import lda, trainer
 from leda.dpu import align, trans
 from leda.errors import ConfigError
 from leda.lda import (
@@ -11,7 +12,6 @@ from leda.lda import (
     kl_to_prior,
     loss_total_domain,
     propagate_extra,
-    reparameterize_with_noise,
 )
 from leda.linalg import CsrMatrix, normalize_adjacency
 from leda.optim import AdamWState, adamw_step
@@ -23,7 +23,7 @@ from leda.trainer import (
     pretrain,
 )
 
-from oracles import gcn_direct_order, gradient_check, to_dense
+from oracles import composed_forms, gcn_direct_order, gradient_check, to_dense
 from synthetic import draw_lda_params, node_collection, tiny_config
 
 
@@ -88,21 +88,21 @@ class TestReparameterize:
         mu = ad.constant(mu_val)
         log_sigma = ad.constant(np.full((4, 3), -30.0))
         eps = np.random.default_rng(1).standard_normal((4, 3))
-        z = reparameterize_with_noise(mu, log_sigma, eps)
+        z = ad.reparameterize(mu, log_sigma, eps)
         assert np.max(np.abs(z.value - mu_val)) < 1e-12
 
     def test_same_seed_identical(self):
         mu = ad.constant(np.zeros((3, 2)))
         ls = ad.constant(np.zeros((3, 2)))
-        a = reparameterize_with_noise(mu, ls, np.random.default_rng(9).standard_normal((3, 2)))
-        b = reparameterize_with_noise(mu, ls, np.random.default_rng(9).standard_normal((3, 2)))
+        a = ad.reparameterize(mu, ls, np.random.default_rng(9).standard_normal((3, 2)))
+        b = ad.reparameterize(mu, ls, np.random.default_rng(9).standard_normal((3, 2)))
         assert np.array_equal(a.value, b.value)
 
     def test_standard_normal_statistics(self):
         mu = ad.constant(np.zeros((10_000, 1)))
         ls = ad.constant(np.zeros((10_000, 1)))
         eps = np.random.default_rng(3).standard_normal((10_000, 1))
-        z = reparameterize_with_noise(mu, ls, eps).value
+        z = ad.reparameterize(mu, ls, eps).value
         assert abs(z.mean()) < 0.05
         assert abs(z.var() - 1.0) < 0.05
 
@@ -111,7 +111,7 @@ class TestReparameterize:
         mu = params.add("mu", np.zeros((2, 2)))
         ls = params.add("ls", np.zeros((2, 2)))
         eps = np.random.default_rng(4).standard_normal((2, 2))
-        z = reparameterize_with_noise(mu, ls, eps)
+        z = ad.reparameterize(mu, ls, eps)
         ad.backward(ad.frobenius_sq(z))
         assert mu.grad is not None and np.any(mu.grad != 0) is not None
         assert ls.grad is not None
@@ -261,15 +261,21 @@ def order_collection():
 def order_state(request):
     """(prepared, parameter arrays, config) per variant: at initialization,
     or after 300 epochs, when the total loss moves by under 1% over the last
-    30 of them (near convergence)."""
+    30 of them (near convergence). The no-dpu total is the sampled bound
+    alone and scatters by about 3% from epoch to epoch, so there the means
+    of the last two 30-epoch windows must agree to 3%."""
     states = {}
-    for variant in ("full", "dpu-cl"):
+    for variant in ("full", "no-dpu", "no-lda", "dpu-cl"):
         epochs = 0 if request.param == "init" else 300
         config = tiny_config(variant=variant, epochs=epochs, **ORDER_DIMS)
         ckpt = pretrain(order_collection(), config)
         if epochs:
-            trace = [step["total"] for step in ckpt.loss_trace]
-            assert abs(trace[-1] - trace[-30]) < 0.01 * abs(trace[-1])
+            trace = np.array([step["total"] for step in ckpt.loss_trace])
+            if variant == "no-dpu":
+                last = trace[-30:].mean()
+                assert abs(last - trace[-60:-30].mean()) < 0.03 * abs(last)
+            else:
+                assert abs(trace[-1] - trace[-30]) < 0.01 * abs(trace[-1])
         states[variant] = (prepare_domains(order_collection(), config), ckpt.params, config)
     return states
 
@@ -291,44 +297,75 @@ def values_and_grads(fn, arrays):
     return values, {name: node.grad.copy() for name, node in params.items()}
 
 
-def assert_close_to_direct_order(fn, arrays):
+def assert_matches_oracle(fn, arrays, oracle=gcn_direct_order, rtol=ORDER_RTOL):
+    """Values and gradients of fn agree with those computed inside the
+    `oracle` context, to rtol relative to each array's largest entry;
+    rtol=0 asks for bitwise equality."""
     got_values, got_grads = values_and_grads(fn, arrays)
-    with gcn_direct_order():
+    with oracle():
         want_values, want_grads = values_and_grads(fn, arrays)
     for kind, got, want in (("value", got_values, want_values), ("gradient", got_grads, want_grads)):
         assert got.keys() == want.keys()
         for name in want:
+            if rtol == 0:
+                assert np.array_equal(got[name], want[name]), (kind, name)
+                continue
             scale = np.max(np.abs(want[name]))
-            assert np.max(np.abs(got[name] - want[name])) <= ORDER_RTOL * scale, (kind, name)
+            assert np.max(np.abs(got[name] - want[name])) <= rtol * scale, (kind, name)
+
+
+def aligned(prepared, params, variant):
+    """(member, Xhat array) for every member; the tests add Xhat to the
+    parameters, so its gradient is checked too."""
+    out = []
+    for domain in prepared:
+        vhat = trans(domain.basis.V, paramset_of(params), variant)
+        out.extend((member, align(member.x, vhat).value) for member in domain.members)
+    return out
+
+
+def epoch_loss_with_xhat(prepared, config, monkeypatch):
+    """(fn, Xhat arrays) for `build_epoch_loss` at epoch 7: fn adds a zero
+    parameter to each X̂ the trainer aligns, in call order, so that the
+    gradient reaching X̂ is returned with the parameters'. Variant no-lda
+    forms no X̂ (its penalties read the Gram), so its probes stay zero."""
+    probes = {f"xhat{i}": np.zeros((member.x.shape[0], config.m))
+              for i, member in enumerate(m for d in prepared for m in d.members)}
+    current = {}
+
+    def align_spy(x, vhat):
+        name = f"xhat{current['calls']}"
+        current["calls"] += 1
+        return ad.add(align(x, vhat), current["params"][name])
+
+    monkeypatch.setattr(trainer, "align", align_spy)
+
+    def fn(ps):
+        current.update(params=ps, calls=0)
+        loss, components = build_epoch_loss(prepared, ps, config, epoch=7)
+        return {"loss": loss, **{k: ad.constant([[v]]) for k, v in components.items()}}
+
+    return fn, probes
 
 
 class TestGraphOperatorOrder:
     """The LDA layers apply S at width m; the old wide-side order is the
     oracle, to 1e-12 relative in values and gradients."""
 
-    def aligned(self, prepared, params, variant):
-        """(member, Xhat array) for every member; the tests add Xhat to the
-        parameters, so its gradient is checked too."""
-        out = []
-        for domain in prepared:
-            vhat = trans(domain.basis.V, paramset_of(params), variant)
-            out.extend((member, align(member.x, vhat).value) for member in domain.members)
-        return out
-
     def test_loss_total_domain(self, order_state):
         prepared, params, config = order_state["full"]
-        for i, (member, xhat) in enumerate(self.aligned(prepared, params, "full")):
+        for i, (member, xhat) in enumerate(aligned(prepared, params, "full")):
             eps = np.random.default_rng([2, i]).standard_normal((xhat.shape[0], config.z))
 
             def fn(ps, member=member, eps=eps):
                 loss, recon, kl = loss_total_domain(ps["xhat"], member.s, ps, config.beta_kl, eps)
                 return {"loss": loss, "recon": recon, "kl": kl}
 
-            assert_close_to_direct_order(fn, {**params, "xhat": xhat})
+            assert_matches_oracle(fn, {**params, "xhat": xhat})
 
     def test_dpu_cl_views(self, order_state):
         prepared, params, config = order_state["dpu-cl"]
-        for i, (member, xhat) in enumerate(self.aligned(prepared, params, "dpu-cl")):
+        for i, (member, xhat) in enumerate(aligned(prepared, params, "dpu-cl")):
             mask = (np.random.default_rng([3, i]).random(xhat.shape) >= DROPOUT_RATE) * 1.0
 
             def fn(ps, member=member, mask=mask):
@@ -337,7 +374,7 @@ class TestGraphOperatorOrder:
                 loss = infonce_loss([(anchor, positive)], config.tau)
                 return {"loss": loss, "anchor": anchor, "positive": positive}
 
-            assert_close_to_direct_order(fn, {**params, "xhat": xhat})
+            assert_matches_oracle(fn, {**params, "xhat": xhat})
 
     @pytest.mark.parametrize("variant", ["full", "dpu-cl"])
     def test_epoch_loss(self, order_state, variant):
@@ -347,7 +384,7 @@ class TestGraphOperatorOrder:
             loss, components = build_epoch_loss(prepared, ps, config, epoch=7)
             return {"loss": loss, **{k: ad.constant([[v]]) for k, v in components.items()}}
 
-        assert_close_to_direct_order(fn, params)
+        assert_matches_oracle(fn, params)
 
     @pytest.mark.parametrize("variant, widths", [("full", ("m", "h_e", "m")), ("dpu-cl", ("m", "m"))])
     def test_graph_operator_widths(self, monkeypatch, variant, widths):
@@ -369,3 +406,85 @@ class TestGraphOperatorOrder:
         want = sorted([ORDER_DIMS[w] for w in widths] * len(collection.graphs))
         assert sorted(seen["matmul_dense"]) == want
         assert sorted(seen["t_matmul_dense"]) == want
+
+
+class TestFusedPrimitives:
+    """`ad.reparameterize` and `ad.gaussian_kl` are bitwise the compositions
+    they replace, and `ad.rowwise_cosine` agrees with its composition to
+    1e-12 relative, in values and gradients, on the graph-operator-order
+    SBM pair at initialization and near convergence."""
+
+    def posteriors(self, order_state):
+        """(mu, log_sigma) arrays of every member under `full`, and once more
+        with log_sigma stretched past the clamp, so that the mask cuts."""
+        prepared, params, config = order_state["full"]
+        out = []
+        for member, xhat in aligned(prepared, params, "full"):
+            state = encode(ad.constant(xhat), member.s, paramset_of(params))
+            mu, log_sigma = state.mu.value, state.log_sigma.value
+            out.append((mu, log_sigma))
+            out.append((mu, log_sigma * (1.5 * lda.LOG_SIGMA_CLAMP / np.max(np.abs(log_sigma)))))
+        assert np.any(np.abs(out[-1][1]) > lda.LOG_SIGMA_CLAMP)
+        return out
+
+    def test_reparameterize_is_bitwise_the_composition(self, order_state):
+        for i, (mu, log_sigma) in enumerate(self.posteriors(order_state)):
+            rng = np.random.default_rng([4, i])
+            eps, probe = rng.standard_normal(mu.shape), rng.standard_normal(mu.shape)
+
+            def fn(ps, eps=eps, probe=probe):
+                z = ad.reparameterize(ps["mu"], ps["log_sigma"], eps)
+                return {"loss": ad.reduce_sum(ad.mul(z, ad.constant(probe))), "z": z}
+
+            assert_matches_oracle(fn, {"mu": mu, "log_sigma": log_sigma}, composed_forms, rtol=0)
+
+    def test_gaussian_kl_is_bitwise_the_composition(self, order_state):
+        for mu, log_sigma in self.posteriors(order_state):
+
+            def fn(ps):
+                return {"loss": ad.scale(lda.kl_to_prior(ps["mu"], ps["log_sigma"]), 0.7)}
+
+            assert_matches_oracle(fn, {"mu": mu, "log_sigma": log_sigma}, composed_forms, rtol=0)
+
+    def test_loss_total_domain_is_bitwise_the_composition(self, order_state):
+        prepared, params, config = order_state["full"]
+        for i, (member, xhat) in enumerate(aligned(prepared, params, "full")):
+            eps = np.random.default_rng([2, i]).standard_normal((xhat.shape[0], config.z))
+
+            def fn(ps, member=member, eps=eps):
+                loss, recon, kl = loss_total_domain(ps["xhat"], member.s, ps, config.beta_kl, eps)
+                return {"loss": loss, "recon": recon, "kl": kl}
+
+            assert_matches_oracle(fn, {**params, "xhat": xhat}, composed_forms, rtol=0)
+
+    def test_rowwise_cosine_under_infonce(self, order_state):
+        """Both cosines of InfoNCE: against the positive view (same shape)
+        and against the mean embedding (one broadcast row)."""
+        prepared, params, config = order_state["dpu-cl"]
+        arrays = {}
+        for i, (member, xhat) in enumerate(aligned(prepared, params, "dpu-cl")):
+            mask = (np.random.default_rng([3, i]).random(xhat.shape) >= DROPOUT_RATE) * 1.0
+            ps = paramset_of(params)
+            arrays[f"anchor{i}"] = base_layer(ad.constant(xhat), member.s, ps).value
+            arrays[f"positive{i}"] = base_layer(ad.constant(xhat * mask), member.s, ps).value
+        count = len(arrays) // 2
+
+        def fn(ps):
+            views = [(ps[f"anchor{i}"], ps[f"positive{i}"]) for i in range(count)]
+            mean = ad.constant(np.vstack([a.value for a, _ in views]).mean(axis=0, keepdims=True))
+            out = {"loss": infonce_loss(views, config.tau)}
+            for i, (anchor, positive) in enumerate(views):
+                out[f"cos_pos{i}"] = ad.rowwise_cosine(anchor, positive, trainer.COSINE_EPS)
+                out[f"cos_mean{i}"] = ad.rowwise_cosine(anchor, mean, trainer.COSINE_EPS)
+            return out
+
+        assert_matches_oracle(fn, arrays, composed_forms)
+
+    @pytest.mark.parametrize("variant", ["full", "no-dpu", "no-lda", "dpu-cl"])
+    def test_epoch_loss(self, order_state, variant, monkeypatch):
+        """Every parameter and every X̂; bitwise except under dpu-cl, whose
+        cosine gradients reach X̂ summed in another order."""
+        prepared, params, config = order_state[variant]
+        fn, probes = epoch_loss_with_xhat(prepared, config, monkeypatch)
+        rtol = ORDER_RTOL if variant == "dpu-cl" else 0
+        assert_matches_oracle(fn, {**params, **probes}, composed_forms, rtol=rtol)

@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from leda import autodiff as ad
+from leda import trainer
 from leda.checkpoint import save_checkpoint
 from leda.datasets import GraphCollection, generate_sbm
 from leda.errors import ConfigError, DataError, NumericError
@@ -109,6 +112,24 @@ class TestPretrain:
         monkeypatch.setattr(ad.Node, "accumulate", zero_then_add)
         save_checkpoint(pretrain(collection, config), tmp_path / "add.ckpt")
         assert (tmp_path / "copy.ckpt").read_bytes() == (tmp_path / "add.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("variant", ["full", "no-dpu", "no-lda", "dpu-cl"])
+    def test_one_tape_alive(self, monkeypatch, variant):
+        """The previous epoch's loss node, and with it its tape, is gone
+        when the next epoch's graph is built."""
+        losses = []
+
+        def build_spy(*args, **kwargs):
+            assert all(ref() is None for ref in losses), "an earlier epoch's loss is alive"
+            loss, components = build_epoch_loss(*args, **kwargs)
+            losses.append(weakref.ref(loss))
+            return loss, components
+
+        monkeypatch.setattr(trainer, "build_epoch_loss", build_spy)
+        two_phase = variant != "no-dpu"
+        pretrain(node_collection(), tiny_config(variant=variant, epochs=3, two_phase=two_phase,
+                                                two_phase_epochs=2))
+        assert len(losses) == (5 if two_phase else 3)
 
     def test_domain_order_invariance(self):
         collection = node_collection()
