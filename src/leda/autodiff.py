@@ -282,12 +282,21 @@ def reduce_mean(x: Node, axis: int | None = None) -> Node:
     return scale(reduce_sum(x, axis=axis), 1.0 / count)
 
 
-def frobenius_sq(x: Node) -> Node:
+def _weighted_sum(x: np.ndarray, weight) -> np.ndarray:
+    # a scalar weight scales the plain sum; an n x 1 column weights row by row
+    if np.ndim(weight) == 0:
+        return np.array([[x.sum()]]) * weight
+    return np.array([[np.sum(x * weight)]])
+
+
+def frobenius_sq(x: Node, weight: float | np.ndarray = 1.0) -> Node:
+    """Sum of the squared entries of x, each row's weighted by `weight`: one
+    float for every row, or an n x 1 column."""
     def backward(grad):
         if x.requires_grad:
-            x.accumulate(grad * 2.0 * x.value)
+            x.accumulate(grad * weight * 2.0 * x.value)
 
-    return _result(np.array([[np.sum(x.value * x.value)]]), (x,), "frobenius_sq", backward)
+    return _result(_weighted_sum(x.value * x.value, weight), (x,), "frobenius_sq", backward)
 
 
 # ---------------------------------------------------------------------------
@@ -316,23 +325,23 @@ def reparameterize(mu: Node, log_sigma: Node, eps: np.ndarray) -> Node:
     return _result(out_value, (mu, log_sigma), "reparameterize", backward)
 
 
-def gaussian_kl(mu: Node, log_sigma: Node, clamp: float) -> Node:
-    """KL(N(mu, exp(log_sigma)^2) || N(0, I)) summed over columns and
-    averaged over rows, as a 1x1 node; log_sigma is clipped to +-clamp,
-    and no gradient passes where it lies outside.
+def gaussian_kl(mu: Node, log_sigma: Node, clamp: float, weight=None) -> Node:
+    """KL(N(mu, exp(log_sigma)^2) || N(0, I)) summed over columns, with rows
+    weighted as `frobenius_sq` weights them (default 1/n, a mean), as a 1x1
+    node; log_sigma is clipped to +-clamp, and no gradient passes outside.
 
-    With c = clip(log_sigma) the value is
-    (sum(((mu^2 + exp(2c)) - 1) - 2c) * 0.5) * (1/n), and the gradients
+    With c = clip(log_sigma) and weight 1/n the value is
+    (sum(((mu^2 + exp(2c)) - 1) - 2c) * (1/n)) * 0.5, and the gradients
     follow the composed clip/scale/square/exp/sub/reduce_sum chain
-    operation by operation, so both are bitwise equal to it. Nothing is
-    kept but the parents."""
+    operation by operation, so both are bitwise equal to it (the factor 0.5
+    is exact wherever it is applied). Nothing is kept but the parents."""
     if mu.shape != log_sigma.shape:
         raise ShapeError(f"gaussian_kl: {_describe(mu, log_sigma)} differ")
     clamp = float(clamp)
-    inv_n = 1.0 / mu.shape[0]
+    weight = 1.0 / mu.shape[0] if weight is None else weight
 
     def backward(grad):
-        c0 = grad * inv_n * 0.5
+        c0 = grad * weight * 0.5
         if mu.requires_grad:
             mu.accumulate(c0 * 2.0 * mu.value)
         if log_sigma.requires_grad:
@@ -342,7 +351,7 @@ def gaussian_kl(mu: Node, log_sigma: Node, clamp: float) -> Node:
 
     two_c = np.clip(log_sigma.value, -clamp, clamp) * 2.0
     per_entry = ((mu.value * mu.value + np.exp(two_c)) - 1.0) - two_c
-    out_value = np.array([[per_entry.sum()]]) * 0.5 * inv_n
+    out_value = _weighted_sum(per_entry, weight) * 0.5
     return _result(out_value, (mu, log_sigma), "gaussian_kl", backward)
 
 

@@ -198,25 +198,26 @@ def cmd_eval_graph(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    from .datasets import GraphCollection
-    from .errors import ConfigError
+    from .datasets import NODE_LEVEL, GraphCollection
+    from .errors import ConfigError, DataError
     from .evaluate import fewshot_eval
     from .trainer import pretrain
 
     run_cfg = args.run_config
     _check_output_dirs(args.out)
     collection = _load_collection(run_cfg.manifest)
+    if collection.task_kind != NODE_LEVEL:
+        raise DataError("ablate needs node-level data; for graph-level data use pretrain, then eval-graph")
     test_domains = tuple(args.test_domain or run_cfg.eval.test_domains)
     if not test_domains:
         raise ConfigError("ablate needs held-out domains (--test-domain or eval.test_domains)")
-    known = set(collection.domain_ids())
-    missing = sorted(set(test_domains) - known)
+    missing = sorted(set(test_domains) - set(collection.domain_ids()))
     if missing:
         raise ConfigError(f"held-out domains not in the dataset: {missing}")
     train_graphs = tuple(g for g in collection.graphs if g.domain_id not in test_domains)
     if not train_graphs:
         raise ConfigError("no training domains left after holding out test domains")
-    train_collection = GraphCollection(graphs=train_graphs, task_kind=collection.task_kind)
+    train_collection = GraphCollection(graphs=train_graphs, task_kind=NODE_LEVEL)
 
     ckpt = pretrain(train_collection, run_cfg.train)
     results = {}

@@ -113,22 +113,39 @@ class GraphCollection:
             if len(labels) != len(self.graphs):
                 raise DataError("graph_labels length must match graph count")
             object.__setattr__(self, "graph_labels", labels)
+            for pos, g in enumerate(self.graphs):
+                if g.num_nodes == 0:
+                    raise DataError(f"domain '{g.domain_id}': graph-level entry #{pos} has no nodes")
         else:
             ids = [g.domain_id for g in self.graphs]
             if len(set(ids)) != len(ids):
                 raise DataError("node-level collection requires unique domain_ids")
 
     def domain_ids(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for g in self.graphs:
-            seen.setdefault(g.domain_id, None)
-        return list(seen)
+        return list(dict.fromkeys(g.domain_id for g in self.graphs))
 
     def by_domain(self, domain_id: str) -> list[DomainGraph]:
         found = [g for g in self.graphs if g.domain_id == domain_id]
         if not found:
             raise DataError(f"domain '{domain_id}' not in collection")
         return found
+
+
+def disjoint_union(graphs: list[DomainGraph]) -> DomainGraph:
+    """One domain's graphs as one: features stacked in list order, adjacencies
+    on the diagonal of one block-diagonal matrix, whose normalization is
+    exactly theirs on the diagonal. A lone graph is returned uncopied."""
+    if len(graphs) == 1:
+        return graphs[0]
+    domain_id = graphs[0].domain_id
+    widths = sorted({g.feature_dim for g in graphs})
+    if len(widths) != 1:
+        raise DataError(f"domain '{domain_id}': members disagree on feature dim {widths}")
+    return DomainGraph(
+        domain_id=domain_id,
+        features=np.concatenate([g.features for g in graphs]),
+        adjacency=CsrMatrix.block_diag([g.adjacency for g in graphs]),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .errors import DataError
 from .linalg import CsrMatrix, truncated_svd
 
 RANK_DEFICIENCY_RTOL = 1e-10
@@ -53,15 +52,6 @@ class DomainBasis:
         v = np.ascontiguousarray(self.V, dtype=np.float64)
         v.setflags(write=False)
         object.__setattr__(self, "V", v)
-
-
-def stack_features(domain_id: str, features: list[np.ndarray]) -> np.ndarray:
-    """A domain's member feature matrices stacked row-wise, the matrix its
-    basis is derived from (a lone member's own array, not a copy)."""
-    widths = {x.shape[1] for x in features}
-    if len(widths) != 1:
-        raise DataError(f"domain '{domain_id}': members disagree on feature dim {sorted(widths)}")
-    return features[0] if len(features) == 1 else np.concatenate(features, axis=0)
 
 
 def init_basis(

@@ -6,7 +6,8 @@ repeats with derived seeds (base seed + repeat index) and reports accuracy
 as mean +- population standard deviation in percent. Each is a whole-array
 pass: one prototype loop serves nodes and graphs, the probe's softmax
 gradient is closed-form (bitwise the engine's), and sampled MI pairs are
-scored MI_BLOCK_PAIRS at a time, in O(block * dim) memory.
+scored MI_BLOCK_PAIRS at a time, in O(block * dim) memory. Graph pooling
+embeds each domain once, as the block-diagonal union of its graphs.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from . import autodiff as ad
 from .autodiff import Node
 from .checkpoint import Checkpoint
 from .config import check_protocol_args
-from .datasets import DomainGraph, GraphCollection, write_float_tsv
-from .dpu import DomainBasis, align, init_basis, stack_features, trans
+from .datasets import DomainGraph, GraphCollection, disjoint_union, write_float_tsv
+from .dpu import align, init_basis, trans
 from .errors import DataError, NumericError
 from .lda import base_layer, encode, propagate_extra
 from .linalg import EntropyResult, feature_operand, gaussian_entropy, normalize_adjacency
@@ -89,37 +90,24 @@ def _checkpoint_params(ckpt: Checkpoint) -> dict[str, Node]:
     return {name: ad.constant(value, name) for name, value in ckpt.params.items()}
 
 
-def _domain_basis(graphs: list[DomainGraph], ckpt: Checkpoint, x=None) -> DomainBasis:
-    """The checkpoint's basis for the graphs' domain or, for a domain it does
-    not cover, one derived as training derives it: from the vertically
-    stacked features of all the domain's graphs (`x`, if the caller holds them)."""
-    domain_id = graphs[0].domain_id
-    basis = ckpt.basis_for(domain_id)
-    if basis is not None:
-        return basis
-    if x is None:
-        x = feature_operand(stack_features(domain_id, [g.features for g in graphs]))
-    k = ckpt.config.k
-    if k > min(x.shape):
-        raise DataError(
-            f"domain '{domain_id}': cannot derive a rank-{k} basis "
-            f"from a {x.shape[0]}x{x.shape[1]} feature matrix"
-        )
-    return init_basis(x, k, seed=ckpt.config.seed, domain_id=domain_id)
-
-
-def embed(
-    domain: DomainGraph, ckpt: Checkpoint, t: int = 0, basis: DomainBasis | None = None
-) -> EmbeddingSet:
-    """Node embeddings for one domain under the checkpoint's variant, with
-    `basis` if given, else `_domain_basis([domain], ckpt)`.
+def embed(domain: DomainGraph, ckpt: Checkpoint, t: int = 0) -> EmbeddingSet:
+    """Node embeddings for one graph under the checkpoint's variant, with its
+    domain's checkpoint basis or one derived from its features as in training.
 
     full / no-dpu: posterior mean; no-lda: one parameter-free propagation of
     the aligned features; dpu-cl: the trained base-encoder output. Followed
     by t extra propagation steps. Deterministic (no sampling).
     """
     x = feature_operand(domain.features)
-    basis = _domain_basis([domain], ckpt, x) if basis is None else basis
+    basis = ckpt.basis_for(domain.domain_id)
+    if basis is None:
+        k = ckpt.config.k
+        if k > min(x.shape):
+            raise DataError(
+                f"domain '{domain.domain_id}': cannot derive a rank-{k} basis "
+                f"from a {x.shape[0]}x{x.shape[1]} feature matrix"
+            )
+        basis = init_basis(x, k, seed=ckpt.config.seed, domain_id=domain.domain_id)
     if basis.V.shape[0] != domain.feature_dim:
         raise DataError(
             f"domain '{domain.domain_id}': checkpoint basis expects feature dim "
@@ -300,12 +288,16 @@ def macro_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
 
 
 def pooled_graph_embeddings(collection: GraphCollection, ckpt: Checkpoint, t: int = 0) -> np.ndarray:
-    """Mean-pooled node embeddings, one row per graph of the collection; a
-    domain the checkpoint does not cover gets one basis for all its graphs."""
-    bases = {d: _domain_basis(collection.by_domain(d), ckpt) for d in collection.domain_ids()}
-    return np.stack(
-        [embed(g, ckpt, t, bases[g.domain_id]).E.mean(axis=0) for g in collection.graphs]
-    )
+    """Mean-pooled node embeddings, one row per graph of the collection. Each
+    domain is embedded once, as the `disjoint_union` of its graphs (so a
+    domain the checkpoint does not cover gets one basis from all their
+    features), and a graph's row is the mean of its slice of the rows."""
+    slices = {}  # per domain, its graphs' row slices in collection order
+    for domain_id in collection.domain_ids():
+        graphs = collection.by_domain(domain_id)
+        e = embed(disjoint_union(graphs), ckpt, t).E
+        slices[domain_id] = iter(np.split(e, np.cumsum([g.num_nodes for g in graphs])[:-1]))
+    return np.stack([next(slices[g.domain_id]).mean(axis=0) for g in collection.graphs])
 
 
 def graph_eval(

@@ -5,8 +5,9 @@ A single-layer GCN produces a semantic base, two linear GCN heads read off
 the posterior mean and log-variance, a sample is drawn by reparameterization,
 and a linear GCN decoder reconstructs the aligned features. The per-domain
 objective is squared reconstruction error plus a KL pull of the posterior
-toward the shared standard-normal prior; both are averaged over nodes so the
-loss scale does not grow with graph size. The sample and the KL are one
+toward the shared standard-normal prior; both are averaged over nodes (of
+each graph, then over a domain's graphs) so the loss scale does not grow
+with graph size or count. The sample and the KL are one
 fused engine node each (`ad.reparameterize`, `ad.gaussian_kl`): beyond mu
 and log_sigma, which are on the tape anyway, they keep only the noise draw.
 
@@ -23,7 +24,7 @@ the base once, at width h_e, and reads both posterior heads off that product.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +66,21 @@ def decode(z: Node, s: CsrMatrix, params: Mapping[str, Node]) -> Node:
     return ad.sparse_matmul(s, ad.matmul(z, params["lda.W_dec"]))
 
 
-def kl_to_prior(mu: Node, log_sigma: Node) -> Node:
+def _member_weights(sizes: Sequence[int]) -> float | np.ndarray:
+    """Row weights that make a sum over a block-diagonal graph's rows the mean
+    over its M member graphs of their node means: 1/n for a lone member, else
+    1/(n_i * M) on the n_i rows of member i."""
+    if len(sizes) == 1:
+        return 1.0 / sizes[0]
+    sizes = np.asarray(sizes)
+    return np.repeat(1.0 / (sizes * len(sizes)), sizes)[:, None]
+
+
+def kl_to_prior(mu: Node, log_sigma: Node, sizes: Sequence[int] | None = None) -> Node:
     """KL(N(mu, exp(log_sigma)^2) || N(0, I)), summed over latent dims and
-    averaged over nodes. log_sigma is clamped to +-10 before exponentiation."""
-    return ad.gaussian_kl(mu, log_sigma, LOG_SIGMA_CLAMP)
+    averaged over nodes (per member graph of `sizes` rows, then over members).
+    log_sigma is clamped to +-10 before exponentiation."""
+    return ad.gaussian_kl(mu, log_sigma, LOG_SIGMA_CLAMP, _member_weights(sizes or mu.shape[:1]))
 
 
 def loss_total_domain(
@@ -77,20 +89,26 @@ def loss_total_domain(
     params: Mapping[str, Node],
     beta_kl: float,
     eps: np.ndarray,
+    sizes: Sequence[int] | None = None,
 ) -> tuple[Node, Node, Node]:
     """Negated per-domain evidence bound: squared reconstruction of the
     aligned features plus beta_kl times the KL alignment term, with the
     sampling noise eps (n x z standard normal) drawn by the caller; the
     sample is z = mu + exp(log_sigma) * eps, with eps a constant.
 
+    A domain of several graphs is one block-diagonal graph, member i its
+    i-th slice of `sizes` rows (default: one member); both terms are then
+    node means per member, averaged over the members.
+
     Returns (loss, recon, kl).
     """
+    sizes = sizes or xhat.shape[:1]
     state = encode(xhat, s, params)
     z = ad.reparameterize(state.mu, state.log_sigma, eps)
     reconstructed = decode(z, s, params)
     diff = ad.sub(xhat, reconstructed)
-    recon = ad.scale(ad.frobenius_sq(diff), 1.0 / xhat.shape[0])
-    kl = kl_to_prior(state.mu, state.log_sigma)
+    recon = ad.frobenius_sq(diff, _member_weights(sizes))
+    kl = kl_to_prior(state.mu, state.log_sigma, sizes)
     loss = ad.add(recon, ad.scale(kl, beta_kl))
     return loss, recon, kl
 

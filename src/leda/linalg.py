@@ -118,6 +118,10 @@ class CsrMatrix:
         )
 
     @staticmethod
+    def block_diag(blocks) -> CsrMatrix:
+        return CsrMatrix.from_scipy(sp.block_diag([b._scipy for b in blocks], format="csr"))
+
+    @staticmethod
     def from_dense(dense) -> CsrMatrix:
         # row-major nonzero positions are the CSR order; 4x faster than scipy's route
         x = np.ascontiguousarray(dense, dtype=np.float64)

@@ -5,6 +5,10 @@ Training is full-batch: every epoch accumulates gradients over all domains
 (in ascending domain_id order, so manifest order never matters) and applies
 one AdamW step. All randomness is derived from the run seed plus stable
 per-domain keys, which makes checkpoints bit-reproducible.
+
+A domain of many small graphs trains as one: their block-diagonal union, one
+InfoNCE view. The objective is a loop's over its graphs: each graph's LDA
+reconstruction and KL are node means with its own noise, averaged over them.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from . import autodiff as ad
 from .autodiff import Node, ParamSet
 from .checkpoint import Checkpoint, param_shapes
 from .config import VARIANTS, TrainConfig  # noqa: F401  (VARIANTS is read from here too)
-from .datasets import DomainGraph, GraphCollection
-from .dpu import DomainBasis, align, alignment_penalties, init_basis, stack_features, trans
+from .datasets import GraphCollection, disjoint_union
+from .dpu import DomainBasis, align, alignment_penalties, init_basis, trans
 from .errors import ConfigError, DataError, NumericError
 from .lda import base_layer, loss_total_domain
 from .linalg import CsrMatrix, feature_operand, normalize_adjacency
@@ -42,18 +46,16 @@ TRAINED_PREFIXES = {
 
 
 @dataclass(frozen=True)
-class PreparedGraph:
-    index: int
-    x: np.ndarray | CsrMatrix  # features in the form `feature_operand` picks
-    s: CsrMatrix
-
-
-@dataclass(frozen=True)
 class PreparedDomain:
+    """One domain as one graph: a graph-level domain's graphs are merged into
+    their disjoint union, whose i-th slice of `sizes` rows is member graph i."""
+
     domain_id: str
     key: int
     basis: DomainBasis
-    members: tuple[PreparedGraph, ...]
+    x: np.ndarray | CsrMatrix  # features in the form `feature_operand` picks
+    s: CsrMatrix  # normalized adjacency, block-diagonal over the members
+    sizes: tuple[int, ...]  # node count of each member graph, in collection order
     gram: np.ndarray  # mean of the members' feature Grams X^T X (d x d)
 
 
@@ -62,47 +64,35 @@ def _domain_key(domain_id: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _stream_rng(config_seed: int, epoch: int, key: int, member: int, stream: int):
-    return np.random.default_rng([config_seed, epoch, key, member, stream])
+def _member_draws(config: TrainConfig, epoch: int, domain: PreparedDomain, stream: int, draw):
+    """draw(rng, rows) for each member graph, stacked (a lone member's as drawn);
+    a member's rng is seeded by (seed, epoch, domain key, member, stream) alone."""
+    draws = [draw(np.random.default_rng([config.seed, epoch, domain.key, member, stream]), rows)
+             for member, rows in enumerate(domain.sizes)]
+    return draws[0] if len(draws) == 1 else np.concatenate(draws)
 
 
 def prepare_domains(collection: GraphCollection, config: TrainConfig) -> list[PreparedDomain]:
     """Group graphs by domain, build frozen bases, normalize adjacencies.
 
-    Domains come back sorted by domain_id; graph-level members keep their
-    collection order within a domain. The basis of a multi-graph domain is
-    computed from the vertically stacked member features, whose Gram is
-    formed once and serves both the basis SVD and the alignment penalties.
+    Domains come back sorted by domain_id. A domain's graphs become one, their
+    `disjoint_union` in collection order: stacked features, whose Gram is
+    formed once for the basis SVD and the alignment penalties, and a
+    block-diagonal adjacency. A node-level domain passes through uncopied.
     """
-    grouped: dict[str, list[DomainGraph]] = {}
-    for graph in collection.graphs:
-        grouped.setdefault(graph.domain_id, []).append(graph)
     prepared = []
-    for domain_id in sorted(grouped):
-        graphs = grouped[domain_id]
-        # index = position within the domain, so noise streams are invariant
-        # to how domains are ordered in the manifest
-        members = [PreparedGraph(i, feature_operand(g.features), normalize_adjacency(g.adjacency))
-                   for i, g in enumerate(graphs)]
-        stacked = members[0].x
-        if len(graphs) > 1:
-            stacked = feature_operand(stack_features(domain_id, [g.features for g in graphs]))
-        if config.k > min(stacked.shape):
-            raise ConfigError(
-                f"k={config.k} exceeds min(n, d)={min(stacked.shape)} for domain '{domain_id}'"
-            )
-        gram = stacked.gram() if isinstance(stacked, CsrMatrix) else stacked.T @ stacked
-        basis = init_basis(stacked, config.k, seed=config.seed, domain_id=domain_id, gram=gram)
-        gram /= len(members)
-        prepared.append(
-            PreparedDomain(
-                domain_id=domain_id,
-                key=_domain_key(domain_id),
-                basis=basis,
-                members=tuple(members),
-                gram=gram,
-            )
-        )
+    for domain_id in sorted(collection.domain_ids()):
+        graphs = collection.by_domain(domain_id)
+        union = disjoint_union(graphs)
+        s = normalize_adjacency(union.adjacency)
+        x = feature_operand(union.features)
+        if config.k > min(x.shape):
+            raise ConfigError(f"k={config.k} exceeds min(n, d)={min(x.shape)} for domain '{domain_id}'")
+        gram = x.gram() if isinstance(x, CsrMatrix) else x.T @ x
+        basis = init_basis(x, config.k, seed=config.seed, domain_id=domain_id, gram=gram)
+        gram /= len(graphs)
+        sizes = tuple(g.num_nodes for g in graphs)
+        prepared.append(PreparedDomain(domain_id, _domain_key(domain_id), basis, x, s, sizes, gram))
     return prepared
 
 
@@ -133,8 +123,6 @@ def infonce_loss(views: list[tuple[Node, Node]], tau: float) -> Node:
     """Contrastive objective over per-domain (anchor, positive) embedding
     pairs; the single negative is the mean embedding over all anchors of all
     domains. Returns the mean per-anchor loss."""
-    if tau <= 0:
-        raise ConfigError(f"InfoNCE temperature must be > 0, got {tau}")
     if not views:
         raise ConfigError("infonce_loss needs at least one domain")
     total_nodes = sum(anchor.shape[0] for anchor, _ in views)
@@ -158,13 +146,6 @@ def _scalar(node: Node) -> float:
     return float(node.value[0, 0])
 
 
-def _mean_nodes(nodes: list[Node]) -> Node:
-    total = nodes[0]
-    for node in nodes[1:]:
-        total = ad.add(total, node)
-    return total if len(nodes) == 1 else ad.scale(total, 1.0 / len(nodes))
-
-
 def build_epoch_loss(
     prepared: list[PreparedDomain],
     params: ParamSet,
@@ -173,9 +154,9 @@ def build_epoch_loss(
 ) -> tuple[Node, dict[str, float]]:
     """One full-batch loss over all domains for the configured variant.
 
-    The reparameterization noise is a pure function of (seed, epoch, domain,
-    member), so a fixed epoch is a fixed, differentiable function of the
-    parameters.
+    The reparameterization noise and the dpu-cl dropout mask of each member
+    graph are a pure function of (seed, epoch, domain, member), so a fixed
+    epoch is a fixed, differentiable function of the parameters.
     """
     variant = config.variant
     total: Node | None = None
@@ -198,38 +179,25 @@ def build_epoch_loss(
             domain_terms.append(ad.scale(align_d, weight) if weight != 1.0 else align_d)
 
         if variant in ("full", "no-dpu"):
-            member_losses = []
-            member_recons = []
-            member_kls = []
-            for member in domain.members:
-                xhat = align(member.x, vhat)
-                rng = _stream_rng(config.seed, epoch, domain.key, member.index, _EPS_STREAM)
-                eps = rng.standard_normal((member.x.shape[0], config.z))
-                loss, recon, kl = loss_total_domain(
-                    xhat, member.s, params, beta_kl=config.beta_kl, eps=eps
-                )
-                member_losses.append(loss)
-                member_recons.append(recon)
-                member_kls.append(kl)
-            domain_terms.append(_mean_nodes(member_losses))
-            accumulate("lda_recon", _mean_nodes(member_recons))
-            accumulate("kl", _mean_nodes(member_kls))
+            eps = _member_draws(config, epoch, domain, _EPS_STREAM,
+                                lambda rng, rows: rng.standard_normal((rows, config.z)))
+            loss, recon, kl = loss_total_domain(
+                align(domain.x, vhat), domain.s, params, config.beta_kl, eps, domain.sizes
+            )
+            domain_terms.append(loss)
+            accumulate("lda_recon", recon)
+            accumulate("kl", kl)
 
         if variant == "dpu-cl":
-            for member in domain.members:
-                xhat = align(member.x, vhat)
-                rng = _stream_rng(config.seed, epoch, domain.key, member.index, _DROPOUT_STREAM)
-                mask = (rng.random(xhat.shape) >= DROPOUT_RATE).astype(np.float64)
-                xhat_view = ad.mul(xhat, ad.constant(mask, "dropout_mask"))
-                anchor = base_layer(xhat, member.s, params)
-                views.append((anchor, base_layer(xhat_view, member.s, params)))
+            xhat = align(domain.x, vhat)
+            mask = _member_draws(config, epoch, domain, _DROPOUT_STREAM,
+                                 lambda rng, rows: rng.random((rows, xhat.shape[1])) >= DROPOUT_RATE)
+            xhat_view = ad.mul(xhat, ad.constant(mask.astype(np.float64), "dropout_mask"))
+            views.append((base_layer(xhat, domain.s, params), base_layer(xhat_view, domain.s, params)))
 
         for term in domain_terms:
-            value = _scalar(term)
-            if not np.isfinite(value):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}, domain '{domain.domain_id}'"
-                )
+            if not np.isfinite(_scalar(term)):
+                raise NumericError(f"non-finite loss at epoch {epoch}, domain '{domain.domain_id}'")
             total = term if total is None else ad.add(total, term)
 
     if variant == "dpu-cl":

@@ -16,7 +16,9 @@ for files that `save_checkpoint` refuses to write. `gcn_direct_order` puts
 back the LDA layers as they were before the graph operator moved to the
 narrow side of their weight products, and `composed_forms` the KL,
 reparameterization and row-wise cosine as they were built from elementary
-primitives before each became one fused primitive.
+primitives before each became one fused primitive. `member_loop_epoch_loss`
+is the epoch loss as it was before a graph-level domain became one
+block-diagonal graph: a loop over the member graphs.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from leda import autodiff as ad
 from leda import evaluate, lda, trainer
 from leda.checkpoint import basis_tensor_name
-from leda.dpu import align, init_basis, trans
+from leda.dpu import align, alignment_penalties, init_basis, trans
 from leda.errors import ConfigError, DataError, NumericError
 from leda.evaluate import (
     COSINE_EPS,
@@ -42,7 +44,7 @@ from leda.evaluate import (
     macro_f1,
     mi_from_scores,
 )
-from leda.lda import base_layer, encode, propagate_extra
+from leda.lda import base_layer, encode, loss_total_domain, propagate_extra
 from leda.linalg import normalize_adjacency
 from leda.optim import AdamWState, adamw_step
 
@@ -472,8 +474,10 @@ def gcn_direct_order():
         lda.base_layer, lda.decode, trainer.base_layer = saved
 
 
-def composed_kl_to_prior(mu, log_sigma):
-    """`lda.kl_to_prior` as a chain of elementary primitives, verbatim."""
+def composed_kl_to_prior(mu, log_sigma, sizes=None):
+    """`lda.kl_to_prior` of one graph as a chain of elementary primitives,
+    verbatim."""
+    assert sizes in (None, (mu.shape[0],)), sizes
     if mu.shape != log_sigma.shape:
         raise ConfigError(f"mu {mu.shape} and log_sigma {log_sigma.shape} must match")
     ls = ad.clip(log_sigma, -lda.LOG_SIGMA_CLAMP, lda.LOG_SIGMA_CLAMP)
@@ -520,3 +524,63 @@ def composed_forms():
         yield
     finally:
         lda.kl_to_prior, ad.reparameterize, ad.rowwise_cosine = saved
+
+
+def _mean_nodes(nodes):
+    total = nodes[0]
+    for node in nodes[1:]:
+        total = ad.add(total, node)
+    return total if len(nodes) == 1 else ad.scale(total, 1.0 / len(nodes))
+
+
+def member_loop_epoch_loss(collection, prepared, params, config, epoch):
+    """`trainer.build_epoch_loss` as a loop over each domain's member graphs,
+    in collection order: each goes through `loss_total_domain`, or makes its
+    own dpu-cl view, alone, with its own features, its own normalized
+    adjacency and the noise of its own stream; a domain's member terms are
+    averaged. Returns (total node, components)."""
+    variant = config.variant
+    components, terms, views = {}, [], []
+
+    def note(key, node):
+        components[key] = components.get(key, 0.0) + float(node.value[0, 0])
+
+    for domain in prepared:
+        graphs = [g for g in collection.graphs if g.domain_id == domain.domain_id]
+        streams = [lambda stream, i=i: np.random.default_rng(
+            [config.seed, epoch, domain.key, i, stream]) for i in range(len(graphs))]
+        vhat = trans(domain.basis.V, params, variant)
+        if variant != "no-dpu":
+            recon, ortho = alignment_penalties(domain.gram, vhat)
+            note("dpu_recon", recon)
+            note("dpu_ortho", ortho)
+            weight = config.mu_align if variant == "full" else 1.0
+            terms.append(ad.scale(ad.add(recon, ad.scale(ortho, config.lam)), weight))
+        if variant in ("full", "no-dpu"):
+            member_terms = [
+                loss_total_domain(
+                    align(g.features, vhat), normalize_adjacency(g.adjacency), params, config.beta_kl,
+                    rng(trainer._EPS_STREAM).standard_normal((g.num_nodes, config.z)),
+                )
+                for g, rng in zip(graphs, streams)
+            ]
+            loss, recon, kl = (_mean_nodes(list(column)) for column in zip(*member_terms))
+            terms.append(loss)
+            note("lda_recon", recon)
+            note("kl", kl)
+        if variant == "dpu-cl":
+            for g, rng in zip(graphs, streams):
+                xhat = align(g.features, vhat)
+                mask = (rng(trainer._DROPOUT_STREAM).random(xhat.shape) >= trainer.DROPOUT_RATE) * 1.0
+                s = normalize_adjacency(g.adjacency)
+                views.append((base_layer(xhat, s, params),
+                              base_layer(ad.mul(xhat, ad.constant(mask)), s, params)))
+    if variant == "dpu-cl":
+        nce = trainer.infonce_loss(views, config.tau)
+        note("infonce", nce)
+        terms.append(nce)
+    total = terms[0]
+    for term in terms[1:]:
+        total = ad.add(total, term)
+    components["total"] = float(total.value[0, 0])
+    return total, components

@@ -7,6 +7,7 @@ import numpy as np
 from leda import autodiff as ad
 from leda.datasets import DomainGraph, GraphCollection, generate_sbm
 from leda.dpu import DomainBasis
+from leda.linalg import CsrMatrix, normalize_adjacency
 from leda.trainer import PreparedDomain, TrainConfig, build_epoch_loss
 
 
@@ -71,11 +72,12 @@ def tiny_config(**overrides) -> TrainConfig:
 def alignment_loss(pairs, params, lam: float):
     """The alignment loss through the trainer: `build_epoch_loss` with
     variant no-lda over one hand-built domain per (features, basis) pair, in
-    list order (Gram X^T X, no members). `params` must hold the DPU and LDA
-    tensors. Returns (total node, components)."""
+    list order (Gram X^T X, an edgeless graph). `params` must hold the DPU
+    and LDA tensors. Returns (total node, components)."""
     prepared = [
         PreparedDomain(
-            domain_id=f"hand{i}", key=i, basis=DomainBasis(f"hand{i}", v), members=(), gram=x.T @ x
+            domain_id=f"hand{i}", key=i, basis=DomainBasis(f"hand{i}", v), x=x,
+            s=normalize_adjacency(CsrMatrix.from_edges(len(x), [])), sizes=(len(x),), gram=x.T @ x,
         )
         for i, (x, v) in enumerate(pairs)
     ]

@@ -31,6 +31,15 @@ class TestForward:
         out = ad.frobenius_sq(ad.constant([[3.0, 4.0]]))
         assert out.value[0, 0] == 25.0
 
+    def test_row_weights_scale_each_row(self):
+        x = ad.constant([[3.0, 4.0], [1.0, 0.0]])
+        assert ad.frobenius_sq(x, 0.5).value[0, 0] == 13.0
+        assert ad.frobenius_sq(x, np.array([[0.5], [2.0]])).value[0, 0] == 14.5
+        mu, zero = ad.constant([[2.0], [1.0]]), ad.constant(np.zeros((2, 1)))
+        # KL of N(mu, 1) to N(0, 1) is mu^2 / 2 per entry
+        assert ad.gaussian_kl(mu, zero, 10.0).value[0, 0] == 1.25
+        assert ad.gaussian_kl(mu, zero, 10.0, np.array([[1.0], [3.0]])).value[0, 0] == 3.5
+
     def test_shape_mismatch_names_operands(self):
         a = ad.constant(np.zeros((2, 3)), "lhs")
         b = ad.constant(np.zeros((2, 3)), "rhs")
@@ -205,6 +214,10 @@ def _random_case(rng, case):
     elif case == "frobenius_sq":
         shapes = [(n, m)]
         build = lambda xs: ad.frobenius_sq(xs[0])
+    elif case == "frobenius_sq_weighted":
+        shapes = [(n, m)]
+        weight = rng.random((n, 1)) + 0.1
+        build = lambda xs: ad.frobenius_sq(xs[0], weight)
     elif case == "reparameterize":
         shapes = [(n, m), (n, m)]
         eps = rng.standard_normal((n, m))
@@ -212,6 +225,10 @@ def _random_case(rng, case):
     elif case == "gaussian_kl":
         shapes = [(n, m), (n, m)]
         build = lambda xs: ad.gaussian_kl(xs[0], xs[1], KL_CASE_CLAMP)
+    elif case == "gaussian_kl_weighted":
+        shapes = [(n, m), (n, m)]
+        weight = rng.random((n, 1)) + 0.1
+        build = lambda xs: ad.gaussian_kl(xs[0], xs[1], KL_CASE_CLAMP, weight)
     elif case == "rowwise_cosine":
         shapes = [(n, m), (n, m)]
         build = lambda xs: ad.rowwise_cosine(xs[0], xs[1], 1e-12)
@@ -233,7 +250,7 @@ def _random_case(rng, case):
         values.append(v)
     if case == "div":
         values[1] = np.sign(values[1]) * (np.abs(values[1]) + 0.5)
-    if case == "gaussian_kl":
+    if case.startswith("gaussian_kl"):
         # log_sigma lies inside the clamp or beyond it, away from the kinks;
         # one entry beyond each side, so the mask always cuts gradients
         u = values[1]
@@ -250,13 +267,13 @@ ALL_CASES = [
     "matmul", "matmul_ta", "matmul_tb", "sparse", "relu", "add_row_bias",
     "add", "add_broadcast", "sub", "mul", "div", "exp", "log", "sqrt",
     "square", "scale", "clip", "reduce_sum_rows", "reduce_mean_cols",
-    "frobenius_sq", "reparameterize", "gaussian_kl", "rowwise_cosine",
-    "rowwise_cosine_broadcast",
+    "frobenius_sq", "frobenius_sq_weighted", "reparameterize", "gaussian_kl",
+    "gaussian_kl_weighted", "rowwise_cosine", "rowwise_cosine_broadcast",
 ]
 
 
 def test_every_primitive_matches_finite_differences_over_many_cases():
-    # 6 seeded draws per primitive: 144 random cases in total.
+    # 6 seeded draws per case: 156 random cases in total.
     total = 0
     for case in ALL_CASES:
         for trial in range(6):

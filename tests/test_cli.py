@@ -460,6 +460,82 @@ class TestTrainFlags:
         assert json.loads(report.read_text())["config"]["data"] == str(moved)
 
 
+def graph_level_manifest(root: Path, graphs) -> Path:
+    """A degree-featurized graph-level manifest: each (domain id, node count,
+    graph label) is a path graph, in order."""
+    root.mkdir()
+    entries = []
+    for pos, (domain_id, n, label) in enumerate(graphs):
+        (root / f"g{pos}.tsv").write_text("".join(f"{i}\t{i + 1}\n" for i in range(n - 1)))
+        entries.append({"domain_id": domain_id, "edges_path": f"g{pos}.tsv", "num_nodes": n,
+                        "graph_label": label})
+    path = root / "manifest.json"
+    path.write_text(json.dumps({"version": 1, "task_kind": "graph-level", "domains": entries}))
+    return path
+
+
+class TestGraphLevel:
+    @pytest.mark.parametrize("command", ["pretrain", "eval-graph"])
+    def test_zero_node_graph_exits_3_naming_domain_and_position(
+        self, suite, ckpt_path, tmp_path, capsys, command
+    ):
+        manifest = graph_level_manifest(
+            tmp_path / "data", [("ga", 5, 0), ("ga", 4, 1), ("gb", 0, 0), ("gb", 6, 1)]
+        )
+        if command == "pretrain":
+            args = ["pretrain", "--config", str(suite["config"]), "--out", str(tmp_path / "m.ckpt")]
+        else:
+            args = ["eval-graph", "--ckpt", str(ckpt_path), "--repeats", "5"]
+        assert main(args + ["--manifest", str(manifest)]) == 3
+        assert capsys.readouterr().err == (
+            "data error: domain 'gb': graph-level entry #2 has no nodes\n"
+        )
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_ablate_refuses_graph_level_data_before_training(
+        self, suite, tmp_path, capsys, monkeypatch
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("ablate trained on graph-level data")
+
+        monkeypatch.setattr("leda.trainer.pretrain", no_training)
+        manifest = graph_level_manifest(tmp_path / "data", [("ga", 5, 0), ("gb", 4, 1)])
+        args = ["ablate", "--config", str(suite["config"]), "--manifest", str(manifest),
+                "--test-domain", "gb"]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ablate needs node-level data")
+        assert "pretrain" in err and "eval-graph" in err
+        assert "graph_labels" not in err
+
+    @pytest.mark.parametrize("task_kind", ["node-level", "graph-level"])
+    def test_pretrain_k_above_the_stacked_rows_exits_2(self, suite, tmp_path, capsys, task_kind):
+        """k=4, and the domain stacks 3 feature rows of width 16."""
+        if task_kind == "graph-level":
+            manifest = graph_level_manifest(tmp_path / "data", [("few", 1, 0), ("few", 2, 1)])
+        else:
+            graph = generate_sbm(1, 3, 1.0, 0.0, d=16, cluster_sep=1.0, seed=0, domain_id="few")
+            manifest = save_dataset(GraphCollection((graph,), "node-level"), tmp_path / "data")
+        code = main(["pretrain", "--config", str(suite["config"]), "--manifest", str(manifest),
+                     "--out", str(tmp_path / "m.ckpt")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: k=4 exceeds min(n, d)=3 for domain 'few'\n"
+        )
+
+    def test_eval_graph_unseen_domain_below_k_rows_exits_3(self, ckpt_path, tmp_path, capsys):
+        """The checkpoint's k is 4; the unseen domain stacks 3 rows."""
+        manifest = graph_level_manifest(
+            tmp_path / "data", [("few", 1, 0), ("few", 1, 1), ("few", 1, 0)]
+        )
+        code = main(["eval-graph", "--ckpt", str(ckpt_path), "--manifest", str(manifest),
+                     "--repeats", "5"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "data error: domain 'few': cannot derive a rank-4 basis from a 3x16 feature matrix\n"
+        )
+
+
 # Every option of every subcommand: (dest, type, default, required, choices, action).
 _STORE, _TRUE, _APPEND = "_StoreAction", "_StoreTrueAction", "_AppendAction"
 PARSER_SURFACE = {

@@ -273,10 +273,13 @@ class TestGramForm:
         )
         collection = GraphCollection(graphs=graphs, task_kind="graph-level", graph_labels=(0, 1, 0))
         (domain,) = prepare_domains(collection, tiny_config())
-        assert len(domain.members) == 3
+        assert domain.sizes == (10, 12, 14)
         vhat = trans(domain.basis.V, random_params(4, 8, 4, seed=31), "full")
         recon, ortho = alignment_penalties(domain.gram, vhat)
-        direct = [direct_reconstruction(m.x, vhat.value)[0] for m in domain.members]
+        bounds = np.cumsum((0,) + domain.sizes)
+        direct = [direct_reconstruction(domain.x[lo:hi], vhat.value)[0]
+                  for lo, hi in zip(bounds[:-1], bounds[1:])]
+        assert np.array_equal(domain.x, np.concatenate([g.features for g in graphs]))
         assert abs(recon.value[0, 0] - np.mean(direct)) <= 1e-12 * np.trace(domain.gram)
         vtv = vhat.value.T @ vhat.value
         assert ortho.value[0, 0] == pytest.approx(np.sum((vtv - np.eye(4)) ** 2), rel=1e-12)

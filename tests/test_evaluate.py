@@ -182,7 +182,7 @@ class TestGraphEval:
             )
             stripped = DomainGraph(
                 domain_id="glv",
-                features=np.zeros((g.num_nodes, 0)) if False else g.features,
+                features=g.features,
                 adjacency=g.adjacency,
             )
             graphs.append(stripped)

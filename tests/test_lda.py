@@ -315,12 +315,12 @@ def assert_matches_oracle(fn, arrays, oracle=gcn_direct_order, rtol=ORDER_RTOL):
 
 
 def aligned(prepared, params, variant):
-    """(member, Xhat array) for every member; the tests add Xhat to the
+    """(domain, Xhat array) for every domain; the tests add Xhat to the
     parameters, so its gradient is checked too."""
     out = []
     for domain in prepared:
         vhat = trans(domain.basis.V, paramset_of(params), variant)
-        out.extend((member, align(member.x, vhat).value) for member in domain.members)
+        out.append((domain, align(domain.x, vhat).value))
     return out
 
 
@@ -329,8 +329,8 @@ def epoch_loss_with_xhat(prepared, config, monkeypatch):
     parameter to each X̂ the trainer aligns, in call order, so that the
     gradient reaching X̂ is returned with the parameters'. Variant no-lda
     forms no X̂ (its penalties read the Gram), so its probes stay zero."""
-    probes = {f"xhat{i}": np.zeros((member.x.shape[0], config.m))
-              for i, member in enumerate(m for d in prepared for m in d.members)}
+    probes = {f"xhat{i}": np.zeros((domain.x.shape[0], config.m))
+              for i, domain in enumerate(prepared)}
     current = {}
 
     def align_spy(x, vhat):
@@ -354,23 +354,23 @@ class TestGraphOperatorOrder:
 
     def test_loss_total_domain(self, order_state):
         prepared, params, config = order_state["full"]
-        for i, (member, xhat) in enumerate(aligned(prepared, params, "full")):
+        for i, (domain, xhat) in enumerate(aligned(prepared, params, "full")):
             eps = np.random.default_rng([2, i]).standard_normal((xhat.shape[0], config.z))
 
-            def fn(ps, member=member, eps=eps):
-                loss, recon, kl = loss_total_domain(ps["xhat"], member.s, ps, config.beta_kl, eps)
+            def fn(ps, domain=domain, eps=eps):
+                loss, recon, kl = loss_total_domain(ps["xhat"], domain.s, ps, config.beta_kl, eps)
                 return {"loss": loss, "recon": recon, "kl": kl}
 
             assert_matches_oracle(fn, {**params, "xhat": xhat})
 
     def test_dpu_cl_views(self, order_state):
         prepared, params, config = order_state["dpu-cl"]
-        for i, (member, xhat) in enumerate(aligned(prepared, params, "dpu-cl")):
+        for i, (domain, xhat) in enumerate(aligned(prepared, params, "dpu-cl")):
             mask = (np.random.default_rng([3, i]).random(xhat.shape) >= DROPOUT_RATE) * 1.0
 
-            def fn(ps, member=member, mask=mask):
-                anchor = base_layer(ps["xhat"], member.s, ps)
-                positive = base_layer(ad.mul(ps["xhat"], ad.constant(mask)), member.s, ps)
+            def fn(ps, domain=domain, mask=mask):
+                anchor = base_layer(ps["xhat"], domain.s, ps)
+                positive = base_layer(ad.mul(ps["xhat"], ad.constant(mask)), domain.s, ps)
                 loss = infonce_loss([(anchor, positive)], config.tau)
                 return {"loss": loss, "anchor": anchor, "positive": positive}
 
@@ -388,7 +388,7 @@ class TestGraphOperatorOrder:
 
     @pytest.mark.parametrize("variant, widths", [("full", ("m", "h_e", "m")), ("dpu-cl", ("m", "m"))])
     def test_graph_operator_widths(self, monkeypatch, variant, widths):
-        """The widths S multiplies per member in one epoch of `pretrain`,
+        """The widths S multiplies per domain in one epoch of `pretrain`,
         forward and backward; the features are dense, so every square
         operand is a graph operator."""
         seen = {"matmul_dense": [], "t_matmul_dense": []}
@@ -415,12 +415,12 @@ class TestFusedPrimitives:
     SBM pair at initialization and near convergence."""
 
     def posteriors(self, order_state):
-        """(mu, log_sigma) arrays of every member under `full`, and once more
+        """(mu, log_sigma) arrays of every domain under `full`, and once more
         with log_sigma stretched past the clamp, so that the mask cuts."""
         prepared, params, config = order_state["full"]
         out = []
-        for member, xhat in aligned(prepared, params, "full"):
-            state = encode(ad.constant(xhat), member.s, paramset_of(params))
+        for domain, xhat in aligned(prepared, params, "full"):
+            state = encode(ad.constant(xhat), domain.s, paramset_of(params))
             mu, log_sigma = state.mu.value, state.log_sigma.value
             out.append((mu, log_sigma))
             out.append((mu, log_sigma * (1.5 * lda.LOG_SIGMA_CLAMP / np.max(np.abs(log_sigma)))))
@@ -448,11 +448,11 @@ class TestFusedPrimitives:
 
     def test_loss_total_domain_is_bitwise_the_composition(self, order_state):
         prepared, params, config = order_state["full"]
-        for i, (member, xhat) in enumerate(aligned(prepared, params, "full")):
+        for i, (domain, xhat) in enumerate(aligned(prepared, params, "full")):
             eps = np.random.default_rng([2, i]).standard_normal((xhat.shape[0], config.z))
 
-            def fn(ps, member=member, eps=eps):
-                loss, recon, kl = loss_total_domain(ps["xhat"], member.s, ps, config.beta_kl, eps)
+            def fn(ps, domain=domain, eps=eps):
+                loss, recon, kl = loss_total_domain(ps["xhat"], domain.s, ps, config.beta_kl, eps)
                 return {"loss": loss, "recon": recon, "kl": kl}
 
             assert_matches_oracle(fn, {**params, "xhat": xhat}, composed_forms, rtol=0)
@@ -462,11 +462,11 @@ class TestFusedPrimitives:
         and against the mean embedding (one broadcast row)."""
         prepared, params, config = order_state["dpu-cl"]
         arrays = {}
-        for i, (member, xhat) in enumerate(aligned(prepared, params, "dpu-cl")):
+        for i, (domain, xhat) in enumerate(aligned(prepared, params, "dpu-cl")):
             mask = (np.random.default_rng([3, i]).random(xhat.shape) >= DROPOUT_RATE) * 1.0
             ps = paramset_of(params)
-            arrays[f"anchor{i}"] = base_layer(ad.constant(xhat), member.s, ps).value
-            arrays[f"positive{i}"] = base_layer(ad.constant(xhat * mask), member.s, ps).value
+            arrays[f"anchor{i}"] = base_layer(ad.constant(xhat), domain.s, ps).value
+            arrays[f"positive{i}"] = base_layer(ad.constant(xhat * mask), domain.s, ps).value
         count = len(arrays) // 2
 
         def fn(ps):

@@ -1,4 +1,5 @@
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ import pytest
 from leda import autodiff as ad
 from leda import trainer
 from leda.checkpoint import save_checkpoint
-from leda.datasets import GraphCollection, generate_sbm
+from leda.config import VARIANTS
+from leda.datasets import DomainGraph, GraphCollection, generate_sbm
+from leda.dpu import init_basis
+from leda.evaluate import embed, pooled_graph_embeddings
 from leda.errors import ConfigError, DataError, NumericError
 from leda.linalg import CsrMatrix
 from leda.trainer import (
@@ -19,7 +23,7 @@ from leda.trainer import (
     pretrain,
 )
 
-from oracles import gradient_check, registered_paramset
+from oracles import gradient_check, member_loop_epoch_loss, registered_paramset
 from synthetic import bow_collection, node_collection, tiny_config
 
 
@@ -274,7 +278,7 @@ class TestJointLossGradient:
         # where central differences fail on the dense path alike
         collection = bow_collection(seed=3, dims=(50, 60))
         prepared, worst = joint_loss_gradient_error(collection)
-        assert all(isinstance(m.x, CsrMatrix) for d in prepared for m in d.members)
+        assert all(isinstance(d.x, CsrMatrix) for d in prepared)
         assert worst < 1e-4
 
 
@@ -282,8 +286,8 @@ class TestSparseFeatures:
     def test_bag_of_words_domain_holds_csr_features_and_a_c_ordered_gram(self):
         collection = bow_collection(seed=4)
         for graph, domain in zip(collection.graphs, prepare_domains(collection, tiny_config())):
-            (member,) = domain.members
-            assert isinstance(member.x, CsrMatrix)
+            assert domain.sizes == (graph.num_nodes,)
+            assert isinstance(domain.x, CsrMatrix)
             assert domain.gram.flags.c_contiguous
             assert domain.gram.tobytes() == (graph.features.T @ graph.features).tobytes()
 
@@ -299,3 +303,90 @@ class TestSparseFeatures:
                 dense = pretrain(collection, config).final_loss
             for key, want in dense.items():
                 assert abs(sparse[key] - want) <= 1e-12 * abs(want), (variant, key)
+
+
+GRAPH_LEVEL_RTOL = 1e-12
+
+
+def graph_level_collection():
+    """Two domains, interleaved in collection order, of random graphs with
+    Gaussian features of width 6: unequal sizes, one 1-node graph, and five
+    graphs smaller than tiny_config's k=4."""
+    rng = np.random.default_rng(12)
+    graphs, labels = [], []
+    for domain_id, n in (("ga", 5), ("gb", 4), ("ga", 1), ("ga", 9), ("gb", 11), ("ga", 3),
+                         ("gb", 2), ("ga", 2), ("gb", 6), ("ga", 7), ("gb", 3)):
+        upper = np.triu(rng.random((n, n)) < 0.5, k=1)
+        adjacency = CsrMatrix.from_dense((upper | upper.T) * 1.0)
+        graphs.append(DomainGraph(domain_id, rng.standard_normal((n, 6)), adjacency))
+        labels.append(len(graphs) % 2)
+    return GraphCollection(tuple(graphs), "graph-level", tuple(labels))
+
+
+def assert_close(got, want, what):
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(np.asarray(got) - want)) <= GRAPH_LEVEL_RTOL * scale, what
+
+
+class TestBlockDiagonalDomain:
+    """A graph-level domain trains and embeds as one block-diagonal graph;
+    the member-by-member loop is the reference, to 1e-12 relative."""
+
+    def test_domain_is_one_graph_over_its_members(self):
+        collection = graph_level_collection()
+        ga, gb = prepare_domains(collection, tiny_config())
+        assert (ga.domain_id, ga.sizes) == ("ga", (5, 1, 9, 3, 2, 7))
+        assert (gb.domain_id, gb.sizes) == ("gb", (4, 11, 2, 6, 3))
+        members = [g for g in collection.graphs if g.domain_id == "gb"]
+        assert np.array_equal(gb.x, np.concatenate([g.features for g in members]))
+        assert gb.s.shape == (26, 26)
+
+    def test_lone_graph_features_pass_through_uncopied(self):
+        collection = node_collection()
+        for graph, domain in zip(collection.graphs, prepare_domains(collection, tiny_config())):
+            assert domain.sizes == (graph.num_nodes,)
+            assert domain.x is graph.features
+
+    @pytest.mark.parametrize("epochs", [0, 50], ids=["init", "trained"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_epoch_loss_matches_the_member_loop(self, variant, epochs):
+        """Loss, every component and every parameter gradient, at
+        initialization and after 50 epochs, with that epoch's noise."""
+        collection = graph_level_collection()
+        config = tiny_config(variant=variant, epochs=epochs)
+        arrays = pretrain(collection, config).params
+        prepared = prepare_domains(collection, config)
+        results = []
+        for build in (build_epoch_loss, lambda *args: member_loop_epoch_loss(collection, *args)):
+            params = ad.ParamSet()
+            for name, value in arrays.items():
+                params.add(name, value.copy())
+            loss, components = build(prepared, params, config, epochs)
+            ad.backward(loss)
+            results.append((components, {name: node.grad for name, node in params.items()}))
+        (got, got_grads), (want, want_grads) = results
+        assert got.keys() == want.keys()
+        for key in want:
+            assert_close(got[key], want[key], key)
+        for name in want_grads:
+            assert_close(got_grads[name], want_grads[name], name)
+        assert any(np.any(grad != 0) for grad in want_grads.values())
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_pooled_embeddings_match_per_graph_embed(self, variant):
+        collection = graph_level_collection()
+        ckpt = pretrain(collection, tiny_config(variant=variant, epochs=5))
+        want = np.stack([embed(g, ckpt, t=1).E.mean(axis=0) for g in collection.graphs])
+        assert_close(pooled_graph_embeddings(collection, ckpt, t=1), want, variant)
+
+    def test_unseen_domain_pools_under_one_basis_from_its_stacked_features(self):
+        collection = graph_level_collection()
+        ckpt = pretrain(node_collection(), tiny_config(epochs=5))
+        bases = [
+            init_basis(np.concatenate([g.features for g in collection.by_domain(d)]),
+                       ckpt.config.k, seed=ckpt.config.seed, domain_id=d)
+            for d in ("ga", "gb")
+        ]
+        covered = replace(ckpt, bases=ckpt.bases + bases)
+        want = np.stack([embed(g, covered, t=1).E.mean(axis=0) for g in collection.graphs])
+        assert_close(pooled_graph_embeddings(collection, ckpt, t=1), want, "unseen")
