@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from operator import methodcaller
 from pathlib import Path
 
@@ -113,13 +114,19 @@ class GraphCollection:
             if len(labels) != len(self.graphs):
                 raise DataError("graph_labels length must match graph count")
             object.__setattr__(self, "graph_labels", labels)
-            for pos, g in enumerate(self.graphs):
-                if g.num_nodes == 0:
-                    raise DataError(f"domain '{g.domain_id}': graph-level entry #{pos} has no nodes")
         else:
             ids = [g.domain_id for g in self.graphs]
             if len(set(ids)) != len(ids):
                 raise DataError("node-level collection requires unique domain_ids")
+        for pos, g in enumerate(self.graphs):
+            if g.num_nodes == 0:
+                raise DataError(f"domain '{g.domain_id}': {self.task_kind} entry #{pos} has no nodes")
+
+    @cached_property
+    def _prepared(self) -> dict:
+        """Training operands derived from these graphs (`trainer.prepare_domains`
+        fills it): built once, dropped with the collection."""
+        return {}
 
     def domain_ids(self) -> list[str]:
         return list(dict.fromkeys(g.domain_id for g in self.graphs))

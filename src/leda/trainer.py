@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import Node, ParamSet
 from .checkpoint import Checkpoint, param_shapes
 from .config import VARIANTS, TrainConfig  # noqa: F401  (VARIANTS is read from here too)
-from .datasets import GraphCollection, disjoint_union
+from .datasets import DomainGraph, GraphCollection, disjoint_union
 from .dpu import DomainBasis, align, alignment_penalties, init_basis, trans
 from .errors import ConfigError, DataError, NumericError
 from .lda import base_layer, loss_total_domain
@@ -72,6 +73,27 @@ def _member_draws(config: TrainConfig, epoch: int, domain: PreparedDomain, strea
     return draws[0] if len(draws) == 1 else np.concatenate(draws)
 
 
+class _Operands(NamedTuple):
+    """A domain's training operands: what no config field changes."""
+
+    x: np.ndarray | CsrMatrix
+    s: CsrMatrix
+    sizes: tuple[int, ...]
+    gram: np.ndarray  # the members' mean Gram, as PreparedDomain holds it
+    gram_sum: np.ndarray  # x^T x, for the basis SVD; `gram` itself for a lone graph
+
+
+def _domain_operands(graphs: list[DomainGraph]) -> _Operands:
+    union = disjoint_union(graphs)
+    s = normalize_adjacency(union.adjacency)
+    x = feature_operand(union.features)
+    gram_sum = x.gram() if isinstance(x, CsrMatrix) else x.T @ x
+    gram = gram_sum / len(graphs) if len(graphs) > 1 else gram_sum
+    gram_sum.setflags(write=False)
+    gram.setflags(write=False)
+    return _Operands(x, s, tuple(g.num_nodes for g in graphs), gram, gram_sum)
+
+
 def prepare_domains(collection: GraphCollection, config: TrainConfig) -> list[PreparedDomain]:
     """Group graphs by domain, build frozen bases, normalize adjacencies.
 
@@ -79,21 +101,34 @@ def prepare_domains(collection: GraphCollection, config: TrainConfig) -> list[Pr
     `disjoint_union` in collection order: stacked features, whose Gram is
     formed once for the basis SVD and the alignment penalties, and a
     block-diagonal adjacency. A node-level domain passes through uncopied.
+
+    The collection keeps what this builds for as long as it lives, all of
+    it read-only: each domain's `s`, `x`, `gram` and `sizes` once, whatever
+    the config, and the domains with their bases once per (k, seed), the
+    only config fields read here. Every call checks k against each domain
+    before any SVD runs.
     """
-    prepared = []
-    for domain_id in sorted(collection.domain_ids()):
-        graphs = collection.by_domain(domain_id)
-        union = disjoint_union(graphs)
-        s = normalize_adjacency(union.adjacency)
-        x = feature_operand(union.features)
-        if config.k > min(x.shape):
-            raise ConfigError(f"k={config.k} exceeds min(n, d)={min(x.shape)} for domain '{domain_id}'")
-        gram = x.gram() if isinstance(x, CsrMatrix) else x.T @ x
-        basis = init_basis(x, config.k, seed=config.seed, domain_id=domain_id, gram=gram)
-        gram /= len(graphs)
-        sizes = tuple(g.num_nodes for g in graphs)
-        prepared.append(PreparedDomain(domain_id, _domain_key(domain_id), basis, x, s, sizes, gram))
-    return prepared
+    memo = collection._prepared
+    operands = memo.setdefault("operands", {})  # domain_id -> _Operands
+    domain_ids = sorted(collection.domain_ids())
+    for domain_id in domain_ids:
+        if domain_id not in operands:
+            operands[domain_id] = _domain_operands(collection.by_domain(domain_id))
+        rank_bound = min(operands[domain_id].x.shape)
+        if config.k > rank_bound:
+            raise ConfigError(f"k={config.k} exceeds min(n, d)={rank_bound} for domain '{domain_id}'")
+    by_key = memo.setdefault("domains", {})  # (k, seed) -> tuple[PreparedDomain, ...]
+    key = (config.k, config.seed)
+    if key not in by_key:
+        prepared = []
+        for domain_id in domain_ids:
+            op = operands[domain_id]
+            basis = init_basis(op.x, config.k, seed=config.seed, domain_id=domain_id, gram=op.gram_sum)
+            prepared.append(
+                PreparedDomain(domain_id, _domain_key(domain_id), basis, op.x, op.s, op.sizes, op.gram)
+            )
+        by_key[key] = tuple(prepared)
+    return list(by_key[key])
 
 
 def init_paramset(config: TrainConfig) -> ParamSet:

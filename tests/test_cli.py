@@ -133,6 +133,23 @@ class TestPretrain:
         assert not outputs["--out"].exists()
         assert calls == []
 
+    def test_zero_node_domain_exits_3_naming_domain_and_position(self, suite, tmp_path, capsys):
+        """A node-level entry with no nodes is a data defect, refused at load
+        as a graph-level one is, not a k error from training."""
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "full.tsv").write_text("0\t1\n1\t2\n2\t3\n3\t4\n")
+        (data / "empty.tsv").write_text("")
+        entries = [{"domain_id": "full", "edges_path": "full.tsv", "num_nodes": 5},
+                   {"domain_id": "empty", "edges_path": "empty.tsv", "num_nodes": 0}]
+        manifest = data / "manifest.json"
+        manifest.write_text(json.dumps({"version": 1, "domains": entries}))
+        args = ["pretrain", "--config", str(suite["config"]), "--manifest", str(manifest),
+                "--out", str(tmp_path / "m.ckpt")]
+        assert main(args) == 3
+        assert capsys.readouterr().err == "data error: domain 'empty': node-level entry #1 has no nodes\n"
+        assert not (tmp_path / "m.ckpt").exists()
+
     @pytest.mark.parametrize("token", ["nan", "-inf"])
     def test_non_finite_sparse_features_exit_3(self, suite, tmp_path, capsys, token):
         manifest = save_dataset(bow_collection(seed=2), tmp_path / "bow")

@@ -269,6 +269,12 @@ class TestDomainGraphValidation:
         with pytest.raises(DataError, match=r"^domain 'empty': graph-level entry #1 has no nodes$"):
             GraphCollection(graphs=(g, empty, g), task_kind=GRAPH_LEVEL, graph_labels=(0, 1, 0))
 
+    def test_node_level_zero_node_graph_names_domain_and_position(self):
+        g = generate_sbm(2, 2, 0.9, 0.1, d=2, cluster_sep=1.0, seed=0, domain_id="full")
+        empty = DomainGraph("empty", np.zeros((0, 2)), CsrMatrix.from_dense(np.zeros((0, 0))))
+        with pytest.raises(DataError, match=r"^domain 'empty': node-level entry #1 has no nodes$"):
+            GraphCollection(graphs=(g, empty), task_kind="node-level")
+
 
 class TestDisjointUnion:
     @staticmethod

@@ -100,9 +100,13 @@ class TestPretrain:
             assert np.array_equal(ckpt.params[name], arr)
 
     def test_same_seed_bit_identical(self):
+        """Twice on one collection (the second call reuses its prepared
+        domains) and once on a freshly built, equal collection."""
         collection = node_collection()
         config = tiny_config(epochs=15)
-        assert checkpoints_equal(pretrain(collection, config), pretrain(collection, config))
+        first = pretrain(collection, config)
+        assert checkpoints_equal(first, pretrain(collection, config))
+        assert checkpoints_equal(first, pretrain(node_collection(), config))
 
     def test_copy_on_first_accumulate_keeps_checkpoint_bytes(self, tmp_path, monkeypatch):
         collection, config = node_collection(), tiny_config(epochs=5)
@@ -220,10 +224,12 @@ class TestVariants:
             collection,
             tiny_config(epochs=0, variant=variant, mu_align=0.5, two_phase=True, two_phase_epochs=6),
         )
-        no_lda = pretrain(collection, tiny_config(epochs=6, variant="no-lda", mu_align=0.5))
-        for name in ("dpu.W1", "dpu.b1", "dpu.W2", "dpu.b2"):
-            assert phased.params[name].tobytes() == no_lda.params[name].tobytes()
-        assert phased.loss_trace == no_lda.loss_trace
+        no_lda_config = tiny_config(epochs=6, variant="no-lda", mu_align=0.5)
+        # on the same collection (its prepared domains reused) and on a fresh one
+        for no_lda in (pretrain(collection, no_lda_config), pretrain(node_collection(), no_lda_config)):
+            for name in ("dpu.W1", "dpu.b1", "dpu.W2", "dpu.b2"):
+                assert phased.params[name].tobytes() == no_lda.params[name].tobytes()
+            assert phased.loss_trace == no_lda.loss_trace
 
 
 class TestInfoNCE:
@@ -294,13 +300,13 @@ class TestSparseFeatures:
     def test_final_losses_match_the_dense_path(self, monkeypatch):
         import leda.trainer
 
-        collection = bow_collection(seed=5)
         for variant in ("full", "no-dpu", "no-lda", "dpu-cl"):
             config = tiny_config(epochs=5, variant=variant)
-            sparse = pretrain(collection, config).final_loss
+            sparse = pretrain(bow_collection(seed=5), config).final_loss
+            # a fresh collection: one that has been prepared keeps its CSR operands
             with monkeypatch.context() as patch:
                 patch.setattr(leda.trainer, "feature_operand", lambda x: x)
-                dense = pretrain(collection, config).final_loss
+                dense = pretrain(bow_collection(seed=5), config).final_loss
             for key, want in dense.items():
                 assert abs(sparse[key] - want) <= 1e-12 * abs(want), (variant, key)
 
@@ -390,3 +396,126 @@ class TestBlockDiagonalDomain:
         covered = replace(ckpt, bases=ckpt.bases + bases)
         want = np.stack([embed(g, covered, t=1).E.mean(axis=0) for g in collection.graphs])
         assert_close(pooled_graph_embeddings(collection, ckpt, t=1), want, "unseen")
+
+
+COLLECTIONS = {
+    "dense": node_collection,
+    "bag-of-words": lambda: bow_collection(seed=4),
+    "graph-level": graph_level_collection,
+}
+# a valid value other than tiny_config's for every TrainConfig field but k and seed
+OTHER_FIELD_VALUES = {
+    "epochs": 7, "lr": 0.5, "beta1": 0.5, "beta2": 0.5, "adam_eps": 1e-3, "weight_decay": 0.5,
+    "h": 9, "m": 3, "lam": 0.5, "h_e": 9, "z": 5, "beta_kl": 0.5, "mu_align": 0.5,
+    "variant": "no-lda", "tau": 0.1, "two_phase": True, "two_phase_epochs": 3, "threads": 2,
+}
+
+
+def count_calls(monkeypatch, owner, name, counts):
+    """Count the calls of owner.<name> in counts[name], passing them through."""
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    counts[name] = 0
+    monkeypatch.setattr(owner, name, spy)
+
+
+def is_read_only(operand):
+    arrays = ((operand.row_offsets, operand.col_indices, operand.values)
+              if isinstance(operand, CsrMatrix) else (operand,))
+    return not any(a.flags.writeable for a in arrays)
+
+
+class TestPreparedOnce:
+    """A collection prepares each domain's operands once, and each domain's
+    basis once per (k, seed)."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {}
+        for name in ("normalize_adjacency", "init_basis", "feature_operand"):
+            count_calls(monkeypatch, trainer, name, counts)
+        count_calls(monkeypatch, CsrMatrix, "gram", counts)
+        return counts
+
+    @pytest.mark.parametrize("kind", COLLECTIONS)
+    def test_each_domain_is_prepared_once_across_variants_and_two_phase(self, counts, kind):
+        collection = COLLECTIONS[kind]()
+        domains = len(collection.domain_ids())
+        for variant in VARIANTS:
+            pretrain(collection, tiny_config(variant=variant, epochs=1))
+        pretrain(collection, tiny_config(epochs=1, two_phase=True, two_phase_epochs=1))
+        sparse_grams = domains if kind == "bag-of-words" else 0
+        assert counts == {"normalize_adjacency": domains, "init_basis": domains,
+                          "feature_operand": domains, "gram": sparse_grams}
+
+    @pytest.mark.parametrize("change", [{"k": 3}, {"seed": 7}, {"k": 3, "seed": 7}])
+    @pytest.mark.parametrize("kind", COLLECTIONS)
+    def test_new_k_or_seed_recomputes_only_the_basis(self, counts, kind, change):
+        collection = COLLECTIONS[kind]()
+        first = prepare_domains(collection, tiny_config())
+        before = dict(counts)
+        again = prepare_domains(collection, tiny_config(**change))
+        assert counts["init_basis"] - before["init_basis"] == len(first)
+        assert {name: counts[name] - before[name] for name in counts if name != "init_basis"} == {
+            "normalize_adjacency": 0, "feature_operand": 0, "gram": 0}
+        for old, new in zip(first, again):
+            assert new.s is old.s and new.x is old.x and new.gram is old.gram
+            assert new.sizes == old.sizes and new.basis is not old.basis
+
+    def test_every_other_config_field_hits_the_memo(self, counts):
+        assert set(OTHER_FIELD_VALUES) | {"k", "seed"} == set(TrainConfig.__dataclass_fields__)
+        collection = node_collection()
+        first = prepare_domains(collection, tiny_config())
+        before = dict(counts)
+        for name, value in OTHER_FIELD_VALUES.items():
+            again = prepare_domains(collection, tiny_config(**{name: value}))
+            assert len(again) == len(first) and all(a is b for a, b in zip(again, first)), name
+        assert counts == before
+
+    @pytest.mark.parametrize("kind", COLLECTIONS)
+    def test_cached_arrays_are_read_only(self, kind):
+        collection = COLLECTIONS[kind]()
+        prepare_domains(collection, tiny_config())
+        for domain in prepare_domains(collection, tiny_config()):
+            for operand in (domain.x, domain.s, domain.gram, domain.basis.V):
+                assert is_read_only(operand), domain.domain_id
+            with pytest.raises(ValueError, match="read-only"):
+                domain.gram[0, 0] = 1.0
+
+    def test_graph_level_gram_is_the_members_mean_and_the_basis_that_of_the_sum(self):
+        collection = graph_level_collection()
+        ga, _ = prepare_domains(collection, tiny_config())
+        x = np.concatenate([g.features for g in collection.by_domain("ga")])
+        assert ga.gram.tobytes() == (x.T @ x / 6).tobytes()
+        want = init_basis(x, 4, seed=tiny_config().seed, domain_id="ga", gram=x.T @ x)
+        assert ga.basis.V.tobytes() == want.V.tobytes()
+
+    @pytest.mark.parametrize("kind", COLLECTIONS)
+    def test_k_too_large_raises_on_every_call_before_any_svd(self, monkeypatch, kind):
+        counts = {}
+        count_calls(monkeypatch, trainer, "init_basis", counts)
+        collection = COLLECTIONS[kind]()
+        too_large = tiny_config(k=500, m=500)
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="k=500 exceeds min"):
+                prepare_domains(collection, too_large)
+        assert counts["init_basis"] == 0
+        prepare_domains(collection, tiny_config())
+        with pytest.raises(ConfigError, match="k=500 exceeds min"):
+            pretrain(collection, too_large)
+        assert counts["init_basis"] == len(collection.domain_ids())
+
+    @pytest.mark.parametrize("kind", COLLECTIONS)
+    def test_checkpoints_after_a_memo_hit_match_a_cold_run(self, tmp_path, kind):
+        warm = COLLECTIONS[kind]()
+        prepare_domains(warm, tiny_config())
+        configs = [tiny_config(variant=v, epochs=3) for v in VARIANTS]
+        configs.append(tiny_config(epochs=2, two_phase=True, two_phase_epochs=2))
+        for i, config in enumerate(configs):
+            save_checkpoint(pretrain(warm, config), tmp_path / f"warm{i}.ckpt")
+            save_checkpoint(pretrain(COLLECTIONS[kind](), config), tmp_path / f"cold{i}.ckpt")
+            assert (tmp_path / f"warm{i}.ckpt").read_bytes() == (tmp_path / f"cold{i}.ckpt").read_bytes()
