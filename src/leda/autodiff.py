@@ -15,7 +15,7 @@ give bitwise the values and gradients of the chains they replace.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -67,6 +67,14 @@ class Node:
 def constant(value, name: str = "const") -> Node:
     value = np.atleast_2d(np.asarray(value, dtype=np.float64))
     return Node(value, name=name, requires_grad=False)
+
+
+def parameter(value, name: str) -> Node:
+    """A trainable leaf whose gradient starts at zero, so `backward` adds
+    into it; parameters are held as a plain name -> node dict."""
+    node = Node(np.atleast_2d(np.asarray(value, dtype=np.float64)), name=name, requires_grad=True)
+    node.grad = np.zeros_like(node.value)
+    return node
 
 
 def _describe(*nodes: Node) -> str:
@@ -431,46 +439,3 @@ def backward(loss: Node) -> None:
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
-
-
-class ParamSet:
-    """Ordered, uniquely named collection of trainable leaf nodes.
-
-    Iteration order is insertion order, which fixes initialization and
-    update order for deterministic training.
-    """
-
-    def __init__(self):
-        self._params: dict[str, Node] = {}
-
-    def add(self, name: str, value: np.ndarray) -> Node:
-        if name in self._params:
-            raise ValueError(f"parameter '{name}' already registered")
-        node = Node(np.atleast_2d(np.asarray(value, dtype=np.float64)), name=name, requires_grad=True)
-        node.grad = np.zeros_like(node.value)
-        self._params[name] = node
-        return node
-
-    def __getitem__(self, name: str) -> Node:
-        return self._params[name]
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def items(self) -> Iterable[tuple[str, Node]]:
-        return self._params.items()
-
-    def zero_grad(self) -> None:
-        for node in self._params.values():
-            node.grad = np.zeros_like(node.value)
-
-    def subset(self, names: Iterable[str]) -> "ParamSet":
-        """View over a subset of parameters; the nodes are shared."""
-        out = ParamSet()
-        for name in names:
-            out._params[name] = self._params[name]
-        return out
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: node.value.copy() for name, node in self._params.items()}
-

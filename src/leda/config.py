@@ -95,9 +95,14 @@ def _check_train_values(c: dict, key_of: dict[str, str]) -> None:
         raise ConfigError(f"variant must be one of {VARIANTS}, got '{c['variant']}'")
     if c["epochs"] < 0 or c["two_phase_epochs"] < 0:
         raise ConfigError("epoch counts must be >= 0")
-    for name in ("lam", "beta_kl", "mu_align", "weight_decay"):
+    for name in ("lam", "beta_kl", "mu_align", "weight_decay", "lr"):
         if c[name] < 0:
             raise ConfigError(f"{key_of.get(name, name)} must be >= 0")
+    for name in ("beta1", "beta2"):
+        if not 0.0 <= c[name] < 1.0:
+            raise ConfigError(f"{name} must be in [0, 1), got {c[name]!r}")
+    if c["adam_eps"] <= 0:
+        raise ConfigError(f"adam_eps must be > 0, got {c['adam_eps']!r}")
     if c["variant"] == "dpu-cl" and c["tau"] <= 0:
         raise ConfigError("InfoNCE temperature tau must be > 0")
     if c["variant"] == "no-dpu" and c["m"] != c["k"]:

@@ -526,6 +526,8 @@ def generate_sbm(
         raise ConfigError(f"feature dim {d} must be >= number of blocks {blocks}")
     if blocks < 1 or nodes_per_block < 1:
         raise ConfigError("blocks and nodes_per_block must be positive")
+    if not np.isfinite(cluster_sep):
+        raise ConfigError(f"cluster_sep must be finite, got {cluster_sep!r}")
     n = blocks * nodes_per_block
     labels = np.repeat(np.arange(blocks), nodes_per_block)
     rng = np.random.default_rng(seed)

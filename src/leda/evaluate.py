@@ -63,7 +63,6 @@ class EvalReport:
     std: float
     repeats: int
     seed: int
-    config: dict = field(default_factory=dict)
     flags: list[str] = field(default_factory=list)
     extras: dict[str, float] = field(default_factory=dict)
 
@@ -78,7 +77,6 @@ class EvalReport:
             "std": self.std,
             "repeats": self.repeats,
             "seed": self.seed,
-            "config": self.config,
             "flags": sorted(self.flags),
         }
         doc.update(self.extras)
@@ -160,9 +158,9 @@ def _probe_loss_and_grads(x: np.ndarray, w: np.ndarray, b: np.ndarray, onehot: n
 
 
 def _fit_logistic(train_x: np.ndarray, train_y: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    params = ad.ParamSet()
-    w = params.add("probe.W", np.zeros((train_x.shape[1], num_classes)))
-    b = params.add("probe.b", np.zeros((1, num_classes)))
+    w = ad.parameter(np.zeros((train_x.shape[1], num_classes)), "probe.W")
+    b = ad.parameter(np.zeros((1, num_classes)), "probe.b")
+    params = {"probe.W": w, "probe.b": b}
     onehot = np.eye(num_classes)[train_y]
     state = AdamWState.for_params(params, lr=PROBE_LR, weight_decay=0.0)
     for step in range(PROBE_STEPS):
@@ -217,7 +215,6 @@ def linear_probe(
         std=float(acc.std()),
         repeats=runs,
         seed=seed,
-        config={"train_frac": train_frac, "runs": runs},
     )
 
 
@@ -270,7 +267,6 @@ def fewshot_eval(
         std=float(acc.std()),
         repeats=repeats,
         seed=seed,
-        config={"k": k, "repeats": repeats},
     )
 
 
@@ -329,7 +325,6 @@ def graph_eval(
         std=float(acc.std()),
         repeats=repeats,
         seed=seed,
-        config={"support_per_class": support_per_class, "repeats": repeats},
         flags=flags,
         extras={"mean_macro_f1": float(f1.mean()), "std_macro_f1": float(f1.std())},
     )

@@ -1,17 +1,20 @@
 """AdamW with decoupled weight decay.
 
 Weight decay multiplies the parameter directly (theta *= 1 - lr*wd) instead
-of being folded into the gradient; moments are bias-corrected.
+of being folded into the gradient; moments are bias-corrected. Parameters
+are any name -> node mapping, updated in its order. The hyperparameters are
+checked where they come from: `config.TrainConfig` for training, constants
+for the linear probe.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import ParamSet
-from .errors import ConfigError
+from .autodiff import Node
 
 
 @dataclass
@@ -25,14 +28,8 @@ class AdamWState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.lr < 0 or self.weight_decay < 0 or self.eps <= 0:
-            raise ConfigError("AdamW hyperparameters must be nonnegative (eps positive)")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("AdamW betas must lie in [0, 1)")
-
     @staticmethod
-    def for_params(params: ParamSet, **hyper) -> "AdamWState":
+    def for_params(params: Mapping[str, Node], **hyper) -> "AdamWState":
         state = AdamWState(**hyper)
         for name, node in params.items():
             state.m[name] = np.zeros_like(node.value)
@@ -40,8 +37,8 @@ class AdamWState:
         return state
 
 
-def adamw_step(params: ParamSet, state: AdamWState) -> None:
-    """One update over every parameter in the set, in insertion order."""
+def adamw_step(params: Mapping[str, Node], state: AdamWState) -> None:
+    """One update over every parameter of the mapping, in its order."""
     state.step += 1
     t = state.step
     bias1 = 1.0 - state.beta1**t

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Node, ParamSet
+from .autodiff import Node
 from .checkpoint import Checkpoint, param_shapes
 from .config import VARIANTS, TrainConfig  # noqa: F401  (VARIANTS is read from here too)
 from .datasets import DomainGraph, GraphCollection, disjoint_union
@@ -131,14 +131,15 @@ def prepare_domains(collection: GraphCollection, config: TrainConfig) -> list[Pr
     return list(by_key[key])
 
 
-def init_paramset(config: TrainConfig) -> ParamSet:
-    """All trainable tensors in `param_shapes` order, from the run seed:
-    biases are zero, and weights are Glorot draws from one stream."""
+def init_paramset(config: TrainConfig) -> dict[str, Node]:
+    """All trainable tensors by name, in `param_shapes` order, from the run
+    seed: biases are zero, and weights are Glorot draws from one stream."""
     rng = np.random.default_rng([config.seed, _INIT_STREAM])
-    params = ParamSet()
+    params = {}
     for name, (rows, cols) in param_shapes(config).items():
         bias = name.split(".")[1].startswith("b")
-        params.add(name, np.zeros((rows, cols)) if bias else ad.glorot_uniform(rng, rows, cols))
+        value = np.zeros((rows, cols)) if bias else ad.glorot_uniform(rng, rows, cols)
+        params[name] = ad.parameter(value, name)
     return params
 
 
@@ -183,7 +184,7 @@ def _scalar(node: Node) -> float:
 
 def build_epoch_loss(
     prepared: list[PreparedDomain],
-    params: ParamSet,
+    params: dict[str, Node],
     config: TrainConfig,
     epoch: int,
 ) -> tuple[Node, dict[str, float]]:
@@ -251,15 +252,14 @@ def build_epoch_loss(
 
 def _run_phase(
     prepared: list[PreparedDomain],
-    params: ParamSet,
+    params: dict[str, Node],
     config: TrainConfig,
     epochs: int,
     trace: list[dict[str, float]],
 ) -> None:
     """Train `config.variant`'s tensors for `epochs` epochs from fresh AdamW moments."""
-    trainable = params.subset(
-        name for name, _ in params.items() if name.startswith(TRAINED_PREFIXES[config.variant])
-    )
+    prefixes = TRAINED_PREFIXES[config.variant]
+    trainable = {name: node for name, node in params.items() if name.startswith(prefixes)}
     state = AdamWState.for_params(
         trainable,
         lr=config.lr,
@@ -269,7 +269,8 @@ def _run_phase(
         weight_decay=config.weight_decay,
     )
     for epoch in range(epochs):
-        params.zero_grad()
+        for node in params.values():
+            node.grad = np.zeros_like(node.value)
         loss, components = build_epoch_loss(prepared, params, config, epoch)
         ad.backward(loss)
         del loss  # the tape goes now, not when the next epoch's graph is built
@@ -292,7 +293,7 @@ def pretrain(collection: GraphCollection, config: TrainConfig) -> Checkpoint:
 
     return Checkpoint(
         config=config,
-        params=params.state_arrays(),
+        params={name: node.value.copy() for name, node in params.items()},
         bases=[domain.basis for domain in prepared],
         epoch=len(trace),
         final_loss=dict(trace[-1]) if trace else {},

@@ -117,7 +117,7 @@ def central_difference_grad(loss_fn, theta: np.ndarray, eps: float = 1e-5) -> np
     return grad
 
 
-def gradient_check(loss_fn, params: ad.ParamSet, eps: float = 1e-5) -> float:
+def gradient_check(loss_fn, params: dict, eps: float = 1e-5) -> float:
     """Max relative gap between analytic and central-difference gradients.
 
     The loss builder must be deterministic (any sampling frozen outside).
@@ -125,7 +125,8 @@ def gradient_check(loss_fn, params: ad.ParamSet, eps: float = 1e-5) -> float:
     """
     if len(params) == 0:
         return 0.0
-    params.zero_grad()
+    for node in params.values():
+        node.grad = np.zeros_like(node.value)
     loss = loss_fn(params)
     if not np.isfinite(loss.value[0, 0]):
         raise NumericError("gradient_check: loss is non-finite")
@@ -164,21 +165,22 @@ def svd_product(result) -> np.ndarray:
     return (result.U * result.singular_values) @ result.V.T
 
 
-def registered_paramset(config) -> ad.ParamSet:
+def registered_paramset(config) -> dict[str, ad.Node]:
     """The parameters of `init_paramset(config)`, drawn as the DPU and LDA
     `register` functions drew them, verbatim: both groups share the
     [seed, 101] stream, W1 b1 W2 b2 then W_base W_mu W_sigma W_dec."""
     rng = np.random.default_rng([config.seed, 101])
-    params = ad.ParamSet()
-    params.add("dpu.W1", ad.glorot_uniform(rng, config.k, config.h))
-    params.add("dpu.b1", np.zeros((1, config.h)))
-    params.add("dpu.W2", ad.glorot_uniform(rng, config.h, config.m))
-    params.add("dpu.b2", np.zeros((1, config.m)))
-    params.add("lda.W_base", ad.glorot_uniform(rng, config.m, config.h_e))
-    params.add("lda.W_mu", ad.glorot_uniform(rng, config.h_e, config.z))
-    params.add("lda.W_sigma", ad.glorot_uniform(rng, config.h_e, config.z))
-    params.add("lda.W_dec", ad.glorot_uniform(rng, config.z, config.m))
-    return params
+    arrays = {
+        "dpu.W1": ad.glorot_uniform(rng, config.k, config.h),
+        "dpu.b1": np.zeros((1, config.h)),
+        "dpu.W2": ad.glorot_uniform(rng, config.h, config.m),
+        "dpu.b2": np.zeros((1, config.m)),
+        "lda.W_base": ad.glorot_uniform(rng, config.m, config.h_e),
+        "lda.W_mu": ad.glorot_uniform(rng, config.h_e, config.z),
+        "lda.W_sigma": ad.glorot_uniform(rng, config.h_e, config.z),
+        "lda.W_dec": ad.glorot_uniform(rng, config.z, config.m),
+    }
+    return {name: ad.parameter(value, name) for name, value in arrays.items()}
 
 
 def direct_reconstruction(x: np.ndarray, vhat: np.ndarray) -> tuple[float, np.ndarray]:
@@ -215,14 +217,15 @@ def probe_loss(x_const, w, b, onehot):
 
 
 def fit_logistic(train_x, train_y, num_classes):
-    params = ad.ParamSet()
-    w = params.add("probe.W", np.zeros((train_x.shape[1], num_classes)))
-    b = params.add("probe.b", np.zeros((1, num_classes)))
+    w = ad.parameter(np.zeros((train_x.shape[1], num_classes)), "probe.W")
+    b = ad.parameter(np.zeros((1, num_classes)), "probe.b")
+    params = {"probe.W": w, "probe.b": b}
     onehot = np.eye(num_classes)[train_y]
     x_const = ad.constant(train_x, "probe_features")
     state = AdamWState.for_params(params, lr=PROBE_LR, weight_decay=0.0)
     for _ in range(PROBE_STEPS):
-        params.zero_grad()
+        w.grad = np.zeros_like(w.value)
+        b.grad = np.zeros_like(b.value)
         loss = probe_loss(x_const, w, b, onehot)
         ad.backward(loss)
         adamw_step(params, state)
@@ -265,7 +268,6 @@ def linear_probe(embeddings, train_frac=0.1, runs=20, seed=66666):
         std=float(acc.std()),
         repeats=runs,
         seed=seed,
-        config={"train_frac": train_frac, "runs": runs},
     )
 
 
@@ -307,7 +309,6 @@ def fewshot_eval(embeddings, k=1, repeats=500, seed=66666):
         std=float(acc.std()),
         repeats=repeats,
         seed=seed,
-        config={"k": k, "repeats": repeats},
     )
 
 
@@ -351,7 +352,6 @@ def graph_eval(collection, ckpt, support_per_class=1, repeats=500, seed=66666, t
         std=float(acc.std()),
         repeats=repeats,
         seed=seed,
-        config={"support_per_class": support_per_class, "repeats": repeats},
         flags=flags,
         extras={"mean_macro_f1": float(f1.mean()), "std_macro_f1": float(f1.std())},
     )

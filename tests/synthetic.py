@@ -84,22 +84,37 @@ def alignment_loss(pairs, params, lam: float):
     return build_epoch_loss(prepared, params, TrainConfig(variant="no-lda", lam=lam), epoch=0)
 
 
-def draw_dpu_params(params: ad.ParamSet, rng: np.random.Generator, k: int, h: int, m: int) -> ad.ParamSet:
+def parameters(arrays: dict) -> dict[str, ad.Node]:
+    """Trainable leaves named by the keys of `arrays`, in its order."""
+    return {name: ad.parameter(value, name) for name, value in arrays.items()}
+
+
+def zero_grads(params: dict) -> None:
+    """Give every parameter a fresh zero gradient, as each training epoch does."""
+    for node in params.values():
+        node.grad = np.zeros_like(node.value)
+
+
+def draw_dpu_params(params: dict, rng: np.random.Generator, k: int, h: int, m: int) -> dict:
     """Add the DPU tensors to `params`, drawn from `rng` as the trainer's
     initialization draws them (zero biases, Glorot weights in name order).
     Returns `params`."""
-    params.add("dpu.W1", ad.glorot_uniform(rng, k, h))
-    params.add("dpu.b1", np.zeros((1, h)))
-    params.add("dpu.W2", ad.glorot_uniform(rng, h, m))
-    params.add("dpu.b2", np.zeros((1, m)))
+    params.update(parameters({
+        "dpu.W1": ad.glorot_uniform(rng, k, h),
+        "dpu.b1": np.zeros((1, h)),
+        "dpu.W2": ad.glorot_uniform(rng, h, m),
+        "dpu.b2": np.zeros((1, m)),
+    }))
     return params
 
 
-def draw_lda_params(params: ad.ParamSet, rng: np.random.Generator, m: int, h_e: int, z: int) -> ad.ParamSet:
+def draw_lda_params(params: dict, rng: np.random.Generator, m: int, h_e: int, z: int) -> dict:
     """Add the LDA tensors to `params`, drawn from `rng` as the trainer's
     initialization draws them. Returns `params`."""
-    params.add("lda.W_base", ad.glorot_uniform(rng, m, h_e))
-    params.add("lda.W_mu", ad.glorot_uniform(rng, h_e, z))
-    params.add("lda.W_sigma", ad.glorot_uniform(rng, h_e, z))
-    params.add("lda.W_dec", ad.glorot_uniform(rng, z, m))
+    params.update(parameters({
+        "lda.W_base": ad.glorot_uniform(rng, m, h_e),
+        "lda.W_mu": ad.glorot_uniform(rng, h_e, z),
+        "lda.W_sigma": ad.glorot_uniform(rng, h_e, z),
+        "lda.W_dec": ad.glorot_uniform(rng, z, m),
+    }))
     return params

@@ -38,7 +38,7 @@ from leda.trainer import (
 )
 
 from oracles import best_rank_k_error, gradient_check, svd_product
-from synthetic import alignment_loss, draw_dpu_params, draw_lda_params
+from synthetic import alignment_loss, draw_dpu_params, draw_lda_params, zero_grads
 
 def check(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"[ACCEPTANCE {num}] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -137,7 +137,7 @@ def test_criterion_3_loss_component_identities():
     rng = np.random.default_rng(1)
 
     # lambda = 0: alignment loss equals its reconstruction term bit-exactly
-    paramset = ad.ParamSet()
+    paramset = {}
     draw_dpu_params(paramset, rng, k=3, h=4, m=3)
     domains = [(rng.standard_normal((6, 5)), rng.standard_normal((5, 3)))]
     draw_lda_params(paramset, rng, m=3, h_e=4, z=3)
@@ -177,7 +177,7 @@ def test_criterion_3_loss_component_identities():
 def test_criterion_4_orthogonality_optimization_and_entropy():
     started = time.monotonic()
     rng = np.random.default_rng([66666, 101])
-    paramset = ad.ParamSet()
+    paramset = {}
     draw_dpu_params(paramset, rng, k=8, h=16, m=8)
     basis = np.random.default_rng(66666).standard_normal((50, 8)) / np.sqrt(50.0)
     eye = np.eye(8)
@@ -189,7 +189,7 @@ def test_criterion_4_orthogonality_optimization_and_entropy():
     entropy_before = gaussian_entropy(trans(basis, paramset, "full").value).value
     state = AdamWState.for_params(paramset, weight_decay=0.0)  # default lr
     for _ in range(2000):
-        paramset.zero_grad()
+        zero_grads(paramset)
         vhat = trans(basis, paramset, "full")
         gram = ad.matmul(vhat, vhat, transpose_a=True)
         ortho = ad.frobenius_sq(ad.sub(gram, ad.constant(eye)))

@@ -9,8 +9,7 @@ from oracles import central_difference_grad, gradient_check
 
 
 def make_params(**arrays):
-    params = ad.ParamSet()
-    return params, {name: params.add(name, value) for name, value in arrays.items()}
+    return {name: ad.parameter(value, name) for name, value in arrays.items()}
 
 
 def scalar_probe(node, rng):
@@ -21,7 +20,7 @@ def scalar_probe(node, rng):
 
 class TestForward:
     def test_relu_values_and_gradient(self):
-        params, nodes = make_params(x=np.array([[-1.0, 2.0]]))
+        nodes = make_params(x=np.array([[-1.0, 2.0]]))
         out = ad.relu(nodes["x"])
         assert np.array_equal(out.value, [[0.0, 2.0]])
         ad.backward(ad.reduce_sum(out))
@@ -62,33 +61,50 @@ class TestForward:
             ad.add_row_bias(x, b)
 
 
+class TestParameter:
+    def test_a_trainable_2d_leaf_with_a_zero_gradient(self):
+        for value, shape in ((3.0, (1, 1)), ([1, 2], (1, 2)), (np.ones((3, 2)), (3, 2))):
+            node = ad.parameter(value, "p")
+            assert node.shape == shape and node.value.dtype == np.float64
+            assert node.requires_grad and node.name == "p"
+            assert np.array_equal(node.grad, np.zeros(shape))
+
+    def test_backward_adds_into_the_gradient(self):
+        w = ad.parameter(np.array([[1.0, -2.0], [3.0, 0.5]]), "W")
+        ad.backward(ad.frobenius_sq(w))
+        assert np.array_equal(w.grad, 2.0 * w.value)
+        ad.backward(ad.reduce_sum(w))
+        assert np.array_equal(w.grad, 2.0 * w.value + 1.0)
+
+
 class TestBackward:
     def test_sum_gradient_is_ones(self):
-        params, nodes = make_params(W=np.arange(4.0).reshape(2, 2))
+        nodes = make_params(W=np.arange(4.0).reshape(2, 2))
         ad.backward(ad.reduce_sum(nodes["W"]))
         assert np.array_equal(nodes["W"].grad, np.ones((2, 2)))
 
     def test_frobenius_gradient_is_2w(self):
         w = np.array([[1.0, 2.0], [3.0, 4.0]])
-        params, nodes = make_params(W=w)
+        nodes = make_params(W=w)
         ad.backward(ad.frobenius_sq(nodes["W"]))
         assert np.allclose(nodes["W"].grad, 2 * w)
 
     def test_unused_parameter_gets_zero_gradient(self):
-        params, nodes = make_params(used=np.ones((2, 2)), unused=np.ones((3, 3)))
-        params.zero_grad()
+        nodes = make_params(used=np.ones((2, 2)), unused=np.ones((3, 3)))
+        for node in nodes.values():
+            node.grad = np.zeros_like(node.value)
         ad.backward(ad.reduce_sum(nodes["used"]))
         assert np.array_equal(nodes["unused"].grad, np.zeros((3, 3)))
 
     def test_backward_twice_rejected(self):
-        params, nodes = make_params(W=np.ones((2, 2)))
+        nodes = make_params(W=np.ones((2, 2)))
         loss = ad.reduce_sum(nodes["W"])
         ad.backward(loss)
         with pytest.raises(RuntimeError, match="already ran"):
             ad.backward(loss)
 
     def test_non_scalar_loss_rejected(self):
-        params, nodes = make_params(W=np.ones((2, 2)))
+        nodes = make_params(W=np.ones((2, 2)))
         with pytest.raises(ShapeError):
             ad.backward(nodes["W"])
 
@@ -119,7 +135,7 @@ class TestBackward:
         w_val = rng.standard_normal((3, 2))
 
         def run():
-            params, nodes = make_params(W=w_val)
+            nodes = make_params(W=w_val)
             s = CsrMatrix.from_dense(np.eye(4))
             out = ad.relu(ad.sparse_matmul(s, ad.matmul(ad.constant(x), nodes["W"])))
             ad.backward(ad.frobenius_sq(out))
@@ -133,7 +149,7 @@ class TestBackward:
         b_val = rng.standard_normal((4, 2))
         probe = rng.standard_normal((3, 2))
 
-        params, nodes = make_params(A=a_val, B=b_val)
+        nodes = make_params(A=a_val, B=b_val)
         loss = ad.reduce_sum(ad.mul(ad.matmul(nodes["A"], nodes["B"]), ad.constant(probe)))
         ad.backward(loss)
 
@@ -281,22 +297,19 @@ def test_every_primitive_matches_finite_differences_over_many_cases():
             build, values = _random_case(rng, case)
             probe_rng = np.random.default_rng(trial + 5)
 
-            params = ad.ParamSet()
-            nodes = [params.add(f"x{i}", v) for i, v in enumerate(values)]
+            nodes = [ad.parameter(v, f"x{i}") for i, v in enumerate(values)]
             out = build(nodes)
             probe = probe_rng.standard_normal(out.shape)
             loss = ad.reduce_sum(ad.mul(out, ad.constant(probe)))
-            params.zero_grad()
+            for node in nodes:
+                node.grad = np.zeros_like(node.value)
             ad.backward(loss)
 
             for i, base in enumerate(values):
                 def loss_of(theta, _i=i):
-                    trial_params = ad.ParamSet()
-                    trial_nodes = []
-                    for j, v in enumerate(values):
-                        trial_nodes.append(
-                            trial_params.add(f"x{j}", theta if j == _i else v)
-                        )
+                    trial_nodes = [
+                        ad.parameter(theta if j == _i else v, f"x{j}") for j, v in enumerate(values)
+                    ]
                     o = build(trial_nodes)
                     return float(np.sum(o.value * probe))
 
@@ -309,11 +322,10 @@ def test_every_primitive_matches_finite_differences_over_many_cases():
 
 class TestGradientCheckHarness:
     def test_zero_parameter_model(self):
-        params = ad.ParamSet()
+        params = {}
         assert gradient_check(lambda p: ad.constant([[1.0]]), params) == 0.0
 
     def test_quadratic_model(self):
-        params = ad.ParamSet()
-        params.add("W", np.array([[0.3, -0.7], [1.1, 0.4]]))
+        params = make_params(W=np.array([[0.3, -0.7], [1.1, 0.4]]))
         err = gradient_check(lambda p: ad.frobenius_sq(p["W"]), params)
         assert err < 1e-9

@@ -271,9 +271,10 @@ class TestMalformedCheckpoints:
             lambda h: transpose_entry(h, "dpu.W1"),
             lambda h: h["config"].update(k=3),
             lambda h: h["config"].update(k=10**9, h=10**9, m=10**9),
+            lambda h: h["config"].update(lr=-1),
         ],
         ids=["basis-without-tensor", "tensor-without-rows", "no-config", "epoch-abc", "k-abc",
-             "w1-transposed", "k-disagrees-with-tensors", "huge-dims"],
+             "w1-transposed", "k-disagrees-with-tensors", "huge-dims", "lr-negative"],
     )
     def test_cli_exits_3(self, saved, tmp_path, capsys, mutate):
         header, payload = split_checkpoint(saved)

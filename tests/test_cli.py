@@ -95,6 +95,18 @@ class TestGenSbm:
         assert code == 3
         assert capsys.readouterr().err.startswith("data error: ")
 
+    @pytest.mark.parametrize("sep", ["nan", "inf", "-inf"])
+    def test_non_finite_separation_exits_2(self, tmp_path, capsys, sep):
+        code = main(
+            [
+                "gen-sbm", "--blocks", "2", "--nodes", "4", "--pin", "0.9", "--pout", "0.1",
+                "--seed", "7", "--d", "6", f"--sep={sep}", "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: cluster_sep must be finite")
+        assert not (tmp_path / "x").exists()
+
 
 class TestPretrain:
     def test_missing_manifest_exits_3_and_names_path(self, suite, tmp_path, capsys):
@@ -107,6 +119,19 @@ class TestPretrain:
         )
         assert code == 3
         assert "absent.json" in capsys.readouterr().err
+
+    def test_bad_adamw_key_exits_2_before_the_manifest_is_read(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"train": {"lr": -1}}))
+        code = main(
+            [
+                "pretrain", "--config", str(config), "--manifest", str(tmp_path / "absent.json"),
+                "--out", str(tmp_path / "m.ckpt"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: lr must be >= 0")
+        assert not (tmp_path / "m.ckpt").exists()
 
     @pytest.mark.parametrize("flag", ["--out", "--report"])
     def test_output_in_missing_directory_exits_3(self, suite, tmp_path, capsys, flag):

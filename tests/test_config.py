@@ -86,6 +86,21 @@ class TestRunConfig:
         # named as the document spells it: 'lambda', not the field 'lam'
         assert key in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("lr", -1.0), ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", -0.1),
+         ("adam_eps", 0), ("adam_eps", -1)],
+    )
+    def test_adamw_key_out_of_range(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            run_config_from_dict({"train": {key: value}})
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            TrainConfig(**{key: value})
+
+    def test_adamw_keys_at_their_bounds(self):
+        train = run_config_from_dict({"train": {"lr": 0, "beta1": 0, "beta2": 0.0, "adam_eps": 1e-300}}).train
+        assert (train.lr, train.beta1, train.beta2, train.adam_eps) == (0, 0, 0.0, 1e-300)
+
     def test_header_documents_name_fields(self):
         # a checkpoint header stores TrainConfig by field name
         with pytest.raises(ConfigError, match="^lam must be >= 0"):

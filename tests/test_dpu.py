@@ -9,20 +9,17 @@ from leda.linalg import CsrMatrix
 from leda.trainer import prepare_domains
 
 from oracles import central_difference_grad, direct_reconstruction, gradient_check
-from synthetic import alignment_loss, bag_of_words, draw_dpu_params, draw_lda_params, tiny_config
+from synthetic import (
+    alignment_loss, bag_of_words, draw_dpu_params, draw_lda_params, parameters, tiny_config,
+)
 
 
-def manual_params(w1, b1, w2, b2, params=None):
-    params = ad.ParamSet() if params is None else params
-    params.add("dpu.W1", w1)
-    params.add("dpu.b1", np.atleast_2d(b1))
-    params.add("dpu.W2", w2)
-    params.add("dpu.b2", np.atleast_2d(b2))
-    return params
+def manual_params(w1, b1, w2, b2):
+    return parameters({"dpu.W1": w1, "dpu.b1": b1, "dpu.W2": w2, "dpu.b2": b2})
 
 
 def random_params(k, h, m, seed=0):
-    return draw_dpu_params(ad.ParamSet(), np.random.default_rng(seed), k=k, h=h, m=m)
+    return draw_dpu_params({}, np.random.default_rng(seed), k=k, h=h, m=m)
 
 
 def with_lda(params):
@@ -34,9 +31,7 @@ def with_lda(params):
 
 def random_paramset(k, h, m, seed=0):
     """The DPU tensors of random_params(k, h, m, seed), plus LDA tensors."""
-    params = ad.ParamSet()
-    draw_dpu_params(params, np.random.default_rng(seed), k=k, h=h, m=m)
-    return with_lda(params)
+    return with_lda(random_params(k, h, m, seed))
 
 
 class TestInitBasis:
@@ -118,8 +113,7 @@ class TestLossAlign:
     def test_exact_projector_zeroes_both_terms(self):
         k = 3
         perm = np.eye(k)[:, [2, 0, 1]]  # orthonormal and nonnegative
-        params = ad.ParamSet()
-        manual_params(np.eye(k), np.zeros(k), np.eye(k), np.zeros(k), params)
+        params = manual_params(np.eye(k), np.zeros(k), np.eye(k), np.zeros(k))
         b = np.random.default_rng(3).standard_normal((7, k))
         x = b @ perm.T  # features lie in the basis column space
         _, components = alignment_loss([(x, perm)], with_lda(params), lam=1.0)
@@ -128,8 +122,7 @@ class TestLossAlign:
 
     def test_zero_vhat_closed_forms(self):
         m = 4
-        params = ad.ParamSet()
-        manual_params(np.eye(2), np.zeros(2), np.zeros((2, m)), np.zeros(m), params)
+        params = manual_params(np.eye(2), np.zeros(2), np.zeros((2, m)), np.zeros(m))
         rng = np.random.default_rng(5)
         xs = [rng.standard_normal((5, 2)) for _ in range(2)]
         vs = [rng.standard_normal((2, 2)) for _ in range(2)]
@@ -182,8 +175,7 @@ class TestInvariants:
 
     def test_alignment_loss_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(15)
-        paramset = ad.ParamSet()
-        draw_dpu_params(paramset, rng, k=3, h=4, m=3)
+        paramset = draw_dpu_params({}, rng, k=3, h=4, m=3)
         domains = [
             (rng.standard_normal((5, 4)), rng.standard_normal((4, 3))),
             (rng.standard_normal((6, 6)), rng.standard_normal((6, 3))),
@@ -191,11 +183,11 @@ class TestInvariants:
         with_lda(paramset)
 
         def loss_fn(_):
-            # the DPU subset shares its nodes with paramset
+            # dpu_only shares its nodes with paramset
             total, _ = alignment_loss(domains, paramset, lam=0.7)
             return total
 
-        dpu_only = paramset.subset(("dpu.W1", "dpu.b1", "dpu.W2", "dpu.b2"))
+        dpu_only = {name: paramset[name] for name in ("dpu.W1", "dpu.b1", "dpu.W2", "dpu.b2")}
         assert gradient_check(loss_fn, dpu_only, eps=1e-5) < 1e-6
 
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from leda import autodiff as ad, evaluate
+from leda import evaluate
 from leda.datasets import DomainGraph, GraphCollection, generate_sbm
 from leda.errors import DataError
 from leda.evaluate import (
@@ -23,7 +23,7 @@ from leda.dpu import trans
 from leda.linalg import CsrMatrix, gaussian_entropy
 from leda.trainer import pretrain
 
-from synthetic import bow_collection, node_collection, tiny_config
+from synthetic import bow_collection, node_collection, parameters, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -344,9 +344,7 @@ class TestEntropyDiagnostic:
         assert report.value == pytest.approx(expected, abs=1e-9)
 
     def test_equals_the_entropy_through_trainable_parameters(self, trained):
-        params = ad.ParamSet()
-        for name, value in trained.params.items():
-            params.add(name, value)
+        params = parameters(trained.params)
         vhat = trans(trained.basis_for("doma").V, params, trained.config.variant).value
         assert diagnostics_entropy(trained, "doma") == gaussian_entropy(vhat)
 

@@ -24,11 +24,11 @@ from leda.trainer import (
 )
 
 from oracles import composed_forms, gcn_direct_order, gradient_check, to_dense
-from synthetic import draw_lda_params, node_collection, tiny_config
+from synthetic import draw_lda_params, node_collection, parameters, tiny_config, zero_grads
 
 
 def random_lda(m, h_e, z, seed=0):
-    return draw_lda_params(ad.ParamSet(), np.random.default_rng(seed), m=m, h_e=h_e, z=z)
+    return draw_lda_params({}, np.random.default_rng(seed), m=m, h_e=h_e, z=z)
 
 
 def ring_propagation(n):
@@ -107,9 +107,8 @@ class TestReparameterize:
         assert abs(z.var() - 1.0) < 0.05
 
     def test_gradient_flows_through_mu_and_log_sigma(self):
-        params = ad.ParamSet()
-        mu = params.add("mu", np.zeros((2, 2)))
-        ls = params.add("ls", np.zeros((2, 2)))
+        mu = ad.parameter(np.zeros((2, 2)), "mu")
+        ls = ad.parameter(np.zeros((2, 2)), "ls")
         eps = np.random.default_rng(4).standard_normal((2, 2))
         z = ad.reparameterize(mu, ls, eps)
         ad.backward(ad.frobenius_sq(z))
@@ -165,10 +164,8 @@ class TestKl:
 
 class TestLossTotalDomain:
     def test_perfect_reconstruction_and_prior_posterior(self):
-        params = ad.ParamSet()
-        for name, shape in (("lda.W_base", (3, 4)), ("lda.W_mu", (4, 2)),
-                            ("lda.W_sigma", (4, 2)), ("lda.W_dec", (2, 3))):
-            params.add(name, np.zeros(shape))
+        params = parameters({"lda.W_base": np.zeros((3, 4)), "lda.W_mu": np.zeros((4, 2)),
+                             "lda.W_sigma": np.zeros((4, 2)), "lda.W_dec": np.zeros((2, 3))})
         eps = np.random.default_rng(0).standard_normal((5, 2))
         loss, recon, kl = loss_total_domain(
             ad.constant(np.zeros((5, 3))), ring_propagation(5), params, beta_kl=1.0, eps=eps
@@ -205,7 +202,7 @@ class TestLossTotalDomain:
         state = AdamWState.for_params(params, lr=0.01, weight_decay=0.0)
         first = None
         for epoch in range(200):
-            params.zero_grad()
+            zero_grads(params)
             eps = np.random.default_rng([18, epoch]).standard_normal((10, 4))
             loss, recon, _ = loss_total_domain(x, s, params, beta_kl=1.0, eps=eps)
             if first is None:
@@ -280,11 +277,8 @@ def order_state(request):
     return states
 
 
-def paramset_of(arrays) -> ad.ParamSet:
-    params = ad.ParamSet()
-    for name, value in arrays.items():
-        params.add(name, value.copy())
-    return params
+def paramset_of(arrays) -> dict[str, ad.Node]:
+    return parameters({name: value.copy() for name, value in arrays.items()})
 
 
 def values_and_grads(fn, arrays):

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from leda import autodiff as ad
-from leda.errors import ConfigError
 from leda.optim import AdamWState, adamw_step
+
+from synthetic import parameters, zero_grads
 
 
 def single_param(value):
-    params = ad.ParamSet()
-    node = params.add("theta", value)
-    return params, node
+    node = ad.parameter(value, "theta")
+    return {"theta": node}, node
 
 
 class TestAdamW:
@@ -18,7 +18,7 @@ class TestAdamW:
         state = AdamWState.for_params(params, lr=0.1, weight_decay=0.0)
         before = node.value.copy()
         for _ in range(5):
-            params.zero_grad()
+            zero_grads(params)
             adamw_step(params, state)
         assert np.array_equal(node.value, before)
         assert state.step == 5
@@ -36,33 +36,25 @@ class TestAdamW:
     def test_decoupled_decay_with_zero_gradient(self):
         params, node = single_param(np.array([[4.0]]))
         state = AdamWState.for_params(params, lr=0.1, weight_decay=0.1)
-        params.zero_grad()
+        zero_grads(params)
         adamw_step(params, state)
         assert node.value[0, 0] == pytest.approx(4.0 * (1.0 - 0.01), abs=1e-12)
 
     def test_moment_shapes_match_parameters(self):
-        params = ad.ParamSet()
-        params.add("a", np.zeros((2, 3)))
-        params.add("b", np.zeros((1, 4)))
+        params = parameters({"a": np.zeros((2, 3)), "b": np.zeros((1, 4))})
         state = AdamWState.for_params(params)
         assert state.m["a"].shape == (2, 3)
         assert state.v["b"].shape == (1, 4)
 
-    def test_rejects_bad_hyperparameters(self):
-        with pytest.raises(ConfigError):
-            AdamWState(lr=-1.0)
-        with pytest.raises(ConfigError):
-            AdamWState(beta1=1.0)
-
     def test_descends_a_quadratic(self):
         rng = np.random.default_rng(3)
         target = rng.standard_normal((3, 3))
-        params = ad.ParamSet()
-        node = params.add("W", np.zeros((3, 3)))
+        node = ad.parameter(np.zeros((3, 3)), "W")
+        params = {"W": node}
         state = AdamWState.for_params(params, lr=0.05, weight_decay=0.0)
         losses = []
         for _ in range(200):
-            params.zero_grad()
+            zero_grads(params)
             diff = ad.sub(node, ad.constant(target))
             loss = ad.frobenius_sq(diff)
             losses.append(loss.value[0, 0])

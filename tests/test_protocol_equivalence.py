@@ -29,7 +29,7 @@ from leda.evaluate import (
 )
 from leda.trainer import pretrain
 
-from synthetic import node_collection, tiny_config
+from synthetic import node_collection, tiny_config, zero_grads
 
 SEEDS = st.integers(0, 2**31 - 1)
 
@@ -95,12 +95,12 @@ class TestClosedFormProbe:
         x = random_rows(seed, n, dim)
         onehot = np.eye(classes)[rng.integers(0, classes, size=n)]
         # iterates along the fit itself, plus one far from it
-        params = ad.ParamSet()
-        w = params.add("probe.W", rng.standard_normal((dim, classes)) * (steps == 60) * 5.0)
-        b = params.add("probe.b", np.zeros((1, classes)))
+        w = ad.parameter(rng.standard_normal((dim, classes)) * (steps == 60) * 5.0, "probe.W")
+        b = ad.parameter(np.zeros((1, classes)), "probe.b")
+        params = {"probe.W": w, "probe.b": b}
         state = evaluate.AdamWState.for_params(params, lr=evaluate.PROBE_LR, weight_decay=0.0)
         for _ in range(steps + 1):
-            params.zero_grad()
+            zero_grads(params)
             loss = oracles.probe_loss(ad.constant(x), w, b, onehot)
             ad.backward(loss)
             value, grad_w, grad_b = evaluate._probe_loss_and_grads(x, w.value, b.value, onehot)

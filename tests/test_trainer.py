@@ -24,7 +24,11 @@ from leda.trainer import (
 )
 
 from oracles import gradient_check, member_loop_epoch_loss, registered_paramset
-from synthetic import bow_collection, node_collection, tiny_config
+from synthetic import bow_collection, node_collection, parameters, tiny_config
+
+
+def arrays_of(params):
+    return {name: node.value for name, node in params.items()}
 
 
 def checkpoints_equal(a, b):
@@ -80,8 +84,8 @@ class TestInitParamset:
         """Walking param_shapes draws what the per-group register functions
         drew, also where k=1 or m=1 makes a weight 1 x n like a bias."""
         config = tiny_config(seed=4242, **dims)
-        made = init_paramset(config).state_arrays()
-        oracle = registered_paramset(config).state_arrays()
+        made = arrays_of(init_paramset(config))
+        oracle = arrays_of(registered_paramset(config))
         assert list(made) == list(oracle)
         for name in oracle:
             assert made[name].shape == oracle[name].shape
@@ -95,7 +99,7 @@ class TestPretrain:
         ckpt = pretrain(collection, config)
         assert ckpt.loss_trace == []
         assert ckpt.epoch == 0
-        seeded = init_paramset(config).state_arrays()
+        seeded = arrays_of(init_paramset(config))
         for name, arr in seeded.items():
             assert np.array_equal(ckpt.params[name], arr)
 
@@ -190,7 +194,7 @@ class TestVariants:
         collection = node_collection()
         config = tiny_config(epochs=10, variant="no-lda")
         ckpt = pretrain(collection, config)
-        seeded = init_paramset(config).state_arrays()
+        seeded = arrays_of(init_paramset(config))
         for name in ("lda.W_base", "lda.W_mu", "lda.W_sigma", "lda.W_dec"):
             assert np.array_equal(ckpt.params[name], seeded[name])
         assert not np.array_equal(ckpt.params["dpu.W1"], seeded["dpu.W1"])
@@ -199,7 +203,7 @@ class TestVariants:
         collection = node_collection()
         config = tiny_config(epochs=10, variant="no-dpu")
         ckpt = pretrain(collection, config)
-        seeded = init_paramset(config).state_arrays()
+        seeded = arrays_of(init_paramset(config))
         for name in ("dpu.W1", "dpu.b1", "dpu.W2", "dpu.b2"):
             assert np.array_equal(ckpt.params[name], seeded[name])
 
@@ -212,7 +216,7 @@ class TestVariants:
         collection = node_collection()
         for variant, names in trained.items():
             config = tiny_config(epochs=1, variant=variant)
-            seeded = init_paramset(config).state_arrays()
+            seeded = arrays_of(init_paramset(config))
             ckpt = pretrain(collection, config)
             changed = {n for n in seeded if not np.array_equal(ckpt.params[n], seeded[n])}
             assert changed == names, variant
@@ -251,8 +255,7 @@ class TestInfoNCE:
             infonce_loss([(ad.constant(np.ones((2, 2))), ad.constant(np.ones((2, 2))))], tau=0.0)
 
     def test_gradient_flows_into_anchor_parameters(self):
-        params = ad.ParamSet()
-        anchor = params.add("emb", np.random.default_rng(0).standard_normal((6, 4)))
+        anchor = ad.parameter(np.random.default_rng(0).standard_normal((6, 4)), "emb")
         positive = ad.constant(np.random.default_rng(1).standard_normal((6, 4)))
         loss = infonce_loss([(anchor, positive)], tau=0.5)
         ad.backward(loss)
@@ -364,9 +367,7 @@ class TestBlockDiagonalDomain:
         prepared = prepare_domains(collection, config)
         results = []
         for build in (build_epoch_loss, lambda *args: member_loop_epoch_loss(collection, *args)):
-            params = ad.ParamSet()
-            for name, value in arrays.items():
-                params.add(name, value.copy())
+            params = parameters({name: value.copy() for name, value in arrays.items()})
             loss, components = build(prepared, params, config, epochs)
             ad.backward(loss)
             results.append((components, {name: node.grad for name, node in params.items()}))
