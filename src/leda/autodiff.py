@@ -108,23 +108,20 @@ def _broadcastable(a: Node, b: Node, op: str) -> None:
 # primitives
 
 
-def matmul(a: Node, b: Node, transpose_a: bool = False, transpose_b: bool = False) -> Node:
+def matmul(a: Node, b: Node, transpose_a: bool = False) -> Node:
     av = a.value.T if transpose_a else a.value
-    bv = b.value.T if transpose_b else b.value
-    if av.shape[1] != bv.shape[0]:
+    if av.shape[1] != b.shape[0]:
         raise ShapeError(
-            f"matmul: inner dimensions differ for {_describe(a, b)}"
-            f" (transpose_a={transpose_a}, transpose_b={transpose_b})"
+            f"matmul: inner dimensions differ for {_describe(a, b)} (transpose_a={transpose_a})"
         )
-    out_value = av @ bv
+    out_value = av @ b.value
 
     def backward(grad):
         if a.requires_grad:
-            da = grad @ bv.T
+            da = grad @ b.value.T
             a.accumulate(da.T if transpose_a else da)
         if b.requires_grad:
-            db = av.T @ grad
-            b.accumulate(db.T if transpose_b else db)
+            b.accumulate(av.T @ grad)
 
     return _result(out_value, (a, b), "matmul", backward)
 

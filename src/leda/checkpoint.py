@@ -4,8 +4,9 @@ Layout: 8 magic bytes `LEDACKPT`, a 32-bit little-endian header length, a
 UTF-8 JSON header {version, config, tensors, bases, epoch, final_loss}, then
 a payload of row-major little-endian float64 blocks at the offsets stated in
 the header (offsets are relative to the payload start). Loading is strict:
-unknown or missing tensors are an error that lists the offending names, and
-every tensor must have the shape the header config gives it.
+unknown or missing tensors are an error that lists the offending names,
+every tensor must have the shape the header config gives it, and each basis
+entry names a domain no other entry names, stored as `basis/<domain_id>`.
 
 `param_shapes` is the one statement of the model's parameters: their names,
 shapes and order. Initialization walks it, and both save and load check
@@ -179,6 +180,15 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         _typed_fields(entry, {"domain_id": str, "padded": bool, "tensor": str}, path, "basis")
         for entry in _typed(header.get("bases"), list, path, "bases")
     ]
+    domain_ids = [domain_id for domain_id, _, _ in basis_meta]
+    for domain_id, _, tensor in basis_meta:
+        if domain_ids.count(domain_id) > 1:
+            raise CheckpointFormatError(f"{path}: domain '{domain_id}' has more than one basis")
+        if tensor != basis_tensor_name(domain_id):
+            raise CheckpointFormatError(
+                f"{path}: basis of domain '{domain_id}' must be tensor "
+                f"'{basis_tensor_name(domain_id)}', not '{tensor}'"
+            )
     epoch = _typed(header.get("epoch"), int, path, "epoch")
     final_loss = _typed(header.get("final_loss"), dict, path, "final_loss")
     for key, value in final_loss.items():

@@ -151,11 +151,11 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    from .evaluate import write_embeddings_tsv
+    from .datasets import write_float_tsv
 
     ckpt, collection = _load_inputs(args)
     [(_, embeddings)] = _embed_domains(ckpt, collection, [(args.domain, args.t)])
-    write_embeddings_tsv(embeddings, args.out)
+    write_float_tsv(args.out, embeddings.E, index=True)
     return 0
 
 

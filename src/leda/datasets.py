@@ -232,7 +232,7 @@ def _read_edges(path: Path, n: int, symmetrize: bool) -> CsrMatrix:
     except (ValueError, OverflowError):
         _locate_edge_error(path, text, n, symmetrize)
         raise
-    return CsrMatrix.from_edges(n, pairs, symmetric=True)
+    return CsrMatrix.from_edges(n, pairs)
 
 
 def _read_features(path: Path) -> np.ndarray:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .linalg import CsrMatrix, truncated_svd
+from .linalg import CsrMatrix, basis_signs, truncated_svd
 
 RANK_DEFICIENCY_RTOL = 1e-10
 
@@ -82,10 +82,7 @@ def init_basis(
             candidates -= base @ (base.T @ candidates)
         q, _ = np.linalg.qr(candidates)
         v = np.concatenate([base, q[:, : k - good]], axis=1)
-        for j in range(v.shape[1]):
-            lead = int(np.argmax(np.abs(v[:, j])))
-            if v[lead, j] < 0:
-                v[:, j] = -v[:, j]
+        v *= basis_signs(v)
     return DomainBasis(domain_id=domain_id, V=v, padded=padded)
 
 
@@ -100,13 +97,12 @@ def trans(v: np.ndarray, params: Mapping[str, Node], variant: str) -> Node:
     return ad.add_row_bias(ad.matmul(hidden, params["dpu.W2"]), params["dpu.b2"])
 
 
-def align(x: Node | np.ndarray | CsrMatrix, vhat: Node) -> Node:
-    """Project features into the common space: Xhat = X @ Vhat."""
+def align(x: np.ndarray | CsrMatrix, vhat: Node) -> Node:
+    """Project features, a constant dense or CSR matrix, into the common
+    space: Xhat = X @ Vhat."""
     if isinstance(x, CsrMatrix):
         return ad.sparse_matmul(x, vhat)
-    if not isinstance(x, Node):
-        x = ad.constant(x, "features")
-    return ad.matmul(x, vhat)
+    return ad.matmul(ad.constant(x, "features"), vhat)
 
 
 def alignment_penalties(gram: np.ndarray, vhat: Node) -> tuple[Node, Node]:

@@ -13,7 +13,6 @@ embeds each domain once, as the block-diagonal union of its graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from . import autodiff as ad
 from .autodiff import Node
 from .checkpoint import Checkpoint
 from .config import check_protocol_args
-from .datasets import DomainGraph, GraphCollection, disjoint_union, write_float_tsv
+from .datasets import DomainGraph, GraphCollection, disjoint_union
 from .dpu import align, init_basis, trans
 from .errors import DataError, NumericError
 from .lda import base_layer, encode, propagate_extra
@@ -116,17 +115,13 @@ def embed(domain: DomainGraph, ckpt: Checkpoint, t: int = 0) -> EmbeddingSet:
     variant = ckpt.config.variant
     xhat = align(x, trans(basis.V, params, variant))
     if variant in ("full", "no-dpu"):
-        base = encode(xhat, s, params).mu.value
+        base = encode(xhat, s, params)[0].value
     elif variant == "no-lda":
         base = s.matmul_dense(xhat.value)
     else:  # dpu-cl
         base = base_layer(xhat, s, params).value
     out = propagate_extra(base, s, t)
     return EmbeddingSet(domain_id=domain.domain_id, E=out, labels=domain.labels)
-
-
-def write_embeddings_tsv(embeddings: EmbeddingSet, path: str | Path) -> None:
-    write_float_tsv(path, embeddings.E, index=True)
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:

@@ -25,7 +25,6 @@ the base once, at width h_e, and reads both posterior heads off that product.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,27 +36,17 @@ from .linalg import CsrMatrix
 LOG_SIGMA_CLAMP = 10.0
 
 
-@dataclass
-class LatentState:
-    """Per-domain encoder outputs."""
-
-    mu: Node
-    log_sigma: Node
-
-
 def base_layer(xhat: Node, s: CsrMatrix, params: Mapping[str, Node]) -> Node:
     """The semantic base: one GCN layer with ReLU, relu((S Xhat) W_base);
     S multiplies width m rather than h_e, the width of Xhat W_base."""
     return ad.relu(ad.matmul(ad.sparse_matmul(s, xhat), params["lda.W_base"]))
 
 
-def encode(xhat: Node, s: CsrMatrix, params: Mapping[str, Node]) -> LatentState:
-    """Posterior parameters: base GCN with ReLU, then linear mean and
-    log-variance heads over one more propagation."""
+def encode(xhat: Node, s: CsrMatrix, params: Mapping[str, Node]) -> tuple[Node, Node]:
+    """Posterior parameters (mu, log_sigma): base GCN with ReLU, then linear
+    mean and log-variance heads over one more propagation."""
     propagated = ad.sparse_matmul(s, base_layer(xhat, s, params))
-    mu = ad.matmul(propagated, params["lda.W_mu"])
-    log_sigma = ad.matmul(propagated, params["lda.W_sigma"])
-    return LatentState(mu=mu, log_sigma=log_sigma)
+    return ad.matmul(propagated, params["lda.W_mu"]), ad.matmul(propagated, params["lda.W_sigma"])
 
 
 def decode(z: Node, s: CsrMatrix, params: Mapping[str, Node]) -> Node:
@@ -103,12 +92,12 @@ def loss_total_domain(
     Returns (loss, recon, kl).
     """
     sizes = sizes or xhat.shape[:1]
-    state = encode(xhat, s, params)
-    z = ad.reparameterize(state.mu, state.log_sigma, eps)
+    mu, log_sigma = encode(xhat, s, params)
+    z = ad.reparameterize(mu, log_sigma, eps)
     reconstructed = decode(z, s, params)
     diff = ad.sub(xhat, reconstructed)
     recon = ad.frobenius_sq(diff, _member_weights(sizes))
-    kl = kl_to_prior(state.mu, state.log_sigma, sizes)
+    kl = kl_to_prior(mu, log_sigma, sizes)
     loss = ad.add(recon, ad.scale(kl, beta_kl))
     return loss, recon, kl
 

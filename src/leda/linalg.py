@@ -131,16 +131,14 @@ class CsrMatrix:
         return CsrMatrix(x.shape[0], x.shape[1], offsets, cols, x.ravel()[flat])
 
     @staticmethod
-    def from_edges(n: int, edges, symmetric: bool = True) -> CsrMatrix:
-        """Binary adjacency from (i, j) pairs, given as an (m, 2) integer
-        array or any iterable of pairs; duplicates collapse."""
-        pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
-        pairs = pairs.reshape(-1, 2)
+    def from_edges(n: int, edges: np.ndarray) -> CsrMatrix:
+        """Symmetric binary adjacency from an (m, 2) integer array of (i, j)
+        pairs: each pair sets both (i, j) and (j, i); duplicates collapse."""
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
             raise DataError(f"edge node index outside [0, {n})")
-        i, j = pairs[:, 0], pairs[:, 1]
-        if symmetric:
-            i, j = np.concatenate([i, j]), np.concatenate([j, i])
+        i = np.concatenate([pairs[:, 0], pairs[:, 1]])
+        j = np.concatenate([pairs[:, 1], pairs[:, 0]])
         # sorted unique row-major keys are exactly the CSR order; sort + mask
         # rather than np.unique, whose hash table is far slower on 1M keys
         keys = np.sort(i * n + j)
@@ -222,16 +220,12 @@ class SvdResult:
             raise NumericError("V columns are not orthonormal")
 
 
-def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Deterministic sign convention: the largest-magnitude entry of each V
-    # column is made nonnegative (ties resolved by lowest row index).
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0:
-            v[:, j] = -col
-            u[:, j] = -u[:, j]
-    return u, v
+def basis_signs(v: np.ndarray) -> np.ndarray:
+    """The basis sign convention: per column of v, the factor (+1 or -1) that
+    makes its largest-magnitude entry nonnegative, ties going to the lowest
+    row. Multiply v (and U of the same SVD) by it; negation is exact."""
+    lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return np.where(lead < 0, -1.0, 1.0)
 
 
 def truncated_svd(x: np.ndarray | CsrMatrix, k: int, seed: int, gram: np.ndarray | None = None) -> SvdResult:
@@ -246,8 +240,8 @@ def truncated_svd(x: np.ndarray | CsrMatrix, k: int, seed: int, gram: np.ndarray
     without it a step is x^T (x Z), O(n d ell), or O(nnz ell) when x is a
     CsrMatrix. Deterministic for a fixed seed.
     """
-    sparse = isinstance(x, CsrMatrix)
-    x = x if sparse else as_dense(x, "svd input")
+    # scipy's CSR matrix and a dense array take the same `@` and `.T` below
+    x = x._scipy if isinstance(x, CsrMatrix) else as_dense(x, "svd input")
     n, d = x.shape
     if not 1 <= k <= min(n, d):
         raise DataError(f"svd rank k={k} out of range for {n}x{d} input")
@@ -255,18 +249,13 @@ def truncated_svd(x: np.ndarray | CsrMatrix, k: int, seed: int, gram: np.ndarray
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((d, ell))
     for _ in range(SVD_POWER_ITERS):
-        if gram is not None:
-            y = gram @ z
-        else:
-            y = x.t_matmul_dense(x.matmul_dense(z)) if sparse else x.T @ (x @ z)
-        z, _ = np.linalg.qr(y)
-    q, _ = np.linalg.qr(x.matmul_dense(z) if sparse else x @ z)
-    projected = x.t_matmul_dense(q).T if sparse else q.T @ x
-    u_small, s, vt = np.linalg.svd(projected, full_matrices=False)
-    u = q @ u_small[:, :k]
+        z, _ = np.linalg.qr(gram @ z if gram is not None else x.T @ (x @ z))
+    q, _ = np.linalg.qr(x @ z)
+    u_small, s, vt = np.linalg.svd(q.T @ x, full_matrices=False)
     v = vt[:k].T.copy()
-    u, v = _fix_signs(u, v)
-    return SvdResult(U=u, singular_values=s[:k].copy(), V=v)
+    signs = basis_signs(v)
+    v *= signs
+    return SvdResult(U=(q @ u_small[:, :k]) * signs, singular_values=s[:k].copy(), V=v)
 
 
 class EntropyResult(NamedTuple):

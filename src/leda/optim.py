@@ -38,13 +38,14 @@ class AdamWState:
 
 
 def adamw_step(params: Mapping[str, Node], state: AdamWState) -> None:
-    """One update over every parameter of the mapping, in its order."""
+    """One update over every parameter of the mapping, in its order. Every
+    parameter must hold a gradient: the callers set one before each step."""
     state.step += 1
     t = state.step
     bias1 = 1.0 - state.beta1**t
     bias2 = 1.0 - state.beta2**t
     for name, node in params.items():
-        grad = node.grad if node.grad is not None else np.zeros_like(node.value)
+        grad = node.grad
         m = state.m[name]
         v = state.v[name]
         m *= state.beta1

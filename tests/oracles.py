@@ -18,7 +18,8 @@ narrow side of their weight products, and `composed_forms` the KL,
 reparameterization and row-wise cosine as they were built from elementary
 primitives before each became one fused primitive. `member_loop_epoch_loss`
 is the epoch loss as it was before a graph-level domain became one
-block-diagonal graph: a loop over the member graphs.
+block-diagonal graph: a loop over the member graphs. `fix_signs_loop` is the
+basis sign convention as a per-column loop, as it was before `basis_signs`.
 """
 
 from __future__ import annotations
@@ -442,7 +443,7 @@ def embed_with_constants(domain, ckpt, t=0):
     s = normalize_adjacency(domain.adjacency)
     variant = ckpt.config.variant
     if variant in ("full", "no-dpu"):
-        base = encode(xhat, s, p).mu.value
+        base = encode(xhat, s, p)[0].value
     elif variant == "no-lda":
         base = s.matmul_dense(xhat.value)
     else:
@@ -584,3 +585,19 @@ def member_loop_epoch_loss(collection, prepared, params, config, epoch):
         total = ad.add(total, term)
     components["total"] = float(total.value[0, 0])
     return total, components
+
+
+# ---------------------------------------------------------------------------
+# basis sign convention
+
+
+def fix_signs_loop(u, v):
+    """Negate each column of v (and of u alongside) whose largest-magnitude
+    entry, the first one on ties, is negative; both arrays in place."""
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        lead = int(np.argmax(np.abs(col)))
+        if col[lead] < 0:
+            v[:, j] = -col
+            u[:, j] = -u[:, j]
+    return u, v

@@ -174,9 +174,6 @@ def _random_case(rng, case):
     elif case == "matmul_ta":
         shapes = [(k, n), (k, m)]
         build = lambda xs: ad.matmul(xs[0], xs[1], transpose_a=True)
-    elif case == "matmul_tb":
-        shapes = [(n, k), (m, k)]
-        build = lambda xs: ad.matmul(xs[0], xs[1], transpose_b=True)
     elif case == "sparse":
         dense = (rng.random((n, n)) < 0.5) * rng.standard_normal((n, n))
         s = CsrMatrix.from_dense(dense)
@@ -280,7 +277,7 @@ KL_CASE_CLAMP = 0.6
 
 
 ALL_CASES = [
-    "matmul", "matmul_ta", "matmul_tb", "sparse", "relu", "add_row_bias",
+    "matmul", "matmul_ta", "sparse", "relu", "add_row_bias",
     "add", "add_broadcast", "sub", "mul", "div", "exp", "log", "sqrt",
     "square", "scale", "clip", "reduce_sum_rows", "reduce_mean_cols",
     "frobenius_sq", "frobenius_sq_weighted", "reparameterize", "gaussian_kl",
@@ -289,7 +286,7 @@ ALL_CASES = [
 
 
 def test_every_primitive_matches_finite_differences_over_many_cases():
-    # 6 seeded draws per case: 156 random cases in total.
+    # 6 seeded draws per case: 150 random cases in total.
     total = 0
     for case in ALL_CASES:
         for trial in range(6):

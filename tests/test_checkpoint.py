@@ -211,6 +211,16 @@ def transpose_entry(header, name):
     entry["rows"], entry["cols"] = entry["cols"], entry["rows"]
 
 
+def repeat_first_domain(header):
+    # the file still lists every tensor the bases name, so only the id is wrong
+    header["bases"][1].update(domain_id="doma", tensor="basis/domb")
+
+
+def swap_basis_tensors(header):
+    first, second = header["bases"][:2]
+    first["tensor"], second["tensor"] = second["tensor"], first["tensor"]
+
+
 SWAPS = ["abc", 1.5, 7, True, None, [], {"x": 1}]
 
 
@@ -261,6 +271,23 @@ class TestMalformedCheckpoints:
             load_checkpoint(target)
 
     @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (repeat_first_domain, "domain 'doma' has more than one basis"),
+            (swap_basis_tensors, "basis of domain 'doma' must be tensor 'basis/doma', not 'basis/domb'"),
+        ],
+        ids=["domain-with-two-bases", "bases-swapped"],
+    )
+    def test_basis_entry_must_name_its_own_domain_once(self, saved, tmp_path, mutate, message):
+        header, payload = split_checkpoint(saved)
+        mutate(header)
+        target = tmp_path / "bad.ckpt"
+        target.write_bytes(join_checkpoint(header, payload))
+        with pytest.raises(CheckpointFormatError) as info:
+            load_checkpoint(target)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize(
         "mutate",
         [
             lambda h: h["bases"][0].pop("tensor"),
@@ -272,9 +299,12 @@ class TestMalformedCheckpoints:
             lambda h: h["config"].update(k=3),
             lambda h: h["config"].update(k=10**9, h=10**9, m=10**9),
             lambda h: h["config"].update(lr=-1),
+            repeat_first_domain,
+            swap_basis_tensors,
         ],
         ids=["basis-without-tensor", "tensor-without-rows", "no-config", "epoch-abc", "k-abc",
-             "w1-transposed", "k-disagrees-with-tensors", "huge-dims", "lr-negative"],
+             "w1-transposed", "k-disagrees-with-tensors", "huge-dims", "lr-negative",
+             "domain-with-two-bases", "bases-swapped"],
     )
     def test_cli_exits_3(self, saved, tmp_path, capsys, mutate):
         header, payload = split_checkpoint(saved)

@@ -219,7 +219,7 @@ class TestGenerateSbm:
 class TestDegreeFeatures:
     def star(self, leaves):
         edges = [(0, i) for i in range(1, leaves + 1)]
-        return CsrMatrix.from_edges(leaves + 1, edges, symmetric=True)
+        return CsrMatrix.from_edges(leaves + 1, edges)
 
     def test_star_center_normalized_degree(self):
         feats = degree_features(self.star(4), d=8)
@@ -227,7 +227,7 @@ class TestDegreeFeatures:
         assert np.all(feats[1:, 0] == 0.25)
 
     def test_isolated_node(self):
-        adj = CsrMatrix.from_edges(3, [(0, 1)], symmetric=True)
+        adj = CsrMatrix.from_edges(3, [(0, 1)])
         feats = degree_features(adj, d=6)
         assert feats[2, 0] == 0.0
         assert feats[2, 1] == 1.0
@@ -235,7 +235,7 @@ class TestDegreeFeatures:
 
     def test_regular_graph_rows_identical(self):
         # 4-cycle: every node has degree 2
-        adj = CsrMatrix.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)], symmetric=True)
+        adj = CsrMatrix.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         feats = degree_features(adj, d=5)
         assert np.all(feats == feats[0])
 

@@ -54,12 +54,17 @@ class TestInitBasis:
             assert basis.V.shape == (d, 4)
 
     def test_rank_deficiency_pads_with_orthonormal_completion(self):
-        x = np.outer(np.arange(1.0, 7.0), np.array([1.0, 2.0, 0.5, -1.0]))  # rank 1
-        with pytest.warns(UserWarning, match="padding"):
-            basis = init_basis(x, k=3, seed=4)
-        assert basis.padded
-        gram = basis.V.T @ basis.V
-        assert np.max(np.abs(gram - np.eye(3))) < 1e-8
+        rank_one = np.outer(np.arange(1.0, 7.0), np.array([1.0, 2.0, 0.5, -1.0]))
+        rank_zero = np.zeros((6, 4))  # every column comes from the completion
+        for x in (rank_one, rank_zero):
+            with pytest.warns(UserWarning, match="padding"):
+                basis = init_basis(x, k=3, seed=4)
+            assert basis.padded
+            gram = basis.V.T @ basis.V
+            assert np.max(np.abs(gram - np.eye(3))) < 1e-8
+            # the sign convention holds for padded columns too
+            lead = basis.V[np.argmax(np.abs(basis.V), axis=0), np.arange(3)]
+            assert np.all(lead >= 0)
 
 
 class TestTrans:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from leda import evaluate
-from leda.datasets import DomainGraph, GraphCollection, generate_sbm
+from leda.datasets import DomainGraph, GraphCollection, generate_sbm, write_float_tsv
 from leda.errors import DataError
 from leda.evaluate import (
     EmbeddingSet,
@@ -17,7 +17,6 @@ from leda.evaluate import (
     mi_diagnostic,
     mi_from_scores,
     pooled_graph_embeddings,
-    write_embeddings_tsv,
 )
 from leda.dpu import trans
 from leda.linalg import CsrMatrix, gaussian_entropy
@@ -84,7 +83,7 @@ class TestEmbed:
     def test_tsv_export_round_trips(self, trained, tmp_path):
         out = embed(node_collection().graphs[0], trained, t=0)
         path = tmp_path / "emb.tsv"
-        write_embeddings_tsv(out, path)
+        write_float_tsv(path, out.E, index=True)
         rows = [line.split("\t") for line in path.read_text().splitlines()]
         assert [int(r[0]) for r in rows] == list(range(out.E.shape[0]))
         parsed = np.array([[float(v) for v in r[1:]] for r in rows])

@@ -33,30 +33,30 @@ def random_lda(m, h_e, z, seed=0):
 
 def ring_propagation(n):
     edges = [(i, (i + 1) % n) for i in range(n)]
-    return normalize_adjacency(CsrMatrix.from_edges(n, edges, symmetric=True))
+    return normalize_adjacency(CsrMatrix.from_edges(n, edges))
 
 
 class TestEncode:
     def test_zero_features_give_zero_posterior(self):
         params = random_lda(m=3, h_e=4, z=2)
-        state = encode(ad.constant(np.zeros((5, 3))), ring_propagation(5), params)
-        assert np.all(state.mu.value == 0)
-        assert np.all(state.log_sigma.value == 0)
+        mu, log_sigma = encode(ad.constant(np.zeros((5, 3))), ring_propagation(5), params)
+        assert np.all(mu.value == 0)
+        assert np.all(log_sigma.value == 0)
 
     def test_single_node_reduces_to_stacked_linear_maps(self):
         params = random_lda(m=3, h_e=4, z=2, seed=1)
         s = CsrMatrix.from_dense([[1.0]])
         x = np.random.default_rng(2).standard_normal((1, 3))
-        state = encode(ad.constant(x), s, params)
+        mu, log_sigma = encode(ad.constant(x), s, params)
         hidden = np.maximum(x @ params["lda.W_base"].value, 0.0)
-        assert np.allclose(state.mu.value, hidden @ params["lda.W_mu"].value)
-        assert np.allclose(state.log_sigma.value, hidden @ params["lda.W_sigma"].value)
+        assert np.allclose(mu.value, hidden @ params["lda.W_mu"].value)
+        assert np.allclose(log_sigma.value, hidden @ params["lda.W_sigma"].value)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(3)
         n = 5
         edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]
-        adj = CsrMatrix.from_edges(n, edges, symmetric=True)
+        adj = CsrMatrix.from_edges(n, edges)
         s = normalize_adjacency(adj)
         x = rng.standard_normal((n, 3))
         params = random_lda(m=3, h_e=6, z=4, seed=4)
@@ -66,20 +66,20 @@ class TestEncode:
         adj_p = CsrMatrix.from_dense(p @ to_dense(adj) @ p.T)
         s_p = normalize_adjacency(adj_p)
 
-        state = encode(ad.constant(x), s, params)
-        state_p = encode(ad.constant(p @ x), s_p, params)
+        mu, log_sigma = encode(ad.constant(x), s, params)
+        mu_p, log_sigma_p = encode(ad.constant(p @ x), s_p, params)
         # permuted float sums reassociate, so exactness is up to roundoff
-        assert np.allclose(state_p.mu.value, p @ state.mu.value, atol=1e-12)
-        assert np.allclose(state_p.log_sigma.value, p @ state.log_sigma.value, atol=1e-12)
+        assert np.allclose(mu_p.value, p @ mu.value, atol=1e-12)
+        assert np.allclose(log_sigma_p.value, p @ log_sigma.value, atol=1e-12)
 
     def test_shared_parameters_bit_identical_across_domains(self):
         params = random_lda(m=2, h_e=3, z=2, seed=5)
         s = ring_propagation(4)
         x = np.random.default_rng(6).standard_normal((4, 2))
-        a = encode(ad.constant(x), s, params)
-        b = encode(ad.constant(x.copy()), s, params)
-        assert np.array_equal(a.mu.value, b.mu.value)
-        assert np.array_equal(a.log_sigma.value, b.log_sigma.value)
+        mu_a, log_sigma_a = encode(ad.constant(x), s, params)
+        mu_b, log_sigma_b = encode(ad.constant(x.copy()), s, params)
+        assert np.array_equal(mu_a.value, mu_b.value)
+        assert np.array_equal(log_sigma_a.value, log_sigma_b.value)
 
 
 class TestReparameterize:
@@ -227,7 +227,7 @@ class TestPropagateExtra:
 
     def test_rows_contract_on_connected_non_bipartite_graph(self):
         # triangle plus pendant: connected, odd cycle
-        adj = CsrMatrix.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)], symmetric=True)
+        adj = CsrMatrix.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
         s = normalize_adjacency(adj)
         z = np.random.default_rng(19).standard_normal((4, 3))
 
@@ -414,8 +414,8 @@ class TestFusedPrimitives:
         prepared, params, config = order_state["full"]
         out = []
         for domain, xhat in aligned(prepared, params, "full"):
-            state = encode(ad.constant(xhat), domain.s, paramset_of(params))
-            mu, log_sigma = state.mu.value, state.log_sigma.value
+            posterior = encode(ad.constant(xhat), domain.s, paramset_of(params))
+            mu, log_sigma = (node.value for node in posterior)
             out.append((mu, log_sigma))
             out.append((mu, log_sigma * (1.5 * lda.LOG_SIGMA_CLAMP / np.max(np.abs(log_sigma)))))
         assert np.any(np.abs(out[-1][1]) > lda.LOG_SIGMA_CLAMP)

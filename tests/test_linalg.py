@@ -11,18 +11,19 @@ from leda.errors import DataError
 from leda.linalg import (
     SPARSE_FEATURE_DENSITY,
     CsrMatrix,
+    basis_signs,
     feature_operand,
     gaussian_entropy,
     normalize_adjacency,
     truncated_svd,
 )
 
-from oracles import best_rank_k_error, svd_product, to_dense
+from oracles import best_rank_k_error, fix_signs_loop, svd_product, to_dense
 from synthetic import bag_of_words
 
 
 def adjacency_from_edges(n, edges):
-    return CsrMatrix.from_edges(n, edges, symmetric=True)
+    return CsrMatrix.from_edges(n, edges)
 
 
 class TestNormalizeAdjacency:
@@ -177,11 +178,6 @@ class TestFromEdges:
             assert m.row_offsets.tolist() == [0, 1, 2, 3, 4]
             assert m.col_indices.tolist() == [2, 3, 0, 1]
 
-    def test_directed(self):
-        m = CsrMatrix.from_edges(3, [(2, 0), (0, 1), (2, 0)], symmetric=False)
-        assert sorted(zip(*np.nonzero(to_dense(m)))) == [(0, 1), (2, 0)]
-        assert m.nnz == 2
-
     @pytest.mark.parametrize("pair", [(0, 3), (-1, 1)])
     def test_rejects_index_outside_node_range(self, pair):
         with pytest.raises(DataError, match=r"outside \[0, 3\)"):
@@ -322,6 +318,23 @@ class TestSparseFeatures:
             lead = np.argmax(np.abs(sparse.V), axis=0)
             assert np.all(sparse.V[lead, np.arange(8)] >= 0)
             assert np.max(np.abs(sparse.U - dense.U)) <= 1e-10
+
+
+class TestBasisSigns:
+    def test_bitwise_the_per_column_loop(self):
+        rng = np.random.default_rng(12)
+        v = rng.standard_normal((7, 9))
+        v[:, 1] = [-1.0, 1.0, 0.5, 0, 0, 0, 0]  # a tie goes to the first row: flipped
+        v[:, 2] = [1.0, -1.0, 0.5, 0, 0, 0, 0]  # kept
+        v[:, 3] = 0.0
+        v[:, 4] = -0.0
+        v[[0, 3], 5] = [-0.0, -4.0]  # a signed zero is negated with its column
+        u = rng.standard_normal((5, 9))
+        signs = basis_signs(v)
+        ref_u, ref_v = fix_signs_loop(u.copy(), v.copy())
+        assert (v * signs).tobytes() == ref_v.tobytes()
+        assert (u * signs).tobytes() == ref_u.tobytes()
+        assert signs[1] == -1.0 and signs[2] == 1.0
 
 
 class TestGaussianEntropy:

@@ -15,7 +15,7 @@ import oracles
 from leda import autodiff as ad
 from leda import evaluate
 from leda.config import EvalConfig
-from leda.datasets import GraphCollection, generate_sbm
+from leda.datasets import GraphCollection, generate_sbm, write_float_tsv
 from leda.errors import ConfigError
 from leda.evaluate import (
     MI_BLOCK_PAIRS,
@@ -25,7 +25,6 @@ from leda.evaluate import (
     graph_eval,
     linear_probe,
     mi_diagnostic,
-    write_embeddings_tsv,
 )
 from leda.trainer import pretrain
 
@@ -165,7 +164,7 @@ class TestEmbeddingFiles:
         rows[rows.shape[0] // 2:, :1] = -0.0
         e = EmbeddingSet("r", rows)
         root = tmp_path_factory.mktemp("tsv")
-        write_embeddings_tsv(e, root / "new.tsv")
+        write_float_tsv(root / "new.tsv", e.E, index=True)
         oracles.write_embeddings_tsv(e, root / "old.tsv")
         assert (root / "new.tsv").read_bytes() == (root / "old.tsv").read_bytes()
 
