@@ -53,10 +53,11 @@ class Node:
         return self.value.shape
 
     def accumulate(self, delta: np.ndarray) -> None:
-        # the first write copies: delta may be shared with another node or be
-        # a read-only broadcast view, and grad is added to in place later
+        # the first write copies, C-ordered: delta may be shared with another
+        # node, a read-only broadcast view or a transposed product, and grad is
+        # added to in place later
         if self.grad is None:
-            self.grad = np.array(delta, dtype=np.float64)
+            self.grad = np.array(delta, dtype=np.float64, order="C")
         else:
             self.grad += delta
 
@@ -118,8 +119,7 @@ def matmul(a: Node, b: Node, transpose_a: bool = False) -> Node:
 
     def backward(grad):
         if a.requires_grad:
-            da = grad @ b.value.T
-            a.accumulate(da.T if transpose_a else da)
+            a.accumulate(b.value @ grad.T if transpose_a else grad @ b.value.T)
         if b.requires_grad:
             b.accumulate(av.T @ grad)
 

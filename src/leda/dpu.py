@@ -10,15 +10,12 @@ Features are aligned into the common m-dimensional space as Xhat = X @ Vhat,
 a sparse product when the features are held as a CsrMatrix.
 The alignment objective combines a self-reconstruction term
 ||X - X Vhat Vhat^T||_F^2 with an orthogonality penalty
-||Vhat^T Vhat - I||_F^2 weighted by lambda.
+||Vhat^T Vhat - I||_F^2 weighted by lambda. The reconstruction reads the
+aligned features P = Xhat and ||X||_F^2 alone:
 
-Both penalties are computed from the feature Gram G = X^T X (d x d) alone:
+    recon = ||X||_F^2 - 2 ||P||_F^2 + sum((P^T P) * (Vhat^T Vhat))
 
-    recon = tr(G) - 2 sum(Vhat * G Vhat) + sum((Vhat^T G Vhat) * (Vhat^T Vhat))
-
-G costs O(n d^2) once per domain and also drives the basis SVD; each epoch
-then costs O(d^2 m) instead of the direct form's O(n d m), and nothing n x d
-enters the tape.
+so an epoch costs O(nnz m + n m^2) and nothing d x d is ever formed.
 
 The MLP's tensors are read by their `checkpoint.param_shapes` names; the
 no-dpu variant has no MLP, and `trans` then passes the raw basis through.
@@ -54,16 +51,13 @@ class DomainBasis:
         object.__setattr__(self, "V", v)
 
 
-def init_basis(
-    x: np.ndarray | CsrMatrix, k: int, seed: int, domain_id: str = "", gram: np.ndarray | None = None
-) -> DomainBasis:
-    """Right singular vectors of x as a d x k orthonormal basis; `gram` is
-    x^T x when the caller holds it (see truncated_svd).
+def init_basis(x: np.ndarray | CsrMatrix, k: int, seed: int, domain_id: str = "") -> DomainBasis:
+    """Right singular vectors of x as a d x k orthonormal basis.
 
     When x has rank below k the trailing columns are replaced by a seeded
     orthonormal completion and the padded flag is set.
     """
-    result = truncated_svd(x, k, seed, gram=gram)
+    result = truncated_svd(x, k, seed)
     s = result.singular_values
     v = np.array(result.V)
     threshold = RANK_DEFICIENCY_RTOL * max(s[0], 1e-300)
@@ -105,14 +99,12 @@ def align(x: np.ndarray | CsrMatrix, vhat: Node) -> Node:
     return ad.matmul(ad.constant(x, "features"), vhat)
 
 
-def alignment_penalties(gram: np.ndarray, vhat: Node) -> tuple[Node, Node]:
-    """Reconstruction and orthogonality penalties for one domain, from its
-    feature Gram X^T X; a mean of member Grams gives the mean penalty."""
-    g_vhat = ad.matmul(ad.constant(gram, "feature_gram"), vhat)
+def alignment_penalties(xhat: Node, vhat: Node, x_sq: float, members: int) -> tuple[Node, Node]:
+    """Reconstruction and orthogonality penalties for one domain of `members`
+    stacked graphs, from its aligned features Xhat = X Vhat and x_sq =
+    ||X||_F^2; the reconstruction is the mean of the members' penalties."""
     vtv = ad.matmul(vhat, vhat, transpose_a=True)
-    cross = ad.scale(ad.reduce_sum(ad.mul(vhat, g_vhat)), 2.0)
-    quad = ad.reduce_sum(ad.mul(ad.matmul(vhat, g_vhat, transpose_a=True), vtv))
-    recon = ad.add(ad.sub(ad.constant(np.trace(gram), "gram_trace"), cross), quad)
+    quad = ad.reduce_sum(ad.mul(ad.matmul(xhat, xhat, transpose_a=True), vtv))
+    recon = ad.add(ad.sub(ad.constant(x_sq, "feature_sq_norm"), ad.frobenius_sq(xhat, 2.0)), quad)
     ortho = ad.frobenius_sq(ad.sub(vtv, ad.constant(np.eye(vhat.shape[1]), "identity")))
-    return recon, ortho
-
+    return ad.scale(recon, 1.0 / members), ortho

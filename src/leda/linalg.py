@@ -23,9 +23,9 @@ SVD_OVERSAMPLE = 8
 SVD_POWER_ITERS = 8
 
 # Features with at most this share of nonzeros are held as a CsrMatrix. On
-# random binary 3000 x 1500 features (k=64, one BLAS thread), CSR wins the Gram
-# plus basis SVD below about 4% density, the Gram-free SVD plus X Vhat below
-# 12%. Bag-of-words (0.5-2.4%) falls below; degree (3/16) and Gaussian do not.
+# random binary 3000 x 1500 features (k=64, one BLAS thread), CSR wins the
+# basis SVD plus X Vhat below about 12% density; 5% leaves margin. Bag-of-words
+# (0.5-2.4%) falls below; degree (3/16) and Gaussian do not.
 SPARSE_FEATURE_DENSITY = 0.05
 
 ENTROPY_DIAG_REG = 1e-9
@@ -160,10 +160,6 @@ class CsrMatrix:
             raise DataError(f"sparse.T ({self.cols}x{self.rows}) @ dense {x.shape}: inner dims differ")
         return np.asarray(self._scipy.T @ x)
 
-    def gram(self) -> np.ndarray:
-        """X^T X as a dense, C-ordered array (scipy hands it back Fortran-ordered)."""
-        return np.ascontiguousarray((self._scipy.T @ self._scipy).toarray())
-
     def is_symmetric(self) -> bool:
         m = self._scipy
         return (m != m.T).nnz == 0
@@ -228,17 +224,15 @@ def basis_signs(v: np.ndarray) -> np.ndarray:
     return np.where(lead < 0, -1.0, 1.0)
 
 
-def truncated_svd(x: np.ndarray | CsrMatrix, k: int, seed: int, gram: np.ndarray | None = None) -> SvdResult:
+def truncated_svd(x: np.ndarray | CsrMatrix, k: int, seed: int) -> SvdResult:
     """Best rank-k factorization via a seeded randomized range finder.
 
     A Gaussian sketch Z (d x ell, ell = k + SVD_OVERSAMPLE) is refined by
-    SVD_POWER_ITERS subspace iterations Z <- qr(G Z) with G = x^T x; then
-    Q = qr(x Z) and the small matrix Q^T x is factored exactly. Only the d
-    side is orthonormalized per step (Halko, Martinsson & Tropp 2011), so a
-    single n x ell QR is taken. A caller holding G passes it as `gram` (its
-    O(n d^2) cost paid once, e.g. per domain) and a step costs O(d^2 ell);
-    without it a step is x^T (x Z), O(n d ell), or O(nnz ell) when x is a
-    CsrMatrix. Deterministic for a fixed seed.
+    SVD_POWER_ITERS subspace iterations Z <- qr(x^T (x Z)); then Q = qr(x Z)
+    and the small matrix Q^T x is factored exactly. Only the d side is
+    orthonormalized per step (Halko, Martinsson & Tropp 2011), so a single
+    n x ell QR is taken. A step costs O(n d ell), or O(nnz ell) when x is a
+    CsrMatrix, and nothing d x d is formed. Deterministic for a fixed seed.
     """
     # scipy's CSR matrix and a dense array take the same `@` and `.T` below
     x = x._scipy if isinstance(x, CsrMatrix) else as_dense(x, "svd input")
@@ -249,7 +243,7 @@ def truncated_svd(x: np.ndarray | CsrMatrix, k: int, seed: int, gram: np.ndarray
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((d, ell))
     for _ in range(SVD_POWER_ITERS):
-        z, _ = np.linalg.qr(gram @ z if gram is not None else x.T @ (x @ z))
+        z, _ = np.linalg.qr(x.T @ (x @ z))
     q, _ = np.linalg.qr(x @ z)
     u_small, s, vt = np.linalg.svd(q.T @ x, full_matrices=False)
     v = vt[:k].T.copy()

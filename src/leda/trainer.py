@@ -57,7 +57,7 @@ class PreparedDomain:
     x: np.ndarray | CsrMatrix  # features in the form `feature_operand` picks
     s: CsrMatrix  # normalized adjacency, block-diagonal over the members
     sizes: tuple[int, ...]  # node count of each member graph, in collection order
-    gram: np.ndarray  # mean of the members' feature Grams X^T X (d x d)
+    x_sq: float  # ||x||_F^2, summed over the members
 
 
 def _domain_key(domain_id: str) -> int:
@@ -79,31 +79,26 @@ class _Operands(NamedTuple):
     x: np.ndarray | CsrMatrix
     s: CsrMatrix
     sizes: tuple[int, ...]
-    gram: np.ndarray  # the members' mean Gram, as PreparedDomain holds it
-    gram_sum: np.ndarray  # x^T x, for the basis SVD; `gram` itself for a lone graph
+    x_sq: float
 
 
 def _domain_operands(graphs: list[DomainGraph]) -> _Operands:
     union = disjoint_union(graphs)
     s = normalize_adjacency(union.adjacency)
     x = feature_operand(union.features)
-    gram_sum = x.gram() if isinstance(x, CsrMatrix) else x.T @ x
-    gram = gram_sum / len(graphs) if len(graphs) > 1 else gram_sum
-    gram_sum.setflags(write=False)
-    gram.setflags(write=False)
-    return _Operands(x, s, tuple(g.num_nodes for g in graphs), gram, gram_sum)
+    x_sq = float(np.sum(np.square(x.values if isinstance(x, CsrMatrix) else x)))
+    return _Operands(x, s, tuple(g.num_nodes for g in graphs), x_sq)
 
 
 def prepare_domains(collection: GraphCollection, config: TrainConfig) -> list[PreparedDomain]:
     """Group graphs by domain, build frozen bases, normalize adjacencies.
 
     Domains come back sorted by domain_id. A domain's graphs become one, their
-    `disjoint_union` in collection order: stacked features, whose Gram is
-    formed once for the basis SVD and the alignment penalties, and a
+    `disjoint_union` in collection order: stacked features and a
     block-diagonal adjacency. A node-level domain passes through uncopied.
 
     The collection keeps what this builds for as long as it lives, all of
-    it read-only: each domain's `s`, `x`, `gram` and `sizes` once, whatever
+    it read-only: each domain's `s`, `x`, `x_sq` and `sizes` once, whatever
     the config, and the domains with their bases once per (k, seed), the
     only config fields read here. Every call checks k against each domain
     before any SVD runs.
@@ -123,9 +118,9 @@ def prepare_domains(collection: GraphCollection, config: TrainConfig) -> list[Pr
         prepared = []
         for domain_id in domain_ids:
             op = operands[domain_id]
-            basis = init_basis(op.x, config.k, seed=config.seed, domain_id=domain_id, gram=op.gram_sum)
+            basis = init_basis(op.x, config.k, seed=config.seed, domain_id=domain_id)
             prepared.append(
-                PreparedDomain(domain_id, _domain_key(domain_id), basis, op.x, op.s, op.sizes, op.gram)
+                PreparedDomain(domain_id, _domain_key(domain_id), basis, op.x, op.s, op.sizes, op.x_sq)
             )
         by_key[key] = tuple(prepared)
     return list(by_key[key])
@@ -204,10 +199,11 @@ def build_epoch_loss(
 
     for domain in prepared:
         vhat = trans(domain.basis.V, params, variant)
+        xhat = align(domain.x, vhat)
         domain_terms: list[Node] = []
 
         if variant in ("full", "no-lda", "dpu-cl"):
-            recon_d, ortho_d = alignment_penalties(domain.gram, vhat)
+            recon_d, ortho_d = alignment_penalties(xhat, vhat, domain.x_sq, len(domain.sizes))
             align_d = ad.add(recon_d, ad.scale(ortho_d, config.lam))
             accumulate("dpu_recon", recon_d)
             accumulate("dpu_ortho", ortho_d)
@@ -217,15 +213,12 @@ def build_epoch_loss(
         if variant in ("full", "no-dpu"):
             eps = _member_draws(config, epoch, domain, _EPS_STREAM,
                                 lambda rng, rows: rng.standard_normal((rows, config.z)))
-            loss, recon, kl = loss_total_domain(
-                align(domain.x, vhat), domain.s, params, config.beta_kl, eps, domain.sizes
-            )
+            loss, recon, kl = loss_total_domain(xhat, domain.s, params, config.beta_kl, eps, domain.sizes)
             domain_terms.append(loss)
             accumulate("lda_recon", recon)
             accumulate("kl", kl)
 
         if variant == "dpu-cl":
-            xhat = align(domain.x, vhat)
             mask = _member_draws(config, epoch, domain, _DROPOUT_STREAM,
                                  lambda rng, rows: rng.random((rows, xhat.shape[1])) >= DROPOUT_RATE)
             xhat_view = ad.mul(xhat, ad.constant(mask.astype(np.float64), "dropout_mask"))

@@ -536,10 +536,10 @@ def _mean_nodes(nodes):
 
 def member_loop_epoch_loss(collection, prepared, params, config, epoch):
     """`trainer.build_epoch_loss` as a loop over each domain's member graphs,
-    in collection order: each goes through `loss_total_domain`, or makes its
-    own dpu-cl view, alone, with its own features, its own normalized
-    adjacency and the noise of its own stream; a domain's member terms are
-    averaged. Returns (total node, components)."""
+    in collection order: each takes its own alignment penalty, goes through
+    `loss_total_domain` or makes its own dpu-cl view, alone, with its own
+    features, its own normalized adjacency and the noise of its own stream;
+    a domain's member terms are averaged. Returns (total node, components)."""
     variant = config.variant
     components, terms, views = {}, [], []
 
@@ -552,7 +552,9 @@ def member_loop_epoch_loss(collection, prepared, params, config, epoch):
             [config.seed, epoch, domain.key, i, stream]) for i in range(len(graphs))]
         vhat = trans(domain.basis.V, params, variant)
         if variant != "no-dpu":
-            recon, ortho = alignment_penalties(domain.gram, vhat)
+            penalties = [alignment_penalties(align(g.features, vhat), vhat, np.sum(g.features ** 2), 1)
+                         for g in graphs]
+            recon, ortho = _mean_nodes([recon for recon, _ in penalties]), penalties[0][1]
             note("dpu_recon", recon)
             note("dpu_ortho", ortho)
             weight = config.mu_align if variant == "full" else 1.0

@@ -72,12 +72,13 @@ def tiny_config(**overrides) -> TrainConfig:
 def alignment_loss(pairs, params, lam: float):
     """The alignment loss through the trainer: `build_epoch_loss` with
     variant no-lda over one hand-built domain per (features, basis) pair, in
-    list order (Gram X^T X, an edgeless graph). `params` must hold the DPU
-    and LDA tensors. Returns (total node, components)."""
+    list order (an edgeless graph). `params` must hold the DPU and LDA
+    tensors. Returns (total node, components)."""
     prepared = [
         PreparedDomain(
             domain_id=f"hand{i}", key=i, basis=DomainBasis(f"hand{i}", v), x=x,
-            s=normalize_adjacency(CsrMatrix.from_edges(len(x), [])), sizes=(len(x),), gram=x.T @ x,
+            s=normalize_adjacency(CsrMatrix.from_edges(len(x), [])), sizes=(len(x),),
+            x_sq=float(np.sum(x * x)),
         )
         for i, (x, v) in enumerate(pairs)
     ]

@@ -118,6 +118,17 @@ class TestBackward:
         assert np.array_equal(node.grad, np.tile([[2.0, 4.0]], (3, 1)))
         assert np.array_equal(source, [[1.0, 2.0]])
 
+    def test_first_gradient_is_c_ordered(self):
+        # a transposed delta, and x as both operands of x^T x, whose two
+        # products downstream would otherwise round as another layout does
+        node = ad.Node(np.zeros((3, 2)), "n", requires_grad=True)
+        node.accumulate(np.arange(6.0).reshape(2, 3).T)
+        assert node.grad.flags.c_contiguous
+        x = ad.Node(np.random.default_rng(1).standard_normal((5, 3)), "x", requires_grad=True)
+        ad.backward(ad.reduce_sum(ad.matmul(x, x, transpose_a=True)))
+        assert x.grad.flags.c_contiguous
+        assert np.allclose(x.grad, 2.0 * x.value.sum(axis=1, keepdims=True) * np.ones((1, 3)))
+
     def test_a_delta_shared_by_two_nodes_stays_untouched(self):
         delta = np.ones((2, 2))
         a = ad.Node(np.zeros((2, 2)), "a", requires_grad=True)

@@ -6,11 +6,12 @@ from leda.datasets import GraphCollection, generate_sbm
 from leda.dpu import align, alignment_penalties, init_basis, trans
 from leda.errors import ConfigError
 from leda.linalg import CsrMatrix
-from leda.trainer import prepare_domains
+from leda.trainer import prepare_domains, pretrain
 
-from oracles import central_difference_grad, direct_reconstruction, gradient_check
+from oracles import central_difference_grad, direct_reconstruction, gradient_check, to_dense
 from synthetic import (
-    alignment_loss, bag_of_words, draw_dpu_params, draw_lda_params, parameters, tiny_config,
+    alignment_loss, bag_of_words, bow_collection, draw_dpu_params, draw_lda_params, parameters,
+    tiny_config,
 )
 
 
@@ -27,6 +28,11 @@ def with_lda(params):
     m = params["dpu.W2"].shape[1]
     draw_lda_params(params, np.random.default_rng(0), m=m, h_e=2, z=2)
     return params
+
+
+def penalties(x, vhat):
+    """The trainer's alignment penalties of one graph's dense features x."""
+    return alignment_penalties(align(x, vhat), vhat, float(np.sum(x * x)), 1)
 
 
 def random_paramset(k, h, m, seed=0):
@@ -152,13 +158,13 @@ class TestInvariants:
         rng = np.random.default_rng(11)
         x = rng.standard_normal((9, 6))
         q, _ = np.linalg.qr(rng.standard_normal((6, 4)))
-        _, ortho_good = alignment_penalties(x.T @ x, ad.constant(q))
+        _, ortho_good = penalties(x, ad.constant(q))
         assert ortho_good.value[0, 0] < 1e-20
         gram_dev = np.max(np.abs(q.T @ q - np.eye(4)))
         assert gram_dev < 1e-10
 
         not_ortho = q * 1.01
-        _, ortho_bad = alignment_penalties(x.T @ x, ad.constant(not_ortho))
+        _, ortho_bad = penalties(x, ad.constant(not_ortho))
         assert ortho_bad.value[0, 0] > 1e-10
         assert np.max(np.abs(not_ortho.T @ not_ortho - np.eye(4))) > 1e-10
 
@@ -167,8 +173,8 @@ class TestInvariants:
         x = rng.standard_normal((8, 5))
         vhat = rng.standard_normal((5, 3))
         rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        recon_a, _ = alignment_penalties(x.T @ x, ad.constant(vhat))
-        recon_b, _ = alignment_penalties(x.T @ x, ad.constant(vhat @ rot))
+        recon_a, _ = penalties(x, ad.constant(vhat))
+        recon_b, _ = penalties(x, ad.constant(vhat @ rot))
         assert recon_a.value[0, 0] == pytest.approx(recon_b.value[0, 0], abs=1e-8)
 
     def test_shared_parameters_give_bit_identical_output(self):
@@ -215,10 +221,10 @@ class TestSparseAlign:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def gram_recon_and_grad(x, vhat):
-    """Gram-form reconstruction penalty and its tape gradient in vhat."""
+def recon_and_grad(x, vhat):
+    """The reconstruction penalty from P = X Vhat and its tape gradient in vhat."""
     node = ad.Node(vhat, "vhat", requires_grad=True)
-    recon, _ = alignment_penalties(x.T @ x, node)
+    recon, _ = penalties(x, node)
     ad.backward(recon)
     return recon.value[0, 0], node.grad
 
@@ -232,8 +238,20 @@ def rank_deficient_case(rng, n=30, d=10, rank=3, k=5):
     return x, q
 
 
+def graph_level_sbm():
+    """One graph-level domain of three SBM graphs, 10, 12 and 14 nodes, with
+    Gaussian features of width 6."""
+    graphs = tuple(
+        generate_sbm(2, 5 + i, 0.7, 0.2, d=6, cluster_sep=2.0, seed=30 + i, domain_id="glv")
+        for i in range(3)
+    )
+    return GraphCollection(graphs=graphs, task_kind="graph-level", graph_labels=(0, 1, 0))
+
+
 class TestGramForm:
-    """The Gram-form penalty against the direct ||X - X Vhat Vhat^T||^2."""
+    """The penalty in its Gram expansion, evaluated through P = X Vhat
+    (tr(Vhat^T G Vhat) = ||P||^2 and Vhat^T G Vhat = P^T P), against the
+    direct ||X - X Vhat Vhat^T||^2; bounds relative to G = X^T X."""
 
     @pytest.mark.parametrize("case", ["random", "near-orthonormal", "rank-deficient"])
     def test_matches_direct_form(self, case):
@@ -247,7 +265,7 @@ class TestGramForm:
                 if case == "near-orthonormal":
                     vhat = np.linalg.qr(vhat)[0] + 1e-6 * rng.standard_normal((12, 5))
             gram = x.T @ x
-            value, grad = gram_recon_and_grad(x, vhat)
+            value, grad = recon_and_grad(x, vhat)
             want_value, want_grad = direct_reconstruction(x, vhat)
             assert abs(value - want_value) <= 1e-12 * np.trace(gram)
             assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.linalg.norm(gram, 2)
@@ -264,19 +282,42 @@ class TestGramForm:
         assert np.allclose(direct_reconstruction(x, vhat)[1], fd, rtol=1e-6, atol=1e-6)
 
     def test_graph_level_domain_equals_mean_of_member_penalties(self):
-        graphs = tuple(
-            generate_sbm(2, 5 + i, 0.7, 0.2, d=6, cluster_sep=2.0, seed=30 + i, domain_id="glv")
-            for i in range(3)
-        )
-        collection = GraphCollection(graphs=graphs, task_kind="graph-level", graph_labels=(0, 1, 0))
+        collection = graph_level_sbm()
+        graphs = collection.graphs
         (domain,) = prepare_domains(collection, tiny_config())
         assert domain.sizes == (10, 12, 14)
         vhat = trans(domain.basis.V, random_params(4, 8, 4, seed=31), "full")
-        recon, ortho = alignment_penalties(domain.gram, vhat)
+        recon, ortho = alignment_penalties(align(domain.x, vhat), vhat, domain.x_sq, len(domain.sizes))
         bounds = np.cumsum((0,) + domain.sizes)
         direct = [direct_reconstruction(domain.x[lo:hi], vhat.value)[0]
                   for lo, hi in zip(bounds[:-1], bounds[1:])]
         assert np.array_equal(domain.x, np.concatenate([g.features for g in graphs]))
-        assert abs(recon.value[0, 0] - np.mean(direct)) <= 1e-12 * np.trace(domain.gram)
+        mean_gram_trace = domain.x_sq / len(domain.sizes)
+        assert abs(recon.value[0, 0] - np.mean(direct)) <= 1e-12 * mean_gram_trace
         vtv = vhat.value.T @ vhat.value
         assert ortho.value[0, 0] == pytest.approx(np.sum((vtv - np.eye(4)) ** 2), rel=1e-12)
+
+    @pytest.mark.parametrize("kind, width", [("bag-of-words", 32), ("graph-level", 5)])
+    def test_matches_direct_form_near_convergence(self, kind, width):
+        """After 300 no-lda epochs at k = m = width, the penalty is within 10%
+        of the rank-m optimum and a small share of tr(G) (0.15-0.18 and
+        0.076), so most of the P form's terms cancel; the bounds are those
+        at initialization, relative to the members' mean G."""
+        collection = bow_collection(seed=8) if kind == "bag-of-words" else graph_level_sbm()
+        config = tiny_config(variant="no-lda", epochs=300, k=width, m=width, h=2 * width)
+        params = parameters(pretrain(collection, config).params)
+        for domain in prepare_domains(collection, config):
+            vhat = ad.Node(trans(domain.basis.V, params, "no-lda").value, "vhat", requires_grad=True)
+            members = len(domain.sizes)
+            recon, _ = alignment_penalties(align(domain.x, vhat), vhat, domain.x_sq, members)
+            ad.backward(recon)
+            x = to_dense(domain.x) if isinstance(domain.x, CsrMatrix) else domain.x
+            bounds = np.cumsum((0,) + domain.sizes)
+            direct = [direct_reconstruction(x[lo:hi], vhat.value) for lo, hi in zip(bounds[:-1], bounds[1:])]
+            want_value = np.mean([value for value, _ in direct])
+            want_grad = np.mean([grad for _, grad in direct], axis=0)
+            gram = x.T @ x / members
+            optimum = np.sum(np.linalg.svd(x, compute_uv=False)[width:] ** 2) / members
+            assert want_value <= 1.1 * optimum and want_value <= 0.2 * np.trace(gram)
+            assert abs(recon.value[0, 0] - want_value) <= 1e-12 * np.trace(gram)
+            assert np.max(np.abs(vhat.grad - want_grad)) <= 1e-12 * np.linalg.norm(gram, 2)

@@ -20,7 +20,7 @@ from leda.evaluate import (
 )
 from leda.dpu import trans
 from leda.linalg import CsrMatrix, gaussian_entropy
-from leda.trainer import pretrain
+from leda.trainer import prepare_domains, pretrain
 
 from synthetic import bow_collection, node_collection, parameters, tiny_config
 
@@ -79,6 +79,23 @@ class TestEmbed:
         unseen = replace(bow_collection(seed=6).graphs[0], domain_id="unseen")
         assert embed(unseen, trained).E.shape == (unseen.num_nodes, trained.config.z)
         assert len(held) == 1 and isinstance(held[0], CsrMatrix)
+
+    @pytest.mark.parametrize("features", ["dense", "csr"])
+    def test_unseen_domain_gets_the_basis_training_would_give_it(self, trained, monkeypatch, features):
+        derived = []
+        derive = evaluate.init_basis
+
+        def kept(*args, **kwargs):
+            derived.append(derive(*args, **kwargs))
+            return derived[-1]
+
+        monkeypatch.setattr(evaluate, "init_basis", kept)
+        source = node_collection(seed=9) if features == "dense" else bow_collection(seed=6)
+        unseen = replace(source.graphs[0], domain_id="unseen")
+        embed(unseen, trained)
+        (domain,) = prepare_domains(GraphCollection((unseen,), "node-level"), trained.config)
+        assert isinstance(domain.x, CsrMatrix) == (features == "csr")
+        assert len(derived) == 1 and derived[0].V.tobytes() == domain.basis.V.tobytes()
 
     def test_tsv_export_round_trips(self, trained, tmp_path):
         out = embed(node_collection().graphs[0], trained, t=0)

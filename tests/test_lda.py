@@ -321,8 +321,8 @@ def aligned(prepared, params, variant):
 def epoch_loss_with_xhat(prepared, config, monkeypatch):
     """(fn, Xhat arrays) for `build_epoch_loss` at epoch 7: fn adds a zero
     parameter to each X̂ the trainer aligns, in call order, so that the
-    gradient reaching X̂ is returned with the parameters'. Variant no-lda
-    forms no X̂ (its penalties read the Gram), so its probes stay zero."""
+    gradient reaching X̂ is returned with the parameters'. Every variant
+    aligns each domain once per epoch, so every probe is read."""
     probes = {f"xhat{i}": np.zeros((domain.x.shape[0], config.m))
               for i, domain in enumerate(prepared)}
     current = {}

@@ -234,23 +234,6 @@ class TestTruncatedSvd:
         assert np.array_equal(a.U, b.U)
         assert np.array_equal(a.singular_values, b.singular_values)
 
-    def test_gram_and_direct_power_steps_agree(self):
-        # the shapes of acceptance criterion 1, whose oracle bound both meet
-        rng = np.random.default_rng(0)
-        for trial in range(50):
-            n, d = int(rng.integers(10, 41)), int(rng.integers(9, 21))
-            k = int(rng.integers(1, 9))
-            x = rng.standard_normal((n, d))
-            direct = truncated_svd(x, k, seed=1234 + trial)
-            via_gram = truncated_svd(x, k, seed=1234 + trial, gram=x.T @ x)
-            assert np.max(np.abs(via_gram.V - direct.V)) <= 1e-10
-            s, s_direct = via_gram.singular_values, direct.singular_values
-            assert np.max(np.abs(s - s_direct) / s_direct) <= 1e-12
-            oracle = best_rank_k_error(x, k)
-            for res in (direct, via_gram):
-                err = np.linalg.norm(x - svd_product(res))
-                assert abs(err - oracle) / oracle < 1e-6
-
     def test_rank_out_of_range(self):
         with pytest.raises(DataError):
             truncated_svd(np.eye(3), k=4, seed=0)
@@ -292,25 +275,15 @@ class TestSparseFeatures:
             for part in ("row_offsets", "col_indices", "values"):
                 assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
 
-    def test_gram_is_bitwise_the_dense_product_and_c_ordered(self):
-        rng = np.random.default_rng(2)
-        for n, d in ((300, 120), (50, 400)):
-            x = bag_of_words(rng, n, d, 0.03)
-            gram = CsrMatrix.from_dense(x).gram()
-            assert gram.flags.c_contiguous
-            assert gram.tobytes() == (x.T @ x).tobytes()
-
-    @pytest.mark.parametrize("with_gram", [False, True])
-    def test_svd_of_csr_matches_dense(self, with_gram):
+    def test_svd_of_csr_matches_dense(self):
         # same sketch and steps; only the summation order of the x products
         # differs, so V and the singular values agree to rounding (measured:
         # 1.2e-13 and 2.9e-15). Weighted words, so that the orders do round.
         rng = np.random.default_rng(3)
         for trial in range(10):
             x = bag_of_words(rng, 150, 90, 0.05) * rng.uniform(0.1, 3.0, (150, 90))
-            gram = x.T @ x if with_gram else None
-            dense = truncated_svd(x, 8, seed=trial, gram=gram)
-            sparse = truncated_svd(CsrMatrix.from_dense(x), 8, seed=trial, gram=gram)
+            dense = truncated_svd(x, 8, seed=trial)
+            sparse = truncated_svd(CsrMatrix.from_dense(x), 8, seed=trial)
             assert np.max(np.abs(sparse.V - dense.V)) <= 1e-10
             s, s_dense = sparse.singular_values, dense.singular_values
             assert np.max(np.abs(s - s_dense) / s_dense) <= 1e-12

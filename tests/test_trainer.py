@@ -292,13 +292,13 @@ class TestJointLossGradient:
 
 
 class TestSparseFeatures:
-    def test_bag_of_words_domain_holds_csr_features_and_a_c_ordered_gram(self):
+    def test_bag_of_words_domain_holds_csr_features_and_their_squared_norm(self):
         collection = bow_collection(seed=4)
         for graph, domain in zip(collection.graphs, prepare_domains(collection, tiny_config())):
             assert domain.sizes == (graph.num_nodes,)
             assert isinstance(domain.x, CsrMatrix)
-            assert domain.gram.flags.c_contiguous
-            assert domain.gram.tobytes() == (graph.features.T @ graph.features).tobytes()
+            # binary features: every partial sum is an exact integer
+            assert domain.x_sq == np.sum(graph.features * graph.features)
 
     def test_final_losses_match_the_dense_path(self, monkeypatch):
         import leda.trainer
@@ -439,7 +439,6 @@ class TestPreparedOnce:
         counts = {}
         for name in ("normalize_adjacency", "init_basis", "feature_operand"):
             count_calls(monkeypatch, trainer, name, counts)
-        count_calls(monkeypatch, CsrMatrix, "gram", counts)
         return counts
 
     @pytest.mark.parametrize("kind", COLLECTIONS)
@@ -449,9 +448,8 @@ class TestPreparedOnce:
         for variant in VARIANTS:
             pretrain(collection, tiny_config(variant=variant, epochs=1))
         pretrain(collection, tiny_config(epochs=1, two_phase=True, two_phase_epochs=1))
-        sparse_grams = domains if kind == "bag-of-words" else 0
         assert counts == {"normalize_adjacency": domains, "init_basis": domains,
-                          "feature_operand": domains, "gram": sparse_grams}
+                          "feature_operand": domains}
 
     @pytest.mark.parametrize("change", [{"k": 3}, {"seed": 7}, {"k": 3, "seed": 7}])
     @pytest.mark.parametrize("kind", COLLECTIONS)
@@ -462,9 +460,9 @@ class TestPreparedOnce:
         again = prepare_domains(collection, tiny_config(**change))
         assert counts["init_basis"] - before["init_basis"] == len(first)
         assert {name: counts[name] - before[name] for name in counts if name != "init_basis"} == {
-            "normalize_adjacency": 0, "feature_operand": 0, "gram": 0}
+            "normalize_adjacency": 0, "feature_operand": 0}
         for old, new in zip(first, again):
-            assert new.s is old.s and new.x is old.x and new.gram is old.gram
+            assert new.s is old.s and new.x is old.x and new.x_sq == old.x_sq
             assert new.sizes == old.sizes and new.basis is not old.basis
 
     def test_every_other_config_field_hits_the_memo(self, counts):
@@ -482,17 +480,18 @@ class TestPreparedOnce:
         collection = COLLECTIONS[kind]()
         prepare_domains(collection, tiny_config())
         for domain in prepare_domains(collection, tiny_config()):
-            for operand in (domain.x, domain.s, domain.gram, domain.basis.V):
+            for operand in (domain.x, domain.s, domain.basis.V):
                 assert is_read_only(operand), domain.domain_id
             with pytest.raises(ValueError, match="read-only"):
-                domain.gram[0, 0] = 1.0
+                domain.basis.V[0, 0] = 1.0
 
-    def test_graph_level_gram_is_the_members_mean_and_the_basis_that_of_the_sum(self):
+    def test_graph_level_norm_and_basis_are_those_of_the_stacked_features(self):
         collection = graph_level_collection()
         ga, _ = prepare_domains(collection, tiny_config())
         x = np.concatenate([g.features for g in collection.by_domain("ga")])
-        assert ga.gram.tobytes() == (x.T @ x / 6).tobytes()
-        want = init_basis(x, 4, seed=tiny_config().seed, domain_id="ga", gram=x.T @ x)
+        assert ga.sizes == tuple(g.num_nodes for g in collection.by_domain("ga"))
+        assert ga.x_sq == np.sum(x * x)
+        want = init_basis(x, 4, seed=tiny_config().seed, domain_id="ga")
         assert ga.basis.V.tobytes() == want.V.tobytes()
 
     @pytest.mark.parametrize("kind", COLLECTIONS)
