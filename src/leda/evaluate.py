@@ -4,10 +4,12 @@ prototypes, and the cross-domain mutual-information diagnostic.
 Embeddings are deterministic (posterior means, no sampling). Every protocol
 repeats with derived seeds (base seed + repeat index) and reports accuracy
 as mean +- population standard deviation in percent. Each is a whole-array
-pass: one prototype loop serves nodes and graphs, the probe's softmax
-gradient is closed-form (bitwise the engine's), and sampled MI pairs are
-scored MI_BLOCK_PAIRS at a time, in O(block * dim) memory. Graph pooling
-embeds each domain once, as the block-diagonal union of its graphs.
+pass: one prototype loop serves nodes and graphs and scores a block of
+repeats with one product, in at most PROTOTYPE_BLOCK_SCORES scores; the
+probe's softmax gradient is closed-form (bitwise the engine's); and sampled
+MI pairs are scored MI_BLOCK_PAIRS at a time, in O(block * dim) memory.
+Graph pooling embeds each domain once, as the block-diagonal union of its
+graphs.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ PROBE_L2 = 1e-4
 COSINE_EPS = 1e-12
 MI_MAX_PAIRS = 1_000_000
 MI_BLOCK_PAIRS = 256
+PROTOTYPE_BLOCK_SCORES = 1 << 20
 
 MI_NOTE = "bias term (expected marginal correction) is not estimable from data; omitted"
 
@@ -222,7 +225,11 @@ def _prototype_scores(vectors, labels, shots: int, repeats: int, seed: int, scor
     draws `shots` support rows per class, in class order, with rng(seed + r);
     their means are the prototypes, and every other row goes to the most
     cosine-similar one. Rows are normalized once, as gathering normalized
-    rows equals normalizing gathered rows."""
+    rows equals normalizing gathered rows. A block of repeats is scored by
+    one product of all rows with the block's prototypes, at most
+    PROTOTYPE_BLOCK_SCORES entries (8 MB); each repeat takes the argmax over
+    its own columns, and its query rows are picked afterwards. An entry is
+    one dot product either way; tests pin that it keeps the per-repeat bits."""
     classes = np.unique(labels)
     members = [np.flatnonzero(labels == c) for c in classes]
     short = [int(c) for c, rows in zip(classes, members) if len(rows) < shots]
@@ -231,15 +238,20 @@ def _prototype_scores(vectors, labels, shots: int, repeats: int, seed: int, scor
     if all(len(rows) == shots for rows in members):
         raise DataError("support would cover every member; query set is empty")
     unit = _unit_rows(vectors)
+    n, num_classes = len(labels), len(classes)
+    step = max(1, PROTOTYPE_BLOCK_SCORES // (n * num_classes))
     scores = []
-    for repeat in range(repeats):
-        rng = np.random.default_rng(seed + repeat)
-        chosen = [rng.choice(rows, size=shots, replace=False) for rows in members]
-        query = np.ones(len(labels), dtype=bool)
-        query[np.concatenate(chosen)] = False
-        prototypes = _unit_rows(np.stack([vectors[rows].mean(axis=0) for rows in chosen]))
-        pred = classes[np.argmax(unit[query] @ prototypes.T, axis=1)]
-        scores.append(score(labels[query], pred))
+    for lo in range(0, repeats, step):
+        drawn = []
+        for repeat in range(lo, min(lo + step, repeats)):
+            rng = np.random.default_rng(seed + repeat)
+            drawn.append([rng.choice(rows, size=shots, replace=False) for rows in members])
+        prototypes = _unit_rows(np.stack([vectors[rows].mean(axis=0) for chosen in drawn for rows in chosen]))
+        winners = np.argmax((unit @ prototypes.T).reshape(n, len(drawn), num_classes), axis=2)
+        for chosen, column in zip(drawn, winners.T):
+            query = np.ones(n, dtype=bool)
+            query[np.concatenate(chosen)] = False
+            scores.append(score(labels[query], classes[column[query]]))
     return scores
 
 

@@ -2,6 +2,7 @@
 replaced (kept in `oracles`): every report, record and file must be
 byte-identical, and the closed-form probe gradient bitwise the engine's."""
 
+import contextlib
 import json
 import re
 from unittest import mock
@@ -60,29 +61,84 @@ def labeled_rows(draw, max_class_size=12):
     return rows, labels, shots
 
 
+BLOCK_REPEATS = (None, 0, 1, 2, 3)
+
+
+def scored_in_blocks(labels, repeats_per_block):
+    """PROTOTYPE_BLOCK_SCORES bounded to hold `repeats_per_block` repeats'
+    scores (0 and 1 both give blocks of one repeat). None keeps the default,
+    which puts every test-sized repeat in one block."""
+    if repeats_per_block is None:
+        return contextlib.nullcontext()
+    per_repeat = len(labels) * len(np.unique(labels))
+    return mock.patch.object(evaluate, "PROTOTYPE_BLOCK_SCORES", repeats_per_block * per_repeat)
+
+
+def graph_level(labels) -> GraphCollection:
+    """A collection with one graph per label; its pooled rows are patched in."""
+    graph = generate_sbm(1, 2, 1.0, 0.0, d=3, cluster_sep=1.0, seed=0, domain_id="g")
+    return GraphCollection(graphs=(graph,) * len(labels), task_kind="graph-level",
+                           graph_labels=tuple(labels))
+
+
+def bench_shaped_rows(seed: int, n: int, dim: int, classes: int):
+    """Rows around one center per class, about 1% of them zero."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, classes, size=n)
+    rows = rng.standard_normal((classes, dim))[labels] + 2.0 * rng.standard_normal((n, dim))
+    rows[rng.random(n) < 0.01] = 0.0
+    return rows, labels
+
+
 class TestPrototypeLoop:
     @settings(max_examples=60, deadline=None)
     @given(data=labeled_rows(), repeats=st.integers(1, 30), seed=SEEDS)
     def test_fewshot_report_is_byte_identical(self, data, repeats, seed):
         rows, labels, k = data
         e = EmbeddingSet("r", rows, labels)
-        new = fewshot_eval(e, k=k, repeats=repeats, seed=seed)
-        old = oracles.fewshot_eval(e, k=k, repeats=repeats, seed=seed)
-        assert as_bytes(new.to_dict()) == as_bytes(old.to_dict())
+        old = as_bytes(oracles.fewshot_eval(e, k=k, repeats=repeats, seed=seed).to_dict())
+        for count in BLOCK_REPEATS:
+            with scored_in_blocks(labels, count):
+                new = fewshot_eval(e, k=k, repeats=repeats, seed=seed)
+            assert as_bytes(new.to_dict()) == old, count
 
     @settings(max_examples=40, deadline=None)
     @given(data=labeled_rows(max_class_size=6), repeats=st.integers(1, 30), seed=SEEDS)
     def test_graph_report_is_byte_identical(self, data, repeats, seed):
         pooled, labels, support = data
-        graph = generate_sbm(1, 2, 1.0, 0.0, d=3, cluster_sep=1.0, seed=0, domain_id="g")
-        collection = GraphCollection(
-            graphs=(graph,) * len(labels), task_kind="graph-level", graph_labels=tuple(labels)
-        )
+        collection = graph_level(labels)
         with mock.patch.object(evaluate, "pooled_graph_embeddings", return_value=pooled):
-            new = graph_eval(collection, None, support_per_class=support, repeats=repeats, seed=seed)
-            old = oracles.graph_eval(collection, None, support_per_class=support, repeats=repeats,
+            old = as_bytes(oracles.graph_eval(collection, None, support_per_class=support,
+                                              repeats=repeats, seed=seed).to_dict())
+            for count in BLOCK_REPEATS:
+                with scored_in_blocks(labels, count):
+                    new = graph_eval(collection, None, support_per_class=support, repeats=repeats,
                                      seed=seed)
+                assert as_bytes(new.to_dict()) == old, count
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_fewshot_report_at_bench_shape_is_byte_identical(self, k):
+        # the bench transfer target's shape, where the products take BLAS's
+        # blocked kernels; 120 repeats cross two block boundaries at the
+        # default bound and end on a partial block
+        rows, labels = bench_shaped_rows(17, 3327, 128, 6)
+        repeats = 120
+        assert repeats > 2 * (evaluate.PROTOTYPE_BLOCK_SCORES // (3327 * 6))
+        e = EmbeddingSet("citeseer-like", rows, labels)
+        new = fewshot_eval(e, k=k, repeats=repeats, seed=66666)
+        old = oracles.fewshot_eval(e, k=k, repeats=repeats, seed=66666)
         assert as_bytes(new.to_dict()) == as_bytes(old.to_dict())
+
+    def test_graph_report_at_bench_shape_is_byte_identical(self):
+        pooled, labels = bench_shaped_rows(18, 400, 128, 3)
+        collection = graph_level(labels)
+        with mock.patch.object(evaluate, "pooled_graph_embeddings", return_value=pooled):
+            old = as_bytes(oracles.graph_eval(collection, None, support_per_class=3, repeats=120,
+                                              seed=7).to_dict())
+            for count in (None, 50):
+                with scored_in_blocks(labels, count):
+                    new = graph_eval(collection, None, support_per_class=3, repeats=120, seed=7)
+                assert as_bytes(new.to_dict()) == old, count
 
 
 class TestClosedFormProbe:
