@@ -52,10 +52,11 @@ def _check_output_dirs(*paths: str | None) -> None:
 
 
 def _load_inputs(args):
-    """The --ckpt checkpoint, then the --manifest collection: a command that
-    reads both reports a bad checkpoint before a bad dataset."""
+    """Check --out's directory, then load the --ckpt checkpoint, then the
+    --manifest collection: errors surface in that order."""
     from .checkpoint import load_checkpoint
 
+    _check_output_dirs(args.out)
     ckpt = load_checkpoint(args.ckpt)
     return ckpt, _load_collection(args.manifest)
 

@@ -5,11 +5,11 @@ Embeddings are deterministic (posterior means, no sampling). Every protocol
 repeats with derived seeds (base seed + repeat index) and reports accuracy
 as mean +- population standard deviation in percent. Each is a whole-array
 pass: one prototype loop serves nodes and graphs and scores a block of
-repeats with one product, in at most PROTOTYPE_BLOCK_SCORES scores; the
-probe's softmax gradient is closed-form (bitwise the engine's); and sampled
-MI pairs are scored MI_BLOCK_PAIRS at a time, in O(block * dim) memory.
-Graph pooling embeds each domain once, as the block-diagonal union of its
-graphs.
+repeats with one product, in at most PROTOTYPE_BLOCK_SCORES scores; a
+probe step forms only its two closed-form gradients (bitwise the engine's),
+and weights that end non-finite raise NumericError; and sampled MI pairs
+are scored MI_BLOCK_PAIRS at a time, in O(block * dim) memory. Graph
+pooling embeds each domain once, as the block-diagonal union of its graphs.
 """
 
 from __future__ import annotations
@@ -139,20 +139,18 @@ def _accuracy(true: np.ndarray, pred: np.ndarray) -> float:
 # linear probe
 
 
-def _probe_loss_and_grads(x: np.ndarray, w: np.ndarray, b: np.ndarray, onehot: np.ndarray):
-    """Mean softmax cross-entropy of x @ w + b plus PROBE_L2 * ||w||^2, and
-    its gradients in w and b. The logit gradient G = softmax / n - onehot / n
+def _probe_grads(x: np.ndarray, w: np.ndarray, b: np.ndarray, onehot: np.ndarray):
+    """Gradients in w and b of the mean softmax cross-entropy of x @ w + b
+    plus PROBE_L2 * ||w||^2, without the loss. G = softmax / n - onehot / n
     and the rest are formed in the order `autodiff.backward` forms them on
-    the engine-built loss, so all three are bitwise the engine's."""
+    the engine-built loss, so both are bitwise the engine's."""
     inv_n = 1.0 / x.shape[0]
     logits = x @ w + b
     shift = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - shift)
     total = e.sum(axis=1, keepdims=True)
-    picked = (logits * onehot).sum(axis=1, keepdims=True)
-    loss = (shift + np.log(total) - picked).sum() * inv_n + np.sum(w * w) * PROBE_L2
     g = (inv_n / total) * e + (-inv_n) * onehot
-    return float(loss), x.T @ g + (PROBE_L2 * 2.0) * w, g.sum(axis=0, keepdims=True)
+    return x.T @ g + (PROBE_L2 * 2.0) * w, g.sum(axis=0, keepdims=True)
 
 
 def _fit_logistic(train_x: np.ndarray, train_y: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -161,11 +159,12 @@ def _fit_logistic(train_x: np.ndarray, train_y: np.ndarray, num_classes: int) ->
     params = {"probe.W": w, "probe.b": b}
     onehot = np.eye(num_classes)[train_y]
     state = AdamWState.for_params(params, lr=PROBE_LR, weight_decay=0.0)
-    for step in range(PROBE_STEPS):
-        loss, w.grad, b.grad = _probe_loss_and_grads(train_x, w.value, b.value, onehot)
-        if not np.isfinite(loss):
-            raise NumericError(f"linear probe: loss is non-finite at step {step}")
+    for _ in range(PROBE_STEPS):
+        w.grad, b.grad = _probe_grads(train_x, w.value, b.value, onehot)
         adamw_step(params, state)
+    # a non-finite gradient at any step leaves AdamW's moments, so the weights, non-finite
+    if not (np.all(np.isfinite(w.value)) and np.all(np.isfinite(b.value))):
+        raise NumericError("linear probe: fitted weights are non-finite")
     return w.value.copy(), b.value.copy()
 
 
@@ -364,23 +363,22 @@ def mi_diagnostic(
     e_j: EmbeddingSet,
     tau: float,
     seed: int = 0,
-    max_pairs: int = MI_MAX_PAIRS,
 ) -> dict:
-    """Cross-domain similarity diagnostic over all pairs, or over max_pairs
-    seeded samples scored MI_BLOCK_PAIRS at a time."""
+    """Cross-domain similarity diagnostic over all pairs, or over
+    MI_MAX_PAIRS seeded samples scored MI_BLOCK_PAIRS at a time."""
     check_protocol_args(tau=tau)
     if e_i.E.shape[0] == 0 or e_j.E.shape[0] == 0:
         raise DataError("embedding sets must be non-empty")
     a = _unit_rows(e_i.E)
     b = _unit_rows(e_j.E)
-    if a.shape[0] * b.shape[0] <= max_pairs:
+    if a.shape[0] * b.shape[0] <= MI_MAX_PAIRS:
         scores = (a @ b.T) / tau
     else:
         rng = np.random.default_rng(seed)
-        rows = rng.integers(0, a.shape[0], size=max_pairs)
-        cols = rng.integers(0, b.shape[0], size=max_pairs)
-        scores = np.empty(max_pairs)
-        for lo in range(0, max_pairs, MI_BLOCK_PAIRS):
+        rows = rng.integers(0, a.shape[0], size=MI_MAX_PAIRS)
+        cols = rng.integers(0, b.shape[0], size=MI_MAX_PAIRS)
+        scores = np.empty(MI_MAX_PAIRS)
+        for lo in range(0, MI_MAX_PAIRS, MI_BLOCK_PAIRS):
             block = slice(lo, lo + MI_BLOCK_PAIRS)
             scores[block] = np.sum(a[rows[block]] * b[cols[block]], axis=1)
         scores /= tau

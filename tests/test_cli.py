@@ -309,6 +309,52 @@ class TestEmbedAndEval:
         assert 0.0 <= doc["mean_accuracy"] <= 100.0
         assert doc["std"] >= 0.0
 
+    def test_eval_linear_non_finite_fit_exits_4(self, suite, ckpt_path, tmp_path, capsys,
+                                                monkeypatch):
+        grads = evaluate._probe_grads
+        calls = []
+
+        def nan_at_first_step(*args):
+            grad_w, grad_b = grads(*args)
+            calls.append(None)
+            return (grad_w * np.nan if len(calls) == 1 else grad_w), grad_b
+
+        monkeypatch.setattr(evaluate, "_probe_grads", nan_at_first_step)
+        out = tmp_path / "lin.json"
+        code = main(
+            [
+                "eval-linear", "--ckpt", str(ckpt_path), "--manifest", str(suite["manifest"]),
+                "--domain", "domc", "--runs", "2", "--out", str(out),
+            ]
+        )
+        assert code == 4
+        assert capsys.readouterr().err.startswith("numeric failure: linear probe")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["embed", "--domain", "domc"],
+            ["eval-linear", "--domain", "domc"],
+            ["eval-fewshot", "--domain", "domc"],
+            ["eval-graph"],
+            ["mi-diag", "--domains", "doma,domb"],
+        ],
+        ids=["embed", "eval-linear", "eval-fewshot", "eval-graph", "mi-diag"],
+    )
+    def test_missing_output_directory_is_refused_before_any_work(
+        self, suite, ckpt_path, tmp_path, capsys, monkeypatch, args
+    ):
+        calls = []
+        monkeypatch.setattr(evaluate, "embed", lambda *a, **k: calls.append("embed"))
+        monkeypatch.setattr(evaluate, "graph_eval", lambda *a, **k: calls.append("graph_eval"))
+        out = tmp_path / "missing" / "x.json"
+        code = main(args + ["--ckpt", str(ckpt_path), "--manifest", str(suite["manifest"]),
+                            "--out", str(out)])
+        assert code == 3
+        assert str(out) in capsys.readouterr().err
+        assert calls == []
+
     def test_eval_fewshot_unknown_domain_exits_3(self, suite, ckpt_path):
         code = main(
             [

@@ -1,11 +1,12 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from leda import evaluate
 from leda.datasets import DomainGraph, GraphCollection, generate_sbm, write_float_tsv
-from leda.errors import DataError
+from leda.errors import DataError, NumericError
 from leda.evaluate import (
     EmbeddingSet,
     diagnostics_entropy,
@@ -135,6 +136,28 @@ class TestLinearProbe:
         e = EmbeddingSet("x", np.ones((10, 3)), np.zeros(10, dtype=int))
         with pytest.raises(DataError, match="two classes"):
             linear_probe(e)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("at_step", [0, 150, evaluate.PROBE_STEPS - 1])
+    @pytest.mark.parametrize("target", ["W", "b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_at_one_step_raises(self, monkeypatch, at_step, target, bad):
+        # the fitted weights are checked once, after the last step; a bad
+        # gradient at any step must still reach them
+        grads = evaluate._probe_grads
+        calls = []
+
+        def poisoned(*args):
+            grad_w, grad_b = grads(*args)
+            if len(calls) == at_step:
+                (grad_w if target == "W" else grad_b)[0, 0] = bad
+            calls.append(None)
+            return grad_w, grad_b
+
+        monkeypatch.setattr(evaluate, "_probe_grads", poisoned)
+        with pytest.raises(NumericError, match="linear probe: fitted weights are non-finite"):
+            linear_probe(clustered_embeddings(), runs=1, seed=1)
+        assert len(calls) == evaluate.PROBE_STEPS
 
 
 class TestFewshot:
@@ -304,8 +327,9 @@ class TestMiDiagnostic:
         rng = np.random.default_rng(16)
         e_i = EmbeddingSet("a", rng.standard_normal((40, 3)))
         e_j = EmbeddingSet("b", rng.standard_normal((40, 3)))
-        a = mi_diagnostic(e_i, e_j, tau=1.0, seed=5, max_pairs=100)
-        b = mi_diagnostic(e_i, e_j, tau=1.0, seed=5, max_pairs=100)
+        with mock.patch.object(evaluate, "MI_MAX_PAIRS", 100):
+            a = mi_diagnostic(e_i, e_j, tau=1.0, seed=5)
+            b = mi_diagnostic(e_i, e_j, tau=1.0, seed=5)
         assert a["mi_proxy"] == b["mi_proxy"]
         assert a["pair_count"] == 100
 

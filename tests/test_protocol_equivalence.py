@@ -158,8 +158,7 @@ class TestClosedFormProbe:
             zero_grads(params)
             loss = oracles.probe_loss(ad.constant(x), w, b, onehot)
             ad.backward(loss)
-            value, grad_w, grad_b = evaluate._probe_loss_and_grads(x, w.value, b.value, onehot)
-            assert value == loss.value[0, 0]
+            grad_w, grad_b = evaluate._probe_grads(x, w.value, b.value, onehot)
             assert np.array_equal(grad_w, w.grad)
             assert np.array_equal(grad_b, b.grad)
             evaluate.adamw_step(params, state)
@@ -179,6 +178,15 @@ class TestClosedFormProbe:
         new = linear_probe(e, train_frac=train_frac, runs=runs, seed=seed)
         assert as_bytes(new.to_dict()) == as_bytes(old.to_dict())
 
+    def test_linear_probe_report_at_bench_shape_is_byte_identical(self):
+        # the bench transfer probe's shape: about 333 training rows of 128 and
+        # 6 classes, where the products take BLAS's blocked kernels
+        rows, labels = bench_shaped_rows(19, 3327, 128, 6)
+        e = EmbeddingSet("citeseer-like", rows, labels)
+        new = linear_probe(e, train_frac=0.1, runs=2, seed=66666)
+        old = oracles.linear_probe(e, train_frac=0.1, runs=2, seed=66666)
+        assert as_bytes(new.to_dict()) == as_bytes(old.to_dict())
+
 
 class TestBlockedMi:
     @settings(max_examples=60, deadline=None)
@@ -194,18 +202,20 @@ class TestBlockedMi:
     def test_record_is_byte_identical(self, seed, n_i, n_j, dim, max_pairs, tau):
         e_i = EmbeddingSet("a", random_rows(seed, n_i, dim))
         e_j = EmbeddingSet("b", random_rows(seed + 1, n_j, dim))
-        new = mi_diagnostic(e_i, e_j, tau=tau, seed=seed, max_pairs=max_pairs)
+        with mock.patch.object(evaluate, "MI_MAX_PAIRS", max_pairs):
+            new = mi_diagnostic(e_i, e_j, tau=tau, seed=seed)
         old = oracles.mi_diagnostic(e_i, e_j, tau=tau, seed=seed, max_pairs=max_pairs)
         assert as_bytes(new) == as_bytes(old)
 
     def test_sampled_path_runs_in_blocks(self):
-        # 41 x 41 pairs exceed max_pairs, so the scores are sampled; more than
-        # one block must be scored and the partial last block kept
+        # 41 x 41 pairs exceed MI_MAX_PAIRS, so the scores are sampled; more
+        # than one block must be scored and the partial last block kept
         rng = np.random.default_rng(3)
         e_i = EmbeddingSet("a", rng.standard_normal((41, 3)))
         e_j = EmbeddingSet("b", rng.standard_normal((41, 3)))
         max_pairs = 2 * MI_BLOCK_PAIRS + 5
-        record = mi_diagnostic(e_i, e_j, tau=0.5, seed=1, max_pairs=max_pairs)
+        with mock.patch.object(evaluate, "MI_MAX_PAIRS", max_pairs):
+            record = mi_diagnostic(e_i, e_j, tau=0.5, seed=1)
         assert record["pair_count"] == max_pairs
         assert as_bytes(record) == as_bytes(
             oracles.mi_diagnostic(e_i, e_j, tau=0.5, seed=1, max_pairs=max_pairs)
