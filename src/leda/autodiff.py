@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .linalg import CsrMatrix
+from .linalg import CsrMatrix, matmul_rows
 
 
 class Node:
@@ -115,11 +115,11 @@ def matmul(a: Node, b: Node, transpose_a: bool = False) -> Node:
         raise ShapeError(
             f"matmul: inner dimensions differ for {_describe(a, b)} (transpose_a={transpose_a})"
         )
-    out_value = av @ b.value
+    out_value = matmul_rows(av, b.value)
 
     def backward(grad):
         if a.requires_grad:
-            a.accumulate(b.value @ grad.T if transpose_a else grad @ b.value.T)
+            a.accumulate(matmul_rows(b.value, grad.T) if transpose_a else matmul_rows(grad, b.value.T))
         if b.requires_grad:
             b.accumulate(av.T @ grad)
 

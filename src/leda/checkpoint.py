@@ -168,8 +168,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"reader supports {FORMAT_VERSION}"
         )
 
+    config_doc = dict(_typed(header.get("config"), dict, path, "config"))
+    # version-1 files written before the row split carry a `threads` entry,
+    # which no longer changes a bit of a run
+    config_doc.pop("threads", None)
     try:
-        config = TrainConfig.from_dict(_typed(header.get("config"), dict, path, "config"))
+        config = TrainConfig.from_dict(config_doc)
     except ConfigError as exc:
         raise CheckpointFormatError(f"{path}: invalid config in header: {exc}") from exc
     tensors = [

@@ -284,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--epochs", type=int)
     train.add_argument("--seed", type=int)
     train.add_argument("--variant", choices=VARIANTS)
-    train.add_argument("--threads", type=int, help="BLAS threads (else train.threads, default 1)")
     train.add_argument("--two-phase", dest="two_phase", action="store_true", default=None)
     reader = argparse.ArgumentParser(add_help=False)
     reader.add_argument("--ckpt", required=True)
@@ -356,17 +355,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # BLAS on one thread keeps every product's bits independent of the CPU
+    # count; `linalg.split_rows` spreads the large products over the CPUs
+    # instead. The BLAS pools are sized when numpy loads, so pin them first.
+    for var in _BLAS_THREAD_VARS:
+        os.environ[var] = "1"
     args = build_parser().parse_args(argv)
 
     from .errors import ConfigError, DataError, NumericError, ShapeError
 
     try:
         if "config" in args:
-            # pretrain and ablate: the BLAS pools are sized when numpy loads,
-            # so pin them to the run's thread count before any handler runs
             args.run_config = _run_config(args)
-            for var in _BLAS_THREAD_VARS:
-                os.environ[var] = str(args.run_config.train.threads)
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

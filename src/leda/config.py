@@ -59,7 +59,6 @@ class TrainConfig:
     tau: float = 0.5
     two_phase: bool = False
     two_phase_epochs: int = 100
-    threads: int = 1
 
     def __post_init__(self):
         _check_train_values(vars(self), {})
@@ -107,8 +106,6 @@ def _check_train_values(c: dict, key_of: dict[str, str]) -> None:
         raise ConfigError("InfoNCE temperature tau must be > 0")
     if c["variant"] == "no-dpu" and c["m"] != c["k"]:
         raise ConfigError("variant no-dpu feeds the raw k-column basis to the encoder; set m == k")
-    if c["threads"] < 1:
-        raise ConfigError("threads must be >= 1")
     if min(c["k"], c["h"], c["m"]) < 1:
         raise ConfigError("projection dims k, h, m must be positive")
     if c["h_e"] < 1 or c["z"] < 1:

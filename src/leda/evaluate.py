@@ -7,9 +7,10 @@ as mean +- population standard deviation in percent. Each is a whole-array
 pass: one prototype loop serves nodes and graphs and scores a block of
 repeats with one product, in at most PROTOTYPE_BLOCK_SCORES scores; a
 probe step forms only its two closed-form gradients (bitwise the engine's),
-and weights that end non-finite raise NumericError; and sampled MI pairs
-are scored MI_BLOCK_PAIRS at a time, in O(block * dim) memory. Graph
-pooling embeds each domain once, as the block-diagonal union of its graphs.
+and weights or AdamW second moments that end non-finite raise
+NumericError; and sampled MI pairs are scored MI_BLOCK_PAIRS at a time, in
+O(block * dim) memory. Graph pooling embeds each domain once, as the
+block-diagonal union of its graphs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .dpu import align, init_basis, trans
 from .errors import DataError, NumericError
 from .lda import base_layer, encode, propagate_extra
 from .linalg import EntropyResult, feature_operand, gaussian_entropy, normalize_adjacency
-from .optim import AdamWState, adamw_step
+from .optim import AdamWState, adamw_step, check_second_moments
 
 PROBE_STEPS = 300
 PROBE_LR = 0.01
@@ -165,6 +166,7 @@ def _fit_logistic(train_x: np.ndarray, train_y: np.ndarray, num_classes: int) ->
     # a non-finite gradient at any step leaves AdamW's moments, so the weights, non-finite
     if not (np.all(np.isfinite(w.value)) and np.all(np.isfinite(b.value))):
         raise NumericError("linear probe: fitted weights are non-finite")
+    check_second_moments(state, "linear probe")
     return w.value.copy(), b.value.copy()
 
 

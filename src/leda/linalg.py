@@ -1,19 +1,31 @@
 """Dense/sparse matrix primitives: symmetric adjacency normalization, the
-dense-or-CSR feature rule, seeded truncated SVD, a Gaussian-entropy diagnostic.
+dense-or-CSR feature rule, seeded truncated SVD, a Gaussian-entropy diagnostic,
+and the row split of the large products.
 
 All numerics are float64. Every operation here is a pure function and all
 returned containers are frozen, so values can be shared freely across tasks.
+
+BLAS runs on one thread (the CLI pins it), so that a product's bits never
+depend on the CPU count. A large sparse or dense product is instead split
+into contiguous blocks of whole output rows, one per CPU this process may
+use, each written by one kernel call into its own slice of the output. An
+output row is computed by the same kernel in the same order whichever block
+holds it, so the result is bitwise that of one call. Worker threads run
+these kernel calls and nothing else.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import DataError, NumericError
 
@@ -31,6 +43,21 @@ SPARSE_FEATURE_DENSITY = 0.05
 ENTROPY_DIAG_REG = 1e-9
 ORTHONORMAL_TOL = 1e-8
 
+# A product is split only where every block gets at least SPLIT_MIN_ROWS
+# output rows and the whole costs at least SPLIT_MIN_WORK dense
+# multiply-adds; a smaller one is one call, as handing a block to a thread
+# costs more than it saves. A sparse multiply-add, which gathers a row of
+# the dense factor, counts as SPARSE_MADD_COST dense ones. On a 2-core VM
+# with one BLAS thread, 2 blocks of a product timed alone broke even near
+# 3-4M dense multiply-adds and 0.8M sparse ones; inside a training epoch,
+# where the worker's core starts with cold caches, products below about
+# 16M gained nothing, and no-lda (whose products are the smallest) slowed.
+SPLIT_MIN_ROWS = 1024
+SPLIT_MIN_WORK = 1 << 24
+SPARSE_MADD_COST = 4
+
+_POOL: tuple[int, int, ThreadPoolExecutor | None] | None = None  # (pid, CPUs, pool)
+
 
 def as_dense(values, name: str = "matrix") -> np.ndarray:
     """Validate and return a 2-D float64 array (row-major)."""
@@ -40,6 +67,54 @@ def as_dense(values, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NumericError(f"{name} contains non-finite entries")
     return x
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+def _executor() -> tuple[int, ThreadPoolExecutor | None]:
+    """(CPUs, pool of CPUs - 1 threads, None for one CPU), made on first use
+    and again in a forked child, which inherits no threads."""
+    global _POOL
+    if _POOL is None or _POOL[0] != os.getpid():
+        cpus = _cpus()
+        _POOL = (os.getpid(), cpus, ThreadPoolExecutor(cpus - 1) if cpus > 1 else None)
+    return _POOL[1], _POOL[2]
+
+
+def split_rows(rows: int, work: int, kernel) -> None:
+    """Call kernel(lo, hi) on contiguous blocks [lo, hi) that cover [0, rows),
+    one per CPU but each at least SPLIT_MIN_ROWS rows, and one block in all
+    when `work` is below SPLIT_MIN_WORK. The calling thread runs the first
+    block; each kernel call must write only its own rows of the output."""
+    cpus, pool = _executor()
+    blocks = max(1, min(cpus, rows // SPLIT_MIN_ROWS)) if work >= SPLIT_MIN_WORK else 1
+    bounds = [rows * i // blocks for i in range(blocks + 1)]
+    futures = [pool.submit(kernel, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        kernel(bounds[0], bounds[1])
+    finally:  # every block ends, and raises what it raised, before the output is used
+        for future in futures:
+            future.result()
+
+
+def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b with its output rows split by `split_rows`, bitwise one call.
+    Two kinds stay one call, as their row blocks would be other kernels or
+    other bits: operands that may share memory, since numpy forms an array
+    times its own transpose by SYRK, and a single column, which numpy forms
+    by GEMV (OpenBLAS 0.3.31's GEMV gave other low bits on blocks of rows)."""
+    rows, inner = a.shape
+    cols = b.shape[1]
+    out = np.empty((rows, cols))
+    work = 0 if cols == 1 or np.may_share_memory(a, b) else rows * inner * cols
+    split_rows(rows, work, lambda lo, hi: np.matmul(a[lo:hi], b, out=out[lo:hi]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -150,15 +225,36 @@ class CsrMatrix:
             rows=n, cols=n, row_offsets=offsets, col_indices=cols, values=np.ones(len(keys))
         )
 
+    @cached_property
+    def _transpose(self) -> CsrMatrix:
+        return CsrMatrix.from_scipy(self._scipy.T)
+
+    def _times(self, x: np.ndarray) -> np.ndarray:
+        """self @ x by scipy's own multi-vector kernel, which adds each output
+        row's terms in column order, with the rows split by `split_rows`."""
+        width = x.shape[1]
+        x = np.ascontiguousarray(x, dtype=np.float64).ravel()
+        out = np.zeros((self.rows, width))
+
+        def kernel(lo, hi):
+            _sparsetools.csr_matvecs(hi - lo, self.cols, width, self.row_offsets[lo:hi + 1],
+                                     self.col_indices, self.values, x, out[lo:hi].ravel())
+
+        split_rows(self.rows, SPARSE_MADD_COST * self.nnz * width, kernel)
+        return out
+
     def matmul_dense(self, x: np.ndarray) -> np.ndarray:
         if x.shape[0] != self.cols:
             raise DataError(f"sparse ({self.rows}x{self.cols}) @ dense {x.shape}: inner dims differ")
-        return np.asarray(self._scipy @ x)
+        return self._times(x)
 
     def t_matmul_dense(self, x: np.ndarray) -> np.ndarray:
+        """self.T @ x as the CSR of the transpose, built once, times x. Its row
+        i adds the terms of column i in row order, as scipy's CSC route does,
+        so the bits are that route's."""
         if x.shape[0] != self.rows:
             raise DataError(f"sparse.T ({self.cols}x{self.rows}) @ dense {x.shape}: inner dims differ")
-        return np.asarray(self._scipy.T @ x)
+        return self._transpose._times(x)
 
     def is_symmetric(self) -> bool:
         m = self._scipy

@@ -28,7 +28,7 @@ from .dpu import DomainBasis, align, alignment_penalties, init_basis, trans
 from .errors import ConfigError, DataError, NumericError
 from .lda import base_layer, loss_total_domain
 from .linalg import CsrMatrix, feature_operand, normalize_adjacency
-from .optim import AdamWState, adamw_step
+from .optim import AdamWState, adamw_step, check_second_moments
 
 DROPOUT_RATE = 0.2
 COSINE_EPS = 1e-12
@@ -269,6 +269,7 @@ def _run_phase(
         del loss  # the tape goes now, not when the next epoch's graph is built
         adamw_step(trainable, state)
         trace.append(components)
+    check_second_moments(state, f"training ({config.variant})")
 
 
 def pretrain(collection: GraphCollection, config: TrainConfig) -> Checkpoint:

@@ -388,6 +388,18 @@ def write_embeddings_tsv(embeddings, path):
 
 
 # ---------------------------------------------------------------------------
+# dataset files
+
+
+def edge_lines(adj):
+    """An edges file's text formatted one string per edge: each upper
+    triangle entry (i, j) of the adjacency as "i\tj\n", in CSR order."""
+    rows = np.repeat(np.arange(adj.rows), np.diff(adj.row_offsets))
+    upper = rows < adj.col_indices
+    return "".join(f"{r}\t{c}\n" for r, c in zip(rows[upper].tolist(), adj.col_indices[upper].tolist()))
+
+
+# ---------------------------------------------------------------------------
 # raw checkpoint files
 
 

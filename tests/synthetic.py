@@ -7,6 +7,7 @@ import numpy as np
 from leda import autodiff as ad
 from leda.datasets import DomainGraph, GraphCollection, generate_sbm
 from leda.dpu import DomainBasis
+from leda.evaluate import EmbeddingSet
 from leda.linalg import CsrMatrix, normalize_adjacency
 from leda.trainer import PreparedDomain, TrainConfig, build_epoch_loss
 
@@ -49,6 +50,31 @@ def bow_collection(seed: int = 0, dims=(100, 120), density: float = 0.01, blocks
         x[np.arange(d) % n, np.arange(d)] = x[(np.arange(d) + 1) % n, np.arange(d)] = 1.0
         graphs.append(DomainGraph(g.domain_id, x, g.adjacency, g.labels, g.num_classes))
     return GraphCollection(graphs=tuple(graphs), task_kind="node-level")
+
+
+def graph_level_collection() -> GraphCollection:
+    """Two domains, interleaved in collection order, of random graphs with
+    Gaussian features of width 6: unequal sizes, one 1-node graph, and five
+    graphs smaller than tiny_config's k=4."""
+    rng = np.random.default_rng(12)
+    graphs, labels = [], []
+    for domain_id, n in (("ga", 5), ("gb", 4), ("ga", 1), ("ga", 9), ("gb", 11), ("ga", 3),
+                         ("gb", 2), ("ga", 2), ("gb", 6), ("ga", 7), ("gb", 3)):
+        upper = np.triu(rng.random((n, n)) < 0.5, k=1)
+        adjacency = CsrMatrix.from_dense((upper | upper.T) * 1.0)
+        graphs.append(DomainGraph(domain_id, rng.standard_normal((n, 6)), adjacency))
+        labels.append(len(graphs) % 2)
+    return GraphCollection(tuple(graphs), "graph-level", tuple(labels))
+
+
+def overflow_probe_set(scale: float) -> EmbeddingSet:
+    """A seeded 600 x 16, 4-class embedding set times `scale`. At 1e160 the
+    probe's W gradient passes 1e154, so squaring it overflows."""
+    rng = np.random.default_rng(19)
+    labels = np.repeat(np.arange(4), 150)
+    centers = 2.0 * rng.standard_normal((4, 16))
+    e = centers[labels] + rng.standard_normal((600, 16))
+    return EmbeddingSet("overflow", e * scale, labels)
 
 
 def tiny_config(**overrides) -> TrainConfig:

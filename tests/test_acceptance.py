@@ -229,7 +229,7 @@ def test_criterion_5_bitwise_determinism_via_cli(tmp_path):
         code = cli_main(
             [
                 "pretrain", "--config", str(config_path), "--manifest", str(manifest),
-                "--threads", "1", "--out", str(out),
+                "--out", str(out),
                 "--report", str(out) + ".json",
             ]
         )

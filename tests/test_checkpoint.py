@@ -33,6 +33,21 @@ class TestRoundTrip:
             assert a.padded == b.padded
         assert loaded.final_loss == pytest.approx(trained.final_loss)
 
+    def test_version_1_header_with_threads_loads(self, trained, tmp_path):
+        # files written while `threads` was a training setting carry it
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(trained, path)
+        header, payload = split_checkpoint(path.read_bytes())
+        assert header["version"] == 1 and "threads" not in header["config"]
+        header["config"]["threads"] = 1
+        path.write_bytes(join_checkpoint(header, payload))
+        loaded = load_checkpoint(path)
+        assert loaded.config == trained.config
+        for name, arr in trained.params.items():
+            assert loaded.params[name].tobytes() == arr.tobytes(), name
+        for a, b in zip(trained.bases, loaded.bases):
+            assert a.V.tobytes() == b.V.tobytes()
+
     def test_no_temp_file_left_behind(self, trained, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(trained, path)

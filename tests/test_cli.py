@@ -15,7 +15,7 @@ from leda.cli import build_parser, main
 from leda.config import VARIANTS, run_config_from_dict
 from leda.datasets import GraphCollection, generate_sbm, load_dataset, save_dataset
 
-from synthetic import bow_collection, node_collection
+from synthetic import bow_collection, node_collection, overflow_probe_set
 
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -214,8 +214,7 @@ class TestPretrain:
 
     def test_two_runs_bit_identical_checkpoints(self, suite, tmp_path, capsys):
         args = [
-            "pretrain", "--config", str(suite["config"]), "--threads", "1",
-            "--seed", "66666", "--epochs", "8",
+            "pretrain", "--config", str(suite["config"]), "--seed", "66666", "--epochs", "8",
         ]
         assert main(args + ["--out", str(tmp_path / "a.ckpt")]) == 0
         assert main(args + ["--out", str(tmp_path / "b.ckpt")]) == 0
@@ -329,6 +328,21 @@ class TestEmbedAndEval:
         )
         assert code == 4
         assert capsys.readouterr().err.startswith("numeric failure: linear probe")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_eval_linear_second_moment_overflow_exits_4(self, suite, ckpt_path, tmp_path, capsys,
+                                                        monkeypatch):
+        monkeypatch.setattr(evaluate, "embed", lambda graph, ckpt, t: overflow_probe_set(1e160))
+        out = tmp_path / "lin.json"
+        code = main(
+            [
+                "eval-linear", "--ckpt", str(ckpt_path), "--manifest", str(suite["manifest"]),
+                "--domain", "domc", "--runs", "2", "--out", str(out),
+            ]
+        )
+        assert code == 4
+        assert capsys.readouterr().err.startswith("numeric failure: linear probe: AdamW second moment")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -498,10 +512,9 @@ class TestTrainFlags:
             (["--seed", "7"], "seed", 7),
             (["--variant", "no-lda"], "variant", "no-lda"),
             (["--two-phase"], "two_phase", True),
-            (["--threads", "2"], "threads", 2),
             (["--epochs", "3"], "epochs", 3),
         ],
-        ids=["seed", "variant", "two-phase", "threads", "epochs"],
+        ids=["seed", "variant", "two-phase", "epochs"],
     )
     def test_flag_reaches_echoed_config(
         self, suite, tmp_path, monkeypatch, command, flag, key, value
@@ -646,7 +659,6 @@ PARSER_SURFACE = {
         "--epochs": ("epochs", int, None, False, None, _STORE),
         "--seed": ("seed", int, None, False, None, _STORE),
         "--variant": ("variant", None, None, False, VARIANTS, _STORE),
-        "--threads": ("threads", int, None, False, None, _STORE),
         "--two-phase": ("two_phase", None, None, False, None, _TRUE),
     },
     "embed": {
@@ -692,7 +704,6 @@ PARSER_SURFACE = {
         "--test-domain": ("test_domain", None, None, False, None, _APPEND),
         "--epochs": ("epochs", int, None, False, None, _STORE),
         "--seed": ("seed", int, None, False, None, _STORE),
-        "--threads": ("threads", int, None, False, None, _STORE),
         "--two-phase": ("two_phase", None, None, False, None, _TRUE),
         "--out": ("out", None, None, False, None, _STORE),
     },
@@ -786,9 +797,10 @@ class TestManifestFieldTypes:
 
 
 class TestThreadLimit:
-    """pretrain and ablate pin the BLAS variables to the run's train.threads:
-    the --threads flag, else the config's key, else 1. None of these configs
-    names a dataset, so each run stops with exit 2 after the pin."""
+    """Every subcommand pins the BLAS variables to 1 before it reads its
+    arguments, whatever its config holds and whether the run gets far; the
+    large products are split across the CPUs instead. The `threads` flag and
+    config key are gone and refused with exit 2."""
 
     VARS = BLAS_VARS
 
@@ -809,31 +821,38 @@ class TestThreadLimit:
     def pretrain(self, tmp_path, *args):
         return main(["pretrain", "--out", str(tmp_path / "m.ckpt"), *args])
 
-    def test_config_threads_take_effect(self, env, tmp_path):
-        self.pretrain(tmp_path, "--config", self.config(tmp_path, {"threads": 3}))
-        assert self.threads_set() == {"3"}
-
-    def test_flag_wins_over_config(self, env, tmp_path):
-        config = self.config(tmp_path, {"threads": 3})
-        self.pretrain(tmp_path, "--config", config, "--threads=2")
-        assert self.threads_set() == {"2"}
-
-    def test_abbreviated_flag_takes_effect(self, env, tmp_path):
-        self.pretrain(tmp_path, "--config", self.config(tmp_path, {}), "--thr", "2")
-        assert self.threads_set() == {"2"}
-
     def test_config_without_threads_pins_one(self, env, tmp_path):
         self.pretrain(tmp_path, "--config", self.config(tmp_path, {}))
         assert self.threads_set() == {"1"}
 
-    @pytest.mark.parametrize("train", [{"threads": 0}, {"threads": "4"}], ids=["train1", "train2"])
-    def test_config_without_valid_threads_leaves_env(self, env, tmp_path, train):
-        assert self.pretrain(tmp_path, "--config", self.config(tmp_path, train)) == 2
-        assert self.threads_set() == {"9"}
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pretrain", "--config", "absent.json", "--out", "m.ckpt"],
+            ["ablate", "--config", "absent.json"],
+            ["embed", "--ckpt", "absent.ckpt", "--manifest", "absent.json", "--domain", "a",
+             "--out", "e.tsv"],
+            ["gen-sbm", "--blocks", "0", "--nodes", "1", "--pin", "0.5", "--pout", "0.1",
+             "--seed", "1", "--out", "data"],
+        ],
+        ids=["pretrain", "ablate", "embed", "gen-sbm"],
+    )
+    def test_every_subcommand_pins_one_even_when_it_fails(self, env, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) in (2, 3)
+        assert self.threads_set() == {"1"}
 
-    def test_unreadable_config_leaves_env(self, env, tmp_path):
-        assert self.pretrain(tmp_path, "--config", str(tmp_path / "absent.json")) == 2
-        assert self.threads_set() == {"9"}
+    def test_threads_key_exits_2_and_is_named(self, env, tmp_path, capsys):
+        assert self.pretrain(tmp_path, "--config", self.config(tmp_path, {"threads": 1})) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown keys in 'train' section") and "'threads'" in err
+
+    @pytest.mark.parametrize("flag", [["--threads", "1"], ["--threads=2"]], ids=["spaced", "joined"])
+    def test_threads_flag_exits_2_and_is_named(self, env, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            self.pretrain(tmp_path, "--config", self.config(tmp_path, {}), *flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
     def test_pin_precedes_numpy_import(self, suite, tmp_path):
         """In a fresh interpreter, every variable is set while numpy is still

@@ -15,7 +15,7 @@ from leda.errors import ConfigError
 @pytest.mark.parametrize(
     "module, unloaded",
     [
-        # the CLI reads train.threads through leda.config before numpy may load
+        # the CLI parses and checks a run config through leda.config alone
         ("leda.config", ("leda.trainer", "numpy")),
         ("leda.checkpoint", ("leda.trainer",)),
     ],
@@ -58,7 +58,7 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "section, key, value",
         [
-            ("train", "threads", "abc"),
+            ("train", "two_phase_epochs", "abc"),
             ("train", "epochs", 2.5),
             ("train", "seed", True),
             ("train", "variant", 3),
@@ -113,7 +113,7 @@ class TestRunConfig:
             epochs=3, seed=5, lr=0.01, beta1=0.8, beta2=0.99, adam_eps=1e-7,
             weight_decay=1e-4, k=4, h=6, m=4, lam=0.5, h_e=8, z=3, beta_kl=0.5,
             mu_align=2.0, variant="dpu-cl", tau=0.25, two_phase=True,
-            two_phase_epochs=7, threads=2,
+            two_phase_epochs=7,
         )
         evals = EvalConfig(
             t_propagate={"a": 2}, k_shot=2, repeats=7, seed=9, test_domains=("a", "b"),

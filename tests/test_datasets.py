@@ -16,7 +16,7 @@ from leda.datasets import (
 from leda.errors import ConfigError, DataError
 from leda.linalg import CsrMatrix, normalize_adjacency
 
-from oracles import to_dense
+from oracles import edge_lines, to_dense
 
 
 def write_domain(tmp_path, domain_id, features, edges, labels=None, num_classes=None):
@@ -139,6 +139,17 @@ class TestRoundTrip:
             assert np.array_equal(to_dense(a.adjacency), to_dense(b.adjacency))
             assert np.array_equal(a.labels, b.labels)
             assert a.num_classes == b.num_classes
+
+    def test_edge_file_bytes_are_one_string_per_edge(self, tmp_path):
+        # node ids past 10^5, so that ids take five and six digits
+        n = 120_000
+        pairs = np.random.default_rng(17).integers(0, n, size=(5000, 2))
+        adj = CsrMatrix.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])
+        graph = DomainGraph("big", degree_features(adj, 4), adj, degree_featurized=True)
+        save_dataset(GraphCollection(graphs=(graph,), task_kind="node-level"), tmp_path)
+        written = (tmp_path / "g000-big.edges.tsv").read_bytes()
+        assert written == edge_lines(adj).encode("utf-8")
+        assert max(int(v) for v in written.split()) >= 100_000
 
     def test_graph_level_round_trip(self, tmp_path):
         graphs = [

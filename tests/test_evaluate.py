@@ -23,7 +23,7 @@ from leda.dpu import trans
 from leda.linalg import CsrMatrix, gaussian_entropy
 from leda.trainer import prepare_domains, pretrain
 
-from synthetic import bow_collection, node_collection, parameters, tiny_config
+from synthetic import bow_collection, node_collection, overflow_probe_set, parameters, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +120,13 @@ class TestLinearProbe:
         shuffled = EmbeddingSet("s", e.E, rng.permutation(e.labels))
         report = linear_probe(shuffled, runs=5, seed=4)
         assert abs(report.mean_accuracy - 50.0) <= 5.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_second_moment_overflow_raises(self):
+        # finite weights, a stalled fit: only the second moments show it
+        assert linear_probe(overflow_probe_set(1.0), runs=3, seed=1).mean_accuracy > 50.0
+        with pytest.raises(NumericError, match="^linear probe: AdamW second moment of 'probe.W'"):
+            linear_probe(overflow_probe_set(1e160), runs=3, seed=1)
 
     def test_constant_embeddings_predict_majority(self):
         labels = np.array([0] * 30 + [1] * 10)

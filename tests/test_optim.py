@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from leda import autodiff as ad
-from leda.optim import AdamWState, adamw_step
+from leda.errors import NumericError
+from leda.optim import AdamWState, adamw_step, check_second_moments
 
 from synthetic import parameters, zero_grads
 
@@ -61,3 +62,26 @@ class TestAdamW:
             ad.backward(loss)
             adamw_step(params, state)
         assert losses[-1] < 0.01 * losses[0]
+
+
+class TestSecondMomentCheck:
+    def test_finite_moments_pass(self):
+        params, node = single_param(np.array([[1.0, 2.0]]))
+        state = AdamWState.for_params(params, weight_decay=0.0)
+        node.grad = np.array([[1e150, -3.0]])
+        adamw_step(params, state)
+        check_second_moments(state, "fit")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [1e160, np.inf, np.nan])
+    def test_overflowed_or_non_finite_moment_raises(self, bad):
+        params, node = single_param(np.array([[1.0, 2.0]]))
+        state = AdamWState.for_params(params, weight_decay=0.0)
+        node.grad = np.array([[0.5, bad]])
+        adamw_step(params, state)
+        if bad == 1e160:
+            # the step of the overflowed coordinate is 0: only the moment shows it
+            assert node.value[0, 1] == 2.0
+        with pytest.raises(NumericError, match="^fit: AdamW second moment of 'theta' is non-finite"):
+            check_second_moments(state, "fit")

@@ -8,7 +8,7 @@ from leda import autodiff as ad
 from leda import trainer
 from leda.checkpoint import save_checkpoint
 from leda.config import VARIANTS
-from leda.datasets import DomainGraph, GraphCollection, generate_sbm
+from leda.datasets import GraphCollection, generate_sbm
 from leda.dpu import init_basis
 from leda.evaluate import embed, pooled_graph_embeddings
 from leda.errors import ConfigError, DataError, NumericError
@@ -24,7 +24,7 @@ from leda.trainer import (
 )
 
 from oracles import gradient_check, member_loop_epoch_loss, registered_paramset
-from synthetic import bow_collection, node_collection, parameters, tiny_config
+from synthetic import bow_collection, graph_level_collection, node_collection, parameters, tiny_config
 
 
 def arrays_of(params):
@@ -178,6 +178,24 @@ class TestPretrain:
                 pretrain(node_collection(), tiny_config(epochs=6, lr=1e15))
 
 
+class TestSecondMomentOverflow:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowed_moment_raises_after_the_last_epoch(self, monkeypatch):
+        step = trainer.adamw_step
+        steps = []
+
+        def huge_gradient_once(params, state):
+            if state.step == 1:
+                params["dpu.W1"].grad[0, 0] = 1e160
+            steps.append(state.step)
+            step(params, state)
+
+        monkeypatch.setattr(trainer, "adamw_step", huge_gradient_once)
+        with pytest.raises(NumericError, match=r"^training \(full\): AdamW second moment of 'dpu.W1'"):
+            pretrain(node_collection(), tiny_config(epochs=4))
+        assert steps == [0, 1, 2, 3]
+
+
 class TestVariants:
     def test_trace_components_per_variant(self):
         collection = node_collection()
@@ -317,21 +335,6 @@ class TestSparseFeatures:
 GRAPH_LEVEL_RTOL = 1e-12
 
 
-def graph_level_collection():
-    """Two domains, interleaved in collection order, of random graphs with
-    Gaussian features of width 6: unequal sizes, one 1-node graph, and five
-    graphs smaller than tiny_config's k=4."""
-    rng = np.random.default_rng(12)
-    graphs, labels = [], []
-    for domain_id, n in (("ga", 5), ("gb", 4), ("ga", 1), ("ga", 9), ("gb", 11), ("ga", 3),
-                         ("gb", 2), ("ga", 2), ("gb", 6), ("ga", 7), ("gb", 3)):
-        upper = np.triu(rng.random((n, n)) < 0.5, k=1)
-        adjacency = CsrMatrix.from_dense((upper | upper.T) * 1.0)
-        graphs.append(DomainGraph(domain_id, rng.standard_normal((n, 6)), adjacency))
-        labels.append(len(graphs) % 2)
-    return GraphCollection(tuple(graphs), "graph-level", tuple(labels))
-
-
 def assert_close(got, want, what):
     scale = np.max(np.abs(want))
     assert np.max(np.abs(np.asarray(got) - want)) <= GRAPH_LEVEL_RTOL * scale, what
@@ -408,7 +411,7 @@ COLLECTIONS = {
 OTHER_FIELD_VALUES = {
     "epochs": 7, "lr": 0.5, "beta1": 0.5, "beta2": 0.5, "adam_eps": 1e-3, "weight_decay": 0.5,
     "h": 9, "m": 3, "lam": 0.5, "h_e": 9, "z": 5, "beta_kl": 0.5, "mu_align": 0.5,
-    "variant": "no-lda", "tau": 0.1, "two_phase": True, "two_phase_epochs": 3, "threads": 2,
+    "variant": "no-lda", "tau": 0.1, "two_phase": True, "two_phase_epochs": 3,
 }
 
 
