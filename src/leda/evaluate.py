@@ -11,6 +11,13 @@ and weights or AdamW second moments that end non-finite raise
 NumericError; and sampled MI pairs are scored MI_BLOCK_PAIRS at a time, in
 O(block * dim) memory. Graph pooling embeds each domain once, as the
 block-diagonal union of its graphs.
+
+The probe's runs, the prototype repeats and the sampled MI blocks are
+independent, so each protocol hands them to `linalg.split_repeats`, which
+runs contiguous shares of them in forked children, one per CPU, once a
+share's multiply-adds pass REPEAT_MIN_WORK. Results come back in repeat
+order and every repeat keeps its seed, so the reports do not depend on the
+CPU count.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .datasets import DomainGraph, GraphCollection, disjoint_union
 from .dpu import align, init_basis, trans
 from .errors import DataError, NumericError
 from .lda import base_layer, encode, propagate_extra
-from .linalg import EntropyResult, feature_operand, gaussian_entropy, normalize_adjacency
+from .linalg import EntropyResult, feature_operand, gaussian_entropy, normalize_adjacency, split_repeats
 from .optim import AdamWState, adamw_step, check_second_moments
 
 PROBE_STEPS = 300
@@ -56,6 +63,8 @@ class EmbeddingSet:
             labels = np.asarray(self.labels, dtype=np.int64)
             if len(labels) != e.shape[0]:
                 raise DataError("labels length must match embedding rows")
+            if len(labels) and labels.min() < 0:  # a one-hot row would wrap onto another class
+                raise DataError(f"domain '{self.domain_id}': labels must be >= 0, got {labels.min()}")
             object.__setattr__(self, "labels", labels)
 
 
@@ -200,14 +209,20 @@ def linear_probe(
     if len(classes) < 2:
         raise DataError("linear probe needs at least two classes")
     num_classes = int(labels.max()) + 1
-    accuracies = []
-    for run in range(runs):
-        rng = np.random.default_rng(seed + run)
-        train_idx, test_idx = _stratified_split(labels, train_frac, rng)
-        w, b = _fit_logistic(embeddings.E[train_idx], labels[train_idx], num_classes)
-        pred = np.argmax(embeddings.E[test_idx] @ w + b, axis=1)
-        accuracies.append(_accuracy(labels[test_idx], pred))
-    acc = np.array(accuracies)
+
+    def accuracies(lo, hi):
+        out = []
+        for run in range(lo, hi):
+            rng = np.random.default_rng(seed + run)
+            train_idx, test_idx = _stratified_split(labels, train_frac, rng)
+            w, b = _fit_logistic(embeddings.E[train_idx], labels[train_idx], num_classes)
+            pred = np.argmax(embeddings.E[test_idx] @ w + b, axis=1)
+            out.append(_accuracy(labels[test_idx], pred))
+        return out
+
+    # a step's two products, X W and X^T G, on about train_frac of the rows
+    step_work = 2 * round(train_frac * len(labels)) * embeddings.E.shape[1] * num_classes
+    acc = np.array(split_repeats(runs, runs * PROBE_STEPS * step_work, accuracies))
     return EvalReport(
         task="linear-probe",
         mean_accuracy=float(acc.mean()),
@@ -241,19 +256,23 @@ def _prototype_scores(vectors, labels, shots: int, repeats: int, seed: int, scor
     unit = _unit_rows(vectors)
     n, num_classes = len(labels), len(classes)
     step = max(1, PROTOTYPE_BLOCK_SCORES // (n * num_classes))
-    scores = []
-    for lo in range(0, repeats, step):
-        drawn = []
-        for repeat in range(lo, min(lo + step, repeats)):
-            rng = np.random.default_rng(seed + repeat)
-            drawn.append([rng.choice(rows, size=shots, replace=False) for rows in members])
-        prototypes = _unit_rows(np.stack([vectors[rows].mean(axis=0) for chosen in drawn for rows in chosen]))
-        winners = np.argmax((unit @ prototypes.T).reshape(n, len(drawn), num_classes), axis=2)
-        for chosen, column in zip(drawn, winners.T):
-            query = np.ones(n, dtype=bool)
-            query[np.concatenate(chosen)] = False
-            scores.append(score(labels[query], classes[column[query]]))
-    return scores
+
+    def scored(first, end):
+        scores = []
+        for lo in range(first, end, step):
+            drawn = []
+            for repeat in range(lo, min(lo + step, end)):
+                rng = np.random.default_rng(seed + repeat)
+                drawn.append([rng.choice(rows, size=shots, replace=False) for rows in members])
+            prototypes = _unit_rows(np.stack([vectors[rows].mean(axis=0) for chosen in drawn for rows in chosen]))
+            winners = np.argmax((unit @ prototypes.T).reshape(n, len(drawn), num_classes), axis=2)
+            for chosen, column in zip(drawn, winners.T):
+                query = np.ones(n, dtype=bool)
+                query[np.concatenate(chosen)] = False
+                scores.append(score(labels[query], classes[column[query]]))
+        return scores
+
+    return split_repeats(repeats, repeats * unit.size * num_classes, scored)
 
 
 def fewshot_eval(
@@ -379,10 +398,16 @@ def mi_diagnostic(
         rng = np.random.default_rng(seed)
         rows = rng.integers(0, a.shape[0], size=MI_MAX_PAIRS)
         cols = rng.integers(0, b.shape[0], size=MI_MAX_PAIRS)
-        scores = np.empty(MI_MAX_PAIRS)
-        for lo in range(0, MI_MAX_PAIRS, MI_BLOCK_PAIRS):
-            block = slice(lo, lo + MI_BLOCK_PAIRS)
-            scores[block] = np.sum(a[rows[block]] * b[cols[block]], axis=1)
+
+        def scored(first, end):  # blocks [first, end) of MI_BLOCK_PAIRS pairs
+            blocks = []
+            for lo in range(first * MI_BLOCK_PAIRS, end * MI_BLOCK_PAIRS, MI_BLOCK_PAIRS):
+                block = slice(lo, lo + MI_BLOCK_PAIRS)
+                blocks.append(np.sum(a[rows[block]] * b[cols[block]], axis=1))
+            return blocks
+
+        count = -(-MI_MAX_PAIRS // MI_BLOCK_PAIRS)
+        scores = np.concatenate(split_repeats(count, MI_MAX_PAIRS * a.shape[1], scored))
         scores /= tau
     record = mi_from_scores(scores)
     record["domains"] = [e_i.domain_id, e_j.domain_id]

@@ -1,6 +1,7 @@
 """Dense/sparse matrix primitives: symmetric adjacency normalization, the
 dense-or-CSR feature rule, seeded truncated SVD, a Gaussian-entropy diagnostic,
-and the row split of the large products.
+the row split of the large products, and the forked split of independent
+repeats.
 
 All numerics are float64. Every operation here is a pure function and all
 returned containers are frozen, so values can be shared freely across tasks.
@@ -12,12 +13,19 @@ use, each written by one kernel call into its own slice of the output. An
 output row is computed by the same kernel in the same order whichever block
 holds it, so the result is bitwise that of one call. Worker threads run
 these kernel calls and nothing else.
+
+Threads gain little on work made of many small numpy calls, as each call
+holds the GIL between them. `split_repeats` therefore runs shares of a
+protocol's independent repeats in forked child processes, which inherit
+the arrays rather than copying them and send back only their results. A
+repeat computes the same bits in whichever process runs it.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,6 +63,17 @@ ORTHONORMAL_TOL = 1e-8
 SPLIT_MIN_ROWS = 1024
 SPLIT_MIN_WORK = 1 << 24
 SPARSE_MADD_COST = 4
+
+# A protocol's independent repeats are split into forked shares only where
+# each share gets at least REPEAT_MIN_WORK of their multiply-adds; below
+# that, a fork and join (4-6 ms for a 150-350 MB process) costs more than
+# the share saves. On the same VM, in a 300 MB process, 2 shares timed
+# alone broke even near 4-8M per share for sampled MI pairs (dim 32-128),
+# and near 0.3M for a probe run, which is bound by its 300 small steps. The
+# few-shot product broke even only near 150M per share at the bench shape,
+# as two BLAS products at once ran no faster than one there; below that a
+# split cost it 6-12 ms (best of 7).
+REPEAT_MIN_WORK = 1 << 23
 
 _POOL: tuple[int, int, ThreadPoolExecutor | None] | None = None  # (pid, CPUs, pool)
 
@@ -101,6 +120,75 @@ def split_rows(rows: int, work: int, kernel) -> None:
     finally:  # every block ends, and raises what it raised, before the output is used
         for future in futures:
             future.result()
+
+
+def _outcome(run, lo: int, hi: int) -> tuple[bool, object]:
+    """(True, run(lo, hi)), or (False, the error it raised)."""
+    try:
+        return True, run(lo, hi)
+    except Exception as exc:
+        return False, exc
+
+
+def _fork_share(run, lo: int, hi: int) -> tuple[int, int]:
+    """Fork a child that sends the pickled outcome of run(lo, hi) through a
+    pipe and ends by os._exit, so that no atexit handler or inherited
+    buffer runs twice; (pid, read end of the pipe)."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            data = pickle.dumps(_outcome(run, lo, hi))
+            with os.fdopen(write, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _join_share(pid: int, read: int) -> tuple[bool, object]:
+    """Read a forked share's outcome to the end, then reap the child."""
+    with os.fdopen(read, "rb") as pipe:
+        data = pipe.read()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        return False, RuntimeError(f"a forked share ended without a result (exit status {status})")
+    return pickle.loads(data)
+
+
+def split_repeats(count: int, work: int, run) -> list:
+    """run(lo, hi), a list, over contiguous shares [lo, hi) that cover
+    [0, count), concatenated in share order: one share per CPU, but each
+    with at least REPEAT_MIN_WORK of the `work` multiply-adds of all
+    repeats, and one share in all below that. The caller runs the first
+    share; a forked child runs each other one on the arrays it inherits.
+    Every child is joined before this returns or raises. If shares raise,
+    the lowest one's error is raised: the error one run over [0, count)
+    raises when each repeat is independent of the others."""
+    shares = max(1, min(_cpus(), count, work // REPEAT_MIN_WORK))
+    bounds = [count * i // shares for i in range(shares + 1)]
+    children = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            children.append(_fork_share(run, lo, hi))
+        outcomes = [_outcome(run, bounds[0], bounds[1])]
+    finally:
+        joined = [_join_share(pid, read) for pid, read in children]
+    results = []
+    for ok, value in outcomes + joined:
+        if not ok:
+            raise value
+        results.extend(value)
+    return results
 
 
 def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

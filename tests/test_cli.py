@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import leda
-from leda import evaluate
+from leda import evaluate, linalg
 from leda.cli import build_parser, main
 from leda.config import VARIANTS, run_config_from_dict
 from leda.datasets import GraphCollection, generate_sbm, load_dataset, save_dataset
@@ -343,6 +343,29 @@ class TestEmbedAndEval:
         )
         assert code == 4
         assert capsys.readouterr().err.startswith("numeric failure: linear probe: AdamW second moment")
+        assert not out.exists()
+
+    def test_eval_linear_non_finite_fit_in_a_forked_share_exits_4(self, suite, ckpt_path, tmp_path,
+                                                                   capsys, monkeypatch):
+        # the runs split into two shares; only the forked child's fits go non-finite
+        monkeypatch.setattr(linalg, "_cpus", lambda: 2)
+        monkeypatch.setattr(linalg, "REPEAT_MIN_WORK", 1)
+        grads, parent = evaluate._probe_grads, os.getpid()
+
+        def nan_in_the_child(*args):
+            grad_w, grad_b = grads(*args)
+            return (grad_w * np.nan if os.getpid() != parent else grad_w), grad_b
+
+        monkeypatch.setattr(evaluate, "_probe_grads", nan_in_the_child)
+        out = tmp_path / "lin.json"
+        code = main(
+            [
+                "eval-linear", "--ckpt", str(ckpt_path), "--manifest", str(suite["manifest"]),
+                "--domain", "domc", "--runs", "4", "--out", str(out),
+            ]
+        )
+        assert code == 4
+        assert capsys.readouterr().err == "numeric failure: linear probe: fitted weights are non-finite\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -108,6 +108,17 @@ class TestEmbed:
         assert np.array_equal(parsed, out.E)
 
 
+class TestEmbeddingSet:
+    def test_negative_label_is_refused(self):
+        # np.eye(C)[-1] is the one-hot row of class C - 1, so the probe would
+        # train label -1 as class 1 here: it scored 66.67% on these separable
+        # clusters, and 100% with the labels shifted to 0..2
+        e = clustered_embeddings(num_classes=3, per_class=100, dim=8)
+        with pytest.raises(DataError, match="^domain 'shifted': labels must be >= 0, got -1$"):
+            EmbeddingSet("shifted", e.E, e.labels - 1)
+        assert linear_probe(e, runs=2, seed=1).mean_accuracy == 100.0
+
+
 class TestLinearProbe:
     def test_separable_clusters_are_perfect(self):
         report = linear_probe(clustered_embeddings(sep=10.0, noise=0.1), runs=5, seed=1)

@@ -1,6 +1,8 @@
 """The whole-array evaluation protocols against the per-repeat loops they
 replaced (kept in `oracles`): every report, record and file must be
-byte-identical, and the closed-form probe gradient bitwise the engine's."""
+byte-identical, and the closed-form probe gradient bitwise the engine's.
+At the bench shapes, each protocol's repeats are also split into forked
+shares for 1, 2 and 3 CPUs, and every split must keep the bytes."""
 
 import contextlib
 import json
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 from leda import autodiff as ad
-from leda import evaluate
+from leda import evaluate, linalg
 from leda.config import EvalConfig
 from leda.datasets import GraphCollection, generate_sbm, write_float_tsv
 from leda.errors import ConfigError
@@ -32,6 +34,28 @@ from leda.trainer import pretrain
 from synthetic import node_collection, tiny_config, zero_grads
 
 SEEDS = st.integers(0, 2**31 - 1)
+CPU_COUNTS = (1, 2, 3)
+
+
+@pytest.fixture
+def at_cpus(monkeypatch):
+    """at_cpus(n): split repeats for n CPUs from now on; returns the list of
+    the (lo, hi) shares forked since, which the call's children ran."""
+    forked = []
+    fork_share = linalg._fork_share
+
+    def counted(run, lo, hi):
+        forked.append((lo, hi))
+        return fork_share(run, lo, hi)
+
+    monkeypatch.setattr(linalg, "_fork_share", counted)
+
+    def use(n):
+        monkeypatch.setattr(linalg, "_cpus", lambda: n)
+        forked.clear()
+        return forked
+
+    return use
 
 
 def as_bytes(doc) -> str:
@@ -117,28 +141,35 @@ class TestPrototypeLoop:
                 assert as_bytes(new.to_dict()) == old, count
 
     @pytest.mark.parametrize("k", [1, 5])
-    def test_fewshot_report_at_bench_shape_is_byte_identical(self, k):
+    def test_fewshot_report_at_bench_shape_is_byte_identical(self, at_cpus, k):
         # the bench transfer target's shape, where the products take BLAS's
         # blocked kernels; 120 repeats cross two block boundaries at the
-        # default bound and end on a partial block
+        # default bound and end on a partial block, and each share of them
+        # passes the fork break-even
         rows, labels = bench_shaped_rows(17, 3327, 128, 6)
         repeats = 120
         assert repeats > 2 * (evaluate.PROTOTYPE_BLOCK_SCORES // (3327 * 6))
         e = EmbeddingSet("citeseer-like", rows, labels)
-        new = fewshot_eval(e, k=k, repeats=repeats, seed=66666)
-        old = oracles.fewshot_eval(e, k=k, repeats=repeats, seed=66666)
-        assert as_bytes(new.to_dict()) == as_bytes(old.to_dict())
+        old = as_bytes(oracles.fewshot_eval(e, k=k, repeats=repeats, seed=66666).to_dict())
+        for cpus in CPU_COUNTS:
+            forked = at_cpus(cpus)
+            new = fewshot_eval(e, k=k, repeats=repeats, seed=66666)
+            assert as_bytes(new.to_dict()) == old, cpus
+            assert len(forked) == cpus - 1
 
-    def test_graph_report_at_bench_shape_is_byte_identical(self):
+    def test_graph_report_at_bench_shape_is_byte_identical(self, at_cpus):
         pooled, labels = bench_shaped_rows(18, 400, 128, 3)
         collection = graph_level(labels)
         with mock.patch.object(evaluate, "pooled_graph_embeddings", return_value=pooled):
             old = as_bytes(oracles.graph_eval(collection, None, support_per_class=3, repeats=120,
                                               seed=7).to_dict())
             for count in (None, 50):
-                with scored_in_blocks(labels, count):
-                    new = graph_eval(collection, None, support_per_class=3, repeats=120, seed=7)
-                assert as_bytes(new.to_dict()) == old, count
+                for cpus in CPU_COUNTS:
+                    forked = at_cpus(cpus)
+                    with scored_in_blocks(labels, count):
+                        new = graph_eval(collection, None, support_per_class=3, repeats=120, seed=7)
+                    assert as_bytes(new.to_dict()) == old, (count, cpus)
+                    assert bool(forked) == (cpus > 1)
 
 
 class TestClosedFormProbe:
@@ -178,14 +209,18 @@ class TestClosedFormProbe:
         new = linear_probe(e, train_frac=train_frac, runs=runs, seed=seed)
         assert as_bytes(new.to_dict()) == as_bytes(old.to_dict())
 
-    def test_linear_probe_report_at_bench_shape_is_byte_identical(self):
+    def test_linear_probe_report_at_bench_shape_is_byte_identical(self, at_cpus):
         # the bench transfer probe's shape: about 333 training rows of 128 and
-        # 6 classes, where the products take BLAS's blocked kernels
+        # 6 classes, where the products take BLAS's blocked kernels; 3 runs
+        # give each CPU a share
         rows, labels = bench_shaped_rows(19, 3327, 128, 6)
         e = EmbeddingSet("citeseer-like", rows, labels)
-        new = linear_probe(e, train_frac=0.1, runs=2, seed=66666)
-        old = oracles.linear_probe(e, train_frac=0.1, runs=2, seed=66666)
-        assert as_bytes(new.to_dict()) == as_bytes(old.to_dict())
+        old = as_bytes(oracles.linear_probe(e, train_frac=0.1, runs=3, seed=66666).to_dict())
+        for cpus in CPU_COUNTS:
+            forked = at_cpus(cpus)
+            new = linear_probe(e, train_frac=0.1, runs=3, seed=66666)
+            assert as_bytes(new.to_dict()) == old, cpus
+            assert len(forked) == cpus - 1
 
 
 class TestBlockedMi:
@@ -220,6 +255,23 @@ class TestBlockedMi:
         assert as_bytes(record) == as_bytes(
             oracles.mi_diagnostic(e_i, e_j, tau=0.5, seed=1, max_pairs=max_pairs)
         )
+
+    def test_sampled_record_at_bench_shape_is_byte_identical(self, at_cpus, monkeypatch):
+        # the bench transfer pair's shape, 3,327 x 2,708 rows of 128, takes
+        # the sampled path; the sample is cut to 40 blocks and a partial one,
+        # which the oracle scores in one pass, and the break-even to 1, so
+        # that the shares end on unequal block counts
+        rows_i, _ = bench_shaped_rows(20, 3327, 128, 6)
+        rows_j, _ = bench_shaped_rows(21, 2708, 128, 7)
+        e_i, e_j = EmbeddingSet("citeseer-like", rows_i), EmbeddingSet("cora-like", rows_j)
+        max_pairs = 40 * MI_BLOCK_PAIRS + 5
+        monkeypatch.setattr(evaluate, "MI_MAX_PAIRS", max_pairs)
+        monkeypatch.setattr(linalg, "REPEAT_MIN_WORK", 1)
+        old = as_bytes(oracles.mi_diagnostic(e_i, e_j, tau=0.5, seed=3, max_pairs=max_pairs))
+        for cpus in CPU_COUNTS:
+            forked = at_cpus(cpus)
+            assert as_bytes(mi_diagnostic(e_i, e_j, tau=0.5, seed=3)) == old, cpus
+            assert len(forked) == cpus - 1
 
 
 class TestEmbeddingFiles:
