@@ -94,7 +94,7 @@ def _check_train_values(c: dict, key_of: dict[str, str]) -> None:
         raise ConfigError(f"variant must be one of {VARIANTS}, got '{c['variant']}'")
     if c["epochs"] < 0 or c["two_phase_epochs"] < 0:
         raise ConfigError("epoch counts must be >= 0")
-    for name in ("lam", "beta_kl", "mu_align", "weight_decay", "lr"):
+    for name in ("seed", "lam", "beta_kl", "mu_align", "weight_decay", "lr"):
         if c[name] < 0:
             raise ConfigError(f"{key_of.get(name, name)} must be >= 0")
     for name in ("beta1", "beta2"):
@@ -120,8 +120,8 @@ def _check_train_values(c: dict, key_of: dict[str, str]) -> None:
 
 def check_protocol_args(**args) -> None:
     """ConfigError unless `train_frac` lies in (0, 1), `tau` is finite and
-    > 0, and every other argument is an integer >= 1. The evaluation
-    protocols and EvalConfig share these rules."""
+    > 0, `seed` is an integer >= 0, and every other argument is an integer
+    >= 1. The evaluation protocols and EvalConfig share these rules."""
     for name, value in args.items():
         if name == "train_frac":
             ok = has_json_type(value, Real) and 0.0 < value < 1.0
@@ -130,8 +130,9 @@ def check_protocol_args(**args) -> None:
             ok = has_json_type(value, Real) and math.isfinite(value) and value > 0
             rule = "be finite and > 0"
         else:
-            ok = has_json_type(value, Integral) and value >= 1
-            rule = "be an integer >= 1"
+            least = 0 if name == "seed" else 1
+            ok = has_json_type(value, Integral) and value >= least
+            rule = f"be an integer >= {least}"
         if not ok:
             raise ConfigError(f"{name} must {rule}, got {value!r}")
 
@@ -157,8 +158,8 @@ class EvalConfig:
                 "t_propagate must be a nonnegative integer or per-domain map, "
                 f"got {self.t_propagate!r}"
             )
-        if self.seed is not None and not has_json_type(self.seed, int):
-            raise ConfigError(f"seed must be an integer or null, got {self.seed!r}")
+        if self.seed is not None:
+            check_protocol_args(seed=self.seed)
         if not isinstance(self.test_domains, (list, tuple)) or not all(
             isinstance(domain, str) for domain in self.test_domains
         ):

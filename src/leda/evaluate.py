@@ -5,19 +5,15 @@ Embeddings are deterministic (posterior means, no sampling). Every protocol
 repeats with derived seeds (base seed + repeat index) and reports accuracy
 as mean +- population standard deviation in percent. Each is a whole-array
 pass: one prototype loop serves nodes and graphs and scores a block of
-repeats with one product, in at most PROTOTYPE_BLOCK_SCORES scores; a
-probe step forms only its two closed-form gradients (bitwise the engine's),
-and weights or AdamW second moments that end non-finite raise
-NumericError; and sampled MI pairs are scored MI_BLOCK_PAIRS at a time, in
-O(block * dim) memory. Graph pooling embeds each domain once, as the
-block-diagonal union of its graphs.
+repeats with one product, in at most BLOCK_SCORES scores; a probe step
+forms only its two closed-form gradients (bitwise the engine's), and
+weights or AdamW second moments that end non-finite raise NumericError;
+MI streams every pair in blocks of as many scores. Graph pooling embeds
+each domain once, as the block-diagonal union of its graphs.
 
-The probe's runs, the prototype repeats and the sampled MI blocks are
-independent, so each protocol hands them to `linalg.split_repeats`, which
-runs contiguous shares of them in forked children, one per CPU, once a
-share's multiply-adds pass REPEAT_MIN_WORK. Results come back in repeat
-order and every repeat keeps its seed, so the reports do not depend on the
-CPU count.
+The probe's runs and the prototype repeats are independent, so both go to
+`linalg.split_repeats`, which forks shares of them across the CPUs. Every
+repeat keeps its seed, so the reports do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -41,9 +37,12 @@ PROBE_STEPS = 300
 PROBE_LR = 0.01
 PROBE_L2 = 1e-4
 COSINE_EPS = 1e-12
-MI_MAX_PAIRS = 1_000_000
-MI_BLOCK_PAIRS = 256
-PROTOTYPE_BLOCK_SCORES = 1 << 20
+# Most scores one product holds (8 MB), and most pairs MI scores before it
+# subsamples rows. On a 2-core VM with one BLAS thread, MI took 0.92 s over
+# 2^26 pairs of 128-wide rows; at the bench transfer shape (3,327 x 2,708 x
+# 128), blocks of 2^18, 2^20 and 2^22 scores took 0.133, 0.112 and 0.127 s.
+BLOCK_SCORES = 1 << 20
+MI_MAX_PAIRS = 1 << 26
 
 MI_NOTE = "bias term (expected marginal correction) is not estimable from data; omitted"
 
@@ -201,7 +200,7 @@ def linear_probe(
 ) -> EvalReport:
     """Multinomial logistic regression on a stratified train_frac split,
     accuracy on the rest; mean +- std over the runs."""
-    check_protocol_args(train_frac=train_frac, runs=runs)
+    check_protocol_args(train_frac=train_frac, runs=runs, seed=seed)
     if embeddings.labels is None:
         raise DataError("linear probe needs labels")
     labels = embeddings.labels
@@ -243,9 +242,9 @@ def _prototype_scores(vectors, labels, shots: int, repeats: int, seed: int, scor
     cosine-similar one. Rows are normalized once, as gathering normalized
     rows equals normalizing gathered rows. A block of repeats is scored by
     one product of all rows with the block's prototypes, at most
-    PROTOTYPE_BLOCK_SCORES entries (8 MB); each repeat takes the argmax over
-    its own columns, and its query rows are picked afterwards. An entry is
-    one dot product either way; tests pin that it keeps the per-repeat bits."""
+    BLOCK_SCORES entries; each repeat takes the argmax over its own
+    columns, and its query rows are picked afterwards. An entry is one dot
+    product either way; tests pin that it keeps the per-repeat bits."""
     classes = np.unique(labels)
     members = [np.flatnonzero(labels == c) for c in classes]
     short = [int(c) for c, rows in zip(classes, members) if len(rows) < shots]
@@ -255,7 +254,7 @@ def _prototype_scores(vectors, labels, shots: int, repeats: int, seed: int, scor
         raise DataError("support would cover every member; query set is empty")
     unit = _unit_rows(vectors)
     n, num_classes = len(labels), len(classes)
-    step = max(1, PROTOTYPE_BLOCK_SCORES // (n * num_classes))
+    step = max(1, BLOCK_SCORES // (n * num_classes))
 
     def scored(first, end):
         scores = []
@@ -283,7 +282,7 @@ def fewshot_eval(
 ) -> EvalReport:
     """k-shot prototype classification: class prototypes are means of k
     sampled nodes; every remaining node is assigned by cosine similarity."""
-    check_protocol_args(k=k, repeats=repeats)
+    check_protocol_args(k=k, repeats=repeats, seed=seed)
     if embeddings.labels is None:
         raise DataError("few-shot evaluation needs labels")
     scores = _prototype_scores(embeddings.E, embeddings.labels, k, repeats, seed, _accuracy)
@@ -333,7 +332,7 @@ def graph_eval(
 ) -> EvalReport:
     """Prototype classification of whole graphs from a disjoint labeled
     support split (prototype-from-support protocol)."""
-    check_protocol_args(support_per_class=support_per_class, repeats=repeats)
+    check_protocol_args(support_per_class=support_per_class, repeats=repeats, seed=seed)
     if collection.task_kind != "graph-level":
         raise DataError("graph_eval needs a graph-level collection")
     scores = _prototype_scores(
@@ -361,58 +360,57 @@ def graph_eval(
 # diagnostics
 
 
+def _mi_record(blocks, all_pairs: int) -> dict:
+    """mean(s) - log-sum-exp(s) over score blocks, each read once and then
+    overwritten: a running sum, and an online log-sum-exp whose sum of
+    exp(s - max) is rescaled as the running max rises (Milakov & Gimelshein,
+    2018). If the blocks hold a sample of `all_pairs` pairs, log_Z adds
+    log(all_pairs / scored) to estimate the all-pairs value."""
+    total, shift, mass, count = 0.0, -np.inf, 0.0, 0
+    for block in blocks:
+        block = block.ravel()
+        top = max(shift, block.max())
+        mass *= np.exp(shift - top)  # exactly 1 while the max holds
+        shift = top
+        total += block.sum()
+        block -= shift
+        mass += np.exp(block, out=block).sum()
+        count += block.size
+    expected = float(total / count)
+    log_z = shift + np.log(mass) + np.log(all_pairs / count)  # + 0.0 when every pair is scored
+    if not np.isfinite(expected - log_z):  # as either term is non-finite, e.g. s / tau overflowed
+        raise NumericError(f"similarity diagnostic is non-finite: expected_s {expected}, log_Z {log_z}")
+    return {"expected_s": expected, "log_Z": float(log_z), "mi_proxy": float(expected - log_z),
+            "pair_count": count, "note": MI_NOTE}
+
+
 def mi_from_scores(scores: np.ndarray) -> dict:
-    """Mutual-information proxy from temperature-scaled similarity scores:
-    mean(s) - log-sum-exp(s). Invariant to a uniform additive shift."""
-    scores = np.asarray(scores, dtype=np.float64).ravel()
+    """Mutual-information proxy mean(s) - log-sum-exp(s) of temperature-scaled
+    similarity scores, as one block of `_mi_record`; shift-invariant."""
+    scores = np.array(scores, dtype=np.float64)  # a copy: _mi_record overwrites it
     if scores.size == 0:
         raise DataError("no similarity scores")
-    shift = scores.max()
-    log_z = shift + np.log(np.sum(np.exp(scores - shift)))
-    expected = float(scores.mean())
-    return {
-        "expected_s": expected,
-        "log_Z": float(log_z),
-        "mi_proxy": float(expected - log_z),
-        "pair_count": int(scores.size),
-        "note": MI_NOTE,
-    }
+    return _mi_record([scores], scores.size)
 
 
-def mi_diagnostic(
-    e_i: EmbeddingSet,
-    e_j: EmbeddingSet,
-    tau: float,
-    seed: int = 0,
-) -> dict:
-    """Cross-domain similarity diagnostic over all pairs, or over
-    MI_MAX_PAIRS seeded samples scored MI_BLOCK_PAIRS at a time."""
-    check_protocol_args(tau=tau)
+def mi_diagnostic(e_i: EmbeddingSet, e_j: EmbeddingSet, tau: float, seed: int = 0) -> dict:
+    """Cross-domain similarity diagnostic over every pair of rows: blocks of
+    e_i's rows, at most BLOCK_SCORES scores each, against all of e_j. Beyond
+    MI_MAX_PAIRS pairs, each side keeps a sorted rng(seed) subsample of its
+    rows, at most MI_MAX_PAIRS pairs in all; a non-finite record raises."""
+    check_protocol_args(tau=tau, seed=seed)
     if e_i.E.shape[0] == 0 or e_j.E.shape[0] == 0:
         raise DataError("embedding sets must be non-empty")
-    a = _unit_rows(e_i.E)
-    b = _unit_rows(e_j.E)
-    if a.shape[0] * b.shape[0] <= MI_MAX_PAIRS:
-        scores = (a @ b.T) / tau
-    else:
+    a, b = _unit_rows(e_i.E), _unit_rows(e_j.E)
+    all_pairs = len(a) * len(b)
+    if all_pairs > MI_MAX_PAIRS:  # about the same share of each side's rows
         rng = np.random.default_rng(seed)
-        rows = rng.integers(0, a.shape[0], size=MI_MAX_PAIRS)
-        cols = rng.integers(0, b.shape[0], size=MI_MAX_PAIRS)
-
-        def scored(first, end):  # blocks [first, end) of MI_BLOCK_PAIRS pairs
-            blocks = []
-            for lo in range(first * MI_BLOCK_PAIRS, end * MI_BLOCK_PAIRS, MI_BLOCK_PAIRS):
-                block = slice(lo, lo + MI_BLOCK_PAIRS)
-                blocks.append(np.sum(a[rows[block]] * b[cols[block]], axis=1))
-            return blocks
-
-        count = -(-MI_MAX_PAIRS // MI_BLOCK_PAIRS)
-        scores = np.concatenate(split_repeats(count, MI_MAX_PAIRS * a.shape[1], scored))
-        scores /= tau
-    record = mi_from_scores(scores)
-    record["domains"] = [e_i.domain_id, e_j.domain_id]
-    record["tau"] = tau
-    return record
+        keep = min(len(a), MI_MAX_PAIRS, max(1, int(len(a) * np.sqrt(MI_MAX_PAIRS / all_pairs))))
+        a = a[np.sort(rng.choice(len(a), keep, replace=False))]
+        b = b[np.sort(rng.choice(len(b), min(len(b), MI_MAX_PAIRS // keep), replace=False))]
+    step = max(1, BLOCK_SCORES // len(b))
+    blocks = ((a[lo:lo + step] @ b.T) / tau for lo in range(0, len(a), step))
+    return {**_mi_record(blocks, all_pairs), "domains": [e_i.domain_id, e_j.domain_id], "tau": tau}
 
 
 def diagnostics_entropy(ckpt: Checkpoint, domain_id: str) -> EntropyResult:

@@ -68,11 +68,10 @@ SPARSE_MADD_COST = 4
 # each share gets at least REPEAT_MIN_WORK of their multiply-adds; below
 # that, a fork and join (4-6 ms for a 150-350 MB process) costs more than
 # the share saves. On the same VM, in a 300 MB process, 2 shares timed
-# alone broke even near 4-8M per share for sampled MI pairs (dim 32-128),
-# and near 0.3M for a probe run, which is bound by its 300 small steps. The
-# few-shot product broke even only near 150M per share at the bench shape,
-# as two BLAS products at once ran no faster than one there; below that a
-# split cost it 6-12 ms (best of 7).
+# alone broke even near 0.3M per share for a probe run, which is bound by
+# its 300 small steps. The few-shot product broke even only near 150M per
+# share at the bench shape, as two BLAS products at once ran no faster than
+# one there; below that a split cost it 6-12 ms (best of 7).
 REPEAT_MIN_WORK = 1 << 23
 
 _POOL: tuple[int, int, ThreadPoolExecutor | None] | None = None  # (pid, CPUs, pool)

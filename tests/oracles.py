@@ -10,7 +10,8 @@ parameter initialization as it was before `init_paramset` walked
 
 The reference protocols further down are the per-repeat evaluation loops
 the whole-array ones in `leda.evaluate` replaced, kept verbatim (the probe
-still differentiates through the engine), an embedding that wraps every
+still differentiates through the engine), the MI diagnostic as one product
+of all pairs in place of streamed blocks, an embedding that wraps every
 checkpoint tensor as an engine constant, and an unchecked checkpoint writer
 for files that `save_checkpoint` refuses to write. `gcn_direct_order` puts
 back the LDA layers as they were before the graph operator moved to the
@@ -358,22 +359,16 @@ def graph_eval(collection, ckpt, support_per_class=1, repeats=500, seed=66666, t
     )
 
 
-def mi_diagnostic(e_i, e_j, tau, seed=0, max_pairs=evaluate.MI_MAX_PAIRS):
+def mi_diagnostic(e_i, e_j, tau):
+    """Every pair's score from one (n_i x dim) by (dim x n_j) product, then
+    `mi_from_scores` over the whole array."""
     if tau <= 0:
         raise ConfigError(f"temperature must be > 0, got {tau}")
     if e_i.E.shape[0] == 0 or e_j.E.shape[0] == 0:
         raise DataError("embedding sets must be non-empty")
     a = e_i.E / np.maximum(np.linalg.norm(e_i.E, axis=1, keepdims=True), COSINE_EPS)
     b = e_j.E / np.maximum(np.linalg.norm(e_j.E, axis=1, keepdims=True), COSINE_EPS)
-    n_pairs = a.shape[0] * b.shape[0]
-    if n_pairs <= max_pairs:
-        scores = (a @ b.T) / tau
-    else:
-        rng = np.random.default_rng(seed)
-        rows = rng.integers(0, a.shape[0], size=max_pairs)
-        cols = rng.integers(0, b.shape[0], size=max_pairs)
-        scores = np.sum(a[rows] * b[cols], axis=1) / tau
-    record = mi_from_scores(scores)
+    record = mi_from_scores((a @ b.T) / tau)
     record["domains"] = [e_i.domain_id, e_j.domain_id]
     record["tau"] = tau
     return record

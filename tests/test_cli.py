@@ -459,6 +459,20 @@ class TestEmbedAndEval:
         assert {"expected_s", "log_Z", "mi_proxy", "note"} <= set(doc)
         assert doc["domains"] == ["doma", "domb"]
 
+    def test_mi_diag_overflowing_scores_exit_4(self, suite, ckpt_path, tmp_path, capsys):
+        # tau = 1e-310 passes the argument rules, but s / tau overflows; the
+        # record would hold Infinity and NaN, which are not JSON
+        out = tmp_path / "mi.json"
+        code = main(
+            [
+                "mi-diag", "--ckpt", str(ckpt_path), "--manifest", str(suite["manifest"]),
+                "--domains", "doma,domb", "--tau", "1e-310", "--out", str(out),
+            ]
+        )
+        assert code == 4
+        assert "numeric failure: similarity diagnostic is non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mi_diag_bad_tau_exits_2(self, suite, ckpt_path):
         code = main(
             [
@@ -476,8 +490,13 @@ class TestEmbedAndEval:
             ["eval-linear", "--domain", "domc", "--runs", "0"],
             ["eval-linear", "--domain", "domc", "--train-frac", "0"],
             ["mi-diag", "--domains", "doma,domb", "--tau", "nan"],
+            ["eval-fewshot", "--domain", "domc", "--seed", "-3"],
+            ["eval-linear", "--domain", "domc", "--seed", "-3"],
+            ["eval-graph", "--seed", "-1"],
+            ["mi-diag", "--domains", "doma,domb", "--seed", "-1"],
         ],
-        ids=["fewshot-k0", "fewshot-k-1", "linear-runs0", "linear-train-frac0", "mi-tau-nan"],
+        ids=["fewshot-k0", "fewshot-k-1", "linear-runs0", "linear-train-frac0", "mi-tau-nan",
+             "fewshot-seed-3", "linear-seed-3", "graph-seed-1", "mi-seed-1"],
     )
     def test_bad_protocol_arguments_exit_2(self, suite, ckpt_path, tmp_path, capsys, args):
         out = tmp_path / "report.json"
@@ -561,6 +580,16 @@ class TestTrainFlags:
             assert doc["epochs"] == expected["epochs"] + (100 if key == "two_phase" else 0)
         else:
             assert doc["variant"] == expected["variant"]
+
+    @pytest.mark.parametrize("command", ["pretrain", "ablate"])
+    def test_negative_seed_exits_2(self, suite, tmp_path, capsys, command):
+        config = tmp_path / "negative-seed.json"
+        config.write_text(json.dumps({**suite["doc"], "train": {"seed": -4}}))
+        out = tmp_path / "out"
+        for args in (["--config", str(suite["config"]), "--seed", "-1"], ["--config", str(config)]):
+            assert main([command, *args, "--out", str(out)]) == 2
+            assert "config error: seed must be >= 0" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_two_phase_with_no_dpu_exits_2(self, suite, tmp_path, capsys):
         args = ["pretrain", "--config", str(suite["config"]), "--variant", "no-dpu", "--two-phase",

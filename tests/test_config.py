@@ -97,6 +97,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=f"^{key} must be"):
             TrainConfig(**{key: value})
 
+    def test_negative_seed(self):
+        # a negative seed reached np.random.default_rng, which raised ValueError
+        with pytest.raises(ConfigError, match="^seed must be >= 0"):
+            run_config_from_dict({"train": {"seed": -4}})
+        with pytest.raises(ConfigError, match="^seed must be >= 0"):
+            TrainConfig(seed=-1)
+        with pytest.raises(ConfigError, match="^seed must be an integer >= 0, got -1"):
+            run_config_from_dict({"eval": {"seed": -1}})
+        cfg = run_config_from_dict({"train": {"seed": 0}, "eval": {"seed": 0}})
+        assert (cfg.train.seed, cfg.eval_seed) == (0, 0)
+
     def test_adamw_keys_at_their_bounds(self):
         train = run_config_from_dict({"train": {"lr": 0, "beta1": 0, "beta2": 0.0, "adam_eps": 1e-300}}).train
         assert (train.lr, train.beta1, train.beta2, train.adam_eps) == (0, 0, 0.0, 1e-300)

@@ -341,15 +341,54 @@ class TestMiDiagnostic:
         lowered[1:] -= 1.0  # max stays fixed
         assert mi_from_scores(lowered)["mi_proxy"] < mi_from_scores(scores)["mi_proxy"]
 
-    def test_subsampling_is_seeded(self):
+    @pytest.mark.parametrize(
+        "n_i, n_j, max_pairs",
+        [(1100, 1000, None), (1100, 1000, 50_000), (1, 300, 7), (300, 1, 7)],
+        ids=["all-pairs", "subsampled", "one-row-left", "one-row-right"],
+    )
+    def test_uniform_similarities_count_every_pair(self, n_i, n_j, max_pairs):
+        # above 10^6 pairs every pair is scored, and above MI_MAX_PAIRS the
+        # log correction stands in for the pairs left out: -log(n_i * n_j)
+        e_i = EmbeddingSet("a", np.tile([1.0, 0.0], (n_i, 1)))
+        e_j = EmbeddingSet("b", np.tile([0.0, 1.0], (n_j, 1)))
+        with mock.patch.object(evaluate, "MI_MAX_PAIRS", max_pairs or evaluate.MI_MAX_PAIRS):
+            record = mi_diagnostic(e_i, e_j, tau=0.7, seed=3)
+        assert record["mi_proxy"] == pytest.approx(-np.log(n_i * n_j), abs=1e-9)
+        assert record["pair_count"] <= (max_pairs or n_i * n_j)
+        if max_pairs is None:
+            assert record["pair_count"] == n_i * n_j
+
+    def test_subsample_is_seeded(self):
         rng = np.random.default_rng(16)
         e_i = EmbeddingSet("a", rng.standard_normal((40, 3)))
         e_j = EmbeddingSet("b", rng.standard_normal((40, 3)))
         with mock.patch.object(evaluate, "MI_MAX_PAIRS", 100):
-            a = mi_diagnostic(e_i, e_j, tau=1.0, seed=5)
-            b = mi_diagnostic(e_i, e_j, tau=1.0, seed=5)
-        assert a["mi_proxy"] == b["mi_proxy"]
-        assert a["pair_count"] == 100
+            a, b, other = (mi_diagnostic(e_i, e_j, tau=1.0, seed=seed) for seed in (5, 5, 6))
+        assert a == b
+        assert a["mi_proxy"] != other["mi_proxy"]
+        assert a["pair_count"] == 100  # 10 rows of each side
+
+    def test_subsampled_estimate_is_near_the_exact_value(self):
+        # 300 x 200 pairs cut to 6,000 (5,922 scored): over seeds 0-19 the
+        # estimates' sd was 0.0036, and each lay within 2.3 sd of the exact
+        # value
+        rng = np.random.default_rng(17)
+        e_i = EmbeddingSet("a", rng.standard_normal((300, 8)))
+        e_j = EmbeddingSet("b", rng.standard_normal((200, 8)))
+        exact = mi_diagnostic(e_i, e_j, tau=0.5)["mi_proxy"]
+        with mock.patch.object(evaluate, "MI_MAX_PAIRS", 6000):
+            estimates = np.array([mi_diagnostic(e_i, e_j, tau=0.5, seed=seed)["mi_proxy"] for seed in range(20)])
+        sd = estimates.std(ddof=1)
+        assert 0 < sd < 0.01
+        assert np.all(np.abs(estimates - exact) <= 4 * sd)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_scores_raise(self, sign):
+        # a tiny tau overflows s / tau; the record would hold inf and nan
+        e_i = EmbeddingSet("a", np.array([[1.0, 0.0], [0.0, 1.0]]))
+        e_j = EmbeddingSet("b", np.array([[sign, 0.0]]))
+        with pytest.raises(NumericError, match="non-finite"):
+            mi_diagnostic(e_i, e_j, tau=1e-310)
 
 
 class TestEntropyDiagnostic:

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -21,7 +21,6 @@ from leda.config import EvalConfig
 from leda.datasets import GraphCollection, generate_sbm, write_float_tsv
 from leda.errors import ConfigError
 from leda.evaluate import (
-    MI_BLOCK_PAIRS,
     EmbeddingSet,
     embed,
     fewshot_eval,
@@ -89,13 +88,13 @@ BLOCK_REPEATS = (None, 0, 1, 2, 3)
 
 
 def scored_in_blocks(labels, repeats_per_block):
-    """PROTOTYPE_BLOCK_SCORES bounded to hold `repeats_per_block` repeats'
-    scores (0 and 1 both give blocks of one repeat). None keeps the default,
-    which puts every test-sized repeat in one block."""
+    """BLOCK_SCORES bounded to hold `repeats_per_block` repeats' scores (0
+    and 1 both give blocks of one repeat). None keeps the default, which
+    puts every test-sized repeat in one block."""
     if repeats_per_block is None:
         return contextlib.nullcontext()
     per_repeat = len(labels) * len(np.unique(labels))
-    return mock.patch.object(evaluate, "PROTOTYPE_BLOCK_SCORES", repeats_per_block * per_repeat)
+    return mock.patch.object(evaluate, "BLOCK_SCORES", repeats_per_block * per_repeat)
 
 
 def graph_level(labels) -> GraphCollection:
@@ -148,7 +147,7 @@ class TestPrototypeLoop:
         # passes the fork break-even
         rows, labels = bench_shaped_rows(17, 3327, 128, 6)
         repeats = 120
-        assert repeats > 2 * (evaluate.PROTOTYPE_BLOCK_SCORES // (3327 * 6))
+        assert repeats > 2 * (evaluate.BLOCK_SCORES // (3327 * 6))
         e = EmbeddingSet("citeseer-like", rows, labels)
         old = as_bytes(oracles.fewshot_eval(e, k=k, repeats=repeats, seed=66666).to_dict())
         for cpus in CPU_COUNTS:
@@ -223,6 +222,23 @@ class TestClosedFormProbe:
             assert len(forked) == cpus - 1
 
 
+MI_VALUES = ("expected_s", "log_Z", "mi_proxy")
+
+
+def assert_record_close(new: dict, old: dict) -> None:
+    """Streamed blocks sum in another order than one array does. Scores lie
+    in [-1/tau, 1/tau], so expected_s may move by 1e-12 / tau, and log_Z and
+    mi_proxy by 1e-12 of max(1, |value|); 1,000 random multi-block inputs
+    and the bench shape moved them by at most 2.0e-16 / tau and 2.7e-16.
+    Every other entry is equal."""
+    assert {k: v for k, v in new.items() if k not in MI_VALUES} == {
+        k: v for k, v in old.items() if k not in MI_VALUES
+    }
+    assert new["expected_s"] == pytest.approx(old["expected_s"], rel=0, abs=1e-12 / old["tau"])
+    for key in ("log_Z", "mi_proxy"):
+        assert new[key] == pytest.approx(old[key], rel=1e-12, abs=1e-12), key
+
+
 class TestBlockedMi:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -230,48 +246,52 @@ class TestBlockedMi:
         n_i=st.integers(1, 40),
         n_j=st.integers(1, 40),
         dim=st.integers(1, 6),
-        max_pairs=st.sampled_from([1, 100, MI_BLOCK_PAIRS - 1, MI_BLOCK_PAIRS,
-                                   MI_BLOCK_PAIRS + 1, 3 * MI_BLOCK_PAIRS, 1000]),
         tau=st.floats(0.05, 5.0),
     )
-    def test_record_is_byte_identical(self, seed, n_i, n_j, dim, max_pairs, tau):
+    @example(seed=7, n_i=1000, n_j=1000, dim=6, tau=0.5)  # 10^6 pairs: still one block
+    def test_record_is_byte_identical(self, seed, n_i, n_j, dim, tau):
+        # up to 10^6 pairs every score lies in one block, reduced as the
+        # oracle reduces its one array
         e_i = EmbeddingSet("a", random_rows(seed, n_i, dim))
         e_j = EmbeddingSet("b", random_rows(seed + 1, n_j, dim))
-        with mock.patch.object(evaluate, "MI_MAX_PAIRS", max_pairs):
+        new = mi_diagnostic(e_i, e_j, tau=tau, seed=seed)
+        assert as_bytes(new) == as_bytes(oracles.mi_diagnostic(e_i, e_j, tau=tau))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=SEEDS,
+        n_i=st.integers(2, 40),
+        n_j=st.integers(1, 40),
+        dim=st.integers(1, 6),
+        tau=st.floats(0.05, 5.0),
+        rows_per_block=st.integers(0, 39),
+    )
+    def test_multi_block_record_matches_one_product(self, seed, n_i, n_j, dim, tau, rows_per_block):
+        # BLOCK_SCORES bounded to fewer rows than e_i has (0 and 1 both give
+        # blocks of one row), so the last block may be partial
+        e_i = EmbeddingSet("a", random_rows(seed, n_i, dim))
+        e_j = EmbeddingSet("b", random_rows(seed + 1, n_j, dim))
+        with mock.patch.object(evaluate, "BLOCK_SCORES", min(rows_per_block, n_i - 1) * n_j):
             new = mi_diagnostic(e_i, e_j, tau=tau, seed=seed)
-        old = oracles.mi_diagnostic(e_i, e_j, tau=tau, seed=seed, max_pairs=max_pairs)
-        assert as_bytes(new) == as_bytes(old)
+        assert_record_close(new, oracles.mi_diagnostic(e_i, e_j, tau=tau))
 
-    def test_sampled_path_runs_in_blocks(self):
-        # 41 x 41 pairs exceed MI_MAX_PAIRS, so the scores are sampled; more
-        # than one block must be scored and the partial last block kept
-        rng = np.random.default_rng(3)
-        e_i = EmbeddingSet("a", rng.standard_normal((41, 3)))
-        e_j = EmbeddingSet("b", rng.standard_normal((41, 3)))
-        max_pairs = 2 * MI_BLOCK_PAIRS + 5
-        with mock.patch.object(evaluate, "MI_MAX_PAIRS", max_pairs):
-            record = mi_diagnostic(e_i, e_j, tau=0.5, seed=1)
-        assert record["pair_count"] == max_pairs
-        assert as_bytes(record) == as_bytes(
-            oracles.mi_diagnostic(e_i, e_j, tau=0.5, seed=1, max_pairs=max_pairs)
-        )
-
-    def test_sampled_record_at_bench_shape_is_byte_identical(self, at_cpus, monkeypatch):
-        # the bench transfer pair's shape, 3,327 x 2,708 rows of 128, takes
-        # the sampled path; the sample is cut to 40 blocks and a partial one,
-        # which the oracle scores in one pass, and the break-even to 1, so
-        # that the shares end on unequal block counts
+    def test_record_at_bench_shape(self, at_cpus):
+        # the bench transfer pair's shape, 3,327 x 2,708 rows of 128: 9.0M
+        # pairs, every one scored, in 9 blocks of at most BLOCK_SCORES; no
+        # share is forked, so the bytes are the same at any CPU count
         rows_i, _ = bench_shaped_rows(20, 3327, 128, 6)
         rows_j, _ = bench_shaped_rows(21, 2708, 128, 7)
         e_i, e_j = EmbeddingSet("citeseer-like", rows_i), EmbeddingSet("cora-like", rows_j)
-        max_pairs = 40 * MI_BLOCK_PAIRS + 5
-        monkeypatch.setattr(evaluate, "MI_MAX_PAIRS", max_pairs)
-        monkeypatch.setattr(linalg, "REPEAT_MIN_WORK", 1)
-        old = as_bytes(oracles.mi_diagnostic(e_i, e_j, tau=0.5, seed=3, max_pairs=max_pairs))
+        assert -(-3327 // (evaluate.BLOCK_SCORES // 2708)) == 9
+        records = []
         for cpus in CPU_COUNTS:
             forked = at_cpus(cpus)
-            assert as_bytes(mi_diagnostic(e_i, e_j, tau=0.5, seed=3)) == old, cpus
-            assert len(forked) == cpus - 1
+            records.append(as_bytes(mi_diagnostic(e_i, e_j, tau=0.5, seed=3)))
+            assert forked == [], cpus
+        assert records == [records[0]] * len(CPU_COUNTS)
+        record = json.loads(records[0])
+        assert record["pair_count"] == 3327 * 2708
+        assert_record_close(record, oracles.mi_diagnostic(e_i, e_j, tau=0.5))
 
 
 class TestEmbeddingFiles:
@@ -326,6 +346,19 @@ class TestArgumentRules:
     def test_mi_tau(self, tau):
         with pytest.raises(ConfigError, match="tau"):
             mi_diagnostic(self.labeled, self.labeled, tau=tau)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed(self, seed):
+        # a negative seed reached np.random.default_rng, which raised ValueError
+        calls = [
+            lambda: fewshot_eval(self.labeled, seed=seed),
+            lambda: linear_probe(self.labeled, seed=seed),
+            lambda: graph_eval(None, None, seed=seed),
+            lambda: mi_diagnostic(self.labeled, self.labeled, tau=0.5, seed=seed),
+        ]
+        for call in calls:
+            with pytest.raises(ConfigError, match=f"seed must be an integer >= 0, got {seed!r}"):
+                call()
 
     @pytest.mark.parametrize("key", ["k_shot", "repeats"])
     def test_eval_config_shares_the_count_rule(self, key):
