@@ -8,6 +8,7 @@ per line). Loaded collections are immutable and validated up front.
 
 from __future__ import annotations
 
+import io
 import json
 import warnings
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .linalg import CsrMatrix
+from .linalg import CsrMatrix, repeat_shares, shared_empty, split_repeats
 
 MANIFEST_VERSION = 1
 NODE_LEVEL = "node-level"
@@ -158,51 +159,121 @@ def disjoint_union(graphs: list[DomainGraph]) -> DomainGraph:
 # ---------------------------------------------------------------------------
 # file parsing
 #
-# Each reader parses a whole file into one array, mapping int()/float() over
-# its tokens block by block, and checks it with whole-array tests. Only a file
-# that fails is read again line by line, by a `_locate_*` function whose one
+# Each reader reads its file once, as bytes. A file spelled only with the
+# characters below is "plain": ASCII, so valid UTF-8. Its bytes go to
+# np.loadtxt, which on one CPU parses bag-of-words features 2.4 times and
+# edges 5 times as fast as the int()/float() pass below. On such text
+# np.loadtxt accepts a subset of what int()/float() accept and gives the same
+# values (tests/test_data_path.py pins this). It skips blank lines, so a
+# features file, where a blank line is an error, must give one row per line:
+# its newline count, plus 1 when the last line has no newline.
+#
+# A large plain file is parsed in one share per CPU by `split_repeats`. A
+# share owns the lines that start in its byte range, so every cut falls on a
+# line start; it writes its rows in place into one `shared_empty` output, at
+# the row its first line starts, and sends back only that row and its count.
+#
+# Only a file that is not plain, or one whose plain parse fails in any share,
+# is decoded and parsed whole again, mapping int()/float() over its tokens
+# block by block, and checked with whole-array tests. Only a file that fails
+# there too is read again line by line, by a `_locate_*` function whose one
 # job is to raise the first defect as `path:line: ...`; both passes accept the
 # same grammar, so a locator that finds no defect returns and the caller
 # re-raises the array pass's own error.
-#
-# A file spelled only with the characters below is first handed to
-# np.loadtxt, which is two to three times faster. On such text np.loadtxt
-# accepts a subset of what int()/float() accept and gives the same values
-# (tests/test_data_path.py pins this); whatever it refuses, or reads with a
-# different row count (it skips blank lines), goes to the int()/float() pass.
 _INT_CHARS = b"0123456789\t\n"
 _FLOAT_CHARS = b"0123456789.eE+-\t\n"
 _count_tabs = methodcaller("count", "\t")
 # tokens converted per block by _parse_table
 _PARSE_BLOCK_TOKENS = 1 << 18
+# The work `split_repeats` weighs against REPEAT_MIN_WORK, in its units of
+# multiply-adds: a byte parsed by np.loadtxt counts as _LOAD_BYTE_COST, and a
+# float formatted by repr as _WRITE_TOKEN_COST. On a 2-core VM, in a 250 MB
+# process, 2 shares of a parse broke even near 0.5 MB of edges, 1 MB of
+# Gaussian features and 1.3 MB of binary features (medians of 21 alternated
+# runs; per byte the three cost within 1.6x of each other, per token 6x);
+# at 8 a share gets at least 1 MB. 2 shares of a write broke even near 12k
+# floats; at 512 a share gets at least 16k.
+_LOAD_BYTE_COST = 8
+_WRITE_TOKEN_COST = 512
 
 
-def _read_text(path: Path) -> str:
+def _decode(path: Path, raw: bytes) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
-def _is_plain(text: str, chars: bytes) -> bool:
-    return text.isascii() and not text.encode("ascii").translate(None, chars)
+def _read_text(path: Path) -> str:
+    # universal newlines, so that a JSON error's position counts CRLF as one
+    return _decode(path, path.read_bytes()).replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _parse_table(lines: list[str], width: int | None, dtype, plain: bool) -> np.ndarray:
+def _line_start(raw: bytes, pos: int) -> int:
+    """The first line start at or after byte `pos` (len(raw) if none)."""
+    if pos == 0:
+        return 0
+    newline = raw.find(b"\n", pos - 1)
+    return len(raw) if newline < 0 else newline + 1
+
+
+def _loadtxt(raw: bytes, dtype) -> np.ndarray:
+    with warnings.catch_warnings():  # "no data" on text of blank lines
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(io.BytesIO(raw), dtype=dtype, delimiter="\t", comments=None, ndmin=2)
+
+
+def _load_plain(
+    raw: bytes, chars: bytes, width: int | None, dtype, blank_lines: bool
+) -> np.ndarray | None:
+    """np.loadtxt's (rows, width) table of `raw`, or None when `raw` holds a
+    character outside `chars`, a share fails, a row has another width, or,
+    unless `blank_lines`, a line is blank. `width` None is the first line's."""
+    if raw.translate(None, chars):
+        return None
+    lines = raw.count(b"\n") + (raw[-1:] not in (b"", b"\n"))
+    first = raw.find(b"\n")
+    width = width or raw.count(b"\t", 0, len(raw) if first < 0 else first) + 1
+    if not lines:
+        return np.empty((0, width), dtype=dtype)
+    work = _LOAD_BYTE_COST * len(raw)
+
+    def parse(lo, hi):
+        """(first byte, table) of the lines that start in bytes [lo, hi)."""
+        start = _line_start(raw, lo)
+        share = _loadtxt(raw[start:_line_start(raw, hi)], dtype)
+        if len(share) and share.shape[1] != width:
+            raise ValueError("ragged rows")
+        return start, share
+
+    def run(lo, hi):
+        start, share = parse(lo, hi)
+        row = raw.count(b"\n", 0, start)
+        table[row:row + len(share)] = share
+        return [(row, len(share))]
+
+    try:
+        if repeat_shares(len(raw), work) == 1:
+            table = parse(0, len(raw))[1]
+            pieces = [table]
+        else:
+            table = shared_empty((lines, width), dtype)
+            pieces = [table[row:row + n] for row, n in split_repeats(len(raw), work, run)]
+    except (ValueError, OverflowError):
+        return None
+    rows = sum(map(len, pieces))
+    if rows != lines and not blank_lines:
+        return None
+    # a blank line leaves its share's rows short, and a gap at their end
+    return table if rows == lines else np.concatenate(pieces).reshape(-1, width)
+
+
+def _parse_table(lines: list[str], width: int | None, dtype) -> np.ndarray:
     """Tab-separated rows as a (len(lines), width) array. Raises ValueError or
     OverflowError on a token int()/float() rejects or on a row of the wrong
     width."""
     if not lines:
         return np.empty((0, width or 0), dtype=dtype)
-    if plain:
-        try:
-            with warnings.catch_warnings():  # "no data" on a file of blank lines
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(lines, dtype=dtype, delimiter="\t", comments=None, ndmin=2)
-        except (ValueError, OverflowError):
-            table = None
-        if table is not None and table.shape[0] == len(lines) and width in (None, table.shape[1]):
-            return table
     tabs = np.fromiter(map(_count_tabs, lines), np.int64, len(lines))
     if np.any(tabs != tabs[0]) or width not in (None, tabs[0] + 1):
         raise ValueError("ragged rows")
@@ -218,10 +289,12 @@ def _parse_table(lines: list[str], width: int | None, dtype, plain: bool) -> np.
 
 
 def _read_edges(path: Path, n: int, symmetrize: bool) -> CsrMatrix:
-    text = _read_text(path)
-    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+    raw = path.read_bytes()
     try:
-        pairs = _parse_table(lines, 2, np.int64, _is_plain(text, _INT_CHARS))
+        pairs = _load_plain(raw, _INT_CHARS, 2, np.int64, blank_lines=True)
+        if pairs is None:
+            lines = map(str.strip, _decode(path, raw).splitlines())
+            pairs = _parse_table([s for s in lines if s and s[0] != "#"], 2, np.int64)
         i, j = pairs[:, 0], pairs[:, 1]
         if (
             np.any(i == j)
@@ -230,30 +303,36 @@ def _read_edges(path: Path, n: int, symmetrize: bool) -> CsrMatrix:
         ):
             raise ValueError("self-loop, index out of range or unpaired edge")
     except (ValueError, OverflowError):
-        _locate_edge_error(path, text, n, symmetrize)
+        _locate_edge_error(path, _decode(path, raw), n, symmetrize)
         raise
     return CsrMatrix.from_edges(n, pairs)
 
 
 def _read_features(path: Path) -> np.ndarray:
-    text = _read_text(path)
-    lines = text.splitlines()
-    if not lines:
+    raw = path.read_bytes()
+    if not raw:
         raise DataError(f"{path}: empty features file")
+    table = _load_plain(raw, _FLOAT_CHARS, None, np.float64, blank_lines=False)
+    if table is not None:
+        return table
+    text = _decode(path, raw)
     try:
-        return _parse_table(lines, None, np.float64, _is_plain(text, _FLOAT_CHARS))
+        return _parse_table(text.splitlines(), None, np.float64)
     except ValueError:
         _locate_feature_error(path, text)
         raise
 
 
 def _read_labels(path: Path) -> np.ndarray:
-    text = _read_text(path)
-    lines = [s for s in map(str.strip, text.splitlines()) if s]
+    raw = path.read_bytes()
     try:
-        return _parse_table(lines, 1, np.int64, _is_plain(text, _INT_CHARS)).ravel()
+        labels = _load_plain(raw, _INT_CHARS, 1, np.int64, blank_lines=True)
+        if labels is None:
+            lines = map(str.strip, _decode(path, raw).splitlines())
+            labels = _parse_table([s for s in lines if s], 1, np.int64)
+        return labels.ravel()
     except (ValueError, OverflowError) as exc:
-        _locate_label_error(path, text)
+        _locate_label_error(path, _decode(path, raw))
         # every label is an integer, so one of them does not fit in int64
         raise DataError(f"{path}: label outside the 64-bit integer range") from exc
 
@@ -443,16 +522,22 @@ def write_float_tsv(path: str | Path, x: np.ndarray, index: bool = False) -> Non
     """One tab-separated line per row of x, led by the row number if `index`.
 
     repr of a Python float round-trips bit-exactly; rows are converted a
-    chunk at a time with `tolist`, not element by element.
+    chunk at a time with `tolist`, not element by element. Large tables are
+    formatted in contiguous row shares by `split_repeats`, joined in order.
     """
-    lines = (
-        "\t".join(map(repr, row))
-        for lo in range(0, len(x), _WRITE_CHUNK_ROWS)
-        for row in x[lo:lo + _WRITE_CHUNK_ROWS].tolist()
-    )
-    if index:
-        lines = (f"{i}\t{line}" for i, line in enumerate(lines))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def run(lo, hi):
+        lines = (
+            "\t".join(map(repr, row))
+            for start in range(lo, hi, _WRITE_CHUNK_ROWS)
+            for row in x[start:min(start + _WRITE_CHUNK_ROWS, hi)].tolist()
+        )
+        if index:
+            lines = (f"{i}\t{line}" for i, line in enumerate(lines, lo))
+        return ["\n".join(lines) + "\n"]
+
+    text = "".join(split_repeats(len(x), _WRITE_TOKEN_COST * x.size, run))
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def save_dataset(collection: GraphCollection, out_dir: str | Path) -> Path:
@@ -529,6 +614,8 @@ def generate_sbm(
         raise ConfigError("blocks and nodes_per_block must be positive")
     if not np.isfinite(cluster_sep):
         raise ConfigError(f"cluster_sep must be finite, got {cluster_sep!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     n = blocks * nodes_per_block
     labels = np.repeat(np.arange(blocks), nodes_per_block)
     rng = np.random.default_rng(seed)

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
+from .errors import NumericError
 from .linalg import CsrMatrix, basis_signs, truncated_svd
 
 RANK_DEFICIENCY_RTOL = 1e-10
@@ -57,7 +58,10 @@ def init_basis(x: np.ndarray | CsrMatrix, k: int, seed: int, domain_id: str = ""
     When x has rank below k the trailing columns are replaced by a seeded
     orthonormal completion and the padded flag is set.
     """
-    result = truncated_svd(x, k, seed)
+    try:
+        result = truncated_svd(x, k, seed)
+    except NumericError as exc:
+        raise NumericError(f"domain '{domain_id}': {exc}") from exc
     s = result.singular_values
     v = np.array(result.V)
     threshold = RANK_DEFICIENCY_RTOL * max(s[0], 1e-300)

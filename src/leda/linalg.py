@@ -1,7 +1,7 @@
 """Dense/sparse matrix primitives: symmetric adjacency normalization, the
 dense-or-CSR feature rule, seeded truncated SVD, a Gaussian-entropy diagnostic,
 the row split of the large products, and the forked split of independent
-repeats.
+repeats with the shared output its shares may write into.
 
 All numerics are float64. Every operation here is a pure function and all
 returned containers are frozen, so values can be shared freely across tasks.
@@ -18,12 +18,16 @@ Threads gain little on work made of many small numpy calls, as each call
 holds the GIL between them. `split_repeats` therefore runs shares of a
 protocol's independent repeats in forked child processes, which inherit
 the arrays rather than copying them and send back only their results. A
-repeat computes the same bits in whichever process runs it.
+repeat computes the same bits in whichever process runs it. Where those
+results are large, as the rows of a parsed table are, the shares write
+them in place into one `shared_empty` output made before the fork, and
+send back only where they wrote.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import pickle
 from concurrent.futures import ThreadPoolExecutor
@@ -164,16 +168,33 @@ def _join_share(pid: int, read: int) -> tuple[bool, object]:
     return pickle.loads(data)
 
 
+def repeat_shares(count: int, work: int) -> int:
+    """How many shares `split_repeats` cuts `count` repeats of `work`
+    multiply-adds in all into: one per CPU, but each with at least
+    REPEAT_MIN_WORK of the work and one repeat, and one share in all below
+    that."""
+    return max(1, min(_cpus(), count, work // REPEAT_MIN_WORK))
+
+
+def shared_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialized array in an anonymous shared mapping: what a forked
+    child writes into it, its parent reads, so the child need not send it
+    back. A page takes memory only once it is written."""
+    dtype = np.dtype(dtype)
+    count = math.prod(shape)
+    buffer = mmap.mmap(-1, max(1, count * dtype.itemsize))
+    return np.frombuffer(buffer, dtype, count).reshape(shape)
+
+
 def split_repeats(count: int, work: int, run) -> list:
     """run(lo, hi), a list, over contiguous shares [lo, hi) that cover
-    [0, count), concatenated in share order: one share per CPU, but each
-    with at least REPEAT_MIN_WORK of the `work` multiply-adds of all
-    repeats, and one share in all below that. The caller runs the first
-    share; a forked child runs each other one on the arrays it inherits.
-    Every child is joined before this returns or raises. If shares raise,
-    the lowest one's error is raised: the error one run over [0, count)
-    raises when each repeat is independent of the others."""
-    shares = max(1, min(_cpus(), count, work // REPEAT_MIN_WORK))
+    [0, count), concatenated in share order; `repeat_shares` gives their
+    number. The caller runs the first share; a forked child runs each other
+    one on the arrays it inherits. Every child is joined before this
+    returns or raises. If shares raise, the lowest one's error is raised:
+    the error one run over [0, count) raises when each repeat is
+    independent of the others."""
+    shares = repeat_shares(count, work)
     bounds = [count * i // shares for i in range(shares + 1)]
     children = []
     try:
@@ -407,6 +428,12 @@ def basis_signs(v: np.ndarray) -> np.ndarray:
     return np.where(lead < 0, -1.0, 1.0)
 
 
+def _finite_sketch(product: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(product)):
+        raise NumericError("svd sketch overflowed: the features are too large to factor")
+    return product
+
+
 def truncated_svd(x: np.ndarray | CsrMatrix, k: int, seed: int) -> SvdResult:
     """Best rank-k factorization via a seeded randomized range finder.
 
@@ -416,6 +443,7 @@ def truncated_svd(x: np.ndarray | CsrMatrix, k: int, seed: int) -> SvdResult:
     orthonormalized per step (Halko, Martinsson & Tropp 2011), so a single
     n x ell QR is taken. A step costs O(n d ell), or O(nnz ell) when x is a
     CsrMatrix, and nothing d x d is formed. Deterministic for a fixed seed.
+    A sketch product that overflows raises NumericError.
     """
     # scipy's CSR matrix and a dense array take the same `@` and `.T` below
     x = x._scipy if isinstance(x, CsrMatrix) else as_dense(x, "svd input")
@@ -426,9 +454,9 @@ def truncated_svd(x: np.ndarray | CsrMatrix, k: int, seed: int) -> SvdResult:
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((d, ell))
     for _ in range(SVD_POWER_ITERS):
-        z, _ = np.linalg.qr(x.T @ (x @ z))
-    q, _ = np.linalg.qr(x @ z)
-    u_small, s, vt = np.linalg.svd(q.T @ x, full_matrices=False)
+        z, _ = np.linalg.qr(_finite_sketch(x.T @ (x @ z)))
+    q, _ = np.linalg.qr(_finite_sketch(x @ z))
+    u_small, s, vt = np.linalg.svd(_finite_sketch(q.T @ x), full_matrices=False)
     v = vt[:k].T.copy()
     signs = basis_signs(v)
     v *= signs

@@ -62,6 +62,18 @@ def read_without_timestamp(path):
     return doc
 
 
+def overflowing_manifest(out):
+    """gen-sbm data whose features are finite but whose SVD sketch is not."""
+    code = main(
+        [
+            "gen-sbm", "--blocks", "2", "--nodes", "4", "--pin", "0.5", "--pout", "0.1",
+            "--seed", "0", "--sep", "1e200", "--domain-id", "hot", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    return out / "manifest.json"
+
+
 class TestGenSbm:
     def test_generates_loadable_dataset(self, tmp_path, capsys):
         out = tmp_path / "sbm"
@@ -75,6 +87,17 @@ class TestGenSbm:
         manifest_path = capsys.readouterr().out.strip()
         collection = load_dataset(manifest_path)
         assert collection.graphs[0].num_nodes == 8
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        code = main(
+            [
+                "gen-sbm", "--blocks", "2", "--nodes", "4", "--pin", "0.5", "--pout", "0.1",
+                "--seed", "-1", "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: seed must be >= 0, got -1")
+        assert not (tmp_path / "x").exists()
 
     def test_invalid_probabilities_exit_2(self, tmp_path):
         code = main(
@@ -240,6 +263,19 @@ class TestPretrain:
         assert code == 3
         assert "not UTF-8" in capsys.readouterr().err
 
+    def test_features_whose_svd_sketch_overflows_exit_4_without_a_checkpoint(
+            self, suite, tmp_path, capsys):
+        manifest = overflowing_manifest(tmp_path / "hot")
+        capsys.readouterr()
+        out = tmp_path / "m.ckpt"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["pretrain", "--config", str(suite["config"]), "--manifest", str(manifest),
+                         "--out", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err.startswith(
+            "numeric failure: domain 'hot': svd sketch overflowed")
+        assert not out.exists()
+
     def test_numeric_blowup_exits_4(self, suite, tmp_path, capsys):
         bad = tmp_path / "hot.json"
         doc = dict(suite["doc"])
@@ -391,6 +427,19 @@ class TestEmbedAndEval:
         assert code == 3
         assert str(out) in capsys.readouterr().err
         assert calls == []
+
+    def test_embed_of_an_unseen_domain_whose_svd_sketch_overflows_exits_4(
+            self, ckpt_path, tmp_path, capsys):
+        manifest = overflowing_manifest(tmp_path / "hot")
+        capsys.readouterr()
+        out = tmp_path / "hot.tsv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["embed", "--ckpt", str(ckpt_path), "--manifest", str(manifest),
+                         "--domain", "hot", "--out", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err.startswith(
+            "numeric failure: domain 'hot': svd sketch overflowed")
+        assert not out.exists()
 
     def test_eval_fewshot_unknown_domain_exits_3(self, suite, ckpt_path):
         code = main(

@@ -5,30 +5,41 @@ The `ref_*` functions below are the readers and the writer as they stood
 before the array parser, kept verbatim apart from their return values (the
 edge reader returns its sorted symmetric pair list instead of building a
 CsrMatrix). For every generated file the new reader must return a
-bit-identical array or raise a DataError with the same message.
+bit-identical array or raise a DataError with the same message, whether
+the plain text is parsed in one share or in forked shares: the CPU count is
+patched to 1, 2 and 3 and the work of a byte or a float to a whole share's,
+so that these small files fork.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from leda import datasets, linalg
 from leda.datasets import (
+    _FLOAT_CHARS,
+    _INT_CHARS,
     DomainGraph,
     GraphCollection,
+    _load_plain,
     _parse_table,
     _read_edges,
     _read_features,
     _read_labels,
     load_dataset,
     save_dataset,
+    write_float_tsv,
 )
 from leda.errors import DataError
 from leda.linalg import CsrMatrix
 
-from oracles import to_dense
+from oracles import to_dense, write_embeddings_tsv
+
+CPU_COUNTS = (1, 2, 3)
 
 # ---------------------------------------------------------------------------
 # reference oracle: the line-by-line readers and writer
@@ -167,6 +178,19 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("data-path")
 
 
+@pytest.fixture
+def use_cpus(monkeypatch):
+    """use_cpus(n): from now on parse and write in n shares where the file
+    has n bytes or the table n floats."""
+
+    def use(n):
+        monkeypatch.setattr(linalg, "_cpus", lambda: n)
+        monkeypatch.setattr(datasets, "_LOAD_BYTE_COST", linalg.REPEAT_MIN_WORK)
+        monkeypatch.setattr(datasets, "_WRITE_TOKEN_COST", linalg.REPEAT_MIN_WORK)
+
+    return use
+
+
 FUZZ = settings(max_examples=300, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -174,8 +198,9 @@ FUZZ = settings(max_examples=300, deadline=None,
 class TestReaderEquivalence:
     @FUZZ
     @given(text=st.one_of(text_strategy(INT_TOKENS, 3), table_strategy(TABLE_INTS, 2)),
-           n=st.integers(0, 35), symmetrize=st.booleans())
-    def test_edges(self, scratch, text, n, symmetrize):
+           n=st.integers(0, 35), symmetrize=st.booleans(), cpus=st.sampled_from(CPU_COUNTS))
+    def test_edges(self, scratch, use_cpus, text, n, symmetrize, cpus):
+        use_cpus(cpus)
         path = scratch / "g.edges.tsv"
         path.write_text(text, encoding="utf-8")
 
@@ -190,15 +215,19 @@ class TestReaderEquivalence:
         same_outcome(ref, new)
 
     @FUZZ
-    @given(text=st.one_of(text_strategy(FLOAT_TOKENS, 3), table_strategy(TABLE_FLOATS, 3)))
-    def test_features(self, scratch, text):
+    @given(text=st.one_of(text_strategy(FLOAT_TOKENS, 3), table_strategy(TABLE_FLOATS, 3)),
+           cpus=st.sampled_from(CPU_COUNTS))
+    def test_features(self, scratch, use_cpus, text, cpus):
+        use_cpus(cpus)
         path = scratch / "g.features.tsv"
         path.write_text(text, encoding="utf-8")
         same_outcome(lambda: ref_read_features(path), lambda: _read_features(path))
 
     @FUZZ
-    @given(text=st.one_of(text_strategy(INT_TOKENS, 2), table_strategy(TABLE_INTS, 1)))
-    def test_labels(self, scratch, text):
+    @given(text=st.one_of(text_strategy(INT_TOKENS, 2), table_strategy(TABLE_INTS, 1)),
+           cpus=st.sampled_from(CPU_COUNTS))
+    def test_labels(self, scratch, use_cpus, text, cpus):
+        use_cpus(cpus)
         path = scratch / "g.labels.tsv"
         path.write_text(text, encoding="utf-8")
         same_outcome(lambda: ref_read_labels(path), lambda: _read_labels(path))
@@ -238,18 +267,143 @@ class TestReaderEquivalence:
             _read_labels(path)
 
 
+def edge_pairs(adj):
+    rows = np.repeat(np.arange(adj.rows), np.diff(adj.row_offsets))
+    return np.stack([rows, adj.col_indices], axis=1)
+
+
+# reader name -> (reader, oracle, the plain lines of a file, a plain defect
+# only the int()/float() pass places, and the message it gets on line 20)
+READERS = {
+    "edges": (
+        lambda path: edge_pairs(_read_edges(path, 40, True)),
+        lambda path: np.array(ref_read_edges(path, 40, True), dtype=np.int64).reshape(-1, 2),
+        [f"{i}\t{(7 * i + 3) % 40}" for i in range(1, 30)],
+        "1\t2\t3",
+        ":20: expected two tab-separated indices",
+    ),
+    "features": (
+        _read_features,
+        ref_read_features,
+        [f"{i}.5\t-0.{i}\t1e{i % 5}" for i in range(10, 40)],
+        "1.0\t2.0",
+        ":20: ragged feature row (2 vs 3)",
+    ),
+    "labels": (
+        _read_labels,
+        ref_read_labels,
+        [str(i % 7) for i in range(30)],
+        "1\t2",
+        ":20: non-integer label",
+    ),
+}
+
+
+class TestShares:
+    """Plain text parsed in forked shares of its lines, cut by bytes."""
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_defect_in_the_last_share_names_the_line_a_one_cpu_run_names(
+            self, tmp_path, use_cpus, reader, cpus):
+        read, ref, lines, defect, message = READERS[reader]
+        path = tmp_path / f"x.{reader}.tsv"
+        path.write_text("".join(line + "\n" for line in lines[:19] + [defect]), encoding="utf-8")
+        raised = []
+        for n in (1, cpus):
+            use_cpus(n)
+            with pytest.raises(DataError) as info:
+                read(path)
+            raised.append(str(info.value))
+        assert raised == [f"{path}{message}"] * 2
+        same_outcome(lambda: ref(path), lambda: read(path))
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_blank_line_right_at_a_cut(self, tmp_path, use_cpus, reader, cpus):
+        # equal lines, a of them before the blank one and b after: find a
+        # layout where a share's byte range starts at the blank line
+        read, ref, lines, _, _ = READERS[reader]
+        size = len(lines[0]) + 1
+        a, b = next((a, b) for a in range(1, 20) for b in range(1, 20)
+                    if any((size * (a + b) + 1) * i // cpus == size * a for i in range(1, cpus)))
+        raw = (lines[0] + "\n") * a + "\n" + (lines[0] + "\n") * b
+        path = tmp_path / f"x.{reader}.tsv"
+        path.write_text(raw, encoding="utf-8")
+        use_cpus(cpus)
+        assert linalg.repeat_shares(len(raw), datasets._LOAD_BYTE_COST * len(raw)) == cpus
+        cuts = {len(raw) * i // cpus for i in range(1, cpus)}
+        assert size * a in cuts and raw[size * a - 1:size * a + 1] == "\n\n"
+        same_outcome(lambda: ref(path), lambda: read(path))
+        if reader == "features":
+            with pytest.raises(DataError, match=f":{a + 1}: non-numeric feature value$"):
+                read(path)
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize("layout", ["no trailing newline", "one line", "one line, no newline",
+                                        "crlf"])
+    @pytest.mark.parametrize("cpus", CPU_COUNTS)
+    def test_layouts_match_the_oracle(self, tmp_path, use_cpus, reader, layout, cpus):
+        read, ref, lines, _, _ = READERS[reader]
+        text = {
+            "no trailing newline": "\n".join(lines),
+            "one line": lines[0] + "\n",
+            "one line, no newline": lines[0],
+            "crlf": "".join(line + "\r\n" for line in lines),
+        }[layout]
+        path = tmp_path / f"x.{reader}.tsv"
+        path.write_bytes(text.encode("ascii"))
+        use_cpus(cpus)
+        same_outcome(lambda: ref(path), lambda: read(path))
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 7, 50])
+    @pytest.mark.parametrize("cpus", CPU_COUNTS)
+    def test_writer_matches_the_oracle_byte_for_byte(self, tmp_path, use_cpus, rows, cpus):
+        rng = np.random.default_rng(rows)
+        x = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3))
+        expected = tmp_path / "expected.tsv"
+        write_embeddings_tsv(SimpleNamespace(E=x), expected)
+        use_cpus(cpus)
+        write_float_tsv(tmp_path / "indexed.tsv", x, index=True)
+        assert (tmp_path / "indexed.tsv").read_bytes() == expected.read_bytes()
+        write_float_tsv(tmp_path / "plain.tsv", x)
+        plain = "\n".join("\t".join(repr(float(v)) for v in row) for row in x) + "\n"
+        assert (tmp_path / "plain.tsv").read_bytes() == plain.encode("ascii")
+
+    def test_a_citeseer_sized_binary_table_loads_bitwise_equal_at_1_and_2_cpus(
+            self, tmp_path, monkeypatch):
+        rows, cols = 3327, 3703
+        ones = np.random.default_rng(7).random((rows, cols)) < 0.01
+        tokens = np.where(ones, np.bytes_(b"1.0\t"), np.bytes_(b"0.0\t"))
+        raw = np.frombuffer(tokens.tobytes(), dtype=np.uint8).reshape(rows, -1).copy()
+        raw[:, -1] = ord("\n")
+        path = tmp_path / "citeseer.features.tsv"
+        path.write_bytes(raw.tobytes())
+        del tokens, raw
+        for cpus in (1, 2):
+            monkeypatch.setattr(linalg, "_cpus", lambda: cpus)
+            size = path.stat().st_size
+            assert linalg.repeat_shares(size, datasets._LOAD_BYTE_COST * size) == cpus
+            table = _read_features(path)
+            assert table.shape == (rows, cols)
+            assert np.array_equal(table, ones) and not np.signbit(table).any()
+            del table
+
+
 def assert_same_table(lines, width, dtype):
     """The np.loadtxt route may only accept what the int()/float() pass
     accepts, and must give the same bits."""
+    raw = "".join(line + "\n" for line in lines).encode("ascii")
+    chars = _FLOAT_CHARS if dtype == np.float64 else _INT_CHARS
+    fast = _load_plain(raw, chars, width, dtype, blank_lines=False)
     try:
-        exact = _parse_table(lines, width, dtype, plain=False)
+        exact = _parse_table(lines, width, dtype)
     except (ValueError, OverflowError):
-        with pytest.raises((ValueError, OverflowError)):
-            _parse_table(lines, width, dtype, plain=True)
+        assert fast is None
         return
-    fast = _parse_table(lines, width, dtype, plain=True)
-    assert fast.dtype == exact.dtype and fast.shape == exact.shape
-    assert fast.tobytes() == exact.tobytes()
+    if fast is not None:
+        assert fast.dtype == exact.dtype and fast.shape == exact.shape
+        assert fast.tobytes() == exact.tobytes()
 
 
 def plain_lines(token, max_width):

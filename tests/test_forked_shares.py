@@ -15,7 +15,7 @@ import pytest
 
 from leda import linalg
 from leda.errors import DataError, NumericError
-from leda.linalg import matmul_rows, split_repeats
+from leda.linalg import matmul_rows, shared_empty, split_repeats
 
 CPU_COUNTS = (1, 2, 3)
 
@@ -150,6 +150,24 @@ class TestSplitRepeats:
         [(lo, hi, pid)] = shares_in(log)  # the first child's share ran; the caller's did not
         assert (lo, hi) == (2, 4)
         assert_no_child_left([None, (lo, hi, pid)])
+
+    @pytest.mark.parametrize("cpus", CPU_COUNTS)
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (7, 3)])
+    def test_rows_the_children_write_into_a_shared_output_reach_the_caller(
+            self, use_cpus, cpus, shape):
+        use_cpus(cpus)
+        out = shared_empty(shape, np.int64)
+        assert out.shape == shape and out.dtype == np.int64
+
+        def share(lo, hi):
+            out[lo:hi] = np.arange(lo, hi)[:, None] * 10 + os.getpid() % 7
+            return [os.getpid()]
+
+        pids = split_repeats(shape[0], shape[0], share)
+        owner = np.repeat(pids, np.diff([shape[0] * i // len(pids) for i in range(len(pids) + 1)]))
+        expected = np.arange(shape[0])[:, None] * 10 + owner[:, None] % 7
+        assert np.array_equal(out, np.broadcast_to(expected, shape))
+        assert len(set(pids)) == max(1, min(cpus, shape[0]))
 
     def test_a_child_forked_after_a_split_product_makes_its_own_pool(self, use_cpus, monkeypatch):
         # the parent's pool has a live worker thread when the children fork;

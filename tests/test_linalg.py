@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leda.datasets import DEGREE_FEATURE_DIM, degree_features
-from leda.errors import DataError
+from leda.errors import DataError, NumericError
 from leda.linalg import (
     SPARSE_FEATURE_DENSITY,
     CsrMatrix,
@@ -239,6 +239,15 @@ class TestTruncatedSvd:
             truncated_svd(np.eye(3), k=4, seed=0)
         with pytest.raises(DataError):
             truncated_svd(np.eye(3), k=0, seed=0)
+
+    @pytest.mark.parametrize("kind", ["dense", "csr"])
+    def test_finite_features_whose_sketch_overflows_are_a_numeric_error(self, kind):
+        # every entry is finite, but x^T (x z) is not
+        x = np.random.default_rng(4).standard_normal((8, 6)) * 1e200
+        x = CsrMatrix.from_dense(x) if kind == "csr" else x
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="^svd sketch overflowed"):
+                truncated_svd(x, k=2, seed=0)
 
 
 class TestSparseFeatures:
