@@ -11,9 +11,9 @@ from __future__ import annotations
 import io
 import json
 import warnings
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
@@ -159,10 +159,10 @@ def disjoint_union(graphs: list[DomainGraph]) -> DomainGraph:
 # ---------------------------------------------------------------------------
 # file parsing
 #
-# Each reader reads its file once, as bytes. A file spelled only with the
-# characters below is "plain": ASCII, so valid UTF-8. Its bytes go to
-# np.loadtxt, which on one CPU parses bag-of-words features 2.4 times and
-# edges 5 times as fast as the int()/float() pass below. On such text
+# Each reader reads its file once, as bytes, and has two routes. A file
+# spelled only with the characters below is "plain": ASCII, so valid UTF-8.
+# Its bytes go to np.loadtxt, which on one CPU parses bag-of-words features
+# 2.4 times and edges 5 times as fast as int()/float() do. On such text
 # np.loadtxt accepts a subset of what int()/float() accept and gives the same
 # values (tests/test_data_path.py pins this). It skips blank lines, so a
 # features file, where a blank line is an error, must give one row per line:
@@ -170,21 +170,19 @@ def disjoint_union(graphs: list[DomainGraph]) -> DomainGraph:
 #
 # A large plain file is parsed in one share per CPU by `split_repeats`. A
 # share owns the lines that start in its byte range, so every cut falls on a
-# line start; it writes its rows in place into one `shared_empty` output, at
-# the row its first line starts, and sends back only that row and its count.
+# line start; it tests that its lines are plain, writes its rows in place
+# into one `shared_empty` output, at the row its first line starts, and sends
+# back only that row and its count.
 #
-# Only a file that is not plain, or one whose plain parse fails in any share,
-# is decoded and parsed whole again, mapping int()/float() over its tokens
-# block by block, and checked with whole-array tests. Only a file that fails
-# there too is read again line by line, by a `_locate_*` function whose one
-# job is to raise the first defect as `path:line: ...`; both passes accept the
-# same grammar, so a locator that finds no defect returns and the caller
-# re-raises the array pass's own error.
+# Any other file, one whose plain parse fails in any share, and plain edges
+# with a self-loop or an index out of range are decoded and read in one pass
+# over their lines, with int()/float() per token. That pass builds the array
+# (features row by row into one preallocated table) and raises the first
+# defect as `path:line: ...`, checking each line as the line-by-line readers
+# it replaced did. The unpaired-edge test alone is one whole-array test, on
+# either route's pairs.
 _INT_CHARS = b"0123456789\t\n"
 _FLOAT_CHARS = b"0123456789.eE+-\t\n"
-_count_tabs = methodcaller("count", "\t")
-# tokens converted per block by _parse_table
-_PARSE_BLOCK_TOKENS = 1 << 18
 # The work `split_repeats` weighs against REPEAT_MIN_WORK, in its units of
 # multiply-adds: a byte parsed by np.loadtxt counts as _LOAD_BYTE_COST, and a
 # float formatted by repr as _WRITE_TOKEN_COST. On a 2-core VM, in a 250 MB
@@ -229,8 +227,6 @@ def _load_plain(
     """np.loadtxt's (rows, width) table of `raw`, or None when `raw` holds a
     character outside `chars`, a share fails, a row has another width, or,
     unless `blank_lines`, a line is blank. `width` None is the first line's."""
-    if raw.translate(None, chars):
-        return None
     lines = raw.count(b"\n") + (raw[-1:] not in (b"", b"\n"))
     first = raw.find(b"\n")
     width = width or raw.count(b"\t", 0, len(raw) if first < 0 else first) + 1
@@ -241,7 +237,10 @@ def _load_plain(
     def parse(lo, hi):
         """(first byte, table) of the lines that start in bytes [lo, hi)."""
         start = _line_start(raw, lo)
-        share = _loadtxt(raw[start:_line_start(raw, hi)], dtype)
+        text = raw[start:_line_start(raw, hi)]
+        if text.translate(None, chars):
+            raise ValueError("not plain")
+        share = _loadtxt(text, dtype)
         if len(share) and share.shape[1] != width:
             raise ValueError("ragged rows")
         return start, share
@@ -268,43 +267,34 @@ def _load_plain(
     return table if rows == lines else np.concatenate(pieces).reshape(-1, width)
 
 
-def _parse_table(lines: list[str], width: int | None, dtype) -> np.ndarray:
-    """Tab-separated rows as a (len(lines), width) array. Raises ValueError or
-    OverflowError on a token int()/float() rejects or on a row of the wrong
-    width."""
-    if not lines:
-        return np.empty((0, width or 0), dtype=dtype)
-    tabs = np.fromiter(map(_count_tabs, lines), np.int64, len(lines))
-    if np.any(tabs != tabs[0]) or width not in (None, tabs[0] + 1):
-        raise ValueError("ragged rows")
-    table = np.empty((len(lines), int(tabs[0]) + 1), dtype=dtype)
-    convert = float if dtype == np.float64 else int
-    # a block of rows at a time, so the token strings never all exist at once
-    step = max(1, _PARSE_BLOCK_TOKENS // table.shape[1])
-    for lo in range(0, len(lines), step):
-        tokens = "\t".join(lines[lo:lo + step]).split("\t")
-        block = np.fromiter(map(convert, tokens), dtype, len(tokens))
-        table[lo:lo + step] = block.reshape(-1, table.shape[1])
-    return table
-
-
 def _read_edges(path: Path, n: int, symmetrize: bool) -> CsrMatrix:
     raw = path.read_bytes()
-    try:
-        pairs = _load_plain(raw, _INT_CHARS, 2, np.int64, blank_lines=True)
-        if pairs is None:
-            lines = map(str.strip, _decode(path, raw).splitlines())
-            pairs = _parse_table([s for s in lines if s and s[0] != "#"], 2, np.int64)
-        i, j = pairs[:, 0], pairs[:, 1]
-        if (
-            np.any(i == j)
-            or np.any((pairs < 0) | (pairs >= n))
-            or (not symmetrize and not np.all(np.isin(j * n + i, i * n + j)))
-        ):
-            raise ValueError("self-loop, index out of range or unpaired edge")
-    except (ValueError, OverflowError):
-        _locate_edge_error(path, _decode(path, raw), n, symmetrize)
-        raise
+    pairs = _load_plain(raw, _INT_CHARS, 2, np.int64, blank_lines=True)
+    if pairs is None or np.any(pairs[:, 0] == pairs[:, 1]) or np.any((pairs < 0) | (pairs >= n)):
+        found = array("q")  # i, j, i, j, ... as int64, with no Python object kept per edge
+        for lineno, line in enumerate(map(str.strip, _decode(path, raw).splitlines()), start=1):
+            try:  # a blank or comment line fails here too, off the common path
+                first, second = line.split("\t")
+                i, j = int(first), int(second)
+            except ValueError as exc:
+                if not line or line[0] == "#":
+                    continue
+                if line.count("\t") != 1:
+                    raise DataError(f"{path}:{lineno}: expected two tab-separated indices") from None
+                raise DataError(f"{path}:{lineno}: non-integer node index") from exc
+            if i == j:
+                raise DataError(f"{path}:{lineno}: self-loop edge {i}-{j} not allowed")
+            if not (0 <= i < n and 0 <= j < n):
+                raise DataError(f"{path}:{lineno}: node index beyond node count {n}")
+            found.append(i)
+            found.append(j)
+        pairs = np.frombuffer(found, dtype=np.int64).reshape(-1, 2)
+    i, j = pairs[:, 0], pairs[:, 1]
+    if not symmetrize and not np.all(np.isin(j * n + i, i * n + j)):
+        # the edge named is the first one a set of the file's edges yields
+        unique = set(map(tuple, pairs.tolist()))
+        i, j = next((i, j) for i, j in unique if (j, i) not in unique)
+        raise DataError(f"{path}: edge {i}-{j} has no reverse and symmetrize is false")
     return CsrMatrix.from_edges(n, pairs)
 
 
@@ -315,76 +305,38 @@ def _read_features(path: Path) -> np.ndarray:
     table = _load_plain(raw, _FLOAT_CHARS, None, np.float64, blank_lines=False)
     if table is not None:
         return table
-    text = _decode(path, raw)
-    try:
-        return _parse_table(text.splitlines(), None, np.float64)
-    except ValueError:
-        _locate_feature_error(path, text)
-        raise
+    lines = _decode(path, raw).splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split("\t")
+        try:
+            row = np.fromiter(map(float, parts), np.float64, len(parts))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: non-numeric feature value") from exc
+        if lineno == 1:
+            table = np.empty((len(lines), len(row)))
+        elif len(row) != table.shape[1]:
+            raise DataError(f"{path}:{lineno}: ragged feature row ({len(row)} vs {table.shape[1]})")
+        table[lineno - 1] = row
+    return table
 
 
 def _read_labels(path: Path) -> np.ndarray:
     raw = path.read_bytes()
-    try:
-        labels = _load_plain(raw, _INT_CHARS, 1, np.int64, blank_lines=True)
-        if labels is None:
-            lines = map(str.strip, _decode(path, raw).splitlines())
-            labels = _parse_table([s for s in lines if s], 1, np.int64)
+    labels = _load_plain(raw, _INT_CHARS, 1, np.int64, blank_lines=True)
+    if labels is not None:
         return labels.ravel()
-    except (ValueError, OverflowError) as exc:
-        _locate_label_error(path, _decode(path, raw))
-        # every label is an integer, so one of them does not fit in int64
-        raise DataError(f"{path}: label outside the 64-bit integer range") from exc
-
-
-def _locate_edge_error(path: Path, text: str, n: int, symmetrize: bool) -> None:
-    pairs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{path}:{lineno}: expected two tab-separated indices")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: non-integer node index") from exc
-        if i == j:
-            raise DataError(f"{path}:{lineno}: self-loop edge {i}-{j} not allowed")
-        if not (0 <= i < n and 0 <= j < n):
-            raise DataError(f"{path}:{lineno}: node index beyond node count {n}")
-        pairs.append((i, j))
-    unique = set(pairs)
-    if not symmetrize:
-        for i, j in unique:
-            if (j, i) not in unique:
-                raise DataError(f"{path}: edge {i}-{j} has no reverse and symmetrize is false")
-
-
-def _locate_feature_error(path: Path, text: str) -> None:
-    width: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split("\t")
-        try:
-            row = [float(p) for p in parts]
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: non-numeric feature value") from exc
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise DataError(f"{path}:{lineno}: ragged feature row ({len(row)} vs {width})")
-
-
-def _locate_label_error(path: Path, text: str) -> None:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    found = []
+    for lineno, line in enumerate(map(str.strip, _decode(path, raw).splitlines()), start=1):
         if not line:
             continue
         try:
-            int(line)
+            found.append(int(line))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: non-integer label") from exc
+    try:
+        return np.array(found, dtype=np.int64)
+    except OverflowError as exc:
+        raise DataError(f"{path}: label outside the 64-bit integer range") from exc
 
 
 def degree_features(adjacency: CsrMatrix, d: int) -> np.ndarray:

@@ -367,19 +367,22 @@ def _mi_record(blocks, all_pairs: int) -> dict:
     2018). If the blocks hold a sample of `all_pairs` pairs, log_Z adds
     log(all_pairs / scored) to estimate the all-pairs value."""
     total, shift, mass, count = 0.0, -np.inf, 0.0, 0
-    for block in blocks:
-        block = block.ravel()
-        top = max(shift, block.max())
-        mass *= np.exp(shift - top)  # exactly 1 while the max holds
-        shift = top
-        total += block.sum()
-        block -= shift
-        mass += np.exp(block, out=block).sum()
-        count += block.size
-    expected = float(total / count)
-    log_z = shift + np.log(mass) + np.log(all_pairs / count)  # + 0.0 when every pair is scored
-    if not np.isfinite(expected - log_z):  # as either term is non-finite, e.g. s / tau overflowed
-        raise NumericError(f"similarity diagnostic is non-finite: expected_s {expected}, log_Z {log_z}")
+    # a score or a sum that overflows, and the inf - inf after it, end in the
+    # non-finite record refused below; the blocks' s / tau is formed here too
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in blocks:
+            block = block.ravel()
+            top = max(shift, block.max())
+            mass *= np.exp(shift - top)  # exactly 1 while the max holds
+            shift = top
+            total += block.sum()
+            block -= shift
+            mass += np.exp(block, out=block).sum()
+            count += block.size
+        expected = float(total / count)
+        log_z = shift + np.log(mass) + np.log(all_pairs / count)  # + 0.0 when every pair is scored
+        if not np.isfinite(expected - log_z):  # as either term is non-finite, e.g. s / tau overflowed
+            raise NumericError(f"similarity diagnostic is non-finite: expected_s {expected}, log_Z {log_z}")
     return {"expected_s": expected, "log_Z": float(log_z), "mi_proxy": float(expected - log_z),
             "pair_count": count, "note": MI_NOTE}
 

@@ -453,10 +453,13 @@ def truncated_svd(x: np.ndarray | CsrMatrix, k: int, seed: int) -> SvdResult:
     ell = min(k + SVD_OVERSAMPLE, min(n, d))
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((d, ell))
-    for _ in range(SVD_POWER_ITERS):
-        z, _ = np.linalg.qr(_finite_sketch(x.T @ (x @ z)))
-    q, _ = np.linalg.qr(_finite_sketch(x @ z))
-    u_small, s, vt = np.linalg.svd(_finite_sketch(q.T @ x), full_matrices=False)
+    # a sketch product that overflows is named by _finite_sketch; qr and svd
+    # set their own error state
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(SVD_POWER_ITERS):
+            z, _ = np.linalg.qr(_finite_sketch(x.T @ (x @ z)))
+        q, _ = np.linalg.qr(_finite_sketch(x @ z))
+        u_small, s, vt = np.linalg.svd(_finite_sketch(q.T @ x), full_matrices=False)
     v = vt[:k].T.copy()
     signs = basis_signs(v)
     v *= signs

@@ -86,7 +86,8 @@ def _domain_operands(graphs: list[DomainGraph]) -> _Operands:
     union = disjoint_union(graphs)
     s = normalize_adjacency(union.adjacency)
     x = feature_operand(union.features)
-    x_sq = float(np.sum(np.square(x.values if isinstance(x, CsrMatrix) else x)))
+    with np.errstate(over="ignore"):  # an infinite x_sq fails the loss's finiteness check
+        x_sq = float(np.sum(np.square(x.values if isinstance(x, CsrMatrix) else x)))
     return _Operands(x, s, tuple(g.num_nodes for g in graphs), x_sq)
 
 

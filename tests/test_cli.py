@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +213,20 @@ class TestPretrain:
         assert code == 3
         assert "non-finite feature" in capsys.readouterr().err
 
+    def test_label_outside_int64_exits_3(self, suite, tmp_path, capsys):
+        manifest = save_dataset(bow_collection(seed=2), tmp_path / "bow")
+        path = next((tmp_path / "bow").glob("*doma.labels.tsv"))
+        labels = path.read_text().splitlines()
+        labels[3] = "9" * 20
+        path.write_text("\n".join(labels) + "\n")
+        code = main(
+            ["pretrain", "--config", str(suite["config"]), "--manifest", str(manifest),
+             "--out", str(tmp_path / "m.ckpt")]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == f"data error: {path}: label outside the 64-bit integer range\n"
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"train": {"bogus": 1}}))
@@ -268,7 +283,8 @@ class TestPretrain:
         manifest = overflowing_manifest(tmp_path / "hot")
         capsys.readouterr()
         out = tmp_path / "m.ckpt"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():  # no raw RuntimeWarning before the named failure
+            warnings.simplefilter("error")
             code = main(["pretrain", "--config", str(suite["config"]), "--manifest", str(manifest),
                          "--out", str(out)])
         assert code == 4
@@ -433,7 +449,8 @@ class TestEmbedAndEval:
         manifest = overflowing_manifest(tmp_path / "hot")
         capsys.readouterr()
         out = tmp_path / "hot.tsv"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["embed", "--ckpt", str(ckpt_path), "--manifest", str(manifest),
                          "--domain", "hot", "--out", str(out)])
         assert code == 4
@@ -512,12 +529,14 @@ class TestEmbedAndEval:
         # tau = 1e-310 passes the argument rules, but s / tau overflows; the
         # record would hold Infinity and NaN, which are not JSON
         out = tmp_path / "mi.json"
-        code = main(
-            [
-                "mi-diag", "--ckpt", str(ckpt_path), "--manifest", str(suite["manifest"]),
-                "--domains", "doma,domb", "--tau", "1e-310", "--out", str(out),
-            ]
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                [
+                    "mi-diag", "--ckpt", str(ckpt_path), "--manifest", str(suite["manifest"]),
+                    "--domains", "doma,domb", "--tau", "1e-310", "--out", str(out),
+                ]
+            )
         assert code == 4
         assert "numeric failure: similarity diagnostic is non-finite" in capsys.readouterr().err
         assert not out.exists()

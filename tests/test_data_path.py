@@ -1,14 +1,15 @@
-"""The array-based dataset readers and writer against the line-by-line code
-they replaced.
+"""The dataset readers and writer against the line-by-line code they
+replaced.
 
 The `ref_*` functions below are the readers and the writer as they stood
-before the array parser, kept verbatim apart from their return values (the
+before the array readers, kept verbatim apart from their return values (the
 edge reader returns its sorted symmetric pair list instead of building a
-CsrMatrix). For every generated file the new reader must return a
-bit-identical array or raise a DataError with the same message, whether
-the plain text is parsed in one share or in forked shares: the CPU count is
-patched to 1, 2 and 3 and the work of a byte or a float to a whole share's,
-so that these small files fork.
+CsrMatrix). A reader parses a plain file with np.loadtxt and any other file
+in one pass over its lines that follows its oracle. For every generated file
+the reader must return a bit-identical array or raise a DataError with the
+same message, whether the plain text is parsed in one share or in forked
+shares: the CPU count is patched to 1, 2 and 3 and the work of a byte or a
+float to a whole share's, so that these small files fork.
 """
 
 import json
@@ -26,7 +27,6 @@ from leda.datasets import (
     DomainGraph,
     GraphCollection,
     _load_plain,
-    _parse_table,
     _read_edges,
     _read_features,
     _read_labels,
@@ -248,6 +248,16 @@ class TestReaderEquivalence:
             _read_edges(path, 3, True)
         assert str(info.value) == f"{path}{message}"
 
+    def test_the_unpaired_edge_named_is_the_oracles(self, scratch):
+        # several edges lack a reverse; the one named depends on set order
+        path = scratch / "m.edges.tsv"
+        path.write_text("".join(f"{i}\t{(7 * i + 3) % 40}\n" for i in range(40)), encoding="utf-8")
+        with pytest.raises(DataError) as expected:
+            ref_read_edges(path, 40, False)
+        with pytest.raises(DataError) as got:
+            _read_edges(path, 40, False)
+        assert str(got.value) == str(expected.value)
+
     def test_blank_feature_line_is_an_error(self, scratch):
         path = scratch / "m.features.tsv"
         path.write_text("1.0\t2.0\n\n3.0\t4.0\n", encoding="utf-8")
@@ -259,6 +269,14 @@ class TestReaderEquivalence:
         path.write_text("+1\t3_0\n 2 \t٣\n", encoding="utf-8")
         adj = _read_edges(path, 31, True)
         assert sorted(zip(*np.nonzero(to_dense(adj)))) == [(1, 30), (2, 3), (3, 2), (30, 1)]
+
+    @pytest.mark.parametrize("label", ["9223372036854775808", "-9223372036854775809", "9" * 20])
+    def test_a_label_outside_int64_is_a_data_error(self, scratch, label):
+        path = scratch / "m.labels.tsv"
+        path.write_text(f"1\n{label}\n0\n", encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            _read_labels(path)
+        assert str(info.value) == f"{path}: label outside the 64-bit integer range"
 
     def test_non_utf8_file_is_a_data_error(self, scratch):
         path = scratch / "m.labels.tsv"
@@ -273,7 +291,7 @@ def edge_pairs(adj):
 
 
 # reader name -> (reader, oracle, the plain lines of a file, a plain defect
-# only the int()/float() pass places, and the message it gets on line 20)
+# only the line pass places, and the message it gets on line 20)
 READERS = {
     "edges": (
         lambda path: edge_pairs(_read_edges(path, 40, True)),
@@ -341,15 +359,19 @@ class TestShares:
 
     @pytest.mark.parametrize("reader", sorted(READERS))
     @pytest.mark.parametrize("layout", ["no trailing newline", "one line", "one line, no newline",
-                                        "crlf"])
+                                        "crlf", "vt before each newline", "fs before each newline"])
     @pytest.mark.parametrize("cpus", CPU_COUNTS)
     def test_layouts_match_the_oracle(self, tmp_path, use_cpus, reader, layout, cpus):
+        # np.loadtxt reads \v and \x1c as blanks inside a line, where
+        # str.splitlines ends the line: such a file is not plain
         read, ref, lines, _, _ = READERS[reader]
         text = {
             "no trailing newline": "\n".join(lines),
             "one line": lines[0] + "\n",
             "one line, no newline": lines[0],
             "crlf": "".join(line + "\r\n" for line in lines),
+            "vt before each newline": "".join(line + "\v\n" for line in lines),
+            "fs before each newline": "".join(line + "\x1c\n" for line in lines),
         }[layout]
         path = tmp_path / f"x.{reader}.tsv"
         path.write_bytes(text.encode("ascii"))
@@ -369,6 +391,21 @@ class TestShares:
         write_float_tsv(tmp_path / "plain.tsv", x)
         plain = "\n".join("\t".join(repr(float(v)) for v in row) for row in x) + "\n"
         assert (tmp_path / "plain.tsv").read_bytes() == plain.encode("ascii")
+
+    @pytest.mark.parametrize("cpus", CPU_COUNTS)
+    def test_a_crlf_table_of_300k_tokens_reads_as_its_plain_twin(self, tmp_path, use_cpus, cpus):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((300, 1000)) * 10.0 ** rng.integers(-8, 8, (300, 1000))
+        lines = ["\t".join(map(repr, row)) for row in x.tolist()]
+        plain, crlf = tmp_path / "plain.features.tsv", tmp_path / "crlf.features.tsv"
+        plain.write_bytes("".join(line + "\n" for line in lines).encode("ascii"))
+        crlf.write_bytes("".join(line + "\r\n" for line in lines).encode("ascii"))
+        use_cpus(cpus)
+        expected = ref_read_features(crlf)
+        assert expected.tobytes() == x.tobytes()
+        for path in (plain, crlf):
+            table = _read_features(path)
+            assert table.shape == x.shape and table.tobytes() == expected.tobytes()
 
     def test_a_citeseer_sized_binary_table_loads_bitwise_equal_at_1_and_2_cpus(
             self, tmp_path, monkeypatch):
@@ -391,13 +428,18 @@ class TestShares:
 
 
 def assert_same_table(lines, width, dtype):
-    """The np.loadtxt route may only accept what the int()/float() pass
-    accepts, and must give the same bits."""
+    """The np.loadtxt route may only accept rows of `width` tokens (the first
+    row's if None) that the oracles' int()/float() accept, and must give the
+    same bits."""
     raw = "".join(line + "\n" for line in lines).encode("ascii")
     chars = _FLOAT_CHARS if dtype == np.float64 else _INT_CHARS
     fast = _load_plain(raw, chars, width, dtype, blank_lines=False)
+    convert = float if dtype == np.float64 else int
+    rows = [line.split("\t") for line in lines]
     try:
-        exact = _parse_table(lines, width, dtype)
+        if {len(row) for row in rows} != {width or len(rows[0])}:
+            raise ValueError("ragged rows")
+        exact = np.array([list(map(convert, row)) for row in rows], dtype=dtype)
     except (ValueError, OverflowError):
         assert fast is None
         return
@@ -413,7 +455,8 @@ def plain_lines(token, max_width):
 
 class TestLoadtxtRoute:
     """Files spelled only with digits, `.eE+-` and tabs go to np.loadtxt
-    first; on them it must agree with int()/float() or defer to them."""
+    first; on them it must agree with int()/float() or defer to the line
+    pass."""
 
     @FUZZ
     @given(lines=plain_lines(

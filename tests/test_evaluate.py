@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -387,8 +388,10 @@ class TestMiDiagnostic:
         # a tiny tau overflows s / tau; the record would hold inf and nan
         e_i = EmbeddingSet("a", np.array([[1.0, 0.0], [0.0, 1.0]]))
         e_j = EmbeddingSet("b", np.array([[sign, 0.0]]))
-        with pytest.raises(NumericError, match="non-finite"):
-            mi_diagnostic(e_i, e_j, tau=1e-310)
+        with warnings.catch_warnings():  # and no raw RuntimeWarning before it
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="non-finite"):
+                mi_diagnostic(e_i, e_j, tau=1e-310)
 
 
 class TestEntropyDiagnostic:

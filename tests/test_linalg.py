@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -245,7 +246,8 @@ class TestTruncatedSvd:
         # every entry is finite, but x^T (x z) is not
         x = np.random.default_rng(4).standard_normal((8, 6)) * 1e200
         x = CsrMatrix.from_dense(x) if kind == "csr" else x
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():  # and no raw RuntimeWarning before it
+            warnings.simplefilter("error")
             with pytest.raises(NumericError, match="^svd sketch overflowed"):
                 truncated_svd(x, k=2, seed=0)
 
