@@ -43,7 +43,9 @@ _DOMAIN_KEYS = {
 
 @dataclass(frozen=True)
 class DomainGraph:
-    """One graph: features (n x d), binary symmetric adjacency, optional labels."""
+    """One graph: features (n x d), adjacency, optional labels. The one place
+    the graph rules are checked: the adjacency is square, symmetric, binary
+    and has no self-loops, and the labels give one per node."""
 
     domain_id: str
     features: np.ndarray
@@ -69,12 +71,14 @@ class DomainGraph:
             raise DataError(f"domain '{self.domain_id}': adjacency must be symmetric")
         if self.adjacency.nnz and not np.all(self.adjacency.values == 1.0):
             raise DataError(f"domain '{self.domain_id}': adjacency must be binary")
+        if np.any(self.adjacency.diagonal()):
+            raise DataError(f"domain '{self.domain_id}': adjacency must not carry self-loops")
         feats.setflags(write=False)
         object.__setattr__(self, "features", feats)
         if self.labels is not None:
             labels = np.asarray(self.labels, dtype=np.int64)
             if labels.shape != (feats.shape[0],):
-                raise DataError(f"domain '{self.domain_id}': labels length must equal node count")
+                raise DataError(f"domain '{self.domain_id}': {labels.size} labels for {len(feats)} nodes")
             n_classes = self.num_classes
             if n_classes is None:
                 n_classes = int(labels.max()) + 1 if len(labels) else 0
@@ -439,15 +443,13 @@ def load_dataset(manifest_path: str | Path) -> GraphCollection:
         if stated not in (None, n):
             rows = "feature" if features is not None else "label"
             raise DataError(f"domain '{domain_id}': num_nodes is {stated}, but it has {n} {rows} rows")
-        adjacency = _read_edges(_require_file(base / edges_path, "edges"), n, symmetrize)
-
-        degree_featurized = False
-        if features is None:
-            features = degree_features(adjacency, DEGREE_FEATURE_DIM)
-            degree_featurized = True
-        if labels is not None and len(labels) != n:
-            raise DataError(f"domain '{domain_id}': {len(labels)} labels for {n} nodes")
-
+        try:  # a num_nodes too large to hold fails its first allocation at once
+            adjacency = _read_edges(_require_file(base / edges_path, "edges"), n, symmetrize)
+            degree_featurized = features is None
+            if degree_featurized:
+                features = degree_features(adjacency, DEGREE_FEATURE_DIM)
+        except MemoryError as exc:
+            raise DataError(f"domain '{domain_id}': no memory for a graph of {n} nodes") from exc
         graphs.append(
             DomainGraph(
                 domain_id=domain_id,

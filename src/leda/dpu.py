@@ -31,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .errors import NumericError
+from .errors import DataError, NumericError
 from .linalg import CsrMatrix, basis_signs, truncated_svd
 
 RANK_DEFICIENCY_RTOL = 1e-10
@@ -56,12 +56,13 @@ def init_basis(x: np.ndarray | CsrMatrix, k: int, seed: int, domain_id: str = ""
     """Right singular vectors of x as a d x k orthonormal basis.
 
     When x has rank below k the trailing columns are replaced by a seeded
-    orthonormal completion and the padded flag is set.
+    orthonormal completion and the padded flag is set. The SVD's errors
+    are raised named for the domain.
     """
     try:
         result = truncated_svd(x, k, seed)
-    except NumericError as exc:
-        raise NumericError(f"domain '{domain_id}': {exc}") from exc
+    except (DataError, NumericError) as exc:
+        raise type(exc)(f"domain '{domain_id}': {exc}") from exc
     s = result.singular_values
     v = np.array(result.V)
     threshold = RANK_DEFICIENCY_RTOL * max(s[0], 1e-300)

@@ -110,13 +110,7 @@ def embed(domain: DomainGraph, ckpt: Checkpoint, t: int = 0) -> EmbeddingSet:
     x = feature_operand(domain.features)
     basis = ckpt.basis_for(domain.domain_id)
     if basis is None:
-        k = ckpt.config.k
-        if k > min(x.shape):
-            raise DataError(
-                f"domain '{domain.domain_id}': cannot derive a rank-{k} basis "
-                f"from a {x.shape[0]}x{x.shape[1]} feature matrix"
-            )
-        basis = init_basis(x, k, seed=ckpt.config.seed, domain_id=domain.domain_id)
+        basis = init_basis(x, ckpt.config.k, seed=ckpt.config.seed, domain_id=domain.domain_id)
     if basis.V.shape[0] != domain.feature_dim:
         raise DataError(
             f"domain '{domain.domain_id}': checkpoint basis expects feature dim "

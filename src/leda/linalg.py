@@ -26,6 +26,7 @@ send back only where they wrote.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import mmap
 import os
@@ -113,11 +114,13 @@ def split_rows(rows: int, work: int, kernel) -> None:
     """Call kernel(lo, hi) on contiguous blocks [lo, hi) that cover [0, rows),
     one per CPU but each at least SPLIT_MIN_ROWS rows, and one block in all
     when `work` is below SPLIT_MIN_WORK. The calling thread runs the first
-    block; each kernel call must write only its own rows of the output."""
+    block; each kernel call must write only its own rows of the output, and
+    runs in a copy of the caller's context, so under its `np.errstate`."""
     cpus, pool = _executor()
     blocks = max(1, min(cpus, rows // SPLIT_MIN_ROWS)) if work >= SPLIT_MIN_WORK else 1
     bounds = [rows * i // blocks for i in range(blocks + 1)]
-    futures = [pool.submit(kernel, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    futures = [pool.submit(contextvars.copy_context().run, kernel, lo, hi)
+               for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:
         kernel(bounds[0], bounds[1])
     finally:  # every block ends, and raises what it raised, before the output is used
@@ -368,6 +371,9 @@ class CsrMatrix:
         m = self._scipy
         return (m != m.T).nnz == 0
 
+    def diagonal(self) -> np.ndarray:
+        return self._scipy.diagonal()
+
 
 def feature_operand(x: np.ndarray) -> np.ndarray | CsrMatrix:
     """x as a CsrMatrix when at most SPARSE_FEATURE_DENSITY of its entries are
@@ -378,20 +384,12 @@ def feature_operand(x: np.ndarray) -> np.ndarray | CsrMatrix:
 
 
 def normalize_adjacency(adj: CsrMatrix) -> CsrMatrix:
-    """Symmetric normalization of a binary adjacency with self-loops added.
+    """Symmetric normalization, with self-loops added, of a `DomainGraph`'s
+    adjacency (square, symmetric, binary, loop-free: the graph checks that).
 
     Returns S with S[i, j] = (A + I)[i, j] / sqrt(deg_i * deg_j), where the
-    degrees count the self-loop. Input must be square, symmetric, binary,
-    with an empty diagonal; asymmetric input is rejected rather than fixed.
+    degrees count the self-loop.
     """
-    if adj.rows != adj.cols:
-        raise DataError(f"adjacency must be square, got {adj.rows}x{adj.cols}")
-    if not adj.is_symmetric():
-        raise DataError("adjacency must be symmetric; refusing to symmetrize implicitly")
-    if adj.nnz and not np.all(adj.values == 1.0):
-        raise DataError("adjacency entries must be binary (all stored values 1)")
-    if np.any(adj._scipy.diagonal() != 0.0):
-        raise DataError("adjacency must not carry explicit self-loops")
     a_tilde = (adj._scipy + sp.identity(adj.rows, format="csr")).tocsr()
     degrees = np.asarray(a_tilde.sum(axis=1)).ravel()
     inv_sqrt = 1.0 / np.sqrt(degrees)

@@ -262,14 +262,17 @@ def _run_phase(
         eps=config.adam_eps,
         weight_decay=config.weight_decay,
     )
-    for epoch in range(epochs):
-        for node in params.values():
-            node.grad = np.zeros_like(node.value)
-        loss, components = build_epoch_loss(prepared, params, config, epoch)
-        ad.backward(loss)
-        del loss  # the tape goes now, not when the next epoch's graph is built
-        adamw_step(trainable, state)
-        trace.append(components)
+    # an overflow reaches the epoch's loss, which build_epoch_loss refuses by
+    # name, or a second moment, which check_second_moments refuses by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            for node in params.values():
+                node.grad = np.zeros_like(node.value)
+            loss, components = build_epoch_loss(prepared, params, config, epoch)
+            ad.backward(loss)
+            del loss  # the tape goes now, not when the next epoch's graph is built
+            adamw_step(trainable, state)
+            trace.append(components)
     check_second_moments(state, f"training ({config.variant})")
 
 

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -12,10 +13,18 @@ import pytest
 
 import leda
 from leda import evaluate, linalg
+from leda.checkpoint import MAGIC
 from leda.cli import build_parser, main
 from leda.config import VARIANTS, run_config_from_dict
-from leda.datasets import GraphCollection, generate_sbm, load_dataset, save_dataset
+from leda.datasets import (
+    GraphCollection,
+    generate_sbm,
+    load_dataset,
+    save_dataset,
+    write_float_tsv,
+)
 
+from oracles import join_checkpoint, split_checkpoint
 from synthetic import bow_collection, node_collection, overflow_probe_set
 
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -297,7 +306,8 @@ class TestPretrain:
         doc = dict(suite["doc"])
         doc["train"] = dict(doc["train"], lr=1e15, epochs=6)
         bad.write_text(json.dumps(doc))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():  # no raw RuntimeWarning before the named failure
+            warnings.simplefilter("error", RuntimeWarning)
             code = main(["pretrain", "--config", str(bad), "--out", str(tmp_path / "m.ckpt")])
         assert code == 4
         assert "epoch" in capsys.readouterr().err
@@ -753,7 +763,7 @@ class TestGraphLevel:
                      "--repeats", "5"])
         assert code == 3
         assert capsys.readouterr().err == (
-            "data error: domain 'few': cannot derive a rank-4 basis from a 3x16 feature matrix\n"
+            "data error: domain 'few': svd rank k=4 out of range for 3x16 input\n"
         )
 
 
@@ -914,6 +924,133 @@ class TestManifestFieldTypes:
     def test_path_not_a_string(self, suite, tmp_path, capsys, field):
         manifest = self.manifest(tmp_path, **{field: 5})
         assert self.pretrain_exit(suite, tmp_path, capsys, manifest) == 3
+
+
+def refused(capsys, argv, code, message):
+    """Run argv, which must exit with `code` and one stderr line starting with `message`."""
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(message), err
+
+
+def duplicate_first_tensor(blob):
+    """The checkpoint `blob` with its first tensor listed twice in the header."""
+    header, payload = split_checkpoint(blob)
+    header["tensors"].append(header["tensors"][0])
+    return join_checkpoint(header, payload)
+
+
+class TestRefusals:
+    """Inputs the CLI refuses with an exit code and one line of stderr."""
+
+    @pytest.mark.parametrize(
+        "doc, flags, message",
+        [
+            ({}, ["--epochs", "-1"], "epoch counts must be >= 0"),
+            ({"train": {"tau": 0}}, ["--variant", "dpu-cl"], "InfoNCE temperature tau must be > 0"),
+            ([], [], "config document must be a JSON object"),
+            ({"data": 5}, [], "'data' must be a manifest path string"),
+            ({"model": []}, [], "'model' must be an object"),
+            ({"train": "fast"}, [], "'train' must be an object"),
+            ({"eval": 1}, [], "'eval' must be an object"),
+        ],
+        ids=["negative-epochs", "dpu-cl-tau-0", "document", "data", "model", "train", "eval"],
+    )
+    def test_run_config_exits_2(self, suite, tmp_path, capsys, doc, flags, message):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(doc))
+        argv = ["pretrain", "--config", str(config), "--manifest", str(suite["manifest"]),
+                "--out", str(tmp_path / "m.ckpt"), *flags]
+        refused(capsys, argv, 2, f"config error: {message}")
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda blob: MAGIC + struct.pack("<I", len(blob)) + b"{}", "truncated header"),
+            (lambda blob: MAGIC + struct.pack("<I", 3) + b"abc", "unreadable header"),
+            (duplicate_first_tensor, "duplicate tensor names in header"),
+        ],
+        ids=["truncated-header", "header-not-json", "duplicate-tensor"],
+    )
+    def test_checkpoint_exits_3(self, suite, ckpt_path, tmp_path, capsys, corrupt, message):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(corrupt(ckpt_path.read_bytes()))
+        argv = ["embed", "--ckpt", str(bad), "--manifest", str(suite["manifest"]),
+                "--domain", "domc", "--out", str(tmp_path / "e.tsv")]
+        refused(capsys, argv, 3, f"data error: {bad}: {message}")
+        assert not (tmp_path / "e.tsv").exists()
+
+    @pytest.mark.parametrize("held_out, message", [
+        (["nope"], "held-out domains not in the dataset: ['nope']"),
+        (["doma", "domb", "domc"], "no training domains left after holding out test domains"),
+    ], ids=["unknown", "every-domain"])
+    def test_ablate_held_out_domains_exit_2(self, suite, tmp_path, capsys, held_out, message):
+        argv = ["ablate", "--config", str(suite["config"])]
+        for domain_id in held_out:
+            argv += ["--test-domain", domain_id]
+        refused(capsys, argv, 2, f"config error: {message}")
+
+    def test_mi_diag_one_domain_exits_2(self, suite, ckpt_path, capsys):
+        argv = ["mi-diag", "--ckpt", str(ckpt_path), "--manifest", str(suite["manifest"]),
+                "--domains", "a"]
+        refused(capsys, argv, 2, "config error: --domains expects two comma-separated ids, got 'a'")
+
+    def test_embed_of_a_seen_domain_of_another_width_exits_3(self, ckpt_path, tmp_path, capsys):
+        """domc trained at width 15."""
+        graph = generate_sbm(3, 6, 0.6, 0.1, d=6, cluster_sep=4.0, seed=321, domain_id="domc")
+        manifest = save_dataset(GraphCollection((graph,), "node-level"), tmp_path / "data")
+        argv = ["embed", "--ckpt", str(ckpt_path), "--manifest", str(manifest), "--domain", "domc",
+                "--out", str(tmp_path / "e.tsv")]
+        refused(capsys, argv, 3,
+                "data error: domain 'domc': checkpoint basis expects feature dim 15, graph has 6")
+
+    def test_manifest_exits_3(self, suite, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"version": 2, "domains": []}))
+        argv = ["pretrain", "--config", str(suite["config"]), "--manifest", str(manifest),
+                "--out", str(tmp_path / "m.ckpt")]
+        refused(capsys, argv, 3, f"data error: manifest {manifest}: unsupported version 2")
+
+    def test_num_nodes_too_large_to_hold_exits_3(self, suite, tmp_path, capsys):
+        """10^12 nodes: the first allocation of the graph fails at once."""
+        (tmp_path / "e.tsv").write_text("0\t1\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"version": 1, "domains": [
+            {"domain_id": "huge", "edges_path": "e.tsv", "num_nodes": 10**12}]}))
+        argv = ["pretrain", "--config", str(suite["config"]), "--manifest", str(manifest),
+                "--out", str(tmp_path / "m.ckpt")]
+        refused(capsys, argv, 3,
+                "data error: domain 'huge': no memory for a graph of 1000000000000 nodes")
+
+    @pytest.mark.parametrize("variant, message", [
+        ("full", "non-finite loss at epoch 0, domain 'hot'"),
+        ("no-lda", "training (no-lda): AdamW second moment of 'dpu.W1' is non-finite"),
+        ("dpu-cl", "training (dpu-cl): AdamW second moment of 'dpu.W1' is non-finite"),
+    ], ids=["full", "no-lda", "dpu-cl"])
+    def test_overflowing_epoch_exits_4_without_a_raw_warning(
+            self, suite, tmp_path, capsys, variant, message):
+        """A first feature row scaled by 1e153 overflows exp in the reparameterization
+        of `full`, and a squared gradient in AdamW under the other variants."""
+        code = main(["gen-sbm", "--blocks", "2", "--nodes", "8", "--pin", "0.6", "--pout", "0.1",
+                     "--seed", "0", "--d", "6", "--domain-id", "hot", "--out", str(tmp_path / "hot")])
+        assert code == 0
+        [features] = (tmp_path / "hot").glob("*.features.tsv")
+        x = np.loadtxt(features, delimiter="\t")
+        x[0] *= 1e153
+        write_float_tsv(features, x)
+        capsys.readouterr()
+        # the basis of rank 1 is padded to k=4, as intended; numpy's overflow is silent
+        with pytest.warns(UserWarning, match="padding basis"), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["pretrain", "--config", str(suite["config"]),
+                         "--manifest", str(tmp_path / "hot" / "manifest.json"),
+                         "--variant", variant, "--out", str(tmp_path / "m.ckpt")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err
+        assert err.splitlines()[-1].startswith(f"numeric failure: {message}")
+        assert not (tmp_path / "m.ckpt").exists()
 
 
 class TestThreadLimit:

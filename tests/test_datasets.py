@@ -44,6 +44,53 @@ def write_manifest(tmp_path, entries, **overrides):
     return path
 
 
+def entry(**changes):
+    """A valid manifest entry with `changes` applied; a change to None drops the key."""
+    fields = {"domain_id": "a", "edges_path": "e.tsv", "num_nodes": 2, **changes}
+    return {key: value for key, value in fields.items() if value is not None}
+
+
+def manifest_doc(entries=None, **top):
+    return {"version": 1, "domains": [entry()] if entries is None else entries, **top}
+
+
+# (manifest text or document, the DataError it raises, which names the manifest or the domain)
+MANIFEST_REFUSALS = {
+    "invalid-json": ("{", r"^manifest .+manifest\.json: invalid JSON: "),
+    "top-level-list": ([], r"^manifest .+manifest\.json: top level must be an object$"),
+    "version": (manifest_doc(version=2), r"^manifest .+: unsupported version 2$"),
+    "task-kind": (manifest_doc(task_kind="edge-level"),
+                  r"^manifest .+: unknown task_kind 'edge-level'$"),
+    "symmetrize": (manifest_doc(symmetrize="yes"), r"^manifest .+: symmetrize must be a boolean$"),
+    "domains-empty": (manifest_doc([]), r"^manifest .+: 'domains' must be a non-empty list$"),
+    "domains-object": (manifest_doc({}), r"^manifest .+: 'domains' must be a non-empty list$"),
+    "entry-string": (manifest_doc(["a"]), r"^manifest domain #0: must be an object$"),
+    "entry-key": (manifest_doc([entry(colour=1)]),
+                  r"^manifest domain #0: unknown keys \['colour'\]$"),
+    "domain-id-missing": (manifest_doc([entry(domain_id=None)]),
+                          r"^manifest domain #0: missing domain_id$"),
+    "domain-id-empty": (manifest_doc([entry(domain_id="")]),
+                        r"^manifest domain #0: missing domain_id$"),
+    "num-nodes-negative": (manifest_doc([entry(num_nodes=-1)]),
+                           r"^domain 'a': num_nodes must be >= 0$"),
+    "edges-path-missing": (manifest_doc([entry(edges_path=None)]),
+                           r"^domain 'a': missing edges_path$"),
+    "node-count-unknown": (manifest_doc([entry(num_nodes=None)]),
+                           r"^domain 'a': node count unknown; "),
+    "graph-label-missing": (manifest_doc(task_kind=GRAPH_LEVEL),
+                            r"^domain 'a': graph-level entry needs graph_label$"),
+}
+
+
+@pytest.mark.parametrize("doc, message", MANIFEST_REFUSALS.values(), ids=MANIFEST_REFUSALS.keys())
+def test_manifest_refusal_names_the_manifest_or_the_domain(tmp_path, doc, message):
+    (tmp_path / "e.tsv").write_text("0\t1\n")
+    path = tmp_path / "manifest.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    with pytest.raises(DataError, match=message):
+        load_dataset(path)
+
+
 class TestLoadDataset:
     def test_two_domain_smoke(self, tmp_path):
         entries = [
@@ -272,6 +319,17 @@ class TestDomainGraphValidation:
                 features=np.zeros((2, 2)),
                 adjacency=CsrMatrix.from_dense(np.zeros((3, 3))),
             )
+
+    @pytest.mark.parametrize("dense, labels, message", [
+        ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], None, "adjacency must be square"),
+        ([[0.0, 1.0], [0.0, 0.0]], None, "adjacency must be symmetric"),
+        ([[0.0, 2.0], [2.0, 0.0]], None, "adjacency must be binary"),
+        ([[1.0, 1.0], [1.0, 0.0]], None, "adjacency must not carry self-loops"),
+        ([[0.0, 1.0], [1.0, 0.0]], [0, 1, 1], "3 labels for 2 nodes"),
+    ], ids=["square", "symmetric", "binary", "self-loop", "labels"])
+    def test_each_graph_rule_is_refused(self, dense, labels, message):
+        with pytest.raises(DataError, match=rf"^domain 'bad': {message}$"):
+            DomainGraph("bad", np.zeros((2, 2)), CsrMatrix.from_dense(dense), labels)
 
     def test_graph_level_requires_labels(self):
         g = generate_sbm(2, 2, 0.9, 0.1, d=2, cluster_sep=1.0, seed=0)

@@ -66,7 +66,7 @@ class TestEmbed:
 
     def test_rank_too_high_for_unseen_domain(self, trained):
         tiny = generate_sbm(2, 1, 0.9, 0.1, d=2, cluster_sep=1.0, seed=5, domain_id="tiny")
-        with pytest.raises(DataError, match="basis"):
+        with pytest.raises(DataError, match=r"^domain 'tiny': svd rank k=4 out of range for 2x2 input$"):
             embed(tiny, trained)
 
     def test_unseen_sparse_domain_converts_its_features_once(self, trained, monkeypatch):

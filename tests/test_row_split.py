@@ -6,6 +6,7 @@ patched low where the inputs are small, so that these inputs split into
 blocks of a few rows, some of them unequal.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -96,6 +97,15 @@ class TestSplitRows:
         calls = []
         linalg.split_rows(100, linalg.SPLIT_MIN_WORK - 1, lambda lo, hi: calls.append((lo, hi)))
         assert calls == [(0, 100)]
+
+    def test_blocks_keep_the_callers_error_state(self, use_cpus, low_thresholds, blocks):
+        """An overflow the caller ignores stays silent in the pool's blocks too."""
+        use_cpus(2)
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error", RuntimeWarning)
+            got = matmul_rows(np.full((8, 1), 1e200), np.full((1, 2), 1e200))
+        assert blocks == [[(0, 4), (4, 8)]]
+        assert np.all(np.isinf(got))
 
     def test_the_pool_follows_the_process(self, use_cpus, monkeypatch):
         use_cpus(2)
