@@ -70,26 +70,22 @@ class TrainConfig:
     def from_dict(doc: dict, key_of: dict[str, str] | None = None) -> "TrainConfig":
         """The config of a document of field values. A refusal names a field
         by its key in `key_of`, else by the field name."""
-        known = {f.name for f in fields(TrainConfig)}
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(TrainConfig)}
         if unknown:
             raise ConfigError(f"unknown training config keys: {sorted(unknown)}")
-        key_of = key_of or {}
-        values = {f.name: doc.get(f.name, f.default) for f in fields(TrainConfig)}
-        for f in fields(TrainConfig):
-            if not has_json_type(values[f.name], _JSON_KINDS[f.type]):
-                raise ConfigError(
-                    f"training config key '{key_of.get(f.name, f.name)}' must be {f.type}, "
-                    f"got {values[f.name]!r}"
-                )
-        _check_train_values(values, key_of)
+        _check_train_values({f.name: doc.get(f.name, f.default) for f in fields(TrainConfig)}, key_of or {})
         return TrainConfig(**doc)
 
 
 def _check_train_values(c: dict, key_of: dict[str, str]) -> None:
-    """ConfigError unless the TrainConfig field values `c` are in range and
-    consistent; a refusal names a field by its key in `key_of`, else by the
-    field name."""
+    """ConfigError unless the TrainConfig field values `c` have their JSON
+    types and are in range and consistent; a refusal names a field by its
+    key in `key_of`, else by the field name."""
+    for f in fields(TrainConfig):
+        if not has_json_type(c[f.name], _JSON_KINDS[f.type]):
+            raise ConfigError(
+                f"training config key '{key_of.get(f.name, f.name)}' must be {f.type}, got {c[f.name]!r}"
+            )
     if c["variant"] not in VARIANTS:
         raise ConfigError(f"variant must be one of {VARIANTS}, got '{c['variant']}'")
     if c["epochs"] < 0 or c["two_phase_epochs"] < 0:

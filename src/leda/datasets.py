@@ -129,8 +129,9 @@ class GraphCollection:
 
     @cached_property
     def _prepared(self) -> dict:
-        """Training operands derived from these graphs (`trainer.prepare_domains`
-        fills it): built once, dropped with the collection."""
+        """Operands derived from these graphs (`trainer.domain_operands` and
+        `trainer.prepare_domains` fill it): built once, dropped with the
+        collection."""
         return {}
 
     def domain_ids(self) -> list[str]:
@@ -141,23 +142,6 @@ class GraphCollection:
         if not found:
             raise DataError(f"domain '{domain_id}' not in collection")
         return found
-
-
-def disjoint_union(graphs: list[DomainGraph]) -> DomainGraph:
-    """One domain's graphs as one: features stacked in list order, adjacencies
-    on the diagonal of one block-diagonal matrix, whose normalization is
-    exactly theirs on the diagonal. A lone graph is returned uncopied."""
-    if len(graphs) == 1:
-        return graphs[0]
-    domain_id = graphs[0].domain_id
-    widths = sorted({g.feature_dim for g in graphs})
-    if len(widths) != 1:
-        raise DataError(f"domain '{domain_id}': members disagree on feature dim {widths}")
-    return DomainGraph(
-        domain_id=domain_id,
-        features=np.concatenate([g.features for g in graphs]),
-        adjacency=CsrMatrix.block_diag([g.adjacency for g in graphs]),
-    )
 
 
 # ---------------------------------------------------------------------------

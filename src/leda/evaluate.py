@@ -9,7 +9,8 @@ repeats with one product, in at most BLOCK_SCORES scores; a probe step
 forms only its two closed-form gradients (bitwise the engine's), and
 weights or AdamW second moments that end non-finite raise NumericError;
 MI streams every pair in blocks of as many scores. Graph pooling embeds
-each domain once, as the block-diagonal union of its graphs.
+each domain once, from `trainer.domain_operands`: the block-diagonal union
+of its graphs, built once per collection for training and pooling alike.
 
 The probe's runs and the prototype repeats are independent, so both go to
 `linalg.split_repeats`, which forks shares of them across the CPUs. Every
@@ -26,12 +27,13 @@ from . import autodiff as ad
 from .autodiff import Node
 from .checkpoint import Checkpoint
 from .config import check_protocol_args
-from .datasets import DomainGraph, GraphCollection, disjoint_union
+from .datasets import DomainGraph, GraphCollection
 from .dpu import align, init_basis, trans
 from .errors import DataError, NumericError
 from .lda import base_layer, encode, propagate_extra
 from .linalg import EntropyResult, feature_operand, gaussian_entropy, normalize_adjacency, split_repeats
 from .optim import AdamWState, adamw_step, check_second_moments
+from .trainer import domain_operands
 
 PROBE_STEPS = 300
 PROBE_LR = 0.01
@@ -107,16 +109,20 @@ def embed(domain: DomainGraph, ckpt: Checkpoint, t: int = 0) -> EmbeddingSet:
     the aligned features; dpu-cl: the trained base-encoder output. Followed
     by t extra propagation steps. Deterministic (no sampling).
     """
-    x = feature_operand(domain.features)
-    basis = ckpt.basis_for(domain.domain_id)
+    x, s = feature_operand(domain.features), normalize_adjacency(domain.adjacency)
+    return _embed(domain.domain_id, x, s, ckpt, t, domain.labels)
+
+
+def _embed(domain_id: str, x, s, ckpt: Checkpoint, t: int, labels=None) -> EmbeddingSet:
+    """`embed` of a domain's feature operand x and normalized adjacency s."""
+    basis = ckpt.basis_for(domain_id)
     if basis is None:
-        basis = init_basis(x, ckpt.config.k, seed=ckpt.config.seed, domain_id=domain.domain_id)
-    if basis.V.shape[0] != domain.feature_dim:
+        basis = init_basis(x, ckpt.config.k, seed=ckpt.config.seed, domain_id=domain_id)
+    if basis.V.shape[0] != x.shape[1]:
         raise DataError(
-            f"domain '{domain.domain_id}': checkpoint basis expects feature dim "
-            f"{basis.V.shape[0]}, graph has {domain.feature_dim}"
+            f"domain '{domain_id}': checkpoint basis expects feature dim "
+            f"{basis.V.shape[0]}, graph has {x.shape[1]}"
         )
-    s = normalize_adjacency(domain.adjacency)
     params = _checkpoint_params(ckpt)
     variant = ckpt.config.variant
     xhat = align(x, trans(basis.V, params, variant))
@@ -126,8 +132,7 @@ def embed(domain: DomainGraph, ckpt: Checkpoint, t: int = 0) -> EmbeddingSet:
         base = s.matmul_dense(xhat.value)
     else:  # dpu-cl
         base = base_layer(xhat, s, params).value
-    out = propagate_extra(base, s, t)
-    return EmbeddingSet(domain_id=domain.domain_id, E=out, labels=domain.labels)
+    return EmbeddingSet(domain_id=domain_id, E=propagate_extra(base, s, t), labels=labels)
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
@@ -305,14 +310,15 @@ def macro_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
 
 def pooled_graph_embeddings(collection: GraphCollection, ckpt: Checkpoint, t: int = 0) -> np.ndarray:
     """Mean-pooled node embeddings, one row per graph of the collection. Each
-    domain is embedded once, as the `disjoint_union` of its graphs (so a
-    domain the checkpoint does not cover gets one basis from all their
-    features), and a graph's row is the mean of its slice of the rows."""
+    domain is embedded once, from its `domain_operands`, the collection's
+    memo that training reads too (so a domain the checkpoint does not cover
+    gets one basis from all its graphs' features), and a graph's row is the
+    mean of its slice of the rows."""
     slices = {}  # per domain, its graphs' row slices in collection order
     for domain_id in collection.domain_ids():
-        graphs = collection.by_domain(domain_id)
-        e = embed(disjoint_union(graphs), ckpt, t).E
-        slices[domain_id] = iter(np.split(e, np.cumsum([g.num_nodes for g in graphs])[:-1]))
+        domain = domain_operands(collection, domain_id)
+        e = _embed(domain_id, domain.x, domain.s, ckpt, t).E
+        slices[domain_id] = iter(np.split(e, np.cumsum(domain.sizes)[:-1]))
     return np.stack([next(slices[g.domain_id]).mean(axis=0) for g in collection.graphs])
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import Node
 from .checkpoint import Checkpoint, param_shapes
 from .config import VARIANTS, TrainConfig  # noqa: F401  (VARIANTS is read from here too)
-from .datasets import DomainGraph, GraphCollection, disjoint_union
+from .datasets import GraphCollection
 from .dpu import DomainBasis, align, alignment_penalties, init_basis, trans
 from .errors import ConfigError, DataError, NumericError
 from .lda import base_layer, loss_total_domain
@@ -49,11 +48,12 @@ TRAINED_PREFIXES = {
 @dataclass(frozen=True)
 class PreparedDomain:
     """One domain as one graph: a graph-level domain's graphs are merged into
-    their disjoint union, whose i-th slice of `sizes` rows is member graph i."""
+    their disjoint union, whose i-th slice of `sizes` rows is member graph i.
+    `basis` is None in `domain_operands`, and set in `prepare_domains`."""
 
     domain_id: str
     key: int
-    basis: DomainBasis
+    basis: DomainBasis | None
     x: np.ndarray | CsrMatrix  # features in the form `feature_operand` picks
     s: CsrMatrix  # normalized adjacency, block-diagonal over the members
     sizes: tuple[int, ...]  # node count of each member graph, in collection order
@@ -73,57 +73,56 @@ def _member_draws(config: TrainConfig, epoch: int, domain: PreparedDomain, strea
     return draws[0] if len(draws) == 1 else np.concatenate(draws)
 
 
-class _Operands(NamedTuple):
-    """A domain's training operands: what no config field changes."""
+def domain_operands(collection: GraphCollection, domain_id: str) -> PreparedDomain:
+    """One domain's operands, with no basis: what no config field changes,
+    built on the first call and kept, read-only, as long as the collection.
 
-    x: np.ndarray | CsrMatrix
-    s: CsrMatrix
-    sizes: tuple[int, ...]
-    x_sq: float
-
-
-def _domain_operands(graphs: list[DomainGraph]) -> _Operands:
-    union = disjoint_union(graphs)
-    s = normalize_adjacency(union.adjacency)
-    x = feature_operand(union.features)
-    with np.errstate(over="ignore"):  # an infinite x_sq fails the loss's finiteness check
-        x_sq = float(np.sum(np.square(x.values if isinstance(x, CsrMatrix) else x)))
-    return _Operands(x, s, tuple(g.num_nodes for g in graphs), x_sq)
+    A domain's graphs become one, in collection order: stacked features and
+    adjacencies on the diagonal of one block-diagonal matrix, whose
+    normalization is exactly theirs on the diagonal. A lone graph's arrays
+    are used uncopied.
+    """
+    operands = collection._prepared.setdefault("operands", {})  # domain_id -> PreparedDomain
+    if domain_id not in operands:
+        graphs = collection.by_domain(domain_id)
+        features, adjacency = graphs[0].features, graphs[0].adjacency
+        if len(graphs) > 1:
+            widths = sorted({g.feature_dim for g in graphs})
+            if len(widths) != 1:
+                raise DataError(f"domain '{domain_id}': members disagree on feature dim {widths}")
+            features = np.concatenate([g.features for g in graphs])
+            features.setflags(write=False)
+            adjacency = CsrMatrix.block_diag([g.adjacency for g in graphs])
+        s = normalize_adjacency(adjacency)
+        x = feature_operand(features)
+        with np.errstate(over="ignore"):  # an infinite x_sq fails the loss's finiteness check
+            x_sq = float(np.sum(np.square(x.values if isinstance(x, CsrMatrix) else x)))
+        sizes = tuple(g.num_nodes for g in graphs)
+        operands[domain_id] = PreparedDomain(domain_id, _domain_key(domain_id), None, x, s, sizes, x_sq)
+    return operands[domain_id]
 
 
 def prepare_domains(collection: GraphCollection, config: TrainConfig) -> list[PreparedDomain]:
-    """Group graphs by domain, build frozen bases, normalize adjacencies.
+    """Every domain's `domain_operands`, sorted by domain_id, with a frozen
+    basis.
 
-    Domains come back sorted by domain_id. A domain's graphs become one, their
-    `disjoint_union` in collection order: stacked features and a
-    block-diagonal adjacency. A node-level domain passes through uncopied.
-
-    The collection keeps what this builds for as long as it lives, all of
-    it read-only: each domain's `s`, `x`, `x_sq` and `sizes` once, whatever
-    the config, and the domains with their bases once per (k, seed), the
-    only config fields read here. Every call checks k against each domain
-    before any SVD runs.
+    The collection keeps the domains with their bases once per (k, seed),
+    the only config fields read here. Every call checks each domain's
+    operands and then k against it, in domain order, before any SVD runs.
     """
-    memo = collection._prepared
-    operands = memo.setdefault("operands", {})  # domain_id -> _Operands
-    domain_ids = sorted(collection.domain_ids())
-    for domain_id in domain_ids:
-        if domain_id not in operands:
-            operands[domain_id] = _domain_operands(collection.by_domain(domain_id))
-        rank_bound = min(operands[domain_id].x.shape)
+    domains = []
+    for domain_id in sorted(collection.domain_ids()):
+        domains.append(domain_operands(collection, domain_id))
+        rank_bound = min(domains[-1].x.shape)
         if config.k > rank_bound:
             raise ConfigError(f"k={config.k} exceeds min(n, d)={rank_bound} for domain '{domain_id}'")
-    by_key = memo.setdefault("domains", {})  # (k, seed) -> tuple[PreparedDomain, ...]
+    by_key = collection._prepared.setdefault("domains", {})  # (k, seed) -> tuple[PreparedDomain, ...]
     key = (config.k, config.seed)
     if key not in by_key:
-        prepared = []
-        for domain_id in domain_ids:
-            op = operands[domain_id]
-            basis = init_basis(op.x, config.k, seed=config.seed, domain_id=domain_id)
-            prepared.append(
-                PreparedDomain(domain_id, _domain_key(domain_id), basis, op.x, op.s, op.sizes, op.x_sq)
-            )
-        by_key[key] = tuple(prepared)
+        by_key[key] = tuple(
+            replace(d, basis=init_basis(d.x, config.k, seed=config.seed, domain_id=d.domain_id))
+            for d in domains
+        )
     return list(by_key[key])
 
 

@@ -723,6 +723,23 @@ class TestGraphLevel:
         )
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("command", ["pretrain", "eval-graph"])
+    def test_members_of_different_widths_exit_3(self, suite, ckpt_path, tmp_path, capsys, command):
+        """Domain 'm' joins a degree-featurized graph (16 columns) and a graph
+        with a 5-column features file."""
+        manifest = graph_level_manifest(tmp_path / "data", [("m", 4, 0), ("m", 3, 1)])
+        doc = json.loads(manifest.read_text())
+        write_float_tsv(manifest.parent / "f1.tsv", np.ones((3, 5)))
+        doc["domains"][1]["features_path"] = "f1.tsv"
+        manifest.write_text(json.dumps(doc))
+        if command == "pretrain":
+            args = ["pretrain", "--config", str(suite["config"]), "--out", str(tmp_path / "m.ckpt")]
+        else:
+            args = ["eval-graph", "--ckpt", str(ckpt_path), "--repeats", "5"]
+        assert main(args + ["--manifest", str(manifest)]) == 3
+        assert capsys.readouterr().err == "data error: domain 'm': members disagree on feature dim [5, 16]\n"
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_ablate_refuses_graph_level_data_before_training(
         self, suite, tmp_path, capsys, monkeypatch
     ):

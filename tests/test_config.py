@@ -88,6 +88,17 @@ class TestRunConfig:
 
     @pytest.mark.parametrize(
         "key, value",
+        [("two_phase", 1), ("epochs", 2.5), ("seed", 1.0), ("k", True), ("variant", 3),
+         ("lam", None), ("lr", "0.1"), ("tau", False)],
+    )
+    def test_train_config_checks_json_types_on_construction(self, key, value):
+        # a checkpoint saved with two_phase=1 was refused by load_checkpoint;
+        # epochs=2.5 or k=True failed later with a raw TypeError
+        with pytest.raises(ConfigError, match=f"^training config key '{key}' must be "):
+            TrainConfig(**{key: value})
+
+    @pytest.mark.parametrize(
+        "key, value",
         [("lr", -1.0), ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", -0.1),
          ("adam_eps", 0), ("adam_eps", -1)],
     )

@@ -8,13 +8,12 @@ from leda.datasets import (
     DomainGraph,
     GraphCollection,
     degree_features,
-    disjoint_union,
     generate_sbm,
     load_dataset,
     save_dataset,
 )
 from leda.errors import ConfigError, DataError
-from leda.linalg import CsrMatrix, normalize_adjacency
+from leda.linalg import CsrMatrix
 
 from oracles import edge_lines, to_dense
 
@@ -347,34 +346,3 @@ class TestDomainGraphValidation:
         empty = DomainGraph("empty", np.zeros((0, 2)), CsrMatrix.from_dense(np.zeros((0, 0))))
         with pytest.raises(DataError, match=r"^domain 'empty': node-level entry #1 has no nodes$"):
             GraphCollection(graphs=(g, empty), task_kind="node-level")
-
-
-class TestDisjointUnion:
-    @staticmethod
-    def graphs(sizes, d=3):
-        return [generate_sbm(1, n, 0.6, 0.0, d=d, cluster_sep=1.0, seed=n, domain_id="u")
-                for n in sizes]
-
-    def test_lone_graph_is_returned_as_itself(self):
-        (graph,) = self.graphs([5])
-        assert disjoint_union([graph]) is graph
-
-    def test_normalized_union_is_the_members_normalized_on_the_diagonal(self):
-        graphs = self.graphs([6, 1, 9, 2, 4])
-        union = disjoint_union(graphs)
-        assert np.array_equal(union.features, np.concatenate([g.features for g in graphs]))
-        got = normalize_adjacency(union.adjacency)
-        parts = [normalize_adjacency(g.adjacency) for g in graphs]
-        starts = np.cumsum([0] + [g.num_nodes for g in graphs])
-        nnz = np.cumsum([0] + [part.nnz for part in parts])
-        assert got.shape == (starts[-1], starts[-1])
-        assert got.values.tobytes() == np.concatenate([part.values for part in parts]).tobytes()
-        assert np.array_equal(got.col_indices,
-                              np.concatenate([p.col_indices + lo for p, lo in zip(parts, starts)]))
-        assert np.array_equal(got.row_offsets, np.concatenate(
-            [[0]] + [p.row_offsets[1:] + lo for p, lo in zip(parts, nnz)]))
-
-    def test_members_of_different_widths_are_a_data_error(self):
-        graphs = self.graphs([3]) + self.graphs([4], d=5)
-        with pytest.raises(DataError, match=r"'u': members disagree on feature dim \[3, 5\]"):
-            disjoint_union(graphs)

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from leda import autodiff as ad
-from leda import trainer
+from leda import evaluate, trainer
 from leda.checkpoint import save_checkpoint
 from leda.config import VARIANTS
 from leda.datasets import GraphCollection, generate_sbm
 from leda.dpu import init_basis
 from leda.evaluate import embed, pooled_graph_embeddings
 from leda.errors import ConfigError, DataError, NumericError
-from leda.linalg import CsrMatrix
+from leda.linalg import CsrMatrix, normalize_adjacency
 from leda.trainer import (
     TrainConfig,
     build_epoch_loss,
@@ -522,3 +522,58 @@ class TestPreparedOnce:
             save_checkpoint(pretrain(warm, config), tmp_path / f"warm{i}.ckpt")
             save_checkpoint(pretrain(COLLECTIONS[kind](), config), tmp_path / f"cold{i}.ckpt")
             assert (tmp_path / f"warm{i}.ckpt").read_bytes() == (tmp_path / f"cold{i}.ckpt").read_bytes()
+
+    def test_pooling_after_pretrain_reads_the_prepared_operands(self, counts, monkeypatch):
+        collection = graph_level_collection()
+        ckpt = pretrain(collection, tiny_config(epochs=1))
+        before, in_evaluate = dict(counts), {}
+        for name in ("normalize_adjacency", "feature_operand"):
+            count_calls(monkeypatch, evaluate, name, in_evaluate)
+        pooled = pooled_graph_embeddings(collection, ckpt)
+        assert counts == before and in_evaluate == {"normalize_adjacency": 0, "feature_operand": 0}
+        fresh = pooled_graph_embeddings(graph_level_collection(), ckpt)
+        assert pooled.tobytes() == fresh.tobytes()
+
+    def test_each_graph_is_checked_once_through_pretrain_and_pooling(self, monkeypatch):
+        counts = {}
+        count_calls(monkeypatch, CsrMatrix, "is_symmetric", counts)
+        collection = graph_level_collection()
+        assert counts["is_symmetric"] == len(collection.graphs)
+        pooled_graph_embeddings(collection, pretrain(collection, tiny_config(epochs=1)))
+        assert counts["is_symmetric"] == len(collection.graphs)
+
+
+class TestDomainOperands:
+    @staticmethod
+    def collection(sizes, widths=None):
+        graphs = [generate_sbm(1, n, 0.6, 0.0, d=d, cluster_sep=1.0, seed=n, domain_id="u")
+                  for n, d in zip(sizes, widths or [3] * len(sizes))]
+        return GraphCollection(tuple(graphs), "graph-level", (0,) * len(graphs))
+
+    def test_lone_graph_features_are_used_uncopied(self):
+        collection = self.collection([5])
+        domain = trainer.domain_operands(collection, "u")
+        assert domain.x is collection.graphs[0].features and domain.basis is None
+        assert trainer.domain_operands(collection, "u") is domain
+
+    def test_normalized_union_is_the_members_normalized_on_the_diagonal(self):
+        collection = self.collection([6, 1, 9, 2, 4])
+        graphs = collection.graphs
+        domain = trainer.domain_operands(collection, "u")
+        assert domain.sizes == (6, 1, 9, 2, 4)
+        assert np.array_equal(domain.x, np.concatenate([g.features for g in graphs]))
+        got = domain.s
+        parts = [normalize_adjacency(g.adjacency) for g in graphs]
+        starts = np.cumsum([0] + [g.num_nodes for g in graphs])
+        nnz = np.cumsum([0] + [part.nnz for part in parts])
+        assert got.shape == (starts[-1], starts[-1])
+        assert got.values.tobytes() == np.concatenate([part.values for part in parts]).tobytes()
+        assert np.array_equal(got.col_indices,
+                              np.concatenate([p.col_indices + lo for p, lo in zip(parts, starts)]))
+        assert np.array_equal(got.row_offsets, np.concatenate(
+            [[0]] + [p.row_offsets[1:] + lo for p, lo in zip(parts, nnz)]))
+
+    def test_members_of_different_widths_are_a_data_error(self):
+        collection = self.collection([3, 4], widths=[3, 5])
+        with pytest.raises(DataError, match=r"^domain 'u': members disagree on feature dim \[3, 5\]$"):
+            trainer.domain_operands(collection, "u")
