@@ -330,9 +330,9 @@ def reparameterize(mu: Node, log_sigma: Node, eps: np.ndarray) -> Node:
     return _result(out_value, (mu, log_sigma), "reparameterize", backward)
 
 
-def gaussian_kl(mu: Node, log_sigma: Node, clamp: float, weight=None) -> Node:
+def gaussian_kl(mu: Node, log_sigma: Node, clamp: float, weight) -> Node:
     """KL(N(mu, exp(log_sigma)^2) || N(0, I)) summed over columns, with rows
-    weighted as `frobenius_sq` weights them (default 1/n, a mean), as a 1x1
+    weighted as `frobenius_sq` weights them (1/n gives a mean), as a 1x1
     node; log_sigma is clipped to +-clamp, and no gradient passes outside.
 
     With c = clip(log_sigma) and weight 1/n the value is
@@ -343,7 +343,6 @@ def gaussian_kl(mu: Node, log_sigma: Node, clamp: float, weight=None) -> Node:
     if mu.shape != log_sigma.shape:
         raise ShapeError(f"gaussian_kl: {_describe(mu, log_sigma)} differ")
     clamp = float(clamp)
-    weight = 1.0 / mu.shape[0] if weight is None else weight
 
     def backward(grad):
         c0 = grad * weight * 0.5

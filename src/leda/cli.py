@@ -106,16 +106,8 @@ def _domain_flags(graph) -> list[str]:
 def cmd_gen_sbm(args) -> int:
     from .datasets import GraphCollection, generate_sbm, save_dataset
 
-    graph = generate_sbm(
-        blocks=args.blocks,
-        nodes_per_block=args.nodes,
-        p_in=args.pin,
-        p_out=args.pout,
-        d=args.d,
-        cluster_sep=args.sep,
-        seed=args.seed,
-        domain_id=args.domain_id,
-    )
+    names = ("blocks", "nodes_per_block", "p_in", "p_out", "d", "cluster_sep", "seed", "domain_id")
+    graph = generate_sbm(**{name: getattr(args, name) for name in names})
     collection = GraphCollection(graphs=(graph,), task_kind="node-level")
     manifest = save_dataset(collection, args.out)
     print(manifest)
@@ -181,18 +173,12 @@ def cmd_eval_graph(args) -> int:
     from .evaluate import graph_eval
 
     ckpt, collection = _load_inputs(args)
-    report = graph_eval(
-        collection,
-        ckpt,
-        support_per_class=args.support,
-        repeats=args.repeats,
-        seed=args.seed,
-        t=args.t,
-    )
+    report = graph_eval(collection, ckpt, support_per_class=args.support_per_class, repeats=args.repeats,
+                        seed=args.seed, t=args.t)
     doc = report.to_dict()
     doc["config"] = _protocol_echo(
         ckpt,
-        {"support": args.support, "repeats": args.repeats, "seed": args.seed, "t": args.t},
+        {"support": args.support_per_class, "repeats": args.repeats, "seed": args.seed, "t": args.t},
     )
     _emit(doc, args.out)
     return 0
@@ -255,7 +241,7 @@ def cmd_mi_diag(args) -> int:
 
     names = [part.strip() for part in args.domains.split(",") if part.strip()]
     if len(names) != 2:
-        raise ConfigError(f"--domains expects two comma-separated ids, got '{args.domains}'")
+        raise ConfigError(f"--domains expects two comma-separated ids, got {args.domains!r}")
     ckpt, collection = _load_inputs(args)
     [(_, first), (_, second)] = _embed_domains(ckpt, collection, [(name, args.t) for name in names])
     record = mi_diagnostic(first, second, tau=args.tau, seed=args.seed)
@@ -268,10 +254,18 @@ def cmd_mi_diag(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a command line it cannot parse as every configuration error
+    is refused: one line of stderr, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"config error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     from .config import VARIANTS
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="leda",
         description="Multi-domain graph pre-training: train, embed, evaluate, diagnose.",
     )
@@ -292,13 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-sbm", help="generate a synthetic block-model domain")
     p.add_argument("--blocks", type=int, required=True)
-    p.add_argument("--nodes", type=int, required=True, help="nodes per block")
-    p.add_argument("--pin", type=float, required=True)
-    p.add_argument("--pout", type=float, required=True)
+    p.add_argument("--nodes", dest="nodes_per_block", type=int, required=True, help="nodes per block")
+    p.add_argument("--pin", dest="p_in", type=float, required=True)
+    p.add_argument("--pout", dest="p_out", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--d", type=int, default=16, help="feature dimension")
-    p.add_argument("--sep", type=float, default=3.0, help="block mean separation")
+    p.add_argument("--sep", dest="cluster_sep", type=float, default=3.0, help="block mean separation")
     p.add_argument("--domain-id")
     p.set_defaults(handler=cmd_gen_sbm)
 
@@ -331,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
                    protocol_args=("k", "repeats", "seed"))
 
     p = sub.add_parser("eval-graph", parents=[reader], help="graph-level prototype classification")
-    p.add_argument("--support", type=int, default=1, help="support graphs per class")
+    p.add_argument("--support", dest="support_per_class", type=int, default=1,
+                   help="support graphs per class")
     p.add_argument("--repeats", type=int, default=500)
     p.add_argument("--seed", type=int, default=66666)
     p.add_argument("--out")
@@ -362,9 +357,12 @@ def main(argv: list[str] | None = None) -> int:
         os.environ[var] = "1"
     args = build_parser().parse_args(argv)
 
+    from .config import RULE_OF, check_values
     from .errors import ConfigError, DataError, NumericError, ShapeError
 
     try:
+        # every flag named after a value rule is checked before any file is read
+        check_values(**{name: v for name, v in vars(args).items() if name in RULE_OF and v is not None})
         if "config" in args:
             args.run_config = _run_config(args)
         return args.handler(args)

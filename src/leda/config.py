@@ -5,7 +5,9 @@ run can be reproduced from its own report.
 
 `TrainConfig` (model dims and training settings, also the config stored in
 every checkpoint header) lives here too, so this module imports nothing
-else of the package but its errors.
+else of the package but its errors. So do the value rules: `check_values`
+is the one implementation of every scalar range rule, read by value name,
+for configs, protocols, the generator, training and the CLI flags alike.
 """
 
 from __future__ import annotations
@@ -36,6 +38,51 @@ def has_json_type(value, kind) -> bool:
     JSON sense: a bool is a bool, never a number."""
     kinds = kind if isinstance(kind, tuple) else (kind,)
     return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
+
+
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+# Each scalar value rule, once: the JSON number kind it takes, its test, and
+# the wording of its refusal.
+_RULES = {
+    "count": (Integral, lambda v: v >= 0, "an integer >= 0"),
+    "size": (Integral, lambda v: v >= 1, "an integer >= 1"),
+    "finite": (Real, _is_finite, "finite"),
+    "weight": (Real, lambda v: _is_finite(v) and v >= 0, "finite and >= 0"),
+    "rate": (Real, lambda v: 0 <= v < 1, "in [0, 1)"),
+    "fraction": (Real, lambda v: 0 < v < 1, "in (0, 1)"),
+    "scale": (Real, lambda v: _is_finite(v) and v > 0, "finite and > 0"),
+}
+# The rule of each value name, wherever the name is read: TrainConfig and
+# EvalConfig fields, protocol and generator arguments, and CLI flags.
+RULE_OF = {
+    **dict.fromkeys(("seed", "epochs", "two_phase_epochs", "t", "t_propagate"), "count"),
+    **dict.fromkeys(("k", "h", "m", "h_e", "z", "repeats", "runs", "support_per_class", "k_shot",
+                     "blocks", "nodes_per_block"), "size"),
+    **dict.fromkeys(("lr", "lam", "beta_kl", "mu_align", "weight_decay"), "weight"),
+    **dict.fromkeys(("beta1", "beta2"), "rate"),
+    "train_frac": "fraction",
+    **dict.fromkeys(("tau", "adam_eps"), "scale"),
+    "cluster_sep": "finite",
+}
+
+
+def _check(rule: str, key: str, value) -> None:
+    kind, test, wording = _RULES[rule]
+    if not (has_json_type(value, kind) and test(value)):
+        raise ConfigError(f"{key} must be {wording}, got {value!r}")
+
+
+def check_values(key_of: dict[str, str] | None = None, /, **values) -> None:
+    """ConfigError unless each value keeps the rule `RULE_OF` gives its name;
+    a refusal names a value by its key in `key_of`, else by its name."""
+    for name, value in values.items():
+        _check(RULE_OF[name], (key_of or {}).get(name, name), value)
 
 
 @dataclass(frozen=True)
@@ -79,58 +126,23 @@ class TrainConfig:
 
 def _check_train_values(c: dict, key_of: dict[str, str]) -> None:
     """ConfigError unless the TrainConfig field values `c` have their JSON
-    types and are in range and consistent; a refusal names a field by its
-    key in `key_of`, else by the field name."""
+    types, keep their value rules and are consistent; a refusal names a
+    field by its key in `key_of`, else by the field name."""
     for f in fields(TrainConfig):
         if not has_json_type(c[f.name], _JSON_KINDS[f.type]):
             raise ConfigError(
                 f"training config key '{key_of.get(f.name, f.name)}' must be {f.type}, got {c[f.name]!r}"
             )
     if c["variant"] not in VARIANTS:
-        raise ConfigError(f"variant must be one of {VARIANTS}, got '{c['variant']}'")
-    if c["epochs"] < 0 or c["two_phase_epochs"] < 0:
-        raise ConfigError("epoch counts must be >= 0")
-    for name in ("seed", "lam", "beta_kl", "mu_align", "weight_decay", "lr"):
-        if c[name] < 0:
-            raise ConfigError(f"{key_of.get(name, name)} must be >= 0")
-    for name in ("beta1", "beta2"):
-        if not 0.0 <= c[name] < 1.0:
-            raise ConfigError(f"{name} must be in [0, 1), got {c[name]!r}")
-    if c["adam_eps"] <= 0:
-        raise ConfigError(f"adam_eps must be > 0, got {c['adam_eps']!r}")
-    if c["variant"] == "dpu-cl" and c["tau"] <= 0:
-        raise ConfigError("InfoNCE temperature tau must be > 0")
+        raise ConfigError(f"variant must be one of {VARIANTS}, got {c['variant']!r}")
+    ruled = {name: value for name, value in c.items() if name in RULE_OF}
+    if c["variant"] != "dpu-cl":  # only dpu-cl reads tau, which elsewhere need only be finite
+        _check("finite", "tau", ruled.pop("tau"))
+    check_values(key_of, **ruled)
     if c["variant"] == "no-dpu" and c["m"] != c["k"]:
         raise ConfigError("variant no-dpu feeds the raw k-column basis to the encoder; set m == k")
-    if min(c["k"], c["h"], c["m"]) < 1:
-        raise ConfigError("projection dims k, h, m must be positive")
-    if c["h_e"] < 1 or c["z"] < 1:
-        raise ConfigError("encoder width h_e and latent dim z must be positive")
     if c["variant"] == "no-dpu" and c["two_phase"]:
         raise ConfigError("two_phase pre-trains the projection MLP, which variant no-dpu lacks")
-    for f in fields(TrainConfig):
-        if f.type == "float" and not math.isfinite(c[f.name]):
-            key = key_of.get(f.name, f.name)
-            raise ConfigError(f"training config key '{key}' must be finite, got {c[f.name]!r}")
-
-
-def check_protocol_args(**args) -> None:
-    """ConfigError unless `train_frac` lies in (0, 1), `tau` is finite and
-    > 0, `seed` is an integer >= 0, and every other argument is an integer
-    >= 1. The evaluation protocols and EvalConfig share these rules."""
-    for name, value in args.items():
-        if name == "train_frac":
-            ok = has_json_type(value, Real) and 0.0 < value < 1.0
-            rule = "be in (0, 1)"
-        elif name == "tau":
-            ok = has_json_type(value, Real) and math.isfinite(value) and value > 0
-            rule = "be finite and > 0"
-        else:
-            least = 0 if name == "seed" else 1
-            ok = has_json_type(value, Integral) and value >= least
-            rule = f"be an integer >= {least}"
-        if not ok:
-            raise ConfigError(f"{name} must {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -142,20 +154,14 @@ class EvalConfig:
     test_domains: tuple[str, ...] = ()
 
     def __post_init__(self):
-        check_protocol_args(k_shot=self.k_shot, repeats=self.repeats)
+        check_values(k_shot=self.k_shot, repeats=self.repeats)
         if isinstance(self.t_propagate, dict):
             for domain, steps in self.t_propagate.items():
-                if not has_json_type(steps, int) or steps < 0:
-                    raise ConfigError(
-                        f"t_propagate for '{domain}' must be a nonnegative integer, got {steps!r}"
-                    )
-        elif not has_json_type(self.t_propagate, int) or self.t_propagate < 0:
-            raise ConfigError(
-                "t_propagate must be a nonnegative integer or per-domain map, "
-                f"got {self.t_propagate!r}"
-            )
+                check_values({"t_propagate": f"t_propagate for '{domain}'"}, t_propagate=steps)
+        else:
+            check_values(t_propagate=self.t_propagate)
         if self.seed is not None:
-            check_protocol_args(seed=self.seed)
+            check_values(seed=self.seed)
         if not isinstance(self.test_domains, (list, tuple)) or not all(
             isinstance(domain, str) for domain in self.test_domains
         ):
@@ -200,6 +206,15 @@ def _check_keys(section: str, doc: dict, allowed: set[str]) -> None:
         raise ConfigError(f"unknown keys in '{section}' section: {sorted(unknown)}")
 
 
+def _section(doc: dict, name: str, allowed: set[str]) -> dict:
+    """The run config's `name` section: an object of `allowed` keys."""
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{name}' must be an object")
+    _check_keys(name, section, allowed)
+    return section
+
+
 def run_config_from_dict(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
@@ -209,27 +224,14 @@ def run_config_from_dict(doc: dict) -> RunConfig:
     if manifest is not None and not isinstance(manifest, str):
         raise ConfigError("'data' must be a manifest path string")
 
-    model_doc = doc.get("model", {})
-    if not isinstance(model_doc, dict):
-        raise ConfigError("'model' must be an object")
-    _check_keys("model", model_doc, _MODEL_KEYS)
-
-    train_doc = doc.get("train", {})
-    if not isinstance(train_doc, dict):
-        raise ConfigError("'train' must be an object")
-    _check_keys("train", train_doc, _TRAIN_KEYS)
-
+    model_doc = _section(doc, "model", _MODEL_KEYS)
+    train_doc = _section(doc, "train", _TRAIN_KEYS)
     field_of = {key: name for name, key in _MODEL_FIELDS}
     merged = dict(train_doc)
     merged.update((field_of[key], value) for key, value in model_doc.items())
     train = TrainConfig.from_dict(merged, key_of=dict(_MODEL_FIELDS))
 
-    eval_doc = doc.get("eval", {})
-    if not isinstance(eval_doc, dict):
-        raise ConfigError("'eval' must be an object")
-    _check_keys("eval", eval_doc, _EVAL_KEYS)
-    eval_config = EvalConfig(**eval_doc)
-
+    eval_config = EvalConfig(**_section(doc, "eval", _EVAL_KEYS))
     return RunConfig(manifest=manifest, train=train, eval=eval_config)
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import check_values
 from .errors import ConfigError, DataError
 from .linalg import CsrMatrix, repeat_shares, shared_empty, split_repeats
 
@@ -544,16 +545,11 @@ def generate_sbm(
     exactly cluster_sep in Euclidean norm (hence d >= blocks); features add
     unit-variance noise. Labels are block ids. Deterministic per seed.
     """
+    check_values(blocks=blocks, nodes_per_block=nodes_per_block, cluster_sep=cluster_sep, seed=seed)
     if not (0.0 <= p_out < p_in <= 1.0):
         raise ConfigError(f"need 0 <= p_out < p_in <= 1, got p_in={p_in}, p_out={p_out}")
     if d < blocks:
-        raise ConfigError(f"feature dim {d} must be >= number of blocks {blocks}")
-    if blocks < 1 or nodes_per_block < 1:
-        raise ConfigError("blocks and nodes_per_block must be positive")
-    if not np.isfinite(cluster_sep):
-        raise ConfigError(f"cluster_sep must be finite, got {cluster_sep!r}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+        raise ConfigError(f"feature dim d={d} must be >= blocks={blocks}")
     n = blocks * nodes_per_block
     labels = np.repeat(np.arange(blocks), nodes_per_block)
     rng = np.random.default_rng(seed)

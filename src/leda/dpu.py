@@ -52,7 +52,7 @@ class DomainBasis:
         object.__setattr__(self, "V", v)
 
 
-def init_basis(x: np.ndarray | CsrMatrix, k: int, seed: int, domain_id: str = "") -> DomainBasis:
+def init_basis(x: np.ndarray | CsrMatrix, k: int, seed: int, domain_id: str) -> DomainBasis:
     """Right singular vectors of x as a d x k orthonormal basis.
 
     When x has rank below k the trailing columns are replaced by a seeded

@@ -26,19 +26,18 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node
 from .checkpoint import Checkpoint
-from .config import check_protocol_args
+from .config import check_values
 from .datasets import DomainGraph, GraphCollection
 from .dpu import align, init_basis, trans
 from .errors import DataError, NumericError
 from .lda import base_layer, encode, propagate_extra
 from .linalg import EntropyResult, feature_operand, gaussian_entropy, normalize_adjacency, split_repeats
 from .optim import AdamWState, adamw_step, check_second_moments
-from .trainer import domain_operands
+from .trainer import COSINE_EPS, domain_operands
 
 PROBE_STEPS = 300
 PROBE_LR = 0.01
 PROBE_L2 = 1e-4
-COSINE_EPS = 1e-12
 # Most scores one product holds (8 MB), and most pairs MI scores before it
 # subsamples rows. On a 2-core VM with one BLAS thread, MI took 0.92 s over
 # 2^26 pairs of 128-wide rows; at the bench transfer shape (3,327 x 2,708 x
@@ -136,7 +135,13 @@ def _embed(domain_id: str, x, s, ckpt: Checkpoint, t: int, labels=None) -> Embed
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
-    return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), COSINE_EPS)
+    """The rows of x at unit norm, a zero row left zero. A finite row whose
+    norm overflows is refused, where dividing by it would zero the row."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+    if np.isinf(norms).any():
+        raise NumericError(f"norm beyond the float range in {np.isinf(norms).sum()} of {len(x)} embedding rows")
+    return x / np.maximum(norms, COSINE_EPS)
 
 
 def _accuracy(true: np.ndarray, pred: np.ndarray) -> float:
@@ -199,7 +204,7 @@ def linear_probe(
 ) -> EvalReport:
     """Multinomial logistic regression on a stratified train_frac split,
     accuracy on the rest; mean +- std over the runs."""
-    check_protocol_args(train_frac=train_frac, runs=runs, seed=seed)
+    check_values(train_frac=train_frac, runs=runs, seed=seed)
     if embeddings.labels is None:
         raise DataError("linear probe needs labels")
     labels = embeddings.labels
@@ -281,7 +286,7 @@ def fewshot_eval(
 ) -> EvalReport:
     """k-shot prototype classification: class prototypes are means of k
     sampled nodes; every remaining node is assigned by cosine similarity."""
-    check_protocol_args(k=k, repeats=repeats, seed=seed)
+    check_values(k=k, repeats=repeats, seed=seed)
     if embeddings.labels is None:
         raise DataError("few-shot evaluation needs labels")
     scores = _prototype_scores(embeddings.E, embeddings.labels, k, repeats, seed, _accuracy)
@@ -332,7 +337,7 @@ def graph_eval(
 ) -> EvalReport:
     """Prototype classification of whole graphs from a disjoint labeled
     support split (prototype-from-support protocol)."""
-    check_protocol_args(support_per_class=support_per_class, repeats=repeats, seed=seed)
+    check_values(support_per_class=support_per_class, repeats=repeats, seed=seed)
     if collection.task_kind != "graph-level":
         raise DataError("graph_eval needs a graph-level collection")
     scores = _prototype_scores(
@@ -401,7 +406,7 @@ def mi_diagnostic(e_i: EmbeddingSet, e_j: EmbeddingSet, tau: float, seed: int = 
     e_i's rows, at most BLOCK_SCORES scores each, against all of e_j. Beyond
     MI_MAX_PAIRS pairs, each side keeps a sorted rng(seed) subsample of its
     rows, at most MI_MAX_PAIRS pairs in all; a non-finite record raises."""
-    check_protocol_args(tau=tau, seed=seed)
+    check_values(tau=tau, seed=seed)
     if e_i.E.shape[0] == 0 or e_j.E.shape[0] == 0:
         raise DataError("embedding sets must be non-empty")
     a, b = _unit_rows(e_i.E), _unit_rows(e_j.E)

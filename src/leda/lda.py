@@ -30,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .errors import ConfigError
+from .config import check_values
 from .linalg import CsrMatrix
 
 LOG_SIGMA_CLAMP = 10.0
@@ -65,11 +65,11 @@ def _member_weights(sizes: Sequence[int]) -> float | np.ndarray:
     return np.repeat(1.0 / (sizes * len(sizes)), sizes)[:, None]
 
 
-def kl_to_prior(mu: Node, log_sigma: Node, sizes: Sequence[int] | None = None) -> Node:
+def kl_to_prior(mu: Node, log_sigma: Node, sizes: Sequence[int]) -> Node:
     """KL(N(mu, exp(log_sigma)^2) || N(0, I)), summed over latent dims and
     averaged over nodes (per member graph of `sizes` rows, then over members).
     log_sigma is clamped to +-10 before exponentiation."""
-    return ad.gaussian_kl(mu, log_sigma, LOG_SIGMA_CLAMP, _member_weights(sizes or mu.shape[:1]))
+    return ad.gaussian_kl(mu, log_sigma, LOG_SIGMA_CLAMP, _member_weights(sizes))
 
 
 def loss_total_domain(
@@ -78,7 +78,7 @@ def loss_total_domain(
     params: Mapping[str, Node],
     beta_kl: float,
     eps: np.ndarray,
-    sizes: Sequence[int] | None = None,
+    sizes: Sequence[int],
 ) -> tuple[Node, Node, Node]:
     """Negated per-domain evidence bound: squared reconstruction of the
     aligned features plus beta_kl times the KL alignment term, with the
@@ -86,12 +86,11 @@ def loss_total_domain(
     sample is z = mu + exp(log_sigma) * eps, with eps a constant.
 
     A domain of several graphs is one block-diagonal graph, member i its
-    i-th slice of `sizes` rows (default: one member); both terms are then
-    node means per member, averaged over the members.
+    i-th slice of `sizes` rows; both terms are then node means per member,
+    averaged over the members.
 
     Returns (loss, recon, kl).
     """
-    sizes = sizes or xhat.shape[:1]
     mu, log_sigma = encode(xhat, s, params)
     z = ad.reparameterize(mu, log_sigma, eps)
     reconstructed = decode(z, s, params)
@@ -104,8 +103,7 @@ def loss_total_domain(
 
 def propagate_extra(z: np.ndarray, s: CsrMatrix, t: int) -> np.ndarray:
     """Apply t parameter-free propagation steps z <- S z (inference only)."""
-    if t < 0:
-        raise ConfigError(f"propagation steps must be >= 0, got {t}")
+    check_values(t=t)
     out = z
     for _ in range(t):
         out = s.matmul_dense(out)

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node
 from .checkpoint import Checkpoint, param_shapes
-from .config import VARIANTS, TrainConfig  # noqa: F401  (VARIANTS is read from here too)
+from .config import VARIANTS, TrainConfig, check_values  # noqa: F401  (VARIANTS is read from here too)
 from .datasets import GraphCollection
 from .dpu import DomainBasis, align, alignment_penalties, init_basis, trans
 from .errors import ConfigError, DataError, NumericError
@@ -141,8 +141,7 @@ def init_paramset(config: TrainConfig) -> dict[str, Node]:
 def infonce_from_scores(s_pos: Node, s_neg: Node, tau: float) -> Node:
     """Per-anchor contrastive loss column: log(exp(s+/tau) + exp(s-/tau)) - s+/tau,
     computed with a constant max shift for stability."""
-    if tau <= 0:
-        raise ConfigError(f"InfoNCE temperature must be > 0, got {tau}")
+    check_values(tau=tau)
     a = ad.scale(s_pos, 1.0 / tau)
     b = ad.scale(s_neg, 1.0 / tau)
     shift = ad.constant(np.maximum(a.value, b.value), "lse_shift")

@@ -482,10 +482,10 @@ def gcn_direct_order():
         lda.base_layer, lda.decode, trainer.base_layer = saved
 
 
-def composed_kl_to_prior(mu, log_sigma, sizes=None):
+def composed_kl_to_prior(mu, log_sigma, sizes):
     """`lda.kl_to_prior` of one graph as a chain of elementary primitives,
     verbatim."""
-    assert sizes in (None, (mu.shape[0],)), sizes
+    assert tuple(sizes) == (mu.shape[0],), sizes
     if mu.shape != log_sigma.shape:
         raise ConfigError(f"mu {mu.shape} and log_sigma {log_sigma.shape} must match")
     ls = ad.clip(log_sigma, -lda.LOG_SIGMA_CLAMP, lda.LOG_SIGMA_CLAMP)
@@ -570,7 +570,7 @@ def member_loop_epoch_loss(collection, prepared, params, config, epoch):
             member_terms = [
                 loss_total_domain(
                     align(g.features, vhat), normalize_adjacency(g.adjacency), params, config.beta_kl,
-                    rng(trainer._EPS_STREAM).standard_normal((g.num_nodes, config.z)),
+                    rng(trainer._EPS_STREAM).standard_normal((g.num_nodes, config.z)), (g.num_nodes,),
                 )
                 for g, rng in zip(graphs, streams)
             ]

@@ -149,17 +149,18 @@ def test_criterion_3_loss_component_identities():
     s = normalize_adjacency(adj)
     eps = np.random.default_rng(3).standard_normal((6, 3))
     loss, recon_l, _ = loss_total_domain(
-        ad.constant(rng.standard_normal((6, 3))), s, paramset, beta_kl=0.0, eps=eps
+        ad.constant(rng.standard_normal((6, 3))), s, paramset, beta_kl=0.0, eps=eps, sizes=(6,)
     )
     beta_ok = loss.value[0, 0] == recon_l.value[0, 0]
 
     # KL at the prior is exactly zero; KL is nonnegative over random draws
-    kl_zero = kl_to_prior(ad.constant(np.zeros((5, 3))), ad.constant(np.zeros((5, 3)))).value[0, 0]
+    kl_zero = kl_to_prior(ad.constant(np.zeros((5, 3))), ad.constant(np.zeros((5, 3))), (5,)).value[0, 0]
     kl_zero_ok = kl_zero == 0.0
     min_kl = min(
         kl_to_prior(
             ad.constant(rng.standard_normal((1, 3)) * 3),
             ad.constant(rng.standard_normal((1, 3)) * 2),
+            (1,),
         ).value[0, 0]
         for _ in range(1000)
     )

@@ -36,7 +36,7 @@ class TestForward:
         assert ad.frobenius_sq(x, np.array([[0.5], [2.0]])).value[0, 0] == 14.5
         mu, zero = ad.constant([[2.0], [1.0]]), ad.constant(np.zeros((2, 1)))
         # KL of N(mu, 1) to N(0, 1) is mu^2 / 2 per entry
-        assert ad.gaussian_kl(mu, zero, 10.0).value[0, 0] == 1.25
+        assert ad.gaussian_kl(mu, zero, 10.0, 0.5).value[0, 0] == 1.25
         assert ad.gaussian_kl(mu, zero, 10.0, np.array([[1.0], [3.0]])).value[0, 0] == 3.5
 
     def test_shape_mismatch_names_operands(self):
@@ -50,7 +50,7 @@ class TestForward:
         with pytest.raises(ShapeError, match="noise"):
             ad.reparameterize(a, a, np.zeros((4, 2)))
         with pytest.raises(ShapeError, match="'b'"):
-            ad.gaussian_kl(a, ad.constant(np.zeros((3, 4)), "b"), 10.0)
+            ad.gaussian_kl(a, ad.constant(np.zeros((3, 4)), "b"), 10.0, 0.25)
         with pytest.raises(ShapeError, match="one row"):
             ad.rowwise_cosine(a, ad.constant(np.zeros((4, 1)), "b"), 1e-12)
 
@@ -248,7 +248,7 @@ def _random_case(rng, case):
         build = lambda xs: ad.reparameterize(xs[0], xs[1], eps)
     elif case == "gaussian_kl":
         shapes = [(n, m), (n, m)]
-        build = lambda xs: ad.gaussian_kl(xs[0], xs[1], KL_CASE_CLAMP)
+        build = lambda xs: ad.gaussian_kl(xs[0], xs[1], KL_CASE_CLAMP, 1.0 / n)
     elif case == "gaussian_kl_weighted":
         shapes = [(n, m), (n, m)]
         weight = rng.random((n, 1)) + 0.1

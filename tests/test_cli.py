@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -10,10 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import leda
 from leda import evaluate, linalg
-from leda.checkpoint import MAGIC
+from leda.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from leda.cli import build_parser, main
 from leda.config import VARIANTS, run_config_from_dict
 from leda.datasets import (
@@ -25,6 +27,7 @@ from leda.datasets import (
 )
 
 from oracles import join_checkpoint, split_checkpoint
+from refusals import argv_of, refusal_cases
 from synthetic import bow_collection, node_collection, overflow_probe_set
 
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -106,7 +109,7 @@ class TestGenSbm:
             ]
         )
         assert code == 2
-        assert capsys.readouterr().err.startswith("config error: seed must be >= 0, got -1")
+        assert capsys.readouterr().err == "config error: seed must be an integer >= 0, got -1\n"
         assert not (tmp_path / "x").exists()
 
     def test_invalid_probabilities_exit_2(self, tmp_path):
@@ -163,7 +166,7 @@ class TestPretrain:
             ]
         )
         assert code == 2
-        assert capsys.readouterr().err.startswith("config error: lr must be >= 0")
+        assert capsys.readouterr().err == "config error: lr must be finite and >= 0, got -1\n"
         assert not (tmp_path / "m.ckpt").exists()
 
     @pytest.mark.parametrize("flag", ["--out", "--report"])
@@ -245,11 +248,11 @@ class TestPretrain:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("k", 0, "projection dims k, h, m must be positive"),
-            ("h", -1, "projection dims k, h, m must be positive"),
-            ("m", 0, "projection dims k, h, m must be positive"),
-            ("h_e", 0, "encoder width h_e and latent dim z must be positive"),
-            ("z", -2, "encoder width h_e and latent dim z must be positive"),
+            ("k", 0, "k must be an integer >= 1, got 0"),
+            ("h", -1, "h must be an integer >= 1, got -1"),
+            ("m", 0, "m must be an integer >= 1, got 0"),
+            ("h_e", 0, "h_e must be an integer >= 1, got 0"),
+            ("z", -2, "z must be an integer >= 1, got -2"),
         ],
     )
     def test_nonpositive_dim_exits_2(self, suite, tmp_path, capsys, key, value, message):
@@ -666,7 +669,7 @@ class TestTrainFlags:
         out = tmp_path / "out"
         for args in (["--config", str(suite["config"]), "--seed", "-1"], ["--config", str(config)]):
             assert main([command, *args, "--out", str(out)]) == 2
-            assert "config error: seed must be >= 0" in capsys.readouterr().err
+            assert "config error: seed must be an integer >= 0, got -" in capsys.readouterr().err
             assert not out.exists()
 
     def test_two_phase_with_no_dpu_exits_2(self, suite, tmp_path, capsys):
@@ -789,13 +792,13 @@ _STORE, _TRUE, _APPEND = "_StoreAction", "_StoreTrueAction", "_AppendAction"
 PARSER_SURFACE = {
     "gen-sbm": {
         "--blocks": ("blocks", int, None, True, None, _STORE),
-        "--nodes": ("nodes", int, None, True, None, _STORE),
-        "--pin": ("pin", float, None, True, None, _STORE),
-        "--pout": ("pout", float, None, True, None, _STORE),
+        "--nodes": ("nodes_per_block", int, None, True, None, _STORE),
+        "--pin": ("p_in", float, None, True, None, _STORE),
+        "--pout": ("p_out", float, None, True, None, _STORE),
         "--seed": ("seed", int, None, True, None, _STORE),
         "--out": ("out", None, None, True, None, _STORE),
         "--d": ("d", int, 16, False, None, _STORE),
-        "--sep": ("sep", float, 3.0, False, None, _STORE),
+        "--sep": ("cluster_sep", float, 3.0, False, None, _STORE),
         "--domain-id": ("domain_id", None, None, False, None, _STORE),
     },
     "pretrain": {
@@ -838,7 +841,7 @@ PARSER_SURFACE = {
     "eval-graph": {
         "--ckpt": ("ckpt", None, None, True, None, _STORE),
         "--manifest": ("manifest", None, None, True, None, _STORE),
-        "--support": ("support", int, 1, False, None, _STORE),
+        "--support": ("support_per_class", int, 1, False, None, _STORE),
         "--repeats": ("repeats", int, 500, False, None, _STORE),
         "--seed": ("seed", int, 66666, False, None, _STORE),
         "--t": ("t", int, 0, False, None, _STORE),
@@ -963,8 +966,8 @@ class TestRefusals:
     @pytest.mark.parametrize(
         "doc, flags, message",
         [
-            ({}, ["--epochs", "-1"], "epoch counts must be >= 0"),
-            ({"train": {"tau": 0}}, ["--variant", "dpu-cl"], "InfoNCE temperature tau must be > 0"),
+            ({}, ["--epochs", "-1"], "epochs must be an integer >= 0, got -1"),
+            ({"train": {"tau": 0}}, ["--variant", "dpu-cl"], "tau must be finite and > 0, got 0"),
             ([], [], "config document must be a JSON object"),
             ({"data": 5}, [], "'data' must be a manifest path string"),
             ({"model": []}, [], "'model' must be an object"),
@@ -1068,6 +1071,48 @@ class TestRefusals:
         assert "RuntimeWarning" not in err
         assert err.splitlines()[-1].startswith(f"numeric failure: {message}")
         assert not (tmp_path / "m.ckpt").exists()
+
+    def test_finite_but_huge_parameter_exits_4_in_one_line(self, suite, ckpt_path, tmp_path, capsys):
+        """One lda.W_base entry at 1e300 leaves domc's embeddings finite, but
+        their row norms overflow: few-shot refuses them by name rather than
+        warn and score rows divided to zeros."""
+        ckpt = load_checkpoint(ckpt_path)
+        ckpt.params["lda.W_base"] = ckpt.params["lda.W_base"].copy()
+        ckpt.params["lda.W_base"][0, 0] = 1e300
+        save_checkpoint(ckpt, tmp_path / "hot.ckpt")
+        argv = ["eval-fewshot", "--ckpt", str(tmp_path / "hot.ckpt"), "--manifest", str(suite["manifest"]),
+                "--domain", "domc", "--repeats", "5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            refused(capsys, argv, 4, "numeric failure: norm beyond the float range in ")
+
+
+@pytest.fixture(scope="module")
+def refusal_paths(suite, ckpt_path, tmp_path_factory):
+    root = tmp_path_factory.mktemp("refusals")
+    graphs = graph_level_manifest(root / "graphs", [("ga", 5, 0), ("ga", 4, 1), ("ga", 6, 0), ("ga", 3, 1)])
+    return {"manifest": suite["manifest"], "graphs": graphs, "ckpt": ckpt_path,
+            "config": root / "run.json", "absent": root / "absent.json", "out": root / "out"}
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=refusal_cases())
+def test_every_bad_scalar_exits_2_in_one_line_naming_its_key(refusal_paths, capsys, case):
+    """Each scalar flag of the eight subcommands and each model / train /
+    eval key of a run config, set out of range, non-finite, to a boolean or
+    to another type: exit 2 before any file is read or written, with one
+    line of stderr that names the key, and no RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = main(argv_of(case, refusal_paths))
+        except SystemExit as exc:  # argparse refuses a flag text its type does not parse
+            code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.count("\n") == 1 and err.startswith("config error: "), err
+    assert re.search(rf"\b{re.escape(case[-1])}\b", err.removeprefix("config error: ")), err
+    assert not refusal_paths["out"].exists()
 
 
 class TestThreadLimit:

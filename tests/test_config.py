@@ -110,9 +110,9 @@ class TestRunConfig:
 
     def test_negative_seed(self):
         # a negative seed reached np.random.default_rng, which raised ValueError
-        with pytest.raises(ConfigError, match="^seed must be >= 0"):
+        with pytest.raises(ConfigError, match="^seed must be an integer >= 0, got -4$"):
             run_config_from_dict({"train": {"seed": -4}})
-        with pytest.raises(ConfigError, match="^seed must be >= 0"):
+        with pytest.raises(ConfigError, match="^seed must be an integer >= 0, got -1$"):
             TrainConfig(seed=-1)
         with pytest.raises(ConfigError, match="^seed must be an integer >= 0, got -1"):
             run_config_from_dict({"eval": {"seed": -1}})
@@ -125,9 +125,9 @@ class TestRunConfig:
 
     def test_header_documents_name_fields(self):
         # a checkpoint header stores TrainConfig by field name
-        with pytest.raises(ConfigError, match="^lam must be >= 0"):
+        with pytest.raises(ConfigError, match="^lam must be finite and >= 0, got -1$"):
             TrainConfig.from_dict({"lam": -1})
-        with pytest.raises(ConfigError, match="key 'lam' must be finite"):
+        with pytest.raises(ConfigError, match="^lam must be finite and >= 0, got nan$"):
             TrainConfig.from_dict({"lam": float("nan")})
 
     def test_every_field_has_one_section_and_round_trips(self):

@@ -273,7 +273,7 @@ class TestGenerateSbm:
             generate_sbm(5, 2, 0.9, 0.1, d=3, cluster_sep=1.0, seed=0)
 
     def test_negative_seed_is_a_config_error(self):
-        with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+        with pytest.raises(ConfigError, match="^seed must be an integer >= 0, got -1$"):
             generate_sbm(2, 3, 0.9, 0.1, d=4, cluster_sep=1.0, seed=-1)
 
 

@@ -42,7 +42,7 @@ def random_paramset(k, h, m, seed=0):
 
 class TestInitBasis:
     def test_diagonal_matrix_gives_identity_basis(self):
-        basis = init_basis(np.diag([3.0, 2.0]), k=2, seed=0)
+        basis = init_basis(np.diag([3.0, 2.0]), k=2, seed=0, domain_id="a")
         assert np.allclose(np.abs(basis.V), np.eye(2), atol=1e-10)
         assert np.all(np.diag(basis.V) > 0)  # sign convention
         assert not basis.padded
@@ -50,13 +50,13 @@ class TestInitBasis:
     def test_duplicate_rows_rank_one_direction(self):
         row = np.array([3.0, 4.0])
         x = np.tile(row, (5, 1))
-        basis = init_basis(x, k=1, seed=1)
+        basis = init_basis(x, k=1, seed=1, domain_id="a")
         assert np.allclose(basis.V[:, 0], row / 5.0, atol=1e-10)
 
     def test_bases_match_requested_rank_across_dims(self):
         rng = np.random.default_rng(2)
         for d in (6, 9):
-            basis = init_basis(rng.standard_normal((12, d)), k=4, seed=3)
+            basis = init_basis(rng.standard_normal((12, d)), k=4, seed=3, domain_id="a")
             assert basis.V.shape == (d, 4)
 
     def test_rank_deficiency_pads_with_orthonormal_completion(self):
@@ -64,7 +64,7 @@ class TestInitBasis:
         rank_zero = np.zeros((6, 4))  # every column comes from the completion
         for x in (rank_one, rank_zero):
             with pytest.warns(UserWarning, match="padding"):
-                basis = init_basis(x, k=3, seed=4)
+                basis = init_basis(x, k=3, seed=4, domain_id="a")
             assert basis.padded
             gram = basis.V.T @ basis.V
             assert np.max(np.abs(gram - np.eye(3))) < 1e-8

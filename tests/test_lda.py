@@ -139,11 +139,11 @@ class TestDecode:
 
 class TestKl:
     def test_zero_at_prior(self):
-        kl = kl_to_prior(ad.constant(np.zeros((4, 3))), ad.constant(np.zeros((4, 3))))
+        kl = kl_to_prior(ad.constant(np.zeros((4, 3))), ad.constant(np.zeros((4, 3))), (4,))
         assert kl.value[0, 0] == 0.0
 
     def test_scalar_closed_form(self):
-        kl = kl_to_prior(ad.constant([[1.0]]), ad.constant([[0.0]]))
+        kl = kl_to_prior(ad.constant([[1.0]]), ad.constant([[0.0]]), (1,))
         assert kl.value[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_nonnegative_over_random_draws(self):
@@ -151,14 +151,14 @@ class TestKl:
         for _ in range(1000):
             mu = ad.constant(rng.standard_normal((1, 2)) * 3)
             ls = ad.constant(rng.standard_normal((1, 2)) * 2)
-            assert kl_to_prior(mu, ls).value[0, 0] >= 0.0
+            assert kl_to_prior(mu, ls, (1,)).value[0, 0] >= 0.0
 
     def test_zero_iff_prior(self):
-        kl = kl_to_prior(ad.constant([[1e-4, 0.0]]), ad.constant([[0.0, 0.0]]))
+        kl = kl_to_prior(ad.constant([[1e-4, 0.0]]), ad.constant([[0.0, 0.0]]), (1,))
         assert kl.value[0, 0] > 1e-10
 
     def test_extreme_log_sigma_is_clamped(self):
-        kl = kl_to_prior(ad.constant([[0.0]]), ad.constant([[1000.0]]))
+        kl = kl_to_prior(ad.constant([[0.0]]), ad.constant([[1000.0]]), (1,))
         assert np.isfinite(kl.value[0, 0])
 
 
@@ -168,7 +168,7 @@ class TestLossTotalDomain:
                              "lda.W_sigma": np.zeros((4, 2)), "lda.W_dec": np.zeros((2, 3))})
         eps = np.random.default_rng(0).standard_normal((5, 2))
         loss, recon, kl = loss_total_domain(
-            ad.constant(np.zeros((5, 3))), ring_propagation(5), params, beta_kl=1.0, eps=eps
+            ad.constant(np.zeros((5, 3))), ring_propagation(5), params, beta_kl=1.0, eps=eps, sizes=(5,)
         )
         assert loss.value[0, 0] == 0.0
         assert recon.value[0, 0] == 0.0
@@ -179,7 +179,7 @@ class TestLossTotalDomain:
         x = ad.constant(np.random.default_rng(12).standard_normal((6, 3)))
         eps = np.random.default_rng(1).standard_normal((6, 2))
         loss, recon, _ = loss_total_domain(
-            x, ring_propagation(6), params, beta_kl=0.0, eps=eps
+            x, ring_propagation(6), params, beta_kl=0.0, eps=eps, sizes=(6,)
         )
         assert loss.value[0, 0] == recon.value[0, 0]
 
@@ -190,7 +190,7 @@ class TestLossTotalDomain:
         eps = np.random.default_rng(15).standard_normal((8, 3))
 
         def loss_fn(ps):
-            loss, _, _ = loss_total_domain(x, s, ps, beta_kl=1.0, eps=eps)
+            loss, _, _ = loss_total_domain(x, s, ps, beta_kl=1.0, eps=eps, sizes=(8,))
             return loss
 
         assert gradient_check(loss_fn, paramset, eps=1e-5) < 1e-4
@@ -204,13 +204,13 @@ class TestLossTotalDomain:
         for epoch in range(200):
             zero_grads(params)
             eps = np.random.default_rng([18, epoch]).standard_normal((10, 4))
-            loss, recon, _ = loss_total_domain(x, s, params, beta_kl=1.0, eps=eps)
+            loss, recon, _ = loss_total_domain(x, s, params, beta_kl=1.0, eps=eps, sizes=(10,))
             if first is None:
                 first = recon.value[0, 0]
             ad.backward(loss)
             adamw_step(params, state)
         eps = np.random.default_rng(999).standard_normal((10, 4))
-        final_recon = loss_total_domain(x, s, params, beta_kl=1.0, eps=eps)[1]
+        final_recon = loss_total_domain(x, s, params, beta_kl=1.0, eps=eps, sizes=(10,))[1]
         assert final_recon.value[0, 0] < first
 
 
@@ -352,7 +352,7 @@ class TestGraphOperatorOrder:
             eps = np.random.default_rng([2, i]).standard_normal((xhat.shape[0], config.z))
 
             def fn(ps, domain=domain, eps=eps):
-                loss, recon, kl = loss_total_domain(ps["xhat"], domain.s, ps, config.beta_kl, eps)
+                loss, recon, kl = loss_total_domain(ps["xhat"], domain.s, ps, config.beta_kl, eps, domain.sizes)
                 return {"loss": loss, "recon": recon, "kl": kl}
 
             assert_matches_oracle(fn, {**params, "xhat": xhat})
@@ -436,7 +436,7 @@ class TestFusedPrimitives:
         for mu, log_sigma in self.posteriors(order_state):
 
             def fn(ps):
-                return {"loss": ad.scale(lda.kl_to_prior(ps["mu"], ps["log_sigma"]), 0.7)}
+                return {"loss": ad.scale(lda.kl_to_prior(ps["mu"], ps["log_sigma"], ps["mu"].shape[:1]), 0.7)}
 
             assert_matches_oracle(fn, {"mu": mu, "log_sigma": log_sigma}, composed_forms, rtol=0)
 
@@ -446,7 +446,7 @@ class TestFusedPrimitives:
             eps = np.random.default_rng([2, i]).standard_normal((xhat.shape[0], config.z))
 
             def fn(ps, domain=domain, eps=eps):
-                loss, recon, kl = loss_total_domain(ps["xhat"], domain.s, ps, config.beta_kl, eps)
+                loss, recon, kl = loss_total_domain(ps["xhat"], domain.s, ps, config.beta_kl, eps, domain.sizes)
                 return {"loss": loss, "recon": recon, "kl": kl}
 
             assert_matches_oracle(fn, {**params, "xhat": xhat}, composed_forms, rtol=0)
