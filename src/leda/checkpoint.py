@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import TrainConfig, has_json_type
+from .config import NUMBER, TrainConfig, check_type, parse_json
 from .dpu import DomainBasis
 from .errors import CheckpointFormatError, ConfigError, DataError
 
@@ -132,17 +132,12 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         raise DataError(f"cannot write checkpoint {path}: {exc.strerror or exc}") from exc
 
 
-def _typed(value, kind, path: Path, what: str):
-    """`value` if it has JSON type `kind`, else a format error."""
-    if not has_json_type(value, kind):
-        name = getattr(kind, "__name__", "number")
-        raise CheckpointFormatError(f"{path}: header {what} must be of type {name}")
-    return value
-
-
-def _typed_fields(doc, spec: dict, path: Path, what: str) -> list:
-    doc = _typed(doc, dict, path, what)
-    return [_typed(doc.get(key), kind, path, f"{what}.{key}") for key, kind in spec.items()]
+def _fields(entry, kinds: dict, what: str) -> list:
+    """The values of `entry`, a header object, at the keys of `kinds`, each
+    of its kind; other keys are ignored."""
+    check_type(entry, dict, what, CheckpointFormatError)
+    return [check_type(entry.get(key), kind, f"{what}.{key}", CheckpointFormatError)
+            for key, kind in kinds.items()]
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -156,34 +151,27 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     header_start = len(MAGIC) + 4
     if header_start + header_len > len(blob):
         raise CheckpointFormatError(f"{path}: truncated header")
-    try:
-        header = json.loads(blob[header_start: header_start + header_len].decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CheckpointFormatError(f"{path}: unreadable header: {exc}") from exc
-    header = _typed(header, dict, path, "top level")
-    version = header.get("version")
+    where = f"{path}: header"
+    header = parse_json(blob[header_start: header_start + header_len], where, CheckpointFormatError)
+    version = check_type(header, dict, where, CheckpointFormatError).get("version")
     if type(version) is not int or version != FORMAT_VERSION:
         raise CheckpointFormatError(
             f"{path}: version mismatch: file has {version!r}, "
             f"reader supports {FORMAT_VERSION}"
         )
-
-    config_doc = dict(_typed(header.get("config"), dict, path, "config"))
+    config_doc, entries, basis_entries, epoch, final_loss = _fields(
+        header, {"config": dict, "tensors": list, "bases": list, "epoch": int, "final_loss": dict}, where)
     # version-1 files written before the row split carry a `threads` entry,
     # which no longer changes a bit of a run
-    config_doc.pop("threads", None)
+    config_doc = {key: value for key, value in config_doc.items() if key != "threads"}
     try:
         config = TrainConfig.from_dict(config_doc)
     except ConfigError as exc:
         raise CheckpointFormatError(f"{path}: invalid config in header: {exc}") from exc
-    tensors = [
-        _typed_fields(entry, {"name": str, "rows": int, "cols": int, "offset": int}, path, "tensor")
-        for entry in _typed(header.get("tensors"), list, path, "tensors")
-    ]
-    basis_meta = [
-        _typed_fields(entry, {"domain_id": str, "padded": bool, "tensor": str}, path, "basis")
-        for entry in _typed(header.get("bases"), list, path, "bases")
-    ]
+    tensors = [_fields(entry, {"name": str, "rows": int, "cols": int, "offset": int}, f"{where}.tensors[{i}]")
+               for i, entry in enumerate(entries)]
+    basis_meta = [_fields(entry, {"domain_id": str, "padded": bool, "tensor": str}, f"{where}.bases[{i}]")
+                  for i, entry in enumerate(basis_entries)]
     domain_ids = [domain_id for domain_id, _, _ in basis_meta]
     for domain_id, _, tensor in basis_meta:
         if domain_ids.count(domain_id) > 1:
@@ -193,10 +181,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 f"{path}: basis of domain '{domain_id}' must be tensor "
                 f"'{basis_tensor_name(domain_id)}', not '{tensor}'"
             )
-    epoch = _typed(header.get("epoch"), int, path, "epoch")
-    final_loss = _typed(header.get("final_loss"), dict, path, "final_loss")
     for key, value in final_loss.items():
-        _typed(value, (int, float), path, f"final_loss.{key}")
+        check_type(value, NUMBER, f"{where}.final_loss[{key!r}]", CheckpointFormatError)
 
     shapes = param_shapes(config)
     expected = set(shapes) | {tensor for _, _, tensor in basis_meta}

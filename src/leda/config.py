@@ -8,21 +8,28 @@ every checkpoint header) lives here too, so this module imports nothing
 else of the package but its errors. So do the value rules: `check_values`
 is the one implementation of every scalar range rule, read by value name,
 for configs, protocols, the generator, training and the CLI flags alike.
+And so do the rules of a JSON document, for the run config, the dataset
+manifest and the checkpoint header alike: `parse_json` reads one,
+`check_type` checks a value's JSON type and `check_object` an object's
+keys, each raising the error class its caller passes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import InitVar, asdict, dataclass, field, fields
 from numbers import Integral, Real
 from pathlib import Path
 
 from .errors import ConfigError
 
 VARIANTS = ("full", "no-dpu", "no-lda", "dpu-cl")
+NUMBER = (int, float)
 # JSON value types accepted for each TrainConfig field annotation
-_JSON_KINDS = {"int": int, "float": (int, float), "str": str, "bool": bool}
+_JSON_KINDS = {"int": int, "float": NUMBER, "str": str, "bool": bool}
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+               NUMBER: "a number", bool: "a boolean"}
 
 # TrainConfig fields that live in the JSON "model" section, as (field, key);
 # every other TrainConfig field is a "train" key.
@@ -38,6 +45,37 @@ def has_json_type(value, kind) -> bool:
     JSON sense: a bool is a bool, never a number."""
     kinds = kind if isinstance(kind, tuple) else (kind,)
     return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
+
+
+def parse_json(raw: bytes, where: str, error=ConfigError):
+    """The JSON value of the UTF-8 bytes `raw`, whatever their line ends;
+    `error`, naming `where`, for other text or invalid JSON. Invalid JSON
+    includes an integer of more digits than int() takes (a ValueError) and
+    nesting too deep to parse (a RecursionError)."""
+    try:
+        # universal newlines, so that a JSON error's position counts CRLF as one
+        return json.loads(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{where}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}: invalid JSON: {exc}") from exc
+
+
+def check_type(value, kind, what: str, error=ConfigError):
+    """`value` if it has JSON type `kind` (a key of `_KIND_NAMES`), else
+    `error` naming `what`."""
+    if not has_json_type(value, kind):
+        raise error(f"{what} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def check_object(value, allowed, what: str, error=ConfigError) -> dict:
+    """`value` if it is a JSON object whose keys are all `allowed`, else
+    `error` naming `what`."""
+    unknown = set(check_type(value, dict, what, error)) - set(allowed)
+    if unknown:
+        raise error(f"{what}: unknown keys {sorted(unknown)}")
+    return value
 
 
 def _is_finite(value) -> bool:
@@ -106,22 +144,23 @@ class TrainConfig:
     tau: float = 0.5
     two_phase: bool = False
     two_phase_epochs: int = 100
+    # how the source document spells each field a refusal names; a field it
+    # leaves out is named as it is
+    key_of: InitVar[dict[str, str] | None] = None
 
-    def __post_init__(self):
-        _check_train_values(vars(self), {})
+    def __post_init__(self, key_of):
+        _check_train_values(vars(self), key_of or {})
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @staticmethod
     def from_dict(doc: dict, key_of: dict[str, str] | None = None) -> "TrainConfig":
-        """The config of a document of field values. A refusal names a field
-        by its key in `key_of`, else by the field name."""
-        unknown = set(doc) - {f.name for f in fields(TrainConfig)}
-        if unknown:
-            raise ConfigError(f"unknown training config keys: {sorted(unknown)}")
-        _check_train_values({f.name: doc.get(f.name, f.default) for f in fields(TrainConfig)}, key_of or {})
-        return TrainConfig(**doc)
+        """The config of a document of field values, checked once."""
+        return TrainConfig(**check_object(doc, _TRAIN_FIELDS, "training config"), key_of=key_of)
+
+
+_TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
 
 
 def _check_train_values(c: dict, key_of: dict[str, str]) -> None:
@@ -129,10 +168,7 @@ def _check_train_values(c: dict, key_of: dict[str, str]) -> None:
     types, keep their value rules and are consistent; a refusal names a
     field by its key in `key_of`, else by the field name."""
     for f in fields(TrainConfig):
-        if not has_json_type(c[f.name], _JSON_KINDS[f.type]):
-            raise ConfigError(
-                f"training config key '{key_of.get(f.name, f.name)}' must be {f.type}, got {c[f.name]!r}"
-            )
+        check_type(c[f.name], _JSON_KINDS[f.type], key_of.get(f.name, f.name))
     if c["variant"] not in VARIANTS:
         raise ConfigError(f"variant must be one of {VARIANTS}, got {c['variant']!r}")
     ruled = {name: value for name, value in c.items() if name in RULE_OF}
@@ -177,7 +213,7 @@ class EvalConfig:
 
 
 _MODEL_KEYS = {key for _, key in _MODEL_FIELDS}
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)} - {name for name, _ in _MODEL_FIELDS}
+_TRAIN_KEYS = _TRAIN_FIELDS - {name for name, _ in _MODEL_FIELDS}
 _EVAL_KEYS = {f.name for f in fields(EvalConfig)}
 
 
@@ -200,51 +236,24 @@ class RunConfig:
         return {"data": self.manifest, "model": model_doc, "train": train_doc, "eval": eval_doc}
 
 
-def _check_keys(section: str, doc: dict, allowed: set[str]) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in '{section}' section: {sorted(unknown)}")
-
-
-def _section(doc: dict, name: str, allowed: set[str]) -> dict:
-    """The run config's `name` section: an object of `allowed` keys."""
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"'{name}' must be an object")
-    _check_keys(name, section, allowed)
-    return section
-
-
 def run_config_from_dict(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    _check_keys("top-level", doc, _TOP_KEYS)
-
+    check_object(doc, _TOP_KEYS, "config document")
     manifest = doc.get("data")
-    if manifest is not None and not isinstance(manifest, str):
-        raise ConfigError("'data' must be a manifest path string")
-
-    model_doc = _section(doc, "model", _MODEL_KEYS)
-    train_doc = _section(doc, "train", _TRAIN_KEYS)
+    if manifest is not None:
+        check_type(manifest, str, "data")
+    model_doc, train_doc, eval_doc = (
+        check_object(doc.get(name, {}), allowed, name)
+        for name, allowed in (("model", _MODEL_KEYS), ("train", _TRAIN_KEYS), ("eval", _EVAL_KEYS))
+    )
     field_of = {key: name for name, key in _MODEL_FIELDS}
     merged = dict(train_doc)
     merged.update((field_of[key], value) for key, value in model_doc.items())
     train = TrainConfig.from_dict(merged, key_of=dict(_MODEL_FIELDS))
-
-    eval_config = EvalConfig(**_section(doc, "eval", _EVAL_KEYS))
-    return RunConfig(manifest=manifest, train=train, eval=eval_config)
+    return RunConfig(manifest=manifest, train=train, eval=EvalConfig(**eval_doc))
 
 
 def load_run_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ConfigError(
-            f"config {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-        ) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path}: invalid JSON: {exc}") from exc
-    return run_config_from_dict(doc)
+    return run_config_from_dict(parse_json(path.read_bytes(), f"config {path}"))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import check_values
+from .config import check_object, check_type, check_values, parse_json
 from .errors import ConfigError, DataError
 from .linalg import CsrMatrix, repeat_shares, shared_empty, split_repeats
 
@@ -31,14 +31,15 @@ DEGREE_FEATURE_DIM = 16
 _WRITE_CHUNK_ROWS = 4096
 
 _MANIFEST_KEYS = {"version", "task_kind", "symmetrize", "domains"}
-_DOMAIN_KEYS = {
-    "domain_id",
-    "edges_path",
-    "features_path",
-    "labels_path",
-    "num_classes",
-    "num_nodes",
-    "graph_label",
+# the JSON type of each key of a domain entry
+_DOMAIN_KINDS = {
+    "domain_id": str,
+    "edges_path": str,
+    "features_path": str,
+    "labels_path": str,
+    "num_classes": int,
+    "num_nodes": int,
+    "graph_label": int,
 }
 
 
@@ -119,6 +120,8 @@ class GraphCollection:
             labels = tuple(int(v) for v in self.graph_labels)
             if len(labels) != len(self.graphs):
                 raise DataError("graph_labels length must match graph count")
+            if not all(-2 ** 63 <= label < 2 ** 63 for label in labels):
+                raise DataError("graph label outside the 64-bit integer range")
             object.__setattr__(self, "graph_labels", labels)
         else:
             ids = [g.domain_id for g in self.graphs]
@@ -189,11 +192,6 @@ def _decode(path: Path, raw: bytes) -> str:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-
-
-def _read_text(path: Path) -> str:
-    # universal newlines, so that a JSON error's position counts CRLF as one
-    return _decode(path, path.read_bytes()).replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _line_start(raw: bytes, pos: int) -> int:
@@ -358,48 +356,30 @@ def _require_file(path: Path, what: str) -> Path:
 def load_dataset(manifest_path: str | Path) -> GraphCollection:
     """Load and fully validate a manifest plus its referenced files."""
     manifest_path = Path(manifest_path)
-    _require_file(manifest_path, "manifest")
-    try:
-        doc = json.loads(_read_text(manifest_path))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"manifest {manifest_path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"manifest {manifest_path}: top level must be an object")
-    unknown = set(doc) - _MANIFEST_KEYS
-    if unknown:
-        raise DataError(f"manifest {manifest_path}: unknown keys {sorted(unknown)}")
-    version = doc.get("version")
+    where = f"manifest {manifest_path}"
+    doc = parse_json(_require_file(manifest_path, "manifest").read_bytes(), where, DataError)
+    version = check_object(doc, _MANIFEST_KEYS, where, DataError).get("version")
     if version != MANIFEST_VERSION:
-        raise DataError(f"manifest {manifest_path}: unsupported version {version!r}")
+        raise DataError(f"{where}: unsupported version {version!r}")
     task_kind = doc.get("task_kind", NODE_LEVEL)
     if task_kind not in (NODE_LEVEL, GRAPH_LEVEL):
-        raise DataError(f"manifest {manifest_path}: unknown task_kind {task_kind!r}")
-    symmetrize = doc.get("symmetrize", True)
-    if not isinstance(symmetrize, bool):
-        raise DataError(f"manifest {manifest_path}: symmetrize must be a boolean")
-    entries = doc.get("domains")
-    if not isinstance(entries, list) or not entries:
-        raise DataError(f"manifest {manifest_path}: 'domains' must be a non-empty list")
+        raise DataError(f"{where}: unknown task_kind {task_kind!r}")
+    symmetrize = check_type(doc.get("symmetrize", True), bool, f"{where}: symmetrize", DataError)
+    entries = check_type(doc.get("domains"), list, f"{where}: domains", DataError)
+    if not entries:
+        raise DataError(f"{where}: domains is empty")
 
     base = manifest_path.parent
     graphs: list[DomainGraph] = []
     graph_labels: list[int] = []
     for pos, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise DataError(f"manifest domain #{pos}: must be an object")
-        bad = set(entry) - _DOMAIN_KEYS
-        if bad:
-            raise DataError(f"manifest domain #{pos}: unknown keys {sorted(bad)}")
-        domain_id = entry.get("domain_id")
-        if not isinstance(domain_id, str) or not domain_id:
-            raise DataError(f"manifest domain #{pos}: missing domain_id")
-        for key in ("edges_path", "features_path", "labels_path"):
-            if entry.get(key) is not None and not isinstance(entry[key], str):
-                raise DataError(f"domain '{domain_id}': {key} must be a string")
-        for key in ("num_nodes", "num_classes", "graph_label"):
-            value = entry.get(key)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-                raise DataError(f"domain '{domain_id}': {key} must be an integer, got {value!r}")
+        check_object(entry, _DOMAIN_KINDS, f"manifest domain #{pos}", DataError)
+        domain_id = check_type(entry.get("domain_id"), str, f"manifest domain #{pos}: domain_id", DataError)
+        if not domain_id:
+            raise DataError(f"manifest domain #{pos}: domain_id is empty")
+        for key, kind in _DOMAIN_KINDS.items():  # every key but domain_id may be left out
+            if entry.get(key) is not None:
+                check_type(entry[key], kind, f"domain '{domain_id}': {key}", DataError)
         if (entry.get("num_nodes") or 0) < 0:
             raise DataError(f"domain '{domain_id}': num_nodes must be >= 0")
         edges_path = entry.get("edges_path")
@@ -429,6 +409,8 @@ def load_dataset(manifest_path: str | Path) -> GraphCollection:
             rows = "feature" if features is not None else "label"
             raise DataError(f"domain '{domain_id}': num_nodes is {stated}, but it has {n} {rows} rows")
         try:  # a num_nodes too large to hold fails its first allocation at once
+            if n * n >= 2 ** 63:  # or its edge keys i * n + j overflow int64
+                raise MemoryError
             adjacency = _read_edges(_require_file(base / edges_path, "edges"), n, symmetrize)
             degree_featurized = features is None
             if degree_featurized:

@@ -172,9 +172,11 @@ def _fit_logistic(train_x: np.ndarray, train_y: np.ndarray, num_classes: int) ->
     params = {"probe.W": w, "probe.b": b}
     onehot = np.eye(num_classes)[train_y]
     state = AdamWState.for_params(params, lr=PROBE_LR, weight_decay=0.0)
-    for _ in range(PROBE_STEPS):
-        w.grad, b.grad = _probe_grads(train_x, w.value, b.value, onehot)
-        adamw_step(params, state)
+    # an overflow reaches the weights or a second moment, refused by name below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(PROBE_STEPS):
+            w.grad, b.grad = _probe_grads(train_x, w.value, b.value, onehot)
+            adamw_step(params, state)
     # a non-finite gradient at any step leaves AdamW's moments, so the weights, non-finite
     if not (np.all(np.isfinite(w.value)) and np.all(np.isfinite(b.value))):
         raise NumericError("linear probe: fitted weights are non-finite")

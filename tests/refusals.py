@@ -11,12 +11,22 @@ of `leda.cli.main`:
 
 `refusal_cases()` is the one entry point; a new family of bad inputs is one
 more strategy in its `st.one_of`.
+
+`document_cases()` draws the other kind of bad input: a dataset manifest or
+a checkpoint header with one or two values mutated (set to another JSON
+type or out of range, or dropped), which may still be accepted. A case
+("manifest" | "graphs" | "header", mutations) names the document and lists
+its mutations as (path, action, value): the keys and indices leading to the
+value, "set" or "drop", and the value set. `document_argv` writes the
+mutated document and gives the command that reads it.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import struct
 
 from hypothesis import strategies as st
 
@@ -198,3 +208,143 @@ def argv_of(case, paths: dict) -> list[str]:
         return [*reader, "--manifest", str(paths["graphs"]), "--repeats=5", *given]
     target = ["--domains", "domc,domc"] if where == "mi-diag" else ["--domain", "domc"]
     return [*reader, "--manifest", str(paths["manifest"]), *target, *given]
+
+
+# ---------------------------------------------------------------------------
+# mutated documents
+
+_JSON_KINDS = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(),
+    "float": st.floats(),
+    "str": st.text(max_size=4),
+    "list": st.lists(st.integers(), max_size=2),
+    "object": st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+}
+
+
+def _other_types(*kinds):
+    """JSON values of every type but `kinds`."""
+    return st.one_of(*(values for kind, values in _JSON_KINDS.items() if kind not in kinds))
+
+
+# counts too large to allocate on any machine, or beyond int64
+_HUGE = st.sampled_from([2 ** 40, 2 ** 62, 2 ** 63 - 1, 2 ** 63, 2 ** 64, 10 ** 30, 10 ** 400])
+# A num_nodes from 2^16 to about 3e9 is a graph the loader builds for real,
+# gigabytes at the top of that range; counts from 3.04e9 up are refused
+# before any allocation, and _HUGE draws those.
+_COUNT = st.one_of(st.integers(min_value=-3, max_value=40), st.integers(max_value=2 ** 16), _HUGE)
+# files the fixtures' dataset directories hold, or not
+_FILES = st.sampled_from(["", ".", "absent.tsv", "manifest.json", "g0.tsv", "g1.tsv",
+                          "g000-doma.features.tsv", "g001-domb.labels.tsv", "g002-domc.edges.tsv",
+                          "g002-domc.features.tsv", "g002-domc.labels.tsv"])
+
+# (key, JSON type, out-of-range values) at the top level of a manifest, and
+# in a domain entry
+_MANIFEST_TOP = [
+    ("version", "int", st.one_of(st.integers().filter(lambda v: v != 1), _HUGE)),
+    ("task_kind", "str", st.one_of(st.sampled_from(["edge-level", "", "Node-level"]), st.text(max_size=4))),
+    ("symmetrize", "bool", st.just(False)),  # the saved edges are one-way
+    ("domains", "list", st.one_of(st.just([]), st.lists(_other_types("object"), min_size=1, max_size=2))),
+]
+_MANIFEST_ENTRY = [
+    ("domain_id", "str", st.sampled_from(["", "nope", "doma", "ga", "gb"])),
+    ("edges_path", "str", _FILES),
+    ("features_path", "str", _FILES),
+    ("labels_path", "str", _FILES),
+    ("num_classes", "int", _COUNT),
+    ("num_nodes", "int", _COUNT),
+    ("graph_label", "int", st.one_of(st.integers(), _HUGE)),
+]
+_ENTRIES = {"manifest": 3, "graphs": 4}  # domain entries of each fixture manifest
+
+_TENSOR_NAMES = st.sampled_from(["", "bonus", "basis/doma", "basis/nope", "dpu.W1", "lda.W_dec"])
+_KIND_OF_RULE = {"count": "int", "size": "int", "weight": "float", "rate": "float", "scale": "float", None: None}
+# (path, JSON type, out-of-range values) in the header of the fixture
+# checkpoint, which holds 11 tensors and 3 bases; a config value may also be
+# a valid one that disagrees with the tensors, and a non-scalar one takes
+# only the values of `_NON_SCALAR`
+_HEADER_KEYS = [
+    (("version",), "int", st.one_of(st.integers().filter(lambda v: v != 1), st.just(1.0), _HUGE)),
+    (("config",), "object", st.just({})),
+    (("tensors",), "list", st.one_of(st.just([]), st.lists(_other_types("object"), min_size=1, max_size=2))),
+    (("bases",), "list", st.one_of(st.just([]), st.lists(_other_types("object"), min_size=1, max_size=2))),
+    (("epoch",), "int", st.one_of(st.integers(), _HUGE)),
+    (("final_loss",), "object", st.just({"total": None})),
+    *((("final_loss", key), "float", st.one_of(_NON_FINITE, st.floats()))
+      for key in ("dpu_ortho", "dpu_recon", "kl", "lda_recon", "total")),
+    *((("tensors", i, "name"), "str", _TENSOR_NAMES) for i in range(11)),
+    *((("tensors", i, key), "int", st.one_of(_COUNT, st.integers(min_value=-8, max_value=8)))
+      for i in range(11) for key in ("rows", "cols", "offset")),
+    *((("bases", i, "domain_id"), "str", st.sampled_from(["", "nope", "doma", "domc"])) for i in range(3)),
+    *((("bases", i, "padded"), "bool", st.booleans()) for i in range(3)),
+    *((("bases", i, "tensor"), "str", _TENSOR_NAMES) for i in range(3)),
+    *((("config", "lam" if key == "lambda" else key), _KIND_OF_RULE[rule],
+       _NON_SCALAR[key] if rule is None else st.one_of(bad_json_values(rule), st.integers(1, 9)))
+      for section, key, rule in CONFIG_KEYS if section != "eval"),
+]
+
+
+def _mutation(path, kind, out_of_range):
+    """Drop the value at `path`, or set it to one of another JSON type than
+    `kind` (None: `out_of_range` only) or to one of `out_of_range`."""
+    if kind is not None:
+        out_of_range = st.one_of(_other_types(kind, *(("int",) if kind == "float" else ())), out_of_range)
+    return st.one_of(st.just((path, "drop", None)), out_of_range.map(lambda value: (path, "set", value)))
+
+
+def _manifest_mutation(base):
+    top = st.sampled_from(_MANIFEST_TOP).flatmap(lambda e: _mutation((e[0],), *e[1:]))
+    entry = st.tuples(st.integers(0, _ENTRIES[base] - 1), st.sampled_from(_MANIFEST_ENTRY)).flatmap(
+        lambda drawn: _mutation(("domains", drawn[0], drawn[1][0]), *drawn[1][1:]))
+    return st.one_of(top, entry)
+
+
+def document_cases():
+    """A fixture manifest (node- or graph-level) or checkpoint header with
+    one or two mutations."""
+    manifests = st.sampled_from(sorted(_ENTRIES)).flatmap(
+        lambda base: st.lists(_manifest_mutation(base), min_size=1, max_size=2).map(lambda m: (base, m)))
+    headers = st.lists(st.sampled_from(_HEADER_KEYS).flatmap(lambda entry: _mutation(*entry)),
+                       min_size=1, max_size=2).map(lambda m: ("header", m))
+    return st.one_of(manifests, headers)
+
+
+def mutate(doc, mutations):
+    """A copy of `doc` with each mutation applied whose parent is still
+    there (an earlier one may have replaced it)."""
+    doc = copy.deepcopy(doc)
+    for path, action, value in mutations:
+        parent = doc
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+        except (KeyError, IndexError, TypeError):
+            continue
+        if isinstance(parent, dict) and action == "set":
+            parent[path[-1]] = value
+        elif isinstance(parent, dict):
+            parent.pop(path[-1], None)
+    return doc
+
+
+def document_argv(case, paths: dict) -> list[str]:
+    """Write the case's document next to its original, given the `paths` of
+    `argv_of`, and return the argv of the command that reads it."""
+    document, mutations = case
+    if document == "header":
+        blob = paths["ckpt"].read_bytes()
+        (size,) = struct.unpack("<I", blob[8:12])
+        header = json.dumps(mutate(json.loads(blob[12:12 + size]), mutations)).encode("utf-8")
+        ckpt = paths["ckpt"].with_name("mutated.ckpt")
+        ckpt.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header + blob[12 + size:])
+        manifest = paths["manifest"]
+    else:
+        ckpt = paths["ckpt"]
+        manifest = paths[document].with_name("mutated.json")
+        manifest.write_text(json.dumps(mutate(json.loads(paths[document].read_text()), mutations)))
+    if document == "graphs":
+        return ["eval-graph", "--ckpt", str(ckpt), "--manifest", str(manifest), "--repeats", "5"]
+    return ["eval-fewshot", "--ckpt", str(ckpt), "--manifest", str(manifest), "--domain", "domc",
+            "--repeats", "5"]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from leda import config
 from leda.checkpoint import Checkpoint, load_checkpoint, param_shapes, save_checkpoint
 from leda.dpu import DomainBasis
 from leda.cli import main
@@ -32,6 +33,15 @@ class TestRoundTrip:
             assert np.array_equal(a.V, b.V)
             assert a.padded == b.padded
         assert loaded.final_loss == pytest.approx(trained.final_loss)
+
+    def test_header_config_is_checked_once(self, trained, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(trained, path)
+        calls = []
+        check = config._check_train_values
+        monkeypatch.setattr(config, "_check_train_values", lambda *a: calls.append(a) or check(*a))
+        load_checkpoint(path)
+        assert len(calls) == 1
 
     def test_version_1_header_with_threads_loads(self, trained, tmp_path):
         # files written while `threads` was a training setting carry it

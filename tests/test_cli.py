@@ -27,7 +27,7 @@ from leda.datasets import (
 )
 
 from oracles import join_checkpoint, split_checkpoint
-from refusals import argv_of, refusal_cases
+from refusals import argv_of, document_argv, document_cases, refusal_cases
 from synthetic import bow_collection, node_collection, overflow_probe_set
 
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -968,11 +968,11 @@ class TestRefusals:
         [
             ({}, ["--epochs", "-1"], "epochs must be an integer >= 0, got -1"),
             ({"train": {"tau": 0}}, ["--variant", "dpu-cl"], "tau must be finite and > 0, got 0"),
-            ([], [], "config document must be a JSON object"),
-            ({"data": 5}, [], "'data' must be a manifest path string"),
-            ({"model": []}, [], "'model' must be an object"),
-            ({"train": "fast"}, [], "'train' must be an object"),
-            ({"eval": 1}, [], "'eval' must be an object"),
+            ([], [], "config document must be an object, got []"),
+            ({"data": 5}, [], "data must be a string, got 5"),
+            ({"model": []}, [], "model must be an object, got []"),
+            ({"train": "fast"}, [], "train must be an object, got 'fast'"),
+            ({"eval": 1}, [], "eval must be an object, got 1"),
         ],
         ids=["negative-epochs", "dpu-cl-tau-0", "document", "data", "model", "train", "eval"],
     )
@@ -988,7 +988,7 @@ class TestRefusals:
         "corrupt, message",
         [
             (lambda blob: MAGIC + struct.pack("<I", len(blob)) + b"{}", "truncated header"),
-            (lambda blob: MAGIC + struct.pack("<I", 3) + b"abc", "unreadable header"),
+            (lambda blob: MAGIC + struct.pack("<I", 3) + b"abc", "header: invalid JSON: "),
             (duplicate_first_tensor, "duplicate tensor names in header"),
         ],
         ids=["truncated-header", "header-not-json", "duplicate-tensor"],
@@ -1000,6 +1000,25 @@ class TestRefusals:
                 "--domain", "domc", "--out", str(tmp_path / "e.tsv")]
         refused(capsys, argv, 3, f"data error: {bad}: {message}")
         assert not (tmp_path / "e.tsv").exists()
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "1" * 5_000], ids=["deep-nesting", "long-integer"])
+    @pytest.mark.parametrize("document", ["config", "manifest", "header"])
+    def test_json_that_python_cannot_parse_is_invalid_json(
+            self, suite, ckpt_path, tmp_path, capsys, document, text):
+        """Nesting too deep for the parser, or an integer of more digits than
+        int() takes, is invalid JSON in each document, not a raw traceback."""
+        bad = tmp_path / "bad"
+        if document == "header":
+            bad.write_bytes(MAGIC + struct.pack("<I", len(text)) + text.encode())
+            argv = ["embed", "--ckpt", str(bad), "--manifest", str(suite["manifest"]),
+                    "--domain", "domc", "--out", str(tmp_path / "e.tsv")]
+            refused(capsys, argv, 3, f"data error: {bad}: header: invalid JSON: ")
+            return
+        bad.write_text(text)
+        config, manifest = (bad, suite["manifest"]) if document == "config" else (suite["config"], bad)
+        argv = ["pretrain", "--config", str(config), "--manifest", str(manifest), "--out", str(tmp_path / "m.ckpt")]
+        code, prefix = (2, "config error: config") if document == "config" else (3, "data error: manifest")
+        refused(capsys, argv, code, f"{prefix} {bad}: invalid JSON: ")
 
     @pytest.mark.parametrize("held_out, message", [
         (["nope"], "held-out domains not in the dataset: ['nope']"),
@@ -1043,6 +1062,22 @@ class TestRefusals:
         refused(capsys, argv, 3,
                 "data error: domain 'huge': no memory for a graph of 1000000000000 nodes")
 
+    @pytest.mark.parametrize("num_nodes", [2 ** 62, 2 ** 63 - 1, 2 ** 64])
+    def test_num_nodes_whose_edge_keys_overflow_int64_exits_3(self, suite, tmp_path, capsys, num_nodes):
+        """These raised a raw ValueError or OverflowError from numpy."""
+        (tmp_path / "e.tsv").write_text("0\t1\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"version": 1, "domains": [
+            {"domain_id": "huge", "edges_path": "e.tsv", "num_nodes": num_nodes}]}))
+        argv = ["pretrain", "--config", str(suite["config"]), "--manifest", str(manifest),
+                "--out", str(tmp_path / "m.ckpt")]
+        refused(capsys, argv, 3, f"data error: domain 'huge': no memory for a graph of {num_nodes} nodes")
+
+    def test_graph_label_beyond_int64_exits_3(self, ckpt_path, tmp_path, capsys):
+        manifest = graph_level_manifest(tmp_path / "data", [("ga", 3, 2 ** 63), ("ga", 4, 0)])
+        argv = ["eval-graph", "--ckpt", str(ckpt_path), "--manifest", str(manifest), "--repeats", "5"]
+        refused(capsys, argv, 3, "data error: graph label outside the 64-bit integer range")
+
     @pytest.mark.parametrize("variant, message", [
         ("full", "non-finite loss at epoch 0, domain 'hot'"),
         ("no-lda", "training (no-lda): AdamW second moment of 'dpu.W1' is non-finite"),
@@ -1072,19 +1107,25 @@ class TestRefusals:
         assert err.splitlines()[-1].startswith(f"numeric failure: {message}")
         assert not (tmp_path / "m.ckpt").exists()
 
-    def test_finite_but_huge_parameter_exits_4_in_one_line(self, suite, ckpt_path, tmp_path, capsys):
+    @pytest.mark.parametrize("command, flags, message", [
+        ("eval-fewshot", ["--repeats", "5"], "norm beyond the float range in "),
+        ("eval-linear", ["--runs", "2"], "linear probe: AdamW second moment of 'probe.W' is non-finite"),
+    ], ids=["eval-fewshot", "eval-linear"])
+    def test_finite_but_huge_parameter_exits_4_in_one_line(
+            self, suite, ckpt_path, tmp_path, capsys, command, flags, message):
         """One lda.W_base entry at 1e300 leaves domc's embeddings finite, but
         their row norms overflow: few-shot refuses them by name rather than
-        warn and score rows divided to zeros."""
+        warn and score rows divided to zeros, and the linear probe's squared
+        gradients overflow, which it refuses by name with no raw warning."""
         ckpt = load_checkpoint(ckpt_path)
         ckpt.params["lda.W_base"] = ckpt.params["lda.W_base"].copy()
         ckpt.params["lda.W_base"][0, 0] = 1e300
         save_checkpoint(ckpt, tmp_path / "hot.ckpt")
-        argv = ["eval-fewshot", "--ckpt", str(tmp_path / "hot.ckpt"), "--manifest", str(suite["manifest"]),
-                "--domain", "domc", "--repeats", "5"]
+        argv = [command, "--ckpt", str(tmp_path / "hot.ckpt"), "--manifest", str(suite["manifest"]),
+                "--domain", "domc", *flags]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            refused(capsys, argv, 4, "numeric failure: norm beyond the float range in ")
+            refused(capsys, argv, 4, f"numeric failure: {message}")
 
 
 @pytest.fixture(scope="module")
@@ -1113,6 +1154,24 @@ def test_every_bad_scalar_exits_2_in_one_line_naming_its_key(refusal_paths, caps
     assert err.count("\n") == 1 and err.startswith("config error: "), err
     assert re.search(rf"\b{re.escape(case[-1])}\b", err.removeprefix("config error: ")), err
     assert not refusal_paths["out"].exists()
+
+
+EXIT_PREFIXES = {2: "config error: ", 3: "data error: ", 4: "numeric failure: "}
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=document_cases())
+def test_every_mutated_manifest_or_header_exits_by_its_code(refusal_paths, capsys, case):
+    """A manifest or checkpoint header with a value of another JSON type, out
+    of range or dropped is read or refused by its exit code, with one line
+    of stderr, and never with a raw traceback or RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(document_argv(case, refusal_paths))
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), err
+    if code:
+        assert err.count("\n") == 1 and err.startswith(EXIT_PREFIXES[code]), err
 
 
 class TestThreadLimit:
@@ -1164,7 +1223,7 @@ class TestThreadLimit:
     def test_threads_key_exits_2_and_is_named(self, env, tmp_path, capsys):
         assert self.pretrain(tmp_path, "--config", self.config(tmp_path, {"threads": 1})) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: unknown keys in 'train' section") and "'threads'" in err
+        assert err == "config error: train: unknown keys ['threads']\n"
 
     @pytest.mark.parametrize("flag", [["--threads", "1"], ["--threads=2"]], ids=["spaced", "joined"])
     def test_threads_flag_exits_2_and_is_named(self, env, tmp_path, capsys, flag):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import leda
+from leda import config as config_module
 from leda.config import EvalConfig, RunConfig, TrainConfig, load_run_config, run_config_from_dict
 from leda.errors import ConfigError
 
@@ -44,7 +45,7 @@ class TestRunConfig:
         assert cfg.to_dict()["model"]["lambda"] == 0.25
 
     def test_unknown_top_level_key(self):
-        with pytest.raises(ConfigError, match="top-level"):
+        with pytest.raises(ConfigError, match=r"^config document: unknown keys \['modle'\]$"):
             run_config_from_dict({"modle": {}})
 
     def test_unknown_model_key(self):
@@ -94,7 +95,7 @@ class TestRunConfig:
     def test_train_config_checks_json_types_on_construction(self, key, value):
         # a checkpoint saved with two_phase=1 was refused by load_checkpoint;
         # epochs=2.5 or k=True failed later with a raw TypeError
-        with pytest.raises(ConfigError, match=f"^training config key '{key}' must be "):
+        with pytest.raises(ConfigError, match=f"^{key} must be (an integer|a number|a string|a boolean), got "):
             TrainConfig(**{key: value})
 
     @pytest.mark.parametrize(
@@ -129,6 +130,18 @@ class TestRunConfig:
             TrainConfig.from_dict({"lam": -1})
         with pytest.raises(ConfigError, match="^lam must be finite and >= 0, got nan$"):
             TrainConfig.from_dict({"lam": float("nan")})
+
+    def test_each_document_is_checked_once(self, monkeypatch):
+        """One run config, one header-form document and one direct
+        construction each run the TrainConfig checks once."""
+        calls = []
+        check = config_module._check_train_values
+        monkeypatch.setattr(config_module, "_check_train_values", lambda *a: calls.append(a) or check(*a))
+        run_config_from_dict({"model": {"lambda": 0.5}, "train": {"epochs": 3}})
+        assert len(calls) == 1 and calls[0][1]["lam"] == "lambda"
+        TrainConfig.from_dict({"lam": 0.5, "epochs": 3})
+        TrainConfig(epochs=3)
+        assert len(calls) == 3 and calls[1][1] == calls[2][1] == {}
 
     def test_every_field_has_one_section_and_round_trips(self):
         train = TrainConfig(

@@ -56,20 +56,20 @@ def manifest_doc(entries=None, **top):
 # (manifest text or document, the DataError it raises, which names the manifest or the domain)
 MANIFEST_REFUSALS = {
     "invalid-json": ("{", r"^manifest .+manifest\.json: invalid JSON: "),
-    "top-level-list": ([], r"^manifest .+manifest\.json: top level must be an object$"),
+    "top-level-list": ([], r"^manifest .+manifest\.json must be an object, got \[\]$"),
     "version": (manifest_doc(version=2), r"^manifest .+: unsupported version 2$"),
     "task-kind": (manifest_doc(task_kind="edge-level"),
                   r"^manifest .+: unknown task_kind 'edge-level'$"),
-    "symmetrize": (manifest_doc(symmetrize="yes"), r"^manifest .+: symmetrize must be a boolean$"),
-    "domains-empty": (manifest_doc([]), r"^manifest .+: 'domains' must be a non-empty list$"),
-    "domains-object": (manifest_doc({}), r"^manifest .+: 'domains' must be a non-empty list$"),
-    "entry-string": (manifest_doc(["a"]), r"^manifest domain #0: must be an object$"),
+    "symmetrize": (manifest_doc(symmetrize="yes"), r"^manifest .+: symmetrize must be a boolean, got 'yes'$"),
+    "domains-empty": (manifest_doc([]), r"^manifest .+: domains is empty$"),
+    "domains-object": (manifest_doc({}), r"^manifest .+: domains must be a list, got \{\}$"),
+    "entry-string": (manifest_doc(["a"]), r"^manifest domain #0 must be an object, got 'a'$"),
     "entry-key": (manifest_doc([entry(colour=1)]),
                   r"^manifest domain #0: unknown keys \['colour'\]$"),
     "domain-id-missing": (manifest_doc([entry(domain_id=None)]),
-                          r"^manifest domain #0: missing domain_id$"),
+                          r"^manifest domain #0: domain_id must be a string, got None$"),
     "domain-id-empty": (manifest_doc([entry(domain_id="")]),
-                        r"^manifest domain #0: missing domain_id$"),
+                        r"^manifest domain #0: domain_id is empty$"),
     "num-nodes-negative": (manifest_doc([entry(num_nodes=-1)]),
                            r"^domain 'a': num_nodes must be >= 0$"),
     "edges-path-missing": (manifest_doc([entry(edges_path=None)]),

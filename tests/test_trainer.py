@@ -1,5 +1,5 @@
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -469,7 +469,7 @@ class TestPreparedOnce:
             assert new.sizes == old.sizes and new.basis is not old.basis
 
     def test_every_other_config_field_hits_the_memo(self, counts):
-        assert set(OTHER_FIELD_VALUES) | {"k", "seed"} == set(TrainConfig.__dataclass_fields__)
+        assert set(OTHER_FIELD_VALUES) | {"k", "seed"} == {f.name for f in fields(TrainConfig)}
         collection = node_collection()
         first = prepare_domains(collection, tiny_config())
         before = dict(counts)
