@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import NUMBER, TrainConfig, check_type, parse_json
+from .config import NUMBER, TrainConfig, check_type, has_json_type, parse_json
 from .dpu import DomainBasis
 from .errors import CheckpointFormatError, ConfigError, DataError
 
@@ -154,11 +154,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     where = f"{path}: header"
     header = parse_json(blob[header_start: header_start + header_len], where, CheckpointFormatError)
     version = check_type(header, dict, where, CheckpointFormatError).get("version")
-    if type(version) is not int or version != FORMAT_VERSION:
+    if not has_json_type(version, int) or version != FORMAT_VERSION:
         raise CheckpointFormatError(
-            f"{path}: version mismatch: file has {version!r}, "
-            f"reader supports {FORMAT_VERSION}"
-        )
+            f"{path}: version mismatch: file has {version!r}, reader supports {FORMAT_VERSION}")
     config_doc, entries, basis_entries, epoch, final_loss = _fields(
         header, {"config": dict, "tensors": list, "bases": list, "epoch": int, "final_loss": dict}, where)
     # version-1 files written before the row split carry a `threads` entry,

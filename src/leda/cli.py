@@ -19,15 +19,19 @@ from pathlib import Path
 
 
 _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# each character str.splitlines breaks a line at, as repr writes it
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
 
 
-def _timestamp() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+def _refuse(code: int, line: str) -> int:
+    """Print `line` to stderr as one line, each line break in it escaped; return `code`."""
+    print(line.translate(_LINE_BREAKS), file=sys.stderr)
+    return code
 
 
 def _emit(doc: dict, out: str | None) -> None:
     doc = dict(doc)
-    doc["timestamp"] = _timestamp()
+    doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -259,7 +263,7 @@ class _Parser(argparse.ArgumentParser):
     is refused: one line of stderr, exit 2."""
 
     def error(self, message):
-        self.exit(2, f"config error: {message}\n")
+        self.exit(_refuse(2, f"config error: {message}"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,14 +371,11 @@ def main(argv: list[str] | None = None) -> int:
             args.run_config = _run_config(args)
         return args.handler(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(2, f"config error: {exc}")
     except (DataError, OSError) as exc:  # OSError: an output path that cannot be written
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
+        return _refuse(3, f"data error: {exc}")
     except (NumericError, ShapeError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 4
+        return _refuse(4, f"numeric failure: {exc}")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import check_object, check_type, check_values, parse_json
+from .config import check_object, check_type, check_values, has_json_type, parse_json
 from .errors import ConfigError, DataError
 from .linalg import CsrMatrix, repeat_shares, shared_empty, split_repeats
 
@@ -359,7 +359,7 @@ def load_dataset(manifest_path: str | Path) -> GraphCollection:
     where = f"manifest {manifest_path}"
     doc = parse_json(_require_file(manifest_path, "manifest").read_bytes(), where, DataError)
     version = check_object(doc, _MANIFEST_KEYS, where, DataError).get("version")
-    if version != MANIFEST_VERSION:
+    if not has_json_type(version, int) or version != MANIFEST_VERSION:
         raise DataError(f"{where}: unsupported version {version!r}")
     task_kind = doc.get("task_kind", NODE_LEVEL)
     if task_kind not in (NODE_LEVEL, GRAPH_LEVEL):

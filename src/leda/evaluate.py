@@ -124,14 +124,21 @@ def _embed(domain_id: str, x, s, ckpt: Checkpoint, t: int, labels=None) -> Embed
         )
     params = _checkpoint_params(ckpt)
     variant = ckpt.config.variant
-    xhat = align(x, trans(basis.V, params, variant))
-    if variant in ("full", "no-dpu"):
-        base = encode(xhat, s, params)[0].value
-    elif variant == "no-lda":
-        base = s.matmul_dense(xhat.value)
-    else:  # dpu-cl
-        base = base_layer(xhat, s, params).value
-    return EmbeddingSet(domain_id=domain_id, E=propagate_extra(base, s, t), labels=labels)
+    # a huge parameter is refused at its first overflow, before a ReLU zeroes
+    # the -inf it makes; an inf one's NaNs reach EmbeddingSet, which refuses them
+    try:
+        with np.errstate(over="raise", invalid="ignore"):
+            xhat = align(x, trans(basis.V, params, variant))
+            if variant in ("full", "no-dpu"):
+                base = encode(xhat, s, params)[0].value
+            elif variant == "no-lda":
+                base = s.matmul_dense(xhat.value)
+            else:  # dpu-cl
+                base = base_layer(xhat, s, params).value
+            e = propagate_extra(base, s, t)
+    except FloatingPointError as exc:
+        raise NumericError(f"domain '{domain_id}': embedding beyond the float range ({exc})") from exc
+    return EmbeddingSet(domain_id=domain_id, E=e, labels=labels)
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:

@@ -11,8 +11,8 @@ depend on the CPU count. A large sparse or dense product is instead split
 into contiguous blocks of whole output rows, one per CPU this process may
 use, each written by one kernel call into its own slice of the output. An
 output row is computed by the same kernel in the same order whichever block
-holds it, so the result is bitwise that of one call. Worker threads run
-these kernel calls and nothing else.
+holds it, so the result is bitwise that of one call. The caller runs the
+first block, and a thread started for the product each other one.
 
 Threads gain little on work made of many small numpy calls, as each call
 holds the GIL between them. `split_repeats` therefore runs shares of a
@@ -21,7 +21,9 @@ the arrays rather than copying them and send back only their results. A
 repeat computes the same bits in whichever process runs it. Where those
 results are large, as the rows of a parsed table are, the shares write
 them in place into one `shared_empty` output made before the fork, and
-send back only where they wrote.
+send back only where they wrote. Both splits join every share before they
+return or raise, and raise the lowest failing share's error, so errors do
+not depend on the CPU count either.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import math
 import mmap
 import os
 import pickle
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -79,8 +81,6 @@ SPARSE_MADD_COST = 4
 # one there; below that a split cost it 6-12 ms (best of 7).
 REPEAT_MIN_WORK = 1 << 23
 
-_POOL: tuple[int, int, ThreadPoolExecutor | None] | None = None  # (pid, CPUs, pool)
-
 
 def as_dense(values, name: str = "matrix") -> np.ndarray:
     """Validate and return a 2-D float64 array (row-major)."""
@@ -100,34 +100,6 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _executor() -> tuple[int, ThreadPoolExecutor | None]:
-    """(CPUs, pool of CPUs - 1 threads, None for one CPU), made on first use
-    and again in a forked child, which inherits no threads."""
-    global _POOL
-    if _POOL is None or _POOL[0] != os.getpid():
-        cpus = _cpus()
-        _POOL = (os.getpid(), cpus, ThreadPoolExecutor(cpus - 1) if cpus > 1 else None)
-    return _POOL[1], _POOL[2]
-
-
-def split_rows(rows: int, work: int, kernel) -> None:
-    """Call kernel(lo, hi) on contiguous blocks [lo, hi) that cover [0, rows),
-    one per CPU but each at least SPLIT_MIN_ROWS rows, and one block in all
-    when `work` is below SPLIT_MIN_WORK. The calling thread runs the first
-    block; each kernel call must write only its own rows of the output, and
-    runs in a copy of the caller's context, so under its `np.errstate`."""
-    cpus, pool = _executor()
-    blocks = max(1, min(cpus, rows // SPLIT_MIN_ROWS)) if work >= SPLIT_MIN_WORK else 1
-    bounds = [rows * i // blocks for i in range(blocks + 1)]
-    futures = [pool.submit(contextvars.copy_context().run, kernel, lo, hi)
-               for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    try:
-        kernel(bounds[0], bounds[1])
-    finally:  # every block ends, and raises what it raised, before the output is used
-        for future in futures:
-            future.result()
-
-
 def _outcome(run, lo: int, hi: int) -> tuple[bool, object]:
     """(True, run(lo, hi)), or (False, the error it raised)."""
     try:
@@ -136,10 +108,49 @@ def _outcome(run, lo: int, hi: int) -> tuple[bool, object]:
         return False, exc
 
 
-def _fork_share(run, lo: int, hi: int) -> tuple[int, int]:
-    """Fork a child that sends the pickled outcome of run(lo, hi) through a
-    pipe and ends by os._exit, so that no atexit handler or inherited
-    buffer runs twice; (pid, read end of the pipe)."""
+def _run_shares(count: int, shares: int, run, start) -> list:
+    """[run(lo, hi), ...] over `shares` contiguous shares [lo, hi) that cover
+    [0, count). The caller runs the first; start(run, lo, hi) starts each
+    other one and gives a join() that waits for it and returns its
+    `_outcome`. Every share ends before this returns or raises, and the
+    lowest failing share's error is raised, as one serial run would."""
+    bounds = [count * i // shares for i in range(shares + 1)]
+    joins = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            joins.append(start(run, lo, hi))
+        outcomes = [_outcome(run, bounds[0], bounds[1])]
+    finally:
+        joined = [join() for join in joins]
+    for ok, value in outcomes + joined:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes + joined]
+
+
+def _start_thread(run, lo: int, hi: int):
+    """Start run(lo, hi) on a new thread in a copy of the caller's context,
+    so under its `np.errstate`; its join()."""
+    outcome, context = [], contextvars.copy_context()
+    thread = threading.Thread(target=lambda: outcome.append(context.run(_outcome, run, lo, hi)))
+    thread.start()
+    return lambda: thread.join() or outcome[0]
+
+
+def split_rows(rows: int, work: int, kernel) -> None:
+    """Call kernel(lo, hi) on contiguous blocks [lo, hi) that cover [0, rows),
+    one per CPU but each at least SPLIT_MIN_ROWS rows, and one block in all
+    when `work` is below SPLIT_MIN_WORK, by `_run_shares` with a thread per
+    other block. Each kernel call must write only its own rows of the
+    output."""
+    blocks = max(1, min(_cpus(), rows // SPLIT_MIN_ROWS)) if work >= SPLIT_MIN_WORK else 1
+    _run_shares(rows, blocks, kernel, _start_thread)
+
+
+def _fork_share(run, lo: int, hi: int):
+    """Fork a child that sends the pickled `_outcome` of run(lo, hi) through
+    a pipe and ends by os._exit, so that no atexit handler or inherited
+    buffer runs twice; its join() reads the outcome, then reaps the child."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -158,24 +169,22 @@ def _fork_share(run, lo: int, hi: int) -> tuple[int, int]:
         finally:
             os._exit(status)
     os.close(write)
-    return pid, read
 
+    def join():
+        with os.fdopen(read, "rb") as pipe:
+            data = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status != 0:
+            return False, RuntimeError(f"a forked share ended without a result (exit status {status})")
+        return pickle.loads(data)
 
-def _join_share(pid: int, read: int) -> tuple[bool, object]:
-    """Read a forked share's outcome to the end, then reap the child."""
-    with os.fdopen(read, "rb") as pipe:
-        data = pipe.read()
-    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status != 0:
-        return False, RuntimeError(f"a forked share ended without a result (exit status {status})")
-    return pickle.loads(data)
+    return join
 
 
 def repeat_shares(count: int, work: int) -> int:
     """How many shares `split_repeats` cuts `count` repeats of `work`
-    multiply-adds in all into: one per CPU, but each with at least
-    REPEAT_MIN_WORK of the work and one repeat, and one share in all below
-    that."""
+    multiply-adds in all into: one per CPU, but each with at least one
+    repeat and REPEAT_MIN_WORK of the work, and one in all below that."""
     return max(1, min(_cpus(), count, work // REPEAT_MIN_WORK))
 
 
@@ -192,26 +201,10 @@ def shared_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
 def split_repeats(count: int, work: int, run) -> list:
     """run(lo, hi), a list, over contiguous shares [lo, hi) that cover
     [0, count), concatenated in share order; `repeat_shares` gives their
-    number. The caller runs the first share; a forked child runs each other
-    one on the arrays it inherits. Every child is joined before this
-    returns or raises. If shares raise, the lowest one's error is raised:
-    the error one run over [0, count) raises when each repeat is
-    independent of the others."""
-    shares = repeat_shares(count, work)
-    bounds = [count * i // shares for i in range(shares + 1)]
-    children = []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            children.append(_fork_share(run, lo, hi))
-        outcomes = [_outcome(run, bounds[0], bounds[1])]
-    finally:
-        joined = [_join_share(pid, read) for pid, read in children]
-    results = []
-    for ok, value in outcomes + joined:
-        if not ok:
-            raise value
-        results.extend(value)
-    return results
+    number, and `_run_shares` runs them with a forked child per other
+    share, which runs on the arrays it inherits."""
+    shares = _run_shares(count, repeat_shares(count, work), run, _fork_share)
+    return [item for share in shares for item in share]
 
 
 def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -240,6 +240,9 @@ _FILES = st.sampled_from(["", ".", "absent.tsv", "manifest.json", "g0.tsv", "g1.
                           "g000-doma.features.tsv", "g001-domb.labels.tsv", "g002-domc.edges.tsv",
                           "g002-domc.features.tsv", "g002-domc.labels.tsv"])
 
+# domain ids holding line breaks, which a refusal naming them must escape
+_BROKEN_IDS = ["a\nb", "domc\r", "\u2028ga"]
+
 # (key, JSON type, out-of-range values) at the top level of a manifest, and
 # in a domain entry
 _MANIFEST_TOP = [
@@ -249,7 +252,7 @@ _MANIFEST_TOP = [
     ("domains", "list", st.one_of(st.just([]), st.lists(_other_types("object"), min_size=1, max_size=2))),
 ]
 _MANIFEST_ENTRY = [
-    ("domain_id", "str", st.sampled_from(["", "nope", "doma", "ga", "gb"])),
+    ("domain_id", "str", st.sampled_from(["", "nope", "doma", "ga", "gb", *_BROKEN_IDS])),
     ("edges_path", "str", _FILES),
     ("features_path", "str", _FILES),
     ("labels_path", "str", _FILES),
@@ -277,7 +280,8 @@ _HEADER_KEYS = [
     *((("tensors", i, "name"), "str", _TENSOR_NAMES) for i in range(11)),
     *((("tensors", i, key), "int", st.one_of(_COUNT, st.integers(min_value=-8, max_value=8)))
       for i in range(11) for key in ("rows", "cols", "offset")),
-    *((("bases", i, "domain_id"), "str", st.sampled_from(["", "nope", "doma", "domc"])) for i in range(3)),
+    *((("bases", i, "domain_id"), "str", st.sampled_from(["", "nope", "doma", "domc", *_BROKEN_IDS]))
+      for i in range(3)),
     *((("bases", i, "padded"), "bool", st.booleans()) for i in range(3)),
     *((("bases", i, "tensor"), "str", _TENSOR_NAMES) for i in range(3)),
     *((("config", "lam" if key == "lambda" else key), _KIND_OF_RULE[rule],

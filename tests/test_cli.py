@@ -950,7 +950,7 @@ def refused(capsys, argv, code, message):
     """Run argv, which must exit with `code` and one stderr line starting with `message`."""
     assert main(argv) == code
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith(message), err
+    assert err.endswith("\n") and len(err.splitlines()) == 1 and err.startswith(message), err
 
 
 def duplicate_first_tensor(blob):
@@ -1051,6 +1051,54 @@ class TestRefusals:
                 "--out", str(tmp_path / "m.ckpt")]
         refused(capsys, argv, 3, f"data error: manifest {manifest}: unsupported version 2")
 
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+    def test_manifest_and_header_follow_one_version_rule(
+            self, suite, ckpt_path, tmp_path, capsys, version):
+        """Only the integer 1 is version 1, in a manifest as in a header;
+        true and 1.0 equal 1 in Python but are another JSON type."""
+        doc = json.loads(Path(suite["manifest"]).read_text())
+        manifest = Path(suite["manifest"]).with_name("versioned.json")
+        manifest.write_text(json.dumps({**doc, "version": version}))
+        header, payload = split_checkpoint(ckpt_path.read_bytes())
+        bad = tmp_path / "versioned.ckpt"
+        bad.write_bytes(join_checkpoint({**header, "version": version}, payload))
+        argv = ["eval-fewshot", "--manifest", str(manifest), "--domain", "domc", "--repeats", "5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            refused(capsys, [*argv, "--ckpt", str(ckpt_path)], 3,
+                    f"data error: manifest {manifest}: unsupported version {version!r}")
+            refused(capsys, [*argv[:2], str(suite["manifest"]), *argv[3:], "--ckpt", str(bad)], 3,
+                    f"data error: {bad}: version mismatch: file has {version!r}, reader supports 1")
+
+    @pytest.mark.parametrize("domain_id, written", [
+        ("a\nb", "a\\nb"),
+        ("a\rb", "a\\rb"),
+        ("a\r\nb", "a\\r\\nb"),
+        ("é\u2028ü", "é\\u2028ü"),
+        ("a\x85\x0b\x0c\x1c\x1d\x1e\u2029b", "a\\x85\\x0b\\x0c\\x1c\\x1d\\x1e\\u2029b"),
+    ], ids=["LF", "CR", "CRLF", "LS-non-ASCII", "every-other-break"])
+    def test_a_refusal_stays_one_line_whatever_the_domain_id_holds(
+            self, suite, tmp_path, capsys, domain_id, written):
+        """Each character str.splitlines breaks at is written as repr writes
+        it; every other character, non-ASCII included, as it is."""
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"version": 1, "domains": [
+            {"domain_id": domain_id, "edges_path": "e.tsv", "num_nodes": "x"}]}))
+        argv = ["pretrain", "--config", str(suite["config"]), "--manifest", str(manifest),
+                "--out", str(tmp_path / "m.ckpt")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"data error: domain '{written}': num_nodes must be an integer, got 'x'\n")
+
+    def test_a_command_line_argparse_refuses_stays_one_line(self, suite, tmp_path, capsys):
+        argv = ["pretrain", "--config", str(suite["config"]), "--out", str(tmp_path / "m.ckpt"), "a\u2028b\nc"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "config error: unrecognized arguments: a\\u2028b\\nc\n"
+
     def test_num_nodes_too_large_to_hold_exits_3(self, suite, tmp_path, capsys):
         """10^12 nodes: the first allocation of the graph fails at once."""
         (tmp_path / "e.tsv").write_text("0\t1\n")
@@ -1127,6 +1175,71 @@ class TestRefusals:
             warnings.simplefilter("error", RuntimeWarning)
             refused(capsys, argv, 4, f"numeric failure: {message}")
 
+    @staticmethod
+    def reader_argv(command, ckpt, paths, out):
+        """The argv of a checkpoint reader on domc, or on the graph-level ga."""
+        if command == "eval-graph":
+            return [command, "--ckpt", str(ckpt), "--manifest", str(paths["graphs"]), "--repeats", "5"]
+        target = {"embed": ["--domain", "domc", "--out", str(out)], "mi-diag": ["--domains", "domc,domc"]}
+        return [command, "--ckpt", str(ckpt), "--manifest", str(paths["manifest"]),
+                *target.get(command, ["--domain", "domc", "--out", str(out)])]
+
+    @pytest.mark.parametrize("tensor", ["lda.W_base", "lda.W_mu", "dpu.W1", "dpu.W2"])
+    @pytest.mark.parametrize("command", ["embed", "eval-linear", "eval-fewshot", "mi-diag", "eval-graph"])
+    def test_overflowing_forward_pass_exits_4_naming_the_domain(
+            self, refusal_paths, tmp_path, capsys, command, tensor):
+        """Every entry of one tensor at 1.7e308 overflows the forward pass.
+        Such a W_base used to embed rows a ReLU had partly zeroed, with exit
+        0; the others ended in non-finite embeddings (exit 3). Both printed
+        raw overflow warnings first."""
+        ckpt = load_checkpoint(refusal_paths["ckpt"])
+        ckpt.params[tensor] = np.full_like(ckpt.params[tensor], 1.7e308)
+        save_checkpoint(ckpt, tmp_path / "hot.ckpt")
+        argv = self.reader_argv(command, tmp_path / "hot.ckpt", refusal_paths, tmp_path / "out")
+        domain = "ga" if command == "eval-graph" else "domc"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            refused(capsys, argv, 4, f"numeric failure: domain '{domain}': embedding beyond the float range "
+                                     "(overflow encountered in matmul)")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_the_overflow_refusal_is_the_same_at_any_cpu_count(
+            self, refusal_paths, tmp_path, capsys, monkeypatch, cpus):
+        """domc's 18 rows split into blocks of 6, each of which overflows."""
+        started, start_thread = [], linalg._start_thread
+
+        def counted(run, lo, hi):
+            started.append(lo)
+            return start_thread(run, lo, hi)
+
+        monkeypatch.setattr(linalg, "_start_thread", counted)
+        monkeypatch.setattr(linalg, "_cpus", lambda: cpus)
+        monkeypatch.setattr(linalg, "SPLIT_MIN_ROWS", 4)
+        monkeypatch.setattr(linalg, "SPLIT_MIN_WORK", 1)
+        ckpt = load_checkpoint(refusal_paths["ckpt"])
+        ckpt.params["lda.W_base"] = np.full_like(ckpt.params["lda.W_base"], 1.7e308)
+        save_checkpoint(ckpt, tmp_path / "hot.ckpt")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            refused(capsys, self.reader_argv("embed", tmp_path / "hot.ckpt", refusal_paths, tmp_path / "e.tsv"), 4,
+                    "numeric failure: domain 'domc': embedding beyond the float range "
+                    "(overflow encountered in matmul)")
+        assert bool(started) == (cpus > 1)
+
+    @pytest.mark.parametrize("command", ["embed", "eval-fewshot"])
+    def test_an_inf_parameter_exits_3_in_one_line(self, refusal_paths, tmp_path, capsys, command):
+        """Its NaNs are refused as non-finite embeddings, as before, now
+        without a raw `invalid value` warning first."""
+        ckpt = load_checkpoint(refusal_paths["ckpt"])
+        ckpt.params["lda.W_base"] = ckpt.params["lda.W_base"].copy()
+        ckpt.params["lda.W_base"][0, 0] = np.inf
+        save_checkpoint(ckpt, tmp_path / "inf.ckpt")
+        argv = self.reader_argv(command, tmp_path / "inf.ckpt", refusal_paths, tmp_path / "out")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            refused(capsys, argv, 3, "data error: domain 'domc': non-finite embeddings")
+
 
 @pytest.fixture(scope="module")
 def refusal_paths(suite, ckpt_path, tmp_path_factory):
@@ -1171,7 +1284,7 @@ def test_every_mutated_manifest_or_header_exits_by_its_code(refusal_paths, capsy
     err = capsys.readouterr().err
     assert code in (0, 2, 3, 4), err
     if code:
-        assert err.count("\n") == 1 and err.startswith(EXIT_PREFIXES[code]), err
+        assert err.endswith("\n") and len(err.splitlines()) == 1 and err.startswith(EXIT_PREFIXES[code]), err
 
 
 class TestThreadLimit:

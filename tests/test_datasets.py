@@ -58,6 +58,9 @@ MANIFEST_REFUSALS = {
     "invalid-json": ("{", r"^manifest .+manifest\.json: invalid JSON: "),
     "top-level-list": ([], r"^manifest .+manifest\.json must be an object, got \[\]$"),
     "version": (manifest_doc(version=2), r"^manifest .+: unsupported version 2$"),
+    # the checkpoint header's rule: a boolean or a float is never an integer
+    "version-true": (manifest_doc(version=True), r"^manifest .+: unsupported version True$"),
+    "version-float": (manifest_doc(version=1.0), r"^manifest .+: unsupported version 1\.0$"),
     "task-kind": (manifest_doc(task_kind="edge-level"),
                   r"^manifest .+: unknown task_kind 'edge-level'$"),
     "symmetrize": (manifest_doc(symmetrize="yes"), r"^manifest .+: symmetrize must be a boolean, got 'yes'$"),

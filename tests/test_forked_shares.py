@@ -8,6 +8,7 @@ repeat counts one multiply-add, so that these small calls fork.
 
 import multiprocessing
 import os
+import threading
 import time
 
 import numpy as np
@@ -169,26 +170,39 @@ class TestSplitRepeats:
         assert np.array_equal(out, np.broadcast_to(expected, shape))
         assert len(set(pids)) == max(1, min(cpus, shape[0]))
 
-    def test_a_child_forked_after_a_split_product_makes_its_own_pool(self, use_cpus, monkeypatch):
-        # the parent's pool has a live worker thread when the children fork;
-        # each child must split its own products on a pool of its own
+    @pytest.fixture
+    def after_a_split_product(self, use_cpus, monkeypatch):
+        """Split one product over 2 CPUs, then give its operands a and b."""
         use_cpus(2)
-        monkeypatch.setattr(linalg, "_POOL", None)
         monkeypatch.setattr(linalg, "SPLIT_MIN_ROWS", 4)
         monkeypatch.setattr(linalg, "SPLIT_MIN_WORK", 1)
         rng = np.random.default_rng(0)
         a, b = rng.standard_normal((29, 7)), rng.standard_normal((7, 5))
         assert matmul_rows(a, b).tobytes() == (a @ b).tobytes()
-        parent_pool = linalg._executor()[1]
-        try:
-            def share(lo, hi):
-                return [(os.getpid(), linalg._executor()[1] is parent_pool,
-                         matmul_rows(a, b).tobytes())]
+        return a, b
 
-            results = split_repeats(2, 2, share)
-        finally:
-            parent_pool.shutdown()
-        assert [pid == os.getpid() for pid, _, _ in results] == [True, False]
-        assert [same_pool for _, same_pool, _ in results] == [True, False]
-        assert all(got == (a @ b).tobytes() for _, _, got in results)
+    def test_a_child_forked_after_a_split_product_splits_its_own(self, after_a_split_product):
+        a, b = after_a_split_product
+
+        def share(lo, hi):
+            return [(os.getpid(), matmul_rows(a, b).tobytes())]
+
+        results = split_repeats(2, 2, share)
+        assert [pid == os.getpid() for pid, _ in results] == [True, False]
+        assert all(got == (a @ b).tobytes() for _, got in results)
         assert multiprocessing.active_children() == []
+
+    def test_every_fork_after_a_split_product_sees_one_thread(self, after_a_split_product, use_cpus,
+                                                              monkeypatch):
+        """The product's threads have ended, so no fork copies a process
+        with a thread in it (which Python 3.12 warns of)."""
+        fork, threads = os.fork, []
+
+        def counted():
+            threads.append(threading.active_count())
+            return fork()
+
+        monkeypatch.setattr(linalg.os, "fork", counted)
+        use_cpus(3)
+        assert split_repeats(3, 3, lambda lo, hi: [lo]) == [0, 1, 2]
+        assert threads == [1, 1]

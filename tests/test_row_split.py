@@ -6,6 +6,8 @@ patched low where the inputs are small, so that these inputs split into
 blocks of a few rows, some of them unequal.
 """
 
+import threading
+import time
 import warnings
 from dataclasses import replace
 
@@ -30,19 +32,8 @@ LOW_MIN_ROWS = 4
 
 @pytest.fixture
 def use_cpus(monkeypatch):
-    """use_cpus(n): from now on split for n CPUs, with a pool of its own
-    that is shut down after the test."""
-    made = []
-
-    def use(n):
-        monkeypatch.setattr(linalg, "_cpus", lambda: n)
-        monkeypatch.setattr(linalg, "_POOL", None)
-        made.append(linalg._executor()[1])
-
-    yield use
-    for pool in made:
-        if pool is not None:
-            pool.shutdown()
+    """use_cpus(n): from now on split for n CPUs."""
+    return lambda n: monkeypatch.setattr(linalg, "_cpus", lambda: n)
 
 
 @pytest.fixture
@@ -107,15 +98,39 @@ class TestSplitRows:
         assert blocks == [[(0, 4), (4, 8)]]
         assert np.all(np.isinf(got))
 
-    def test_the_pool_follows_the_process(self, use_cpus, monkeypatch):
+    def test_the_lowest_failing_block_is_raised_once_every_block_has_ended(self, use_cpus, low_thresholds):
+        """Blocks 0 and 1 fail, each with its own error, while block 2 is
+        still running: block 0's error is what one call over every row
+        raises first, and the output is not used before block 2 ends."""
+        use_cpus(3)
+        ended = []
+
+        def kernel(lo, hi):
+            if lo == 0:
+                raise ValueError("block 0 failed")
+            if lo == 4:
+                raise KeyError("block 1 failed")
+            time.sleep(0.2)
+            ended.append((lo, hi))
+
+        with pytest.raises(ValueError, match="^block 0 failed$"):
+            linalg.split_rows(12, 1, kernel)
+        assert ended == [(8, 12)]
+
+    def test_no_thread_outlives_a_split_product(self, use_cpus, low_thresholds, blocks):
+        baseline = threading.active_count()
+        use_cpus(3)
+        a, b = np.ones((12, 3)), np.ones((3, 2))
+        assert same_bits(matmul_rows(a, b), a @ b)
+        assert blocks == [[(0, 4), (4, 8), (8, 12)]]
+        assert threading.active_count() == baseline
+
+    def test_no_thread_outlives_a_two_cpu_pretrain(self, use_cpus, low_thresholds, blocks):
+        baseline = threading.active_count()
         use_cpus(2)
-        _, pool = linalg._executor()
-        assert linalg._executor()[1] is pool
-        # a forked child sees another pid and must not reuse the parent's threads
-        monkeypatch.setattr(linalg.os, "getpid", lambda: -1)
-        _, child_pool = linalg._executor()
-        assert child_pool is not pool
-        child_pool.shutdown()
+        pretrain(bow_collection(seed=4), tiny_config(epochs=2))
+        assert max(len(b) for b in blocks) == 2
+        assert threading.active_count() == baseline
 
 
 def symmetric_s(n, seed):
