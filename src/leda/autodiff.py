@@ -6,6 +6,9 @@ flow through dense operands only). Each operation computes its forward value
 eagerly and registers a closure that routes the upstream gradient to the
 parents, so a graph is built once per step and discarded.
 
+The elementwise `add`, `sub`, `mul` and `div` take operands of one shape;
+`add_row_bias` and `rowwise_cosine`'s one-row form are the only broadcasts.
+
 Three primitives are fused: `reparameterize`, `gaussian_kl` and
 `rowwise_cosine` each stand for a chain of elementary ones as one node and
 keep only what their backward reads (the noise draw; nothing; three n x 1
@@ -87,22 +90,9 @@ def _result(value, parents: tuple[Node, ...], name: str, backward: Callable[[np.
     return Node(value, name=name, requires_grad=needs, parents=parents, backward=backward)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    # Reverse numpy broadcasting of a 2-D operand: sum over expanded axes.
-    if grad.shape == shape:
-        return grad
-    out = grad
-    if shape[0] == 1 and grad.shape[0] > 1:
-        out = out.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and grad.shape[1] > 1:
-        out = out.sum(axis=1, keepdims=True)
-    return out
-
-
-def _broadcastable(a: Node, b: Node, op: str) -> None:
-    for da, db in zip(a.shape, b.shape):
-        if da != db and da != 1 and db != 1:
-            raise ShapeError(f"{op}: incompatible operands {_describe(a, b)}")
+def _same_shape(a: Node, b: Node, op: str) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: operands differ in shape, {_describe(a, b)}")
 
 
 # ---------------------------------------------------------------------------
@@ -162,50 +152,50 @@ def add_row_bias(x: Node, bias: Node) -> Node:
 
 
 def add(a: Node, b: Node) -> Node:
-    _broadcastable(a, b, "add")
+    _same_shape(a, b, "add")
 
     def backward(grad):
         if a.requires_grad:
-            a.accumulate(_unbroadcast(grad, a.shape))
+            a.accumulate(grad)
         if b.requires_grad:
-            b.accumulate(_unbroadcast(grad, b.shape))
+            b.accumulate(grad)
 
     return _result(a.value + b.value, (a, b), "add", backward)
 
 
 def sub(a: Node, b: Node) -> Node:
-    _broadcastable(a, b, "sub")
+    _same_shape(a, b, "sub")
 
     def backward(grad):
         if a.requires_grad:
-            a.accumulate(_unbroadcast(grad, a.shape))
+            a.accumulate(grad)
         if b.requires_grad:
-            b.accumulate(_unbroadcast(-grad, b.shape))
+            b.accumulate(-grad)
 
     return _result(a.value - b.value, (a, b), "sub", backward)
 
 
 def mul(a: Node, b: Node) -> Node:
-    _broadcastable(a, b, "mul")
+    _same_shape(a, b, "mul")
 
     def backward(grad):
         if a.requires_grad:
-            a.accumulate(_unbroadcast(grad * b.value, a.shape))
+            a.accumulate(grad * b.value)
         if b.requires_grad:
-            b.accumulate(_unbroadcast(grad * a.value, b.shape))
+            b.accumulate(grad * a.value)
 
     return _result(a.value * b.value, (a, b), "mul", backward)
 
 
 def div(a: Node, b: Node) -> Node:
-    _broadcastable(a, b, "div")
+    _same_shape(a, b, "div")
     out_value = a.value / b.value
 
     def backward(grad):
         if a.requires_grad:
-            a.accumulate(_unbroadcast(grad / b.value, a.shape))
+            a.accumulate(grad / b.value)
         if b.requires_grad:
-            b.accumulate(_unbroadcast(-grad * out_value / b.value, b.shape))
+            b.accumulate(-grad * out_value / b.value)
 
     return _result(out_value, (a, b), "div", backward)
 
@@ -379,9 +369,10 @@ def rowwise_cosine(a: Node, b: Node, eps: float) -> Node:
         if a.requires_grad:
             a.accumulate(g_dot * b.value - g_cos / (norm_a * norm_a) * a.value)
         if b.requires_grad:
-            # unbroadcast each term by itself: a 1 x d b gets one sum over rows per term
-            b_coef = _unbroadcast(g_cos / (norm_b * norm_b), (b.shape[0], 1))
-            b.accumulate(_unbroadcast(g_dot * a.value, b.shape) - b_coef * b.value)
+            b_coef, b_dot = g_cos / (norm_b * norm_b), g_dot * a.value
+            if b.shape != a.shape:  # a one-row b: each term is summed over the rows by itself
+                b_coef, b_dot = b_coef.sum(axis=0, keepdims=True), b_dot.sum(axis=0, keepdims=True)
+            b.accumulate(b_dot - b_coef * b.value)
 
     return _result(out_value, (a, b), "rowwise_cosine", backward)
 

@@ -202,9 +202,17 @@ def cmd_ablate(args) -> int:
     test_domains = tuple(args.test_domain or run_cfg.eval.test_domains)
     if not test_domains:
         raise ConfigError("ablate needs held-out domains (--test-domain or eval.test_domains)")
-    missing = sorted(set(test_domains) - set(collection.domain_ids()))
+    repeated = sorted({domain_id for domain_id in test_domains if test_domains.count(domain_id) > 1})
+    if repeated:
+        raise ConfigError(f"held-out domains named more than once: {repeated}")
+    known = set(collection.domain_ids())
+    missing = sorted(set(test_domains) - known)
     if missing:
         raise ConfigError(f"held-out domains not in the dataset: {missing}")
+    t_propagate = run_cfg.eval.t_propagate
+    unknown = sorted(set(t_propagate) - known) if isinstance(t_propagate, dict) else []
+    if unknown:
+        raise ConfigError(f"eval.t_propagate names domains not in the dataset: {unknown}")
     train_graphs = tuple(g for g in collection.graphs if g.domain_id not in test_domains)
     if not train_graphs:
         raise ConfigError("no training domains left after holding out test domains")

@@ -203,8 +203,12 @@ def direct_reconstruction(x: np.ndarray, vhat: np.ndarray) -> tuple[float, np.nd
 
 
 def softmax_cross_entropy(logits, onehot):
-    shift = ad.constant(logits.value.max(axis=1, keepdims=True), "row_max")
-    lse = ad.add(shift, ad.log(ad.reduce_sum(ad.exp(ad.sub(logits, shift)), axis=1)))
+    # the row max enters twice: as an n x c constant under the exp, since
+    # the elementwise ops take operands of one shape, and as an n x 1 one
+    row_max = logits.value.max(axis=1, keepdims=True)
+    shift = ad.constant(np.broadcast_to(row_max, logits.shape), "row_max")
+    summed = ad.reduce_sum(ad.exp(ad.sub(logits, shift)), axis=1)
+    lse = ad.add(ad.constant(row_max, "row_max"), ad.log(summed))
     picked = ad.reduce_sum(ad.mul(logits, ad.constant(onehot, "onehot")), axis=1)
     return ad.reduce_mean(ad.sub(lse, picked))
 
@@ -505,8 +509,12 @@ def composed_reparameterize(mu, log_sigma, eps):
 
 
 def composed_rowwise_cosine(a, b):
-    """The trainer's row-wise cosine as nine elementary nodes, verbatim."""
-    eps = ad.constant([[trainer.COSINE_EPS]], "cos_eps")
+    """The trainer's row-wise cosine as nine elementary nodes, verbatim, but
+    for the elementwise ops' one-shape rule: a one-row b is tiled to a's rows
+    by a product with a ones column, and eps is a column."""
+    if b.shape != a.shape:
+        b = ad.matmul(ad.constant(np.ones((a.shape[0], 1))), b)
+    eps = ad.constant(np.full((a.shape[0], 1), trainer.COSINE_EPS), "cos_eps")
     num = ad.reduce_sum(ad.mul(a, b), axis=1)
     norm_a = ad.sqrt(ad.add(ad.reduce_sum(ad.square(a), axis=1), eps))
     norm_b = ad.sqrt(ad.add(ad.reduce_sum(ad.square(b), axis=1), eps))

@@ -1023,12 +1023,24 @@ class TestRefusals:
     @pytest.mark.parametrize("held_out, message", [
         (["nope"], "held-out domains not in the dataset: ['nope']"),
         (["doma", "domb", "domc"], "no training domains left after holding out test domains"),
-    ], ids=["unknown", "every-domain"])
+        (["domc", "doma", "domc"], "held-out domains named more than once: ['domc']"),
+    ], ids=["unknown", "every-domain", "repeated"])
     def test_ablate_held_out_domains_exit_2(self, suite, tmp_path, capsys, held_out, message):
         argv = ["ablate", "--config", str(suite["config"])]
         for domain_id in held_out:
             argv += ["--test-domain", domain_id]
         refused(capsys, argv, 2, f"config error: {message}")
+
+    @pytest.mark.parametrize("eval_doc, message", [
+        ({"test_domains": ["domc", "domc"]}, "held-out domains named more than once: ['domc']"),
+        ({"t_propagate": {"typo": 3}}, "eval.t_propagate names domains not in the dataset: ['typo']"),
+        ({"t_propagate": {"domc": 2, "doma": 1, "nope": 0}},
+         "eval.t_propagate names domains not in the dataset: ['nope']"),
+    ], ids=["repeated-test-domain", "unknown-t-domain", "one-unknown-t-domain"])
+    def test_ablate_eval_settings_that_cannot_take_effect_exit_2(self, suite, tmp_path, capsys, eval_doc, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(dict(suite["doc"], eval=dict(suite["doc"]["eval"], **eval_doc))))
+        refused(capsys, ["ablate", "--config", str(cfg)], 2, f"config error: {message}")
 
     def test_mi_diag_one_domain_exits_2(self, suite, ckpt_path, capsys):
         argv = ["mi-diag", "--ckpt", str(ckpt_path), "--manifest", str(suite["manifest"]),
