@@ -151,10 +151,16 @@ class GraphCollection:
 # ---------------------------------------------------------------------------
 # file parsing
 #
-# Each reader reads its file once, as bytes, and has two routes. A file
-# spelled only with the characters below is "plain": ASCII, so valid UTF-8.
-# Its bytes go to np.loadtxt, which on one CPU parses bag-of-words features
-# 2.4 times and edges 5 times as fast as int()/float() do. On such text
+# Each reader reads its file once, as bytes, and has two routes; the
+# features reader tries a third one first. A features file that is a byte
+# grid of fixed-width decimal tokens, as the "0.0"/"1.0" bag-of-words tables
+# `save_dataset` writes are, is decoded by byte column in `_load_fixed_width`
+# with no text parser, to float()'s bits; any other file returns None there
+# at its first failed check and takes the two routes below.
+#
+# A file spelled only with the characters below is "plain": ASCII, so valid
+# UTF-8. Its bytes go to np.loadtxt, which on one CPU parses bag-of-words
+# features 2.4 times and edges 5 times as fast as int()/float() do. On such text
 # np.loadtxt accepts a subset of what int()/float() accept and gives the same
 # values (tests/test_data_path.py pins this). It skips blank lines, so a
 # features file, where a blank line is an error, must give one row per line:
@@ -178,11 +184,12 @@ _FLOAT_CHARS = b"0123456789.eE+-\t\n"
 # The work `split_repeats` weighs against REPEAT_MIN_WORK, in its units of
 # multiply-adds: a byte parsed by np.loadtxt counts as _LOAD_BYTE_COST, and a
 # float formatted by repr as _WRITE_TOKEN_COST. On a 2-core VM, in a 250 MB
-# process, 2 shares of a parse broke even near 0.5 MB of edges, 1 MB of
-# Gaussian features and 1.3 MB of binary features (medians of 21 alternated
-# runs; per byte the three cost within 1.6x of each other, per token 6x);
-# at 8 a share gets at least 1 MB. 2 shares of a write broke even near 12k
-# floats; at 512 a share gets at least 16k.
+# process, 2 shares of a parse broke even near 0.5 MB of edges and 1 MB of
+# Gaussian features (medians of 21 alternated runs; per byte the two cost
+# within 1.6x of each other); at 8 a share gets at least 1 MB. A binary
+# table reaches np.loadtxt only when it is no byte grid (no final newline,
+# tokens of unequal width). 2 shares of a write broke even near 12k floats;
+# at 512 a share gets at least 16k.
 _LOAD_BYTE_COST = 8
 _WRITE_TOKEN_COST = 512
 
@@ -285,11 +292,49 @@ def _read_edges(path: Path, n: int, symmetrize: bool) -> CsrMatrix:
     return CsrMatrix.from_edges(n, pairs)
 
 
+def _load_fixed_width(raw: bytes) -> np.ndarray | None:
+    """The (rows, tokens) table of a byte grid, or None when `raw` is not one:
+    every line ends in a newline and has the first line's length, every token
+    the first token's width, and each byte column of the tokens is all digits
+    or all `.`, with at most one `.` column and 15 digits. A value is then an
+    integer below 10^15 < 2^53 over 10^f, so one division gives float()'s bits."""
+    line = raw.find(b"\n") + 1
+    tab = raw.find(b"\t", 0, line)
+    step = line if tab < 0 else tab + 1  # a token and the byte after it
+    if not line or len(raw) % line or line % step:
+        return None
+    token = raw[:step - 1]
+    point = token.find(b".")  # a second dot fails as a digit column
+    digits = len(token) - (point >= 0)
+    if not 0 < digits <= 15:
+        return None
+    grid = np.frombuffer(raw, np.uint8).reshape(len(raw) // line, line // step, step)
+    ends = np.full(grid.shape[1], ord("\t"), np.uint8)
+    ends[-1] = ord("\n")
+    if np.any(grid[:, :, -1] != ends):
+        return None
+    # the integers, in the narrowest unsigned type that holds them
+    table = np.zeros(grid.shape[:2], np.min_scalar_type(10 ** digits - 1))
+    for k in range(step - 1):
+        if k == point:
+            if np.any(grid[:, :, k] != ord(".")):
+                return None
+            continue
+        digit = grid[:, :, k] - np.uint8(ord("0"))  # a non-digit gives > 9, or wraps to it
+        if digit.max() > 9:
+            return None
+        table *= 10
+        table += digit
+    return np.divide(table, float(10 ** (digits - point if point >= 0 else 0)))
+
+
 def _read_features(path: Path) -> np.ndarray:
     raw = path.read_bytes()
     if not raw:
         raise DataError(f"{path}: empty features file")
-    table = _load_plain(raw, _FLOAT_CHARS, None, np.float64, blank_lines=False)
+    table = _load_fixed_width(raw)
+    if table is None:
+        table = _load_plain(raw, _FLOAT_CHARS, None, np.float64, blank_lines=False)
     if table is not None:
         return table
     lines = _decode(path, raw).splitlines()

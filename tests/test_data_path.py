@@ -4,12 +4,13 @@ replaced.
 The `ref_*` functions below are the readers and the writer as they stood
 before the array readers, kept verbatim apart from their return values (the
 edge reader returns its sorted symmetric pair list instead of building a
-CsrMatrix). A reader parses a plain file with np.loadtxt and any other file
-in one pass over its lines that follows its oracle. For every generated file
-the reader must return a bit-identical array or raise a DataError with the
-same message, whether the plain text is parsed in one share or in forked
-shares: the CPU count is patched to 1, 2 and 3 and the work of a byte or a
-float to a whole share's, so that these small files fork.
+CsrMatrix). The features reader decodes a byte grid of fixed-width decimal
+tokens by byte column; a reader parses any other plain file with np.loadtxt
+and any other file in one pass over its lines that follows its oracle. For
+every generated file the reader must return a bit-identical array or raise a
+DataError with the same message, whether the plain text is parsed in one
+share or in forked shares: the CPU count is patched to 1, 2 and 3 and the
+work of a byte or a float to a whole share's, so that these small files fork.
 """
 
 import json
@@ -17,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from leda import datasets, linalg
@@ -158,6 +159,51 @@ def table_strategy(tokens, width):
     return rows.map(lambda rs: "".join("\t".join(r) + "\n" for r in rs))
 
 
+NEAR_MISSES = ["one token wider", "dot moved in one row", "dot replaced by a digit", "two dots",
+               "sign", "exponent", "separator replaced", "crlf", "no final newline",
+               "blank last line"]
+
+
+@st.composite
+def fixed_width_strategy(draw):
+    """Byte grids of equal-width digit tokens with the dot, if any, in one
+    column (leading zeros, `5.` and `.5`, 1-15 digits), which the fixed-width
+    route reads, and their near misses, which it must hand on. 0 digits and a
+    dot make lone `.` tokens, 16 digits a token one digit too long."""
+    digits = draw(st.integers(0, 16))
+    point = draw(st.one_of(st.none(), st.integers(0, digits)))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    digit_text = st.lists(st.sampled_from("000000123456789"), min_size=digits, max_size=digits)
+    table = [[draw(digit_text) for _ in range(cols)] for _ in range(rows)]
+    if point is not None:
+        for cell in (cell for row in table for cell in row):
+            cell.insert(point, ".")
+    miss = draw(st.sampled_from([None] * 4 + NEAR_MISSES))
+    r, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+    token = table[r][c]
+    at = draw(st.integers(0, max(0, len(token) - 1)))
+    if miss == "one token wider":
+        token.insert(at, draw(st.sampled_from("0123456789")))
+    elif miss == "dot moved in one row" and point is not None:
+        moved = draw(st.integers(0, digits))
+        for cell in table[r]:
+            cell.remove(".")
+            cell.insert(moved, ".")
+    elif miss == "dot replaced by a digit" and point is not None:
+        token[point] = draw(st.sampled_from("0123456789"))
+    elif miss in ("two dots", "sign", "exponent") and token:
+        token[at] = draw(st.sampled_from({"two dots": ".", "sign": "+-", "exponent": "eE"}[miss]))
+    text = "".join("\t".join(map("".join, row)) + "\n" for row in table)
+    if miss == "separator replaced":
+        at = draw(st.sampled_from([i for i, char in enumerate(text) if char in "\t\n"]))
+        text = text[:at] + draw(st.sampled_from("\t\n 0.")) + text[at + 1:]
+    if miss == "crlf":
+        return text.replace("\n", "\r\n")
+    if miss == "no final newline":
+        return text[:-1]
+    return text + "\n" * (miss == "blank last line")
+
+
 def same_outcome(ref, new):
     """Run both readers; equal arrays (bit for bit) or equal DataError messages."""
     try:
@@ -218,6 +264,16 @@ class TestReaderEquivalence:
     @given(text=st.one_of(text_strategy(FLOAT_TOKENS, 3), table_strategy(TABLE_FLOATS, 3)),
            cpus=st.sampled_from(CPU_COUNTS))
     def test_features(self, scratch, use_cpus, text, cpus):
+        use_cpus(cpus)
+        path = scratch / "g.features.tsv"
+        path.write_text(text, encoding="utf-8")
+        same_outcome(lambda: ref_read_features(path), lambda: _read_features(path))
+
+    @FUZZ
+    @given(text=fixed_width_strategy(), cpus=st.sampled_from(CPU_COUNTS))
+    # 16 digits: the integer passes 2^53 and one division no longer gives float()'s bits
+    @example(text="944.0947333760973\n", cpus=1)
+    def test_fixed_width_features(self, scratch, use_cpus, text, cpus):
         use_cpus(cpus)
         path = scratch / "g.features.tsv"
         path.write_text(text, encoding="utf-8")
@@ -409,22 +465,45 @@ class TestShares:
 
     def test_a_citeseer_sized_binary_table_loads_bitwise_equal_at_1_and_2_cpus(
             self, tmp_path, monkeypatch):
-        rows, cols = 3327, 3703
-        ones = np.random.default_rng(7).random((rows, cols)) < 0.01
-        tokens = np.where(ones, np.bytes_(b"1.0\t"), np.bytes_(b"0.0\t"))
-        raw = np.frombuffer(tokens.tobytes(), dtype=np.uint8).reshape(rows, -1).copy()
-        raw[:, -1] = ord("\n")
+        # without its final newline the table is no byte grid, so it reaches
+        # np.loadtxt, in forked shares at 2 CPUs
+        ones, raw = citeseer_sized_binary_table()
         path = tmp_path / "citeseer.features.tsv"
-        path.write_bytes(raw.tobytes())
-        del tokens, raw
+        path.write_bytes(raw[:-1])
+        del raw
+        forks = []
+        monkeypatch.setattr(datasets, "split_repeats",
+                            lambda *args: forks.append(args[:2]) or linalg.split_repeats(*args))
         for cpus in (1, 2):
             monkeypatch.setattr(linalg, "_cpus", lambda: cpus)
             size = path.stat().st_size
             assert linalg.repeat_shares(size, datasets._LOAD_BYTE_COST * size) == cpus
+            forks.clear()
             table = _read_features(path)
-            assert table.shape == (rows, cols)
+            assert len(forks) == (cpus > 1)
+            assert table.shape == ones.shape
             assert np.array_equal(table, ones) and not np.signbit(table).any()
             del table
+
+    def test_a_citeseer_sized_binary_grid_reads_as_one_cpu_loadtxt(self, tmp_path, monkeypatch):
+        ones, raw = citeseer_sized_binary_table()
+        path = tmp_path / "citeseer.features.tsv"
+        path.write_bytes(raw)
+        monkeypatch.setattr(linalg, "_cpus", lambda: 1)
+        expected = _load_plain(raw, _FLOAT_CHARS, None, np.float64, blank_lines=False)
+        del raw
+        monkeypatch.setattr(datasets, "_load_plain", None)  # the byte grid never reaches it
+        table = _read_features(path)
+        assert table.shape == ones.shape and table.tobytes() == expected.tobytes()
+
+
+def citeseer_sized_binary_table():
+    """(the 0/1 table, its "0.0"/"1.0" TSV bytes) at 3,327 x 3,703."""
+    ones = np.random.default_rng(7).random((3327, 3703)) < 0.01
+    tokens = np.where(ones, np.bytes_(b"1.0\t"), np.bytes_(b"0.0\t"))
+    raw = np.frombuffer(tokens.tobytes(), dtype=np.uint8).reshape(len(ones), -1).copy()
+    raw[:, -1] = ord("\n")
+    return ones, raw.tobytes()
 
 
 def assert_same_table(lines, width, dtype):
@@ -512,6 +591,33 @@ class TestSaveLoadRoundTrip:
         again = save_dataset(load_dataset(manifest), tmp_path / "b")
         for path in sorted((tmp_path / "a").iterdir()):
             assert (again.parent / path.name).read_bytes() == path.read_bytes(), path.name
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_binary_features_read_back_as_a_byte_grid_and_gaussian_ones_never_do(
+            self, tmp_path, monkeypatch, seed):
+        fixed_width = datasets._load_fixed_width
+        routes = []
+
+        def spy(raw):
+            routes.append("grid" if (table := fixed_width(raw)) is not None else "declined")
+            return table
+
+        monkeypatch.setattr(datasets, "_load_fixed_width", spy)
+        rng = np.random.default_rng(seed)
+        binary = DomainGraph("bow", (rng.random((300, 40)) < 0.1) * 1.0,
+                             CsrMatrix.from_edges(300, []), rng.integers(0, 3, 300))
+        # as dataset-io draws its features: Gaussian block means, width 16
+        labels = rng.integers(0, 10, 500)
+        means = np.zeros((10, 16))
+        means[np.arange(10), np.arange(10)] = 3.0 / np.sqrt(2.0)
+        gaussian = DomainGraph("gauss", means[labels] + rng.standard_normal((500, 16)),
+                               CsrMatrix.from_edges(500, []), labels)
+        for graph, route in ((binary, "grid"), (gaussian, "declined")):
+            routes.clear()
+            manifest = save_dataset(GraphCollection((graph,), "node-level"), tmp_path / route)
+            loaded = load_dataset(manifest).graphs[0]
+            assert routes == [route]
+            assert loaded.features.tobytes() == graph.features.tobytes()
 
     def test_edgeless_graph(self, tmp_path):
         graph = DomainGraph("empty", np.ones((3, 2)), CsrMatrix.from_edges(3, []), np.zeros(3))
