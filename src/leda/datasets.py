@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import check_object, check_type, check_values, has_json_type, parse_json
 from .errors import ConfigError, DataError
-from .linalg import CsrMatrix, repeat_shares, shared_empty, split_repeats
+from .linalg import CsrMatrix, feature_operand, repeat_shares, shared_empty, split_repeats
 
 MANIFEST_VERSION = 1
 NODE_LEVEL = "node-level"
@@ -46,22 +46,28 @@ _DOMAIN_KINDS = {
 @dataclass(frozen=True)
 class DomainGraph:
     """One graph: features (n x d), adjacency, optional labels. The one place
-    the graph rules are checked: the adjacency is square, symmetric, binary
-    and has no self-loops, and the labels give one per node."""
+    the graph rules are checked: the features are finite, the adjacency is
+    square, symmetric, binary and has no self-loops, and the labels give one
+    per node. The features are then held in the form `feature_operand` picks,
+    a CsrMatrix or a frozen dense array, which training and `embed` read as
+    they are."""
 
     domain_id: str
-    features: np.ndarray
+    features: np.ndarray | CsrMatrix
     adjacency: CsrMatrix
     labels: np.ndarray | None = None
     num_classes: int | None = None
     degree_featurized: bool = False
 
     def __post_init__(self):
-        feats = np.ascontiguousarray(self.features, dtype=np.float64)
-        if feats.ndim != 2:
-            raise DataError(f"domain '{self.domain_id}': features must be 2-D")
-        if not np.all(np.isfinite(feats)):
-            raise DataError(f"domain '{self.domain_id}': non-finite feature entries")
+        feats = self.features
+        if not isinstance(feats, CsrMatrix):  # a CsrMatrix holds only finite values
+            feats = np.ascontiguousarray(feats, dtype=np.float64)
+            if feats.ndim != 2:
+                raise DataError(f"domain '{self.domain_id}': features must be 2-D")
+            if not np.all(np.isfinite(feats)):
+                raise DataError(f"domain '{self.domain_id}': non-finite feature entries")
+            feats.setflags(write=False)
         if self.adjacency.rows != self.adjacency.cols:
             raise DataError(f"domain '{self.domain_id}': adjacency must be square")
         if feats.shape[0] != self.adjacency.rows:
@@ -75,12 +81,11 @@ class DomainGraph:
             raise DataError(f"domain '{self.domain_id}': adjacency must be binary")
         if np.any(self.adjacency.diagonal()):
             raise DataError(f"domain '{self.domain_id}': adjacency must not carry self-loops")
-        feats.setflags(write=False)
-        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "features", feature_operand(feats))
         if self.labels is not None:
             labels = np.asarray(self.labels, dtype=np.int64)
             if labels.shape != (feats.shape[0],):
-                raise DataError(f"domain '{self.domain_id}': {labels.size} labels for {len(feats)} nodes")
+                raise DataError(f"domain '{self.domain_id}': {labels.size} labels for {feats.shape[0]} nodes")
             n_classes = self.num_classes
             if n_classes is None:
                 n_classes = int(labels.max()) + 1 if len(labels) else 0
@@ -156,7 +161,11 @@ class GraphCollection:
 # grid of fixed-width decimal tokens, as the "0.0"/"1.0" bag-of-words tables
 # `save_dataset` writes are, is decoded by byte column in `_load_fixed_width`
 # with no text parser, to float()'s bits; any other file returns None there
-# at its first failed check and takes the two routes below.
+# at its first failed check and takes the two routes below. The grid's
+# integer table gets `feature_operand`'s rule, so a sparse one becomes a
+# CsrMatrix from its nonzeros alone and its float table is never built; the
+# two routes below parse a dense table, which `DomainGraph` rules on once it
+# is found finite.
 #
 # A file spelled only with the characters below is "plain": ASCII, so valid
 # UTF-8. Its bytes go to np.loadtxt, which on one CPU parses bag-of-words
@@ -292,12 +301,14 @@ def _read_edges(path: Path, n: int, symmetrize: bool) -> CsrMatrix:
     return CsrMatrix.from_edges(n, pairs)
 
 
-def _load_fixed_width(raw: bytes) -> np.ndarray | None:
-    """The (rows, tokens) table of a byte grid, or None when `raw` is not one:
-    every line ends in a newline and has the first line's length, every token
-    the first token's width, and each byte column of the tokens is all digits
-    or all `.`, with at most one `.` column and 15 digits. A value is then an
-    integer below 10^15 < 2^53 over 10^f, so one division gives float()'s bits."""
+def _load_fixed_width(raw: bytes) -> np.ndarray | CsrMatrix | None:
+    """The (rows, tokens) table of a byte grid, in the form `feature_operand`
+    picks, or None when `raw` is not one: every line ends in a newline and has
+    the first line's length, every token the first token's width, and each
+    byte column of the tokens is all digits or all `.`, with at most one `.`
+    column and 15 digits. A value is then an integer below 10^15 < 2^53 over
+    10^f, so one division gives float()'s bits; a sparse table divides its
+    nonzeros alone, and never exists as floats."""
     line = raw.find(b"\n") + 1
     tab = raw.find(b"\t", 0, line)
     step = line if tab < 0 else tab + 1  # a token and the byte after it
@@ -325,10 +336,10 @@ def _load_fixed_width(raw: bytes) -> np.ndarray | None:
             return None
         table *= 10
         table += digit
-    return np.divide(table, float(10 ** (digits - point if point >= 0 else 0)))
+    return feature_operand(table, float(10 ** (digits - point if point >= 0 else 0)))
 
 
-def _read_features(path: Path) -> np.ndarray:
+def _read_features(path: Path) -> np.ndarray | CsrMatrix:
     raw = path.read_bytes()
     if not raw:
         raise DataError(f"{path}: empty features file")
@@ -484,25 +495,28 @@ def load_dataset(manifest_path: str | Path) -> GraphCollection:
     )
 
 
-def write_float_tsv(path: str | Path, x: np.ndarray, index: bool = False) -> None:
+def write_float_tsv(path: str | Path, x: np.ndarray | CsrMatrix, index: bool = False) -> None:
     """One tab-separated line per row of x, led by the row number if `index`.
 
     repr of a Python float round-trips bit-exactly; rows are converted a
-    chunk at a time with `tolist`, not element by element. Large tables are
-    formatted in contiguous row shares by `split_repeats`, joined in order.
+    chunk at a time with `tolist`, not element by element, and a CsrMatrix is
+    made dense a chunk at a time, never whole. Large tables are formatted in
+    contiguous row shares by `split_repeats`, joined in order.
     """
+    rows, cols = x.shape
+    chunk = x.to_dense if isinstance(x, CsrMatrix) else lambda lo, hi: x[lo:hi]
 
     def run(lo, hi):
         lines = (
             "\t".join(map(repr, row))
             for start in range(lo, hi, _WRITE_CHUNK_ROWS)
-            for row in x[start:min(start + _WRITE_CHUNK_ROWS, hi)].tolist()
+            for row in chunk(start, min(start + _WRITE_CHUNK_ROWS, hi)).tolist()
         )
         if index:
             lines = (f"{i}\t{line}" for i, line in enumerate(lines, lo))
         return ["\n".join(lines) + "\n"]
 
-    text = "".join(split_repeats(len(x), _WRITE_TOKEN_COST * x.size, run))
+    text = "".join(split_repeats(rows, _WRITE_TOKEN_COST * rows * cols, run))
     Path(path).write_text(text, encoding="utf-8")
 
 

@@ -31,7 +31,7 @@ from .datasets import DomainGraph, GraphCollection
 from .dpu import align, init_basis, trans
 from .errors import DataError, NumericError
 from .lda import base_layer, encode, propagate_extra
-from .linalg import EntropyResult, feature_operand, gaussian_entropy, normalize_adjacency, split_repeats
+from .linalg import EntropyResult, gaussian_entropy, normalize_adjacency, split_repeats
 from .optim import AdamWState, adamw_step, check_second_moments
 from .trainer import COSINE_EPS, domain_operands
 
@@ -108,8 +108,8 @@ def embed(domain: DomainGraph, ckpt: Checkpoint, t: int = 0) -> EmbeddingSet:
     the aligned features; dpu-cl: the trained base-encoder output. Followed
     by t extra propagation steps. Deterministic (no sampling).
     """
-    x, s = feature_operand(domain.features), normalize_adjacency(domain.adjacency)
-    return _embed(domain.domain_id, x, s, ckpt, t, domain.labels)
+    s = normalize_adjacency(domain.adjacency)
+    return _embed(domain.domain_id, domain.features, s, ckpt, t, domain.labels)
 
 
 def _embed(domain_id: str, x, s, ckpt: Checkpoint, t: int, labels=None) -> EmbeddingSet:

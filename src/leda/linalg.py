@@ -301,13 +301,17 @@ class CsrMatrix:
         return CsrMatrix.from_scipy(sp.block_diag([b._scipy for b in blocks], format="csr"))
 
     @staticmethod
-    def from_dense(dense) -> CsrMatrix:
+    def from_dense(dense, divisor: float | None = None) -> CsrMatrix:
+        """The nonzeros of a 2-D real table, each over `divisor` if given. An
+        integer table is converted to float64 at its nonzeros alone."""
         # row-major nonzero positions are the CSR order; 4x faster than scipy's route
-        x = np.ascontiguousarray(dense, dtype=np.float64)
-        flat = np.flatnonzero(x != 0)
+        x = np.ascontiguousarray(dense)
+        flat = np.flatnonzero(x)
         rows, cols = np.divmod(flat, x.shape[1])
         offsets = np.searchsorted(rows, np.arange(x.shape[0] + 1))
-        return CsrMatrix(x.shape[0], x.shape[1], offsets, cols, x.ravel()[flat])
+        values = x.ravel()[flat]
+        return CsrMatrix(x.shape[0], x.shape[1], offsets, cols,
+                         values if divisor is None else np.divide(values, divisor))
 
     @staticmethod
     def from_edges(n: int, edges: np.ndarray) -> CsrMatrix:
@@ -367,13 +371,23 @@ class CsrMatrix:
     def diagonal(self) -> np.ndarray:
         return self._scipy.diagonal()
 
+    def to_dense(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Rows [lo, hi) of the matrix, all by default, as a dense array."""
+        return self._scipy[lo:hi].toarray()
 
-def feature_operand(x: np.ndarray) -> np.ndarray | CsrMatrix:
-    """x as a CsrMatrix when at most SPARSE_FEATURE_DENSITY of its entries are
-    nonzero, else x itself. Decide once per matrix: the CSR build reads all of x."""
+
+def feature_operand(x: np.ndarray | CsrMatrix, divisor: float | None = None) -> np.ndarray | CsrMatrix:
+    """x, or a table x over `divisor`, as a CsrMatrix when at most
+    SPARSE_FEATURE_DENSITY of its entries are nonzero, else as a dense array
+    (x itself when no divisor is given). A CsrMatrix x is kept when it is that
+    sparse and stores no zero, and is otherwise ruled on as its dense table."""
+    if isinstance(x, CsrMatrix):
+        if x.nnz <= SPARSE_FEATURE_DENSITY * x.rows * x.cols and np.all(x.values):
+            return x
+        x = x.to_dense()
     if np.count_nonzero(x) > SPARSE_FEATURE_DENSITY * x.size:
-        return x
-    return CsrMatrix.from_dense(x)
+        return x if divisor is None else np.divide(x, divisor)
+    return CsrMatrix.from_dense(x, divisor)
 
 
 def normalize_adjacency(adj: CsrMatrix) -> CsrMatrix:

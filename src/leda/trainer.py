@@ -79,22 +79,24 @@ def domain_operands(collection: GraphCollection, domain_id: str) -> PreparedDoma
 
     A domain's graphs become one, in collection order: stacked features and
     adjacencies on the diagonal of one block-diagonal matrix, whose
-    normalization is exactly theirs on the diagonal. A lone graph's arrays
-    are used uncopied.
+    normalization is exactly theirs on the diagonal. A lone graph's operands
+    are used uncopied; a stack of dense tables gets `feature_operand` once,
+    whatever form each member's features take.
     """
     operands = collection._prepared.setdefault("operands", {})  # domain_id -> PreparedDomain
     if domain_id not in operands:
         graphs = collection.by_domain(domain_id)
-        features, adjacency = graphs[0].features, graphs[0].adjacency
+        x, adjacency = graphs[0].features, graphs[0].adjacency
         if len(graphs) > 1:
             widths = sorted({g.feature_dim for g in graphs})
             if len(widths) != 1:
                 raise DataError(f"domain '{domain_id}': members disagree on feature dim {widths}")
-            features = np.concatenate([g.features for g in graphs])
-            features.setflags(write=False)
+            stack = np.concatenate([g.features.to_dense() if isinstance(g.features, CsrMatrix)
+                                    else g.features for g in graphs])
+            stack.setflags(write=False)
+            x = feature_operand(stack)
             adjacency = CsrMatrix.block_diag([g.adjacency for g in graphs])
         s = normalize_adjacency(adjacency)
-        x = feature_operand(features)
         with np.errstate(over="ignore"):  # an infinite x_sq fails the loss's finiteness check
             x_sq = float(np.sum(np.square(x.values if isinstance(x, CsrMatrix) else x)))
         sizes = tuple(g.num_nodes for g in graphs)

@@ -47,7 +47,7 @@ from leda.evaluate import (
     mi_from_scores,
 )
 from leda.lda import base_layer, encode, loss_total_domain, propagate_extra
-from leda.linalg import normalize_adjacency
+from leda.linalg import CsrMatrix, normalize_adjacency
 from leda.optim import AdamWState, adamw_step
 
 
@@ -160,6 +160,15 @@ def to_dense(m) -> np.ndarray:
     out = np.zeros((m.rows, m.cols))
     out[np.repeat(np.arange(m.rows), np.diff(m.row_offsets)), m.col_indices] = m.values
     return out
+
+
+def assert_same_operand(expected, got) -> None:
+    """One form (dense array or CsrMatrix) and shape, and each array of it
+    of the same dtype, bit for bit."""
+    assert type(got) is type(expected) and got.shape == expected.shape
+    parts = lambda x: (x.row_offsets, x.col_indices, x.values) if isinstance(x, CsrMatrix) else (x,)
+    for want, have in zip(parts(expected), parts(got)):
+        assert have.dtype == want.dtype and have.tobytes() == want.tobytes()
 
 
 def svd_product(result) -> np.ndarray:

@@ -20,6 +20,7 @@ from leda.cli import build_parser, main
 from leda.config import VARIANTS, run_config_from_dict
 from leda.datasets import (
     GraphCollection,
+    _read_features,
     generate_sbm,
     load_dataset,
     save_dataset,
@@ -224,6 +225,22 @@ class TestPretrain:
         )
         assert code == 3
         assert "non-finite feature" in capsys.readouterr().err
+
+    def test_a_label_short_of_csr_features_exits_3(self, suite, tmp_path, capsys):
+        manifest = save_dataset(bow_collection(seed=2), tmp_path / "bow")
+        features = next((tmp_path / "bow").glob("*doma.features.tsv"))
+        assert isinstance(_read_features(features), linalg.CsrMatrix)
+        path = next((tmp_path / "bow").glob("*doma.labels.tsv"))
+        labels = path.read_text().splitlines()
+        path.write_text("\n".join(labels[:-1]) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["pretrain", "--config", str(suite["config"]), "--manifest", str(manifest),
+                         "--out", str(tmp_path / "m.ckpt")])
+        assert code == 3
+        n = len(labels)
+        assert capsys.readouterr().err == f"data error: domain 'doma': {n - 1} labels for {n} nodes\n"
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_label_outside_int64_exits_3(self, suite, tmp_path, capsys):
         manifest = save_dataset(bow_collection(seed=2), tmp_path / "bow")

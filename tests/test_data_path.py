@@ -14,6 +14,7 @@ work of a byte or a float to a whole share's, so that these small files fork.
 """
 
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +28,7 @@ from leda.datasets import (
     _INT_CHARS,
     DomainGraph,
     GraphCollection,
+    _load_fixed_width,
     _load_plain,
     _read_edges,
     _read_features,
@@ -36,9 +38,10 @@ from leda.datasets import (
     write_float_tsv,
 )
 from leda.errors import DataError
-from leda.linalg import CsrMatrix
+from leda.linalg import CsrMatrix, feature_operand
 
-from oracles import to_dense, write_embeddings_tsv
+from oracles import assert_same_operand, to_dense, write_embeddings_tsv
+from synthetic import bag_of_words, bow_collection
 
 CPU_COUNTS = (1, 2, 3)
 
@@ -214,9 +217,16 @@ def same_outcome(ref, new):
         if isinstance(exc, DataError):
             assert str(info.value) == str(exc)
         return
-    got = new()
-    assert got.dtype == expected.dtype and got.shape == expected.shape
-    assert got.tobytes() == expected.tobytes()
+    assert_same_operand(expected, new())
+
+
+def held(read):
+    """read() for a features table as a DomainGraph holds it: refused unless
+    finite, then in the form `feature_operand` picks."""
+    def run():
+        table = read()
+        return DomainGraph("g", table, CsrMatrix.from_edges(table.shape[0], [])).features
+    return run
 
 
 @pytest.fixture(scope="module")
@@ -267,7 +277,7 @@ class TestReaderEquivalence:
         use_cpus(cpus)
         path = scratch / "g.features.tsv"
         path.write_text(text, encoding="utf-8")
-        same_outcome(lambda: ref_read_features(path), lambda: _read_features(path))
+        same_outcome(held(lambda: ref_read_features(path)), held(lambda: _read_features(path)))
 
     @FUZZ
     @given(text=fixed_width_strategy(), cpus=st.sampled_from(CPU_COUNTS))
@@ -277,7 +287,10 @@ class TestReaderEquivalence:
         use_cpus(cpus)
         path = scratch / "g.features.tsv"
         path.write_text(text, encoding="utf-8")
-        same_outcome(lambda: ref_read_features(path), lambda: _read_features(path))
+        same_outcome(held(lambda: ref_read_features(path)), held(lambda: _read_features(path)))
+        # a byte grid is decoded straight to the form the rule keeps
+        grid = _load_fixed_width(path.read_bytes())
+        assert grid is None or feature_operand(grid) is grid
 
     @FUZZ
     @given(text=st.one_of(text_strategy(INT_TOKENS, 2), table_strategy(TABLE_INTS, 1)),
@@ -494,7 +507,24 @@ class TestShares:
         del raw
         monkeypatch.setattr(datasets, "_load_plain", None)  # the byte grid never reaches it
         table = _read_features(path)
-        assert table.shape == ones.shape and table.tobytes() == expected.tobytes()
+        assert isinstance(table, CsrMatrix) and table.shape == ones.shape
+        assert_same_operand(feature_operand(expected), table)
+
+    def test_a_citeseer_sized_binary_grid_never_builds_its_dense_table(self, tmp_path):
+        ones, raw = citeseer_sized_binary_table()
+        path = tmp_path / "citeseer.features.tsv"
+        path.write_bytes(raw)
+        dense_bytes = ones.size * 8
+        del ones, raw
+        tracemalloc.start()
+        try:
+            table = _read_features(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(table, CsrMatrix)
+        # the file's bytes and the integer grid, but no float64 table
+        assert peak < dense_bytes, (peak, dense_bytes)
 
 
 def citeseer_sized_binary_table():
@@ -618,6 +648,55 @@ class TestSaveLoadRoundTrip:
             loaded = load_dataset(manifest).graphs[0]
             assert routes == [route]
             assert loaded.features.tobytes() == graph.features.tobytes()
+
+    def test_a_loaded_bag_of_words_collection_saves_as_its_dense_tables_did(self, tmp_path, monkeypatch):
+        # with the rule off every graph holds its dense table, as before graphs held CSR
+        with monkeypatch.context() as patch:
+            patch.setattr(datasets, "feature_operand", lambda x: x)
+            dense = bow_collection(seed=3)
+        manifest = save_dataset(bow_collection(seed=3), tmp_path / "csr")
+        loaded = load_dataset(manifest)
+        assert all(isinstance(g.features, CsrMatrix) for g in loaded.graphs)
+        save_dataset(dense, tmp_path / "dense")
+        save_dataset(loaded, tmp_path / "again")
+        names = sorted(path.name for path in (tmp_path / "dense").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "csr").iterdir())
+        for name in names:
+            expected = (tmp_path / "dense" / name).read_bytes()
+            assert (tmp_path / "csr" / name).read_bytes() == expected, name
+            assert (tmp_path / "again" / name).read_bytes() == expected, name
+
+    @pytest.mark.parametrize("cpus", CPU_COUNTS)
+    def test_a_csr_table_writes_its_dense_tables_bytes_a_chunk_at_a_time(
+            self, tmp_path, monkeypatch, use_cpus, cpus):
+        x = bag_of_words(np.random.default_rng(5), 50, 40, 0.03)
+        held = feature_operand(x)
+        assert isinstance(held, CsrMatrix)
+        spans, densify = [], CsrMatrix.to_dense
+        monkeypatch.setattr(CsrMatrix, "to_dense",
+                            lambda self, lo, hi: spans.append(hi - lo) or densify(self, lo, hi))
+        monkeypatch.setattr(datasets, "_WRITE_CHUNK_ROWS", 7)
+        use_cpus(cpus)
+        write_float_tsv(tmp_path / "dense.tsv", x)
+        write_float_tsv(tmp_path / "csr.tsv", held)
+        assert (tmp_path / "csr.tsv").read_bytes() == (tmp_path / "dense.tsv").read_bytes()
+        assert spans and max(spans) <= 7  # the spans of this process's share
+
+    def test_a_sparse_tables_negative_zeros_save_as_zeros(self, tmp_path):
+        # a CsrMatrix holds the nonzeros alone; a table kept dense keeps its -0.0
+        sparse = np.zeros((20, 30))
+        sparse[0, :5], sparse[1, :3] = 1.0, -0.0
+        dense = sparse.copy()
+        dense[2:, 10:14] = 1.0
+        for x, form in ((sparse, CsrMatrix), (dense, np.ndarray)):
+            graph = DomainGraph("z", x.copy(), CsrMatrix.from_edges(20, []))
+            assert isinstance(graph.features, form)
+            manifest = save_dataset(GraphCollection((graph,), "node-level"), tmp_path / form.__name__)
+            text = (tmp_path / form.__name__ / "g000-z.features.tsv").read_text()
+            kept = x if form is np.ndarray else x + 0.0  # -0.0 + 0.0 is 0.0
+            assert text == "".join("\t".join(map(repr, row)) + "\n" for row in kept.tolist())
+            assert ("-0.0" in text) == (form is np.ndarray)
+            assert_same_operand(graph.features, load_dataset(manifest).graphs[0].features)
 
     def test_edgeless_graph(self, tmp_path):
         graph = DomainGraph("empty", np.ones((3, 2)), CsrMatrix.from_edges(3, []), np.zeros(3))

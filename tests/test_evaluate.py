@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from leda import evaluate
+from leda import datasets, evaluate
 from leda.datasets import DomainGraph, GraphCollection, generate_sbm, write_float_tsv
 from leda.errors import DataError, NumericError
 from leda.evaluate import (
@@ -24,6 +24,7 @@ from leda.dpu import trans
 from leda.linalg import CsrMatrix, gaussian_entropy
 from leda.trainer import prepare_domains, pretrain
 
+from oracles import to_dense
 from synthetic import bow_collection, node_collection, overflow_probe_set, parameters, tiny_config
 
 
@@ -70,17 +71,17 @@ class TestEmbed:
             embed(tiny, trained)
 
     def test_unseen_sparse_domain_converts_its_features_once(self, trained, monkeypatch):
-        held = []
-        convert = evaluate.feature_operand
-
-        def counted(x):
-            held.append(convert(x))
-            return held[-1]
-
-        monkeypatch.setattr(evaluate, "feature_operand", counted)
-        unseen = replace(bow_collection(seed=6).graphs[0], domain_id="unseen")
+        # as the graph is made; embed factors the CsrMatrix the graph holds
+        source = bow_collection(seed=6).graphs[0]
+        held, factored = [], []
+        convert, derive = datasets.feature_operand, evaluate.init_basis
+        monkeypatch.setattr(datasets, "feature_operand", lambda x: held.append(convert(x)) or held[-1])
+        monkeypatch.setattr(evaluate, "init_basis",
+                            lambda x, *args, **kwargs: factored.append(x) or derive(x, *args, **kwargs))
+        unseen = DomainGraph("unseen", to_dense(source.features), source.adjacency, source.labels)
         assert embed(unseen, trained).E.shape == (unseen.num_nodes, trained.config.z)
         assert len(held) == 1 and isinstance(held[0], CsrMatrix)
+        assert len(factored) == 1 and factored[0] is unseen.features is held[0]
 
     @pytest.mark.parametrize("features", ["dense", "csr"])
     def test_unseen_domain_gets_the_basis_training_would_give_it(self, trained, monkeypatch, features):

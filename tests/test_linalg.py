@@ -19,7 +19,7 @@ from leda.linalg import (
     truncated_svd,
 )
 
-from oracles import best_rank_k_error, fix_signs_loop, svd_product, to_dense
+from oracles import assert_same_operand, best_rank_k_error, fix_signs_loop, svd_product, to_dense
 from synthetic import bag_of_words
 
 
@@ -256,6 +256,36 @@ class TestSparseFeatures:
         assert isinstance(feature_operand(x), CsrMatrix)
         x.flat[at] = 1.0
         assert feature_operand(x) is x
+
+    @pytest.mark.parametrize("density", [0.02, 0.3])
+    def test_an_integer_table_over_a_divisor_is_ruled_on_as_its_float_table(self, density):
+        rng = np.random.default_rng(6)
+        ints = rng.integers(1, 1000, (40, 30)) * (rng.random((40, 30)) < density)
+        for dtype in (np.uint16, np.int64):
+            for divisor in (1.0, 10.0, 1000.0):
+                table = ints.astype(dtype)
+                assert_same_operand(feature_operand(np.divide(table, divisor)),
+                                    feature_operand(table, divisor))
+
+    def test_a_csr_operand_is_kept_or_ruled_on_as_its_dense_table(self):
+        sparse = bag_of_words(np.random.default_rng(2), 40, 50, 0.02)
+        held = feature_operand(sparse)
+        assert feature_operand(held) is held
+        denser = bag_of_words(np.random.default_rng(2), 40, 50, 0.2)
+        assert_same_operand(denser, feature_operand(CsrMatrix.from_dense(denser)))
+        # stored zeros, of either sign, are dropped as the dense table's rule drops them
+        stored = sp.csr_matrix(sparse)
+        stored.data[:3] = [0.0, -0.0, 0.0]
+        kept = sparse.copy()
+        kept.flat[np.flatnonzero(sparse)[:3]] = 0.0
+        assert_same_operand(feature_operand(kept), feature_operand(CsrMatrix.from_scipy(stored)))
+
+    def test_to_dense_gives_a_span_of_rows(self):
+        x = bag_of_words(np.random.default_rng(3), 30, 20, 0.1)
+        held = CsrMatrix.from_dense(x)
+        assert_same_operand(x, held.to_dense())
+        for lo, hi in ((0, 0), (0, 7), (7, 30), (29, 30)):
+            assert_same_operand(x[lo:hi], held.to_dense(lo, hi))
 
     def test_from_dense_equals_the_scipy_conversion(self):
         rng = np.random.default_rng(4)

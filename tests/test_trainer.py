@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from leda import autodiff as ad
-from leda import evaluate, trainer
+from leda import datasets, evaluate, trainer
 from leda.checkpoint import save_checkpoint
 from leda.config import VARIANTS
-from leda.datasets import GraphCollection, generate_sbm
+from leda.datasets import DomainGraph, GraphCollection, generate_sbm, load_dataset, save_dataset
 from leda.dpu import init_basis
 from leda.evaluate import embed, pooled_graph_embeddings
 from leda.errors import ConfigError, DataError, NumericError
@@ -23,7 +23,7 @@ from leda.trainer import (
     pretrain,
 )
 
-from oracles import gradient_check, member_loop_epoch_loss, registered_paramset
+from oracles import assert_same_operand, gradient_check, member_loop_epoch_loss, registered_paramset, to_dense
 from synthetic import bow_collection, graph_level_collection, node_collection, parameters, tiny_config
 
 
@@ -315,19 +315,22 @@ class TestSparseFeatures:
         for graph, domain in zip(collection.graphs, prepare_domains(collection, tiny_config())):
             assert domain.sizes == (graph.num_nodes,)
             assert isinstance(domain.x, CsrMatrix)
+            assert domain.x is graph.features
             # binary features: every partial sum is an exact integer
-            assert domain.x_sq == np.sum(graph.features * graph.features)
+            assert domain.x_sq == np.sum(to_dense(graph.features) ** 2)
 
     def test_final_losses_match_the_dense_path(self, monkeypatch):
-        import leda.trainer
+        import leda.datasets
 
         for variant in ("full", "no-dpu", "no-lda", "dpu-cl"):
             config = tiny_config(epochs=5, variant=variant)
             sparse = pretrain(bow_collection(seed=5), config).final_loss
-            # a fresh collection: one that has been prepared keeps its CSR operands
+            # graphs made while the rule keeps every table dense hold dense features
             with monkeypatch.context() as patch:
-                patch.setattr(leda.trainer, "feature_operand", lambda x: x)
-                dense = pretrain(bow_collection(seed=5), config).final_loss
+                patch.setattr(leda.datasets, "feature_operand", lambda x: x)
+                collection = bow_collection(seed=5)
+            assert not any(isinstance(g.features, CsrMatrix) for g in collection.graphs)
+            dense = pretrain(collection, config).final_loss
             for key, want in dense.items():
                 assert abs(sparse[key] - want) <= 1e-12 * abs(want), (variant, key)
 
@@ -451,8 +454,10 @@ class TestPreparedOnce:
         for variant in VARIANTS:
             pretrain(collection, tiny_config(variant=variant, epochs=1))
         pretrain(collection, tiny_config(epochs=1, two_phase=True, two_phase_epochs=1))
+        # a lone graph's features are its operand; a graph-level stack is ruled on once
+        stacks = domains if kind == "graph-level" else 0
         assert counts == {"normalize_adjacency": domains, "init_basis": domains,
-                          "feature_operand": domains}
+                          "feature_operand": stacks}
 
     @pytest.mark.parametrize("change", [{"k": 3}, {"seed": 7}, {"k": 3, "seed": 7}])
     @pytest.mark.parametrize("kind", COLLECTIONS)
@@ -527,10 +532,9 @@ class TestPreparedOnce:
         collection = graph_level_collection()
         ckpt = pretrain(collection, tiny_config(epochs=1))
         before, in_evaluate = dict(counts), {}
-        for name in ("normalize_adjacency", "feature_operand"):
-            count_calls(monkeypatch, evaluate, name, in_evaluate)
+        count_calls(monkeypatch, evaluate, "normalize_adjacency", in_evaluate)
         pooled = pooled_graph_embeddings(collection, ckpt)
-        assert counts == before and in_evaluate == {"normalize_adjacency": 0, "feature_operand": 0}
+        assert counts == before and in_evaluate == {"normalize_adjacency": 0}
         fresh = pooled_graph_embeddings(graph_level_collection(), ckpt)
         assert pooled.tobytes() == fresh.tobytes()
 
@@ -572,6 +576,39 @@ class TestDomainOperands:
                               np.concatenate([p.col_indices + lo for p, lo in zip(parts, starts)]))
         assert np.array_equal(got.row_offsets, np.concatenate(
             [[0]] + [p.row_offsets[1:] + lo for p, lo in zip(parts, nnz)]))
+
+    @staticmethod
+    def straddling(densities, n=20, d=30) -> GraphCollection:
+        """One graph-level domain of path graphs whose binary features hold
+        exactly `densities` of their entries, one member each."""
+        rng = np.random.default_rng(8)
+        graphs = []
+        for density in densities:
+            x = np.zeros(n * d)
+            x[rng.choice(n * d, round(density * n * d), replace=False)] = 1.0
+            path = CsrMatrix.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+            graphs.append(DomainGraph("bow", x.reshape(n, d), path))
+        return GraphCollection(tuple(graphs), "graph-level", (0, 1) * (len(graphs) // 2))
+
+    @pytest.mark.parametrize("densities, stacked", [((0.02, 0.10), np.ndarray), ((0.02, 0.06), CsrMatrix)])
+    def test_a_stack_straddling_the_sparse_rule_trains_as_its_dense_members_did(
+            self, monkeypatch, tmp_path, densities, stacked):
+        collection = self.straddling(densities)
+        assert [isinstance(g.features, CsrMatrix) for g in collection.graphs] == [True, False]
+        # with the rule off every member holds its dense table, as every graph
+        # did when only training ruled, on the stack
+        with monkeypatch.context() as patch:
+            patch.setattr(datasets, "feature_operand", lambda x: x)
+            dense = self.straddling(densities)
+        domain = trainer.domain_operands(collection, "bow")
+        assert isinstance(domain.x, stacked)
+        assert_same_operand(trainer.domain_operands(dense, "bow").x, domain.x)
+        reloaded = load_dataset(save_dataset(collection, tmp_path / "saved"))
+        written = []
+        for source in (dense, collection, reloaded):
+            save_checkpoint(pretrain(source, tiny_config(epochs=2)), tmp_path / "m.ckpt")
+            written.append((tmp_path / "m.ckpt").read_bytes())
+        assert written[1] == written[0] and written[2] == written[0]
 
     def test_members_of_different_widths_are_a_data_error(self):
         collection = self.collection([3, 4], widths=[3, 5])
