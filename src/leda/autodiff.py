@@ -2,18 +2,24 @@
 
 Every value on the tape is a 2-D float64 array; scalars are 1x1. Sparse
 matrices enter only as constant left factors (adjacency is data, gradients
-flow through dense operands only). Each operation computes its forward value
-eagerly and registers a closure that routes the upstream gradient to the
-parents, so a graph is built once per step and discarded.
+flow through dense operands only). A graph is built once per step and
+discarded.
+
+There is one chain rule, `_result`. Each primitive checks its shapes,
+computes its forward value eagerly and hands `_result` one share per
+operand: the parent and its local gradient, a map from the node's upstream
+gradient to that parent's. The node's backward adds each share's local
+gradient into its parent, in operand order, wherever the parent needs a
+gradient; a node given as both operands gets both shares.
 
 The elementwise `add`, `sub`, `mul` and `div` take operands of one shape;
 `add_row_bias` and `rowwise_cosine`'s one-row form are the only broadcasts.
 
 Three primitives are fused: `reparameterize`, `gaussian_kl` and
 `rowwise_cosine` each stand for a chain of elementary ones as one node and
-keep only what their backward reads (the noise draw; nothing; three n x 1
-columns), recomputing the rest from their parents' values. The first two
-give bitwise the values and gradients of the chains they replace.
+keep only what their local gradients read (the noise draw; nothing; three
+n x 1 columns), recomputing the rest from their parents' values. The first
+two give bitwise the values and gradients of the chains they replace.
 """
 
 from __future__ import annotations
@@ -85,7 +91,15 @@ def _describe(*nodes: Node) -> str:
     return ", ".join(f"'{n.name}' {n.shape}" for n in nodes)
 
 
-def _result(value, parents: tuple[Node, ...], name: str, backward: Callable[[np.ndarray], None]) -> Node:
+def _result(value, name: str, *shares: tuple[Node, Callable[[np.ndarray], np.ndarray]]) -> Node:
+    """The engine's one chain rule; each share is a (parent, local gradient) pair."""
+    parents = tuple(parent for parent, _ in shares)
+
+    def backward(grad):
+        for parent, local in shares:
+            if parent.requires_grad:
+                parent.accumulate(local(grad))
+
     needs = any(p.requires_grad for p in parents)
     return Node(value, name=name, requires_grad=needs, parents=parents, backward=backward)
 
@@ -93,6 +107,10 @@ def _result(value, parents: tuple[Node, ...], name: str, backward: Callable[[np.
 def _same_shape(a: Node, b: Node, op: str) -> None:
     if a.shape != b.shape:
         raise ShapeError(f"{op}: operands differ in shape, {_describe(a, b)}")
+
+
+def _passed(grad: np.ndarray) -> np.ndarray:
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -105,171 +123,91 @@ def matmul(a: Node, b: Node, transpose_a: bool = False) -> Node:
         raise ShapeError(
             f"matmul: inner dimensions differ for {_describe(a, b)} (transpose_a={transpose_a})"
         )
-    out_value = matmul_rows(av, b.value)
-
-    def backward(grad):
-        if a.requires_grad:
-            a.accumulate(matmul_rows(b.value, grad.T) if transpose_a else matmul_rows(grad, b.value.T))
-        if b.requires_grad:
-            b.accumulate(av.T @ grad)
-
-    return _result(out_value, (a, b), "matmul", backward)
+    return _result(
+        matmul_rows(av, b.value), "matmul",
+        (a, lambda g: matmul_rows(b.value, g.T) if transpose_a else matmul_rows(g, b.value.T)),
+        (b, lambda g: av.T @ g),
+    )
 
 
 def sparse_matmul(s: CsrMatrix, x: Node) -> Node:
     """Product S @ x with a constant sparse left factor."""
     if s.cols != x.shape[0]:
         raise ShapeError(f"sparse_matmul: sparse {s.rows}x{s.cols} vs {_describe(x)}")
-    out_value = s.matmul_dense(x.value)
-
-    def backward(grad):
-        if x.requires_grad:
-            x.accumulate(s.t_matmul_dense(grad))
-
-    return _result(out_value, (x,), "sparse_matmul", backward)
+    return _result(s.matmul_dense(x.value), "sparse_matmul", (x, s.t_matmul_dense))
 
 
 def relu(x: Node) -> Node:
-    def backward(grad):
-        if x.requires_grad:
-            x.accumulate(grad * (x.value > 0.0))
-
-    return _result(np.maximum(x.value, 0.0), (x,), "relu", backward)
+    return _result(np.maximum(x.value, 0.0), "relu", (x, lambda g: g * (x.value > 0.0)))
 
 
 def add_row_bias(x: Node, bias: Node) -> Node:
     """Add a 1 x m bias row to every row of x."""
     if bias.shape != (1, x.shape[1]):
         raise ShapeError(f"add_row_bias: bias must be 1x{x.shape[1]}, got {_describe(bias)}")
-
-    def backward(grad):
-        if x.requires_grad:
-            x.accumulate(grad)
-        if bias.requires_grad:
-            bias.accumulate(grad.sum(axis=0, keepdims=True))
-
-    return _result(x.value + bias.value, (x, bias), "add_row_bias", backward)
+    return _result(
+        x.value + bias.value, "add_row_bias", (x, _passed), (bias, lambda g: g.sum(axis=0, keepdims=True))
+    )
 
 
 def add(a: Node, b: Node) -> Node:
     _same_shape(a, b, "add")
-
-    def backward(grad):
-        if a.requires_grad:
-            a.accumulate(grad)
-        if b.requires_grad:
-            b.accumulate(grad)
-
-    return _result(a.value + b.value, (a, b), "add", backward)
+    return _result(a.value + b.value, "add", (a, _passed), (b, _passed))
 
 
 def sub(a: Node, b: Node) -> Node:
     _same_shape(a, b, "sub")
-
-    def backward(grad):
-        if a.requires_grad:
-            a.accumulate(grad)
-        if b.requires_grad:
-            b.accumulate(-grad)
-
-    return _result(a.value - b.value, (a, b), "sub", backward)
+    return _result(a.value - b.value, "sub", (a, _passed), (b, np.negative))
 
 
 def mul(a: Node, b: Node) -> Node:
     _same_shape(a, b, "mul")
-
-    def backward(grad):
-        if a.requires_grad:
-            a.accumulate(grad * b.value)
-        if b.requires_grad:
-            b.accumulate(grad * a.value)
-
-    return _result(a.value * b.value, (a, b), "mul", backward)
+    return _result(a.value * b.value, "mul", (a, lambda g: g * b.value), (b, lambda g: g * a.value))
 
 
 def div(a: Node, b: Node) -> Node:
     _same_shape(a, b, "div")
-    out_value = a.value / b.value
-
-    def backward(grad):
-        if a.requires_grad:
-            a.accumulate(grad / b.value)
-        if b.requires_grad:
-            b.accumulate(-grad * out_value / b.value)
-
-    return _result(out_value, (a, b), "div", backward)
+    out = a.value / b.value
+    return _result(out, "div", (a, lambda g: g / b.value), (b, lambda g: -g * out / b.value))
 
 
 def exp(x: Node) -> Node:
-    out_value = np.exp(x.value)
-
-    def backward(grad):
-        if x.requires_grad:
-            x.accumulate(grad * out_value)
-
-    return _result(out_value, (x,), "exp", backward)
+    out = np.exp(x.value)
+    return _result(out, "exp", (x, lambda g: g * out))
 
 
 def log(x: Node) -> Node:
-    def backward(grad):
-        if x.requires_grad:
-            x.accumulate(grad / x.value)
-
-    return _result(np.log(x.value), (x,), "log", backward)
+    return _result(np.log(x.value), "log", (x, lambda g: g / x.value))
 
 
 def sqrt(x: Node) -> Node:
-    out_value = np.sqrt(x.value)
-
-    def backward(grad):
-        if x.requires_grad:
-            x.accumulate(grad * 0.5 / out_value)
-
-    return _result(out_value, (x,), "sqrt", backward)
+    out = np.sqrt(x.value)
+    return _result(out, "sqrt", (x, lambda g: g * 0.5 / out))
 
 
 def square(x: Node) -> Node:
-    def backward(grad):
-        if x.requires_grad:
-            x.accumulate(grad * 2.0 * x.value)
-
-    return _result(x.value * x.value, (x,), "square", backward)
+    return _result(x.value * x.value, "square", (x, lambda g: g * 2.0 * x.value))
 
 
 def scale(x: Node, c: float) -> Node:
     c = float(c)
-
-    def backward(grad):
-        if x.requires_grad:
-            x.accumulate(grad * c)
-
-    return _result(x.value * c, (x,), "scale", backward)
+    return _result(x.value * c, "scale", (x, lambda g: g * c))
 
 
 def clip(x: Node, lo: float, hi: float) -> Node:
     # Gradient passes wherever the input lies inside [lo, hi].
     mask = (x.value >= lo) & (x.value <= hi)
-
-    def backward(grad):
-        if x.requires_grad:
-            x.accumulate(grad * mask)
-
-    return _result(np.clip(x.value, lo, hi), (x,), "clip", backward)
+    return _result(np.clip(x.value, lo, hi), "clip", (x, lambda g: g * mask))
 
 
 def reduce_sum(x: Node, axis: int | None = None) -> Node:
     if axis is None:
-        out_value = np.array([[x.value.sum()]])
+        out = np.array([[x.value.sum()]])
     elif axis in (0, 1):
-        out_value = x.value.sum(axis=axis, keepdims=True)
+        out = x.value.sum(axis=axis, keepdims=True)
     else:
         raise ShapeError(f"reduce_sum: axis must be None, 0 or 1, got {axis}")
-
-    def backward(grad):
-        if x.requires_grad:
-            x.accumulate(np.broadcast_to(grad, x.shape))
-
-    return _result(out_value, (x,), "reduce_sum", backward)
+    return _result(out, "reduce_sum", (x, lambda g: np.broadcast_to(g, x.shape)))
 
 
 def reduce_mean(x: Node, axis: int | None = None) -> Node:
@@ -287,17 +225,15 @@ def _weighted_sum(x: np.ndarray, weight) -> np.ndarray:
 def frobenius_sq(x: Node, weight: float | np.ndarray = 1.0) -> Node:
     """Sum of the squared entries of x, each row's weighted by `weight`: one
     float for every row, or an n x 1 column."""
-    def backward(grad):
-        if x.requires_grad:
-            x.accumulate(grad * weight * 2.0 * x.value)
-
-    return _result(_weighted_sum(x.value * x.value, weight), (x,), "frobenius_sq", backward)
+    return _result(
+        _weighted_sum(x.value * x.value, weight), "frobenius_sq", (x, lambda g: g * weight * 2.0 * x.value)
+    )
 
 
 # ---------------------------------------------------------------------------
 # fused primitives: one node where a composition would keep every
-# intermediate on the tape; backward recomputes what it needs from the
-# parents' values
+# intermediate on the tape; the local gradients recompute what they need
+# from the parents' values
 
 
 def reparameterize(mu: Node, log_sigma: Node, eps: np.ndarray) -> Node:
@@ -309,15 +245,16 @@ def reparameterize(mu: Node, log_sigma: Node, eps: np.ndarray) -> Node:
     eps = np.ascontiguousarray(eps, dtype=np.float64)
     if not mu.shape == log_sigma.shape == eps.shape:
         raise ShapeError(f"reparameterize: {_describe(mu, log_sigma)} and noise {eps.shape} differ")
+    return _result(
+        mu.value + np.exp(log_sigma.value) * eps, "reparameterize",
+        (mu, _passed),
+        (log_sigma, lambda g: g * eps * np.exp(log_sigma.value)),
+    )
 
-    def backward(grad):
-        if mu.requires_grad:
-            mu.accumulate(grad)
-        if log_sigma.requires_grad:
-            log_sigma.accumulate(grad * eps * np.exp(log_sigma.value))
 
-    out_value = mu.value + np.exp(log_sigma.value) * eps
-    return _result(out_value, (mu, log_sigma), "reparameterize", backward)
+def _kl_log_sigma_grad(c0: np.ndarray, log_sigma: np.ndarray, clamp: float) -> np.ndarray:
+    inside = (log_sigma >= -clamp) & (log_sigma <= clamp)
+    return (c0 * np.exp(np.clip(log_sigma, -clamp, clamp) * 2.0) - c0) * 2.0 * inside
 
 
 def gaussian_kl(mu: Node, log_sigma: Node, clamp: float, weight) -> Node:
@@ -329,24 +266,18 @@ def gaussian_kl(mu: Node, log_sigma: Node, clamp: float, weight) -> Node:
     (sum(((mu^2 + exp(2c)) - 1) - 2c) * (1/n)) * 0.5, and the gradients
     follow the composed clip/scale/square/exp/sub/reduce_sum chain
     operation by operation, so both are bitwise equal to it (the factor 0.5
-    is exact wherever it is applied). Nothing is kept but the parents."""
+    is exact wherever it is applied). Nothing is kept but the parents; each
+    local gradient recomputes c0 = g * weight * 0.5, 1x1 or one column."""
     if mu.shape != log_sigma.shape:
         raise ShapeError(f"gaussian_kl: {_describe(mu, log_sigma)} differ")
     clamp = float(clamp)
-
-    def backward(grad):
-        c0 = grad * weight * 0.5
-        if mu.requires_grad:
-            mu.accumulate(c0 * 2.0 * mu.value)
-        if log_sigma.requires_grad:
-            ls = log_sigma.value
-            inside = (ls >= -clamp) & (ls <= clamp)
-            log_sigma.accumulate((c0 * np.exp(np.clip(ls, -clamp, clamp) * 2.0) - c0) * 2.0 * inside)
-
     two_c = np.clip(log_sigma.value, -clamp, clamp) * 2.0
     per_entry = ((mu.value * mu.value + np.exp(two_c)) - 1.0) - two_c
-    out_value = _weighted_sum(per_entry, weight) * 0.5
-    return _result(out_value, (mu, log_sigma), "gaussian_kl", backward)
+    return _result(
+        _weighted_sum(per_entry, weight) * 0.5, "gaussian_kl",
+        (mu, lambda g: g * weight * 0.5 * 2.0 * mu.value),
+        (log_sigma, lambda g: _kl_log_sigma_grad(g * weight * 0.5, log_sigma.value, clamp)),
+    )
 
 
 def rowwise_cosine(a: Node, b: Node, eps: float) -> Node:
@@ -354,27 +285,21 @@ def rowwise_cosine(a: Node, b: Node, eps: float) -> Node:
     or with b itself when b is a single 1 x d row; eps is added under each
     square root, sqrt(sum(a_i^2) + eps).
 
-    Keeps three n x 1 columns (the cosines and both norms); backward reads
-    a and b from the parents."""
+    Keeps three n x 1 columns (the cosines and both norms); the local
+    gradients read a and b from the parents, d cos / d a =
+    b / (|a||b|) - cos * a / |a|^2, and symmetrically for b."""
     if b.shape != a.shape and b.shape != (1, a.shape[1]):
         raise ShapeError(f"rowwise_cosine: b must match a or be one row, got {_describe(a, b)}")
     norm_a = np.sqrt((a.value * a.value).sum(axis=1, keepdims=True) + eps)
     norm_b = np.sqrt((b.value * b.value).sum(axis=1, keepdims=True) + eps)
-    out_value = (a.value * b.value).sum(axis=1, keepdims=True) / (norm_a * norm_b)
-
-    def backward(grad):
-        # d cos / d a = b / (|a||b|) - cos * a / |a|^2, and symmetrically for b
-        g_dot = grad / (norm_a * norm_b)
-        g_cos = grad * out_value
-        if a.requires_grad:
-            a.accumulate(g_dot * b.value - g_cos / (norm_a * norm_a) * a.value)
-        if b.requires_grad:
-            b_coef, b_dot = g_cos / (norm_b * norm_b), g_dot * a.value
-            if b.shape != a.shape:  # a one-row b: each term is summed over the rows by itself
-                b_coef, b_dot = b_coef.sum(axis=0, keepdims=True), b_dot.sum(axis=0, keepdims=True)
-            b.accumulate(b_dot - b_coef * b.value)
-
-    return _result(out_value, (a, b), "rowwise_cosine", backward)
+    out = (a.value * b.value).sum(axis=1, keepdims=True) / (norm_a * norm_b)
+    # a one-row b: each of its two terms is summed over the rows by itself
+    to_b = _passed if b.shape == a.shape else (lambda t: t.sum(axis=0, keepdims=True))
+    return _result(
+        out, "rowwise_cosine",
+        (a, lambda g: g / (norm_a * norm_b) * b.value - g * out / (norm_a * norm_a) * a.value),
+        (b, lambda g: to_b(g / (norm_a * norm_b) * a.value) - to_b(g * out / (norm_b * norm_b)) * b.value),
+    )
 
 
 # ---------------------------------------------------------------------------

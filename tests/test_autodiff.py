@@ -345,3 +345,72 @@ class TestGradientCheckHarness:
         params = make_params(W=np.array([[0.3, -0.7], [1.1, 0.4]]))
         err = gradient_check(lambda p: ad.frobenius_sq(p["W"]), params)
         assert err < 1e-9
+
+
+def _upstream_loss(out, probe):
+    """reduce_sum(out * probe): out's upstream gradient is exactly probe."""
+    return ad.reduce_sum(ad.mul(out, ad.constant(probe)))
+
+
+class TestOneNodeAsBothOperands:
+    """Each operand position is its own share, so a node given twice gets
+    both shares added in."""
+
+    def test_add_gives_exactly_twice_the_upstream_gradient(self):
+        rng = np.random.default_rng(3)
+        x = ad.parameter(rng.standard_normal((4, 3)), "x")
+        g = rng.standard_normal((4, 3))
+        ad.backward(_upstream_loss(ad.add(x, x), g))
+        assert np.array_equal(x.grad, 2.0 * g)
+
+    def test_mul_gives_exactly_2x_times_the_upstream_gradient(self):
+        rng = np.random.default_rng(4)
+        x = ad.parameter(rng.standard_normal((4, 3)), "x")
+        g = rng.standard_normal((4, 3))
+        ad.backward(_upstream_loss(ad.mul(x, x), g))
+        assert np.array_equal(x.grad, 2.0 * (g * x.value))
+
+    @pytest.mark.parametrize("op", [
+        lambda a, b: ad.matmul(a, b, transpose_a=True),
+        lambda a, b: ad.rowwise_cosine(a, b, 1e-12),
+    ], ids=["matmul_ta", "rowwise_cosine"])
+    def test_matches_central_differences(self, op):
+        rng = np.random.default_rng(5)
+        base = rng.standard_normal((5, 3))
+        probe = rng.standard_normal(op(ad.constant(base), ad.constant(base)).shape)
+        x = ad.parameter(base, "x")
+        ad.backward(_upstream_loss(op(x, x), probe))
+
+        def loss_of(theta):
+            return float(np.sum(op(ad.constant(theta), ad.constant(theta)).value * probe))
+
+        fd = central_difference_grad(loss_of, base)
+        assert (np.abs(x.grad - fd) / np.maximum(1.0, np.abs(fd))).max() < 1e-6
+
+
+TWO_PARENT_CASES = [
+    "matmul", "matmul_ta", "add_row_bias", "add", "sub", "mul", "div", "reparameterize",
+    "gaussian_kl", "gaussian_kl_weighted", "rowwise_cosine", "rowwise_cosine_broadcast",
+]
+
+
+@pytest.mark.parametrize("held", [0, 1])
+@pytest.mark.parametrize("case", TWO_PARENT_CASES)
+def test_a_constant_parent_gets_no_gradient_and_its_sibling_the_full_one(case, held):
+    """The `held` operand is a constant: its grad stays None, and the other,
+    a parameter, gets bitwise the gradient it gets beside a parameter."""
+    rng = np.random.default_rng(7)
+    build, values = _random_case(rng, case)
+    assert len(values) == 2
+    probe = rng.standard_normal(build([ad.constant(v) for v in values]).shape)
+
+    def run(constant_at):
+        nodes = [ad.constant(v, f"x{i}") if i == constant_at else ad.parameter(v, f"x{i}")
+                 for i, v in enumerate(values)]
+        ad.backward(_upstream_loss(build(nodes), probe))
+        return nodes
+
+    mixed, both = run(held), run(None)
+    assert mixed[held].grad is None
+    assert np.array_equal(mixed[1 - held].grad, both[1 - held].grad)
+    assert np.any(mixed[1 - held].grad != 0.0)

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -1064,6 +1065,54 @@ class TestRefusals:
                 "--domains", "a"]
         refused(capsys, argv, 2, "config error: --domains expects two comma-separated ids, got 'a'")
 
+    @staticmethod
+    def sbm_manifest(out, labels):
+        """gen-sbm's 2 x 8-node domain 'sbm', its labels_path dropped unless `labels`."""
+        assert main(["gen-sbm", "--blocks", "2", "--nodes", "8", "--pin", "0.6", "--pout", "0.1",
+                     "--seed", "0", "--domain-id", "sbm", "--out", str(out)]) == 0
+        manifest = out / "manifest.json"
+        if not labels:
+            doc = json.loads(manifest.read_text())
+            del doc["domains"][0]["labels_path"]
+            manifest.write_text(json.dumps(doc))
+        return manifest
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("eval-linear", [], "data error: linear probe needs labels"),
+        ("eval-fewshot", [], "data error: few-shot evaluation needs labels"),
+        ("eval-linear", ["--train-frac", "0.99"], "data error: split left no test nodes; lower train_frac"),
+    ], ids=["linear-unlabelled", "fewshot-unlabelled", "linear-no-test-nodes"])
+    def test_a_node_evaluation_with_nothing_to_score_exits_3(
+            self, ckpt_path, tmp_path, capsys, command, flags, message):
+        """An unlabelled domain has nothing to score; at train_frac 0.99 each
+        8-node class puts every node in the training split."""
+        manifest = self.sbm_manifest(tmp_path / "sbm", labels=bool(flags))
+        report = tmp_path / "report.json"
+        argv = [command, "--ckpt", str(ckpt_path), "--manifest", str(manifest), "--domain", "sbm",
+                "--out", str(report), *flags]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            refused(capsys, argv, 3, message)
+        assert not report.exists()
+
+    @pytest.mark.parametrize("tau, message", [
+        (1e-310, "numeric failure: non-finite total loss at epoch 0"),
+        (1e-300, "numeric failure: training (dpu-cl): AdamW second moment of 'dpu.W1' is non-finite"),
+    ], ids=["loss", "second-moment"])
+    def test_a_tiny_infonce_temperature_exits_4(self, suite, tmp_path, capsys, tau, message):
+        """At tau 1e-310, 1/tau is beyond the float range and the loss is
+        refused before backward; at 1e-300 the loss stays finite and its
+        gradient, about 1/tau through the log, exp and cosine nodes,
+        overflows AdamW's squared gradient."""
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(dict(suite["doc"], train=dict(suite["doc"]["train"], tau=tau))))
+        out = tmp_path / "m.ckpt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            refused(capsys, ["pretrain", "--config", str(config), "--variant", "dpu-cl", "--out", str(out)],
+                    4, message)
+        assert not out.exists()
+
     def test_embed_of_a_seen_domain_of_another_width_exits_3(self, ckpt_path, tmp_path, capsys):
         """domc trained at width 15."""
         graph = generate_sbm(3, 6, 0.6, 0.1, d=6, cluster_sep=4.0, seed=321, domain_id="domc")
@@ -1226,7 +1275,9 @@ class TestRefusals:
         save_checkpoint(ckpt, tmp_path / "hot.ckpt")
         argv = self.reader_argv(command, tmp_path / "hot.ckpt", refusal_paths, tmp_path / "out")
         domain = "ga" if command == "eval-graph" else "domc"
-        with warnings.catch_warnings():
+        # ga's stacked features have rank 2, so its basis is padded to k=4, as intended
+        padded = pytest.warns(UserWarning, match="padding basis") if command == "eval-graph" else nullcontext()
+        with padded, warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             refused(capsys, argv, 4, f"numeric failure: domain '{domain}': embedding beyond the float range "
                                      "(overflow encountered in matmul)")
@@ -1309,6 +1360,8 @@ def test_every_mutated_manifest_or_header_exits_by_its_code(refusal_paths, capsy
     of stderr, and never with a raw traceback or RuntimeWarning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
+        # a mutation may leave ga's basis padded, which warns as intended
+        warnings.filterwarnings("ignore", "domain '.*': feature rank .* padding basis", UserWarning)
         code = main(document_argv(case, refusal_paths))
     err = capsys.readouterr().err
     assert code in (0, 2, 3, 4), err
