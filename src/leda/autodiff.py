@@ -5,12 +5,13 @@ matrices enter only as constant left factors (adjacency is data, gradients
 flow through dense operands only). A graph is built once per step and
 discarded.
 
-There is one chain rule, `_result`. Each primitive checks its shapes,
-computes its forward value eagerly and hands `_result` one share per
-operand: the parent and its local gradient, a map from the node's upstream
-gradient to that parent's. The node's backward adds each share's local
-gradient into its parent, in operand order, wherever the parent needs a
-gradient; a node given as both operands gets both shares.
+The tape is data. Each primitive checks its shapes, computes its forward
+value eagerly and hands `_result` one share per operand: the parent and its
+local gradient, a map from the node's upstream gradient to that parent's.
+The node holds its shares. `backward` is the one chain rule: in reverse
+topological order it adds each share's local gradient into its parent, in
+operand order, wherever the parent needs a gradient; a node given as both
+operands gets both shares.
 
 The elementwise `add`, `sub`, `mul` and `div` take operands of one shape;
 `add_row_bias` and `rowwise_cosine`'s one-row form are the only broadcasts.
@@ -31,30 +32,22 @@ import numpy as np
 from .errors import NumericError, ShapeError
 from .linalg import CsrMatrix, matmul_rows
 
+Share = tuple["Node", Callable[[np.ndarray], np.ndarray]]
+
 
 class Node:
     """One value in the computation graph."""
 
-    __slots__ = (
-        "value", "grad", "name", "requires_grad", "_parents", "_backward", "_backward_ran", "__weakref__"
-    )
+    __slots__ = ("value", "grad", "name", "requires_grad", "_shares", "_backward_ran", "__weakref__")
 
-    def __init__(
-        self,
-        value: np.ndarray,
-        name: str,
-        requires_grad: bool,
-        parents: tuple[Node, ...] = (),
-        backward: Callable[[np.ndarray], None] | None = None,
-    ):
+    def __init__(self, value: np.ndarray, name: str, requires_grad: bool, shares: tuple[Share, ...] = ()):
         self.value = np.ascontiguousarray(value, dtype=np.float64)
         if self.value.ndim != 2:
             raise ShapeError(f"node '{name}' must hold a 2-D value, got ndim={self.value.ndim}")
         self.grad: np.ndarray | None = None
         self.name = name
         self.requires_grad = requires_grad
-        self._parents = parents
-        self._backward = backward
+        self._shares = shares
         self._backward_ran = False
 
     @property
@@ -91,17 +84,9 @@ def _describe(*nodes: Node) -> str:
     return ", ".join(f"'{n.name}' {n.shape}" for n in nodes)
 
 
-def _result(value, name: str, *shares: tuple[Node, Callable[[np.ndarray], np.ndarray]]) -> Node:
-    """The engine's one chain rule; each share is a (parent, local gradient) pair."""
-    parents = tuple(parent for parent, _ in shares)
-
-    def backward(grad):
-        for parent, local in shares:
-            if parent.requires_grad:
-                parent.accumulate(local(grad))
-
-    needs = any(p.requires_grad for p in parents)
-    return Node(value, name=name, requires_grad=needs, parents=parents, backward=backward)
+def _result(value, name: str, *shares: Share) -> Node:
+    """A node holding its shares, one (parent, local gradient) pair per operand."""
+    return Node(value, name, any(parent.requires_grad for parent, _ in shares), shares)
 
 
 def _same_shape(a: Node, b: Node, op: str) -> None:
@@ -319,14 +304,15 @@ def _topological_order(loss: Node) -> list[Node]:
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
+        for parent, _ in node._shares:
             if parent.requires_grad and id(parent) not in visited:
                 stack.append((parent, False))
     return order
 
 
 def backward(loss: Node) -> None:
-    """Populate gradients of every trainable leaf reachable from the loss.
+    """Populate gradients of every trainable leaf reachable from the loss:
+    the engine's one chain-rule loop.
 
     The loss must be 1x1. Each node is visited exactly once, in reverse
     topological order; a second call on the same loss node is rejected.
@@ -342,8 +328,10 @@ def backward(loss: Node) -> None:
         return
     loss.grad = np.ones((1, 1))
     for node in reversed(_topological_order(loss)):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        if node._shares and node.grad is not None:
+            for parent, local in node._shares:
+                if parent.requires_grad:
+                    parent.accumulate(local(node.grad))
             if node is not loss:
                 node.grad = None  # free intermediate gradients promptly
 

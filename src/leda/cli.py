@@ -84,15 +84,18 @@ def _embed_domains(ckpt, collection, steps: list[tuple[str, int]]):
 
 def _run_config(args):
     """The --config run config with the flags actually given applied: each
-    flag named after a TrainConfig field, and --manifest in place of the
-    config's data path."""
+    flag named after a TrainConfig field, --manifest in place of the
+    config's data path, and ablate's --test-domain in place of
+    eval.test_domains."""
     from .config import load_run_config
 
     run_cfg = load_run_config(args.config)
     keys = {f.name for f in fields(run_cfg.train)}
     given = {name: value for name, value in vars(args).items() if name in keys and value is not None}
     manifest = args.manifest or run_cfg.manifest
-    return replace(run_cfg, manifest=manifest, train=replace(run_cfg.train, **given))
+    held_out = getattr(args, "test_domain", None) or run_cfg.eval.test_domains
+    return replace(run_cfg, manifest=manifest, train=replace(run_cfg.train, **given),
+                   eval=replace(run_cfg.eval, test_domains=held_out))
 
 
 def _protocol_echo(ckpt, protocol: dict) -> dict:
@@ -199,7 +202,7 @@ def cmd_ablate(args) -> int:
     collection = _load_collection(run_cfg.manifest)
     if collection.task_kind != NODE_LEVEL:
         raise DataError("ablate needs node-level data; for graph-level data use pretrain, then eval-graph")
-    test_domains = tuple(args.test_domain or run_cfg.eval.test_domains)
+    test_domains = run_cfg.eval.test_domains
     if not test_domains:
         raise ConfigError("ablate needs held-out domains (--test-domain or eval.test_domains)")
     repeated = sorted({domain_id for domain_id in test_domains if test_domains.count(domain_id) > 1})

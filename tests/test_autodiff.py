@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from leda import autodiff as ad
-from leda.errors import ShapeError
+from leda.errors import NumericError, ShapeError
 from leda.linalg import CsrMatrix
 
 from oracles import central_difference_grad, gradient_check
@@ -65,6 +65,13 @@ class TestForward:
         with pytest.raises(ShapeError, match="one row"):
             ad.rowwise_cosine(a, ad.constant(np.zeros((4, 1)), "b"), 1e-12)
 
+    def test_sparse_matmul_and_reduce_sum_check_shapes(self):
+        x = ad.constant(np.zeros((4, 3)), "x")
+        with pytest.raises(ShapeError, match=r"^sparse_matmul: sparse 3x3 vs 'x' \(4, 3\)$"):
+            ad.sparse_matmul(CsrMatrix.from_dense(np.eye(3)), x)
+        with pytest.raises(ShapeError, match="^reduce_sum: axis must be None, 0 or 1, got 2$"):
+            ad.reduce_sum(x, axis=2)
+
     def test_add_row_bias_shape_check(self):
         x = ad.constant(np.zeros((4, 3)), "x")
         b = ad.constant(np.zeros((1, 2)), "b")
@@ -111,6 +118,22 @@ class TestBackward:
         nodes = make_params(W=np.ones((2, 2)))
         loss = ad.reduce_sum(nodes["W"])
         ad.backward(loss)
+        with pytest.raises(RuntimeError, match="already ran"):
+            ad.backward(loss)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_loss_rejected_by_name(self, value):
+        w = ad.parameter(np.array([[1.0, value]]), "W")
+        loss = ad.reduce_sum(w)
+        with pytest.raises(NumericError, match="^backward: loss 'reduce_sum' is non-finite$"):
+            ad.backward(loss)
+        assert loss.grad is None and np.array_equal(w.grad, np.zeros((1, 2)))
+
+    def test_a_loss_needing_no_gradient_sets_none_and_runs_once(self):
+        loss = ad.reduce_sum(ad.constant(np.ones((2, 2))))
+        assert not loss.requires_grad
+        ad.backward(loss)
+        assert loss.grad is None
         with pytest.raises(RuntimeError, match="already ran"):
             ad.backward(loss)
 

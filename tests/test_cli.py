@@ -646,19 +646,23 @@ class TestTrainFlags:
     """Each training flag of pretrain and ablate reaches the run, and only
     the flags given change the config's values."""
 
-    @pytest.mark.parametrize("command", ["pretrain", "ablate"])
     @pytest.mark.parametrize(
-        "flag, key, value",
+        "command, flag, section, key, value",
         [
-            (["--seed", "7"], "seed", 7),
-            (["--variant", "no-lda"], "variant", "no-lda"),
-            (["--two-phase"], "two_phase", True),
-            (["--epochs", "3"], "epochs", 3),
-        ],
-        ids=["seed", "variant", "two-phase", "epochs"],
+            pytest.param(command, flag, "train", key, value, id=f"{name}-{command}")
+            for name, flag, key, value in [
+                ("seed", ["--seed", "7"], "seed", 7),
+                ("variant", ["--variant", "no-lda"], "variant", "no-lda"),
+                ("two-phase", ["--two-phase"], "two_phase", True),
+                ("epochs", ["--epochs", "3"], "epochs", 3),
+            ]
+            for command in ("pretrain", "ablate")
+        ]
+        + [pytest.param("ablate", ["--test-domain", "domb"], "eval", "test_domains", ["domb"],
+                        id="test-domain-ablate")],
     )
     def test_flag_reaches_echoed_config(
-        self, suite, tmp_path, monkeypatch, command, flag, key, value
+        self, suite, tmp_path, monkeypatch, command, flag, section, key, value
     ):
         for var in TestThreadLimit.VARS:
             monkeypatch.setenv(var, "1")  # undone after the test
@@ -671,14 +675,41 @@ class TestTrainFlags:
             args += ["--out", str(report)]
         assert main(args) == 0
         doc = json.loads(report.read_text())
-        expected = run_config_from_dict(suite["doc"]).to_dict()["train"]
-        expected.update({"epochs": 2, key: value})
-        assert doc["config"]["train"] == expected
-        assert doc["seed"] == expected["seed"]
+        given = json.loads(json.dumps(suite["doc"]))
+        given["train"]["epochs"] = 2
+        given[section][key] = value
+        expected = run_config_from_dict(given).to_dict()
+        assert doc["config"]["train"] == expected["train"]
+        assert doc["config"]["eval"] == expected["eval"]
+        assert doc["seed"] == expected["train"]["seed"]
         if command == "pretrain":
-            assert doc["epochs"] == expected["epochs"] + (100 if key == "two_phase" else 0)
+            assert doc["epochs"] == expected["train"]["epochs"] + (100 if key == "two_phase" else 0)
         else:
-            assert doc["variant"] == expected["variant"]
+            assert doc["variant"] == expected["train"]["variant"]
+            assert list(doc["results"]) == expected["eval"]["test_domains"]
+
+    @pytest.mark.parametrize("command", ["pretrain", "ablate"])
+    def test_echoed_config_reruns_the_run(self, suite, tmp_path, monkeypatch, command):
+        """A report's config, given back as --config with no flags, repeats
+        the flagged run: the same checkpoint bytes, or the same results."""
+        for var in TestThreadLimit.VARS:
+            monkeypatch.setenv(var, "1")  # undone after the test
+        flags = ["--variant", "dpu-cl", "--epochs", "3"]
+        if command == "ablate":
+            flags += ["--test-domain", "domb"]
+        outputs = []
+        for run, config in enumerate([suite["config"], tmp_path / "echoed.json"]):
+            report, ckpt = tmp_path / f"report-{run}.json", tmp_path / f"m-{run}.ckpt"
+            args = [command, "--config", str(config)] + (flags if run == 0 else [])
+            if command == "pretrain":
+                args += ["--out", str(ckpt), "--report", str(report)]
+            else:
+                args += ["--out", str(report)]
+            assert main(args) == 0
+            doc = json.loads(report.read_text())
+            (tmp_path / "echoed.json").write_text(json.dumps(doc["config"]))
+            outputs.append(ckpt.read_bytes() if command == "pretrain" else doc["results"])
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("command", ["pretrain", "ablate"])
     def test_negative_seed_exits_2(self, suite, tmp_path, capsys, command):
@@ -1081,14 +1112,17 @@ class TestRefusals:
         ("eval-linear", [], "data error: linear probe needs labels"),
         ("eval-fewshot", [], "data error: few-shot evaluation needs labels"),
         ("eval-linear", ["--train-frac", "0.99"], "data error: split left no test nodes; lower train_frac"),
-    ], ids=["linear-unlabelled", "fewshot-unlabelled", "linear-no-test-nodes"])
+        ("eval-graph", [], "data error: graph_eval needs a graph-level collection"),
+    ], ids=["linear-unlabelled", "fewshot-unlabelled", "linear-no-test-nodes", "graph-node-level"])
     def test_a_node_evaluation_with_nothing_to_score_exits_3(
             self, ckpt_path, tmp_path, capsys, command, flags, message):
         """An unlabelled domain has nothing to score; at train_frac 0.99 each
-        8-node class puts every node in the training split."""
+        8-node class puts every node in the training split; a node-level
+        collection holds no graphs to classify."""
         manifest = self.sbm_manifest(tmp_path / "sbm", labels=bool(flags))
         report = tmp_path / "report.json"
-        argv = [command, "--ckpt", str(ckpt_path), "--manifest", str(manifest), "--domain", "sbm",
+        domain = [] if command == "eval-graph" else ["--domain", "sbm"]
+        argv = [command, "--ckpt", str(ckpt_path), "--manifest", str(manifest), *domain,
                 "--out", str(report), *flags]
         with warnings.catch_warnings():
             warnings.simplefilter("error")

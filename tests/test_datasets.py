@@ -333,6 +333,19 @@ class TestDomainGraphValidation:
         with pytest.raises(DataError, match=rf"^domain 'bad': {message}$"):
             DomainGraph("bad", np.zeros((2, 2)), CsrMatrix.from_dense(dense), labels)
 
+    def test_features_must_be_2d(self):
+        with pytest.raises(DataError, match="^domain 'bad': features must be 2-D$"):
+            DomainGraph("bad", np.zeros(2), CsrMatrix.from_dense(np.zeros((2, 2))))
+
+    @pytest.mark.parametrize("task_kind, labels, message", [
+        ("edge-level", None, "unknown task_kind 'edge-level'"),
+        (GRAPH_LEVEL, (0,), "graph_labels length must match graph count"),
+    ], ids=["task-kind", "label-count"])
+    def test_each_collection_rule_is_refused(self, task_kind, labels, message):
+        g = generate_sbm(2, 2, 0.9, 0.1, d=2, cluster_sep=1.0, seed=0)
+        with pytest.raises(DataError, match=f"^{message}$"):
+            GraphCollection(graphs=(g, g), task_kind=task_kind, graph_labels=labels)
+
     def test_graph_level_requires_labels(self):
         g = generate_sbm(2, 2, 0.9, 0.1, d=2, cluster_sep=1.0, seed=0)
         with pytest.raises(DataError, match="graph_labels"):

@@ -120,6 +120,11 @@ class TestEmbeddingSet:
             EmbeddingSet("shifted", e.E, e.labels - 1)
         assert linear_probe(e, runs=2, seed=1).mean_accuracy == 100.0
 
+    def test_label_count_must_match_the_rows(self):
+        e = clustered_embeddings(num_classes=3, per_class=4, dim=8)
+        with pytest.raises(DataError, match="^labels length must match embedding rows$"):
+            EmbeddingSet("short", e.E, e.labels[:-1])
+
 
 class TestLinearProbe:
     def test_separable_clusters_are_perfect(self):
@@ -383,6 +388,13 @@ class TestMiDiagnostic:
         sd = estimates.std(ddof=1)
         assert 0 < sd < 0.01
         assert np.all(np.abs(estimates - exact) <= 4 * sd)
+
+    @pytest.mark.parametrize("empty_side", [0, 1])
+    def test_an_empty_set_is_a_data_error(self, empty_side):
+        sets = [EmbeddingSet("a", np.ones((3, 2))), EmbeddingSet("b", np.ones((2, 2)))]
+        sets[empty_side] = EmbeddingSet("empty", np.zeros((0, 2)))
+        with pytest.raises(DataError, match="^embedding sets must be non-empty$"):
+            mi_diagnostic(*sets, tau=0.5)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_overflowing_scores_raise(self, sign):

@@ -172,6 +172,10 @@ class TestPretrain:
         with pytest.raises(DataError, match=r"'mixed': members disagree on feature dim \[5, 7\]"):
             pretrain(collection, tiny_config(k=2, m=2))
 
+    def test_an_empty_collection_is_a_data_error(self):
+        with pytest.raises(DataError, match="^collection has no domains$"):
+            pretrain(GraphCollection(graphs=(), task_kind="node-level"), tiny_config(epochs=1))
+
     def test_non_finite_loss_aborts_with_context(self):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="epoch"):
@@ -271,6 +275,10 @@ class TestInfoNCE:
     def test_zero_temperature_rejected(self):
         with pytest.raises(ConfigError):
             infonce_loss([(ad.constant(np.ones((2, 2))), ad.constant(np.ones((2, 2))))], tau=0.0)
+
+    def test_no_views_rejected(self):
+        with pytest.raises(ConfigError, match="^infonce_loss needs at least one domain$"):
+            infonce_loss([], tau=0.5)
 
     def test_gradient_flows_into_anchor_parameters(self):
         anchor = ad.parameter(np.random.default_rng(0).standard_normal((6, 4)), "emb")
