@@ -1,26 +1,35 @@
 """Reverse-mode differentiation over dense matrices.
 
-Every value on the tape is a 2-D float64 array; scalars are 1x1. Sparse
+Every node's value is a 2-D float64 array; scalars are 1x1. Sparse
 matrices enter only as constant left factors (adjacency is data, gradients
 flow through dense operands only). A graph is built once per step and
 discarded.
 
-The tape is data. Each primitive checks its shapes, computes its forward
-value eagerly and hands `_result` one share per operand: the parent and its
+The tape is data, and it holds gradients and shares, not values. A node is
+its value and its tape entry, which holds what `backward` needs of it: its
+gradient, whether it needs one, its name and its shares. Each primitive
+checks its shapes, computes its forward value eagerly and hands `_result`
+one share per operand that needs a gradient: the parent's entry and its
 local gradient, a map from the node's upstream gradient to that parent's.
-The node holds its shares. `backward` is the one chain rule: in reverse
-topological order it adds each share's local gradient into its parent, in
-operand order, wherever the parent needs a gradient; a node given as both
-operands gets both shares.
+A local closes over the arrays it reads (an operand's value, a mask, a
+shape), never over a node, so a value lives only as long as forward code
+or a local reads it: `relu`'s output, for one, goes as soon as the forward
+code drops it.
+
+`backward` is the one chain rule: in reverse topological order it pops
+each entry, adds each share's local gradient into its parent, in operand
+order, and drops the shares, so the tape and the arrays that only its
+locals read shrink as the walk goes. A node given as both operands gets
+both shares.
 
 The elementwise `add`, `sub`, `mul` and `div` take operands of one shape;
 `add_row_bias` and `rowwise_cosine`'s one-row form are the only broadcasts.
 
 Three primitives are fused: `reparameterize`, `gaussian_kl` and
-`rowwise_cosine` each stand for a chain of elementary ones as one node and
-keep only what their local gradients read (the noise draw; nothing; three
-n x 1 columns), recomputing the rest from their parents' values. The first
-two give bitwise the values and gradients of the chains they replace.
+`rowwise_cosine` each stand for a chain of elementary ones as one node, and
+their locals read only the operands and a few small arrays (the noise draw;
+nothing; three n x 1 columns). The first two give bitwise the values and
+gradients of the chains they replace.
 """
 
 from __future__ import annotations
@@ -32,36 +41,54 @@ import numpy as np
 from .errors import NumericError, ShapeError
 from .linalg import CsrMatrix, matmul_rows
 
-Share = tuple["Node", Callable[[np.ndarray], np.ndarray]]
+Local = Callable[[np.ndarray], np.ndarray]
+Share = tuple["Entry", Local]
+
+
+class Entry:
+    """A node's place on the tape: its gradient, whether it needs one, its
+    name, and its shares, one (parent entry, local gradient) pair per
+    operand that needs a gradient."""
+
+    __slots__ = ("grad", "name", "requires_grad", "shares")
+
+    def __init__(self, name: str, requires_grad: bool, shares: tuple[Share, ...] = ()):
+        self.grad: np.ndarray | None = None
+        self.name = name
+        self.requires_grad = requires_grad
+        self.shares = shares
+
+    def accumulate(self, delta: np.ndarray, made: bool = False) -> None:
+        """Add delta into the gradient. The first write keeps a delta that a
+        local has just made (`made`) and copies any other, C-ordered: it may
+        be another node's gradient, a read-only broadcast view or a
+        transposed product, and grad is added to in place later."""
+        if self.grad is None:
+            self.grad = (np.asarray if made else np.array)(delta, dtype=np.float64, order="C")
+        else:
+            self.grad += delta
 
 
 class Node:
-    """One value in the computation graph."""
+    """One value in the computation graph, and its tape entry."""
 
-    __slots__ = ("value", "grad", "name", "requires_grad", "_shares", "_backward_ran", "__weakref__")
+    __slots__ = ("value", "entry", "_backward_ran", "__weakref__")
 
     def __init__(self, value: np.ndarray, name: str, requires_grad: bool, shares: tuple[Share, ...] = ()):
         self.value = np.ascontiguousarray(value, dtype=np.float64)
         if self.value.ndim != 2:
             raise ShapeError(f"node '{name}' must hold a 2-D value, got ndim={self.value.ndim}")
-        self.grad: np.ndarray | None = None
-        self.name = name
-        self.requires_grad = requires_grad
-        self._shares = shares
+        self.entry = Entry(name, requires_grad, shares)
         self._backward_ran = False
+
+    # what backward needs is read, and the gradient set, through the entry
+    name = property(lambda self: self.entry.name)
+    requires_grad = property(lambda self: self.entry.requires_grad)
+    grad = property(lambda self: self.entry.grad, lambda self, grad: setattr(self.entry, "grad", grad))
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.value.shape
-
-    def accumulate(self, delta: np.ndarray) -> None:
-        # the first write copies, C-ordered: delta may be shared with another
-        # node, a read-only broadcast view or a transposed product, and grad is
-        # added to in place later
-        if self.grad is None:
-            self.grad = np.array(delta, dtype=np.float64, order="C")
-        else:
-            self.grad += delta
 
     def __repr__(self) -> str:
         return f"Node({self.name}, shape={self.shape}, requires_grad={self.requires_grad})"
@@ -84,9 +111,12 @@ def _describe(*nodes: Node) -> str:
     return ", ".join(f"'{n.name}' {n.shape}" for n in nodes)
 
 
-def _result(value, name: str, *shares: Share) -> Node:
-    """A node holding its shares, one (parent, local gradient) pair per operand."""
-    return Node(value, name, any(parent.requires_grad for parent, _ in shares), shares)
+def _result(value, name: str, *shares: tuple[Node, Local]) -> Node:
+    """A node whose entry holds the shares, one (parent, local gradient)
+    pair per operand, of the parents that need a gradient; the others'
+    locals, and what they read, go now."""
+    kept = tuple((parent.entry, local) for parent, local in shares if parent.requires_grad)
+    return Node(value, name, bool(kept), kept)
 
 
 def _same_shape(a: Node, b: Node, op: str) -> None:
@@ -104,13 +134,14 @@ def _passed(grad: np.ndarray) -> np.ndarray:
 
 def matmul(a: Node, b: Node, transpose_a: bool = False) -> Node:
     av = a.value.T if transpose_a else a.value
-    if av.shape[1] != b.shape[0]:
+    bv = b.value
+    if av.shape[1] != bv.shape[0]:
         raise ShapeError(
             f"matmul: inner dimensions differ for {_describe(a, b)} (transpose_a={transpose_a})"
         )
     return _result(
-        matmul_rows(av, b.value), "matmul",
-        (a, lambda g: matmul_rows(b.value, g.T) if transpose_a else matmul_rows(g, b.value.T)),
+        matmul_rows(av, bv), "matmul",
+        (a, lambda g: matmul_rows(bv, g.T) if transpose_a else matmul_rows(g, bv.T)),
         (b, lambda g: av.T @ g),
     )
 
@@ -123,7 +154,8 @@ def sparse_matmul(s: CsrMatrix, x: Node) -> Node:
 
 
 def relu(x: Node) -> Node:
-    return _result(np.maximum(x.value, 0.0), "relu", (x, lambda g: g * (x.value > 0.0)))
+    mask = x.value > 0.0
+    return _result(np.maximum(x.value, 0.0), "relu", (x, lambda g: g * mask))
 
 
 def add_row_bias(x: Node, bias: Node) -> Node:
@@ -147,13 +179,15 @@ def sub(a: Node, b: Node) -> Node:
 
 def mul(a: Node, b: Node) -> Node:
     _same_shape(a, b, "mul")
-    return _result(a.value * b.value, "mul", (a, lambda g: g * b.value), (b, lambda g: g * a.value))
+    av, bv = a.value, b.value
+    return _result(av * bv, "mul", (a, lambda g: g * bv), (b, lambda g: g * av))
 
 
 def div(a: Node, b: Node) -> Node:
     _same_shape(a, b, "div")
-    out = a.value / b.value
-    return _result(out, "div", (a, lambda g: g / b.value), (b, lambda g: -g * out / b.value))
+    bv = b.value
+    out = a.value / bv
+    return _result(out, "div", (a, lambda g: g / bv), (b, lambda g: -g * out / bv))
 
 
 def exp(x: Node) -> Node:
@@ -162,7 +196,8 @@ def exp(x: Node) -> Node:
 
 
 def log(x: Node) -> Node:
-    return _result(np.log(x.value), "log", (x, lambda g: g / x.value))
+    xv = x.value
+    return _result(np.log(xv), "log", (x, lambda g: g / xv))
 
 
 def sqrt(x: Node) -> Node:
@@ -171,7 +206,8 @@ def sqrt(x: Node) -> Node:
 
 
 def square(x: Node) -> Node:
-    return _result(x.value * x.value, "square", (x, lambda g: g * 2.0 * x.value))
+    xv = x.value
+    return _result(xv * xv, "square", (x, lambda g: g * 2.0 * xv))
 
 
 def scale(x: Node, c: float) -> Node:
@@ -192,7 +228,8 @@ def reduce_sum(x: Node, axis: int | None = None) -> Node:
         out = x.value.sum(axis=axis, keepdims=True)
     else:
         raise ShapeError(f"reduce_sum: axis must be None, 0 or 1, got {axis}")
-    return _result(out, "reduce_sum", (x, lambda g: np.broadcast_to(g, x.shape)))
+    shape = x.shape
+    return _result(out, "reduce_sum", (x, lambda g: np.broadcast_to(g, shape)))
 
 
 def reduce_mean(x: Node, axis: int | None = None) -> Node:
@@ -210,30 +247,30 @@ def _weighted_sum(x: np.ndarray, weight) -> np.ndarray:
 def frobenius_sq(x: Node, weight: float | np.ndarray = 1.0) -> Node:
     """Sum of the squared entries of x, each row's weighted by `weight`: one
     float for every row, or an n x 1 column."""
-    return _result(
-        _weighted_sum(x.value * x.value, weight), "frobenius_sq", (x, lambda g: g * weight * 2.0 * x.value)
-    )
+    xv = x.value
+    return _result(_weighted_sum(xv * xv, weight), "frobenius_sq", (x, lambda g: g * weight * 2.0 * xv))
 
 
 # ---------------------------------------------------------------------------
 # fused primitives: one node where a composition would keep every
-# intermediate on the tape; the local gradients recompute what they need
-# from the parents' values
+# intermediate's gradient on the tape and every intermediate its locals read;
+# the fused locals recompute what they need from the operands' values
 
 
 def reparameterize(mu: Node, log_sigma: Node, eps: np.ndarray) -> Node:
     """mu + exp(log_sigma) * eps for a constant noise draw eps.
 
-    Keeps only eps. The gradients are computed in the composition's
-    float-op order, d_log_sigma = (g * eps) * exp(log_sigma), so they are
-    bitwise those of add(mu, mul(exp(log_sigma), constant(eps)))."""
+    Its locals read eps and log_sigma. The gradients are computed in the
+    composition's float-op order, d_log_sigma = (g * eps) * exp(log_sigma),
+    so they are bitwise those of add(mu, mul(exp(log_sigma), constant(eps)))."""
     eps = np.ascontiguousarray(eps, dtype=np.float64)
     if not mu.shape == log_sigma.shape == eps.shape:
         raise ShapeError(f"reparameterize: {_describe(mu, log_sigma)} and noise {eps.shape} differ")
+    lsv = log_sigma.value
     return _result(
-        mu.value + np.exp(log_sigma.value) * eps, "reparameterize",
+        mu.value + np.exp(lsv) * eps, "reparameterize",
         (mu, _passed),
-        (log_sigma, lambda g: g * eps * np.exp(log_sigma.value)),
+        (log_sigma, lambda g: g * eps * np.exp(lsv)),
     )
 
 
@@ -251,17 +288,18 @@ def gaussian_kl(mu: Node, log_sigma: Node, clamp: float, weight) -> Node:
     (sum(((mu^2 + exp(2c)) - 1) - 2c) * (1/n)) * 0.5, and the gradients
     follow the composed clip/scale/square/exp/sub/reduce_sum chain
     operation by operation, so both are bitwise equal to it (the factor 0.5
-    is exact wherever it is applied). Nothing is kept but the parents; each
-    local gradient recomputes c0 = g * weight * 0.5, 1x1 or one column."""
+    is exact wherever it is applied). The locals read mu and log_sigma
+    alone; each recomputes c0 = g * weight * 0.5, 1x1 or one column."""
     if mu.shape != log_sigma.shape:
         raise ShapeError(f"gaussian_kl: {_describe(mu, log_sigma)} differ")
     clamp = float(clamp)
-    two_c = np.clip(log_sigma.value, -clamp, clamp) * 2.0
-    per_entry = ((mu.value * mu.value + np.exp(two_c)) - 1.0) - two_c
+    muv, lsv = mu.value, log_sigma.value
+    two_c = np.clip(lsv, -clamp, clamp) * 2.0
+    per_entry = ((muv * muv + np.exp(two_c)) - 1.0) - two_c
     return _result(
         _weighted_sum(per_entry, weight) * 0.5, "gaussian_kl",
-        (mu, lambda g: g * weight * 0.5 * 2.0 * mu.value),
-        (log_sigma, lambda g: _kl_log_sigma_grad(g * weight * 0.5, log_sigma.value, clamp)),
+        (mu, lambda g: g * weight * 0.5 * 2.0 * muv),
+        (log_sigma, lambda g: _kl_log_sigma_grad(g * weight * 0.5, lsv, clamp)),
     )
 
 
@@ -270,42 +308,50 @@ def rowwise_cosine(a: Node, b: Node, eps: float) -> Node:
     or with b itself when b is a single 1 x d row; eps is added under each
     square root, sqrt(sum(a_i^2) + eps).
 
-    Keeps three n x 1 columns (the cosines and both norms); the local
-    gradients read a and b from the parents, d cos / d a =
-    b / (|a||b|) - cos * a / |a|^2, and symmetrically for b."""
+    The locals read a, b and three n x 1 columns (the cosines and both
+    norms): d cos / d a = b / (|a||b|) - cos * a / |a|^2, and symmetrically
+    for b. Each subtracts its second term in place from its first."""
     if b.shape != a.shape and b.shape != (1, a.shape[1]):
         raise ShapeError(f"rowwise_cosine: b must match a or be one row, got {_describe(a, b)}")
-    norm_a = np.sqrt((a.value * a.value).sum(axis=1, keepdims=True) + eps)
-    norm_b = np.sqrt((b.value * b.value).sum(axis=1, keepdims=True) + eps)
-    out = (a.value * b.value).sum(axis=1, keepdims=True) / (norm_a * norm_b)
+    av, bv = a.value, b.value
+    norm_a = np.sqrt((av * av).sum(axis=1, keepdims=True) + eps)
+    norm_b = np.sqrt((bv * bv).sum(axis=1, keepdims=True) + eps)
+    out = (av * bv).sum(axis=1, keepdims=True) / (norm_a * norm_b)
     # a one-row b: each of its two terms is summed over the rows by itself
     to_b = _passed if b.shape == a.shape else (lambda t: t.sum(axis=0, keepdims=True))
-    return _result(
-        out, "rowwise_cosine",
-        (a, lambda g: g / (norm_a * norm_b) * b.value - g * out / (norm_a * norm_a) * a.value),
-        (b, lambda g: to_b(g / (norm_a * norm_b) * a.value) - to_b(g * out / (norm_b * norm_b)) * b.value),
-    )
+
+    def to_a_grad(g):
+        grad = g / (norm_a * norm_b) * bv
+        grad -= g * out / (norm_a * norm_a) * av
+        return grad
+
+    def to_b_grad(g):
+        grad = to_b(g / (norm_a * norm_b) * av)
+        grad -= to_b(g * out / (norm_b * norm_b)) * bv
+        return grad
+
+    return _result(out, "rowwise_cosine", (a, to_a_grad), (b, to_b_grad))
 
 
 # ---------------------------------------------------------------------------
 # graph traversal
 
 
-def _topological_order(loss: Node) -> list[Node]:
-    order: list[Node] = []
+def _topological_order(root: Entry) -> list[Entry]:
+    order: list[Entry] = []
     visited: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(loss, False)]
+    stack: list[tuple[Entry, bool]] = [(root, False)]
     while stack:
-        node, expanded = stack.pop()
+        entry, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            order.append(entry)
             continue
-        if id(node) in visited:
+        if id(entry) in visited:
             continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent, _ in node._shares:
-            if parent.requires_grad and id(parent) not in visited:
+        visited.add(id(entry))
+        stack.append((entry, True))
+        for parent, _ in entry.shares:
+            if id(parent) not in visited:
                 stack.append((parent, False))
     return order
 
@@ -314,8 +360,10 @@ def backward(loss: Node) -> None:
     """Populate gradients of every trainable leaf reachable from the loss:
     the engine's one chain-rule loop.
 
-    The loss must be 1x1. Each node is visited exactly once, in reverse
-    topological order; a second call on the same loss node is rejected.
+    The loss must be 1x1. Each entry is popped exactly once, in reverse
+    topological order; it hands each share its parent's part and then drops
+    its shares and, unless it is the loss's, its gradient. A second call on
+    the same loss node is rejected.
     """
     if loss.shape != (1, 1):
         raise ShapeError(f"backward: loss '{loss.name}' must be 1x1, got {loss.shape}")
@@ -324,16 +372,24 @@ def backward(loss: Node) -> None:
     if not np.isfinite(loss.value[0, 0]):
         raise NumericError(f"backward: loss '{loss.name}' is non-finite")
     loss._backward_ran = True
-    if not loss.requires_grad:
+    root = loss.entry
+    if not root.requires_grad:
         return
-    loss.grad = np.ones((1, 1))
-    for node in reversed(_topological_order(loss)):
-        if node._shares and node.grad is not None:
-            for parent, local in node._shares:
-                if parent.requires_grad:
-                    parent.accumulate(local(node.grad))
-            if node is not loss:
-                node.grad = None  # free intermediate gradients promptly
+    root.grad = np.ones((1, 1))
+    order = _topological_order(root)
+    while order:
+        entry = order.pop()
+        if not entry.shares:
+            continue  # a leaf keeps its gradient
+        for parent, local in entry.shares:
+            delta = local(entry.grad)
+            # a delta that owns its memory and is not the node's own gradient was made by the local
+            parent.accumulate(delta, made=delta is not entry.grad and delta.base is None)
+        # the locals, and the arrays only they read, go now, as does the gradient
+        del parent, local, delta
+        entry.shares = ()
+        if entry is not root:
+            entry.grad = None
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

@@ -334,8 +334,19 @@ class CsrMatrix:
         )
 
     @cached_property
+    def _built_transpose(self) -> CsrMatrix | None:
+        """The transpose's CSR, built once, or None where it has bitwise this
+        matrix's arrays, as every `normalize_adjacency` output does."""
+        t = CsrMatrix.from_scipy(self._scipy.T)
+        pairs = [(getattr(t, f), getattr(self, f)) for f in ("row_offsets", "col_indices", "values")]
+        same = all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in pairs)
+        return None if same else t
+
+    @property
     def _transpose(self) -> CsrMatrix:
-        return CsrMatrix.from_scipy(self._scipy.T)
+        # the matrix itself is not cached on itself, which would make a cycle
+        # that only the garbage collector frees
+        return self._built_transpose or self
 
     def _times(self, x: np.ndarray) -> np.ndarray:
         """self @ x by scipy's own multi-vector kernel, which adds each output

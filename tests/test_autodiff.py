@@ -1,9 +1,12 @@
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 
 from leda import autodiff as ad
 from leda.errors import NumericError, ShapeError
-from leda.linalg import CsrMatrix
+from leda.linalg import CsrMatrix, normalize_adjacency
 
 from oracles import central_difference_grad, gradient_check
 
@@ -71,6 +74,12 @@ class TestForward:
             ad.sparse_matmul(CsrMatrix.from_dense(np.eye(3)), x)
         with pytest.raises(ShapeError, match="^reduce_sum: axis must be None, 0 or 1, got 2$"):
             ad.reduce_sum(x, axis=2)
+
+    def test_a_value_of_three_dimensions_is_refused(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match="^node 'const' must hold a 2-D value, got ndim=3$"):
+                ad.constant(np.zeros((2, 2, 2)))
 
     def test_add_row_bias_shape_check(self):
         x = ad.constant(np.zeros((4, 3)), "x")
@@ -146,9 +155,9 @@ class TestBackward:
         source = np.array([[1.0, 2.0]])
         view = np.broadcast_to(source, (3, 2))  # read-only, as reduce_sum passes it
         node = ad.Node(np.zeros((3, 2)), "n", requires_grad=True)
-        node.accumulate(view)
+        node.entry.accumulate(view)
         assert not np.shares_memory(node.grad, source)
-        node.accumulate(view)
+        node.entry.accumulate(view)
         assert np.array_equal(node.grad, np.tile([[2.0, 4.0]], (3, 1)))
         assert np.array_equal(source, [[1.0, 2.0]])
 
@@ -156,20 +165,41 @@ class TestBackward:
         # a transposed delta, and x as both operands of x^T x, whose two
         # products downstream would otherwise round as another layout does
         node = ad.Node(np.zeros((3, 2)), "n", requires_grad=True)
-        node.accumulate(np.arange(6.0).reshape(2, 3).T)
+        node.entry.accumulate(np.arange(6.0).reshape(2, 3).T)
         assert node.grad.flags.c_contiguous
         x = ad.Node(np.random.default_rng(1).standard_normal((5, 3)), "x", requires_grad=True)
         ad.backward(ad.reduce_sum(ad.matmul(x, x, transpose_a=True)))
         assert x.grad.flags.c_contiguous
         assert np.allclose(x.grad, 2.0 * x.value.sum(axis=1, keepdims=True) * np.ones((1, 3)))
 
+    def test_a_first_delta_made_by_a_local_is_kept(self):
+        made = np.ones((2, 2))
+        entry = ad.Entry("n", requires_grad=True)
+        entry.accumulate(made, made=True)
+        assert entry.grad is made
+        fortran = np.asfortranarray(np.ones((3, 2)))
+        entry = ad.Entry("n", requires_grad=True)
+        entry.accumulate(fortran, made=True)
+        assert entry.grad.flags.c_contiguous and not np.shares_memory(entry.grad, fortran)
+
+    def test_a_passed_or_broadcast_gradient_is_copied_before_it_is_added_to(self):
+        """add hands its own gradient to both operands, and reduce_sum a view
+        of its own; a and b each get a second share too, which is added in
+        place, so neither may keep what it was handed."""
+        x = ad.parameter([[1.0]], "x")
+        a, b = ad.scale(x, 2.0), ad.scale(x, 3.0)
+        loss = ad.add(ad.add(ad.reduce_sum(a), ad.add(a, b)), ad.add(ad.reduce_sum(b), ad.mul(b, b)))
+        ad.backward(loss)
+        # loss = 2x + (2x + 3x) + 3x + 9x^2
+        assert x.grad[0, 0] == 28.0
+
     def test_a_delta_shared_by_two_nodes_stays_untouched(self):
         delta = np.ones((2, 2))
         a = ad.Node(np.zeros((2, 2)), "a", requires_grad=True)
         b = ad.Node(np.zeros((2, 2)), "b", requires_grad=True)
-        a.accumulate(delta)
-        b.accumulate(delta)
-        a.accumulate(delta)
+        a.entry.accumulate(delta)
+        b.entry.accumulate(delta)
+        a.entry.accumulate(delta)
         assert np.array_equal(delta, np.ones((2, 2)))
         assert np.array_equal(b.grad, np.ones((2, 2)))
         assert np.array_equal(a.grad, np.full((2, 2), 2.0))
@@ -437,3 +467,67 @@ def test_a_constant_parent_gets_no_gradient_and_its_sibling_the_full_one(case, h
     assert mixed[held].grad is None
     assert np.array_equal(mixed[1 - held].grad, both[1 - held].grad)
     assert np.any(mixed[1 - held].grad != 0.0)
+
+
+def tape_entries(root):
+    """Every entry reachable from root through the shares, root first."""
+    seen, stack = {}, [root]
+    while stack:
+        entry = stack.pop()
+        if id(entry) not in seen:
+            seen[id(entry)] = entry
+            stack.extend(parent for parent, _ in entry.shares)
+    return list(seen.values())
+
+
+class TestValuesLeaveTheTape:
+    """The tape holds gradients and shares; a value lives only as long as
+    forward code or a local gradient reads it."""
+
+    def test_a_value_lives_while_forward_code_or_a_local_reads_it(self):
+        rng = np.random.default_rng(21)
+        x_value = rng.standard_normal((6, 4))
+        s = normalize_adjacency(CsrMatrix.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]))
+        w = ad.parameter(rng.standard_normal((4, 3)), "W")
+
+        def build():
+            x = ad.constant(x_value.copy(), "x")
+            pre = ad.matmul(x, w)
+            out = ad.relu(pre)
+            refs = {"x": weakref.ref(x.value), "pre": weakref.ref(pre.value), "relu": weakref.ref(out.value)}
+            return ad.reduce_sum(ad.sparse_matmul(s, out)), refs
+
+        loss, refs = build()
+        # relu keeps its mask, and sparse_matmul's local reads S alone
+        assert refs["pre"]() is None and refs["relu"]() is None
+        assert refs["x"]() is not None  # W's local in matmul reads x
+        ad.backward(loss)
+        assert refs["x"]() is None  # backward dropped the share that read it
+        upstream = (x_value @ w.value > 0.0) * s.t_matmul_dense(np.ones((6, 3)))
+        assert np.allclose(w.grad, x_value.T @ upstream)
+
+    def test_no_local_closes_over_a_node(self):
+        rng = np.random.default_rng(22)
+        for case in ALL_CASES:
+            build, values = _random_case(rng, case)
+            out = build([ad.parameter(v, f"x{i}") for i, v in enumerate(values)])
+            for _, local in out.entry.shares:
+                cells = [cell.cell_contents for cell in getattr(local, "__closure__", None) or ()]
+                assert not any(isinstance(c, (ad.Node, ad.Entry)) for c in cells), case
+
+    def test_a_constant_operand_gets_no_share(self):
+        x, c = ad.parameter(np.ones((2, 2)), "x"), ad.constant(np.ones((2, 2)), "c")
+        assert [parent for parent, _ in ad.mul(c, x).entry.shares] == [x.entry]
+        assert ad.mul(c, c).entry.shares == () and not ad.mul(c, c).requires_grad
+
+    def test_backward_drops_every_share_and_intermediate_gradient(self):
+        rng = np.random.default_rng(23)
+        build, values = _random_case(rng, "rowwise_cosine")
+        nodes = [ad.parameter(v, f"x{i}") for i, v in enumerate(values)]
+        loss = ad.reduce_sum(ad.relu(build(nodes)))
+        entries = tape_entries(loss.entry)
+        ad.backward(loss)
+        assert all(not e.shares for e in entries)
+        leaves = {id(n.entry) for n in nodes} | {id(loss.entry)}
+        assert all(e.grad is None for e in entries if id(e) not in leaves)
+        assert all(n.grad is not None for n in nodes)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -182,6 +184,21 @@ class TestShapesFollowConfig:
         )
         with pytest.raises(CheckpointFormatError, match=r"'dpu.W1' is 8x4.*expects 4x8"):
             save_checkpoint(bad, tmp_path / "bad.ckpt")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["dpu.W1", "lda.W_dec"])
+    def test_save_refuses_a_missing_parameter(self, trained, tmp_path, name):
+        bad = Checkpoint(
+            config=trained.config,
+            params={key: arr for key, arr in trained.params.items() if key != name},
+            bases=trained.bases,
+            epoch=trained.epoch,
+            final_loss=trained.final_loss,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CheckpointFormatError, match=f"^checkpoint is missing parameter tensor '{name}'$"):
+                save_checkpoint(bad, tmp_path / "bad.ckpt")
         assert list(tmp_path.iterdir()) == []
 
     def test_save_refuses_narrow_basis(self, trained, tmp_path):

@@ -342,6 +342,12 @@ class TestMiDiagnostic:
         b = mi_from_scores(scores + 3.25)
         assert a["mi_proxy"] == pytest.approx(b["mi_proxy"], abs=1e-9)
 
+    def test_no_scores_is_refused(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^no similarity scores$"):
+                mi_from_scores([])
+
     def test_lowering_non_max_scores_lowers_proxy(self):
         scores = np.array([2.0, 1.0, 0.5, 0.0])
         lowered = scores.copy()

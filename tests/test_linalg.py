@@ -59,6 +59,26 @@ class TestNormalizeAdjacency:
         s = normalize_adjacency(adjacency_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
         assert np.all(to_dense(s).sum(axis=1) <= 5.0)
 
+    # the node counts and mean degrees of the benchmark's paper-like graphs
+    @pytest.mark.parametrize("n, mean_degree", [(2708, 3.9), (7650, 31.0), (3327, 2.7)])
+    def test_is_its_own_transpose(self, n, mean_degree):
+        """S[i, j] and S[j, i] are computed alike, so S's transpose has
+        bitwise S's arrays, and the product with it reuses S unbuilt."""
+        rng = np.random.default_rng(n)
+        edges = rng.integers(0, n, size=(round(n * mean_degree / 2), 2))
+        s = normalize_adjacency(adjacency_from_edges(n, edges[edges[:, 0] != edges[:, 1]]))
+        assert s._transpose is s
+        g = rng.standard_normal((n, 3))
+        assert s.t_matmul_dense(g).tobytes() == (s._scipy.T @ g).tobytes()
+
+    @pytest.mark.parametrize("shape", [(60, 40), (50, 50)])
+    def test_a_feature_csr_gets_its_own_transpose(self, shape):
+        rng = np.random.default_rng(3)
+        x = CsrMatrix.from_dense(bag_of_words(rng, *shape, 0.1))
+        assert x._transpose is not x and x._transpose.shape == shape[::-1]
+        g = rng.standard_normal((shape[0], 3))
+        assert x.t_matmul_dense(g).tobytes() == (x._scipy.T @ g).tobytes()
+
 
 class TestCsrInvariants:
     def test_rejects_bad_offsets(self):

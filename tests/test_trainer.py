@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 
@@ -24,7 +25,9 @@ from leda.trainer import (
 )
 
 from oracles import assert_same_operand, gradient_check, member_loop_epoch_loss, registered_paramset, to_dense
-from synthetic import bow_collection, graph_level_collection, node_collection, parameters, tiny_config
+from synthetic import (bow_collection, graph_level_collection, node_collection, parameters, tiny_config,
+                       zero_grads)
+from test_autodiff import tape_entries
 
 
 def arrays_of(params):
@@ -116,12 +119,12 @@ class TestPretrain:
         collection, config = node_collection(), tiny_config(epochs=5)
         save_checkpoint(pretrain(collection, config), tmp_path / "copy.ckpt")
 
-        def zero_then_add(node, delta):
-            if node.grad is None:
-                node.grad = np.zeros_like(node.value)
-            node.grad += delta
+        def zero_then_add(entry, delta, made=False):
+            if entry.grad is None:
+                entry.grad = np.zeros(delta.shape)
+            entry.grad += delta
 
-        monkeypatch.setattr(ad.Node, "accumulate", zero_then_add)
+        monkeypatch.setattr(ad.Entry, "accumulate", zero_then_add)
         save_checkpoint(pretrain(collection, config), tmp_path / "add.ckpt")
         assert (tmp_path / "copy.ckpt").read_bytes() == (tmp_path / "add.ckpt").read_bytes()
 
@@ -622,3 +625,54 @@ class TestDomainOperands:
         collection = self.collection([3, 4], widths=[3, 5])
         with pytest.raises(DataError, match=r"^domain 'u': members disagree on feature dim \[3, 5\]$"):
             trainer.domain_operands(collection, "u")
+
+
+class TestEpochTape:
+    """What one epoch's tape holds: the arrays its locals read, until
+    `backward` has walked it."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_backward_leaves_no_share_and_no_intermediate_gradient(self, variant):
+        config = tiny_config(variant=variant)
+        params = init_paramset(config)
+        zero_grads(params)
+        loss, _ = build_epoch_loss(prepare_domains(bow_collection(), config), params, config, 0)
+        entries = tape_entries(loss.entry)
+        ad.backward(loss)
+        assert all(not entry.shares for entry in entries)
+        leaves = {id(node.entry) for node in params.values()} | {id(loss.entry)}
+        assert all(entry.grad is None for entry in entries if id(entry) not in leaves)
+
+    def test_a_full_epoch_holds_only_what_its_locals_read(self):
+        """Traced by tracemalloc on one dense domain, the loss of one `full`
+        epoch holds the arrays its local gradients read, and at most 1 KiB
+        per tape entry for the entries, their shares and closures."""
+        n, d = 400, 50
+        k, h, m, h_e, z = 8, 16, 16, 64, 32
+        graph = generate_sbm(4, 100, p_in=0.05, p_out=0.005, d=d, cluster_sep=3.0, seed=3, domain_id="one")
+        config = tiny_config(k=k, h=h, m=m, h_e=h_e, z=z)
+        prepared = prepare_domains(GraphCollection((graph,), "node-level"), config)
+        assert isinstance(prepared[0].x, np.ndarray) and config.mu_align == 1.0
+        params = init_paramset(config)
+        zero_grads(params)
+        build_epoch_loss(prepared, params, config, 0)  # first calls fill numpy's own caches
+        read = {  # bytes; the parameters, X, V and S are held outside the tape
+            "dpu relu mask": d * h,
+            "dpu hidden layer, read by W2's local": 8 * d * h,
+            "Vhat, read by Vhat^T Vhat": 8 * d * m,
+            "Xhat, read by P^T P and ||Xhat||^2": 8 * n * m,
+            "P^T P and Vhat^T Vhat, read by their product; Vhat^T Vhat - I": 8 * 3 * m * m,
+            "S Xhat, read by W_base's local": 8 * n * m,
+            "lda relu mask": n * h_e,
+            "propagated base, read by W_mu's and W_sigma's locals": 8 * n * h_e,
+            "mu, log_sigma, the noise and the sample z": 8 * 4 * n * z,
+            "Xhat - decoded, read by the reconstruction": 8 * n * m,
+        }
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss, _ = build_epoch_loss(prepared, params, config, 1)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= sum(read.values()) + 1024 * len(tape_entries(loss.entry))
