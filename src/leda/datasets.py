@@ -382,24 +382,21 @@ def _read_labels(path: Path) -> np.ndarray:
         raise DataError(f"{path}: label outside the 64-bit integer range") from exc
 
 
-def degree_features(adjacency: CsrMatrix, d: int) -> np.ndarray:
-    """Structural features for attribute-free graphs.
+def degree_features(adjacency: CsrMatrix) -> np.ndarray:
+    """Structural features for attribute-free graphs, DEGREE_FEATURE_DIM wide.
 
-    Column 0: degree / max degree, column 1: constant 1, columns 2..d-1:
-    one-hot of the degree capped at d-3.
+    Column 0: degree / max degree, column 1: constant 1, columns 2..: one-hot
+    of the degree capped at DEGREE_FEATURE_DIM-3.
     """
-    if d < 2:
-        raise ConfigError(f"degree feature dimension must be >= 2, got {d}")
     degrees = np.diff(adjacency.row_offsets).astype(np.float64)
     n = adjacency.rows
-    out = np.zeros((n, d))
+    out = np.zeros((n, DEGREE_FEATURE_DIM))
     max_deg = degrees.max() if n else 0.0
     if max_deg > 0:
         out[:, 0] = degrees / max_deg
     out[:, 1] = 1.0
-    if d >= 3:
-        capped = np.minimum(degrees.astype(np.int64), d - 3)
-        out[np.arange(n), 2 + capped] = 1.0
+    capped = np.minimum(degrees.astype(np.int64), DEGREE_FEATURE_DIM - 3)
+    out[np.arange(n), 2 + capped] = 1.0
     return out
 
 
@@ -470,7 +467,7 @@ def load_dataset(manifest_path: str | Path) -> GraphCollection:
             adjacency = _read_edges(_require_file(base / edges_path, "edges"), n, symmetrize)
             degree_featurized = features is None
             if degree_featurized:
-                features = degree_features(adjacency, DEGREE_FEATURE_DIM)
+                features = degree_features(adjacency)
         except MemoryError as exc:
             raise DataError(f"domain '{domain_id}': no memory for a graph of {n} nodes") from exc
         graphs.append(

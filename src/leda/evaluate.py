@@ -78,10 +78,6 @@ class EvalReport:
     flags: list[str] = field(default_factory=list)
     extras: dict[str, float] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not (0.0 <= self.mean_accuracy <= 100.0) or self.std < 0:
-            raise DataError("accuracy must be in [0, 100] and std >= 0")
-
     def to_dict(self) -> dict:
         doc = {
             "task": self.task,

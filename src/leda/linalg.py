@@ -348,9 +348,12 @@ class CsrMatrix:
         # that only the garbage collector frees
         return self._built_transpose or self
 
-    def _times(self, x: np.ndarray) -> np.ndarray:
+    def matmul_dense(self, x: np.ndarray) -> np.ndarray:
         """self @ x by scipy's own multi-vector kernel, which adds each output
-        row's terms in column order, with the rows split by `split_rows`."""
+        row's terms in column order, with the rows split by `split_rows`. The
+        kernel reads x unchecked, so its shape is checked here."""
+        if x.shape[0] != self.cols:
+            raise DataError(f"sparse ({self.rows}x{self.cols}) @ dense {x.shape}: inner dims differ")
         width = x.shape[1]
         x = np.ascontiguousarray(x, dtype=np.float64).ravel()
         out = np.zeros((self.rows, width))
@@ -362,20 +365,15 @@ class CsrMatrix:
         split_rows(self.rows, SPARSE_MADD_COST * self.nnz * width, kernel)
         return out
 
-    def matmul_dense(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[0] != self.cols:
-            raise DataError(f"sparse ({self.rows}x{self.cols}) @ dense {x.shape}: inner dims differ")
-        return self._times(x)
-
     def t_matmul_dense(self, x: np.ndarray) -> np.ndarray:
         """self.T @ x as the CSR of the transpose, built once, times x. Its row
         i adds the terms of column i in row order, as scipy's CSC route does,
         so the bits are that route's."""
-        if x.shape[0] != self.rows:
-            raise DataError(f"sparse.T ({self.cols}x{self.rows}) @ dense {x.shape}: inner dims differ")
-        return self._transpose._times(x)
+        return self._transpose.matmul_dense(x)
 
     def is_symmetric(self) -> bool:
+        if self.rows != self.cols:  # scipy's m != m.T is then a plain bool
+            return False
         m = self._scipy
         return (m != m.T).nnz == 0
 

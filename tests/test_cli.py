@@ -1082,9 +1082,9 @@ class TestRefusals:
 
     @pytest.mark.parametrize("eval_doc, message", [
         ({"test_domains": ["domc", "domc"]}, "held-out domains named more than once: ['domc']"),
-        ({"t_propagate": {"typo": 3}}, "eval.t_propagate names domains not in the dataset: ['typo']"),
+        ({"t_propagate": {"typo": 3}}, "eval.t_propagate names domains that are not held out: ['typo']"),
         ({"t_propagate": {"domc": 2, "doma": 1, "nope": 0}},
-         "eval.t_propagate names domains not in the dataset: ['nope']"),
+         "eval.t_propagate names domains that are not held out: ['doma', 'nope']"),
     ], ids=["repeated-test-domain", "unknown-t-domain", "one-unknown-t-domain"])
     def test_ablate_eval_settings_that_cannot_take_effect_exit_2(self, suite, tmp_path, capsys, eval_doc, message):
         cfg = tmp_path / "run.json"

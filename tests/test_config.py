@@ -39,6 +39,17 @@ class TestRunConfig:
         assert cfg.eval.k_shot == 1
         assert cfg.eval_seed == 66666
 
+    def test_readme_block_shows_the_defaults(self):
+        """README's run-config block is the empty document's config, but for
+        `data`, which has no default and is shown as an example path."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("\n## Run configuration\n", 1)[1]
+        block = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        defaults = run_config_from_dict({}).to_dict()
+        assert defaults.pop("data") is None
+        block.pop("data")
+        assert block == defaults
+
     def test_lambda_maps_to_orthogonality_weight(self):
         cfg = run_config_from_dict({"model": {"lambda": 0.25}})
         assert cfg.train.lam == 0.25

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from leda.datasets import (
+    DEGREE_FEATURE_DIM,
     GRAPH_LEVEL,
     DomainGraph,
     GraphCollection,
@@ -194,7 +195,7 @@ class TestRoundTrip:
         n = 120_000
         pairs = np.random.default_rng(17).integers(0, n, size=(5000, 2))
         adj = CsrMatrix.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])
-        graph = DomainGraph("big", degree_features(adj, 4), adj, degree_featurized=True)
+        graph = DomainGraph("big", degree_features(adj), adj, degree_featurized=True)
         save_dataset(GraphCollection(graphs=(graph,), task_kind="node-level"), tmp_path)
         written = (tmp_path / "g000-big.edges.tsv").read_bytes()
         assert written == edge_lines(adj).encode("utf-8")
@@ -286,13 +287,13 @@ class TestDegreeFeatures:
         return CsrMatrix.from_edges(leaves + 1, edges)
 
     def test_star_center_normalized_degree(self):
-        feats = degree_features(self.star(4), d=8)
+        feats = degree_features(self.star(4))
         assert feats[0, 0] == 1.0  # center has max degree
         assert np.all(feats[1:, 0] == 0.25)
 
     def test_isolated_node(self):
         adj = CsrMatrix.from_edges(3, [(0, 1)])
-        feats = degree_features(adj, d=6)
+        feats = degree_features(adj)
         assert feats[2, 0] == 0.0
         assert feats[2, 1] == 1.0
         assert feats[2, 2] == 1.0  # one-hot slot for degree 0
@@ -300,17 +301,15 @@ class TestDegreeFeatures:
     def test_regular_graph_rows_identical(self):
         # 4-cycle: every node has degree 2
         adj = CsrMatrix.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        feats = degree_features(adj, d=5)
+        feats = degree_features(adj)
         assert np.all(feats == feats[0])
 
     def test_degree_capped_by_width(self):
-        feats = degree_features(self.star(6), d=5)
-        # cap = d-3 = 2: the center (degree 6) lands in the last one-hot slot
-        assert feats[0, 2 + 2] == 1.0
-
-    def test_minimum_width(self):
-        with pytest.raises(ConfigError):
-            degree_features(self.star(2), d=1)
+        feats = degree_features(self.star(20))
+        assert feats.shape == (21, DEGREE_FEATURE_DIM)
+        # cap = 16-3 = 13: the center (degree 20) lands in the last one-hot slot
+        assert feats[0, DEGREE_FEATURE_DIM - 1] == 1.0
+        assert np.all(feats[1:, 2 + 1] == 1.0)  # each leaf in degree 1's slot
 
 
 class TestDomainGraphValidation:

@@ -398,7 +398,8 @@ class TestGraphOperatorOrder:
         collection = order_collection()
         pretrain(collection, tiny_config(variant=variant, epochs=1, **ORDER_DIMS))
         want = sorted([ORDER_DIMS[w] for w in widths] * len(collection.graphs))
-        assert sorted(seen["matmul_dense"]) == want
+        # each backward product is the transpose's matmul_dense, so the spy sees it too
+        assert sorted(seen["matmul_dense"]) == sorted(want * 2)
         assert sorted(seen["t_matmul_dense"]) == want
 
 

@@ -7,11 +7,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leda.datasets import DEGREE_FEATURE_DIM, degree_features
+from leda.datasets import degree_features
 from leda.errors import DataError, NumericError
 from leda.linalg import (
     SPARSE_FEATURE_DENSITY,
     CsrMatrix,
+    SvdResult,
     basis_signs,
     feature_operand,
     gaussian_entropy,
@@ -94,6 +95,40 @@ class TestCsrInvariants:
     def test_rejects_column_out_of_range(self):
         with pytest.raises(DataError, match="out of range"):
             CsrMatrix(rows=1, cols=2, row_offsets=[0, 1], col_indices=[5], values=[1.0])
+
+    @pytest.mark.parametrize("offsets, indices, values, message", [
+        ([1, 1], [0], [1.0], "start at 0 and end at nnz"),
+        ([0, 1], [0, 1], [1.0, 1.0], "start at 0 and end at nnz"),
+        ([0, 2, 1], [0], [1.0], "nondecreasing"),
+        ([0, 2], [0, 1], [1.0], "equal length"),
+    ], ids=["nonzero-start", "short-end", "decreasing", "unequal-lengths"])
+    def test_rejects_malformed_arrays(self, offsets, indices, values, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=message):
+                CsrMatrix(len(offsets) - 1, 2, offsets, indices, values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^sparse values contain non-finite entries$"):
+                CsrMatrix(1, 2, [0, 2], [0, 1], [1.0, bad])
+
+    @pytest.mark.parametrize("method, inner, outer", [("matmul_dense", 40, 60), ("t_matmul_dense", 60, 40)])
+    def test_a_product_with_a_wrong_shaped_operand_is_refused(self, method, inner, outer):
+        x = CsrMatrix.from_dense(bag_of_words(np.random.default_rng(2), 60, 40, 0.1))
+        assert getattr(x, method)(np.ones((inner, 2))).shape == (outer, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"@ dense \(59, 2\): inner dims differ$"):
+                getattr(x, method)(np.ones((59, 2)))
+
+    def test_is_symmetric(self):
+        x = CsrMatrix.from_dense(bag_of_words(np.random.default_rng(2), 60, 40, 0.1))
+        assert not x.is_symmetric()
+        assert CsrMatrix.from_edges(4, [(0, 1), (2, 3)]).is_symmetric()
+        assert not CsrMatrix(2, 2, [0, 1, 1], [1], [1.0]).is_symmetric()
 
     # rows [0, 3], [], [1, 2], [0, 3]: columns fall across every row boundary
     ROWS = [[0, 3], [], [1, 2], [0, 3]]
@@ -251,6 +286,42 @@ class TestTruncatedSvd:
             with pytest.raises(NumericError, match="^svd sketch overflowed"):
                 truncated_svd(x, k=2, seed=0)
 
+    @pytest.mark.parametrize("x, error, message", [
+        (np.ones(4), DataError, "^svd input must be 2-D, got ndim=1$"),
+        (np.array([[1.0, math.nan], [0.0, 1.0]]), NumericError, "^svd input contains non-finite entries$"),
+        (np.array([[1.0, 0.0], [math.inf, 1.0]]), NumericError, "^svd input contains non-finite entries$"),
+    ], ids=["one-dim", "nan", "inf"])
+    def test_refuses_what_is_not_a_finite_table(self, x, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                truncated_svd(x, k=1, seed=0)
+
+
+class TestSvdResult:
+    """The post-conditions checked on LAPACK's output."""
+
+    V = np.eye(3)[:, :2]
+
+    @pytest.mark.parametrize("singular_values, message", [
+        ([1.0, 2.0], "^singular values must be nonincreasing$"),
+        ([1.0, -0.5], "^singular values must be nonnegative$"),
+    ], ids=["increasing", "negative"])
+    def test_refuses_bad_singular_values(self, singular_values, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=message):
+                SvdResult(U=np.eye(2), singular_values=np.array(singular_values), V=self.V)
+
+    def test_refuses_v_columns_that_are_not_orthonormal(self):
+        v = self.V.copy()
+        v[0, 1] = 1e-6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^V columns are not orthonormal$"):
+                SvdResult(U=np.eye(2), singular_values=np.array([2.0, 1.0]), V=v)
+        assert SvdResult(U=np.eye(2), singular_values=np.array([2.0, 2.0]), V=self.V).V is self.V
+
 
 class TestSparseFeatures:
     """Features held as CSR (`feature_operand`) against the dense path."""
@@ -258,7 +329,7 @@ class TestSparseFeatures:
     def test_gaussian_and_degree_features_stay_dense(self):
         gaussian = np.random.default_rng(0).standard_normal((30, 8))
         ring = CsrMatrix.from_edges(30, [(i, (i + 1) % 30) for i in range(30)])
-        degree = degree_features(ring, DEGREE_FEATURE_DIM)
+        degree = degree_features(ring)
         for x in (gaussian, degree):
             assert feature_operand(x) is x
 
@@ -374,6 +445,14 @@ class TestGaussianEntropy:
     def test_too_few_rows_degenerate(self):
         res = gaussian_entropy(np.random.default_rng(0).standard_normal((3, 3)))
         assert res.degenerate
+
+    def test_refuses_a_non_finite_table(self):
+        vhat = np.random.default_rng(0).standard_normal((6, 2))
+        vhat[3, 1] = math.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^entropy input contains non-finite entries$"):
+                gaussian_entropy(vhat)
 
     def test_scaling_raises_entropy_by_m_log_c(self):
         rng = np.random.default_rng(4)
