@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import io
 import json
+import mmap
+import os
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -156,16 +158,18 @@ class GraphCollection:
 # ---------------------------------------------------------------------------
 # file parsing
 #
-# Each reader reads its file once, as bytes, and has two routes; the
-# features reader tries a third one first. A features file that is a byte
-# grid of fixed-width decimal tokens, as the "0.0"/"1.0" bag-of-words tables
+# Each reader reads its file once and has two routes; the features reader
+# tries a third one first. It maps its file read-only, and a byte grid of
+# fixed-width decimal tokens, as the "0.0"/"1.0" bag-of-words tables
 # `save_dataset` writes are, is decoded by byte column in `_load_fixed_width`
-# with no text parser, to float()'s bits; any other file returns None there
-# at its first failed check and takes the two routes below. The grid's
-# integer table gets `feature_operand`'s rule, so a sparse one becomes a
-# CsrMatrix from its nonzeros alone and its float table is never built; the
-# two routes below parse a dense table, which `DomainGraph` rules on once it
-# is found finite.
+# from the page cache, with no copy and no text parser, to float()'s bits.
+# Any other file returns None there at its first failed check and is read
+# into bytes, as edges and labels files are, for the two routes below. The
+# mapping is closed before the reader returns; a file that shrinks while it
+# is mapped ends the process (SIGBUS). The grid's integer table gets
+# `feature_operand`'s rule, so a sparse one becomes a CsrMatrix from its
+# nonzeros alone and its float table is never built; the two routes below
+# parse a dense table, which `DomainGraph` rules on once it is found finite.
 #
 # A file spelled only with the characters below is "plain": ASCII, so valid
 # UTF-8. Its bytes go to np.loadtxt, which on one CPU parses bag-of-words
@@ -301,14 +305,16 @@ def _read_edges(path: Path, n: int, symmetrize: bool) -> CsrMatrix:
     return CsrMatrix.from_edges(n, pairs)
 
 
-def _load_fixed_width(raw: bytes) -> np.ndarray | CsrMatrix | None:
+def _load_fixed_width(raw: bytes | mmap.mmap) -> np.ndarray | CsrMatrix | None:
     """The (rows, tokens) table of a byte grid, in the form `feature_operand`
     picks, or None when `raw` is not one: every line ends in a newline and has
     the first line's length, every token the first token's width, and each
     byte column of the tokens is all digits or all `.`, with at most one `.`
     column and 15 digits. A value is then an integer below 10^15 < 2^53 over
     10^f, so one division gives float()'s bits; a sparse table divides its
-    nonzeros alone, and never exists as floats."""
+    nonzeros alone, and never exists as floats. `raw` is bytes or a read-only
+    mapping; no array made from it outlives the call, even one that raises,
+    so the mapping can be closed as soon as it ends."""
     line = raw.find(b"\n") + 1
     tab = raw.find(b"\t", 0, line)
     step = line if tab < 0 else tab + 1  # a token and the byte after it
@@ -320,32 +326,43 @@ def _load_fixed_width(raw: bytes) -> np.ndarray | CsrMatrix | None:
     if not 0 < digits <= 15:
         return None
     grid = np.frombuffer(raw, np.uint8).reshape(len(raw) // line, line // step, step)
-    ends = np.full(grid.shape[1], ord("\t"), np.uint8)
-    ends[-1] = ord("\n")
-    if np.any(grid[:, :, -1] != ends):
-        return None
-    # the integers, in the narrowest unsigned type that holds them
-    table = np.zeros(grid.shape[:2], np.min_scalar_type(10 ** digits - 1))
-    for k in range(step - 1):
-        if k == point:
-            if np.any(grid[:, :, k] != ord(".")):
-                return None
-            continue
-        digit = grid[:, :, k] - np.uint8(ord("0"))  # a non-digit gives > 9, or wraps to it
-        if digit.max() > 9:
+    try:
+        ends = np.full(grid.shape[1], ord("\t"), np.uint8)
+        ends[-1] = ord("\n")
+        if np.any(grid[:, :, -1] != ends):
             return None
-        table *= 10
-        table += digit
-    return feature_operand(table, float(10 ** (digits - point if point >= 0 else 0)))
+        # the integers, in the narrowest unsigned type that holds them
+        table = None
+        for k in range(step - 1):
+            if k == point:
+                if np.any(grid[:, :, k] != ord(".")):
+                    return None
+                continue
+            digit = grid[:, :, k] - np.uint8(ord("0"))  # a non-digit gives > 9, or wraps to it
+            if digit.max() > 9:
+                return None
+            if table is None:
+                table = digit.astype(np.min_scalar_type(10 ** digits - 1), copy=False)
+            else:
+                table *= 10
+                table += digit
+        return feature_operand(table, float(10 ** (digits - point if point >= 0 else 0)))
+    finally:
+        # a raised error's traceback keeps this frame; a view left in it would
+        # make closing the mapping raise BufferError in place of that error
+        del grid
 
 
 def _read_features(path: Path) -> np.ndarray | CsrMatrix:
-    raw = path.read_bytes()
-    if not raw:
-        raise DataError(f"{path}: empty features file")
-    table = _load_fixed_width(raw)
-    if table is None:
-        table = _load_plain(raw, _FLOAT_CHARS, None, np.float64, blank_lines=False)
+    with path.open("rb") as file:
+        if not os.fstat(file.fileno()).st_size:  # mmap maps no empty file
+            raise DataError(f"{path}: empty features file")
+        with mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+            table = _load_fixed_width(mapped)
+        if table is not None:
+            return table
+        raw = file.read()
+    table = _load_plain(raw, _FLOAT_CHARS, None, np.float64, blank_lines=False)
     if table is not None:
         return table
     lines = _decode(path, raw).splitlines()

@@ -21,6 +21,9 @@ primitives before each became one fused primitive. `member_loop_epoch_loss`
 is the epoch loss as it was before a graph-level domain became one
 block-diagonal graph: a loop over the member graphs. `fix_signs_loop` is the
 basis sign convention as a per-column loop, as it was before `basis_signs`.
+`scipy_normalized_adjacency` is the normalization as scipy's D (A + I) D,
+and `scipy_from_dense` a table's nonzeros as scipy's `csr_matrix`, the
+routes `normalize_adjacency` and `CsrMatrix.from_dense` replaced.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from leda import autodiff as ad
 from leda import evaluate, lda, trainer
@@ -169,6 +173,26 @@ def assert_same_operand(expected, got) -> None:
     parts = lambda x: (x.row_offsets, x.col_indices, x.values) if isinstance(x, CsrMatrix) else (x,)
     for want, have in zip(parts(expected), parts(got)):
         assert have.dtype == want.dtype and have.tobytes() == want.tobytes()
+
+
+def scipy_normalized_adjacency(adj: CsrMatrix) -> CsrMatrix:
+    """D (A + I) D with D = diag(1 / sqrt(deg)), by scipy's sparse sum and
+    products, the degrees counting the self-loop."""
+    a_tilde = (adj._scipy + sp.identity(adj.rows, format="csr")).tocsr()
+    scale = sp.diags(1.0 / np.sqrt(np.asarray(a_tilde.sum(axis=1)).ravel()))
+    s = (scale @ a_tilde @ scale).tocsr()
+    s.sort_indices()
+    return CsrMatrix.from_scipy(s)
+
+
+def scipy_from_dense(x: np.ndarray, divisor: float | None = None) -> CsrMatrix:
+    """The nonzeros of a table as scipy's `csr_matrix` finds them, with
+    explicit zeros (-0.0) eliminated, as float64 over `divisor` if given."""
+    m = sp.csr_matrix(x)
+    m.eliminate_zeros()
+    values = m.data.astype(np.float64)
+    return CsrMatrix(m.shape[0], m.shape[1], m.indptr, m.indices,
+                     values if divisor is None else values / divisor)
 
 
 def svd_product(result) -> np.ndarray:

@@ -213,6 +213,21 @@ class TestPretrain:
         assert capsys.readouterr().err == "data error: domain 'empty': node-level entry #1 has no nodes\n"
         assert not (tmp_path / "m.ckpt").exists()
 
+    def test_an_empty_features_file_exits_3_naming_it(self, suite, tmp_path, capsys):
+        # refused before it is mapped: mmap cannot map an empty file
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "e.tsv").write_text("0\t1\n")
+        (data / "x.tsv").write_bytes(b"")
+        entries = [{"domain_id": "bare", "edges_path": "e.tsv", "features_path": "x.tsv"}]
+        manifest = data / "manifest.json"
+        manifest.write_text(json.dumps({"version": 1, "domains": entries}))
+        args = ["pretrain", "--config", str(suite["config"]), "--manifest", str(manifest),
+                "--out", str(tmp_path / "m.ckpt")]
+        assert main(args) == 3
+        assert capsys.readouterr().err == f"data error: {data / 'x.tsv'}: empty features file\n"
+        assert not (tmp_path / "m.ckpt").exists()
+
     @pytest.mark.parametrize("token", ["nan", "-inf"])
     def test_non_finite_sparse_features_exit_3(self, suite, tmp_path, capsys, token):
         manifest = save_dataset(bow_collection(seed=2), tmp_path / "bow")

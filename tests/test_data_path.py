@@ -13,8 +13,13 @@ share or in forked shares: the CPU count is patched to 1, 2 and 3 and the
 work of a byte or a float to a whole share's, so that these small files fork.
 """
 
+import gc
 import json
+import os
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -523,8 +528,131 @@ class TestShares:
         finally:
             tracemalloc.stop()
         assert isinstance(table, CsrMatrix)
-        # the file's bytes and the integer grid, but no float64 table
-        assert peak < dense_bytes, (peak, dense_bytes)
+        # the integer grid and its mask, but no float64 table, and no bytes
+        # copy of the file either: it is decoded from its mapping
+        assert peak < min(dense_bytes, path.stat().st_size), (peak, dense_bytes)
+
+
+def open_in_this_process(path):
+    """The lines of /proc/self/maps and the open descriptors that name `path`."""
+    maps = Path("/proc/self/maps").read_text().splitlines()
+    fds = []
+    for fd in Path("/proc/self/fd").iterdir():
+        try:
+            fds.append(os.readlink(fd))
+        except OSError:  # the descriptor iterdir itself held, now closed
+            pass
+    return [line for line in maps + fds if line.endswith(str(path))]
+
+
+@pytest.fixture
+def unraisable(monkeypatch):
+    """The errors raised where no caller can see them, as in a __del__: an
+    unclosed file's ResourceWarning, with that warning made an error."""
+    seen = []
+    monkeypatch.setattr(sys, "unraisablehook", lambda info: seen.append(info.exc_value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        yield seen
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self")
+class TestMappedRead:
+    """A features file is mapped read-only; a byte grid is decoded from the
+    mapping, and any other file is read once into bytes."""
+
+    @staticmethod
+    def files(root):
+        """A byte grid, a Gaussian table the grid route declines, and a grid
+        with one token out of place, which the line pass refuses."""
+        rng = np.random.default_rng(4)
+        grid, gaussian, bad = root / "grid.tsv", root / "gaussian.tsv", root / "bad.tsv"
+        write_float_tsv(grid, bag_of_words(rng, 40, 30, 0.03))
+        write_float_tsv(gaussian, rng.standard_normal((40, 3)))
+        bad.write_bytes(grid.read_bytes().replace(b"0.0", b"0.x", 1))
+        return grid, gaussian, bad
+
+    def test_a_load_leaves_no_file_or_mapping_open(self, tmp_path, unraisable):
+        grid, gaussian, bad = self.files(tmp_path)
+        assert isinstance(_read_features(grid), CsrMatrix)
+        assert isinstance(_read_features(gaussian), np.ndarray)
+        with pytest.raises(DataError, match=":1: non-numeric feature value$"):
+            _read_features(bad)
+        gc.collect()
+        assert unraisable == []
+        for path in (grid, gaussian, bad):
+            assert open_in_this_process(path) == []
+
+    def test_an_error_in_the_grid_decode_is_raised_as_itself(self, tmp_path, monkeypatch, unraisable):
+        # the decode's views of the mapping must be gone when the mapping
+        # closes, or closing it raises BufferError over this error
+        grid = self.files(tmp_path)[0]
+
+        def fail(table, divisor):
+            raise MemoryError("no room for the table")
+
+        monkeypatch.setattr(datasets, "feature_operand", fail)
+        with pytest.raises(MemoryError, match="^no room for the table$"):
+            _read_features(grid)
+        gc.collect()
+        assert unraisable == [] and open_in_this_process(grid) == []
+
+    def test_overwriting_the_file_after_a_load_leaves_the_graph_unchanged(self, tmp_path):
+        manifest = save_dataset(bow_collection(seed=4), tmp_path)
+        loaded = load_dataset(manifest)
+        expected = load_dataset(manifest)
+        paths = sorted(tmp_path.glob("*.features.tsv"))
+        assert len(paths) == len(loaded.graphs)
+        for path in paths[:1]:  # in place, at the same size
+            with path.open("r+b") as file:
+                file.write(path.read_bytes().replace(b"0.0", b"1.0"))
+        for path in paths[1:]:  # truncated, then rewritten
+            path.write_bytes(b"")
+            path.write_bytes(b"2.0\n")
+        for graph, want in zip(loaded.graphs, expected.graphs):
+            assert isinstance(graph.features, CsrMatrix)
+            assert_same_operand(want.features, graph.features)
+
+    def test_a_file_the_grid_declines_is_read_once_and_a_grid_never(self, tmp_path, monkeypatch):
+        grid, gaussian, _ = self.files(tmp_path)
+        expected = {path: held(lambda: ref_read_features(path))() for path in (grid, gaussian)}
+        opened, reads = [], []
+        real_open = Path.open
+
+        class Counted:
+            def __init__(self, file):
+                self.file = file
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def fileno(self):
+                return self.file.fileno()
+
+            def read(self, *args):
+                data = self.file.read(*args)
+                reads.append(len(data))
+                return data
+
+        monkeypatch.setattr(Path, "open", lambda path, *args, **kwargs:
+                            opened.append(path) or Counted(real_open(path, *args, **kwargs)))
+        for path, read in ((grid, []), (gaussian, [gaussian.stat().st_size])):
+            opened.clear()
+            reads.clear()
+            table = _read_features(path)
+            assert opened == [path] and reads == read
+            assert_same_operand(expected[path], held(lambda: table)())
+
+    def test_an_empty_file_is_refused_before_it_is_mapped(self, tmp_path, unraisable):
+        path = tmp_path / "empty.tsv"
+        path.write_bytes(b"")
+        with pytest.raises(DataError, match=r"empty\.tsv: empty features file$"):
+            _read_features(path)
+        gc.collect()
+        assert unraisable == [] and open_in_this_process(path) == []
 
 
 def citeseer_sized_binary_table():

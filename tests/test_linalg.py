@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from leda.datasets import degree_features
 from leda.errors import DataError, NumericError
@@ -20,7 +21,15 @@ from leda.linalg import (
     truncated_svd,
 )
 
-from oracles import assert_same_operand, best_rank_k_error, fix_signs_loop, svd_product, to_dense
+from oracles import (
+    assert_same_operand,
+    best_rank_k_error,
+    fix_signs_loop,
+    scipy_from_dense,
+    scipy_normalized_adjacency,
+    svd_product,
+    to_dense,
+)
 from synthetic import bag_of_words
 
 
@@ -72,6 +81,31 @@ class TestNormalizeAdjacency:
         g = rng.standard_normal((n, 3))
         assert s.t_matmul_dense(g).tobytes() == (s._scipy.T @ g).tobytes()
 
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 40), edges=st.integers(0, 150), seed=st.integers(0, 2**32 - 1))
+    def test_is_bitwise_scipys_d_a_plus_i_d(self, n, edges, seed):
+        # the edges fall among a random subset of the nodes, so the others
+        # are isolated: rows of the diagonal alone, anywhere in the matrix
+        rng = np.random.default_rng(seed)
+        touched = rng.choice(n, rng.integers(0, n + 1), replace=False)
+        pairs = rng.choice(touched, (edges, 2)) if len(touched) else np.zeros((0, 2), np.int64)
+        adj = adjacency_from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])
+        s = normalize_adjacency(adj)
+        assert_same_operand(scipy_normalized_adjacency(adj), s)
+        assert s._transpose is s
+
+    def test_a_block_diagonal_stack_is_bitwise_scipys_and_its_blocks(self):
+        rng = np.random.default_rng(11)
+        blocks = [adjacency_from_edges(1, [])]
+        for n, m in ((30, 40), (2, 1), (25, 0), (60, 300)):
+            pairs = rng.integers(0, n, (m, 2))
+            blocks.append(adjacency_from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]]))
+        stack = CsrMatrix.block_diag(blocks)
+        s = normalize_adjacency(stack)
+        assert_same_operand(scipy_normalized_adjacency(stack), s)
+        assert_same_operand(CsrMatrix.block_diag([normalize_adjacency(b) for b in blocks]), s)
+        assert s._transpose is s
+
     @pytest.mark.parametrize("shape", [(60, 40), (50, 50)])
     def test_a_feature_csr_gets_its_own_transpose(self, shape):
         rng = np.random.default_rng(3)
@@ -79,6 +113,39 @@ class TestNormalizeAdjacency:
         assert x._transpose is not x and x._transpose.shape == shape[::-1]
         g = rng.standard_normal((shape[0], 3))
         assert x.t_matmul_dense(g).tobytes() == (x._scipy.T @ g).tobytes()
+
+
+def dense_tables():
+    """Tables of the four dtypes feature tables come in, mostly zeros; the
+    float ones hold both 0.0 and -0.0."""
+    def table(dtype):
+        if dtype == np.float64:
+            value = st.floats(allow_nan=False, allow_infinity=False)
+            zero = st.sampled_from([0.0, -0.0])
+        else:
+            value = st.integers(0, int(np.iinfo(dtype).max))
+            zero = st.just(0)
+        shape = st.tuples(st.integers(0, 6), st.integers(1, 6))
+        return hnp.arrays(dtype, shape, elements=st.one_of(zero, zero, value))
+    return st.sampled_from([np.uint8, np.uint16, np.uint64, np.float64]).flatmap(table)
+
+
+class TestFromDense:
+    @settings(max_examples=300, deadline=None)
+    @given(x=dense_tables(), divisor=st.sampled_from([None, 1.0, 10.0, 1000.0, 1e15]))
+    def test_is_bitwise_scipys_csr_of_the_table(self, x, divisor):
+        got = CsrMatrix.from_dense(x, divisor)
+        assert_same_operand(scipy_from_dense(x, divisor), got)
+        # the positions are the table's nonzeros; a subnormal over a divisor
+        # may underflow to 0.0, so the check is on the undivided values
+        assert not np.any(CsrMatrix.from_dense(x).values == 0)
+        assert len(got.values) == np.count_nonzero(x)
+
+    def test_keeps_a_nan_as_a_nonzero(self):
+        x = np.zeros((3, 4))
+        x[1, 2] = math.nan
+        with pytest.raises(NumericError, match="^sparse values contain non-finite entries$"):
+            CsrMatrix.from_dense(x)
 
 
 class TestCsrInvariants:
