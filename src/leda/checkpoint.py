@@ -129,6 +129,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
             fh.write(bytes(payload))
         os.replace(tmp, path)
     except OSError as exc:  # name the caller's path, not the temp file
+        tmp.unlink(missing_ok=True)
         raise DataError(f"cannot write checkpoint {path}: {exc.strerror or exc}") from exc
 
 

@@ -49,10 +49,12 @@ def _load_collection(manifest: str | None):
 
 
 def _check_output_dirs(*paths: str | None) -> None:
-    """Refuse an output whose directory is missing before any work is done."""
-    for path in paths:
-        if path and not Path(path).parent.is_dir():
+    """Refuse an output that is a directory or whose directory is missing, before any work."""
+    for path in filter(None, paths):
+        if not Path(path).parent.is_dir():
             raise FileNotFoundError(f"cannot write {path}: no directory {Path(path).parent}")
+        if Path(path).is_dir():
+            raise IsADirectoryError(f"cannot write {path}: it is a directory")
 
 
 def _load_inputs(args):

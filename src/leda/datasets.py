@@ -346,6 +346,7 @@ def _load_fixed_width(raw: bytes | mmap.mmap) -> np.ndarray | CsrMatrix | None:
             else:
                 table *= 10
                 table += digit
+        del digit  # the last column would stay alive beside feature_operand's mask
         return feature_operand(table, float(10 ** (digits - point if point >= 0 else 0)))
     finally:
         # a raised error's traceback keeps this frame; a view left in it would

@@ -78,6 +78,12 @@ class EvalReport:
     flags: list[str] = field(default_factory=list)
     extras: dict[str, float] = field(default_factory=dict)
 
+    @classmethod
+    def from_accuracies(cls, task: str, acc: np.ndarray, seed: int, **labels) -> EvalReport:
+        """The report of one accuracy per repeat: their mean, std and count,
+        with the protocol's `flags` and `extras` if it has any."""
+        return cls(task, float(acc.mean()), float(acc.std()), len(acc), seed, **labels)
+
     def to_dict(self) -> dict:
         doc = {
             "task": self.task,
@@ -231,13 +237,7 @@ def linear_probe(
     # a step's two products, X W and X^T G, on about train_frac of the rows
     step_work = 2 * round(train_frac * len(labels)) * embeddings.E.shape[1] * num_classes
     acc = np.array(split_repeats(runs, runs * PROBE_STEPS * step_work, accuracies))
-    return EvalReport(
-        task="linear-probe",
-        mean_accuracy=float(acc.mean()),
-        std=float(acc.std()),
-        repeats=runs,
-        seed=seed,
-    )
+    return EvalReport.from_accuracies("linear-probe", acc, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +295,7 @@ def fewshot_eval(
     if embeddings.labels is None:
         raise DataError("few-shot evaluation needs labels")
     scores = _prototype_scores(embeddings.E, embeddings.labels, k, repeats, seed, _accuracy)
-    acc = np.array(scores)
-    return EvalReport(
-        task="fewshot",
-        mean_accuracy=float(acc.mean()),
-        std=float(acc.std()),
-        repeats=repeats,
-        seed=seed,
-    )
+    return EvalReport.from_accuracies("fewshot", np.array(scores), seed)
 
 
 def macro_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -355,13 +348,8 @@ def graph_eval(
     flags = ["prototype-from-support"]
     if any(g.degree_featurized for g in collection.graphs):
         flags.append("degree-featurized")
-    return EvalReport(
-        task="graph-fewshot",
-        mean_accuracy=float(acc.mean()),
-        std=float(acc.std()),
-        repeats=repeats,
-        seed=seed,
-        flags=flags,
+    return EvalReport.from_accuracies(
+        "graph-fewshot", acc, seed, flags=flags,
         extras={"mean_macro_f1": float(f1.mean()), "std_macro_f1": float(f1.std())},
     )
 

@@ -12,7 +12,10 @@ into contiguous blocks of whole output rows, one per CPU this process may
 use, each written by one kernel call into its own slice of the output. An
 output row is computed by the same kernel in the same order whichever block
 holds it, so the result is bitwise that of one call. The caller runs the
-first block, and a thread started for the product each other one.
+first block, and a thread started for the product each other one. A CSR's
+transpose product is one kernel call on the CSR's own arrays, whose output
+rows are the CSR's columns, which those arrays do not hold apart; a
+normalized adjacency, bitwise its own transpose, uses its split product.
 
 Threads gain little on work made of many small numpy calls, as each call
 holds the GIL between them. `split_repeats` therefore runs shares of a
@@ -335,21 +338,6 @@ class CsrMatrix:
             rows=n, cols=n, row_offsets=offsets, col_indices=cols, values=np.ones(len(keys))
         )
 
-    @cached_property
-    def _built_transpose(self) -> CsrMatrix | None:
-        """The transpose's CSR, built once, or None where it has bitwise this
-        matrix's arrays, as every `normalize_adjacency` output does."""
-        t = CsrMatrix.from_scipy(self._scipy.T)
-        pairs = [(getattr(t, f), getattr(self, f)) for f in ("row_offsets", "col_indices", "values")]
-        same = all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in pairs)
-        return None if same else t
-
-    @property
-    def _transpose(self) -> CsrMatrix:
-        # the matrix itself is not cached on itself, which would make a cycle
-        # that only the garbage collector frees
-        return self._built_transpose or self
-
     def matmul_dense(self, x: np.ndarray) -> np.ndarray:
         """self @ x by scipy's own multi-vector kernel, which adds each output
         row's terms in column order, with the rows split by `split_rows`. The
@@ -368,10 +356,16 @@ class CsrMatrix:
         return out
 
     def t_matmul_dense(self, x: np.ndarray) -> np.ndarray:
-        """self.T @ x as the CSR of the transpose, built once, times x. Its row
-        i adds the terms of column i in row order, as scipy's CSC route does,
-        so the bits are that route's."""
-        return self._transpose.matmul_dense(x)
+        """self.T @ x by one call of scipy's CSC multi-vector kernel on this
+        matrix's own arrays, the CSC form of its transpose, so bitwise
+        `self._scipy.T @ x`. The kernel reads x unchecked, so its shape is
+        checked here."""
+        if x.shape[0] != self.rows:
+            raise DataError(f"sparse ({self.rows}x{self.cols}).T @ dense {x.shape}: inner dims differ")
+        out = np.zeros((self.cols, x.shape[1]))
+        _sparsetools.csc_matvecs(self.cols, self.rows, x.shape[1], self.row_offsets, self.col_indices,
+                                 self.values, np.ascontiguousarray(x, dtype=np.float64).ravel(), out.ravel())
+        return out
 
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:  # scipy's m != m.T is then a plain bool
@@ -401,13 +395,23 @@ def feature_operand(x: np.ndarray | CsrMatrix, divisor: float | None = None) -> 
     return CsrMatrix.from_dense(x, divisor)
 
 
+class _SymmetricCsr(CsrMatrix):
+    """A CsrMatrix bitwise its own transpose, whose transpose product is its
+    own row-split product: a type, as a method bound onto the instance would
+    make a cycle that only the garbage collector frees."""
+
+    t_matmul_dense = CsrMatrix.matmul_dense
+
+
 def normalize_adjacency(adj: CsrMatrix) -> CsrMatrix:
     """Symmetric normalization, with self-loops added, of a `DomainGraph`'s
     adjacency (square, symmetric, binary, loop-free: the graph checks that).
 
     Returns S with S[i, j] = (A + I)[i, j] / sqrt(deg_i * deg_j), where the
     degrees count the self-loop. It is built from A's arrays, each diagonal
-    entry at its sorted place, with scipy's D (A + I) D bits.
+    entry at its sorted place, with scipy's D (A + I) D bits. S[i, j] is
+    inv_sqrt[i] * inv_sqrt[j], which IEEE rounds alike in either order, so
+    S of a symmetric A is bitwise its own transpose: a `_SymmetricCsr`.
     """
     n, offsets, cols = adj.rows, adj.row_offsets, adj.col_indices
     lengths = np.diff(offsets)
@@ -416,7 +420,7 @@ def normalize_adjacency(adj: CsrMatrix) -> CsrMatrix:
     at = offsets[:-1] + below
     rows, cols = np.insert(rows, at, np.arange(n)), np.insert(cols, at, np.arange(n))
     inv_sqrt = 1.0 / np.sqrt(lengths + 1.0)
-    return CsrMatrix(n, n, offsets + np.arange(n + 1), cols, inv_sqrt[rows] * inv_sqrt[cols])
+    return _SymmetricCsr(n, n, offsets + np.arange(n + 1), cols, inv_sqrt[rows] * inv_sqrt[cols])
 
 
 @dataclass(frozen=True)

@@ -167,9 +167,10 @@ def to_dense(m) -> np.ndarray:
 
 
 def assert_same_operand(expected, got) -> None:
-    """One form (dense array or CsrMatrix) and shape, and each array of it
-    of the same dtype, bit for bit."""
-    assert type(got) is type(expected) and got.shape == expected.shape
+    """One form (dense array or CsrMatrix, of whichever CsrMatrix type) and
+    shape, and each array of it of the same dtype, bit for bit."""
+    form = lambda x: CsrMatrix if isinstance(x, CsrMatrix) else type(x)
+    assert form(got) is form(expected) and got.shape == expected.shape
     parts = lambda x: (x.row_offsets, x.col_indices, x.values) if isinstance(x, CsrMatrix) else (x,)
     for want, have in zip(parts(expected), parts(got)):
         assert have.dtype == want.dtype and have.tobytes() == want.tobytes()

@@ -71,6 +71,17 @@ class TestRoundTrip:
             save_checkpoint(trained, path)
         assert str(path) in str(info.value) and ".tmp" not in str(info.value)
 
+    def test_saving_onto_a_directory_leaves_no_temp_file(self, trained, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as info:
+                save_checkpoint(trained, path)
+        assert str(info.value).startswith(f"cannot write checkpoint {path}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+        assert not any(path.iterdir())
+
     def test_save_is_deterministic(self, trained, tmp_path):
         save_checkpoint(trained, tmp_path / "a.ckpt")
         save_checkpoint(trained, tmp_path / "b.ckpt")

@@ -196,6 +196,24 @@ class TestPretrain:
         assert not outputs["--out"].exists()
         assert calls == []
 
+    def test_an_output_that_is_a_directory_is_refused_before_training(
+        self, suite, tmp_path, capsys, monkeypatch
+    ):
+        import leda.trainer
+
+        calls = []
+        monkeypatch.setattr(leda.trainer, "pretrain", lambda *args: calls.append(args))
+        out = tmp_path / "model.ckpt"
+        out.mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["pretrain", "--config", str(suite["config"]), "--epochs", "1",
+                         "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == f"data error: cannot write {out}: it is a directory\n"
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
     def test_zero_node_domain_exits_3_naming_domain_and_position(self, suite, tmp_path, capsys):
         """A node-level entry with no nodes is a data defect, refused at load
         as a graph-level one is, not a k error from training."""
@@ -488,6 +506,23 @@ class TestEmbedAndEval:
                             "--out", str(out)])
         assert code == 3
         assert str(out) in capsys.readouterr().err
+        assert calls == []
+
+    def test_an_output_that_is_a_directory_is_refused_before_the_checkpoint_is_read(
+        self, suite, ckpt_path, tmp_path, capsys, monkeypatch
+    ):
+        import leda.checkpoint
+
+        calls = []
+        monkeypatch.setattr(leda.checkpoint, "load_checkpoint", lambda *a: calls.append(a))
+        out = tmp_path / "rows.tsv"
+        out.mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["embed", "--domain", "domc", "--ckpt", str(ckpt_path),
+                         "--manifest", str(suite["manifest"]), "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == f"data error: cannot write {out}: it is a directory\n"
         assert calls == []
 
     def test_embed_of_an_unseen_domain_whose_svd_sketch_overflows_exits_4(

@@ -519,6 +519,7 @@ class TestShares:
         ones, raw = citeseer_sized_binary_table()
         path = tmp_path / "citeseer.features.tsv"
         path.write_bytes(raw)
+        table_bytes = ones.size  # the uint8 integer table
         dense_bytes = ones.size * 8
         del ones, raw
         tracemalloc.start()
@@ -531,6 +532,8 @@ class TestShares:
         # the integer grid and its mask, but no float64 table, and no bytes
         # copy of the file either: it is decoded from its mapping
         assert peak < min(dense_bytes, path.stat().st_size), (peak, dense_bytes)
+        # nor a digit column beside them while the nonzeros are found
+        assert peak < 2.25 * table_bytes, (peak, table_bytes)
 
 
 def open_in_this_process(path):

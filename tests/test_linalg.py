@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from leda import linalg
 from leda.datasets import degree_features
 from leda.errors import DataError, NumericError
 from leda.linalg import (
@@ -35,6 +36,16 @@ from synthetic import bag_of_words
 
 def adjacency_from_edges(n, edges):
     return CsrMatrix.from_edges(n, edges)
+
+
+def assert_own_transpose(s):
+    """S has the symmetric type, whose transpose product is its own product,
+    and its three arrays, with their dtypes, are bitwise its transpose's."""
+    assert type(s) is linalg._SymmetricCsr
+    t = CsrMatrix.from_scipy(s._scipy.T)
+    for part in ("row_offsets", "col_indices", "values"):
+        want, have = getattr(t, part), getattr(s, part)
+        assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), part
 
 
 class TestNormalizeAdjacency:
@@ -73,11 +84,11 @@ class TestNormalizeAdjacency:
     @pytest.mark.parametrize("n, mean_degree", [(2708, 3.9), (7650, 31.0), (3327, 2.7)])
     def test_is_its_own_transpose(self, n, mean_degree):
         """S[i, j] and S[j, i] are computed alike, so S's transpose has
-        bitwise S's arrays, and the product with it reuses S unbuilt."""
+        bitwise S's arrays, and the product with it is S's own."""
         rng = np.random.default_rng(n)
         edges = rng.integers(0, n, size=(round(n * mean_degree / 2), 2))
         s = normalize_adjacency(adjacency_from_edges(n, edges[edges[:, 0] != edges[:, 1]]))
-        assert s._transpose is s
+        assert_own_transpose(s)
         g = rng.standard_normal((n, 3))
         assert s.t_matmul_dense(g).tobytes() == (s._scipy.T @ g).tobytes()
 
@@ -92,7 +103,7 @@ class TestNormalizeAdjacency:
         adj = adjacency_from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])
         s = normalize_adjacency(adj)
         assert_same_operand(scipy_normalized_adjacency(adj), s)
-        assert s._transpose is s
+        assert_own_transpose(s)
 
     def test_a_block_diagonal_stack_is_bitwise_scipys_and_its_blocks(self):
         rng = np.random.default_rng(11)
@@ -104,15 +115,31 @@ class TestNormalizeAdjacency:
         s = normalize_adjacency(stack)
         assert_same_operand(scipy_normalized_adjacency(stack), s)
         assert_same_operand(CsrMatrix.block_diag([normalize_adjacency(b) for b in blocks]), s)
-        assert s._transpose is s
+        assert_own_transpose(s)
 
     @pytest.mark.parametrize("shape", [(60, 40), (50, 50)])
-    def test_a_feature_csr_gets_its_own_transpose(self, shape):
+    def test_a_feature_csrs_transpose_product_reads_its_own_arrays(self, monkeypatch, shape):
+        """The product is one CSC kernel call on the CSR's own three arrays,
+        bitwise scipy's, and leaves nothing cached on the matrix."""
         rng = np.random.default_rng(3)
         x = CsrMatrix.from_dense(bag_of_words(rng, *shape, 0.1))
-        assert x._transpose is not x and x._transpose.shape == shape[::-1]
+        assert type(x) is CsrMatrix and not x.is_symmetric()
         g = rng.standard_normal((shape[0], 3))
-        assert x.t_matmul_dense(g).tobytes() == (x._scipy.T @ g).tobytes()
+        want = (x._scipy.T @ g).tobytes()
+        before = dict(vars(x))
+        read = []
+        kernel = linalg._sparsetools.csc_matvecs
+
+        def spy(n_row, n_col, width, offsets, indices, values, *vectors):
+            read.append((n_row, n_col, width, offsets, indices, values))
+            return kernel(n_row, n_col, width, offsets, indices, values, *vectors)
+
+        monkeypatch.setattr(linalg._sparsetools, "csc_matvecs", spy)
+        assert x.t_matmul_dense(g).tobytes() == want
+        [(n_row, n_col, width, offsets, indices, values)] = read
+        assert (n_row, n_col, width) == (shape[1], shape[0], 3)
+        assert offsets is x.row_offsets and indices is x.col_indices and values is x.values
+        assert vars(x) == before
 
 
 def dense_tables():

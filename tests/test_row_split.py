@@ -8,12 +8,14 @@ blocks of a few rows, some of them unequal.
 
 import threading
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leda import autodiff as ad
 from leda import linalg
@@ -21,7 +23,7 @@ from leda.checkpoint import save_checkpoint
 from leda.config import VARIANTS
 from leda.datasets import GraphCollection, generate_sbm
 from leda.linalg import CsrMatrix, matmul_rows, normalize_adjacency
-from leda.trainer import pretrain
+from leda.trainer import domain_operands, pretrain
 
 from synthetic import bag_of_words, bow_collection, graph_level_collection, tiny_config
 from test_acceptance import ablation_suite, suite_train_config
@@ -168,16 +170,65 @@ class TestSparseProducts:
         g = operand(m.rows, width, form, 4)
         assert same_bits(m.t_matmul_dense(g), m._scipy.T @ g)
 
-    def test_transpose_is_built_once_with_sorted_indices(self):
-        m = csr_features(29, 23, 2)
-        first = m._transpose
-        m.t_matmul_dense(np.ones((29, 2)))
-        assert m._transpose is first
-        want = sp.csr_matrix(m._scipy.T)
-        want.sort_indices()
-        assert np.array_equal(first.row_offsets, want.indptr)
-        assert np.array_equal(first.col_indices, want.indices)
-        assert same_bits(first.values, want.data)
+
+class TestTransposeProducts:
+    """A CSR's transpose product is one CSC kernel call on its own arrays;
+    a normalized adjacency's is its own row-split product."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 40), cols=st.integers(1, 40), square=st.booleans(),
+           density=st.floats(0.0, 0.5), width=st.integers(1, 70),
+           form=st.sampled_from(["c-order", "transposed view"]), seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_scipys_product(self, rows, cols, square, density, width, form, seed):
+        rng = np.random.default_rng(seed)
+        cols = rows if square else cols
+        dense = (rng.random((rows, cols)) < density) * rng.standard_normal((rows, cols))
+        dense[rng.random(rows) < 0.2] = 0.0  # empty rows
+        dense[:, rng.random(cols) < 0.2] = 0.0  # and empty columns
+        m = CsrMatrix.from_dense(dense)
+        g = operand(rows, width, form, seed)
+        assert same_bits(m.t_matmul_dense(g), m._scipy.T @ g)
+
+    @pytest.mark.parametrize("form", ["c-order", "transposed view"])
+    def test_a_feature_csr_allocates_its_output_and_one_operand_copy(self, form):
+        x = csr_features(400, 300, 5)
+        g = operand(400, 64, form, 6)
+        want = x._scipy.T @ g
+        tracemalloc.start()
+        try:
+            got = x.t_matmul_dense(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same_bits(got, want)
+        assert peak <= got.nbytes + g.nbytes + 64 * 1024, (peak, x.nnz)
+
+    @pytest.mark.parametrize("cpus", CPU_COUNTS)
+    def test_a_normalized_adjacency_splits_its_rows_alike(self, use_cpus, low_thresholds, blocks, cpus):
+        use_cpus(cpus)
+        s = symmetric_s(29, 1)
+        g = operand(29, 5, "transposed view", 7)
+        assert same_bits(s.matmul_dense(g), s._scipy @ g)
+        assert same_bits(s.t_matmul_dense(g), s._scipy.T @ g)
+        assert len(blocks) == 2 and blocks[0] == blocks[1] and len(blocks[0]) == cpus
+
+    def test_nothing_is_kept_after_training(self):
+        """No feature matrix of a trained CSR collection holds a transposed
+        copy: each holds at most the scipy matrix that shares its arrays."""
+        collection = bow_collection(seed=4)
+        pretrain(collection, tiny_config(epochs=2))
+        fields = {"rows", "cols", "row_offsets", "col_indices", "values"}
+        for domain_id in collection.domain_ids():
+            domain = domain_operands(collection, domain_id)
+            assert type(domain.x) is CsrMatrix and type(domain.s) is linalg._SymmetricCsr
+            for m in (domain.x, domain.s):
+                assert set(vars(m)) <= fields | {"_scipy"}
+                if "_scipy" in vars(m):
+                    held = m._scipy
+                    assert held.shape == m.shape
+                    for mine, its in ((m.row_offsets, held.indptr), (m.col_indices, held.indices),
+                                      (m.values, held.data)):
+                        assert np.shares_memory(mine, its)
 
 
 class TestDenseProducts:
