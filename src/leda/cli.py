@@ -125,10 +125,13 @@ def cmd_gen_sbm(args) -> int:
 
 def cmd_pretrain(args) -> int:
     from .checkpoint import save_checkpoint
+    from .errors import ConfigError
     from .evaluate import diagnostics_entropy
     from .trainer import pretrain
 
     run_cfg = args.run_config
+    if args.report and Path(args.report).resolve() == Path(args.out).resolve():
+        raise ConfigError(f"--out and --report name one file: {args.report}")
     _check_output_dirs(args.out, args.report)
     collection = _load_collection(run_cfg.manifest)
     ckpt = pretrain(collection, run_cfg.train)

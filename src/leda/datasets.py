@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import check_object, check_type, check_values, has_json_type, parse_json
 from .errors import ConfigError, DataError
-from .linalg import CsrMatrix, feature_operand, repeat_shares, shared_empty, split_repeats
+from .linalg import CsrMatrix, feature_operand, shared_empty, split_repeats
 
 MANIFEST_VERSION = 1
 NODE_LEVEL = "node-level"
@@ -179,11 +179,13 @@ class GraphCollection:
 # features file, where a blank line is an error, must give one row per line:
 # its newline count, plus 1 when the last line has no newline.
 #
-# A large plain file is parsed in one share per CPU by `split_repeats`. A
-# share owns the lines that start in its byte range, so every cut falls on a
-# line start; it tests that its lines are plain, writes its rows in place
-# into one `shared_empty` output, at the row its first line starts, and sends
-# back only that row and its count.
+# A plain file is parsed in the shares `split_repeats` cuts, one per CPU for
+# a large file and one for a small one. A share owns the lines that start in
+# its byte range, so every cut falls on a line start; it tests that its lines
+# are plain, writes its rows in place into one `shared_empty` output, at the
+# row its first line starts, and sends back only that row and its count. The
+# reader returns a heap copy of the written rows, so no loaded table is held
+# in a mapping.
 #
 # Any other file, one whose plain parse fails in any share, and plain edges
 # with a self-loop or an index out of range are decoded and read in one pass
@@ -237,12 +239,10 @@ def _load_plain(
     lines = raw.count(b"\n") + (raw[-1:] not in (b"", b"\n"))
     first = raw.find(b"\n")
     width = width or raw.count(b"\t", 0, len(raw) if first < 0 else first) + 1
-    if not lines:
-        return np.empty((0, width), dtype=dtype)
-    work = _LOAD_BYTE_COST * len(raw)
+    table = shared_empty((lines, width), dtype)
 
-    def parse(lo, hi):
-        """(first byte, table) of the lines that start in bytes [lo, hi)."""
+    def run(lo, hi):
+        """Write the rows of the lines that start in bytes [lo, hi) in place."""
         start = _line_start(raw, lo)
         text = raw[start:_line_start(raw, hi)]
         if text.translate(None, chars):
@@ -250,28 +250,19 @@ def _load_plain(
         share = _loadtxt(text, dtype)
         if len(share) and share.shape[1] != width:
             raise ValueError("ragged rows")
-        return start, share
-
-    def run(lo, hi):
-        start, share = parse(lo, hi)
         row = raw.count(b"\n", 0, start)
         table[row:row + len(share)] = share
         return [(row, len(share))]
 
     try:
-        if repeat_shares(len(raw), work) == 1:
-            table = parse(0, len(raw))[1]
-            pieces = [table]
-        else:
-            table = shared_empty((lines, width), dtype)
-            pieces = [table[row:row + n] for row, n in split_repeats(len(raw), work, run)]
+        shares = split_repeats(len(raw), _LOAD_BYTE_COST * len(raw), run)
     except (ValueError, OverflowError):
         return None
-    rows = sum(map(len, pieces))
-    if rows != lines and not blank_lines:
+    if sum(n for _, n in shares) != lines and not blank_lines:
         return None
-    # a blank line leaves its share's rows short, and a gap at their end
-    return table if rows == lines else np.concatenate(pieces).reshape(-1, width)
+    # a heap copy, so no table outlives its call in a mapping; it also closes
+    # the gap a blank line leaves at the end of its share's rows
+    return np.concatenate([table[row:row + n] for row, n in shares])
 
 
 def _read_edges(path: Path, n: int, symmetrize: bool) -> CsrMatrix:
@@ -453,6 +444,8 @@ def load_dataset(manifest_path: str | Path) -> GraphCollection:
                 check_type(entry[key], kind, f"domain '{domain_id}': {key}", DataError)
         if (entry.get("num_nodes") or 0) < 0:
             raise DataError(f"domain '{domain_id}': num_nodes must be >= 0")
+        if task_kind == NODE_LEVEL and entry.get("graph_label") is not None:
+            raise DataError(f"domain '{domain_id}': graph_label is read only in a graph-level manifest")
         edges_path = entry.get("edges_path")
         if not edges_path:
             raise DataError(f"domain '{domain_id}': missing edges_path")
@@ -607,17 +600,22 @@ def generate_sbm(
     if d < blocks:
         raise ConfigError(f"feature dim d={d} must be >= blocks={blocks}")
     n = blocks * nodes_per_block
-    labels = np.repeat(np.arange(blocks), nodes_per_block)
-    rng = np.random.default_rng(seed)
+    try:  # a size too large to hold fails its first allocation at once
+        if 8 * n * max(n, d) >= 2 ** 63:  # or its float64 n x n or n x d table has no byte size
+            raise MemoryError
+        labels = np.repeat(np.arange(blocks), nodes_per_block)
+        rng = np.random.default_rng(seed)
 
-    same_block = labels[:, None] == labels[None, :]
-    prob = np.where(same_block, p_in, p_out)
-    upper = np.triu(rng.random((n, n)) < prob, k=1)
-    dense = (upper | upper.T).astype(np.float64)
+        same_block = labels[:, None] == labels[None, :]
+        prob = np.where(same_block, p_in, p_out)
+        upper = np.triu(rng.random((n, n)) < prob, k=1)
+        dense = (upper | upper.T).astype(np.float64)
 
-    means = np.zeros((blocks, d))
-    means[np.arange(blocks), np.arange(blocks)] = cluster_sep / np.sqrt(2.0)
-    features = means[labels] + rng.standard_normal((n, d))
+        means = np.zeros((blocks, d))
+        means[np.arange(blocks), np.arange(blocks)] = cluster_sep / np.sqrt(2.0)
+        features = means[labels] + rng.standard_normal((n, d))
+    except MemoryError as exc:
+        raise ConfigError(f"no memory for a block-model graph of n={n} nodes and d={d} features") from exc
 
     return DomainGraph(
         domain_id=domain_id or f"sbm-{seed}",

@@ -22,10 +22,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+
+# one BLAS thread, as `leda.cli.main` and the suite's conftest pin it: the
+# BLAS pools are sized when numpy loads, which the imports below do
+for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
 
 from leda.checkpoint import save_checkpoint
 from leda.cli import main

@@ -145,8 +145,37 @@ class TestGenSbm:
         assert capsys.readouterr().err.startswith("config error: cluster_sep must be finite")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("blocks, nodes, d", [(65536, 65536, 65536), (2, 4, 10 ** 18), (2, 3, 4)])
+    def test_a_graph_too_large_to_draw_exits_2_in_one_line(self, tmp_path, capsys, monkeypatch, blocks, nodes, d):
+        """The first two are refused before any allocation; the third, small,
+        runs out of memory in a draw patched to say so."""
+        class Rng:
+            def random(self, shape):
+                raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Rng())
+        argv = ["gen-sbm", "--blocks", str(blocks), "--nodes", str(nodes), "--pin", "0.9", "--pout", "0.1",
+                "--seed", "7", "--d", str(d), "--out", str(tmp_path / "x")]
+        refused(capsys, argv, 2, f"config error: no memory for a block-model graph of "
+                                 f"n={blocks * nodes} nodes and d={d} features\n")
+        assert not (tmp_path / "x").exists()
+
 
 class TestPretrain:
+    @pytest.mark.parametrize("out, report", [("m.ckpt", "./m.ckpt"), ("m.ckpt", "m.ckpt"),
+                                             ("sub/../m.ckpt", "{root}/m.ckpt")])
+    def test_out_and_report_at_one_path_exit_2_before_the_manifest_is_read(
+            self, suite, tmp_path, capsys, monkeypatch, out, report):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        monkeypatch.setattr("leda.trainer.pretrain", None)  # nothing may be trained
+        report = report.format(root=tmp_path)
+        # an absent manifest: reading it would exit 3
+        argv = ["pretrain", "--config", str(suite["config"]), "--manifest", str(tmp_path / "absent.json"),
+                "--out", out, "--report", report]
+        refused(capsys, argv, 2, f"config error: --out and --report name one file: {report}\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["sub"] and not any((tmp_path / "sub").iterdir())
+
     def test_missing_manifest_exits_3_and_names_path(self, suite, tmp_path, capsys):
         code = main(
             [

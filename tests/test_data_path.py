@@ -15,6 +15,7 @@ work of a byte or a float to a whole share's, so that these small files fork.
 
 import gc
 import json
+import mmap
 import os
 import sys
 import tracemalloc
@@ -391,6 +392,25 @@ READERS = {
 }
 
 
+# each reader as `load_dataset` calls it, on the READERS files
+LOADED = {
+    "edges": lambda path: _read_edges(path, 40, True),
+    "features": _read_features,
+    "labels": _read_labels,
+}
+
+
+def in_a_mapping(table):
+    """Whether an array, or an array of a CsrMatrix, is backed by a mapping."""
+    arrays = [table.row_offsets, table.col_indices, table.values] if isinstance(table, CsrMatrix) else [table]
+    for base in arrays:
+        while base is not None:
+            if isinstance(base, mmap.mmap):
+                return True
+            base = base.obj if isinstance(base, memoryview) else getattr(base, "base", None)
+    return False
+
+
 class TestShares:
     """Plain text parsed in forked shares of its lines, cut by bytes."""
 
@@ -430,6 +450,26 @@ class TestShares:
         if reader == "features":
             with pytest.raises(DataError, match=f":{a + 1}: non-numeric feature value$"):
                 read(path)
+        else:
+            assert not in_a_mapping(LOADED[reader](path))
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize("cpus", CPU_COUNTS)
+    def test_no_loaded_table_is_held_in_a_mapping(self, tmp_path, monkeypatch, use_cpus, reader, cpus):
+        # the shares write into one `shared_empty` mapping, which a table
+        # handed back in it would keep for as long as its graph lives
+        path = tmp_path / f"x.{reader}.tsv"
+        if reader == "features":
+            write_float_tsv(path, np.random.default_rng(cpus).standard_normal((30, 3)))
+        else:
+            path.write_text("".join(line + "\n" for line in READERS[reader][2]), encoding="utf-8")
+        forks = []
+        fork_share = linalg._fork_share
+        monkeypatch.setattr(linalg, "_fork_share", lambda *args: forks.append(args[1:]) or fork_share(*args))
+        use_cpus(cpus)
+        table = LOADED[reader](path)
+        assert len(forks) == cpus - 1
+        assert not in_a_mapping(table)
 
     @pytest.mark.parametrize("reader", sorted(READERS))
     @pytest.mark.parametrize("layout", ["no trailing newline", "one line", "one line, no newline",
@@ -490,15 +530,16 @@ class TestShares:
         path.write_bytes(raw[:-1])
         del raw
         forks = []
-        monkeypatch.setattr(datasets, "split_repeats",
-                            lambda *args: forks.append(args[:2]) or linalg.split_repeats(*args))
+        fork_share = linalg._fork_share
+        monkeypatch.setattr(linalg, "_fork_share",
+                            lambda *args: forks.append(args[1:]) or fork_share(*args))
         for cpus in (1, 2):
             monkeypatch.setattr(linalg, "_cpus", lambda: cpus)
             size = path.stat().st_size
             assert linalg.repeat_shares(size, datasets._LOAD_BYTE_COST * size) == cpus
             forks.clear()
             table = _read_features(path)
-            assert len(forks) == (cpus > 1)
+            assert len(forks) == cpus - 1
             assert table.shape == ones.shape
             assert np.array_equal(table, ones) and not np.signbit(table).any()
             del table

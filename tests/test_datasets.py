@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,8 @@ MANIFEST_REFUSALS = {
                            r"^domain 'a': node count unknown; "),
     "graph-label-missing": (manifest_doc(task_kind=GRAPH_LEVEL),
                             r"^domain 'a': graph-level entry needs graph_label$"),
+    "graph-label-node-level": (manifest_doc([entry(graph_label=1)]),
+                               r"^domain 'a': graph_label is read only in a graph-level manifest$"),
 }
 
 
@@ -121,6 +124,15 @@ class TestLoadDataset:
         entries = [{"domain_id": "a", "edges_path": "nope.tsv", "features_path": "missing.tsv"}]
         with pytest.raises(DataError, match="not found"):
             load_dataset(write_manifest(tmp_path, entries))
+
+    @pytest.mark.parametrize("rows", ["feature", "label"])
+    def test_num_nodes_that_disagrees_with_the_rows_is_refused(self, tmp_path, rows):
+        entry = write_domain(tmp_path, "a", np.eye(3), [(0, 1)], labels=[0, 1, 0])
+        if rows == "label":
+            del entry["features_path"]
+        entry["num_nodes"] = 4
+        with pytest.raises(DataError, match=f"^domain 'a': num_nodes is 4, but it has 3 {rows} rows$"):
+            load_dataset(write_manifest(tmp_path, [entry]))
 
     def test_ragged_features(self, tmp_path):
         (tmp_path / "f.tsv").write_text("1.0\t2.0\n3.0\n")
@@ -279,6 +291,28 @@ class TestGenerateSbm:
     def test_negative_seed_is_a_config_error(self):
         with pytest.raises(ConfigError, match="^seed must be an integer >= 0, got -1$"):
             generate_sbm(2, 3, 0.9, 0.1, d=4, cluster_sep=1.0, seed=-1)
+
+    @pytest.mark.parametrize("blocks, nodes, d", [(65536, 65536, 65536), (2, 4, 10 ** 18)])
+    def test_a_table_numpy_cannot_size_is_refused_unallocated(self, blocks, nodes, d):
+        # the n x n draw of the first, the n x d features of the second
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"^no memory for a block-model graph of "
+                                                  f"n={blocks * nodes} nodes and d={d} features$"):
+                generate_sbm(blocks, nodes, 0.9, 0.1, d=d, cluster_sep=1.0, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    def test_a_draw_out_of_memory_is_a_config_error(self, monkeypatch):
+        class Rng:
+            def random(self, shape):
+                raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Rng())
+        with pytest.raises(ConfigError, match="^no memory for a block-model graph of n=6 nodes and d=4 features$"):
+            generate_sbm(2, 3, 0.9, 0.1, d=4, cluster_sep=1.0, seed=0)
 
 
 class TestDegreeFeatures:
