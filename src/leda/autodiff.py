@@ -19,8 +19,9 @@ code drops it.
 `backward` is the one chain rule: in reverse topological order it pops
 each entry, adds each share's local gradient into its parent, in operand
 order, and drops the shares, so the tape and the arrays that only its
-locals read shrink as the walk goes. A node given as both operands gets
-both shares.
+locals read shrink as the walk goes. A share's delta goes as soon as it is
+added, before the next share's local runs, unless it became the parent's
+gradient. A node given as both operands gets both shares.
 
 The elementwise `add`, `sub`, `mul` and `div` take operands of one shape;
 `add_row_bias` and `rowwise_cosine`'s one-row form are the only broadcasts.
@@ -288,14 +289,23 @@ def gaussian_kl(mu: Node, log_sigma: Node, clamp: float, weight) -> Node:
     (sum(((mu^2 + exp(2c)) - 1) - 2c) * (1/n)) * 0.5, and the gradients
     follow the composed clip/scale/square/exp/sub/reduce_sum chain
     operation by operation, so both are bitwise equal to it (the factor 0.5
-    is exact wherever it is applied). The locals read mu and log_sigma
+    is exact wherever it is applied). The forward holds two n x z arrays:
+    the sum, and 2c, which is exponentiated in place and then made again,
+    exactly, as clip and doubling are; a column weight's product with the
+    sum is a third. The locals read mu and log_sigma
     alone; each recomputes c0 = g * weight * 0.5, 1x1 or one column."""
     if mu.shape != log_sigma.shape:
         raise ShapeError(f"gaussian_kl: {_describe(mu, log_sigma)} differ")
     clamp = float(clamp)
     muv, lsv = mu.value, log_sigma.value
-    two_c = np.clip(lsv, -clamp, clamp) * 2.0
-    per_entry = ((muv * muv + np.exp(two_c)) - 1.0) - two_c
+    per_entry = muv * muv
+    two_c = np.clip(lsv, -clamp, clamp)
+    two_c *= 2.0
+    per_entry += np.exp(two_c, out=two_c)
+    per_entry -= 1.0
+    np.clip(lsv, -clamp, clamp, out=two_c)
+    two_c *= 2.0
+    per_entry -= two_c
     return _result(
         _weighted_sum(per_entry, weight) * 0.5, "gaussian_kl",
         (mu, lambda g: g * weight * 0.5 * 2.0 * muv),
@@ -361,9 +371,11 @@ def backward(loss: Node) -> None:
     the engine's one chain-rule loop.
 
     The loss must be 1x1. Each entry is popped exactly once, in reverse
-    topological order; it hands each share its parent's part and then drops
-    its shares and, unless it is the loss's, its gradient. A second call on
-    the same loss node is rejected.
+    topological order; it hands each share its parent's part, dropping each
+    delta once the parent has added it (a delta kept as the parent's first
+    gradient stays, as that gradient), and then drops its shares and, unless
+    it is the loss's, its gradient. A second call on the same loss node is
+    rejected.
     """
     if loss.shape != (1, 1):
         raise ShapeError(f"backward: loss '{loss.name}' must be 1x1, got {loss.shape}")
@@ -385,8 +397,9 @@ def backward(loss: Node) -> None:
             delta = local(entry.grad)
             # a delta that owns its memory and is not the node's own gradient was made by the local
             parent.accumulate(delta, made=delta is not entry.grad and delta.base is None)
+            del delta  # added, or kept as the parent's gradient: not alive beside the next local's
         # the locals, and the arrays only they read, go now, as does the gradient
-        del parent, local, delta
+        del parent, local
         entry.shares = ()
         if entry is not root:
             entry.grad = None

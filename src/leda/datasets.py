@@ -230,15 +230,26 @@ def _loadtxt(raw: bytes, dtype) -> np.ndarray:
         return np.loadtxt(io.BytesIO(raw), dtype=dtype, delimiter="\t", comments=None, ndmin=2)
 
 
+def _fewest_bytes(lines: int, width: int) -> int:
+    """The bytes of the shortest text of `lines` rows of `width` tokens: one
+    character per token, a tab between tokens, a line end between rows. A
+    shorter file with a first row of `width` tokens has a ragged row."""
+    return 2 * lines * width - 1
+
+
 def _load_plain(
     raw: bytes, chars: bytes, width: int | None, dtype, blank_lines: bool
 ) -> np.ndarray | None:
     """np.loadtxt's (rows, width) table of `raw`, or None when `raw` holds a
     character outside `chars`, a share fails, a row has another width, or,
-    unless `blank_lines`, a line is blank. `width` None is the first line's."""
+    unless `blank_lines`, a line is blank. `width` None is the first line's,
+    and then `raw` too short for `lines` rows of it is None unallocated."""
     lines = raw.count(b"\n") + (raw[-1:] not in (b"", b"\n"))
-    first = raw.find(b"\n")
-    width = width or raw.count(b"\t", 0, len(raw) if first < 0 else first) + 1
+    if width is None:
+        first = raw.find(b"\n")
+        width = raw.count(b"\t", 0, len(raw) if first < 0 else first) + 1
+        if len(raw) < _fewest_bytes(lines, width):
+            return None
     table = shared_empty((lines, width), dtype)
 
     def run(lo, hi):
@@ -358,17 +369,20 @@ def _read_features(path: Path) -> np.ndarray | CsrMatrix:
     if table is not None:
         return table
     lines = _decode(path, raw).splitlines()
+    width = lines[0].count("\t") + 1
+    # a file too short for rows of the first line's width raises below, at
+    # its first ragged row, so it gets no table to fill
+    table = np.empty((len(lines), width)) if len(raw) >= _fewest_bytes(len(lines), width) else None
     for lineno, line in enumerate(lines, start=1):
         parts = line.split("\t")
         try:
             row = np.fromiter(map(float, parts), np.float64, len(parts))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: non-numeric feature value") from exc
-        if lineno == 1:
-            table = np.empty((len(lines), len(row)))
-        elif len(row) != table.shape[1]:
-            raise DataError(f"{path}:{lineno}: ragged feature row ({len(row)} vs {table.shape[1]})")
-        table[lineno - 1] = row
+        if len(row) != width:
+            raise DataError(f"{path}:{lineno}: ragged feature row ({len(row)} vs {width})")
+        if table is not None:
+            table[lineno - 1] = row
     return table
 
 

@@ -521,15 +521,20 @@ def gcn_direct_order():
 
 
 def composed_kl_to_prior(mu, log_sigma, sizes):
-    """`lda.kl_to_prior` of one graph as a chain of elementary primitives,
-    verbatim."""
-    assert tuple(sizes) == (mu.shape[0],), sizes
+    """`lda.kl_to_prior` as a chain of elementary primitives: of one graph
+    verbatim; of M member graphs, each entry of member i is multiplied by a
+    constant 1 / (n_i * M) before the sum."""
+    assert sum(sizes) == mu.shape[0], sizes
     if mu.shape != log_sigma.shape:
         raise ConfigError(f"mu {mu.shape} and log_sigma {log_sigma.shape} must match")
     ls = ad.clip(log_sigma, -lda.LOG_SIGMA_CLAMP, lda.LOG_SIGMA_CLAMP)
     two_ls = ad.scale(ls, 2.0)
     ones = ad.constant(np.ones(mu.shape), "ones")
     per_entry = ad.sub(ad.sub(ad.add(ad.square(mu), ad.exp(two_ls)), ones), two_ls)
+    if len(sizes) > 1:
+        weights = np.repeat(1.0 / (np.asarray(sizes) * len(sizes)), sizes)[:, None]
+        per_entry = ad.mul(per_entry, ad.constant(np.broadcast_to(weights, mu.shape), "member_weights"))
+        return ad.scale(ad.reduce_sum(per_entry), 0.5)
     total = ad.scale(ad.reduce_sum(per_entry), 0.5)
     return ad.scale(total, 1.0 / mu.shape[0])
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 import weakref
 
@@ -531,3 +532,48 @@ class TestValuesLeaveTheTape:
         leaves = {id(n.entry) for n in nodes} | {id(loss.entry)}
         assert all(e.grad is None for e in entries if id(e) not in leaves)
         assert all(n.grad is not None for n in nodes)
+
+    @pytest.mark.parametrize("first_gradient", [False, True])
+    def test_a_delta_is_dropped_once_it_is_added(self, first_gradient):
+        # a parameter already holds a gradient, so the first local's fresh
+        # delta is added to it with += and must be gone before the second
+        # local builds its own; a parent with no gradient yet keeps it as
+        # its gradient instead
+        w = ad.parameter(np.ones((3, 2)), "w")
+        y = ad.parameter(np.ones((3, 2)), "y")
+        x = ad.scale(w, 1.0) if first_gradient else w
+        made, seen = [], []
+
+        def first(g):
+            delta = g * 2.0
+            made.append(weakref.ref(delta))
+            return delta
+
+        def second(g):
+            seen.append((made[0](), x.entry.grad))
+            return g * 3.0
+
+        ad.backward(ad.reduce_sum(ad._result(x.value + y.value, "pair", (x, first), (y, second))))
+        [(delta, gradient)] = seen
+        if first_gradient:
+            assert delta is not None and delta is gradient
+        else:
+            assert delta is None
+        assert np.array_equal(w.grad, np.full((3, 2), 2.0)) and np.array_equal(y.grad, np.full((3, 2), 3.0))
+
+    def test_gaussian_kl_builds_its_value_in_two_arrays(self):
+        # the sum and 2c, with a scalar weight, and a slack of 80 KiB: less
+        # than a third n x z array; the composed chain held four at once
+        n, z = 400, 32
+        rng = np.random.default_rng(24)
+        mu, log_sigma = (ad.constant(rng.standard_normal((n, z))) for _ in range(2))
+        weight = 1.0 / n
+        ad.gaussian_kl(mu, log_sigma, 10.0, weight)  # first calls fill numpy's own caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ad.gaussian_kl(mu, log_sigma, 10.0, weight)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * n * z + 80 * 1024, peak

@@ -577,6 +577,83 @@ class TestShares:
         assert peak < 2.25 * table_bytes, (peak, table_bytes)
 
 
+class TestTooShortToBeRectangular:
+    """A plain table of `lines` rows and `width` tokens takes at least
+    2 * lines * width - 1 bytes; a features file shorter than that for its
+    first line's width has a ragged row, and gets no table."""
+
+    @staticmethod
+    def spy_on_routes(monkeypatch):
+        """The calls of each route: the plain route's `shared_empty` table
+        and its `split_repeats` parse, and the line pass's decode."""
+        calls = {"shared_empty": [], "split_repeats": 0, "line pass": 0}
+        shared_empty, split_repeats, decode = datasets.shared_empty, datasets.split_repeats, datasets._decode
+
+        def table(shape, dtype):
+            calls["shared_empty"].append(shape)
+            assert shape[0] * shape[1] <= 10 ** 6, shape  # never ask for what the test refutes
+            return shared_empty(shape, dtype)
+
+        def parse(*args):
+            calls["split_repeats"] += 1
+            return split_repeats(*args)
+
+        def line_pass(*args):
+            calls["line pass"] += 1
+            return decode(*args)
+
+        monkeypatch.setattr(datasets, "shared_empty", table)
+        monkeypatch.setattr(datasets, "split_repeats", parse)
+        monkeypatch.setattr(datasets, "_decode", line_pass)
+        return calls
+
+    def test_a_wide_first_line_over_short_ones_is_refused_without_its_table(self, tmp_path, monkeypatch):
+        # 1.2 MB, whose table at the first line's width would take 640 GB
+        path = tmp_path / "x.features.tsv"
+        path.write_bytes(b"\t".join([b"1"] * 200_001) + b"\n" + b"1\n" * 400_000)
+        calls = self.spy_on_routes(monkeypatch)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError) as info:
+                _read_features(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == f"{path}:2: ragged feature row (1 vs 200001)"
+        assert calls == {"shared_empty": [], "split_repeats": 0, "line pass": 1}
+        # the text, its lines and the first row: in proportion to the file
+        assert peak < 10 * path.stat().st_size, peak
+
+    @pytest.mark.parametrize("text", [
+        "1\t2\n3\t4",  # exactly 2 * lines * width - 1 bytes
+        "1\t23\n4\t5",  # one more; with equal lines and a final newline, it is a byte grid
+        "0.5\t-1e3\t7\n",
+        "".join(f"{i}.25\t-{i}e-3\n" for i in range(50)),
+    ])
+    def test_a_rectangular_file_keeps_the_plain_route(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "x.features.tsv"
+        path.write_text(text, encoding="ascii")
+        calls = self.spy_on_routes(monkeypatch)
+        table = _read_features(path)
+        assert calls["split_repeats"] == 1 and calls["line pass"] == 0
+        expected = ref_read_features(path)
+        assert table.shape == expected.shape and table.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_a_trailing_blank_line_keeps_its_route(self, tmp_path, monkeypatch, reader):
+        # the plain route parses it; a features file, where a blank line is
+        # an error, then goes to the line pass, which names it
+        read, ref, lines, _, _ = READERS[reader]
+        path = tmp_path / f"x.{reader}.tsv"
+        path.write_text("".join(line + "\n" for line in lines) + "\n", encoding="ascii")
+        calls = self.spy_on_routes(monkeypatch)
+        same_outcome(lambda: ref(path), lambda: read(path))
+        assert calls["split_repeats"] == 1 and calls["line pass"] == (reader == "features")
+        if reader == "features":
+            with pytest.raises(DataError, match=f":{len(lines) + 1}: non-numeric feature value$"):
+                read(path)
+
+
 def open_in_this_process(path):
     """The lines of /proc/self/maps and the open descriptors that name `path`."""
     maps = Path("/proc/self/maps").read_text().splitlines()

@@ -294,7 +294,7 @@ def values_and_grads(fn, arrays):
 def assert_matches_oracle(fn, arrays, oracle=gcn_direct_order, rtol=ORDER_RTOL):
     """Values and gradients of fn agree with those computed inside the
     `oracle` context, to rtol relative to each array's largest entry;
-    rtol=0 asks for bitwise equality."""
+    rtol=0 asks for bitwise equality, signed zeros included."""
     got_values, got_grads = values_and_grads(fn, arrays)
     with oracle():
         want_values, want_grads = values_and_grads(fn, arrays)
@@ -302,7 +302,8 @@ def assert_matches_oracle(fn, arrays, oracle=gcn_direct_order, rtol=ORDER_RTOL):
         assert got.keys() == want.keys()
         for name in want:
             if rtol == 0:
-                assert np.array_equal(got[name], want[name]), (kind, name)
+                assert got[name].shape == want[name].shape, (kind, name)
+                assert got[name].tobytes() == want[name].tobytes(), (kind, name)
                 continue
             scale = np.max(np.abs(want[name]))
             assert np.max(np.abs(got[name] - want[name])) <= rtol * scale, (kind, name)
@@ -442,6 +443,26 @@ class TestFusedPrimitives:
                 return {"loss": ad.scale(lda.kl_to_prior(ps["mu"], ps["log_sigma"], ps["mu"].shape[:1]), 0.7)}
 
             assert_matches_oracle(fn, {"mu": mu, "log_sigma": log_sigma}, composed_forms, rtol=0)
+
+    @pytest.mark.parametrize("sizes", [(6,), (2, 4), (1, 2, 3)])
+    def test_gaussian_kl_at_the_clamp_and_at_signed_zeros_is_bitwise_the_composition(self, sizes):
+        """log_sigma exactly at +-clamp (the gradient still passes), one ulp
+        and far beyond it (it does not), and at +-0.0; several member graphs
+        weight each row by a column, as a graph-level domain does."""
+        clamp = lda.LOG_SIGMA_CLAMP
+        edges = [clamp, -clamp, np.nextafter(clamp, np.inf), np.nextafter(-clamp, -np.inf),
+                 1.5 * clamp, -1e3, 0.0, -0.0]
+        rng = np.random.default_rng(len(sizes))
+        log_sigma = rng.standard_normal((6, 4))
+        log_sigma.flat[rng.permutation(log_sigma.size)[:2 * len(edges)]] = edges * 2
+        mu = rng.standard_normal((6, 4))
+        mu[0, :2], mu[1, :2] = 0.0, -0.0
+        assert np.sum(np.signbit(log_sigma) & (log_sigma == 0.0)) == 2
+
+        def fn(ps):
+            return {"loss": ad.scale(lda.kl_to_prior(ps["mu"], ps["log_sigma"], sizes), 0.7)}
+
+        assert_matches_oracle(fn, {"mu": mu, "log_sigma": log_sigma}, composed_forms, rtol=0)
 
     def test_loss_total_domain_is_bitwise_the_composition(self, order_state):
         prepared, params, config = order_state["full"]

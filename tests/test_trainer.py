@@ -676,3 +676,48 @@ class TestEpochTape:
         finally:
             tracemalloc.stop()
         assert held <= sum(read.values()) + 1024 * len(tape_entries(loss.entry))
+
+    @pytest.mark.parametrize("variant", ["full", "no-dpu", "dpu-cl"])
+    def test_an_epochs_transient_bytes_stay_within_its_largest_step(self, variant):
+        """Traced by tracemalloc on the dense domain above (n=400, h_e=64,
+        z=32, here with k = m = 8), the bytes one epoch's loss needs at its
+        peak beyond those it holds after forward.
+
+        - `full` and `no-dpu`: forward peaks in `gaussian_kl`, whose two
+          n x z buffers (the sum and 2c) come on top of what the domain's
+          frame still holds and the finished loss does not: the decoder's
+          n x m output, and under no-dpu the constant X̂. So the transient
+          stays under 8 * (2nz + 2nm) + 8 KiB = 264,192 bytes, less than
+          three n x z arrays; the composed sum made four.
+        - `dpu-cl`: backward peaks in the anchor-positive `rowwise_cosine`,
+          whose locals build the anchor's and the positive's n x h_e
+          gradients, each with one n x h_e temporary for its second term,
+          while the first stays as the anchor's gradient: three arrays. Its
+          n x 1 columns take less than half an n x h_e array more, so the
+          peak stays under the held bytes plus 3.5 * 8 * n * h_e = 716,800
+          bytes. A delta left alive beside the next local would add a full
+          one."""
+        n, d = 400, 50
+        k, h, m, h_e, z = 8, 16, 8, 64, 32
+        graph = generate_sbm(4, 100, p_in=0.05, p_out=0.005, d=d, cluster_sep=3.0, seed=3, domain_id="one")
+        config = tiny_config(k=k, h=h, m=m, h_e=h_e, z=z, variant=variant)
+        prepared = prepare_domains(GraphCollection((graph,), "node-level"), config)
+        assert isinstance(prepared[0].x, np.ndarray)
+        params = init_paramset(config)
+        zero_grads(params)
+        ad.backward(build_epoch_loss(prepared, params, config, 0)[0])  # first calls fill numpy's own caches
+        zero_grads(params)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss, _ = build_epoch_loss(prepared, params, config, 1)
+            held, forward_peak = (traced - before for traced in tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            ad.backward(loss)
+            backward_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        if variant == "dpu-cl":
+            assert backward_peak - held < 3.5 * 8 * n * h_e, (backward_peak, held)
+        else:
+            assert forward_peak - held < 8 * (2 * n * z + 2 * n * m) + 8192, (forward_peak, held)
