@@ -6,7 +6,8 @@ repeats with derived seeds (base seed + repeat index) and reports accuracy
 as mean +- population standard deviation in percent. Each is a whole-array
 pass: one prototype loop serves nodes and graphs and scores a block of
 repeats with one product, in at most BLOCK_SCORES scores; a probe step
-forms only its two closed-form gradients (bitwise the engine's), and
+forms only its two closed-form gradients (bitwise the engine's), in place
+in buffers made once per fit, and AdamW updates W and b as one block;
 weights or AdamW second moments that end non-finite raise NumericError;
 MI streams every pair in blocks of as many scores. Graph pooling embeds
 each domain once, from `trainer.domain_operands`: the block-diagonal union
@@ -161,50 +162,68 @@ def _accuracy(true: np.ndarray, pred: np.ndarray) -> float:
 # linear probe
 
 
-def _probe_grads(x: np.ndarray, w: np.ndarray, b: np.ndarray, onehot: np.ndarray):
-    """Gradients in w and b of the mean softmax cross-entropy of x @ w + b
-    plus PROBE_L2 * ||w||^2, without the loss. G = softmax / n - onehot / n
-    and the rest are formed in the order `autodiff.backward` forms them on
-    the engine-built loss, so both are bitwise the engine's."""
+def _probe_grads(x, theta, grad, neg_onehot, logits, rows, decay) -> None:
+    """Writes into grad = [dW; db] the gradients at theta = [W; b] of the
+    mean softmax cross-entropy of x W + b plus PROBE_L2 * ||W||^2, without
+    the loss; neg_onehot is onehot * (-1/n), and logits (n x C), rows (n x
+    1) and decay (W's shape) are scratch. G = softmax / n - onehot / n and
+    the rest are formed in place, in the order `autodiff.backward` forms
+    them on the engine-built loss, so both are bitwise the engine's. The row
+    max goes column by column: max is exact, and np.maximum propagates NaN
+    as np.max does."""
     inv_n = 1.0 / x.shape[0]
-    logits = x @ w + b
-    shift = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - shift)
-    total = e.sum(axis=1, keepdims=True)
-    g = (inv_n / total) * e + (-inv_n) * onehot
-    return x.T @ g + (PROBE_L2 * 2.0) * w, g.sum(axis=0, keepdims=True)
+    w = theta[:-1]
+    np.matmul(x, w, out=logits)
+    logits += theta[-1]
+    rows[:] = logits[:, :1]
+    for column in range(1, logits.shape[1]):
+        np.maximum(rows, logits[:, column:column + 1], out=rows)
+    logits -= rows
+    np.exp(logits, out=logits)
+    np.sum(logits, axis=1, keepdims=True, out=rows)
+    np.divide(inv_n, rows, out=rows)
+    logits *= rows
+    logits += neg_onehot
+    np.matmul(x.T, logits, out=grad[:-1])
+    np.multiply(w, PROBE_L2 * 2.0, out=decay)
+    grad[:-1] += decay
+    np.sum(logits, axis=0, keepdims=True, out=grad[-1:])
 
 
 def _fit_logistic(train_x: np.ndarray, train_y: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    w = ad.parameter(np.zeros((train_x.shape[1], num_classes)), "probe.W")
-    b = ad.parameter(np.zeros((1, num_classes)), "probe.b")
-    params = {"probe.W": w, "probe.b": b}
-    onehot = np.eye(num_classes)[train_y]
+    """W and b after PROBE_STEPS AdamW steps from zero. They are the rows of
+    one (z + 1) x C parameter, [W; b], whose gradient is a second block, so
+    `adamw_step` updates both in one elementwise pass, bitwise as it would
+    update them apart. Every buffer of a step is made once per fit."""
+    n, dim = train_x.shape
+    theta = ad.parameter(np.zeros((dim + 1, num_classes)), "probe")
+    params = {"probe": theta}
     state = AdamWState.for_params(params, lr=PROBE_LR, weight_decay=0.0)
+    neg_onehot = (-(1.0 / n)) * np.eye(num_classes)[train_y]
+    scratch = np.empty((n, num_classes)), np.empty((n, 1)), np.empty((dim, num_classes))
     # an overflow reaches the weights or a second moment, refused by name below
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(PROBE_STEPS):
-            w.grad, b.grad = _probe_grads(train_x, w.value, b.value, onehot)
+            _probe_grads(train_x, theta.value, theta.grad, neg_onehot, *scratch)
             adamw_step(params, state)
     # a non-finite gradient at any step leaves AdamW's moments, so the weights, non-finite
-    if not (np.all(np.isfinite(w.value)) and np.all(np.isfinite(b.value))):
+    if not np.all(np.isfinite(theta.value)):
         raise NumericError("linear probe: fitted weights are non-finite")
-    check_second_moments(state, "linear probe")
-    return w.value.copy(), b.value.copy()
+    v = state.v["probe"]  # checked by the tensor its rows hold, W before b
+    check_second_moments(AdamWState(v={"probe.W": v[:-1], "probe.b": v[-1:]}), "linear probe")
+    return theta.value[:-1], theta.value[-1:]
 
 
 def _stratified_split(labels: np.ndarray, train_frac: float, rng) -> tuple[np.ndarray, np.ndarray]:
-    train_idx: list[int] = []
-    test_idx: list[int] = []
+    """Sorted train and test rows: of each class's m rows, the first
+    max(1, round(train_frac * m)) of one rng permutation, in class order."""
+    train = np.zeros(len(labels), dtype=bool)
     for c in np.unique(labels):
         members = np.flatnonzero(labels == c)
-        shuffled = rng.permutation(members)
-        take = max(1, int(round(train_frac * len(members))))
-        train_idx.extend(shuffled[:take].tolist())
-        test_idx.extend(shuffled[take:].tolist())
-    if not test_idx:
+        train[rng.permutation(members)[:max(1, int(round(train_frac * len(members))))]] = True
+    if train.all():
         raise DataError("split left no test nodes; lower train_frac")
-    return np.array(sorted(train_idx)), np.array(sorted(test_idx))
+    return np.flatnonzero(train), np.flatnonzero(~train)
 
 
 def linear_probe(
@@ -247,8 +266,8 @@ def linear_probe(
 def _prototype_scores(vectors, labels, shots: int, repeats: int, seed: int, score) -> list:
     """score(true, predicted) over the query rows of each repeat. Repeat r
     draws `shots` support rows per class, in class order, with rng(seed + r);
-    their means are the prototypes, and every other row goes to the most
-    cosine-similar one. Rows are normalized once, as gathering normalized
+    their means are the prototypes, a block's taken from one gather, and
+    every other row goes to the most cosine-similar one. Rows are normalized once, as gathering normalized
     rows equals normalizing gathered rows. A block of repeats is scored by
     one product of all rows with the block's prototypes, at most
     BLOCK_SCORES entries; each repeat takes the argmax over its own
@@ -268,15 +287,14 @@ def _prototype_scores(vectors, labels, shots: int, repeats: int, seed: int, scor
     def scored(first, end):
         scores = []
         for lo in range(first, end, step):
-            drawn = []
-            for repeat in range(lo, min(lo + step, end)):
-                rng = np.random.default_rng(seed + repeat)
-                drawn.append([rng.choice(rows, size=shots, replace=False) for rows in members])
-            prototypes = _unit_rows(np.stack([vectors[rows].mean(axis=0) for chosen in drawn for rows in chosen]))
-            winners = np.argmax((unit @ prototypes.T).reshape(n, len(drawn), num_classes), axis=2)
-            for chosen, column in zip(drawn, winners.T):
+            rngs = (np.random.default_rng(seed + repeat) for repeat in range(lo, min(lo + step, end)))
+            picked = np.stack([np.concatenate([rng.choice(rows, size=shots, replace=False) for rows in members])
+                               for rng in rngs])
+            prototypes = _unit_rows(vectors[picked].reshape(-1, shots, vectors.shape[1]).mean(axis=1))
+            winners = np.argmax((unit @ prototypes.T).reshape(n, len(picked), num_classes), axis=2)
+            for support, column in zip(picked, winners.T):
                 query = np.ones(n, dtype=bool)
-                query[np.concatenate(chosen)] = False
+                query[support] = False
                 scores.append(score(labels[query], classes[column[query]]))
         return scores
 

@@ -93,8 +93,8 @@ def loss_total_domain(
     """
     mu, log_sigma = encode(xhat, s, params)
     z = ad.reparameterize(mu, log_sigma, eps)
-    reconstructed = decode(z, s, params)
-    diff = ad.sub(xhat, reconstructed)
+    # the decoded n x m value goes with this line: no local reads it
+    diff = ad.sub(xhat, decode(z, s, params))
     recon = ad.frobenius_sq(diff, _member_weights(sizes))
     kl = kl_to_prior(mu, log_sigma, sizes)
     loss = ad.add(recon, ad.scale(kl, beta_kl))

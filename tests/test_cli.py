@@ -458,10 +458,11 @@ class TestEmbedAndEval:
         grads = evaluate._probe_grads
         calls = []
 
-        def nan_at_first_step(*args):
-            grad_w, grad_b = grads(*args)
+        def nan_at_first_step(x, theta, grad, *scratch):
+            grads(x, theta, grad, *scratch)
             calls.append(None)
-            return (grad_w * np.nan if len(calls) == 1 else grad_w), grad_b
+            if len(calls) == 1:
+                grad[:-1] *= np.nan  # the W rows of the gradient block
 
         monkeypatch.setattr(evaluate, "_probe_grads", nan_at_first_step)
         out = tmp_path / "lin.json"
@@ -497,9 +498,10 @@ class TestEmbedAndEval:
         monkeypatch.setattr(linalg, "REPEAT_MIN_WORK", 1)
         grads, parent = evaluate._probe_grads, os.getpid()
 
-        def nan_in_the_child(*args):
-            grad_w, grad_b = grads(*args)
-            return (grad_w * np.nan if os.getpid() != parent else grad_w), grad_b
+        def nan_in_the_child(x, theta, grad, *scratch):
+            grads(x, theta, grad, *scratch)
+            if os.getpid() != parent:
+                grad[:-1] *= np.nan  # the W rows of the gradient block
 
         monkeypatch.setattr(evaluate, "_probe_grads", nan_in_the_child)
         out = tmp_path / "lin.json"

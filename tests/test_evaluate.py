@@ -172,17 +172,36 @@ class TestLinearProbe:
         grads = evaluate._probe_grads
         calls = []
 
-        def poisoned(*args):
-            grad_w, grad_b = grads(*args)
+        def poisoned(x, theta, grad, *scratch):
+            # the gradient block is [dW; db]: W's rows, then b's one row
+            grads(x, theta, grad, *scratch)
             if len(calls) == at_step:
-                (grad_w if target == "W" else grad_b)[0, 0] = bad
+                grad[0 if target == "W" else -1, 0] = bad
             calls.append(None)
-            return grad_w, grad_b
 
         monkeypatch.setattr(evaluate, "_probe_grads", poisoned)
         with pytest.raises(NumericError, match="linear probe: fitted weights are non-finite"):
             linear_probe(clustered_embeddings(), runs=1, seed=1)
         assert len(calls) == evaluate.PROBE_STEPS
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("rows, named", [((0,), "W"), ((-2,), "W"), ((-1,), "b"), ((-1, 0), "W")],
+                             ids=["first-W-row", "last-W-row", "b", "W-and-b"])
+    def test_a_one_block_moment_names_the_tensor_of_its_rows(self, monkeypatch, rows, named):
+        # a 1e200 gradient entry squares to inf: its step is 0, so the weights
+        # stay finite and only the second moment shows it, under the name of
+        # the tensor whose rows hold it; W is checked before b
+        grads = evaluate._probe_grads
+
+        def huge(x, theta, grad, *scratch):
+            grads(x, theta, grad, *scratch)
+            grad[rows, 0] = 1e200
+
+        monkeypatch.setattr(evaluate, "_probe_grads", huge)
+        with pytest.raises(NumericError, match=rf"^linear probe: AdamW second moment of 'probe.{named}' "
+                                               r"is non-finite \(a gradient entry was non-finite or "
+                                               r"overflowed when squared\)$"):
+            linear_probe(clustered_embeddings(), runs=1, seed=1)
 
 
 class TestFewshot:

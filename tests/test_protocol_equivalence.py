@@ -170,12 +170,35 @@ class TestPrototypeLoop:
                     assert as_bytes(new.to_dict()) == old, (count, cpus)
                     assert bool(forked) == (cpus > 1)
 
+    @pytest.mark.parametrize("width", [1, 2, 7, 128])
+    @pytest.mark.parametrize("shots", range(1, 17))
+    def test_prototypes_are_bitwise_one_mean_per_repeat_and_class(self, monkeypatch, shots, width):
+        """Each block's prototypes are one gather, against one `mean` per
+        repeat and class. The reports see only accuracies, which a mean one
+        ulp off could leave unchanged, so the means themselves are compared."""
+        seed, repeats = 100 * shots + width, 5
+        labels = np.random.default_rng(seed).permutation(np.repeat([0, 3, 4], [shots + 1, shots + 4, shots + 2]))
+        vectors = random_rows(seed, len(labels), width)
+        normalized = []
+        unit_rows = evaluate._unit_rows
+        monkeypatch.setattr(evaluate, "_unit_rows", lambda x: normalized.append(x) or unit_rows(x))
+        fewshot_eval(EmbeddingSet("r", vectors, labels), k=shots, repeats=repeats, seed=seed)
+        members = [np.flatnonzero(labels == c) for c in np.unique(labels)]
+        expected = []
+        for repeat in range(repeats):
+            rng = np.random.default_rng(seed + repeat)
+            expected += [vectors[rng.choice(rows, size=shots, replace=False)].mean(axis=0) for rows in members]
+        _, prototypes = normalized  # every row, then the one block's prototypes
+        assert prototypes.shape == (repeats * 3, width)
+        assert prototypes.tobytes() == np.stack(expected).tobytes()
+
 
 class TestClosedFormProbe:
     @settings(max_examples=25, deadline=None)
-    @given(seed=SEEDS, n=st.integers(1, 40), dim=st.integers(1, 6), classes=st.integers(2, 5),
+    @given(seed=SEEDS, n=st.integers(1, 40), dim=st.integers(1, 6), classes=st.integers(2, 12),
            steps=st.sampled_from([0, 1, 7, 60]))
     def test_gradient_is_bitwise_the_engines(self, seed, n, dim, classes, steps):
+        # past 8 classes, numpy's row sums take their 8-wide pairwise unroll
         rng = np.random.default_rng(seed)
         x = random_rows(seed, n, dim)
         onehot = np.eye(classes)[rng.integers(0, classes, size=n)]
@@ -184,13 +207,17 @@ class TestClosedFormProbe:
         b = ad.parameter(np.zeros((1, classes)), "probe.b")
         params = {"probe.W": w, "probe.b": b}
         state = evaluate.AdamWState.for_params(params, lr=evaluate.PROBE_LR, weight_decay=0.0)
+        # the probe's one-block operands; its scratch starts as garbage
+        grad = np.full((dim + 1, classes), np.nan)
+        scratch = np.full((n, classes), np.nan), np.full((n, 1), np.nan), np.full((dim, classes), np.nan)
         for _ in range(steps + 1):
             zero_grads(params)
             loss = oracles.probe_loss(ad.constant(x), w, b, onehot)
             ad.backward(loss)
-            grad_w, grad_b = evaluate._probe_grads(x, w.value, b.value, onehot)
-            assert np.array_equal(grad_w, w.grad)
-            assert np.array_equal(grad_b, b.grad)
+            theta = np.concatenate([w.value, b.value])
+            evaluate._probe_grads(x, theta, grad, (-(1.0 / n)) * onehot, *scratch)
+            assert np.array_equal(grad[:-1], w.grad)
+            assert np.array_equal(grad[-1:], b.grad)
             evaluate.adamw_step(params, state)
 
     @settings(max_examples=8, deadline=None)
@@ -208,11 +235,13 @@ class TestClosedFormProbe:
         new = linear_probe(e, train_frac=train_frac, runs=runs, seed=seed)
         assert as_bytes(new.to_dict()) == as_bytes(old.to_dict())
 
-    def test_linear_probe_report_at_bench_shape_is_byte_identical(self, at_cpus):
+    @pytest.mark.parametrize("classes", [6, 10])
+    def test_linear_probe_report_at_bench_shape_is_byte_identical(self, at_cpus, classes):
         # the bench transfer probe's shape: about 333 training rows of 128 and
         # 6 classes, where the products take BLAS's blocked kernels; 3 runs
-        # give each CPU a share
-        rows, labels = bench_shaped_rows(19, 3327, 128, 6)
+        # give each CPU a share. At 10 classes the row sums take numpy's
+        # 8-wide pairwise unroll, and the column-by-column row max runs 9 steps
+        rows, labels = bench_shaped_rows(19, 3327, 128, classes)
         e = EmbeddingSet("citeseer-like", rows, labels)
         old = as_bytes(oracles.linear_probe(e, train_frac=0.1, runs=3, seed=66666).to_dict())
         for cpus in CPU_COUNTS:
