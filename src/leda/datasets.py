@@ -81,7 +81,8 @@ class DomainGraph:
             raise DataError(f"domain '{self.domain_id}': adjacency must be symmetric")
         if self.adjacency.nnz and not np.all(self.adjacency.values == 1.0):
             raise DataError(f"domain '{self.domain_id}': adjacency must be binary")
-        if np.any(self.adjacency.diagonal()):
+        entry_rows = np.repeat(np.arange(self.adjacency.rows), np.diff(self.adjacency.row_offsets))
+        if np.any(self.adjacency.col_indices == entry_rows):
             raise DataError(f"domain '{self.domain_id}': adjacency must not carry self-loops")
         object.__setattr__(self, "features", feature_operand(feats))
         if self.labels is not None:
@@ -486,11 +487,15 @@ def load_dataset(manifest_path: str | Path) -> GraphCollection:
         if stated not in (None, n):
             rows = "feature" if features is not None else "label"
             raise DataError(f"domain '{domain_id}': num_nodes is {stated}, but it has {n} {rows} rows")
+        degree_featurized = features is None
         try:  # a num_nodes too large to hold fails its first allocation at once
             if n * n >= 2 ** 63:  # or its edge keys i * n + j overflow int64
                 raise MemoryError
+            # or its degree features need more than the machine's memory, before any edge is read
+            if degree_featurized and (8 * DEGREE_FEATURE_DIM * n
+                                      > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")):
+                raise MemoryError
             adjacency = _read_edges(_require_file(base / edges_path, "edges"), n, symmetrize)
-            degree_featurized = features is None
             if degree_featurized:
                 features = degree_features(adjacency)
         except MemoryError as exc:

@@ -38,11 +38,9 @@ import os
 import pickle
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from .errors import DataError, NumericError
@@ -229,9 +227,9 @@ class CsrMatrix:
     """Immutable CSR sparse matrix with float64 values.
 
     row_offsets has length rows+1 and is nondecreasing; within each row the
-    column indices are strictly increasing. Both are stored in the index dtype
-    scipy picks for them (int32 while it fits), so the scipy matrix behind
-    the products shares all three arrays rather than copying the indices.
+    column indices are strictly increasing. Both are stored in scipy's index
+    dtype (int32 while rows, cols and nnz fit), so that the scipy kernels
+    every operation here calls on the three arrays read them uncopied.
     """
 
     rows: int
@@ -265,8 +263,7 @@ class CsrMatrix:
                 raise DataError(f"column indices not strictly increasing in row {r}")
         if not np.all(np.isfinite(values)):
             raise NumericError("sparse values contain non-finite entries")
-        index = sp.get_index_dtype((offsets, indices), maxval=max(self.rows, self.cols),
-                                   check_contents=True)
+        index = np.int32 if max(self.rows, self.cols, len(indices)) <= np.iinfo(np.int32).max else np.int64
         offsets, indices = offsets.astype(index, copy=False), indices.astype(index, copy=False)
         for name, arr in (("row_offsets", offsets), ("col_indices", indices), ("values", values)):
             arr.setflags(write=False)
@@ -280,15 +277,9 @@ class CsrMatrix:
     def shape(self) -> tuple[int, int]:
         return self.rows, self.cols
 
-    @cached_property
-    def _scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.values, self.col_indices, self.row_offsets), shape=(self.rows, self.cols)
-        )
-
     @staticmethod
     def from_scipy(mat) -> CsrMatrix:
-        m = sp.csr_matrix(mat, copy=True)  # the caller's arrays are neither sorted nor frozen
+        m = mat.tocsr(copy=True)  # the caller's arrays are neither sorted nor frozen
         m.sum_duplicates()
         m.sort_indices()
         return CsrMatrix(
@@ -301,7 +292,13 @@ class CsrMatrix:
 
     @staticmethod
     def block_diag(blocks) -> CsrMatrix:
-        return CsrMatrix.from_scipy(sp.block_diag([b._scipy for b in blocks], format="csr"))
+        """The blocks' arrays concatenated, each shifted past those before it."""
+        entries = np.cumsum([0] + [b.nnz for b in blocks])
+        columns = np.cumsum([0] + [b.cols for b in blocks])
+        offsets = np.concatenate([[0]] + [b.row_offsets[1:] + e for b, e in zip(blocks, entries)])
+        indices = np.concatenate([b.col_indices + c for b, c in zip(blocks, columns)])
+        values = np.concatenate([b.values for b in blocks])
+        return CsrMatrix(sum(b.rows for b in blocks), int(columns[-1]), offsets, indices, values)
 
     @staticmethod
     def from_dense(dense, divisor: float | None = None) -> CsrMatrix:
@@ -357,9 +354,9 @@ class CsrMatrix:
 
     def t_matmul_dense(self, x: np.ndarray) -> np.ndarray:
         """self.T @ x by one call of scipy's CSC multi-vector kernel on this
-        matrix's own arrays, the CSC form of its transpose, so bitwise
-        `self._scipy.T @ x`. The kernel reads x unchecked, so its shape is
-        checked here."""
+        matrix's own arrays, the CSC form of its transpose, so bitwise the
+        product of scipy's CSR matrix on these arrays, `m.T @ x`. The kernel
+        reads x unchecked, so its shape is checked here."""
         if x.shape[0] != self.rows:
             raise DataError(f"sparse ({self.rows}x{self.cols}).T @ dense {x.shape}: inner dims differ")
         out = np.zeros((self.cols, x.shape[1]))
@@ -368,17 +365,20 @@ class CsrMatrix:
         return out
 
     def is_symmetric(self) -> bool:
-        if self.rows != self.cols:  # scipy's m != m.T is then a plain bool
+        """Whether the transpose, as scipy's `csr_tocsc` writes it, has equal arrays."""
+        if self.rows != self.cols:  # the kernel writes cols + 1 offsets
             return False
-        m = self._scipy
-        return (m != m.T).nnz == 0
-
-    def diagonal(self) -> np.ndarray:
-        return self._scipy.diagonal()
+        mine = (self.row_offsets, self.col_indices, self.values)
+        transpose = [np.empty_like(a) for a in mine]
+        _sparsetools.csr_tocsc(self.rows, self.cols, *mine, *transpose)
+        return all(map(np.array_equal, mine, transpose))
 
     def to_dense(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Rows [lo, hi) of the matrix, all by default, as a dense array."""
-        return self._scipy[lo:hi].toarray()
+        offsets = self.row_offsets[lo:None if hi is None else hi + 1]
+        out = np.zeros((len(offsets) - 1, self.cols))
+        _sparsetools.csr_todense(len(out), self.cols, offsets, self.col_indices, self.values, out.ravel())
+        return out
 
 
 def feature_operand(x: np.ndarray | CsrMatrix, divisor: float | None = None) -> np.ndarray | CsrMatrix:
@@ -467,8 +467,12 @@ def truncated_svd(x: np.ndarray | CsrMatrix, k: int, seed: int) -> SvdResult:
     CsrMatrix, and nothing d x d is formed. Deterministic for a fixed seed.
     A sketch product that overflows raises NumericError.
     """
-    # scipy's CSR matrix and a dense array take the same `@` and `.T` below
-    x = x._scipy if isinstance(x, CsrMatrix) else as_dense(x, "svd input")
+    # a dense x keeps numpy's products as written: (x^T Q)^T is not bitwise Q^T x
+    if isinstance(x, CsrMatrix):
+        times, t_times, q_t_times = x.matmul_dense, x.t_matmul_dense, lambda q: x.t_matmul_dense(q).T
+    else:
+        x = as_dense(x, "svd input")
+        times, t_times, q_t_times = (lambda z: x @ z), (lambda y: x.T @ y), (lambda q: q.T @ x)
     n, d = x.shape
     if not 1 <= k <= min(n, d):
         raise DataError(f"svd rank k={k} out of range for {n}x{d} input")
@@ -479,9 +483,9 @@ def truncated_svd(x: np.ndarray | CsrMatrix, k: int, seed: int) -> SvdResult:
     # set their own error state
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(SVD_POWER_ITERS):
-            z, _ = np.linalg.qr(_finite_sketch(x.T @ (x @ z)))
-        q, _ = np.linalg.qr(_finite_sketch(x @ z))
-        u_small, s, vt = np.linalg.svd(_finite_sketch(q.T @ x), full_matrices=False)
+            z, _ = np.linalg.qr(_finite_sketch(t_times(times(z))))
+        q, _ = np.linalg.qr(_finite_sketch(times(z)))
+        u_small, s, vt = np.linalg.svd(_finite_sketch(q_t_times(q)), full_matrices=False)
     v = vt[:k].T.copy()
     signs = basis_signs(v)
     v *= signs

@@ -24,6 +24,9 @@ basis sign convention as a per-column loop, as it was before `basis_signs`.
 `scipy_normalized_adjacency` is the normalization as scipy's D (A + I) D,
 and `scipy_from_dense` a table's nonzeros as scipy's `csr_matrix`, the
 routes `normalize_adjacency` and `CsrMatrix.from_dense` replaced.
+`scipy_truncated_svd` is the truncated SVD as it was when a CsrMatrix's
+products were scipy's `@`. Each scipy matrix here comes from `scipy_csr`,
+scipy's CSR matrix on a CsrMatrix's own three arrays.
 """
 
 from __future__ import annotations
@@ -51,7 +54,16 @@ from leda.evaluate import (
     mi_from_scores,
 )
 from leda.lda import base_layer, encode, loss_total_domain, propagate_extra
-from leda.linalg import CsrMatrix, normalize_adjacency
+from leda.linalg import (
+    SVD_OVERSAMPLE,
+    SVD_POWER_ITERS,
+    CsrMatrix,
+    SvdResult,
+    _finite_sketch,
+    as_dense,
+    basis_signs,
+    normalize_adjacency,
+)
 from leda.optim import AdamWState, adamw_step
 
 
@@ -176,14 +188,44 @@ def assert_same_operand(expected, got) -> None:
         assert have.dtype == want.dtype and have.tobytes() == want.tobytes()
 
 
+def scipy_csr(m: CsrMatrix) -> sp.csr_matrix:
+    """scipy's CSR matrix on m's three arrays, which it shares when their
+    index dtype is the one scipy picks."""
+    return sp.csr_matrix((m.values, m.col_indices, m.row_offsets), shape=m.shape)
+
+
 def scipy_normalized_adjacency(adj: CsrMatrix) -> CsrMatrix:
     """D (A + I) D with D = diag(1 / sqrt(deg)), by scipy's sparse sum and
     products, the degrees counting the self-loop."""
-    a_tilde = (adj._scipy + sp.identity(adj.rows, format="csr")).tocsr()
+    a_tilde = (scipy_csr(adj) + sp.identity(adj.rows, format="csr")).tocsr()
     scale = sp.diags(1.0 / np.sqrt(np.asarray(a_tilde.sum(axis=1)).ravel()))
     s = (scale @ a_tilde @ scale).tocsr()
     s.sort_indices()
     return CsrMatrix.from_scipy(s)
+
+
+def scipy_truncated_svd(x: np.ndarray | CsrMatrix, k: int, seed: int) -> SvdResult:
+    """`linalg.truncated_svd` as it was when a CsrMatrix's products were
+    scipy's `@` and `.T` on its `scipy_csr` matrix, kept verbatim."""
+    # scipy's CSR matrix and a dense array take the same `@` and `.T` below
+    x = scipy_csr(x) if isinstance(x, CsrMatrix) else as_dense(x, "svd input")
+    n, d = x.shape
+    if not 1 <= k <= min(n, d):
+        raise DataError(f"svd rank k={k} out of range for {n}x{d} input")
+    ell = min(k + SVD_OVERSAMPLE, min(n, d))
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((d, ell))
+    # a sketch product that overflows is named by _finite_sketch; qr and svd
+    # set their own error state
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(SVD_POWER_ITERS):
+            z, _ = np.linalg.qr(_finite_sketch(x.T @ (x @ z)))
+        q, _ = np.linalg.qr(_finite_sketch(x @ z))
+        u_small, s, vt = np.linalg.svd(_finite_sketch(q.T @ x), full_matrices=False)
+    v = vt[:k].T.copy()
+    signs = basis_signs(v)
+    v *= signs
+    return SvdResult(U=(q @ u_small[:, :k]) * signs, singular_values=s[:k].copy(), V=v)
 
 
 def scipy_from_dense(x: np.ndarray, divisor: float | None = None) -> CsrMatrix:

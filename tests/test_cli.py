@@ -15,11 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import leda
-from leda import evaluate, linalg
+from leda import datasets, evaluate, linalg
 from leda.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from leda.cli import build_parser, main
 from leda.config import VARIANTS, run_config_from_dict
 from leda.datasets import (
+    DEGREE_FEATURE_DIM,
     GraphCollection,
     _read_features,
     generate_sbm,
@@ -1302,6 +1303,28 @@ class TestRefusals:
                 "--out", str(tmp_path / "m.ckpt")]
         refused(capsys, argv, 3,
                 "data error: domain 'huge': no memory for a graph of 1000000000000 nodes")
+
+    def test_featureless_num_nodes_whose_degree_features_exceed_memory_exits_3(
+            self, suite, tmp_path, capsys, monkeypatch):
+        """A featureless domain's float64 n x DEGREE_FEATURE_DIM degree table
+        is weighed against the machine's memory, patched down to 1,000 pages,
+        before any edge is read: a node more than fits is refused in one line,
+        and nothing is written."""
+        sysconf, read_edges, read = os.sysconf, datasets._read_edges, []
+        monkeypatch.setattr(os, "sysconf", lambda name: 1000 if name == "SC_PHYS_PAGES" else sysconf(name))
+        monkeypatch.setattr(datasets, "_read_edges", lambda *args: read.append(args[1]) or read_edges(*args))
+        fits = 1000 * sysconf("SC_PAGE_SIZE") // (8 * DEGREE_FEATURE_DIM)
+        (tmp_path / "e.tsv").write_text("0\t1\n")
+        for n in (fits, fits + 1):
+            (tmp_path / f"{n}.json").write_text(json.dumps({"version": 1, "domains": [
+                {"domain_id": "huge", "edges_path": "e.tsv", "num_nodes": n}]}))
+        assert load_dataset(tmp_path / f"{fits}.json").graphs[0].features.shape == (fits, DEGREE_FEATURE_DIM)
+        argv = ["pretrain", "--config", str(suite["config"]), "--manifest", str(tmp_path / f"{fits + 1}.json"),
+                "--out", str(tmp_path / "m.ckpt"), "--report", str(tmp_path / "r.json")]
+        refused(capsys, argv, 3, f"data error: domain 'huge': no memory for a graph of {fits + 1} nodes")
+        assert read == [fits]
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            ["e.tsv", f"{fits}.json", f"{fits + 1}.json"])
 
     @pytest.mark.parametrize("num_nodes", [2 ** 62, 2 ** 63 - 1, 2 ** 64])
     def test_num_nodes_whose_edge_keys_overflow_int64_exits_3(self, suite, tmp_path, capsys, num_nodes):

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from leda import linalg
-from leda.datasets import degree_features
+from leda.datasets import DomainGraph, GraphCollection, degree_features
 from leda.errors import DataError, NumericError
+from leda.evaluate import embed, fewshot_eval
 from leda.linalg import (
     SPARSE_FEATURE_DENSITY,
     CsrMatrix,
@@ -21,17 +22,20 @@ from leda.linalg import (
     normalize_adjacency,
     truncated_svd,
 )
+from leda.trainer import domain_operands, prepare_domains, pretrain
 
 from oracles import (
     assert_same_operand,
     best_rank_k_error,
     fix_signs_loop,
+    scipy_csr,
     scipy_from_dense,
     scipy_normalized_adjacency,
+    scipy_truncated_svd,
     svd_product,
     to_dense,
 )
-from synthetic import bag_of_words
+from synthetic import bag_of_words, bow_collection, tiny_config
 
 
 def adjacency_from_edges(n, edges):
@@ -42,7 +46,7 @@ def assert_own_transpose(s):
     """S has the symmetric type, whose transpose product is its own product,
     and its three arrays, with their dtypes, are bitwise its transpose's."""
     assert type(s) is linalg._SymmetricCsr
-    t = CsrMatrix.from_scipy(s._scipy.T)
+    t = CsrMatrix.from_scipy(scipy_csr(s).T)
     for part in ("row_offsets", "col_indices", "values"):
         want, have = getattr(t, part), getattr(s, part)
         assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), part
@@ -90,7 +94,7 @@ class TestNormalizeAdjacency:
         s = normalize_adjacency(adjacency_from_edges(n, edges[edges[:, 0] != edges[:, 1]]))
         assert_own_transpose(s)
         g = rng.standard_normal((n, 3))
-        assert s.t_matmul_dense(g).tobytes() == (s._scipy.T @ g).tobytes()
+        assert s.t_matmul_dense(g).tobytes() == (scipy_csr(s).T @ g).tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 40), edges=st.integers(0, 150), seed=st.integers(0, 2**32 - 1))
@@ -125,7 +129,7 @@ class TestNormalizeAdjacency:
         x = CsrMatrix.from_dense(bag_of_words(rng, *shape, 0.1))
         assert type(x) is CsrMatrix and not x.is_symmetric()
         g = rng.standard_normal((shape[0], 3))
-        want = (x._scipy.T @ g).tobytes()
+        want = (scipy_csr(x).T @ g).tobytes()
         before = dict(vars(x))
         read = []
         kernel = linalg._sparsetools.csc_matvecs
@@ -268,7 +272,7 @@ class TestCsrInvariants:
         for m in mats:
             want = np.int64 if m.cols > 2**31 else np.int32
             assert m.row_offsets.dtype == m.col_indices.dtype == want
-            scipy_view = m._scipy
+            scipy_view = scipy_csr(m)
             assert np.shares_memory(scipy_view.indptr, m.row_offsets)
             assert np.shares_memory(scipy_view.indices, m.col_indices)
             assert np.shares_memory(scipy_view.data, m.values)
@@ -293,6 +297,71 @@ class TestCsrInvariants:
             with pytest.raises(DataError) as info:
                 self.from_rows(rows, cols=5)
             assert str(info.value) == expected
+
+
+def random_table(rng, rows, cols, density):
+    """A rows x cols table with about `density` of its entries set, each 1.0
+    or 2.0."""
+    return (rng.random((rows, cols)) < density) * rng.choice([1.0, 2.0], (rows, cols))
+
+
+class TestKernelsOnItsArrays:
+    """`is_symmetric` and `block_diag` run on the matrix's own arrays, and
+    agree with scipy's operations on its `scipy_csr` matrix."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 30), density=st.floats(0.0, 0.6),
+           kind=st.sampled_from(["random", "symmetric", "one value off"]), seed=st.integers(0, 2**32 - 1))
+    def test_is_symmetric_is_scipys_comparison_with_the_transpose(self, n, density, kind, seed):
+        rng = np.random.default_rng(seed)
+        dense = random_table(rng, n, n, density)
+        if kind != "random":
+            dense = np.triu(dense) + np.triu(dense, 1).T
+        above = np.flatnonzero(np.triu(dense, 1))
+        if kind == "one value off" and len(above):
+            dense.flat[rng.choice(above)] *= 3.0
+        m = CsrMatrix.from_dense(dense)
+        held = scipy_csr(m)
+        assert m.is_symmetric() == ((held != held.T).nnz == 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(shapes=st.lists(st.tuples(st.integers(0, 8), st.integers(1, 8)), min_size=1, max_size=6),
+           density=st.floats(0.0, 0.6), seed=st.integers(0, 2**32 - 1))
+    def test_block_diag_is_scipys(self, shapes, density, seed):
+        rng = np.random.default_rng(seed)
+        blocks = [CsrMatrix.from_dense(random_table(rng, rows, cols, density)) for rows, cols in shapes]
+        want = CsrMatrix.from_scipy(sp.block_diag([scipy_csr(b) for b in blocks], format="csr"))
+        assert_same_operand(want, CsrMatrix.block_diag(blocks))
+
+
+class TestNoScipyMatrixObject:
+    def test_graphs_training_and_evaluation_build_none(self, monkeypatch):
+        """With scipy's sparse base class refusing to be built, graphs are
+        made, a collection with a multi-member CSR-featured domain is
+        prepared and trained, and an unseen CSR domain embedded and
+        evaluated."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scipy sparse matrix object was built")
+
+        monkeypatch.setattr(sp._base._spbase, "__init__", refuse)
+        with pytest.raises(AssertionError, match="scipy sparse matrix object"):
+            sp.csr_matrix(np.eye(2))
+        rng = np.random.default_rng(21)
+        graphs = []
+        for domain_id, n, width in [("words", 20, 60)] * 3 + [("gauss", 7, 6)] * 2:
+            upper = np.triu(rng.random((n, n)) < 0.3, k=1)
+            x = bag_of_words(rng, n, width, 0.03) if domain_id == "words" else rng.standard_normal((n, width))
+            graphs.append(DomainGraph(domain_id, x, CsrMatrix.from_dense((upper | upper.T) * 1.0)))
+        collection = GraphCollection(tuple(graphs), "graph-level", (0, 1, 0, 1, 0))
+        config = tiny_config(epochs=2)
+        prepare_domains(collection, config)
+        assert type(domain_operands(collection, "words").x) is CsrMatrix
+        ckpt = pretrain(collection, config)
+        unseen = bow_collection(seed=6).graphs[0]
+        assert type(unseen.features) is CsrMatrix
+        report = fewshot_eval(embed(unseen, ckpt), repeats=5)
+        assert report.repeats == 5
 
 
 class TestFromEdges:
@@ -363,6 +432,25 @@ class TestTruncatedSvd:
         assert np.array_equal(a.V, b.V)
         assert np.array_equal(a.U, b.U)
         assert np.array_equal(a.singular_values, b.singular_values)
+
+    # dense tables at the bench's paper-like shapes (Cora-like, Photo-like)
+    # and weighted words at Cora's density (1.3 %), at k=64; two small shapes
+    @pytest.mark.parametrize("rows, cols, density, k", [
+        (2708, 1433, None, 64), (7650, 745, None, 64), (2708, 1433, 0.013, 64),
+        (30, 20, None, 5), (90, 150, 0.05, 8),
+    ])
+    def test_bitwise_the_scipy_product_oracle(self, rows, cols, density, k):
+        """A CsrMatrix's products by its own kernels, and a dense table's
+        as numpy forms them, give V, U and s bitwise the oracle's, whose
+        CSR products are scipy's `@`."""
+        rng = np.random.default_rng(rows * cols)
+        if density is None:
+            x = rng.standard_normal((rows, cols))
+        else:
+            x = CsrMatrix.from_dense(bag_of_words(rng, rows, cols, density) * rng.uniform(0.1, 3.0, (rows, cols)))
+        got, want = truncated_svd(x, k, seed=5), scipy_truncated_svd(x, k, seed=5)
+        for part in ("V", "U", "singular_values"):
+            assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), part
 
     def test_rank_out_of_range(self):
         with pytest.raises(DataError):

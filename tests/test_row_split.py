@@ -25,6 +25,7 @@ from leda.datasets import GraphCollection, generate_sbm
 from leda.linalg import CsrMatrix, matmul_rows, normalize_adjacency
 from leda.trainer import domain_operands, pretrain
 
+from oracles import scipy_csr
 from synthetic import bag_of_words, bow_collection, graph_level_collection, tiny_config
 from test_acceptance import ablation_suite, suite_train_config
 
@@ -165,10 +166,10 @@ class TestSparseProducts:
         use_cpus(cpus)
         m = SPARSE[matrix]()
         x = operand(m.cols, width, form, 3)
-        assert same_bits(m.matmul_dense(x), m._scipy @ x)
+        assert same_bits(m.matmul_dense(x), scipy_csr(m) @ x)
         assert len(blocks[-1]) == cpus  # 29 rows: unequal blocks at 2 and 3 CPUs
         g = operand(m.rows, width, form, 4)
-        assert same_bits(m.t_matmul_dense(g), m._scipy.T @ g)
+        assert same_bits(m.t_matmul_dense(g), scipy_csr(m).T @ g)
 
 
 class TestTransposeProducts:
@@ -187,13 +188,13 @@ class TestTransposeProducts:
         dense[:, rng.random(cols) < 0.2] = 0.0  # and empty columns
         m = CsrMatrix.from_dense(dense)
         g = operand(rows, width, form, seed)
-        assert same_bits(m.t_matmul_dense(g), m._scipy.T @ g)
+        assert same_bits(m.t_matmul_dense(g), scipy_csr(m).T @ g)
 
     @pytest.mark.parametrize("form", ["c-order", "transposed view"])
     def test_a_feature_csr_allocates_its_output_and_one_operand_copy(self, form):
         x = csr_features(400, 300, 5)
         g = operand(400, 64, form, 6)
-        want = x._scipy.T @ g
+        want = scipy_csr(x).T @ g
         tracemalloc.start()
         try:
             got = x.t_matmul_dense(g)
@@ -208,13 +209,14 @@ class TestTransposeProducts:
         use_cpus(cpus)
         s = symmetric_s(29, 1)
         g = operand(29, 5, "transposed view", 7)
-        assert same_bits(s.matmul_dense(g), s._scipy @ g)
-        assert same_bits(s.t_matmul_dense(g), s._scipy.T @ g)
+        assert same_bits(s.matmul_dense(g), scipy_csr(s) @ g)
+        assert same_bits(s.t_matmul_dense(g), scipy_csr(s).T @ g)
         assert len(blocks) == 2 and blocks[0] == blocks[1] and len(blocks[0]) == cpus
 
     def test_nothing_is_kept_after_training(self):
-        """No feature matrix of a trained CSR collection holds a transposed
-        copy: each holds at most the scipy matrix that shares its arrays."""
+        """No feature matrix or normalized adjacency of a trained CSR
+        collection holds anything but its own five fields: no transposed
+        copy and no scipy matrix."""
         collection = bow_collection(seed=4)
         pretrain(collection, tiny_config(epochs=2))
         fields = {"rows", "cols", "row_offsets", "col_indices", "values"}
@@ -222,13 +224,7 @@ class TestTransposeProducts:
             domain = domain_operands(collection, domain_id)
             assert type(domain.x) is CsrMatrix and type(domain.s) is linalg._SymmetricCsr
             for m in (domain.x, domain.s):
-                assert set(vars(m)) <= fields | {"_scipy"}
-                if "_scipy" in vars(m):
-                    held = m._scipy
-                    assert held.shape == m.shape
-                    for mine, its in ((m.row_offsets, held.indptr), (m.col_indices, held.indices),
-                                      (m.values, held.data)):
-                        assert np.shares_memory(mine, its)
+                assert set(vars(m)) == fields
 
 
 class TestDenseProducts:
