@@ -9,8 +9,8 @@ every tensor must have the shape the header config gives it, and each basis
 entry names a domain no other entry names, stored as `basis/<domain_id>`.
 
 `param_shapes` is the one statement of the model's parameters: their names,
-shapes and order. Initialization walks it, and both save and load check
-against it.
+shapes and order. Initialization walks it, both save and load check
+against it, and `check_param_memory` weighs it against the machine's memory.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 from .config import NUMBER, TrainConfig, check_type, has_json_type, parse_json
 from .dpu import DomainBasis
 from .errors import CheckpointFormatError, ConfigError, DataError
+from .linalg import physical_memory
 
 MAGIC = b"LEDACKPT"
 FORMAT_VERSION = 1
@@ -46,6 +47,16 @@ def param_shapes(config: TrainConfig) -> dict[str, tuple[int, int]]:
         "lda.W_sigma": (c.h_e, c.z),
         "lda.W_dec": (c.z, c.m),
     }
+
+
+def check_param_memory(config: TrainConfig) -> None:
+    """ConfigError unless the parameter tensors fit in the machine's memory
+    four times over, in float64: each value, its gradient and its two AdamW
+    moments. Arrays of one row per node are not counted."""
+    if 4 * 8 * sum(rows * cols for rows, cols in param_shapes(config).values()) > physical_memory():
+        c = config
+        raise ConfigError(f"no memory for the parameters of model dims k={c.k}, h={c.h}, m={c.m}, "
+                          f"h_e={c.h_e}, z={c.z}")
 
 
 def basis_tensor_name(domain_id: str) -> str:

@@ -88,7 +88,9 @@ def _run_config(args):
     """The --config run config with the flags actually given applied: each
     flag named after a TrainConfig field, --manifest in place of the
     config's data path, and ablate's --test-domain in place of
-    eval.test_domains."""
+    eval.test_domains. Its model must fit in memory, which is checked
+    before the manifest is read."""
+    from .checkpoint import check_param_memory
     from .config import load_run_config
 
     run_cfg = load_run_config(args.config)
@@ -96,8 +98,9 @@ def _run_config(args):
     given = {name: value for name, value in vars(args).items() if name in keys and value is not None}
     manifest = args.manifest or run_cfg.manifest
     held_out = getattr(args, "test_domain", None) or run_cfg.eval.test_domains
-    return replace(run_cfg, manifest=manifest, train=replace(run_cfg.train, **given),
-                   eval=replace(run_cfg.eval, test_domains=held_out))
+    train = replace(run_cfg.train, **given)
+    check_param_memory(train)
+    return replace(run_cfg, manifest=manifest, train=train, eval=replace(run_cfg.eval, test_domains=held_out))
 
 
 def _protocol_echo(ckpt, protocol: dict) -> dict:

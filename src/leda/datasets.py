@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import check_object, check_type, check_values, has_json_type, parse_json
 from .errors import ConfigError, DataError
-from .linalg import CsrMatrix, feature_operand, shared_empty, split_repeats
+from .linalg import CsrMatrix, feature_operand, physical_memory, shared_empty, split_repeats
 
 MANIFEST_VERSION = 1
 NODE_LEVEL = "node-level"
@@ -47,12 +47,13 @@ _DOMAIN_KINDS = {
 
 @dataclass(frozen=True)
 class DomainGraph:
-    """One graph: features (n x d), adjacency, optional labels. The one place
-    the graph rules are checked: the features are finite, the adjacency is
-    square, symmetric, binary and has no self-loops, and the labels give one
-    per node. The features are then held in the form `feature_operand` picks,
-    a CsrMatrix or a frozen dense array, which training and `embed` read as
-    they are."""
+    """One graph: features (n x d), adjacency, optional node labels, and a
+    graph-level label if it is a member of a graph-level corpus. The one
+    place the graph rules are checked: the features are finite, the
+    adjacency is square, symmetric, binary and has no self-loops, the labels
+    give one per node, and the graph label is a 64-bit integer. The features
+    are then held in the form `feature_operand` picks, a CsrMatrix or a
+    frozen dense array, which training and `embed` read as they are."""
 
     domain_id: str
     features: np.ndarray | CsrMatrix
@@ -60,6 +61,7 @@ class DomainGraph:
     labels: np.ndarray | None = None
     num_classes: int | None = None
     degree_featurized: bool = False
+    graph_label: int | None = None
 
     def __post_init__(self):
         feats = self.features
@@ -99,6 +101,10 @@ class DomainGraph:
                 )
             labels.setflags(write=False)
             object.__setattr__(self, "labels", labels)
+        if self.graph_label is not None:
+            object.__setattr__(self, "graph_label", int(self.graph_label))
+            if not -2 ** 63 <= self.graph_label < 2 ** 63:
+                raise DataError("graph label outside the 64-bit integer range")
 
     @property
     def num_nodes(self) -> int:
@@ -111,27 +117,25 @@ class DomainGraph:
 
 @dataclass(frozen=True)
 class GraphCollection:
-    """All graphs of a dataset. Node-level: one graph per domain. Graph-level:
-    many small graphs that may share a domain_id, with one label per graph."""
+    """All graphs of a dataset. Node-level: one graph per domain, none with
+    a graph label. Graph-level: many small graphs that may share a
+    domain_id, each with its graph label. The one place these rules are
+    checked."""
 
     graphs: tuple[DomainGraph, ...]
     task_kind: str
-    graph_labels: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.task_kind not in (NODE_LEVEL, GRAPH_LEVEL):
             raise DataError(f"unknown task_kind '{self.task_kind}'")
         object.__setattr__(self, "graphs", tuple(self.graphs))
-        if self.task_kind == GRAPH_LEVEL:
-            if self.graph_labels is None:
-                raise DataError("graph-level collection requires graph_labels")
-            labels = tuple(int(v) for v in self.graph_labels)
-            if len(labels) != len(self.graphs):
-                raise DataError("graph_labels length must match graph count")
-            if not all(-2 ** 63 <= label < 2 ** 63 for label in labels):
-                raise DataError("graph label outside the 64-bit integer range")
-            object.__setattr__(self, "graph_labels", labels)
-        else:
+        graph_level = self.task_kind == GRAPH_LEVEL
+        for g in self.graphs:
+            if graph_level and g.graph_label is None:
+                raise DataError(f"domain '{g.domain_id}': graph-level entry needs graph_label")
+            if not graph_level and g.graph_label is not None:
+                raise DataError(f"domain '{g.domain_id}': graph_label is read only in a graph-level manifest")
+        if not graph_level:
             ids = [g.domain_id for g in self.graphs]
             if len(set(ids)) != len(ids):
                 raise DataError("node-level collection requires unique domain_ids")
@@ -448,7 +452,6 @@ def load_dataset(manifest_path: str | Path) -> GraphCollection:
 
     base = manifest_path.parent
     graphs: list[DomainGraph] = []
-    graph_labels: list[int] = []
     for pos, entry in enumerate(entries):
         check_object(entry, _DOMAIN_KINDS, f"manifest domain #{pos}", DataError)
         domain_id = check_type(entry.get("domain_id"), str, f"manifest domain #{pos}: domain_id", DataError)
@@ -459,8 +462,6 @@ def load_dataset(manifest_path: str | Path) -> GraphCollection:
                 check_type(entry[key], kind, f"domain '{domain_id}': {key}", DataError)
         if (entry.get("num_nodes") or 0) < 0:
             raise DataError(f"domain '{domain_id}': num_nodes must be >= 0")
-        if task_kind == NODE_LEVEL and entry.get("graph_label") is not None:
-            raise DataError(f"domain '{domain_id}': graph_label is read only in a graph-level manifest")
         edges_path = entry.get("edges_path")
         if not edges_path:
             raise DataError(f"domain '{domain_id}': missing edges_path")
@@ -492,8 +493,7 @@ def load_dataset(manifest_path: str | Path) -> GraphCollection:
             if n * n >= 2 ** 63:  # or its edge keys i * n + j overflow int64
                 raise MemoryError
             # or its degree features need more than the machine's memory, before any edge is read
-            if degree_featurized and (8 * DEGREE_FEATURE_DIM * n
-                                      > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")):
+            if degree_featurized and 8 * DEGREE_FEATURE_DIM * n > physical_memory():
                 raise MemoryError
             adjacency = _read_edges(_require_file(base / edges_path, "edges"), n, symmetrize)
             if degree_featurized:
@@ -508,18 +508,10 @@ def load_dataset(manifest_path: str | Path) -> GraphCollection:
                 labels=labels,
                 num_classes=entry.get("num_classes"),
                 degree_featurized=degree_featurized,
+                graph_label=entry.get("graph_label"),
             )
         )
-        if task_kind == GRAPH_LEVEL:
-            if entry.get("graph_label") is None:
-                raise DataError(f"domain '{domain_id}': graph-level entry needs graph_label")
-            graph_labels.append(entry["graph_label"])
-
-    return GraphCollection(
-        graphs=tuple(graphs),
-        task_kind=task_kind,
-        graph_labels=tuple(graph_labels) if task_kind == GRAPH_LEVEL else None,
-    )
+    return GraphCollection(graphs=tuple(graphs), task_kind=task_kind)
 
 
 def write_float_tsv(path: str | Path, x: np.ndarray | CsrMatrix, index: bool = False) -> None:
@@ -582,8 +574,8 @@ def save_dataset(collection: GraphCollection, out_dir: str | Path) -> Path:
             )
             entry["labels_path"] = labels_name
             entry["num_classes"] = graph.num_classes
-        if collection.task_kind == GRAPH_LEVEL:
-            entry["graph_label"] = collection.graph_labels[pos]
+        if graph.graph_label is not None:
+            entry["graph_label"] = graph.graph_label
         entries.append(entry)
 
     manifest = {
@@ -620,7 +612,7 @@ def generate_sbm(
         raise ConfigError(f"feature dim d={d} must be >= blocks={blocks}")
     n = blocks * nodes_per_block
     try:  # a size too large to hold fails its first allocation at once
-        if 8 * n * max(n, d) >= 2 ** 63:  # or its float64 n x n or n x d table has no byte size
+        if 8 * n * max(n, d) > physical_memory():  # or its float64 n x n or n x d table exceeds memory
             raise MemoryError
         labels = np.repeat(np.arange(blocks), nodes_per_block)
         rng = np.random.default_rng(seed)

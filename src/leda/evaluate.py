@@ -358,7 +358,7 @@ def graph_eval(
         raise DataError("graph_eval needs a graph-level collection")
     scores = _prototype_scores(
         pooled_graph_embeddings(collection, ckpt, t),
-        np.asarray(collection.graph_labels, dtype=np.int64),
+        np.array([g.graph_label for g in collection.graphs], dtype=np.int64),
         support_per_class, repeats, seed,
         lambda true, pred: (_accuracy(true, pred), 100.0 * macro_f1(true, pred)),
     )

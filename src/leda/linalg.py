@@ -101,6 +101,12 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def physical_memory() -> int:
+    """The machine's memory in bytes, the figure every size check weighs a
+    declared size against."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def _outcome(run, lo: int, hi: int) -> tuple[bool, object]:
     """(True, run(lo, hi)), or (False, the error it raised)."""
     try:

@@ -64,9 +64,7 @@ def collections() -> dict[str, tuple[GraphCollection, str, str]]:
 
 
 def _training_part(collection: GraphCollection, held: str) -> GraphCollection:
-    kept = [i for i, g in enumerate(collection.graphs) if g.domain_id != held]
-    labels = None if collection.graph_labels is None else tuple(collection.graph_labels[i] for i in kept)
-    return GraphCollection(tuple(collection.graphs[i] for i in kept), collection.task_kind, labels)
+    return GraphCollection(tuple(g for g in collection.graphs if g.domain_id != held), collection.task_kind)
 
 
 def manifest(work: Path) -> dict[str, str]:

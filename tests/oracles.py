@@ -397,7 +397,7 @@ def fewshot_eval(embeddings, k=1, repeats=500, seed=66666):
 def graph_eval(collection, ckpt, support_per_class=1, repeats=500, seed=66666, t=0):
     if collection.task_kind != "graph-level":
         raise DataError("graph_eval needs a graph-level collection")
-    labels = np.asarray(collection.graph_labels, dtype=np.int64)
+    labels = np.array([g.graph_label for g in collection.graphs], dtype=np.int64)
     classes = np.unique(labels)
     counts = {int(c): int(np.sum(labels == c)) for c in classes}
     short = [c for c, n in counts.items() if n < support_per_class]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from leda import autodiff as ad
@@ -52,19 +54,26 @@ def bow_collection(seed: int = 0, dims=(100, 120), density: float = 0.01, blocks
     return GraphCollection(graphs=tuple(graphs), task_kind="node-level")
 
 
+def labelled(graphs, labels) -> GraphCollection:
+    """The graph-level collection of `graphs`, each given its graph label
+    from `labels`, in order."""
+    return GraphCollection(
+        tuple(replace(g, graph_label=label) for g, label in zip(graphs, labels, strict=True)), "graph-level")
+
+
 def graph_level_collection() -> GraphCollection:
     """Two domains, interleaved in collection order, of random graphs with
     Gaussian features of width 6: unequal sizes, one 1-node graph, and five
     graphs smaller than tiny_config's k=4."""
     rng = np.random.default_rng(12)
-    graphs, labels = [], []
+    graphs = []
     for domain_id, n in (("ga", 5), ("gb", 4), ("ga", 1), ("ga", 9), ("gb", 11), ("ga", 3),
                          ("gb", 2), ("ga", 2), ("gb", 6), ("ga", 7), ("gb", 3)):
         upper = np.triu(rng.random((n, n)) < 0.5, k=1)
         adjacency = CsrMatrix.from_dense((upper | upper.T) * 1.0)
-        graphs.append(DomainGraph(domain_id, rng.standard_normal((n, 6)), adjacency))
-        labels.append(len(graphs) % 2)
-    return GraphCollection(tuple(graphs), "graph-level", tuple(labels))
+        graphs.append(DomainGraph(domain_id, rng.standard_normal((n, 6)), adjacency,
+                                  graph_label=(len(graphs) + 1) % 2))
+    return GraphCollection(tuple(graphs), "graph-level")
 
 
 def overflow_probe_set(scale: float) -> EmbeddingSet:

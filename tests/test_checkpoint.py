@@ -1,3 +1,5 @@
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,10 +8,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from leda import config
-from leda.checkpoint import Checkpoint, load_checkpoint, param_shapes, save_checkpoint
+from leda.checkpoint import Checkpoint, check_param_memory, load_checkpoint, param_shapes, save_checkpoint
+from leda.config import TrainConfig
 from leda.dpu import DomainBasis
 from leda.cli import main
-from leda.errors import CheckpointFormatError, DataError
+from leda.errors import CheckpointFormatError, ConfigError, DataError
 from leda.trainer import init_paramset, pretrain
 
 from oracles import join_checkpoint, split_checkpoint, write_unchecked_checkpoint
@@ -142,6 +145,18 @@ class TestShapesFollowConfig:
         config = tiny_config(**dims)
         made = {name: node.shape for name, node in init_paramset(config).items()}
         assert param_shapes(config) == made
+
+    def test_parameters_are_weighed_against_memory_four_times_over(self, monkeypatch):
+        """Value, gradient and two AdamW moments, float64: memory patched to
+        one page of exactly that many bytes holds them, one byte less does not."""
+        config = tiny_config(k=3, h=5, m=7, h_e=2, z=6)
+        need = 4 * 8 * sum(rows * cols for rows, cols in param_shapes(config).values())
+        monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PHYS_PAGES" else need)
+        check_param_memory(config)
+        monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PHYS_PAGES" else need - 1)
+        with pytest.raises(ConfigError, match=r"^no memory for the parameters of model dims "
+                                              r"k=3, h=5, m=7, h_e=2, z=6$"):
+            check_param_memory(config)
 
     def test_transposed_parameter_rejected(self, trained, tmp_path):
         w1 = trained.params["dpu.W1"]
@@ -339,6 +354,30 @@ class TestMalformedCheckpoints:
         with pytest.raises(CheckpointFormatError) as info:
             load_checkpoint(target)
         assert message in str(info.value)
+
+    def test_header_dims_too_large_to_hold_are_refused_unallocated(self, saved, tmp_path, capsys):
+        """A header config with h = 10^11, and its tensor entries resized to
+        match, lists a dpu.W1 of 3.2 TB that the payload does not hold: the
+        reader refuses it in one line (exit 3) before making any array."""
+        header, payload = split_checkpoint(saved)
+        header["config"]["h"] = 10 ** 11
+        shapes = param_shapes(TrainConfig.from_dict(header["config"]))
+        for entry in header["tensors"]:
+            entry["rows"], entry["cols"] = shapes.get(entry["name"], (entry["rows"], entry["cols"]))
+        target = tmp_path / "huge.ckpt"
+        target.write_bytes(join_checkpoint(header, payload))
+        argv = ["embed", "--ckpt", str(target), "--manifest", str(tmp_path / "unused.json"),
+                "--domain", "doma", "--out", str(tmp_path / "emb.tsv")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert capsys.readouterr().err == f"data error: {target}: truncated payload for tensor 'dpu.W1'\n"
+        assert peak < 1 << 24, peak
+        assert not (tmp_path / "emb.tsv").exists()
 
     @pytest.mark.parametrize(
         "mutate",

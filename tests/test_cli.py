@@ -31,7 +31,7 @@ from leda.datasets import (
 
 from oracles import join_checkpoint, split_checkpoint
 from refusals import argv_of, document_argv, document_cases, refusal_cases
-from synthetic import bow_collection, node_collection, overflow_probe_set
+from synthetic import bow_collection, labelled, node_collection, overflow_probe_set
 
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -176,6 +176,26 @@ class TestPretrain:
                 "--out", out, "--report", report]
         refused(capsys, argv, 2, f"config error: --out and --report name one file: {report}\n")
         assert [path.name for path in tmp_path.iterdir()] == ["sub"] and not any((tmp_path / "sub").iterdir())
+
+    @pytest.mark.parametrize("command", ["pretrain", "ablate"])
+    def test_model_dims_whose_parameters_exceed_memory_exit_2_before_the_manifest_is_read(
+            self, tmp_path, capsys, monkeypatch, command):
+        """At h = 10^11 the parameters, their gradients and AdamW moments need
+        28.8 TB of float64, weighed against the machine's memory (patched down
+        to 1,000 pages) before any parameter is made: one line, nothing
+        written, and the absent manifest never read."""
+        sysconf = os.sysconf
+        monkeypatch.setattr(os, "sysconf", lambda name: 1000 if name == "SC_PHYS_PAGES" else sysconf(name))
+        monkeypatch.setattr("leda.trainer.pretrain", None)  # nothing may be trained
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"model": {"k": 4, "h": 10 ** 11, "m": 4, "h_e": 8, "z": 4}}))
+        argv = [command, "--config", str(config), "--manifest", str(tmp_path / "absent.json"),
+                "--out", str(tmp_path / "out.json")]
+        if command == "pretrain":
+            argv += ["--report", str(tmp_path / "report.json")]
+        refused(capsys, argv, 2, "config error: no memory for the parameters of model dims "
+                                 "k=4, h=100000000000, m=4, h_e=8, z=4\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
 
     def test_missing_manifest_exits_3_and_names_path(self, suite, tmp_path, capsys):
         code = main(
@@ -585,7 +605,7 @@ class TestEmbedAndEval:
             generate_sbm(2, 4, 0.8, 0.2, d=6, cluster_sep=2.0, seed=60 + i, domain_id="many")
             for i in range(2)
         )
-        collection = GraphCollection(graphs=graphs, task_kind="graph-level", graph_labels=(0, 1))
+        collection = labelled(graphs, (0, 1))
         manifest = save_dataset(collection, tmp_path / "graphs")
         code = main(
             [
@@ -604,7 +624,7 @@ class TestEmbedAndEval:
             for i in range(8)
         )
         labels = (0, 1) * 4
-        collection = GraphCollection(graphs=graphs, task_kind="graph-level", graph_labels=labels)
+        collection = labelled(graphs, labels)
         manifest = save_dataset(collection, tmp_path / "pairs")
         shapes = []
         init_basis = evaluate.init_basis
@@ -855,6 +875,27 @@ class TestGraphLevel:
         assert capsys.readouterr().err == (
             "data error: domain 'gb': graph-level entry #2 has no nodes\n"
         )
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "eval-graph"])
+    @pytest.mark.parametrize("task_kind, label, message", [
+        ("graph-level", None, "data error: domain 'gb': graph-level entry needs graph_label\n"),
+        ("node-level", 1, "data error: domain 'gb': graph_label is read only in a graph-level manifest\n"),
+    ], ids=["graph-level-unlabelled", "node-level-labelled"])
+    def test_a_graph_label_where_the_task_kind_says_otherwise_exits_3(
+            self, suite, ckpt_path, tmp_path, capsys, command, task_kind, label, message):
+        """The second entry breaks the rule: without a label in a
+        graph-level manifest, or with one in a node-level manifest."""
+        manifest = graph_level_manifest(tmp_path / "data", [("ga", 5, 0 if label is None else None),
+                                                            ("gb", 4, label)])
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, "task_kind": task_kind}))
+        if command == "pretrain":
+            args = ["pretrain", "--config", str(suite["config"]), "--out", str(tmp_path / "m.ckpt")]
+        else:
+            args = ["eval-graph", "--ckpt", str(ckpt_path), "--repeats", "5"]
+        assert main(args + ["--manifest", str(manifest)]) == 3
+        assert capsys.readouterr().err == message
         assert not (tmp_path / "m.ckpt").exists()
 
     @pytest.mark.parametrize("command", ["pretrain", "eval-graph"])

@@ -1,5 +1,7 @@
 import json
+import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from leda.datasets import (
     DEGREE_FEATURE_DIM,
     GRAPH_LEVEL,
+    NODE_LEVEL,
     DomainGraph,
     GraphCollection,
     degree_features,
@@ -85,6 +88,13 @@ MANIFEST_REFUSALS = {
                             r"^domain 'a': graph-level entry needs graph_label$"),
     "graph-label-node-level": (manifest_doc([entry(graph_label=1)]),
                                r"^domain 'a': graph_label is read only in a graph-level manifest$"),
+    "graph-label-second-missing": (manifest_doc([entry(graph_label=0), entry(domain_id="b")],
+                                                task_kind=GRAPH_LEVEL),
+                                   r"^domain 'b': graph-level entry needs graph_label$"),
+    "graph-label-huge": (manifest_doc([entry(graph_label=2 ** 63)], task_kind=GRAPH_LEVEL),
+                         r"^graph label outside the 64-bit integer range$"),
+    "graph-label-huge-negative": (manifest_doc([entry(graph_label=-2 ** 63 - 1)], task_kind=GRAPH_LEVEL),
+                                  r"^graph label outside the 64-bit integer range$"),
 }
 
 
@@ -214,17 +224,18 @@ class TestRoundTrip:
         assert max(int(v) for v in written.split()) >= 100_000
 
     def test_graph_level_round_trip(self, tmp_path):
+        """Every graph keeps its own label, the 64-bit extremes included."""
+        labels = (0, 1, 2 ** 63 - 1, -2 ** 63, 1)
         graphs = [
-            generate_sbm(2, 3, 1.0, 0.0, d=3, cluster_sep=1.0, seed=s, domain_id="dom")
-            for s in range(4)
+            replace(generate_sbm(2, 3, 1.0, 0.0, d=3, cluster_sep=1.0, seed=s, domain_id="dom"),
+                    graph_label=label)
+            for s, label in enumerate(labels)
         ]
-        original = GraphCollection(
-            graphs=tuple(graphs), task_kind=GRAPH_LEVEL, graph_labels=(0, 1, 0, 1)
-        )
+        original = GraphCollection(graphs=tuple(graphs), task_kind=GRAPH_LEVEL)
         loaded = load_dataset(save_dataset(original, tmp_path / "g"))
         assert loaded.task_kind == GRAPH_LEVEL
-        assert loaded.graph_labels == (0, 1, 0, 1)
-        assert [g.domain_id for g in loaded.graphs] == ["dom"] * 4
+        assert [g.graph_label for g in loaded.graphs] == list(labels)
+        assert [g.domain_id for g in loaded.graphs] == ["dom"] * 5
         for a, b in zip(original.graphs, loaded.graphs):
             assert np.array_equal(a.features, b.features)
 
@@ -305,6 +316,22 @@ class TestGenerateSbm:
             tracemalloc.stop()
         assert peak < 1 << 20, peak
 
+    def test_a_table_beyond_the_machine_memory_is_refused_undrawn(self, monkeypatch):
+        """n x max(n, d) float64 bytes are weighed against the machine's
+        memory, patched to one page of exactly 8 x 6 x 6 bytes, and then one
+        byte less; the draw is never reached when they exceed it."""
+        draws = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: draws.append(seed) or default_rng(seed))
+        for page, refused in ((8 * 6 * 6, False), (8 * 6 * 6 - 1, True)):
+            monkeypatch.setattr(os, "sysconf", lambda name, page=page: 1 if name == "SC_PHYS_PAGES" else page)
+            if refused:
+                with pytest.raises(ConfigError, match="^no memory for a block-model graph of n=6 nodes and d=4 features$"):
+                    generate_sbm(2, 3, 0.9, 0.1, d=4, cluster_sep=1.0, seed=0)
+            else:
+                assert generate_sbm(2, 3, 0.9, 0.1, d=4, cluster_sep=1.0, seed=0).num_nodes == 6
+        assert draws == [0]
+
     def test_a_draw_out_of_memory_is_a_config_error(self, monkeypatch):
         class Rng:
             def random(self, shape):
@@ -370,25 +397,35 @@ class TestDomainGraphValidation:
         with pytest.raises(DataError, match="^domain 'bad': features must be 2-D$"):
             DomainGraph("bad", np.zeros(2), CsrMatrix.from_dense(np.zeros((2, 2))))
 
+    def test_graph_label_is_held_as_a_python_int(self):
+        g = generate_sbm(2, 2, 0.9, 0.1, d=2, cluster_sep=1.0, seed=0)
+        label = replace(g, graph_label=np.int64(-3)).graph_label
+        assert type(label) is int and label == -3
+
     @pytest.mark.parametrize("task_kind, labels, message", [
-        ("edge-level", None, "unknown task_kind 'edge-level'"),
-        (GRAPH_LEVEL, (0,), "graph_labels length must match graph count"),
-    ], ids=["task-kind", "label-count"])
+        ("edge-level", (None, None), "unknown task_kind 'edge-level'"),
+        (NODE_LEVEL, (None, 1), "domain 'second': graph_label is read only in a graph-level manifest"),
+    ], ids=["task-kind", "label-node-level"])
     def test_each_collection_rule_is_refused(self, task_kind, labels, message):
         g = generate_sbm(2, 2, 0.9, 0.1, d=2, cluster_sep=1.0, seed=0)
+        graphs = [replace(g, domain_id=name, graph_label=label)
+                  for name, label in zip(("first", "second"), labels)]
         with pytest.raises(DataError, match=f"^{message}$"):
-            GraphCollection(graphs=(g, g), task_kind=task_kind, graph_labels=labels)
+            GraphCollection(graphs=graphs, task_kind=task_kind)
 
     def test_graph_level_requires_labels(self):
+        """Every graph carries its label; the first one without is named."""
         g = generate_sbm(2, 2, 0.9, 0.1, d=2, cluster_sep=1.0, seed=0)
-        with pytest.raises(DataError, match="graph_labels"):
-            GraphCollection(graphs=(g,), task_kind=GRAPH_LEVEL)
+        graphs = (replace(g, graph_label=0), replace(g, domain_id="bare"), g)
+        with pytest.raises(DataError, match="^domain 'bare': graph-level entry needs graph_label$"):
+            GraphCollection(graphs=graphs, task_kind=GRAPH_LEVEL)
 
     def test_graph_level_zero_node_graph_names_domain_and_position(self):
         g = generate_sbm(2, 2, 0.9, 0.1, d=2, cluster_sep=1.0, seed=0, domain_id="full")
-        empty = DomainGraph("empty", np.zeros((0, 2)), CsrMatrix.from_dense(np.zeros((0, 0))))
+        empty = DomainGraph("empty", np.zeros((0, 2)), CsrMatrix.from_dense(np.zeros((0, 0))), graph_label=1)
         with pytest.raises(DataError, match=r"^domain 'empty': graph-level entry #1 has no nodes$"):
-            GraphCollection(graphs=(g, empty, g), task_kind=GRAPH_LEVEL, graph_labels=(0, 1, 0))
+            GraphCollection(graphs=(replace(g, graph_label=0), empty, replace(g, graph_label=0)),
+                            task_kind=GRAPH_LEVEL)
 
     def test_node_level_zero_node_graph_names_domain_and_position(self):
         g = generate_sbm(2, 2, 0.9, 0.1, d=2, cluster_sep=1.0, seed=0, domain_id="full")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from leda import autodiff as ad
-from leda.datasets import GraphCollection, generate_sbm
+from leda.datasets import generate_sbm
 from leda.dpu import align, alignment_penalties, init_basis, trans
 from leda.errors import ConfigError
 from leda.linalg import CsrMatrix
@@ -10,7 +10,7 @@ from leda.trainer import prepare_domains, pretrain
 
 from oracles import central_difference_grad, direct_reconstruction, gradient_check, to_dense
 from synthetic import (
-    alignment_loss, bag_of_words, bow_collection, draw_dpu_params, draw_lda_params, parameters,
+    alignment_loss, bag_of_words, bow_collection, draw_dpu_params, draw_lda_params, labelled, parameters,
     tiny_config,
 )
 
@@ -245,7 +245,7 @@ def graph_level_sbm():
         generate_sbm(2, 5 + i, 0.7, 0.2, d=6, cluster_sep=2.0, seed=30 + i, domain_id="glv")
         for i in range(3)
     )
-    return GraphCollection(graphs=graphs, task_kind="graph-level", graph_labels=(0, 1, 0))
+    return labelled(graphs, (0, 1, 0))
 
 
 class TestGramForm:

@@ -25,7 +25,7 @@ from leda.linalg import CsrMatrix, gaussian_entropy
 from leda.trainer import prepare_domains, pretrain
 
 from oracles import to_dense
-from synthetic import bow_collection, node_collection, overflow_probe_set, parameters, tiny_config
+from synthetic import bow_collection, labelled, node_collection, overflow_probe_set, parameters, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -270,7 +270,7 @@ class TestGraphEval:
             )
             graphs.append(stripped)
             labels.append(0 if dense else 1)
-        return GraphCollection(graphs=tuple(graphs), task_kind="graph-level", graph_labels=tuple(labels))
+        return labelled(graphs, labels)
 
     def test_support_covering_everything_rejected(self, trained):
         collection = self.graph_level_collection()
@@ -293,7 +293,7 @@ class TestGraphEval:
         # nearest-centroid brute force on raw pooled embeddings must also
         # separate the classes, confirming the signal is real
         pooled = pooled_graph_embeddings(collection, ckpt, t=0)
-        labels = np.array(collection.graph_labels)
+        labels = np.array([g.graph_label for g in collection.graphs])
         centroids = np.stack([pooled[labels == c].mean(axis=0) for c in (0, 1)])
         brute = np.argmin(
             ((pooled[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2), axis=1
@@ -319,9 +319,7 @@ class TestGraphEval:
                          seed=int(rng.integers(1 << 30)), domain_id="noise")
             for _ in range(12)
         )
-        collection = GraphCollection(
-            graphs=graphs, task_kind="graph-level", graph_labels=tuple([0, 1] * 6)
-        )
+        collection = labelled(graphs, [0, 1] * 6)
         ckpt = pretrain(collection, tiny_config(epochs=5, k=3, m=3))
         report = graph_eval(collection, ckpt, support_per_class=1, repeats=200, seed=22)
         assert abs(report.mean_accuracy - 50.0) <= 10.0

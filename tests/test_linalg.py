@@ -352,8 +352,9 @@ class TestNoScipyMatrixObject:
         for domain_id, n, width in [("words", 20, 60)] * 3 + [("gauss", 7, 6)] * 2:
             upper = np.triu(rng.random((n, n)) < 0.3, k=1)
             x = bag_of_words(rng, n, width, 0.03) if domain_id == "words" else rng.standard_normal((n, width))
-            graphs.append(DomainGraph(domain_id, x, CsrMatrix.from_dense((upper | upper.T) * 1.0)))
-        collection = GraphCollection(tuple(graphs), "graph-level", (0, 1, 0, 1, 0))
+            graphs.append(DomainGraph(domain_id, x, CsrMatrix.from_dense((upper | upper.T) * 1.0),
+                                      graph_label=len(graphs) % 2))
+        collection = GraphCollection(tuple(graphs), "graph-level")
         config = tiny_config(epochs=2)
         prepare_domains(collection, config)
         assert type(domain_operands(collection, "words").x) is CsrMatrix

@@ -30,7 +30,7 @@ from leda.evaluate import (
 )
 from leda.trainer import pretrain
 
-from synthetic import node_collection, tiny_config, zero_grads
+from synthetic import labelled, node_collection, tiny_config, zero_grads
 
 SEEDS = st.integers(0, 2**31 - 1)
 CPU_COUNTS = (1, 2, 3)
@@ -100,8 +100,7 @@ def scored_in_blocks(labels, repeats_per_block):
 def graph_level(labels) -> GraphCollection:
     """A collection with one graph per label; its pooled rows are patched in."""
     graph = generate_sbm(1, 2, 1.0, 0.0, d=3, cluster_sep=1.0, seed=0, domain_id="g")
-    return GraphCollection(graphs=(graph,) * len(labels), task_kind="graph-level",
-                           graph_labels=tuple(labels))
+    return labelled((graph,) * len(labels), labels)
 
 
 def bench_shaped_rows(seed: int, n: int, dim: int, classes: int):

@@ -25,8 +25,8 @@ from leda.trainer import (
 )
 
 from oracles import assert_same_operand, gradient_check, member_loop_epoch_loss, registered_paramset, to_dense
-from synthetic import (bow_collection, graph_level_collection, node_collection, parameters, tiny_config,
-                       zero_grads)
+from synthetic import (bow_collection, graph_level_collection, labelled, node_collection, parameters,
+                       tiny_config, zero_grads)
 from test_autodiff import tape_entries
 
 
@@ -171,7 +171,7 @@ class TestPretrain:
             generate_sbm(1, 6, 0.9, 0.0, d=d, cluster_sep=1.0, seed=d, domain_id="mixed")
             for d in (5, 7)
         )
-        collection = GraphCollection(graphs=graphs, task_kind="graph-level", graph_labels=(0, 1))
+        collection = labelled(graphs, (0, 1))
         with pytest.raises(DataError, match=r"'mixed': members disagree on feature dim \[5, 7\]"):
             pretrain(collection, tiny_config(k=2, m=2))
 
@@ -563,7 +563,7 @@ class TestDomainOperands:
     def collection(sizes, widths=None):
         graphs = [generate_sbm(1, n, 0.6, 0.0, d=d, cluster_sep=1.0, seed=n, domain_id="u")
                   for n, d in zip(sizes, widths or [3] * len(sizes))]
-        return GraphCollection(tuple(graphs), "graph-level", (0,) * len(graphs))
+        return labelled(graphs, (0,) * len(graphs))
 
     def test_lone_graph_features_are_used_uncopied(self):
         collection = self.collection([5])
@@ -598,8 +598,8 @@ class TestDomainOperands:
             x = np.zeros(n * d)
             x[rng.choice(n * d, round(density * n * d), replace=False)] = 1.0
             path = CsrMatrix.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-            graphs.append(DomainGraph("bow", x.reshape(n, d), path))
-        return GraphCollection(tuple(graphs), "graph-level", (0, 1) * (len(graphs) // 2))
+            graphs.append(DomainGraph("bow", x.reshape(n, d), path, graph_label=len(graphs) % 2))
+        return GraphCollection(tuple(graphs), "graph-level")
 
     @pytest.mark.parametrize("densities, stacked", [((0.02, 0.10), np.ndarray), ((0.02, 0.06), CsrMatrix)])
     def test_a_stack_straddling_the_sparse_rule_trains_as_its_dense_members_did(
