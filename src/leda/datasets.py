@@ -29,7 +29,7 @@ NODE_LEVEL = "node-level"
 GRAPH_LEVEL = "graph-level"
 
 DEGREE_FEATURE_DIM = 16
-# feature rows turned into Python floats at a time when writing
+# feature rows, or adjacency entries, turned into Python numbers at a time when writing
 _WRITE_CHUNK_ROWS = 4096
 
 _MANIFEST_KEYS = {"version", "task_kind", "symmetrize", "domains"}
@@ -520,23 +520,39 @@ def write_float_tsv(path: str | Path, x: np.ndarray | CsrMatrix, index: bool = F
     repr of a Python float round-trips bit-exactly; rows are converted a
     chunk at a time with `tolist`, not element by element, and a CsrMatrix is
     made dense a chunk at a time, never whole. Large tables are formatted in
-    contiguous row shares by `split_repeats`, joined in order.
+    contiguous row shares by `split_repeats`, and each chunk's text is
+    written in order once all are formatted, never joined or encoded whole.
     """
     rows, cols = x.shape
     chunk = x.to_dense if isinstance(x, CsrMatrix) else lambda lo, hi: x[lo:hi]
 
     def run(lo, hi):
-        lines = (
-            "\t".join(map(repr, row))
-            for start in range(lo, hi, _WRITE_CHUNK_ROWS)
-            for row in chunk(start, min(start + _WRITE_CHUNK_ROWS, hi)).tolist()
-        )
-        if index:
-            lines = (f"{i}\t{line}" for i, line in enumerate(lines, lo))
-        return ["\n".join(lines) + "\n"]
+        texts = []
+        for start in range(lo, hi, _WRITE_CHUNK_ROWS):
+            lines = ["\t".join(map(repr, row))
+                     for row in chunk(start, min(start + _WRITE_CHUNK_ROWS, hi)).tolist()]
+            if index:
+                lines = [f"{i}\t{line}" for i, line in enumerate(lines, start)]
+            texts.append("\n".join(lines) + "\n")
+        return texts
 
-    text = "".join(split_repeats(rows, _WRITE_TOKEN_COST * rows * cols, run))
-    Path(path).write_text(text, encoding="utf-8")
+    # a table of no rows is written as one empty line
+    texts = split_repeats(rows, _WRITE_TOKEN_COST * rows * cols, run) or ["\n"]
+    with Path(path).open("w", encoding="utf-8") as file:
+        file.writelines(texts)
+
+
+def _write_edges(path: Path, adj: CsrMatrix) -> None:
+    """One "i\tj" line per upper-triangle entry (i, j) of adj, in CSR order,
+    formatted and written _WRITE_CHUNK_ROWS entries at a time."""
+    with path.open("w", encoding="utf-8") as file:
+        for lo in range(0, adj.nnz, _WRITE_CHUNK_ROWS):
+            cols = adj.col_indices[lo:lo + _WRITE_CHUNK_ROWS]
+            rows = np.searchsorted(adj.row_offsets, np.arange(lo, lo + len(cols)), side="right") - 1
+            upper = rows < cols
+            # one `%` over the interleaved pairs formats twice as fast as a string per edge
+            pairs = np.stack([rows[upper], cols[upper]], axis=1).ravel().tolist()
+            file.write(("%d\t%d\n" * (len(pairs) // 2)) % tuple(pairs))
 
 
 def save_dataset(collection: GraphCollection, out_dir: str | Path) -> Path:
@@ -551,14 +567,7 @@ def save_dataset(collection: GraphCollection, out_dir: str | Path) -> Path:
     for pos, graph in enumerate(collection.graphs):
         stem = f"g{pos:03d}-{graph.domain_id}"
         edges_name = f"{stem}.edges.tsv"
-        adj = graph.adjacency
-        rows = np.repeat(np.arange(adj.rows), np.diff(adj.row_offsets))
-        upper = rows < adj.col_indices
-        # one `%` over the interleaved pairs formats twice as fast as a string per edge
-        pairs = np.stack([rows[upper], adj.col_indices[upper]], axis=1).ravel().tolist()
-        (out_dir / edges_name).write_text(
-            ("%d\t%d\n" * (len(pairs) // 2)) % tuple(pairs), encoding="utf-8"
-        )
+        _write_edges(out_dir / edges_name, graph.adjacency)
         entry: dict = {"domain_id": graph.domain_id, "edges_path": edges_name}
 
         if graph.degree_featurized:
@@ -612,26 +621,35 @@ def generate_sbm(
         raise ConfigError(f"feature dim d={d} must be >= blocks={blocks}")
     n = blocks * nodes_per_block
     try:  # a size too large to hold fails its first allocation at once
-        if 8 * n * max(n, d) > physical_memory():  # or its float64 n x n or n x d table exceeds memory
+        # or what the draw holds at once exceeds memory: n x n float64 randoms and
+        # three boolean tables (11 bytes an entry), then two float64 n x d tables
+        if max(11 * n, 16 * d) * n > physical_memory():
             raise MemoryError
         labels = np.repeat(np.arange(blocks), nodes_per_block)
         rng = np.random.default_rng(seed)
 
-        same_block = labels[:, None] == labels[None, :]
-        prob = np.where(same_block, p_in, p_out)
-        upper = np.triu(rng.random((n, n)) < prob, k=1)
-        dense = (upper | upper.T).astype(np.float64)
+        draw = rng.random((n, n))
+        # below p_in within a block, below p_out < p_in across blocks
+        edge = draw < p_in
+        edge &= labels[:, None] == labels[None, :]
+        edge |= draw < p_out
+        del draw
+        upper = np.triu(edge, k=1)
+        del edge
+        adjacency = CsrMatrix.from_dense(upper | upper.T)
+        del upper
 
         means = np.zeros((blocks, d))
         means[np.arange(blocks), np.arange(blocks)] = cluster_sep / np.sqrt(2.0)
-        features = means[labels] + rng.standard_normal((n, d))
+        features = rng.standard_normal((n, d))
+        features += means[labels]
     except MemoryError as exc:
         raise ConfigError(f"no memory for a block-model graph of n={n} nodes and d={d} features") from exc
 
     return DomainGraph(
         domain_id=domain_id or f"sbm-{seed}",
         features=features,
-        adjacency=CsrMatrix.from_dense(dense),
+        adjacency=adjacency,
         labels=labels,
         num_classes=blocks,
     )

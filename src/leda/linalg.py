@@ -107,6 +107,12 @@ def physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _index_dtype(rows: int, cols: int, nnz: int):
+    """scipy's index dtype for a CSR of this shape and nnz: int32 while all
+    three fit, else int64."""
+    return np.int32 if max(rows, cols, nnz) <= np.iinfo(np.int32).max else np.int64
+
+
 def _outcome(run, lo: int, hi: int) -> tuple[bool, object]:
     """(True, run(lo, hi)), or (False, the error it raised)."""
     try:
@@ -245,32 +251,35 @@ class CsrMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        offsets = np.asarray(self.row_offsets, dtype=np.int64)
-        indices = np.asarray(self.col_indices, dtype=np.int64)
+        # an integer array is checked in its own dtype, with no copy; anything else as int64
+        offsets, indices = (
+            a if isinstance(a, np.ndarray) and a.dtype.kind in "iu" else np.asarray(a, dtype=np.int64)
+            for a in (self.row_offsets, self.col_indices)
+        )
         values = np.asarray(self.values, dtype=np.float64)
         if offsets.shape != (self.rows + 1,):
             raise DataError("row_offsets must have length rows+1")
         if offsets[0] != 0 or offsets[-1] != len(indices):
             raise DataError("row_offsets must start at 0 and end at nnz")
-        if np.any(np.diff(offsets) < 0):
+        if np.any(offsets[1:] < offsets[:-1]):
             raise DataError("row_offsets must be nondecreasing")
         if len(indices) != len(values):
             raise DataError("col_indices and values must have equal length")
         if len(indices) and (indices.min() < 0 or indices.max() >= self.cols):
             raise DataError("column index out of range")
         if len(indices) > 1:
-            # steps across a row boundary are exempt; any other step must be > 0
-            steps = np.diff(indices)
+            # steps across a row boundary are exempt; any other step must rise
+            bad = indices[1:] <= indices[:-1]
             starts = offsets[1:-1]
-            steps[starts[(starts > 0) & (starts < len(indices))] - 1] = 1
-            bad = np.flatnonzero(steps <= 0)
+            bad[starts[(starts > 0) & (starts < len(indices))] - 1] = False
+            bad = np.flatnonzero(bad)
             if len(bad):
                 r = int(np.searchsorted(offsets, bad[0] + 1, side="right")) - 1
                 raise DataError(f"column indices not strictly increasing in row {r}")
         if not np.all(np.isfinite(values)):
             raise NumericError("sparse values contain non-finite entries")
-        index = np.int32 if max(self.rows, self.cols, len(indices)) <= np.iinfo(np.int32).max else np.int64
-        offsets, indices = offsets.astype(index, copy=False), indices.astype(index, copy=False)
+        index = _index_dtype(self.rows, self.cols, len(indices))
+        offsets, indices = (np.asarray(a, dtype=index, order="C") for a in (offsets, indices))
         for name, arr in (("row_offsets", offsets), ("col_indices", indices), ("values", values)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -328,18 +337,22 @@ class CsrMatrix:
         pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
             raise DataError(f"edge node index outside [0, {n})")
-        i = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        j = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        # sorted unique row-major keys are exactly the CSR order; sort + mask
-        # rather than np.unique, whose hash table is far slower on 1M keys
-        keys = np.sort(i * n + j)
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        rows, cols = np.divmod(keys, n)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
-        return CsrMatrix(
-            rows=n, cols=n, row_offsets=offsets, col_indices=cols, values=np.ones(len(keys))
-        )
+        # sorted unique row-major keys i * n + j are exactly the CSR order; an
+        # in-place sort and one mask rather than np.unique, whose hash table is
+        # far slower on 1M keys
+        keys = np.multiply(pairs.T, n, order="C")
+        keys += pairs.T[::-1]  # i * n + j, then j * n + i
+        keys = keys.ravel()
+        keys.sort()
+        first = np.ones(len(keys), dtype=bool)  # the first key of each run of equal ones
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        # row r's entries are the keys in [r * n, (r + 1) * n); a key mod n is its column
+        offsets = np.searchsorted(keys, np.arange(n + 1) * n)
+        keys %= n
+        cols = keys.astype(_index_dtype(n, n, len(keys)))
+        del keys
+        return CsrMatrix(rows=n, cols=n, row_offsets=offsets, col_indices=cols, values=np.ones(len(cols)))
 
     def matmul_dense(self, x: np.ndarray) -> np.ndarray:
         """self @ x by scipy's own multi-vector kernel, which adds each output
@@ -421,12 +434,14 @@ def normalize_adjacency(adj: CsrMatrix) -> CsrMatrix:
     """
     n, offsets, cols = adj.rows, adj.row_offsets, adj.col_indices
     lengths = np.diff(offsets)
-    rows = np.repeat(np.arange(n), lengths)
+    rows = np.repeat(np.arange(n, dtype=cols.dtype), lengths)
     below = np.bincount(rows[cols < rows], minlength=n)  # entries left of each diagonal
-    at = offsets[:-1] + below
-    rows, cols = np.insert(rows, at, np.arange(n)), np.insert(cols, at, np.arange(n))
+    del rows
+    cols = np.insert(cols, offsets[:-1] + below, np.arange(n, dtype=cols.dtype))
     inv_sqrt = 1.0 / np.sqrt(lengths + 1.0)
-    return _SymmetricCsr(n, n, offsets + np.arange(n + 1), cols, inv_sqrt[rows] * inv_sqrt[cols])
+    values = np.repeat(inv_sqrt, lengths + 1)  # row i's entries, the diagonal's included
+    values *= inv_sqrt[cols]
+    return _SymmetricCsr(n, n, offsets + np.arange(n + 1), cols, values)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,12 @@ and `scipy_from_dense` a table's nonzeros as scipy's `csr_matrix`, the
 routes `normalize_adjacency` and `CsrMatrix.from_dense` replaced.
 `scipy_truncated_svd` is the truncated SVD as it was when a CsrMatrix's
 products were scipy's `@`. Each scipy matrix here comes from `scipy_csr`,
-scipy's CSR matrix on a CsrMatrix's own three arrays.
+scipy's CSR matrix on a CsrMatrix's own three arrays. The edge path as it
+was before it stopped building whole-graph temporaries is kept too:
+`one_list_edge_text`, the edges writer with every pair in one list;
+`divmod_from_edges`, `CsrMatrix.from_edges` from i, j and divmod;
+`int64_rows_normalized_adjacency`, the normalization with int64 rows; and
+`int64_csr_check`, `CsrMatrix`'s checks on its index arrays upcast to int64.
 """
 
 from __future__ import annotations
@@ -472,6 +477,77 @@ def edge_lines(adj):
     rows = np.repeat(np.arange(adj.rows), np.diff(adj.row_offsets))
     upper = rows < adj.col_indices
     return "".join(f"{r}\t{c}\n" for r, c in zip(rows[upper].tolist(), adj.col_indices[upper].tolist()))
+
+
+def one_list_edge_text(adj):
+    """An edges file's text as `save_dataset` made it before it wrote a chunk
+    at a time: every upper-triangle pair in one list, one `%` over all."""
+    rows = np.repeat(np.arange(adj.rows), np.diff(adj.row_offsets))
+    upper = rows < adj.col_indices
+    pairs = np.stack([rows[upper], adj.col_indices[upper]], axis=1).ravel().tolist()
+    return ("%d\t%d\n" * (len(pairs) // 2)) % tuple(pairs)
+
+
+# ---------------------------------------------------------------------------
+# the CSR edge path as it was: int64 index arrays throughout
+
+
+def divmod_from_edges(n, edges) -> CsrMatrix:
+    """`CsrMatrix.from_edges` as it was: i and j concatenated, a sorted copy
+    of their keys, a diff mask, and rows and columns by divmod."""
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+        raise DataError(f"edge node index outside [0, {n})")
+    i = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    j = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    keys = np.sort(i * n + j)
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    rows, cols = np.divmod(keys, n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+    return CsrMatrix(rows=n, cols=n, row_offsets=offsets, col_indices=cols, values=np.ones(len(keys)))
+
+
+def int64_rows_normalized_adjacency(adj: CsrMatrix) -> CsrMatrix:
+    """`normalize_adjacency` as it was: int64 rows per entry, the diagonal
+    inserted into both rows and columns, each value inv_sqrt[row] *
+    inv_sqrt[col]."""
+    n, offsets, cols = adj.rows, adj.row_offsets, adj.col_indices
+    lengths = np.diff(offsets)
+    rows = np.repeat(np.arange(n), lengths)
+    below = np.bincount(rows[cols < rows], minlength=n)
+    at = offsets[:-1] + below
+    rows, cols = np.insert(rows, at, np.arange(n)), np.insert(cols, at, np.arange(n))
+    inv_sqrt = 1.0 / np.sqrt(lengths + 1.0)
+    return CsrMatrix(n, n, offsets + np.arange(n + 1), cols, inv_sqrt[rows] * inv_sqrt[cols])
+
+
+def int64_csr_check(rows, cols, row_offsets, col_indices, values) -> None:
+    """`CsrMatrix`'s checks as they were, on its index arrays upcast to
+    int64: raises what they raised, in their order."""
+    offsets = np.asarray(row_offsets, dtype=np.int64)
+    indices = np.asarray(col_indices, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    if offsets.shape != (rows + 1,):
+        raise DataError("row_offsets must have length rows+1")
+    if offsets[0] != 0 or offsets[-1] != len(indices):
+        raise DataError("row_offsets must start at 0 and end at nnz")
+    if np.any(np.diff(offsets) < 0):
+        raise DataError("row_offsets must be nondecreasing")
+    if len(indices) != len(values):
+        raise DataError("col_indices and values must have equal length")
+    if len(indices) and (indices.min() < 0 or indices.max() >= cols):
+        raise DataError("column index out of range")
+    if len(indices) > 1:
+        steps = np.diff(indices)
+        starts = offsets[1:-1]
+        steps[starts[(starts > 0) & (starts < len(indices))] - 1] = 1
+        bad = np.flatnonzero(steps <= 0)
+        if len(bad):
+            r = int(np.searchsorted(offsets, bad[0] + 1, side="right")) - 1
+            raise DataError(f"column indices not strictly increasing in row {r}")
+    if not np.all(np.isfinite(values)):
+        raise NumericError("sparse values contain non-finite entries")
 
 
 # ---------------------------------------------------------------------------

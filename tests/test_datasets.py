@@ -317,20 +317,36 @@ class TestGenerateSbm:
         assert peak < 1 << 20, peak
 
     def test_a_table_beyond_the_machine_memory_is_refused_undrawn(self, monkeypatch):
-        """n x max(n, d) float64 bytes are weighed against the machine's
-        memory, patched to one page of exactly 8 x 6 x 6 bytes, and then one
-        byte less; the draw is never reached when they exceed it."""
+        """max(11 n, 16 d) n bytes, what the draw holds at once, are weighed
+        against the machine's memory, patched to one page of exactly that
+        many bytes, and then one byte less; the draw is never reached when
+        they exceed it. At d = 4 the n x n draw weighs most, at d = 12 the
+        n x d features."""
         draws = []
         default_rng = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng", lambda seed: draws.append(seed) or default_rng(seed))
-        for page, refused in ((8 * 6 * 6, False), (8 * 6 * 6 - 1, True)):
-            monkeypatch.setattr(os, "sysconf", lambda name, page=page: 1 if name == "SC_PHYS_PAGES" else page)
-            if refused:
-                with pytest.raises(ConfigError, match="^no memory for a block-model graph of n=6 nodes and d=4 features$"):
-                    generate_sbm(2, 3, 0.9, 0.1, d=4, cluster_sep=1.0, seed=0)
-            else:
-                assert generate_sbm(2, 3, 0.9, 0.1, d=4, cluster_sep=1.0, seed=0).num_nodes == 6
-        assert draws == [0]
+        for d, held in ((4, 11 * 6 * 6), (12, 16 * 6 * 12)):
+            for page, refused in ((held, False), (held - 1, True)):
+                monkeypatch.setattr(os, "sysconf", lambda name, page=page: 1 if name == "SC_PHYS_PAGES" else page)
+                if refused:
+                    with pytest.raises(ConfigError, match=f"^no memory for a block-model graph of n=6 nodes and d={d} features$"):
+                        generate_sbm(2, 3, 0.9, 0.1, d=d, cluster_sep=1.0, seed=0)
+                else:
+                    assert generate_sbm(2, 3, 0.9, 0.1, d=d, cluster_sep=1.0, seed=0).num_nodes == 6
+        assert draws == [0, 0]
+
+    @pytest.mark.parametrize("nodes, d", [(600, 16), (50, 1000)])
+    def test_the_draw_holds_no_more_than_the_guard_weighs(self, nodes, d):
+        n = 2 * nodes
+        tracemalloc.start()
+        try:
+            graph = generate_sbm(2, nodes, 0.05, 0.01, d=d, cluster_sep=1.0, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.num_nodes == n
+        # the labels, block means and adjacency held beside the tables come on top
+        assert peak <= 1.05 * max(11 * n, 16 * d) * n, (peak, max(11 * n, 16 * d) * n)
 
     def test_a_draw_out_of_memory_is_a_config_error(self, monkeypatch):
         class Rng:
