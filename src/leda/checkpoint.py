@@ -16,14 +16,13 @@ against it, and `check_param_memory` weighs it against the machine's memory.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .config import NUMBER, TrainConfig, check_type, has_json_type, parse_json
+from .config import NUMBER, TrainConfig, check_type, has_json_type, parse_json, write_file
 from .dpu import DomainBasis
 from .errors import CheckpointFormatError, ConfigError, DataError
 from .linalg import physical_memory
@@ -94,7 +93,8 @@ def _check_shape(name: str, shape: tuple[int, ...], config: TrainConfig, where: 
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Atomic write (temp file + rename); matrices round-trip bit-exactly.
+    """Write through `config.write_file`, whole or not at all; matrices
+    round-trip bit-exactly.
 
     Every tensor is checked against the config before anything is written,
     so a checkpoint that `load_checkpoint` would refuse is never saved."""
@@ -130,18 +130,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "final_loss": ckpt.final_loss,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(header_bytes)))
-            fh.write(header_bytes)
-            fh.write(bytes(payload))
-        os.replace(tmp, path)
-    except OSError as exc:  # name the caller's path, not the temp file
-        tmp.unlink(missing_ok=True)
-        raise DataError(f"cannot write checkpoint {path}: {exc.strerror or exc}") from exc
+    write_file(path, [MAGIC, struct.pack("<I", len(header_bytes)), header_bytes, payload])
 
 
 def _fields(entry, kinds: dict, what: str) -> list:

@@ -1,7 +1,8 @@
 """Command-line interface: dataset generation, pretraining, embedding,
 evaluation protocols, ablations, and diagnostics.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
+Exit codes: 0 success, 2 configuration error, 3 data error (an output
+that cannot be written, or memory that runs out, is one too), 4 numeric
 failure. All JSON reports are pretty-printed with sorted keys, embed the
 effective configuration and seed, and isolate the timestamp in a single
 top-level field so byte-level determinism checks can exclude it.
@@ -34,7 +35,9 @@ def _emit(doc: dict, out: str | None) -> None:
     doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        from .config import write_file
+
+        write_file(out, [text])
     else:
         sys.stdout.write(text)
 
@@ -394,6 +397,8 @@ def main(argv: list[str] | None = None) -> int:
         return _refuse(3, f"data error: {exc}")
     except (NumericError, ShapeError) as exc:
         return _refuse(4, f"numeric failure: {exc}")
+    except MemoryError as exc:  # the last resort, when no guard weighed the need before allocating
+        return _refuse(3, f"data error: {args.command} ran out of memory" + (f": {exc}" if str(exc) else ""))
 
 
 if __name__ == "__main__":

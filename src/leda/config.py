@@ -11,18 +11,20 @@ for configs, protocols, the generator, training and the CLI flags alike.
 And so do the rules of a JSON document, for the run config, the dataset
 manifest and the checkpoint header alike: `parse_json` reads one,
 `check_type` checks a value's JSON type and `check_object` an object's
-keys, each raising the error class its caller passes.
+keys, each raising the error class its caller passes. So does the one way
+an output reaches disk: `write_file`, which every writer hands its chunks.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import InitVar, asdict, dataclass, field, fields
 from numbers import Integral, Real
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 VARIANTS = ("full", "no-dpu", "no-lda", "dpu-cl")
 NUMBER = (int, float)
@@ -76,6 +78,24 @@ def check_object(value, allowed, what: str, error=ConfigError) -> dict:
     if unknown:
         raise error(f"{what}: unknown keys {sorted(unknown)}")
     return value
+
+
+def write_file(path: str | Path, chunks) -> None:
+    """Write the str (as UTF-8) or bytes `chunks` in order to `<name>.tmp`, then
+    rename it over `path`, replacing a symlink there: a failed write leaves the
+    old file or none and no temp file, and an OSError is a DataError naming `path`."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        try:
+            with open(tmp, "wb") as file:
+                for chunk in chunks:
+                    file.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:  # name the caller's path, not the temp file
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _is_finite(value) -> bool:

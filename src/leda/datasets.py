@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import check_object, check_type, check_values, has_json_type, parse_json
+from .config import check_object, check_type, check_values, has_json_type, parse_json, write_file
 from .errors import ConfigError, DataError
 from .linalg import CsrMatrix, feature_operand, physical_memory, shared_empty, split_repeats
 
@@ -29,8 +29,8 @@ NODE_LEVEL = "node-level"
 GRAPH_LEVEL = "graph-level"
 
 DEGREE_FEATURE_DIM = 16
-# feature rows, or adjacency entries, turned into Python numbers at a time when writing
-_WRITE_CHUNK_ROWS = 4096
+# feature values (at least one row), or adjacency entries, made Python numbers at a time when writing
+_WRITE_CHUNK = 4096
 
 _MANIFEST_KEYS = {"version", "task_kind", "symmetrize", "domains"}
 # the JSON type of each key of a domain entry
@@ -517,57 +517,57 @@ def load_dataset(manifest_path: str | Path) -> GraphCollection:
 def write_float_tsv(path: str | Path, x: np.ndarray | CsrMatrix, index: bool = False) -> None:
     """One tab-separated line per row of x, led by the row number if `index`.
 
-    repr of a Python float round-trips bit-exactly; rows are converted a
-    chunk at a time with `tolist`, not element by element, and a CsrMatrix is
-    made dense a chunk at a time, never whole. Large tables are formatted in
-    contiguous row shares by `split_repeats`, and each chunk's text is
-    written in order once all are formatted, never joined or encoded whole.
+    repr of a Python float round-trips bit-exactly; rows are converted with
+    `tolist`, not element by element, _WRITE_CHUNK values (at least one row)
+    at a time, and a CsrMatrix is made dense a chunk at a time, never whole.
+    Large tables are formatted in contiguous row shares by `split_repeats`,
+    and each chunk's text goes to `write_file` in order, never joined.
     """
     rows, cols = x.shape
     chunk = x.to_dense if isinstance(x, CsrMatrix) else lambda lo, hi: x[lo:hi]
+    step = max(1, _WRITE_CHUNK // max(1, cols))
 
     def run(lo, hi):
         texts = []
-        for start in range(lo, hi, _WRITE_CHUNK_ROWS):
-            lines = ["\t".join(map(repr, row))
-                     for row in chunk(start, min(start + _WRITE_CHUNK_ROWS, hi)).tolist()]
+        for start in range(lo, hi, step):
+            lines = ["\t".join(map(repr, row)) for row in chunk(start, min(start + step, hi)).tolist()]
             if index:
                 lines = [f"{i}\t{line}" for i, line in enumerate(lines, start)]
             texts.append("\n".join(lines) + "\n")
         return texts
 
     # a table of no rows is written as one empty line
-    texts = split_repeats(rows, _WRITE_TOKEN_COST * rows * cols, run) or ["\n"]
-    with Path(path).open("w", encoding="utf-8") as file:
-        file.writelines(texts)
+    write_file(path, split_repeats(rows, _WRITE_TOKEN_COST * rows * cols, run) or ["\n"])
 
 
-def _write_edges(path: Path, adj: CsrMatrix) -> None:
+def _edge_lines(adj: CsrMatrix):
     """One "i\tj" line per upper-triangle entry (i, j) of adj, in CSR order,
-    formatted and written _WRITE_CHUNK_ROWS entries at a time."""
-    with path.open("w", encoding="utf-8") as file:
-        for lo in range(0, adj.nnz, _WRITE_CHUNK_ROWS):
-            cols = adj.col_indices[lo:lo + _WRITE_CHUNK_ROWS]
-            rows = np.searchsorted(adj.row_offsets, np.arange(lo, lo + len(cols)), side="right") - 1
-            upper = rows < cols
-            # one `%` over the interleaved pairs formats twice as fast as a string per edge
-            pairs = np.stack([rows[upper], cols[upper]], axis=1).ravel().tolist()
-            file.write(("%d\t%d\n" * (len(pairs) // 2)) % tuple(pairs))
+    formatted _WRITE_CHUNK entries at a time."""
+    for lo in range(0, adj.nnz, _WRITE_CHUNK):
+        cols = adj.col_indices[lo:lo + _WRITE_CHUNK]
+        rows = np.searchsorted(adj.row_offsets, np.arange(lo, lo + len(cols)), side="right") - 1
+        upper = rows < cols
+        # one `%` over the interleaved pairs formats twice as fast as a string per edge
+        pairs = np.stack([rows[upper], cols[upper]], axis=1).ravel().tolist()
+        yield ("%d\t%d\n" * (len(pairs) // 2)) % tuple(pairs)
 
 
 def save_dataset(collection: GraphCollection, out_dir: str | Path) -> Path:
     """Write a collection as manifest + TSV files; returns the manifest path.
 
     Floats are written with full round-trip precision, so save followed by
-    load reproduces every matrix bit-exactly.
+    load reproduces every matrix bit-exactly. An old manifest is removed
+    first and the new one written last, so a failed save leaves none.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = out_dir / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     entries = []
     for pos, graph in enumerate(collection.graphs):
         stem = f"g{pos:03d}-{graph.domain_id}"
         edges_name = f"{stem}.edges.tsv"
-        _write_edges(out_dir / edges_name, graph.adjacency)
+        write_file(out_dir / edges_name, _edge_lines(graph.adjacency))
         entry: dict = {"domain_id": graph.domain_id, "edges_path": edges_name}
 
         if graph.degree_featurized:
@@ -578,9 +578,7 @@ def save_dataset(collection: GraphCollection, out_dir: str | Path) -> Path:
             entry["features_path"] = features_name
         if graph.labels is not None:
             labels_name = f"{stem}.labels.tsv"
-            (out_dir / labels_name).write_text(
-                "\n".join(map(str, graph.labels.tolist())) + "\n", encoding="utf-8"
-            )
+            write_file(out_dir / labels_name, ["\n".join(map(str, graph.labels.tolist())) + "\n"])
             entry["labels_path"] = labels_name
             entry["num_classes"] = graph.num_classes
         if graph.graph_label is not None:
@@ -593,8 +591,7 @@ def save_dataset(collection: GraphCollection, out_dir: str | Path) -> Path:
         "symmetrize": True,
         "domains": entries,
     }
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_file(manifest_path, [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
     return manifest_path
 
 

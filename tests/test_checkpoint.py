@@ -81,7 +81,7 @@ class TestRoundTrip:
             warnings.simplefilter("error")
             with pytest.raises(DataError) as info:
                 save_checkpoint(trained, path)
-        assert str(info.value).startswith(f"cannot write checkpoint {path}: ")
+        assert str(info.value).startswith(f"cannot write {path}: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
         assert not any(path.iterdir())
 

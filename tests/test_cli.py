@@ -197,6 +197,24 @@ class TestPretrain:
                                  "k=4, h=100000000000, m=4, h_e=8, z=4\n")
         assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
 
+    @pytest.mark.parametrize("exc, detail", [
+        (MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000000,)"),
+         ": Unable to allocate 7.45 GiB for an array with shape (1000000000,)"),
+        (MemoryError(), ""),
+    ], ids=["numpy", "bare"])
+    def test_memory_that_runs_out_exits_3_in_one_line(self, suite, tmp_path, capsys, monkeypatch, exc, detail):
+        """The last resort, when no guard weighed the need first: a
+        MemoryError from training, patched in, with nothing written."""
+        def pretrain(collection, config):
+            raise exc
+
+        monkeypatch.setattr("leda.trainer.pretrain", pretrain)
+        argv = ["pretrain", "--config", str(suite["config"]), "--out", str(tmp_path / "m.ckpt"),
+                "--report", str(tmp_path / "r.json")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"data error: pretrain ran out of memory{detail}\n"
+        assert not any(tmp_path.iterdir())
+
     def test_missing_manifest_exits_3_and_names_path(self, suite, tmp_path, capsys):
         code = main(
             [

@@ -494,14 +494,14 @@ class TestShares:
 
     @pytest.mark.parametrize("rows", [0, 1, 2, 7, 50])
     @pytest.mark.parametrize("cpus", CPU_COUNTS)
-    @pytest.mark.parametrize("chunk", [1, 3, 4096])
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 4096])
     def test_writer_matches_the_oracle_byte_for_byte(self, tmp_path, monkeypatch, use_cpus, rows, cpus, chunk):
         rng = np.random.default_rng(rows)
         x = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3))
         expected = tmp_path / "expected.tsv"
         write_embeddings_tsv(SimpleNamespace(E=x), expected)
         use_cpus(cpus)
-        monkeypatch.setattr(datasets, "_WRITE_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(datasets, "_WRITE_CHUNK", chunk)
         write_float_tsv(tmp_path / "indexed.tsv", x, index=True)
         assert (tmp_path / "indexed.tsv").read_bytes() == expected.read_bytes()
         write_float_tsv(tmp_path / "plain.tsv", x)
@@ -926,7 +926,7 @@ class TestSaveLoadRoundTrip:
         spans, densify = [], CsrMatrix.to_dense
         monkeypatch.setattr(CsrMatrix, "to_dense",
                             lambda self, lo, hi: spans.append(hi - lo) or densify(self, lo, hi))
-        monkeypatch.setattr(datasets, "_WRITE_CHUNK_ROWS", 7)
+        monkeypatch.setattr(datasets, "_WRITE_CHUNK", 7 * 40 + 39)  # 7 rows of 40 values
         use_cpus(cpus)
         write_float_tsv(tmp_path / "dense.tsv", x)
         write_float_tsv(tmp_path / "csr.tsv", held)
