@@ -22,7 +22,8 @@ import numpy as np
 
 from .config import check_object, check_type, check_values, has_json_type, parse_json, write_file
 from .errors import ConfigError, DataError
-from .linalg import CsrMatrix, feature_operand, physical_memory, shared_empty, split_repeats
+from .linalg import (CsrMatrix, _SymmetricCsr, feature_operand, physical_memory, row_blocks, shared_empty,
+                     split_repeats)
 
 MANIFEST_VERSION = 1
 NODE_LEVEL = "node-level"
@@ -79,11 +80,14 @@ class DomainGraph:
                 f"domain '{self.domain_id}': {feats.shape[0]} feature rows vs "
                 f"{self.adjacency.rows} adjacency rows"
             )
-        if not self.adjacency.is_symmetric():
+        # a `_SymmetricCsr` (as `from_edges` builds) is its own transpose by
+        # construction, so only another adjacency pays for a transposed copy
+        if not isinstance(self.adjacency, _SymmetricCsr) and not self.adjacency.is_symmetric():
             raise DataError(f"domain '{self.domain_id}': adjacency must be symmetric")
         if self.adjacency.nnz and not np.all(self.adjacency.values == 1.0):
             raise DataError(f"domain '{self.domain_id}': adjacency must be binary")
-        entry_rows = np.repeat(np.arange(self.adjacency.rows), np.diff(self.adjacency.row_offsets))
+        entry_rows = np.repeat(np.arange(self.adjacency.rows, dtype=self.adjacency.col_indices.dtype),
+                               np.diff(self.adjacency.row_offsets))
         if np.any(self.adjacency.col_indices == entry_rows):
             raise DataError(f"domain '{self.domain_id}': adjacency must not carry self-loops")
         object.__setattr__(self, "features", feature_operand(feats))
@@ -166,15 +170,19 @@ class GraphCollection:
 # Each reader reads its file once and has two routes; the features reader
 # tries a third one first. It maps its file read-only, and a byte grid of
 # fixed-width decimal tokens, as the "0.0"/"1.0" bag-of-words tables
-# `save_dataset` writes are, is decoded by byte column in `_load_fixed_width`
-# from the page cache, with no copy and no text parser, to float()'s bits.
-# Any other file returns None there at its first failed check and is read
-# into bytes, as edges and labels files are, for the two routes below. The
-# mapping is closed before the reader returns; a file that shrinks while it
-# is mapped ends the process (SIGBUS). The grid's integer table gets
-# `feature_operand`'s rule, so a sparse one becomes a CsrMatrix from its
-# nonzeros alone and its float table is never built; the two routes below
-# parse a dense table, which `DomainGraph` rules on once it is found finite.
+# `save_dataset` writes are, is decoded in `_load_fixed_width` from the page
+# cache, with no copy and no text parser, to float()'s bits: a block of
+# whole lines (`linalg.row_blocks`, about 256 KB) at a time goes through one
+# reused buffer, where one comparison with the line's template checks it and
+# its digits are combined into the integer table, so no pass builds a
+# temporary as large as the table. Any other file returns None there at its
+# first failed block and is read into bytes, as edges and labels files are,
+# for the two routes below. The mapping is closed before the reader returns;
+# a file that shrinks while it is mapped ends the process (SIGBUS). The
+# grid's integer table gets `feature_operand`'s rule, so a sparse one becomes
+# a CsrMatrix from its nonzeros alone, found a block of rows at a time, and
+# its float table is never built; the two routes below parse a dense table,
+# which `DomainGraph` rules on once it is found finite.
 #
 # A file spelled only with the characters below is "plain": ASCII, so valid
 # UTF-8. Its bytes go to np.loadtxt, which on one CPU parses bag-of-words
@@ -319,9 +327,16 @@ def _load_fixed_width(raw: bytes | mmap.mmap) -> np.ndarray | CsrMatrix | None:
     byte column of the tokens is all digits or all `.`, with at most one `.`
     column and 15 digits. A value is then an integer below 10^15 < 2^53 over
     10^f, so one division gives float()'s bits; a sparse table divides its
-    nonzeros alone, and never exists as floats. `raw` is bytes or a read-only
-    mapping; no array made from it outlives the call, even one that raises,
-    so the mapping can be closed as soon as it ends."""
+    nonzeros alone, and never exists as floats.
+
+    The lines are decoded a `row_blocks` block at a time into one reused
+    buffer: a line minus its template ('0' at each digit byte, every other
+    byte as it must be) leaves at most 9 at a digit byte and 0 at the others,
+    and a byte below its template wraps past both, so one comparison checks
+    every rule; the digits are then combined from that buffer while it is in
+    cache. `raw` is bytes or a read-only mapping; no array made from it
+    outlives the call, even one that raises, so the mapping can be closed as
+    soon as it ends."""
     line = raw.find(b"\n") + 1
     tab = raw.find(b"\t", 0, line)
     step = line if tab < 0 else tab + 1  # a token and the byte after it
@@ -332,33 +347,37 @@ def _load_fixed_width(raw: bytes | mmap.mmap) -> np.ndarray | CsrMatrix | None:
     digits = len(token) - (point >= 0)
     if not 0 < digits <= 15:
         return None
-    grid = np.frombuffer(raw, np.uint8).reshape(len(raw) // line, line // step, step)
+    rows, cols = len(raw) // line, line // step
+    cell = np.full(step, ord("0"), np.uint8)
+    cell[-1] = ord("\t")
+    if point >= 0:
+        cell[point] = ord(".")
+    template = np.tile(cell, cols)
+    template[-1] = ord("\n")
+    limits = np.where(template == ord("0"), np.uint8(9), np.uint8(0))
+    first, *others = (k for k in range(step - 1) if k != point)
+    # the integers, in the narrowest unsigned type that holds them
+    table = np.empty((rows, cols), np.min_scalar_type(10 ** digits - 1))
+    blocks = row_blocks(rows, line)
+    buffer = np.empty((blocks[0][1], line), np.uint8)
+    bad = np.empty(buffer.shape, bool)
+    grid = np.frombuffer(raw, np.uint8).reshape(rows, line)
     try:
-        ends = np.full(grid.shape[1], ord("\t"), np.uint8)
-        ends[-1] = ord("\n")
-        if np.any(grid[:, :, -1] != ends):
-            return None
-        # the integers, in the narrowest unsigned type that holds them
-        table = None
-        for k in range(step - 1):
-            if k == point:
-                if np.any(grid[:, :, k] != ord(".")):
-                    return None
-                continue
-            digit = grid[:, :, k] - np.uint8(ord("0"))  # a non-digit gives > 9, or wraps to it
-            if digit.max() > 9:
+        for lo, hi in blocks:
+            np.subtract(grid[lo:hi], template, out=buffer[:hi - lo])
+            if np.greater(buffer[:hi - lo], limits, out=bad[:hi - lo]).any():
                 return None
-            if table is None:
-                table = digit.astype(np.min_scalar_type(10 ** digits - 1), copy=False)
-            else:
-                table *= 10
-                table += digit
-        del digit  # the last column would stay alive beside feature_operand's mask
-        return feature_operand(table, float(10 ** (digits - point if point >= 0 else 0)))
+            cells, out = buffer[:hi - lo].reshape(hi - lo, cols, step), table[lo:hi]
+            out[...] = cells[:, :, first]
+            for k in others:
+                out *= 10
+                out += cells[:, :, k]
     finally:
         # a raised error's traceback keeps this frame; a view left in it would
         # make closing the mapping raise BufferError in place of that error
         del grid
+    del buffer, bad, cells  # before feature_operand makes its own blocks
+    return feature_operand(table, float(10 ** (digits - point if point >= 0 else 0)))
 
 
 def _read_features(path: Path) -> np.ndarray | CsrMatrix:
@@ -552,45 +571,68 @@ def _edge_lines(adj: CsrMatrix):
         yield ("%d\t%d\n" * (len(pairs) // 2)) % tuple(pairs)
 
 
+def _plain_file_names(doc) -> set[str]:
+    """The file names a manifest document's domain entries give that are
+    plain names in the manifest's own directory: no directory part, and not
+    absolute. Any JSON value is taken; one that is no manifest gives none."""
+    domains = doc.get("domains") if isinstance(doc, dict) else None
+    if not isinstance(domains, list):
+        return set()
+    names = {entry.get(key) for entry in domains if isinstance(entry, dict)
+             for key in ("edges_path", "features_path", "labels_path")}
+    return {name for name in names
+            if isinstance(name, str) and name not in ("", "..") and Path(name).name == name}
+
+
 def save_dataset(collection: GraphCollection, out_dir: str | Path) -> Path:
     """Write a collection as manifest + TSV files; returns the manifest path.
 
     Floats are written with full round-trip precision, so save followed by
     load reproduces every matrix bit-exactly. An old manifest is removed
-    first and the new one written last, so a failed save leaves none.
+    first and the new one written last, so a failed save leaves none. The
+    files an old manifest that parses names by a plain name, and this save
+    does not write, are removed with it, so no earlier dataset's files are
+    left beside this one's.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.json"
-    manifest_path.unlink(missing_ok=True)
     entries = []
     for pos, graph in enumerate(collection.graphs):
         stem = f"g{pos:03d}-{graph.domain_id}"
-        edges_name = f"{stem}.edges.tsv"
-        write_file(out_dir / edges_name, _edge_lines(graph.adjacency))
-        entry: dict = {"domain_id": graph.domain_id, "edges_path": edges_name}
-
+        entry: dict = {"domain_id": graph.domain_id, "edges_path": f"{stem}.edges.tsv"}
         if graph.degree_featurized:
             entry["num_nodes"] = graph.num_nodes
         else:
-            features_name = f"{stem}.features.tsv"
-            write_float_tsv(out_dir / features_name, graph.features)
-            entry["features_path"] = features_name
+            entry["features_path"] = f"{stem}.features.tsv"
         if graph.labels is not None:
-            labels_name = f"{stem}.labels.tsv"
-            write_file(out_dir / labels_name, ["\n".join(map(str, graph.labels.tolist())) + "\n"])
-            entry["labels_path"] = labels_name
+            entry["labels_path"] = f"{stem}.labels.tsv"
             entry["num_classes"] = graph.num_classes
         if graph.graph_label is not None:
             entry["graph_label"] = graph.graph_label
         entries.append(entry)
-
     manifest = {
         "version": MANIFEST_VERSION,
         "task_kind": collection.task_kind,
         "symmetrize": True,
         "domains": entries,
     }
+
+    try:
+        old = parse_json(manifest_path.read_bytes(), f"manifest {manifest_path}", DataError)
+    except (OSError, DataError):  # no manifest, or none that parses
+        old = None
+    manifest_path.unlink(missing_ok=True)
+    for name in _plain_file_names(old) - _plain_file_names(manifest):
+        if (out_dir / name).is_file():
+            (out_dir / name).unlink()
+
+    for graph, entry in zip(collection.graphs, entries):
+        write_file(out_dir / entry["edges_path"], _edge_lines(graph.adjacency))
+        if "features_path" in entry:
+            write_float_tsv(out_dir / entry["features_path"], graph.features)
+        if "labels_path" in entry:
+            write_file(out_dir / entry["labels_path"], ["\n".join(map(str, graph.labels.tolist())) + "\n"])
     write_file(manifest_path, [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
     return manifest_path
 

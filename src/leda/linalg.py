@@ -15,7 +15,8 @@ holds it, so the result is bitwise that of one call. The caller runs the
 first block, and a thread started for the product each other one. A CSR's
 transpose product is one kernel call on the CSR's own arrays, whose output
 rows are the CSR's columns, which those arrays do not hold apart; a
-normalized adjacency, bitwise its own transpose, uses its split product.
+matrix bitwise its own transpose by construction (a normalized adjacency,
+or `from_edges`'s) uses its split product.
 
 Threads gain little on work made of many small numpy calls, as each call
 holds the GIL between them. `split_repeats` therefore runs shares of a
@@ -81,6 +82,15 @@ SPARSE_MADD_COST = 4
 # share at the bench shape, as two BLAS products at once ran no faster than
 # one there; below that a split cost it 6-12 ms (best of 7).
 REPEAT_MIN_WORK = 1 << 23
+
+# A whole-table pass that builds a temporary as large as the table (a byte
+# grid's decode, `CsrMatrix.from_dense`'s nonzero mask) runs over blocks of
+# rows of about _BLOCK_BYTES, so that its temporaries are reused in cache
+# rather than written to memory once per pass. On a 2-core VM the 49 MB
+# citeseer-like grid (3,327 lines of 14.8 KB) decoded in 60-63 ms by
+# whole-table columns and, by blocks of 64 KB, 256 KB, 1 MB and 4 MB, in
+# 39-43, 33-34, 34-36 and 38 ms (medians of 15).
+_BLOCK_BYTES = 1 << 18
 
 
 def as_dense(values, name: str = "matrix") -> np.ndarray:
@@ -220,6 +230,13 @@ def split_repeats(count: int, work: int, run) -> list:
     return [item for share in shares for item in share]
 
 
+def row_blocks(rows: int, row_bytes: int) -> list[tuple[int, int]]:
+    """Contiguous blocks [lo, hi) that cover [0, rows), each of at least one
+    row of `row_bytes` and at most _BLOCK_BYTES where a row fits."""
+    step = max(1, _BLOCK_BYTES // max(1, row_bytes))
+    return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
 def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b with its output rows split by `split_rows`, bitwise one call.
     Two kinds stay one call, as their row blocks would be other kernels or
@@ -318,22 +335,32 @@ class CsrMatrix:
     @staticmethod
     def from_dense(dense, divisor: float | None = None) -> CsrMatrix:
         """The nonzeros of a 2-D real table, each over `divisor` if given. An
-        integer table is converted to float64 at its nonzeros alone."""
-        # row-major nonzero positions are the CSR order; np.flatnonzero finds
-        # them 3x as fast on the mask x != 0 as on a uint8 or float64 table,
-        # and the mask keeps NaN and drops -0.0 as the table's truth value does
+        integer table is converted to float64 at its nonzeros alone. They
+        are found by `row_blocks`, in row-major order, the CSR order, so no
+        mask as large as the table is ever held beside it."""
+        # np.flatnonzero finds positions 3x as fast on the mask x != 0 as on
+        # a uint8 or float64 table, and the mask keeps NaN and drops -0.0 as
+        # the table's truth value does
         x = np.ascontiguousarray(dense)
-        flat = np.flatnonzero(x != 0)
-        rows, cols = np.divmod(flat, x.shape[1])
-        offsets = np.searchsorted(rows, np.arange(x.shape[0] + 1))
-        values = x.ravel()[flat]
-        return CsrMatrix(x.shape[0], x.shape[1], offsets, cols,
+        rows, width = x.shape
+        index = _index_dtype(rows, width, x.size)
+        ends, cols, values = [np.zeros(1, np.int64)], [np.zeros(0, index)], [np.zeros(0, x.dtype)]
+        for lo, hi in row_blocks(rows, width * x.itemsize):
+            block = x[lo:hi]
+            flat = np.flatnonzero(block != 0)
+            # where each row's entries end, counted on from the blocks before
+            ends.append(np.searchsorted(flat, np.arange(1, hi - lo + 1) * width) + ends[-1][-1])
+            cols.append((flat % width).astype(index))
+            values.append(block.ravel()[flat])
+        values = np.concatenate(values)
+        return CsrMatrix(rows, width, np.concatenate(ends), np.concatenate(cols),
                          values if divisor is None else np.divide(values, divisor))
 
     @staticmethod
     def from_edges(n: int, edges: np.ndarray) -> CsrMatrix:
         """Symmetric binary adjacency from an (m, 2) integer array of (i, j)
-        pairs: each pair sets both (i, j) and (j, i); duplicates collapse."""
+        pairs: each pair sets both (i, j) and (j, i); duplicates collapse.
+        Its arrays are their own transpose's, so it is a `_SymmetricCsr`."""
         pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
             raise DataError(f"edge node index outside [0, {n})")
@@ -352,7 +379,7 @@ class CsrMatrix:
         keys %= n
         cols = keys.astype(_index_dtype(n, n, len(keys)))
         del keys
-        return CsrMatrix(rows=n, cols=n, row_offsets=offsets, col_indices=cols, values=np.ones(len(cols)))
+        return _SymmetricCsr(rows=n, cols=n, row_offsets=offsets, col_indices=cols, values=np.ones(len(cols)))
 
     def matmul_dense(self, x: np.ndarray) -> np.ndarray:
         """self @ x by scipy's own multi-vector kernel, which adds each output

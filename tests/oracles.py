@@ -32,6 +32,8 @@ was before it stopped building whole-graph temporaries is kept too:
 `divmod_from_edges`, `CsrMatrix.from_edges` from i, j and divmod;
 `int64_rows_normalized_adjacency`, the normalization with int64 rows; and
 `int64_csr_check`, `CsrMatrix`'s checks on its index arrays upcast to int64.
+`column_fixed_width` is the byte-grid decoder as it was before it decoded a
+block of lines at a time: one whole-table pass per byte column.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from leda.lda import base_layer, encode, loss_total_domain, propagate_extra
 from leda.linalg import (
     SVD_OVERSAMPLE,
     SVD_POWER_ITERS,
+    SPARSE_FEATURE_DENSITY,
     CsrMatrix,
     SvdResult,
     _finite_sketch,
@@ -548,6 +551,46 @@ def int64_csr_check(rows, cols, row_offsets, col_indices, values) -> None:
             raise DataError(f"column indices not strictly increasing in row {r}")
     if not np.all(np.isfinite(values)):
         raise NumericError("sparse values contain non-finite entries")
+
+
+def column_fixed_width(raw: bytes) -> np.ndarray | CsrMatrix | None:
+    """`datasets._load_fixed_width` as it was before it decoded a block of
+    lines at a time: one stride pass over the whole grid per byte column,
+    each building a whole-table temporary, then `feature_operand`'s rule with
+    the nonzeros found as scipy finds them (`scipy_from_dense`)."""
+    line = raw.find(b"\n") + 1
+    tab = raw.find(b"\t", 0, line)
+    step = line if tab < 0 else tab + 1
+    if not line or len(raw) % line or line % step:
+        return None
+    token = raw[:step - 1]
+    point = token.find(b".")
+    digits = len(token) - (point >= 0)
+    if not 0 < digits <= 15:
+        return None
+    grid = np.frombuffer(raw, np.uint8).reshape(len(raw) // line, line // step, step)
+    ends = np.full(grid.shape[1], ord("\t"), np.uint8)
+    ends[-1] = ord("\n")
+    if np.any(grid[:, :, -1] != ends):
+        return None
+    table = None
+    for k in range(step - 1):
+        if k == point:
+            if np.any(grid[:, :, k] != ord(".")):
+                return None
+            continue
+        digit = grid[:, :, k] - np.uint8(ord("0"))
+        if digit.max() > 9:
+            return None
+        if table is None:
+            table = digit.astype(np.min_scalar_type(10 ** digits - 1), copy=False)
+        else:
+            table *= 10
+            table += digit
+    divisor = float(10 ** (digits - point if point >= 0 else 0))
+    if np.count_nonzero(table) > SPARSE_FEATURE_DENSITY * table.size:
+        return np.divide(table, divisor)
+    return scipy_from_dense(table, divisor)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,15 @@ class TestGenSbm:
         collection = load_dataset(manifest_path)
         assert collection.graphs[0].num_nodes == 8
 
+    def test_a_second_run_into_the_same_directory_leaves_none_of_the_firsts_files(self, tmp_path, capsys):
+        out = tmp_path / "sbm"
+        for domain in ("a", "b"):
+            assert main(["gen-sbm", "--blocks", "2", "--nodes", "4", "--pin", "0.9", "--pout", "0.1",
+                         "--seed", "7", "--d", "6", "--domain-id", domain, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "g000-b.edges.tsv", "g000-b.features.tsv", "g000-b.labels.tsv", "manifest.json"]
+        assert load_dataset(out / "manifest.json").domain_ids() == ["b"]
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         code = main(
             [

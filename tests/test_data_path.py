@@ -5,7 +5,8 @@ The `ref_*` functions below are the readers and the writer as they stood
 before the array readers, kept verbatim apart from their return values (the
 edge reader returns its sorted symmetric pair list instead of building a
 CsrMatrix). The features reader decodes a byte grid of fixed-width decimal
-tokens by byte column; a reader parses any other plain file with np.loadtxt
+tokens a block of lines at a time, as the column-by-column decoder in
+`oracles` did; a reader parses any other plain file with np.loadtxt
 and any other file in one pass over its lines that follows its oracle. For
 every generated file the reader must return a bit-identical array or raise a
 DataError with the same message, whether the plain text is parsed in one
@@ -46,7 +47,7 @@ from leda.datasets import (
 from leda.errors import DataError
 from leda.linalg import CsrMatrix, feature_operand
 
-from oracles import assert_same_operand, to_dense, write_embeddings_tsv
+from oracles import assert_same_operand, column_fixed_width, to_dense, write_embeddings_tsv
 from synthetic import bag_of_words, bow_collection
 
 CPU_COUNTS = (1, 2, 3)
@@ -572,11 +573,83 @@ class TestShares:
         finally:
             tracemalloc.stop()
         assert isinstance(table, CsrMatrix)
-        # the integer grid and its mask, but no float64 table, and no bytes
-        # copy of the file either: it is decoded from its mapping
+        # the integer grid and one block's buffers, but no float64 table, and
+        # no bytes copy of the file either: it is decoded from its mapping
         assert peak < min(dense_bytes, path.stat().st_size), (peak, dense_bytes)
         # nor a digit column beside them while the nonzeros are found
         assert peak < 2.25 * table_bytes, (peak, table_bytes)
+
+
+def binary_grid(rows, cols, density, seed):
+    """(the 0/1 table, its "0.0"/"1.0" TSV bytes)."""
+    ones = np.random.default_rng(seed).random((rows, cols)) < density
+    tokens = np.where(ones, np.bytes_(b"1.0\t"), np.bytes_(b"0.0\t"))
+    raw = np.frombuffer(tokens.tobytes(), dtype=np.uint8).reshape(rows, -1).copy()
+    raw[:, -1] = ord("\n")
+    return ones, raw.tobytes()
+
+
+def decode_in_blocks_of(lines, raw):
+    """`_load_fixed_width(raw)` with blocks of `lines` lines of `raw`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_BLOCK_BYTES", lines * (raw.find(b"\n") + 1))
+        return _load_fixed_width(raw)
+
+
+class TestBlockDecode:
+    """A byte grid is decoded a block of lines at a time. With blocks of 1
+    and 3 lines, each grid decodes to the column-by-column decoder's table
+    (`oracles.column_fixed_width`), and each near miss to None as there."""
+
+    @FUZZ
+    @given(text=fixed_width_strategy(), lines=st.sampled_from([1, 3]))
+    def test_grids_and_near_misses_decode_as_the_column_decoder(self, text, lines):
+        raw = text.encode("ascii")
+        want, got = column_fixed_width(raw), decode_in_blocks_of(lines, raw)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert_same_operand(want, got)
+
+    # (offset, byte) in the last line's second token "d.dd\t": '/' and ':'
+    # are the bytes just outside '0'-'9', and '/' the byte just past '.'
+    DEFECTS = {"digit below '0'": (0, "/"), "digit above '9'": (2, ":"), "letter": (3, "x"),
+               "dot off by one": (1, "/"), "dot as a digit": (1, "5"), "tab as a newline": (4, "\n"),
+               "tab as a space": (4, " ")}
+
+    @pytest.mark.parametrize("lines", [1, 3])
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    def test_a_defect_in_the_last_line_of_a_later_block_alone_is_refused(self, lines, defect):
+        rng = np.random.default_rng(49)
+        rows = [[f"{v // 100}.{v % 100:02d}" for v in rng.integers(0, 1000, 4)] for _ in range(10)]
+        clean = "".join("\t".join(row) + "\n" for row in rows).encode("ascii")
+        at, byte = self.DEFECTS[defect]
+        line = len(clean) // 10
+        bad = bytearray(clean)
+        bad[9 * line + 5 + at] = ord(byte)  # the 10th line: block 4 of 3 lines, or 10 of 1
+        assert_same_operand(column_fixed_width(clean), decode_in_blocks_of(lines, clean))
+        assert column_fixed_width(bytes(bad)) is None
+        assert decode_in_blocks_of(lines, bytes(bad)) is None
+
+    def test_a_sparse_grid_holds_little_beside_its_integer_table_and_result(self, tmp_path, monkeypatch):
+        """600 x 3,703 at 0.85 %, read at 1 CPU: besides the uint8 integer
+        table and the CSR it becomes, one block's buffers at a time. The
+        whole-table decode, with a digit column or a mask as large as the
+        table beside it, held 1.88 times."""
+        monkeypatch.setattr(linalg, "_cpus", lambda: 1)
+        ones, raw = binary_grid(600, 3703, 0.0085, 50)
+        path = tmp_path / "x.features.tsv"
+        path.write_bytes(raw)
+        del raw
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = _read_features(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert isinstance(table, CsrMatrix) and np.array_equal(to_dense(table), ones)
+        held = ones.size + table.row_offsets.nbytes + table.col_indices.nbytes + table.values.nbytes
+        assert peak < 1.3 * held, (peak, held)
 
 
 class TestTooShortToBeRectangular:
@@ -780,11 +853,7 @@ class TestMappedRead:
 
 def citeseer_sized_binary_table():
     """(the 0/1 table, its "0.0"/"1.0" TSV bytes) at 3,327 x 3,703."""
-    ones = np.random.default_rng(7).random((3327, 3703)) < 0.01
-    tokens = np.where(ones, np.bytes_(b"1.0\t"), np.bytes_(b"0.0\t"))
-    raw = np.frombuffer(tokens.tobytes(), dtype=np.uint8).reshape(len(ones), -1).copy()
-    raw[:, -1] = ord("\n")
-    return ones, raw.tobytes()
+    return binary_grid(3327, 3703, 0.01, 7)
 
 
 def assert_same_table(lines, width, dtype):

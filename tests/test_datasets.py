@@ -240,6 +240,55 @@ class TestRoundTrip:
             assert np.array_equal(a.features, b.features)
 
 
+def sbm_collection(domain_id):
+    graph = generate_sbm(2, 3, 0.9, 0.1, d=3, cluster_sep=1.0, seed=5, domain_id=domain_id)
+    return GraphCollection(graphs=(graph,), task_kind=NODE_LEVEL)
+
+
+class TestSaveOverAnotherDataset:
+    """A save removes the files an old manifest names by a plain name in
+    its directory, and only those."""
+
+    NEW = ["g000-new.edges.tsv", "g000-new.features.tsv", "g000-new.labels.tsv", "manifest.json"]
+
+    def test_plain_names_go_and_other_names_stay(self, tmp_path):
+        out = tmp_path / "data"
+        (out / "sub").mkdir(parents=True)
+        (out / "a-directory.tsv").mkdir()
+        kept = [tmp_path / "outside.tsv", out / "sub" / "nested.tsv", tmp_path / "absolute.tsv",
+                out / "unnamed.tsv"]
+        for path in kept + [out / "plain.tsv", out / "also-plain.tsv"]:
+            path.write_text("1\n")
+        (out / "manifest.json").write_text(json.dumps({"version": 1, "domains": [
+            {"domain_id": "a", "edges_path": "plain.tsv", "features_path": "../outside.tsv",
+             "labels_path": "sub/nested.tsv"},
+            {"domain_id": "b", "edges_path": str(tmp_path / "absolute.tsv"), "features_path": "also-plain.tsv",
+             "labels_path": "a-directory.tsv"},
+            {"domain_id": "c", "edges_path": "..", "features_path": ".", "labels_path": 7},
+        ]}))
+        save_dataset(sbm_collection("new"), out)
+        assert sorted(p.name for p in out.iterdir()) == sorted(self.NEW + ["a-directory.tsv", "sub", "unnamed.tsv"])
+        assert all(path.read_text() == "1\n" for path in kept)
+
+    @pytest.mark.parametrize("text", ["{not json", "[]", '{"domains": {"edges_path": "plain.tsv"}}',
+                                      '{"domains": ["plain.tsv"]}'])
+    def test_a_manifest_that_names_no_file_removes_none(self, tmp_path, text):
+        out = tmp_path / "data"
+        out.mkdir()
+        (out / "plain.tsv").write_text("1\n")
+        (out / "manifest.json").write_text(text)
+        save_dataset(sbm_collection("new"), out)
+        assert sorted(p.name for p in out.iterdir()) == sorted(self.NEW + ["plain.tsv"])
+
+    def test_the_files_both_saves_name_are_rewritten(self, tmp_path):
+        out = tmp_path / "data"
+        save_dataset(sbm_collection("new"), out)
+        manifest = save_dataset(sbm_collection("new"), out)
+        assert sorted(p.name for p in out.iterdir()) == sorted(self.NEW)
+        loaded = load_dataset(manifest).graphs[0]
+        assert loaded.domain_id == "new" and loaded.num_nodes == 6
+
+
 class TestGenerateSbm:
     def test_full_within_empty_between(self):
         graph = generate_sbm(2, 3, 1.0, 0.0, d=4, cluster_sep=1.0, seed=0)
@@ -408,6 +457,16 @@ class TestDomainGraphValidation:
     def test_each_graph_rule_is_refused(self, dense, labels, message):
         with pytest.raises(DataError, match=rf"^domain 'bad': {message}$"):
             DomainGraph("bad", np.zeros((2, 2)), CsrMatrix.from_dense(dense), labels)
+
+    def test_only_an_adjacency_not_built_symmetric_is_transposed_to_be_checked(self, monkeypatch):
+        checked = []
+        is_symmetric = CsrMatrix.is_symmetric
+        monkeypatch.setattr(CsrMatrix, "is_symmetric", lambda m: checked.append(type(m)) or is_symmetric(m))
+        adj = CsrMatrix.from_edges(3, [(0, 1), (1, 2)])
+        DomainGraph("g", np.zeros((3, 2)), adj)
+        assert checked == []
+        DomainGraph("g", np.zeros((3, 2)), CsrMatrix(3, 3, adj.row_offsets, adj.col_indices, adj.values))
+        assert checked == [CsrMatrix]
 
     def test_features_must_be_2d(self):
         with pytest.raises(DataError, match="^domain 'bad': features must be 2-D$"):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from leda import datasets, linalg
 from leda.datasets import DomainGraph, GraphCollection, degree_features, save_dataset, write_float_tsv
 from leda.errors import DataError, NumericError
-from leda.linalg import CsrMatrix, feature_operand, normalize_adjacency
+from leda.linalg import CsrMatrix, _SymmetricCsr, feature_operand, normalize_adjacency
 
 from oracles import (
     assert_same_operand,
@@ -123,7 +123,10 @@ class TestFromEdges:
     @given(n=st.integers(1, 10), data=st.data())
     def test_random_pairs_match_the_divmod_form(self, n, data):
         pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=50))
-        assert_same_operand(divmod_from_edges(n, pairs), CsrMatrix.from_edges(n, pairs))
+        adj = CsrMatrix.from_edges(n, pairs)
+        assert_same_operand(divmod_from_edges(n, pairs), adj)
+        # the type `DomainGraph` takes as symmetric unchecked is so
+        assert type(adj) is _SymmetricCsr and adj.is_symmetric()
 
     @pytest.mark.parametrize("n, pairs", [(3, [(0, 3)]), (3, [(-1, 1)]), (0, [(0, 0)]), (5, [(0, 1), (2, 7)])])
     def test_refusals_keep_their_text(self, n, pairs):
@@ -250,6 +253,14 @@ class TestTracedPeaks:
         s, peak = traced_peak(lambda: normalize_adjacency(adj))
         # the output and one gather of the column scales; was 3.4 times
         assert peak < 2.0 * csr_bytes(s), (peak, csr_bytes(s))
+
+    def test_domain_graph_checks(self, big_pairs):
+        adj = CsrMatrix.from_edges(N, big_pairs)
+        features = np.zeros((N, 1))
+        _, peak = traced_peak(lambda: DomainGraph("g", features, adj))
+        # each entry's row in the index dtype, and one mask; a transposed
+        # copy for the symmetry check and int64 rows held 1.08 times
+        assert peak < 0.5 * csr_bytes(adj), (peak, csr_bytes(adj))
 
     def test_save_dataset_edge_write(self, tmp_path, big_pairs):
         adj = CsrMatrix.from_edges(N, big_pairs)

@@ -163,9 +163,14 @@ def dense_tables():
 
 class TestFromDense:
     @settings(max_examples=300, deadline=None)
-    @given(x=dense_tables(), divisor=st.sampled_from([None, 1.0, 10.0, 1000.0, 1e15]))
-    def test_is_bitwise_scipys_csr_of_the_table(self, x, divisor):
-        got = CsrMatrix.from_dense(x, divisor)
+    @given(x=dense_tables(), divisor=st.sampled_from([None, 1.0, 10.0, 1000.0, 1e15]),
+           block_rows=st.sampled_from([None, 1, 2]))
+    def test_is_bitwise_scipys_csr_of_the_table(self, x, divisor, block_rows):
+        # the nonzeros are found a block of rows at a time, here also of 1 or 2 rows
+        with pytest.MonkeyPatch.context() as patch:
+            if block_rows:
+                patch.setattr(linalg, "_BLOCK_BYTES", block_rows * x.shape[1] * x.itemsize)
+            got = CsrMatrix.from_dense(x, divisor)
         assert_same_operand(scipy_from_dense(x, divisor), got)
         # the positions are the table's nonzeros; a subnormal over a divisor
         # may underflow to 0.0, so the check is on the undivided values
