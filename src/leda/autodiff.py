@@ -30,7 +30,9 @@ Three primitives are fused: `reparameterize`, `gaussian_kl` and
 `rowwise_cosine` each stand for a chain of elementary ones as one node, and
 their locals read only the operands and a few small arrays (the noise draw;
 nothing; three n x 1 columns). The first two give bitwise the values and
-gradients of the chains they replace.
+gradients of the chains they replace. Their forward code and locals work a
+`linalg.row_blocks` block of rows at a time, so none builds an n x d
+temporary beside its output but `gaussian_kl`'s one table to sum.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .linalg import CsrMatrix, matmul_rows
+from .linalg import CsrMatrix, matmul_rows, row_blocks
 
 Local = Callable[[np.ndarray], np.ndarray]
 Share = tuple["Entry", Local]
@@ -239,10 +241,12 @@ def reduce_mean(x: Node, axis: int | None = None) -> Node:
 
 
 def _weighted_sum(x: np.ndarray, weight) -> np.ndarray:
-    # a scalar weight scales the plain sum; an n x 1 column weights row by row
+    # a scalar weight scales the plain sum; an n x 1 column weights row by
+    # row, in place, as each caller hands over a fresh array
     if np.ndim(weight) == 0:
         return np.array([[x.sum()]]) * weight
-    return np.array([[np.sum(x * weight)]])
+    x *= weight
+    return np.array([[x.sum()]])
 
 
 def frobenius_sq(x: Node, weight: float | np.ndarray = 1.0) -> Node:
@@ -255,7 +259,15 @@ def frobenius_sq(x: Node, weight: float | np.ndarray = 1.0) -> Node:
 # ---------------------------------------------------------------------------
 # fused primitives: one node where a composition would keep every
 # intermediate's gradient on the tape and every intermediate its locals read;
-# the fused locals recompute what they need from the operands' values
+# the fused locals recompute what they need from the operands' values. Their
+# forward code and locals build no n x d temporary beside their outputs and
+# `gaussian_kl`'s one table to sum: each works a `linalg.row_blocks` block of
+# rows at a time, with the float operations of the whole-array form in its
+# order, so each value and gradient is bitwise the whole-array one.
+
+
+def _row_blocks(x: np.ndarray) -> list[tuple[int, int]]:
+    return row_blocks(x.shape[0], x.shape[1] * x.itemsize)
 
 
 def reparameterize(mu: Node, log_sigma: Node, eps: np.ndarray) -> Node:
@@ -263,21 +275,41 @@ def reparameterize(mu: Node, log_sigma: Node, eps: np.ndarray) -> Node:
 
     Its locals read eps and log_sigma. The gradients are computed in the
     composition's float-op order, d_log_sigma = (g * eps) * exp(log_sigma),
-    so they are bitwise those of add(mu, mul(exp(log_sigma), constant(eps)))."""
+    so they are bitwise those of add(mu, mul(exp(log_sigma), constant(eps))).
+    The value, and the exponential in the local, are formed a block of rows
+    at a time in the output."""
     eps = np.ascontiguousarray(eps, dtype=np.float64)
     if not mu.shape == log_sigma.shape == eps.shape:
         raise ShapeError(f"reparameterize: {_describe(mu, log_sigma)} and noise {eps.shape} differ")
-    lsv = log_sigma.value
-    return _result(
-        mu.value + np.exp(lsv) * eps, "reparameterize",
-        (mu, _passed),
-        (log_sigma, lambda g: g * eps * np.exp(lsv)),
-    )
+    muv, lsv = mu.value, log_sigma.value
+    blocks = _row_blocks(lsv)
+    out = np.empty_like(muv)
+    for lo, hi in blocks:
+        rows = np.exp(lsv[lo:hi], out=out[lo:hi])
+        rows *= eps[lo:hi]
+        rows += muv[lo:hi]
+
+    def to_log_sigma_grad(g):
+        grad = g * eps
+        for lo, hi in blocks:
+            grad[lo:hi] *= np.exp(lsv[lo:hi])
+        return grad
+
+    return _result(out, "reparameterize", (mu, _passed), (log_sigma, to_log_sigma_grad))
 
 
 def _kl_log_sigma_grad(c0: np.ndarray, log_sigma: np.ndarray, clamp: float) -> np.ndarray:
-    inside = (log_sigma >= -clamp) & (log_sigma <= clamp)
-    return (c0 * np.exp(np.clip(log_sigma, -clamp, clamp) * 2.0) - c0) * 2.0 * inside
+    grad = np.empty_like(log_sigma)
+    for lo, hi in _row_blocks(log_sigma):
+        ls, c, rows = log_sigma[lo:hi], c0 if len(c0) == 1 else c0[lo:hi], grad[lo:hi]
+        np.clip(ls, -clamp, clamp, out=rows)
+        rows *= 2.0
+        np.exp(rows, out=rows)
+        rows *= c
+        rows -= c
+        rows *= 2.0
+        rows *= (ls >= -clamp) & (ls <= clamp)
+    return grad
 
 
 def gaussian_kl(mu: Node, log_sigma: Node, clamp: float, weight) -> Node:
@@ -289,28 +321,54 @@ def gaussian_kl(mu: Node, log_sigma: Node, clamp: float, weight) -> Node:
     (sum(((mu^2 + exp(2c)) - 1) - 2c) * (1/n)) * 0.5, and the gradients
     follow the composed clip/scale/square/exp/sub/reduce_sum chain
     operation by operation, so both are bitwise equal to it (the factor 0.5
-    is exact wherever it is applied). The forward holds two n x z arrays:
-    the sum, and 2c, which is exponentiated in place and then made again,
-    exactly, as clip and doubling are; a column weight's product with the
-    sum is a third. The locals read mu and log_sigma
-    alone; each recomputes c0 = g * weight * 0.5, 1x1 or one column."""
+    is exact wherever it is applied). The forward holds one n x z array, the
+    entries to be summed, which stays whole, as one reduction over it gives
+    the sum's bits; a column weight scales it in place. A block of rows at a
+    time fills it, with one block of 2c, which is exponentiated in place and
+    then made again, exactly, as clip and doubling are. The locals read mu
+    and log_sigma alone; each recomputes c0 = g * weight * 0.5, 1x1 or one
+    column, and the log_sigma local works a block of rows at a time in its
+    output."""
     if mu.shape != log_sigma.shape:
         raise ShapeError(f"gaussian_kl: {_describe(mu, log_sigma)} differ")
     clamp = float(clamp)
     muv, lsv = mu.value, log_sigma.value
-    per_entry = muv * muv
-    two_c = np.clip(lsv, -clamp, clamp)
-    two_c *= 2.0
-    per_entry += np.exp(two_c, out=two_c)
-    per_entry -= 1.0
-    np.clip(lsv, -clamp, clamp, out=two_c)
-    two_c *= 2.0
-    per_entry -= two_c
+    blocks = _row_blocks(lsv)
+    per_entry, buffer = np.empty_like(muv), np.empty_like(lsv[:blocks[0][1] if blocks else 0])
+    for lo, hi in blocks:
+        entry, two_c = per_entry[lo:hi], np.clip(lsv[lo:hi], -clamp, clamp, out=buffer[:hi - lo])
+        two_c *= 2.0
+        np.multiply(muv[lo:hi], muv[lo:hi], out=entry)
+        entry += np.exp(two_c, out=two_c)
+        entry -= 1.0
+        np.clip(lsv[lo:hi], -clamp, clamp, out=two_c)
+        two_c *= 2.0
+        entry -= two_c
     return _result(
         _weighted_sum(per_entry, weight) * 0.5, "gaussian_kl",
         (mu, lambda g: g * weight * 0.5 * 2.0 * muv),
         (log_sigma, lambda g: _kl_log_sigma_grad(g * weight * 0.5, lsv, clamp)),
     )
+
+
+def _column_times_rows_sum(column: np.ndarray, x: np.ndarray, blocks) -> np.ndarray:
+    """(column * x).sum(axis=0, keepdims=True) for an n x 1 column, bitwise,
+    with no n x d product. numpy sums a C-ordered table of two or more
+    columns over its rows one row after another in each column, so each
+    block's products are written below the running sum, which is the first
+    row of one block's scratch, and that block is summed. One column is
+    summed pairwise down its contiguous rows instead, so there the product,
+    n x 1 like the column, is summed whole."""
+    if x.shape[1] == 1 or len(blocks) < 2:
+        return (column * x).sum(axis=0, keepdims=True)
+    scratch = np.empty((blocks[0][1] + 1, x.shape[1]))
+    top = 0
+    for lo, hi in blocks:
+        part = scratch[:top + hi - lo]
+        np.multiply(column[lo:hi], x[lo:hi], out=part[top:])
+        scratch[:1] = total = part.sum(axis=0, keepdims=True)
+        top = 1
+    return total
 
 
 def rowwise_cosine(a: Node, b: Node, eps: float) -> Node:
@@ -320,25 +378,39 @@ def rowwise_cosine(a: Node, b: Node, eps: float) -> Node:
 
     The locals read a, b and three n x 1 columns (the cosines and both
     norms): d cos / d a = b / (|a||b|) - cos * a / |a|^2, and symmetrically
-    for b. Each subtracts its second term in place from its first."""
+    for b. Each makes its first term as its output and subtracts its second
+    term from it a block of rows at a time; a one-row b sums its first term
+    over the rows a block at a time too. The row sums of the forward are
+    formed a block of rows at a time."""
     if b.shape != a.shape and b.shape != (1, a.shape[1]):
         raise ShapeError(f"rowwise_cosine: b must match a or be one row, got {_describe(a, b)}")
     av, bv = a.value, b.value
-    norm_a = np.sqrt((av * av).sum(axis=1, keepdims=True) + eps)
-    norm_b = np.sqrt((bv * bv).sum(axis=1, keepdims=True) + eps)
-    out = (av * bv).sum(axis=1, keepdims=True) / (norm_a * norm_b)
-    # a one-row b: each of its two terms is summed over the rows by itself
-    to_b = _passed if b.shape == a.shape else (lambda t: t.sum(axis=0, keepdims=True))
+    one_row = b.shape != a.shape
+    blocks = _row_blocks(av)
+    norm_a, dot = np.empty((len(av), 1)), np.empty((len(av), 1))
+    norm_b = np.sqrt((bv * bv).sum(axis=1, keepdims=True) + eps) if one_row else np.empty((len(av), 1))
+    for lo, hi in blocks:
+        a_rows, b_rows = av[lo:hi], bv if one_row else bv[lo:hi]
+        np.sqrt((a_rows * a_rows).sum(axis=1, keepdims=True) + eps, out=norm_a[lo:hi])
+        if not one_row:
+            np.sqrt((b_rows * b_rows).sum(axis=1, keepdims=True) + eps, out=norm_b[lo:hi])
+        (a_rows * b_rows).sum(axis=1, keepdims=True, out=dot[lo:hi])
+    out = dot / (norm_a * norm_b)
+
+    def minus_rows(grad, column, x):
+        for lo, hi in blocks:
+            grad[lo:hi] -= column[lo:hi] * x[lo:hi]
+        return grad
 
     def to_a_grad(g):
-        grad = g / (norm_a * norm_b) * bv
-        grad -= g * out / (norm_a * norm_a) * av
-        return grad
+        return minus_rows(g / (norm_a * norm_b) * bv, g * out / (norm_a * norm_a), av)
 
     def to_b_grad(g):
-        grad = to_b(g / (norm_a * norm_b) * av)
-        grad -= to_b(g * out / (norm_b * norm_b)) * bv
-        return grad
+        if one_row:
+            grad = _column_times_rows_sum(g / (norm_a * norm_b), av, blocks)
+            grad -= (g * out / (norm_b * norm_b)).sum(axis=0, keepdims=True) * bv
+            return grad
+        return minus_rows(g / (norm_a * norm_b) * av, g * out / (norm_b * norm_b), bv)
 
     return _result(out, "rowwise_cosine", (a, to_a_grad), (b, to_b_grad))
 

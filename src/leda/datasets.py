@@ -311,6 +311,7 @@ def _read_edges(path: Path, n: int, symmetrize: bool) -> CsrMatrix:
             found.append(i)
             found.append(j)
         pairs = np.frombuffer(found, dtype=np.int64).reshape(-1, 2)
+    del raw  # the file's bytes are not read again, so `from_edges` gets their room
     i, j = pairs[:, 0], pairs[:, 1]
     if not symmetrize and not np.all(np.isin(j * n + i, i * n + j)):
         # the edge named is the first one a set of the file's edges yields

@@ -83,10 +83,11 @@ SPARSE_MADD_COST = 4
 # one there; below that a split cost it 6-12 ms (best of 7).
 REPEAT_MIN_WORK = 1 << 23
 
-# A whole-table pass that builds a temporary as large as the table (a byte
-# grid's decode, `CsrMatrix.from_dense`'s nonzero mask) runs over blocks of
-# rows of about _BLOCK_BYTES, so that its temporaries are reused in cache
-# rather than written to memory once per pass. On a 2-core VM the 49 MB
+# A whole-table pass that would build a temporary as large as the table (a
+# byte grid's decode, `CsrMatrix.from_dense`'s nonzero mask, the engine's
+# fused primitives) runs over blocks of rows of about _BLOCK_BYTES, so that
+# its temporaries are reused in cache rather than written to memory once per
+# pass, and never held beside the table. On a 2-core VM the 49 MB
 # citeseer-like grid (3,327 lines of 14.8 KB) decoded in 60-63 ms by
 # whole-table columns and, by blocks of 64 KB, 256 KB, 1 MB and 4 MB, in
 # 39-43, 33-34, 34-36 and 38 ms (medians of 15).

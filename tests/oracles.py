@@ -17,9 +17,12 @@ for files that `save_checkpoint` refuses to write. `gcn_direct_order` puts
 back the LDA layers as they were before the graph operator moved to the
 narrow side of their weight products, and `composed_forms` the KL,
 reparameterization and row-wise cosine as they were built from elementary
-primitives before each became one fused primitive. `member_loop_epoch_loss`
-is the epoch loss as it was before a graph-level domain became one
-block-diagonal graph: a loop over the member graphs. `fix_signs_loop` is the
+primitives before each became one fused primitive;
+`whole_array_reparameterize`, `whole_array_gaussian_kl` and
+`whole_array_rowwise_cosine` are those fused primitives as they were before
+they worked a block of rows at a time. `member_loop_epoch_loss` is the epoch
+loss as it was before a graph-level domain became one block-diagonal graph:
+a loop over the member graphs. `fix_signs_loop` is the
 basis sign convention as a per-column loop, as it was before `basis_signs`.
 `scipy_normalized_adjacency` is the normalization as scipy's D (A + I) D,
 and `scipy_from_dense` a table's nonzeros as scipy's `csr_matrix`, the
@@ -741,6 +744,73 @@ def composed_forms():
     finally:
         lda.kl_to_prior, ad.reparameterize, ad.rowwise_cosine = saved
 
+
+
+# the fused primitives as they were before they worked a block of rows at a
+# time: each forward value and local as one whole-array expression, verbatim
+
+
+def _whole_array_weighted_sum(x, weight):
+    if np.ndim(weight) == 0:
+        return np.array([[x.sum()]]) * weight
+    return np.array([[np.sum(x * weight)]])
+
+
+def whole_array_reparameterize(mu, log_sigma, eps):
+    eps = np.ascontiguousarray(eps, dtype=np.float64)
+    assert mu.shape == log_sigma.shape == eps.shape
+    lsv = log_sigma.value
+    return ad._result(
+        mu.value + np.exp(lsv) * eps, "reparameterize",
+        (mu, ad._passed),
+        (log_sigma, lambda g: g * eps * np.exp(lsv)),
+    )
+
+
+def _whole_array_kl_log_sigma_grad(c0, log_sigma, clamp):
+    inside = (log_sigma >= -clamp) & (log_sigma <= clamp)
+    return (c0 * np.exp(np.clip(log_sigma, -clamp, clamp) * 2.0) - c0) * 2.0 * inside
+
+
+def whole_array_gaussian_kl(mu, log_sigma, clamp, weight):
+    assert mu.shape == log_sigma.shape
+    clamp = float(clamp)
+    muv, lsv = mu.value, log_sigma.value
+    per_entry = muv * muv
+    two_c = np.clip(lsv, -clamp, clamp)
+    two_c *= 2.0
+    per_entry += np.exp(two_c, out=two_c)
+    per_entry -= 1.0
+    np.clip(lsv, -clamp, clamp, out=two_c)
+    two_c *= 2.0
+    per_entry -= two_c
+    return ad._result(
+        _whole_array_weighted_sum(per_entry, weight) * 0.5, "gaussian_kl",
+        (mu, lambda g: g * weight * 0.5 * 2.0 * muv),
+        (log_sigma, lambda g: _whole_array_kl_log_sigma_grad(g * weight * 0.5, lsv, clamp)),
+    )
+
+
+def whole_array_rowwise_cosine(a, b, eps):
+    assert b.shape == a.shape or b.shape == (1, a.shape[1])
+    av, bv = a.value, b.value
+    norm_a = np.sqrt((av * av).sum(axis=1, keepdims=True) + eps)
+    norm_b = np.sqrt((bv * bv).sum(axis=1, keepdims=True) + eps)
+    out = (av * bv).sum(axis=1, keepdims=True) / (norm_a * norm_b)
+    # a one-row b: each of its two terms is summed over the rows by itself
+    to_b = ad._passed if b.shape == a.shape else (lambda t: t.sum(axis=0, keepdims=True))
+
+    def to_a_grad(g):
+        grad = g / (norm_a * norm_b) * bv
+        grad -= g * out / (norm_a * norm_a) * av
+        return grad
+
+    def to_b_grad(g):
+        grad = to_b(g / (norm_a * norm_b) * av)
+        grad -= to_b(g * out / (norm_b * norm_b)) * bv
+        return grad
+
+    return ad._result(out, "rowwise_cosine", (a, to_a_grad), (b, to_b_grad))
 
 def _mean_nodes(nodes):
     total = nodes[0]

@@ -1,15 +1,29 @@
 import tracemalloc
 import warnings
 import weakref
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leda import autodiff as ad
+from leda import lda, linalg
 from leda.errors import NumericError, ShapeError
 from leda.linalg import CsrMatrix, normalize_adjacency
+from leda.trainer import COSINE_EPS
 
-from oracles import central_difference_grad, gradient_check
+from oracles import (
+    central_difference_grad,
+    composed_kl_to_prior,
+    composed_reparameterize,
+    composed_rowwise_cosine,
+    gradient_check,
+    whole_array_gaussian_kl,
+    whole_array_reparameterize,
+    whole_array_rowwise_cosine,
+)
 
 
 def make_params(**arrays):
@@ -577,3 +591,111 @@ class TestValuesLeaveTheTape:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 8 * n * z + 80 * 1024, peak
+
+
+CLAMP = lda.LOG_SIGMA_CLAMP
+# log_sigma at the clamp (a gradient passes), one ulp and far beyond it (none
+# does), and at signed zeros
+LOG_SIGMA_EDGES = [CLAMP, -CLAMP, np.nextafter(CLAMP, np.inf), np.nextafter(-CLAMP, -np.inf),
+                   1.5 * CLAMP, -1e3, 0.0, -0.0]
+
+
+@st.composite
+def fused_operands(draw):
+    """Operand arrays of one shape, rows 1-40 and width 1-9, with some rows
+    of signed zeros in a and mu; log_sigma with some of LOG_SIGMA_EDGES; the
+    rows split into 1-3 member graphs."""
+    rows, width = draw(st.integers(1, 40)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b, mu, eps = (rng.standard_normal((rows, width)) for _ in range(4))
+    a[rows // 2::draw(st.integers(2, 41))] = -0.0
+    mu[::draw(st.integers(2, 41))] = 0.0
+    log_sigma = rng.standard_normal((rows, width)) * draw(st.sampled_from([0.5, 4.0]))
+    placed = draw(st.lists(st.sampled_from(LOG_SIGMA_EDGES), max_size=2 * len(LOG_SIGMA_EDGES)))
+    log_sigma.flat[rng.permutation(rows * width)[:len(placed)]] = placed[:rows * width]
+    cuts = sorted(draw(st.sets(st.integers(1, rows - 1), max_size=2))) if rows > 1 else []
+    sizes = tuple(np.diff([0, *cuts, rows]))
+    return {"a": a, "b": b, "b_row": b[:1], "mu": mu, "log_sigma": log_sigma, "eps": eps, "sizes": sizes}
+
+
+def value_and_locals(build, arrays, upstream):
+    """The node `build` makes of parameters on copies of arrays, its value,
+    and each of its locals applied to `upstream`, in operand order."""
+    node = build(*(ad.parameter(x.copy(), f"p{i}") for i, x in enumerate(arrays)))
+    return [node.value] + [local(upstream) for _, local in node.entry.shares]
+
+
+def value_and_grads(build, arrays, upstream):
+    """The node `build` makes of parameters on arrays, its value, and the
+    parameters' gradients when `upstream` is its gradient."""
+    params = [ad.parameter(x.copy(), f"p{i}") for i, x in enumerate(arrays)]
+    node = build(*params)
+    ad.backward(ad.reduce_sum(ad.mul(node, ad.constant(upstream))))
+    return [node.value] + [p.grad for p in params]
+
+
+@contextmanager
+def blocks_of(rows, arrays):
+    """Within the block, `linalg.row_blocks` gives blocks of `rows` rows of
+    the arrays' width (None: the default size)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if rows:
+            patch.setattr(linalg, "_BLOCK_BYTES", rows * arrays["mu"].shape[1] * 8)
+        yield
+
+
+def assert_bitwise(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+class TestBlockedFusedPrimitives:
+    """`reparameterize`, `gaussian_kl` and `rowwise_cosine` work a block of
+    rows at a time; with blocks of 1 and 3 rows, and of the default size,
+    each value and each local is bitwise the whole-array primitive's in
+    `oracles`. The first two stay bitwise their chains of elementary
+    primitives, and the cosine's value stays its chain's; the chain adds the
+    cosine's gradient terms in another order, and near a cosine of +-1 they
+    cancel to no relative bound, so `test_lda.TestFusedPrimitives` compares
+    those on the SBM pair. A width of 1 is drawn too: there numpy sums one
+    column pairwise, so the one-row operand's first term is summed whole,
+    not block by block."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(arrays=fused_operands(), block_rows=st.sampled_from([None, 1, 3]))
+    def test_reparameterize(self, arrays, block_rows):
+        mu, log_sigma, eps = arrays["mu"], arrays["log_sigma"], arrays["eps"]
+        upstream = np.random.default_rng(mu.size).standard_normal(mu.shape)
+        with blocks_of(block_rows, arrays):
+            got = value_and_locals(lambda m, s: ad.reparameterize(m, s, eps), (mu, log_sigma), upstream)
+            chain = value_and_grads(lambda m, s: ad.reparameterize(m, s, eps), (mu, log_sigma), upstream)
+        assert_bitwise(got, value_and_locals(lambda m, s: whole_array_reparameterize(m, s, eps),
+                                             (mu, log_sigma), upstream))
+        assert_bitwise(chain, value_and_grads(lambda m, s: composed_reparameterize(m, s, eps),
+                                              (mu, log_sigma), upstream))
+
+    @settings(max_examples=150, deadline=None)
+    @given(arrays=fused_operands(), block_rows=st.sampled_from([None, 1, 3]))
+    def test_gaussian_kl(self, arrays, block_rows):
+        mu, log_sigma, sizes = arrays["mu"], arrays["log_sigma"], arrays["sizes"]
+        weight = lda._member_weights(sizes)
+        upstream = np.array([[0.7]])
+        with blocks_of(block_rows, arrays):
+            got = value_and_locals(lambda m, s: ad.gaussian_kl(m, s, CLAMP, weight), (mu, log_sigma), upstream)
+            chain = value_and_grads(lambda m, s: lda.kl_to_prior(m, s, sizes), (mu, log_sigma), upstream)
+        assert_bitwise(got, value_and_locals(lambda m, s: whole_array_gaussian_kl(m, s, CLAMP, weight),
+                                             (mu, log_sigma), upstream))
+        assert_bitwise(chain, value_and_grads(lambda m, s: composed_kl_to_prior(m, s, sizes),
+                                              (mu, log_sigma), upstream))
+
+    @settings(max_examples=150, deadline=None)
+    @given(arrays=fused_operands(), block_rows=st.sampled_from([None, 1, 3]), one_row=st.booleans())
+    def test_rowwise_cosine(self, arrays, block_rows, one_row):
+        a, b = arrays["a"], arrays["b_row" if one_row else "b"]
+        upstream = np.random.default_rng(a.size).standard_normal((len(a), 1))
+        with blocks_of(block_rows, arrays):
+            got = value_and_locals(lambda x, y: ad.rowwise_cosine(x, y, COSINE_EPS), (a, b), upstream)
+        assert_bitwise(got, value_and_locals(lambda x, y: whole_array_rowwise_cosine(x, y, COSINE_EPS),
+                                             (a, b), upstream))
+        assert_bitwise(got[:1], value_and_grads(composed_rowwise_cosine, (a, b), upstream)[:1])

@@ -6,9 +6,10 @@ The edges writer in `save_dataset`, `CsrMatrix.from_edges`,
 of their oracles in `oracles` (the forms that built whole-graph
 temporaries), and refuse what those refused with the same text, whatever
 the dtype of the index arrays. At a fixed shape of 20,000 nodes and about
-200,000 edges each of them, and `write_float_tsv`, holds under tracemalloc
-at most a stated multiple of the bytes it outputs; the forms they replaced
-held 2 to 12 times those bytes, and fail these bounds.
+200,000 edges each of them, `write_float_tsv` and the edges reader
+`_read_edges` hold under tracemalloc at most a stated multiple of the bytes
+they output; the forms they replaced held 2 to 12 times those bytes, or the
+reader the file's bytes too, and fail these bounds.
 """
 
 import tracemalloc
@@ -253,6 +254,18 @@ class TestTracedPeaks:
         s, peak = traced_peak(lambda: normalize_adjacency(adj))
         # the output and one gather of the column scales; was 3.4 times
         assert peak < 2.0 * csr_bytes(s), (peak, csr_bytes(s))
+
+    def test_read_edges(self, tmp_path, monkeypatch, big_pairs):
+        # at 1 CPU, which parses in this process
+        monkeypatch.setattr(linalg, "_cpus", lambda: 1)
+        adj = CsrMatrix.from_edges(N, big_pairs)
+        path = tmp_path / "g.edges.tsv"
+        path.write_text(one_list_edge_text(adj), encoding="ascii")
+        got, peak = traced_peak(lambda: datasets._read_edges(path, N, True))
+        assert_same_operand(adj, got)
+        # the parsed pairs and `from_edges`'s working arrays; the file's
+        # bytes, held until `from_edges` returned, made it 2.5 times
+        assert peak < 2.3 * csr_bytes(adj), (peak, csr_bytes(adj))
 
     def test_domain_graph_checks(self, big_pairs):
         adj = CsrMatrix.from_edges(N, big_pairs)
