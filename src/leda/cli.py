@@ -18,6 +18,9 @@ import time
 from dataclasses import fields, replace
 from pathlib import Path
 
+# neither loads numpy; the modules that do load in the handlers, after `main` pins BLAS
+from .config import RULE_OF, VARIANTS, check_values, load_run_config, write_file
+from .errors import ConfigError, DataError, NumericError, ShapeError
 
 _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # each character str.splitlines breaks a line at, as repr writes it
@@ -35,8 +38,6 @@ def _emit(doc: dict, out: str | None) -> None:
     doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out:
-        from .config import write_file
-
         write_file(out, [text])
     else:
         sys.stdout.write(text)
@@ -44,7 +45,6 @@ def _emit(doc: dict, out: str | None) -> None:
 
 def _load_collection(manifest: str | None):
     from .datasets import load_dataset
-    from .errors import ConfigError
 
     if not manifest:
         raise ConfigError("no dataset manifest given (config 'data' section or --manifest)")
@@ -74,7 +74,6 @@ def _embed_domains(ckpt, collection, steps: list[tuple[str, int]]):
     """Yield (graph, embeddings) for each (domain id, propagation steps) in
     turn. A domain must hold exactly one graph; it is looked up only when
     the caller asks for it, so errors surface in the caller's order."""
-    from .errors import DataError
     from .evaluate import embed
 
     for domain_id, t in steps:
@@ -94,7 +93,6 @@ def _run_config(args):
     eval.test_domains. Its model must fit in memory, which is checked
     before the manifest is read."""
     from .checkpoint import check_param_memory
-    from .config import load_run_config
 
     run_cfg = load_run_config(args.config)
     keys = {f.name for f in fields(run_cfg.train)}
@@ -131,7 +129,6 @@ def cmd_gen_sbm(args) -> int:
 
 def cmd_pretrain(args) -> int:
     from .checkpoint import save_checkpoint
-    from .errors import ConfigError
     from .evaluate import diagnostics_entropy
     from .trainer import pretrain
 
@@ -204,7 +201,6 @@ def cmd_eval_graph(args) -> int:
 
 def cmd_ablate(args) -> int:
     from .datasets import NODE_LEVEL, GraphCollection
-    from .errors import ConfigError, DataError
     from .evaluate import fewshot_eval
     from .trainer import pretrain
 
@@ -261,7 +257,6 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_mi_diag(args) -> int:
-    from .errors import ConfigError
     from .evaluate import mi_diagnostic
 
     names = [part.strip() for part in args.domains.split(",") if part.strip()]
@@ -288,8 +283,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .config import VARIANTS
-
     parser = _Parser(
         prog="leda",
         description="Multi-domain graph pre-training: train, embed, evaluate, diagnose.",
@@ -381,10 +374,6 @@ def main(argv: list[str] | None = None) -> int:
     for var in _BLAS_THREAD_VARS:
         os.environ[var] = "1"
     args = build_parser().parse_args(argv)
-
-    from .config import RULE_OF, check_values
-    from .errors import ConfigError, DataError, NumericError, ShapeError
-
     try:
         # every flag named after a value rule is checked before any file is read
         check_values(**{name: v for name, v in vars(args).items() if name in RULE_OF and v is not None})

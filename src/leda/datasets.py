@@ -30,7 +30,7 @@ NODE_LEVEL = "node-level"
 GRAPH_LEVEL = "graph-level"
 
 DEGREE_FEATURE_DIM = 16
-# feature values (at least one row), or adjacency entries, made Python numbers at a time when writing
+# feature values (at least one row), adjacency entries or labels formatted at a time when writing
 _WRITE_CHUNK = 4096
 
 _MANIFEST_KEYS = {"version", "task_kind", "symmetrize", "domains"}
@@ -205,8 +205,8 @@ class GraphCollection:
 # over their lines, with int()/float() per token. That pass builds the array
 # (features row by row into one preallocated table) and raises the first
 # defect as `path:line: ...`, checking each line as the line-by-line readers
-# it replaced did. The unpaired-edge test alone is one whole-array test, on
-# either route's pairs.
+# it replaced did. The unpaired-edge test alone counts either route's distinct
+# pairs against the adjacency's entries.
 _INT_CHARS = b"0123456789\t\n"
 _FLOAT_CHARS = b"0123456789.eE+-\t\n"
 # The work `split_repeats` weighs against REPEAT_MIN_WORK, in its units of
@@ -292,7 +292,8 @@ def _load_plain(
 def _read_edges(path: Path, n: int, symmetrize: bool) -> CsrMatrix:
     raw = path.read_bytes()
     pairs = _load_plain(raw, _INT_CHARS, 2, np.int64, blank_lines=True)
-    if pairs is None or np.any(pairs[:, 0] == pairs[:, 1]) or np.any((pairs < 0) | (pairs >= n)):
+    # the plain route's characters spell no negative index
+    if pairs is None or np.any(pairs[:, 0] == pairs[:, 1]) or np.any(pairs >= n):
         found = array("q")  # i, j, i, j, ... as int64, with no Python object kept per edge
         for lineno, line in enumerate(map(str.strip, _decode(path, raw).splitlines()), start=1):
             try:  # a blank or comment line fails here too, off the common path
@@ -312,13 +313,19 @@ def _read_edges(path: Path, n: int, symmetrize: bool) -> CsrMatrix:
             found.append(j)
         pairs = np.frombuffer(found, dtype=np.int64).reshape(-1, 2)
     del raw  # the file's bytes are not read again, so `from_edges` gets their room
-    i, j = pairs[:, 0], pairs[:, 1]
-    if not symmetrize and not np.all(np.isin(j * n + i, i * n + j)):
-        # the edge named is the first one a set of the file's edges yields
-        unique = set(map(tuple, pairs.tolist()))
-        i, j = next((i, j) for i, j in unique if (j, i) not in unique)
-        raise DataError(f"{path}: edge {i}-{j} has no reverse and symmetrize is false")
-    return CsrMatrix.from_edges(n, pairs)
+    adjacency = CsrMatrix.from_edges(n, pairs)
+    if not symmetrize:
+        # the adjacency holds each listed key i * n + j and its reverse, so the distinct
+        # listed keys are all its entries exactly when every pair has its reverse
+        keys = pairs[:, 0] * n
+        keys += pairs[:, 1]
+        keys.sort()
+        if len(keys) and np.count_nonzero(keys[1:] != keys[:-1]) + 1 != adjacency.nnz:
+            # the edge named is the first one a set of the file's edges yields
+            unique = set(map(tuple, pairs.tolist()))
+            i, j = next((i, j) for i, j in unique if (j, i) not in unique)
+            raise DataError(f"{path}: edge {i}-{j} has no reverse and symmetrize is false")
+    return adjacency
 
 
 def _load_fixed_width(raw: bytes | mmap.mmap) -> np.ndarray | CsrMatrix | None:
@@ -534,27 +541,30 @@ def load_dataset(manifest_path: str | Path) -> GraphCollection:
     return GraphCollection(graphs=tuple(graphs), task_kind=task_kind)
 
 
+def _format_rows(pattern: str, chunk: np.ndarray) -> str:
+    """A 2-D chunk's text by one `%`: `pattern`, one row's line ("%r", a float's repr,
+    or "%d"), once per row, filled with its values (edges twice as fast as a string each)."""
+    return (pattern * len(chunk)) % tuple(chunk.ravel().tolist())
+
+
 def write_float_tsv(path: str | Path, x: np.ndarray | CsrMatrix, index: bool = False) -> None:
     """One tab-separated line per row of x, led by the row number if `index`.
 
-    repr of a Python float round-trips bit-exactly; rows are converted with
-    `tolist`, not element by element, _WRITE_CHUNK values (at least one row)
-    at a time, and a CsrMatrix is made dense a chunk at a time, never whole.
-    Large tables are formatted in contiguous row shares by `split_repeats`,
-    and each chunk's text goes to `write_file` in order, never joined.
+    "%r", the repr of a Python float, round-trips bit-exactly; `_format_rows`
+    formats _WRITE_CHUNK values (at least one row) at a time, and a CsrMatrix
+    is made dense a chunk at a time, never whole. Large tables are formatted
+    in contiguous row shares by `split_repeats`, and each chunk's text goes to
+    `write_file` in order, never joined.
     """
     rows, cols = x.shape
-    chunk = x.to_dense if isinstance(x, CsrMatrix) else lambda lo, hi: x[lo:hi]
+    dense = x.to_dense if isinstance(x, CsrMatrix) else lambda lo, hi: x[lo:hi]
+    # the row numbers lead as a float column, which "%d" writes as integers
+    chunk = (lambda lo, hi: np.column_stack((np.arange(lo, hi), dense(lo, hi)))) if index else dense
     step = max(1, _WRITE_CHUNK // max(1, cols))
+    pattern = "%d\t" * index + "\t".join(["%r"] * cols) + "\n"
 
     def run(lo, hi):
-        texts = []
-        for start in range(lo, hi, step):
-            lines = ["\t".join(map(repr, row)) for row in chunk(start, min(start + step, hi)).tolist()]
-            if index:
-                lines = [f"{i}\t{line}" for i, line in enumerate(lines, start)]
-            texts.append("\n".join(lines) + "\n")
-        return texts
+        return [_format_rows(pattern, chunk(start, min(start + step, hi))) for start in range(lo, hi, step)]
 
     # a table of no rows is written as one empty line
     write_file(path, split_repeats(rows, _WRITE_TOKEN_COST * rows * cols, run) or ["\n"])
@@ -567,9 +577,7 @@ def _edge_lines(adj: CsrMatrix):
         cols = adj.col_indices[lo:lo + _WRITE_CHUNK]
         rows = np.searchsorted(adj.row_offsets, np.arange(lo, lo + len(cols)), side="right") - 1
         upper = rows < cols
-        # one `%` over the interleaved pairs formats twice as fast as a string per edge
-        pairs = np.stack([rows[upper], cols[upper]], axis=1).ravel().tolist()
-        yield ("%d\t%d\n" * (len(pairs) // 2)) % tuple(pairs)
+        yield _format_rows("%d\t%d\n", np.stack([rows[upper], cols[upper]], axis=1))
 
 
 def _plain_file_names(doc) -> set[str]:
@@ -633,7 +641,10 @@ def save_dataset(collection: GraphCollection, out_dir: str | Path) -> Path:
         if "features_path" in entry:
             write_float_tsv(out_dir / entry["features_path"], graph.features)
         if "labels_path" in entry:
-            write_file(out_dir / entry["labels_path"], ["\n".join(map(str, graph.labels.tolist())) + "\n"])
+            labels = graph.labels[:, None]
+            texts = (_format_rows("%d\n", labels[lo:lo + _WRITE_CHUNK])
+                     for lo in range(0, len(labels), _WRITE_CHUNK))
+            write_file(out_dir / entry["labels_path"], texts)
     write_file(manifest_path, [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
     return manifest_path
 

@@ -923,7 +923,10 @@ def random_graph(n, d, classes, mean_degree, seed):
 
 
 class TestSaveLoadRoundTrip:
-    def test_2000_node_graph_files_and_arrays(self, tmp_path):
+    # labels and edge entries 1, 3, 7 and 4,096 a chunk; feature rows 1 a chunk, and 341
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 4096])
+    def test_2000_node_graph_files_and_arrays(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(datasets, "_WRITE_CHUNK", chunk)
         graph = random_graph(2000, 12, 5, 8, seed=3)
         manifest = save_dataset(GraphCollection((graph,), "node-level"), tmp_path / "a")
         entry = json.loads(manifest.read_text())["domains"][0]

@@ -6,9 +6,10 @@ The edges writer in `save_dataset`, `CsrMatrix.from_edges`,
 of their oracles in `oracles` (the forms that built whole-graph
 temporaries), and refuse what those refused with the same text, whatever
 the dtype of the index arrays. At a fixed shape of 20,000 nodes and about
-200,000 edges each of them, `write_float_tsv` and the edges reader
-`_read_edges` hold under tracemalloc at most a stated multiple of the bytes
-they output; the forms they replaced held 2 to 12 times those bytes, or the
+200,000 edges each of them, `write_float_tsv`, the labels writer and the
+edges reader `_read_edges` (listed once or both ways, in either `symmetrize`
+mode) hold under tracemalloc at most a stated multiple of the bytes they
+output; the forms they replaced held 2 to 33 times those bytes, or the
 reader the file's bytes too, and fail these bounds.
 """
 
@@ -255,17 +256,30 @@ class TestTracedPeaks:
         # the output and one gather of the column scales; was 3.4 times
         assert peak < 2.0 * csr_bytes(s), (peak, csr_bytes(s))
 
-    def test_read_edges(self, tmp_path, monkeypatch, big_pairs):
+    @pytest.mark.parametrize("listed, symmetrize, bound", [
+        # the parsed pairs and `from_edges`'s working arrays; the file's
+        # bytes, held until `from_edges` returned, made it 2.5 times
+        ("once", True, 2.3),
+        # twice the pairs: the default mode reads 3.44 times
+        ("both ways", True, 3.5),
+        # and so must the strict mode, which counts the distinct listed keys
+        # in one sorted int64 array; reversed keys and np.isin made it 9.1 times
+        ("both ways", False, 3.5),
+    ])
+    def test_read_edges(self, tmp_path, monkeypatch, big_pairs, listed, symmetrize, bound):
         # at 1 CPU, which parses in this process
         monkeypatch.setattr(linalg, "_cpus", lambda: 1)
         adj = CsrMatrix.from_edges(N, big_pairs)
         path = tmp_path / "g.edges.tsv"
-        path.write_text(one_list_edge_text(adj), encoding="ascii")
-        got, peak = traced_peak(lambda: datasets._read_edges(path, N, True))
+        if listed == "once":
+            path.write_text(one_list_edge_text(adj), encoding="ascii")
+        else:  # every entry of the adjacency, so each pair and its reverse
+            rows = np.repeat(np.arange(N), np.diff(adj.row_offsets))
+            pairs = np.stack([rows, adj.col_indices], axis=1).ravel().tolist()
+            path.write_text(("%d\t%d\n" * adj.nnz) % tuple(pairs), encoding="ascii")
+        got, peak = traced_peak(lambda: datasets._read_edges(path, N, symmetrize))
         assert_same_operand(adj, got)
-        # the parsed pairs and `from_edges`'s working arrays; the file's
-        # bytes, held until `from_edges` returned, made it 2.5 times
-        assert peak < 2.3 * csr_bytes(adj), (peak, csr_bytes(adj))
+        assert peak < bound * csr_bytes(adj), (peak, csr_bytes(adj))
 
     def test_domain_graph_checks(self, big_pairs):
         adj = CsrMatrix.from_edges(N, big_pairs)
@@ -282,6 +296,17 @@ class TestTracedPeaks:
         _, peak = traced_peak(lambda: save_dataset(collection, tmp_path))
         size = (tmp_path / "g000-g.edges.tsv").stat().st_size
         # one chunk of entries at a time, whatever the graph; was 12 times
+        assert peak < 0.5 * size, (peak, size)
+
+    def test_save_dataset_label_write(self, tmp_path):
+        n = 200_000
+        adj = CsrMatrix.from_edges(n, [])
+        labels = np.random.default_rng(48).integers(0, 10, n)
+        graph = DomainGraph("g", degree_features(adj), adj, labels, degree_featurized=True)
+        collection = GraphCollection((graph,), datasets.NODE_LEVEL)
+        _, peak = traced_peak(lambda: save_dataset(collection, tmp_path))
+        size = (tmp_path / "g000-g.labels.tsv").stat().st_size
+        # one chunk of labels at a time; one join of every label's text was 33 times
         assert peak < 0.5 * size, (peak, size)
 
     @pytest.mark.parametrize("cpus", [1, 2])
