@@ -26,13 +26,14 @@ gradient. A node given as both operands gets both shares.
 The elementwise `add`, `sub`, `mul` and `div` take operands of one shape;
 `add_row_bias` and `rowwise_cosine`'s one-row form are the only broadcasts.
 
-Three primitives are fused: `reparameterize`, `gaussian_kl` and
-`rowwise_cosine` each stand for a chain of elementary ones as one node, and
+Four primitives are fused: `reparameterize`, `gaussian_kl`, `rowwise_cosine`
+and `softplus` each stand for a chain of elementary ones as one node, and
 their locals read only the operands and a few small arrays (the noise draw;
-nothing; three n x 1 columns). The first two give bitwise the values and
-gradients of the chains they replace. Their forward code and locals work a
-`linalg.row_blocks` block of rows at a time, so none builds an n x d
-temporary beside its output but `gaussian_kl`'s one table to sum.
+nothing; three n x 1 columns; the output, as softplus's local is
+g * sigmoid(x) = g * exp(x - out)). The first two give bitwise the values and
+gradients of the chains they replace. The first three work a `row_blocks`
+block of rows at a time, so none builds an n x d temporary beside its output
+but `gaussian_kl`'s one table to sum; `softplus` works whole, on n x 1 columns.
 """
 
 from __future__ import annotations
@@ -259,11 +260,11 @@ def frobenius_sq(x: Node, weight: float | np.ndarray = 1.0) -> Node:
 # ---------------------------------------------------------------------------
 # fused primitives: one node where a composition would keep every
 # intermediate's gradient on the tape and every intermediate its locals read;
-# the fused locals recompute what they need from the operands' values. Their
-# forward code and locals build no n x d temporary beside their outputs and
-# `gaussian_kl`'s one table to sum: each works a `linalg.row_blocks` block of
-# rows at a time, with the float operations of the whole-array form in its
-# order, so each value and gradient is bitwise the whole-array one.
+# the fused locals recompute what they need from the operands' values (and
+# softplus's from its output). The other three build no n x d temporary
+# beside their outputs and `gaussian_kl`'s one table: each works a
+# `linalg.row_blocks` block of rows at a time, in the whole-array form's
+# float-op order, so each value and gradient is bitwise the whole-array one.
 
 
 def _row_blocks(x: np.ndarray) -> list[tuple[int, int]]:
@@ -413,6 +414,13 @@ def rowwise_cosine(a: Node, b: Node, eps: float) -> Node:
         return minus_rows(g / (norm_a * norm_b) * av, g * out / (norm_b * norm_b), bv)
 
     return _result(out, "rowwise_cosine", (a, to_a_grad), (b, to_b_grad))
+
+
+def softplus(x: Node) -> Node:
+    """log(1 + exp(x)), elementwise, as `np.logaddexp(0, x)`, which never
+    overflows; the local reads x and the output, as sigmoid(x) = exp(x - out)."""
+    xv, out = x.value, np.logaddexp(0.0, x.value)
+    return _result(out, "softplus", (x, lambda g: g * np.exp(xv - out)))
 
 
 # ---------------------------------------------------------------------------

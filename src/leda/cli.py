@@ -72,9 +72,10 @@ def _load_inputs(args):
 
 def _embed_domains(ckpt, collection, steps: list[tuple[str, int]]):
     """Yield (graph, embeddings) for each (domain id, propagation steps) in
-    turn. A domain must hold exactly one graph; it is looked up only when
-    the caller asks for it, so errors surface in the caller's order."""
-    from .evaluate import embed
+    turn, from its `domain_operands` as graph pooling embeds. A domain must
+    hold one graph; it is looked up when asked for, in the caller's order."""
+    from .evaluate import _embed
+    from .trainer import domain_operands
 
     for domain_id, t in steps:
         graphs = collection.by_domain(domain_id)
@@ -83,7 +84,8 @@ def _embed_domains(ckpt, collection, steps: list[tuple[str, int]]):
                 f"domain '{domain_id}' has {len(graphs)} graphs; node-level commands "
                 "need exactly one (use eval-graph for graph-level data)"
             )
-        yield graphs[0], embed(graphs[0], ckpt, t=t)
+        d = domain_operands(collection, domain_id)
+        yield graphs[0], _embed(domain_id, d.x, d.s, ckpt, t, graphs[0].labels)
 
 
 def _run_config(args):

@@ -140,23 +140,14 @@ def init_paramset(config: TrainConfig) -> dict[str, Node]:
     return params
 
 
-def infonce_from_scores(s_pos: Node, s_neg: Node, tau: float) -> Node:
-    """Per-anchor contrastive loss column: log(exp(s+/tau) + exp(s-/tau)) - s+/tau,
-    computed with a constant max shift for stability."""
-    check_values(tau=tau)
-    a = ad.scale(s_pos, 1.0 / tau)
-    b = ad.scale(s_neg, 1.0 / tau)
-    shift = ad.constant(np.maximum(a.value, b.value), "lse_shift")
-    summed = ad.add(ad.exp(ad.sub(a, shift)), ad.exp(ad.sub(b, shift)))
-    return ad.sub(ad.add(shift, ad.log(summed)), a)
-
-
 def infonce_loss(views: list[tuple[Node, Node]], tau: float) -> Node:
     """Contrastive objective over per-domain (anchor, positive) embedding
     pairs; the single negative is the mean embedding over all anchors of all
-    domains. Returns the mean per-anchor loss."""
+    domains. Returns the mean per-anchor loss: with one negative, an anchor's
+    log(exp(s+/tau) + exp(s-/tau)) - s+/tau is exactly softplus((s- - s+)/tau)."""
     if not views:
         raise ConfigError("infonce_loss needs at least one domain")
+    check_values(tau=tau)
     total_nodes = sum(anchor.shape[0] for anchor, _ in views)
     mean_sum: Node | None = None
     for anchor, _ in views:
@@ -168,8 +159,7 @@ def infonce_loss(views: list[tuple[Node, Node]], tau: float) -> Node:
     for anchor, positive in views:
         s_pos = ad.rowwise_cosine(anchor, positive, COSINE_EPS)
         s_neg = ad.rowwise_cosine(anchor, mean_embedding, COSINE_EPS)
-        per_anchor = infonce_from_scores(s_pos, s_neg, tau)
-        domain_sum = ad.reduce_sum(per_anchor)
+        domain_sum = ad.reduce_sum(ad.softplus(ad.scale(ad.sub(s_neg, s_pos), 1.0 / tau)))
         loss_sum = domain_sum if loss_sum is None else ad.add(loss_sum, domain_sum)
     return ad.scale(loss_sum, 1.0 / total_nodes)
 

@@ -17,7 +17,8 @@ for files that `save_checkpoint` refuses to write. `gcn_direct_order` puts
 back the LDA layers as they were before the graph operator moved to the
 narrow side of their weight products, and `composed_forms` the KL,
 reparameterization and row-wise cosine as they were built from elementary
-primitives before each became one fused primitive;
+primitives before each became one fused primitive, as
+`composed_infonce_from_scores` keeps InfoNCE's per-anchor column;
 `whole_array_reparameterize`, `whole_array_gaussian_kl` and
 `whole_array_rowwise_cosine` are those fused primitives as they were before
 they worked a block of rows at a time. `member_loop_epoch_loss` is the epoch
@@ -52,6 +53,7 @@ import scipy.sparse as sp
 from leda import autodiff as ad
 from leda import evaluate, lda, trainer
 from leda.checkpoint import basis_tensor_name
+from leda.config import check_values
 from leda.dpu import align, alignment_penalties, init_basis, trans
 from leda.errors import ConfigError, DataError, NumericError
 from leda.evaluate import (
@@ -722,6 +724,18 @@ def composed_rowwise_cosine(a, b):
     norm_a = ad.sqrt(ad.add(ad.reduce_sum(ad.square(a), axis=1), eps))
     norm_b = ad.sqrt(ad.add(ad.reduce_sum(ad.square(b), axis=1), eps))
     return ad.div(num, ad.mul(norm_a, norm_b))
+
+
+def composed_infonce_from_scores(s_pos, s_neg, tau):
+    """The trainer's per-anchor InfoNCE column as it was built before it
+    became one `softplus` node, verbatim: ten nodes, two `exp`s and a `log`
+    around a constant max shift."""
+    check_values(tau=tau)
+    a = ad.scale(s_pos, 1.0 / tau)
+    b = ad.scale(s_neg, 1.0 / tau)
+    shift = ad.constant(np.maximum(a.value, b.value), "lse_shift")
+    summed = ad.add(ad.exp(ad.sub(a, shift)), ad.exp(ad.sub(b, shift)))
+    return ad.sub(ad.add(shift, ad.log(summed)), a)
 
 
 def _composed_cosine_primitive(a, b, eps):

@@ -335,6 +335,9 @@ def _random_case(rng, case):
     elif case == "rowwise_cosine_broadcast":
         shapes = [(n, m), (1, m)]
         build = lambda xs: ad.rowwise_cosine(xs[0], xs[1], 1e-12)
+    elif case == "softplus":
+        shapes = [(n, m)]
+        build = lambda xs: ad.softplus(xs[0])
     else:
         raise AssertionError(case)
 
@@ -345,6 +348,8 @@ def _random_case(rng, case):
             v += 0.25 * np.sign(v) + 0.05  # keep away from the kink
         if case in ("log", "sqrt"):
             v = np.abs(v) + 0.5
+        if case == "softplus":
+            v *= 4.0  # into both tails
         if case == "div":
             pass
         values.append(v)
@@ -368,12 +373,12 @@ ALL_CASES = [
     "add", "sub", "mul", "div", "exp", "log", "sqrt",
     "square", "scale", "clip", "reduce_sum_rows", "reduce_mean_cols",
     "frobenius_sq", "frobenius_sq_weighted", "reparameterize", "gaussian_kl",
-    "gaussian_kl_weighted", "rowwise_cosine", "rowwise_cosine_broadcast",
+    "gaussian_kl_weighted", "rowwise_cosine", "rowwise_cosine_broadcast", "softplus",
 ]
 
 
 def test_every_primitive_matches_finite_differences_over_many_cases():
-    # 6 seeded draws per case: 144 random cases in total.
+    # 6 seeded draws per case: 150 random cases in total.
     total = 0
     for case in ALL_CASES:
         for trial in range(6):
@@ -482,6 +487,30 @@ def test_a_constant_parent_gets_no_gradient_and_its_sibling_the_full_one(case, h
     assert mixed[held].grad is None
     assert np.array_equal(mixed[1 - held].grad, both[1 - held].grad)
     assert np.any(mixed[1 - held].grad != 0.0)
+
+
+class TestSoftplus:
+    """log(1 + exp(u)) as one node, whose local is g * sigmoid(u)."""
+
+    @staticmethod
+    def value_and_local(u):
+        x = ad.parameter(np.array([[u]]), "u")
+        out = ad.softplus(x)
+        value = out.value[0, 0]
+        ad.backward(ad.reduce_sum(out))
+        return value, x.grad[0, 0]
+
+    @pytest.mark.parametrize("u, value, local", [
+        (745.0, 745.0, 1.0), (800.0, 800.0, 1.0), (-745.0, 0.0, 0.0), (-800.0, 0.0, 0.0), (0.0, np.log(2.0), 0.5),
+    ])
+    def test_value_and_local(self, u, value, local):
+        """Finite, with no warning, in both far tails, where exp(u) overflows
+        or underflows; log 2 and 1/2 at 0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self.value_and_local(u)
+        assert np.all(np.isfinite(got))
+        assert got == pytest.approx((value, local), rel=1e-15, abs=1e-300)
 
 
 def tape_entries(root):

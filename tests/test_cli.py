@@ -527,7 +527,7 @@ class TestEmbedAndEval:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_eval_linear_second_moment_overflow_exits_4(self, suite, ckpt_path, tmp_path, capsys,
                                                         monkeypatch):
-        monkeypatch.setattr(evaluate, "embed", lambda graph, ckpt, t: overflow_probe_set(1e160))
+        monkeypatch.setattr(evaluate, "_embed", lambda *args: overflow_probe_set(1e160))
         out = tmp_path / "lin.json"
         code = main(
             [
@@ -578,7 +578,7 @@ class TestEmbedAndEval:
         self, suite, ckpt_path, tmp_path, capsys, monkeypatch, args
     ):
         calls = []
-        monkeypatch.setattr(evaluate, "embed", lambda *a, **k: calls.append("embed"))
+        monkeypatch.setattr(evaluate, "_embed", lambda *a, **k: calls.append("embed"))
         monkeypatch.setattr(evaluate, "graph_eval", lambda *a, **k: calls.append("graph_eval"))
         out = tmp_path / "missing" / "x.json"
         code = main(args + ["--ckpt", str(ckpt_path), "--manifest", str(suite["manifest"]),
@@ -1286,7 +1286,7 @@ class TestRefusals:
     def test_a_tiny_infonce_temperature_exits_4(self, suite, tmp_path, capsys, tau, message):
         """At tau 1e-310, 1/tau is beyond the float range and the loss is
         refused before backward; at 1e-300 the loss stays finite and its
-        gradient, about 1/tau through the log, exp and cosine nodes,
+        gradient, about 1/tau through the softplus and cosine nodes,
         overflows AdamW's squared gradient."""
         config = tmp_path / "run.json"
         config.write_text(json.dumps(dict(suite["doc"], train=dict(suite["doc"]["train"], tau=tau))))

@@ -1,9 +1,12 @@
+import math
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from leda import autodiff as ad
 from leda import datasets, evaluate, linalg, trainer
@@ -17,14 +20,14 @@ from leda.linalg import CsrMatrix, normalize_adjacency
 from leda.trainer import (
     TrainConfig,
     build_epoch_loss,
-    infonce_from_scores,
     infonce_loss,
     init_paramset,
     prepare_domains,
     pretrain,
 )
 
-from oracles import assert_same_operand, gradient_check, member_loop_epoch_loss, registered_paramset, to_dense
+from oracles import (assert_same_operand, composed_infonce_from_scores, gradient_check, member_loop_epoch_loss,
+                     registered_paramset, to_dense)
 from synthetic import (bow_collection, graph_level_collection, labelled, node_collection, parameters,
                        tiny_config, zero_grads)
 from test_autodiff import tape_entries
@@ -272,8 +275,25 @@ class TestInfoNCE:
     def test_saturated_scores_drive_loss_to_zero(self):
         s_pos = ad.constant(np.full((4, 1), 1.0))
         s_neg = ad.constant(np.full((4, 1), -1.0))
-        per_anchor = infonce_from_scores(s_pos, s_neg, tau=0.1)
+        per_anchor = ad.softplus(ad.scale(ad.sub(s_neg, s_pos), 1.0 / 0.1))
         assert np.all(per_anchor.value < 1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scores=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=8),
+           tau=st.sampled_from([0.05, 0.5, 1.0]))
+    @example(scores=[(1.0, -1.0)], tau=0.05)
+    def test_one_softplus_node_is_the_loss_against_one_negative(self, scores, tau):
+        """The per-anchor column is within 1 ulp of log1p(exp(u)) at
+        u = (s- - s+)/tau, and within 1e-14 of the composed max-shift chain,
+        which loses the tail to cancellation: at s+ = 1, s- = -1 and tau 0.05
+        it gives 0, where the loss is 4.2e-18."""
+        s_pos, s_neg = (ad.constant(np.array(column)[:, None]) for column in zip(*scores))
+        got = ad.softplus(ad.scale(ad.sub(s_neg, s_pos), 1.0 / tau)).value
+        u = (s_neg.value - s_pos.value) * (1.0 / tau)
+        exact = np.array([[v + math.log1p(math.exp(-v)) if v > 0 else math.log1p(math.exp(v))]
+                          for v in u[:, 0]])
+        assert np.all(np.abs(got - exact) <= np.spacing(exact))
+        assert np.max(np.abs(got - composed_infonce_from_scores(s_pos, s_neg, tau).value)) <= 1e-14
 
     def test_zero_temperature_rejected(self):
         with pytest.raises(ConfigError):
@@ -642,6 +662,14 @@ class TestEpochTape:
         assert all(not entry.shares for entry in entries)
         leaves = {id(node.entry) for node in params.values()} | {id(loss.entry)}
         assert all(entry.grad is None for entry in entries if id(entry) not in leaves)
+
+    def test_a_dpu_cl_epoch_scores_each_domain_with_one_softplus_node(self):
+        config = tiny_config(variant="dpu-cl")
+        prepared = prepare_domains(node_collection(), config)
+        loss, _ = build_epoch_loss(prepared, init_paramset(config), config, 0)
+        names = [entry.name for entry in tape_entries(loss.entry)]
+        assert len(prepared) > 1 and names.count("softplus") == len(prepared)
+        assert not {"exp", "log", "lse_shift"} & set(names)
 
     def test_a_full_epoch_holds_only_what_its_locals_read(self):
         """Traced by tracemalloc on one dense domain, the loss of one `full`
