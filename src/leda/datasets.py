@@ -30,8 +30,8 @@ NODE_LEVEL = "node-level"
 GRAPH_LEVEL = "graph-level"
 
 DEGREE_FEATURE_DIM = 16
-# feature values (at least one row), adjacency entries or labels formatted at a time when writing
-_WRITE_CHUNK = 4096
+# bytes a value holds while a writer formats it: a Python number, its list and tuple slots, its text
+_FORMAT_VALUE_BYTES = 64
 
 _MANIFEST_KEYS = {"version", "task_kind", "symmetrize", "domains"}
 # the JSON type of each key of a domain entry
@@ -550,21 +550,21 @@ def _format_rows(pattern: str, chunk: np.ndarray) -> str:
 def write_float_tsv(path: str | Path, x: np.ndarray | CsrMatrix, index: bool = False) -> None:
     """One tab-separated line per row of x, led by the row number if `index`.
 
-    "%r", the repr of a Python float, round-trips bit-exactly; `_format_rows`
-    formats _WRITE_CHUNK values (at least one row) at a time, and a CsrMatrix
-    is made dense a chunk at a time, never whole. Large tables are formatted
-    in contiguous row shares by `split_repeats`, and each chunk's text goes to
-    `write_file` in order, never joined.
+    "%r", the repr of a Python float, round-trips bit-exactly. Large tables go
+    in contiguous row shares by `split_repeats`; `_format_rows` formats each
+    share a `row_blocks` block of rows at a time (_FORMAT_VALUE_BYTES a value),
+    a CsrMatrix made dense a block at a time, never whole, and each block's
+    text goes to `write_file` in order, never joined.
     """
     rows, cols = x.shape
     dense = x.to_dense if isinstance(x, CsrMatrix) else lambda lo, hi: x[lo:hi]
     # the row numbers lead as a float column, which "%d" writes as integers
     chunk = (lambda lo, hi: np.column_stack((np.arange(lo, hi), dense(lo, hi)))) if index else dense
-    step = max(1, _WRITE_CHUNK // max(1, cols))
     pattern = "%d\t" * index + "\t".join(["%r"] * cols) + "\n"
 
     def run(lo, hi):
-        return [_format_rows(pattern, chunk(start, min(start + step, hi))) for start in range(lo, hi, step)]
+        return [_format_rows(pattern, chunk(lo + start, lo + end))
+                for start, end in row_blocks(hi - lo, cols * _FORMAT_VALUE_BYTES)]
 
     # a table of no rows is written as one empty line
     write_file(path, split_repeats(rows, _WRITE_TOKEN_COST * rows * cols, run) or ["\n"])
@@ -572,10 +572,10 @@ def write_float_tsv(path: str | Path, x: np.ndarray | CsrMatrix, index: bool = F
 
 def _edge_lines(adj: CsrMatrix):
     """One "i\tj" line per upper-triangle entry (i, j) of adj, in CSR order,
-    formatted _WRITE_CHUNK entries at a time."""
-    for lo in range(0, adj.nnz, _WRITE_CHUNK):
-        cols = adj.col_indices[lo:lo + _WRITE_CHUNK]
-        rows = np.searchsorted(adj.row_offsets, np.arange(lo, lo + len(cols)), side="right") - 1
+    formatted a `row_blocks` block of entries at a time."""
+    for lo, hi in row_blocks(adj.nnz, _FORMAT_VALUE_BYTES):
+        cols = adj.col_indices[lo:hi]
+        rows = np.searchsorted(adj.row_offsets, np.arange(lo, hi), side="right") - 1
         upper = rows < cols
         yield _format_rows("%d\t%d\n", np.stack([rows[upper], cols[upper]], axis=1))
 
@@ -642,8 +642,8 @@ def save_dataset(collection: GraphCollection, out_dir: str | Path) -> Path:
             write_float_tsv(out_dir / entry["features_path"], graph.features)
         if "labels_path" in entry:
             labels = graph.labels[:, None]
-            texts = (_format_rows("%d\n", labels[lo:lo + _WRITE_CHUNK])
-                     for lo in range(0, len(labels), _WRITE_CHUNK))
+            blocks = row_blocks(len(labels), _FORMAT_VALUE_BYTES)
+            texts = (_format_rows("%d\n", labels[lo:hi]) for lo, hi in blocks)
             write_file(out_dir / entry["labels_path"], texts)
     write_file(manifest_path, [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
     return manifest_path

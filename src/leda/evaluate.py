@@ -210,7 +210,7 @@ def _fit_logistic(train_x: np.ndarray, train_y: np.ndarray, num_classes: int) ->
     if not np.all(np.isfinite(theta.value)):
         raise NumericError("linear probe: fitted weights are non-finite")
     v = state.v["probe"]  # checked by the tensor its rows hold, W before b
-    check_second_moments(AdamWState(v={"probe.W": v[:-1], "probe.b": v[-1:]}), "linear probe")
+    check_second_moments({"probe.W": v[:-1], "probe.b": v[-1:]}, "linear probe")
     return theta.value[:-1], theta.value[-1:]
 
 

@@ -60,13 +60,13 @@ def adamw_step(params: Mapping[str, Node], state: AdamWState) -> None:
         node.value -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
-def check_second_moments(state: AdamWState, what: str) -> None:
-    """NumericError unless every second moment is finite. `grad * grad`
-    overflows to inf once a gradient entry passes about 1e154; the moment
-    then stays inf (beta2 * inf = inf) and that coordinate's step is 0, so
-    the fit stalls with finite weights. A non-finite gradient leaves its
-    moment non-finite as well, so one check after the last step sees both."""
-    for name, v in state.v.items():
+def check_second_moments(moments: Mapping[str, np.ndarray], what: str) -> None:
+    """NumericError unless every second moment (name -> array) is finite.
+    `grad * grad` overflows to inf once a gradient entry passes about 1e154;
+    the moment then stays inf (beta2 * inf = inf) and that coordinate's step
+    is 0, so the fit stalls with finite weights. A non-finite gradient leaves
+    its moment non-finite too, so one check after the last step sees both."""
+    for name, v in moments.items():
         if not np.all(np.isfinite(v)):
             raise NumericError(
                 f"{what}: AdamW second moment of '{name}' is non-finite "

@@ -263,7 +263,7 @@ def _run_phase(
             del loss  # the tape goes now, not when the next epoch's graph is built
             adamw_step(trainable, state)
             trace.append(components)
-    check_second_moments(state, f"training ({config.variant})")
+    check_second_moments(state.v, f"training ({config.variant})")
 
 
 def pretrain(collection: GraphCollection, config: TrainConfig) -> Checkpoint:

@@ -5,10 +5,11 @@ The matrix: every variant, and `two_phase` for each variant that allows it,
 trained for 25 epochs on three fixed collections (dense node-level,
 node-level with CSR domains, graph-level), each with a domain held out of
 training. Per run it hashes the checkpoint bytes and the loss trace; the
-`embed` rows of a seen and of the held-out domain, or the pooled rows of
-every graph; and the reports that `leda.cli` writes, with their
-`timestamp` masked: `eval-fewshot`, `eval-linear` and `mi-diag` involving
-the held-out domain, or `eval-graph`.
+TSV that `leda embed --out` writes for a seen and for the held-out domain,
+or the pooled rows of every graph; and the reports that `leda.cli` writes,
+with their `timestamp` masked: `eval-fewshot`, `eval-linear` and `mi-diag`
+involving the held-out domain, or `eval-graph`. The `embed` and report
+commands run through `leda.cli.main` on the dataset `save_dataset` wrote.
 
     PYTHONPATH=src:tests python tests/bits_manifest.py > manifest.json
 
@@ -37,7 +38,7 @@ from leda.checkpoint import save_checkpoint
 from leda.cli import main
 from leda.config import VARIANTS
 from leda.datasets import GRAPH_LEVEL, NODE_LEVEL, GraphCollection, save_dataset
-from leda.evaluate import embed, pooled_graph_embeddings
+from leda.evaluate import pooled_graph_embeddings
 from leda.trainer import pretrain
 
 from synthetic import bow_collection, graph_level_collection, node_collection, tiny_config
@@ -67,6 +68,11 @@ def _training_part(collection: GraphCollection, held: str) -> GraphCollection:
     return GraphCollection(tuple(g for g in collection.graphs if g.domain_id != held), collection.task_kind)
 
 
+def _leda(run: str, argv: list[str]) -> None:
+    if main(argv) != 0:
+        raise RuntimeError(f"{run}: leda {' '.join(argv)} failed")
+
+
 def manifest(work: Path) -> dict[str, str]:
     """Train and evaluate the matrix under `work`; the digest of each artifact."""
     digests: dict[str, bytes] = {}
@@ -86,8 +92,11 @@ def manifest(work: Path) -> dict[str, str]:
                 digests[f"{run}/pooled_rows"] = pooled_graph_embeddings(collection, ckpt).tobytes()
                 commands = {"eval-graph": ["eval-graph", *GRAPH]}
             else:
+                tsv = work / "embed.tsv"
                 for domain in (seen, held):
-                    digests[f"{run}/embed/{domain}"] = embed(collection.by_domain(domain)[0], ckpt).E.tobytes()
+                    _leda(run, ["embed", "--ckpt", str(ckpt_path), "--manifest", data, "--domain", domain,
+                                "--out", str(tsv)])
+                    digests[f"{run}/embed/{domain}"] = tsv.read_bytes()
                 commands = {
                     f"eval-fewshot/{held}": ["eval-fewshot", "--domain", held, *FEWSHOT],
                     f"eval-linear/{held}": ["eval-linear", "--domain", held, *LINEAR],
@@ -95,9 +104,7 @@ def manifest(work: Path) -> dict[str, str]:
                 }
             out = work / "report.json"
             for artifact, (command, *args) in commands.items():
-                argv = [command, "--ckpt", str(ckpt_path), "--manifest", data, "--out", str(out), *args]
-                if main(argv) != 0:
-                    raise RuntimeError(f"{run}: leda {' '.join(argv)} failed")
+                _leda(run, [command, "--ckpt", str(ckpt_path), "--manifest", data, "--out", str(out), *args])
                 doc = json.loads(out.read_text(encoding="utf-8"))
                 doc["timestamp"] = "masked"
                 digests[f"{run}/{artifact}"] = json.dumps(doc, sort_keys=True).encode()

@@ -502,7 +502,7 @@ class TestShares:
         expected = tmp_path / "expected.tsv"
         write_embeddings_tsv(SimpleNamespace(E=x), expected)
         use_cpus(cpus)
-        monkeypatch.setattr(datasets, "_WRITE_CHUNK", chunk)
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", chunk * datasets._FORMAT_VALUE_BYTES)
         write_float_tsv(tmp_path / "indexed.tsv", x, index=True)
         assert (tmp_path / "indexed.tsv").read_bytes() == expected.read_bytes()
         write_float_tsv(tmp_path / "plain.tsv", x)
@@ -926,7 +926,7 @@ class TestSaveLoadRoundTrip:
     # labels and edge entries 1, 3, 7 and 4,096 a chunk; feature rows 1 a chunk, and 341
     @pytest.mark.parametrize("chunk", [1, 3, 7, 4096])
     def test_2000_node_graph_files_and_arrays(self, tmp_path, monkeypatch, chunk):
-        monkeypatch.setattr(datasets, "_WRITE_CHUNK", chunk)
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", chunk * datasets._FORMAT_VALUE_BYTES)
         graph = random_graph(2000, 12, 5, 8, seed=3)
         manifest = save_dataset(GraphCollection((graph,), "node-level"), tmp_path / "a")
         entry = json.loads(manifest.read_text())["domains"][0]
@@ -998,7 +998,8 @@ class TestSaveLoadRoundTrip:
         spans, densify = [], CsrMatrix.to_dense
         monkeypatch.setattr(CsrMatrix, "to_dense",
                             lambda self, lo, hi: spans.append(hi - lo) or densify(self, lo, hi))
-        monkeypatch.setattr(datasets, "_WRITE_CHUNK", 7 * 40 + 39)  # 7 rows of 40 values
+        # 7 rows of 40 values
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", (7 * 40 + 39) * datasets._FORMAT_VALUE_BYTES)
         use_cpus(cpus)
         write_float_tsv(tmp_path / "dense.tsv", x)
         write_float_tsv(tmp_path / "csr.tsv", held)

@@ -94,7 +94,7 @@ class TestEdgeWriter:
     @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_named_graphs_write_the_one_list_bytes(self, tmp_path, monkeypatch, name, chunk):
-        monkeypatch.setattr(datasets, "_WRITE_CHUNK", chunk)
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", chunk * datasets._FORMAT_VALUE_BYTES)
         adj, written = written_edges(tmp_path, *GRAPHS[name])
         assert written == one_list_edge_text(adj).encode("ascii")
 
@@ -103,7 +103,7 @@ class TestEdgeWriter:
     def test_random_graphs_write_the_one_list_bytes(self, tmp_path_factory, graph, chunk):
         tmp_path = tmp_path_factory.mktemp("edges")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(datasets, "_WRITE_CHUNK", chunk)
+            patch.setattr(linalg, "_BLOCK_BYTES", chunk * datasets._FORMAT_VALUE_BYTES)
             adj, written = written_edges(tmp_path, *graph)
         assert written == one_list_edge_text(adj).encode("ascii")
 

@@ -70,7 +70,7 @@ class TestSecondMomentCheck:
         state = AdamWState.for_params(params, weight_decay=0.0)
         node.grad = np.array([[1e150, -3.0]])
         adamw_step(params, state)
-        check_second_moments(state, "fit")
+        check_second_moments(state.v, "fit")
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -84,4 +84,4 @@ class TestSecondMomentCheck:
             # the step of the overflowed coordinate is 0: only the moment shows it
             assert node.value[0, 1] == 2.0
         with pytest.raises(NumericError, match="^fit: AdamW second moment of 'theta' is non-finite"):
-            check_second_moments(state, "fit")
+            check_second_moments(state.v, "fit")
