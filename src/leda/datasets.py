@@ -22,8 +22,8 @@ import numpy as np
 
 from .config import check_object, check_type, check_values, has_json_type, parse_json, write_file
 from .errors import ConfigError, DataError
-from .linalg import (CsrMatrix, _SymmetricCsr, feature_operand, physical_memory, row_blocks, shared_empty,
-                     split_repeats)
+from .linalg import (SPARSE_FEATURE_DENSITY, CsrMatrix, _index_dtype, _SymmetricCsr, feature_operand, physical_memory,
+                     row_blocks, shared_empty, split_repeats)
 
 MANIFEST_VERSION = 1
 NODE_LEVEL = "node-level"
@@ -171,18 +171,18 @@ class GraphCollection:
 # tries a third one first. It maps its file read-only, and a byte grid of
 # fixed-width decimal tokens, as the "0.0"/"1.0" bag-of-words tables
 # `save_dataset` writes are, is decoded in `_load_fixed_width` from the page
-# cache, with no copy and no text parser, to float()'s bits: a block of
-# whole lines (`linalg.row_blocks`, about 256 KB) at a time goes through one
-# reused buffer, where one comparison with the line's template checks it and
-# its digits are combined into the integer table, so no pass builds a
-# temporary as large as the table. Any other file returns None there at its
-# first failed block and is read into bytes, as edges and labels files are,
-# for the two routes below. The mapping is closed before the reader returns;
-# a file that shrinks while it is mapped ends the process (SIGBUS). The
-# grid's integer table gets `feature_operand`'s rule, so a sparse one becomes
-# a CsrMatrix from its nonzeros alone, found a block of rows at a time, and
-# its float table is never built; the two routes below parse a dense table,
-# which `DomainGraph` rules on once it is found finite.
+# cache, with no copy and no text parser, to float()'s bits, by
+# `feature_operand`'s rule: a block of whole lines (`linalg.row_blocks`,
+# about 256 KB) at a time is compared with the line's all-zero template,
+# and a sparse grid becomes a CsrMatrix from the bytes that differ alone, so
+# neither its integer table nor its float table is ever built. A grid whose
+# differing bytes pass that rule's share is decoded again, a block at a
+# time through one reused buffer, into its integer table, which it divides.
+# Any other file returns None there at its first failed block and is read
+# into bytes, as edges and labels files are, for the two routes below. The
+# mapping is closed before the reader returns; a file that shrinks while it
+# is mapped ends the process (SIGBUS). The two routes below parse a dense
+# table, which `DomainGraph` rules on once it is found finite.
 #
 # A file spelled only with the characters below is "plain": ASCII, so valid
 # UTF-8. Its bytes go to np.loadtxt, which on one CPU parses bag-of-words
@@ -334,17 +334,19 @@ def _load_fixed_width(raw: bytes | mmap.mmap) -> np.ndarray | CsrMatrix | None:
     the first line's length, every token the first token's width, and each
     byte column of the tokens is all digits or all `.`, with at most one `.`
     column and 15 digits. A value is then an integer below 10^15 < 2^53 over
-    10^f, so one division gives float()'s bits; a sparse table divides its
-    nonzeros alone, and never exists as floats.
+    10^f, so one division gives float()'s bits.
 
-    The lines are decoded a `row_blocks` block at a time into one reused
-    buffer: a line minus its template ('0' at each digit byte, every other
-    byte as it must be) leaves at most 9 at a digit byte and 0 at the others,
-    and a byte below its template wraps past both, so one comparison checks
-    every rule; the digits are then combined from that buffer while it is in
-    cache. `raw` is bytes or a read-only mapping; no array made from it
-    outlives the call, even one that raises, so the mapping can be closed as
-    soon as it ends."""
+    A `row_blocks` block of lines at a time is compared with the line's
+    all-zero template ('0' at each digit byte, every other byte as it must
+    be) in one reused mask. Each byte that differs must be '1'-'9' at a digit
+    byte, and a token's integer is the sum of its digits by place value, so
+    a sparse grid becomes a CSR with no integer table. A grid whose differing
+    bytes or nonzero tokens pass `feature_operand`'s share is decoded again
+    into that table: a line minus its template leaves at most 9 at a digit
+    byte and 0 at the others, and a byte below its template wraps past both,
+    so one comparison a block checks every rule. `raw` is bytes or a
+    read-only mapping; no array made from it outlives the call, even one
+    that raises, so the mapping can be closed as soon as it ends."""
     line = raw.find(b"\n") + 1
     tab = raw.find(b"\t", 0, line)
     step = line if tab < 0 else tab + 1  # a token and the byte after it
@@ -360,20 +362,54 @@ def _load_fixed_width(raw: bytes | mmap.mmap) -> np.ndarray | CsrMatrix | None:
     cell[-1] = ord("\t")
     if point >= 0:
         cell[point] = ord(".")
+    place = np.zeros(step)  # a token byte's place value in its integer
+    place[cell == ord("0")] = 10.0 ** np.arange(digits - 1, -1, -1)
     template = np.tile(cell, cols)
     template[-1] = ord("\n")
     limits = np.where(template == ord("0"), np.uint8(9), np.uint8(0))
-    first, *others = (k for k in range(step - 1) if k != point)
-    # the integers, in the narrowest unsigned type that holds them
-    table = np.empty((rows, cols), np.min_scalar_type(10 ** digits - 1))
+    divisor = float(10 ** (digits - point if point >= 0 else 0))
+    budget = SPARSE_FEATURE_DENSITY * (rows * cols)  # `feature_operand`'s rule
+    room = budget * digits  # the differing bytes left to a sparse grid
     blocks = row_blocks(rows, line)
-    buffer = np.empty((blocks[0][1], line), np.uint8)
-    bad = np.empty(buffer.shape, bool)
+    mask = np.empty((blocks[0][1], line), bool)
+    found, at = [], ()
     grid = np.frombuffer(raw, np.uint8).reshape(rows, line)
     try:
         for lo, hi in blocks:
+            block = np.not_equal(grid[lo:hi], template, out=mask[:hi - lo])
+            # where a block like the last would pass the budget, this one is counted first
+            if len(at) > room and np.count_nonzero(block) > room:
+                break
+            at = np.flatnonzero(block)
+            room -= len(at)
+            if room < 0:
+                break
+            at += lo * line
+            found.append(at)
+        else:
+            at = np.concatenate(found)
+            found.clear()
+            digit = grid.reshape(-1)[at] - np.uint8(ord("0"))
+            amount = place[at % step]  # each digit's place value, 0 at a fixed byte
+            if np.any(digit > 9) or not np.all(amount):
+                return None
+            amount *= digit  # exact in float64, as every sum below 10^15 is
+            at //= step  # now each digit's token, row * cols + column
+            starts = np.flatnonzero(np.diff(at, prepend=-1))  # each token's first digit
+            if len(starts) <= budget:
+                at = at[starts]
+                amount = np.add.reduceat(amount, starts)
+                amount /= divisor
+                return CsrMatrix(rows, cols, np.searchsorted(at, np.arange(rows + 1) * cols),
+                                 (at % cols).astype(_index_dtype(rows, cols, rows * cols)), amount)
+        found = at = amount = starts = None  # before the dense decode builds its table
+        first, *others = (k for k in range(step - 1) if k != point)
+        # the integers, in the narrowest unsigned type that holds them
+        table = np.empty((rows, cols), np.min_scalar_type(10 ** digits - 1))
+        buffer = np.empty(mask.shape, np.uint8)
+        for lo, hi in blocks:
             np.subtract(grid[lo:hi], template, out=buffer[:hi - lo])
-            if np.greater(buffer[:hi - lo], limits, out=bad[:hi - lo]).any():
+            if np.greater(buffer[:hi - lo], limits, out=mask[:hi - lo]).any():
                 return None
             cells, out = buffer[:hi - lo].reshape(hi - lo, cols, step), table[lo:hi]
             out[...] = cells[:, :, first]
@@ -384,8 +420,7 @@ def _load_fixed_width(raw: bytes | mmap.mmap) -> np.ndarray | CsrMatrix | None:
         # a raised error's traceback keeps this frame; a view left in it would
         # make closing the mapping raise BufferError in place of that error
         del grid
-    del buffer, bad, cells  # before feature_operand makes its own blocks
-    return feature_operand(table, float(10 ** (digits - point if point >= 0 else 0)))
+    return np.divide(table, divisor)
 
 
 def _read_features(path: Path) -> np.ndarray | CsrMatrix:

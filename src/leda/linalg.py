@@ -334,11 +334,11 @@ class CsrMatrix:
         return CsrMatrix(sum(b.rows for b in blocks), int(columns[-1]), offsets, indices, values)
 
     @staticmethod
-    def from_dense(dense, divisor: float | None = None) -> CsrMatrix:
-        """The nonzeros of a 2-D real table, each over `divisor` if given. An
-        integer table is converted to float64 at its nonzeros alone. They
-        are found by `row_blocks`, in row-major order, the CSR order, so no
-        mask as large as the table is ever held beside it."""
+    def from_dense(dense) -> CsrMatrix:
+        """The nonzeros of a 2-D real table. An integer table is converted to
+        float64 at its nonzeros alone. They are found by `row_blocks`, in
+        row-major order, the CSR order, so no mask as large as the table is
+        ever held beside it."""
         # np.flatnonzero finds positions 3x as fast on the mask x != 0 as on
         # a uint8 or float64 table, and the mask keeps NaN and drops -0.0 as
         # the table's truth value does
@@ -353,9 +353,7 @@ class CsrMatrix:
             ends.append(np.searchsorted(flat, np.arange(1, hi - lo + 1) * width) + ends[-1][-1])
             cols.append((flat % width).astype(index))
             values.append(block.ravel()[flat])
-        values = np.concatenate(values)
-        return CsrMatrix(rows, width, np.concatenate(ends), np.concatenate(cols),
-                         values if divisor is None else np.divide(values, divisor))
+        return CsrMatrix(rows, width, np.concatenate(ends), np.concatenate(cols), np.concatenate(values))
 
     @staticmethod
     def from_edges(n: int, edges: np.ndarray) -> CsrMatrix:
@@ -428,18 +426,18 @@ class CsrMatrix:
         return out
 
 
-def feature_operand(x: np.ndarray | CsrMatrix, divisor: float | None = None) -> np.ndarray | CsrMatrix:
-    """x, or a table x over `divisor`, as a CsrMatrix when at most
-    SPARSE_FEATURE_DENSITY of its entries are nonzero, else as a dense array
-    (x itself when no divisor is given). A CsrMatrix x is kept when it is that
-    sparse and stores no zero, and is otherwise ruled on as its dense table."""
+def feature_operand(x: np.ndarray | CsrMatrix) -> np.ndarray | CsrMatrix:
+    """x as a CsrMatrix when at most SPARSE_FEATURE_DENSITY of its entries are
+    nonzero, else as a dense array (x itself when it is one). A CsrMatrix x is
+    kept when it is that sparse and stores no zero, and is otherwise ruled on
+    as its dense table. `datasets` decodes a byte grid by this rule too."""
     if isinstance(x, CsrMatrix):
         if x.nnz <= SPARSE_FEATURE_DENSITY * x.rows * x.cols and np.all(x.values):
             return x
         x = x.to_dense()
     if np.count_nonzero(x) > SPARSE_FEATURE_DENSITY * x.size:
-        return x if divisor is None else np.divide(x, divisor)
-    return CsrMatrix.from_dense(x, divisor)
+        return x
+    return CsrMatrix.from_dense(x)
 
 
 class _SymmetricCsr(CsrMatrix):
